@@ -244,7 +244,8 @@ pub fn sweep_parallel_outcomes(
 /// Runs many (trace × configuration-grid) cells as **one** whole-matrix
 /// sweep ([`dvi_sim::MatrixRunner`]): every distinct trace across the
 /// cells builds its trace-pure shared products (static-decode table,
-/// oracle bitstreams, dependence graph) exactly once, identical
+/// oracle bitstreams, dependence graph) exactly once and frees them after
+/// its last member, identical
 /// (trace, configuration) members are simulated once, and all members
 /// drain through a single work-stealing queue instead of one queue per
 /// figure grid. Results come back in cell order, each cell in grid

@@ -391,7 +391,7 @@ impl CapturedTrace {
 
         let depgraph = match r.section_opt(section::DEPGRAPH) {
             Some(payload) => {
-                let graph = DepGraph::from_bytes(payload)?;
+                let graph = DepGraph::from_bytes(payload, r.version())?;
                 if graph.len() != records {
                     return Err(malformed(format!(
                         "dependence graph covers {} records, trace has {records}",
@@ -489,7 +489,9 @@ pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// Newest trace-artifact format version this build reads and writes.
 /// Version 2 appended the fusion-table build time to the metadata summary;
 /// version-1 artifacts still load (the field reads back as `None`).
-pub const TRACE_VERSION: u32 = 2;
+/// Version 3 dropped the call-depth column from the DEPGRAPH section;
+/// older graph sections still load (the column is skipped).
+pub const TRACE_VERSION: u32 = 3;
 
 /// Section tags of the trace artifact. Tags below `0x100` are reserved
 /// for the trace itself; dependent crates embedding extra sections in

@@ -3,7 +3,7 @@
 //! A design-space sweep re-times one dynamic instruction stream on many
 //! machine configurations, and every one of those machines re-derives the
 //! *same* dataflow facts per record: which earlier record produced each
-//! source operand, whether a value is dead, how deep the call stack is.
+//! source operand, whether a value is dead.
 //! None of that depends on issue width, register-file size, cache geometry
 //! or the DVI scheme — it is a pure function of the trace, exactly like the
 //! decode table and the branch/I-cache oracles the batched sweep already
@@ -35,9 +35,9 @@
 //!   redefined or killed, and whether a given source read is the final
 //!   read of its producer's value. These are the paper's dead-value facts
 //!   in dynamic form, usable by analyses without running a machine model.
-//! * **Call/return depth** — the call-stack depth at which the record
-//!   executes (the depth a `call` record itself executes at; its target
-//!   runs one deeper).
+//!
+//! That is 9 bytes per record: two 4-byte producer links and one flag
+//! byte.
 //!
 //! # Invariant
 //!
@@ -117,9 +117,7 @@ impl SrcDep {
 }
 
 /// The precomputed dependence graph of one captured trace. See the module
-/// documentation for contents and guarantees. `Clone` deep-copies the row
-/// storage, which is what shard-replicated sweeps use to give each worker
-/// pool a private copy of the read-only graph.
+/// documentation for contents and guarantees.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     /// Producer record indices of both source operands
@@ -127,8 +125,6 @@ pub struct DepGraph {
     prod: Vec<[u32; 2]>,
     /// Packed per-record flag bits (see [`flag`]).
     flags: Vec<u8>,
-    /// Call-stack depth of each record.
-    depth: Vec<u32>,
 }
 
 impl DepGraph {
@@ -137,7 +133,7 @@ impl DepGraph {
     /// The pass maintains, per architectural register, the last writing
     /// record, the last E-DVI kill covering it and the pending "most recent
     /// read" (for last-use marking); plus the index of the last
-    /// call/return and the running call depth. Writes are identified by
+    /// call/return. Writes are identified by
     /// [`Instr::dst_reg`] — the same query the rename stage uses — so the
     /// link structure matches what destination renaming produces on every
     /// machine.
@@ -149,11 +145,7 @@ impl DepGraph {
             "trace too long for 32-bit record indices (the top value is the no-producer sentinel)"
         );
         let idvi_mask = Abi::mips_like().idvi_mask();
-        let mut g = DepGraph {
-            prod: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            depth: Vec::with_capacity(n),
-        };
+        let mut g = DepGraph { prod: Vec::with_capacity(n), flags: Vec::with_capacity(n) };
         // Per-register pass state (all indices are record indices).
         let mut last_writer = [NONE; NUM_ARCH_REGS];
         let mut last_kill = [NONE; NUM_ARCH_REGS];
@@ -161,7 +153,6 @@ impl DepGraph {
         let mut pending_read = [(NONE, 0u8); NUM_ARCH_REGS];
         let mut read_since_def = [false; NUM_ARCH_REGS];
         let mut last_callret = NONE;
-        let mut depth = 0u32;
 
         for d in trace.cursor() {
             #[allow(clippy::cast_possible_truncation)]
@@ -190,7 +181,6 @@ impl DepGraph {
             }
             g.prod.push(row);
             g.flags.push(f);
-            g.depth.push(depth);
 
             // Destination write: the previous value of the register dies
             // here. If it was never read, mark its producer dead; either
@@ -200,7 +190,7 @@ impl DepGraph {
                 last_writer[rd.index()] = i;
             }
 
-            // DVI and depth events.
+            // DVI events.
             match d.instr {
                 Instr::Kill { mask } => {
                     for reg in mask.iter() {
@@ -221,14 +211,7 @@ impl DepGraph {
                         );
                     }
                 }
-                Instr::Call { .. } => {
-                    last_callret = i;
-                    depth += 1;
-                }
-                Instr::Return => {
-                    last_callret = i;
-                    depth = depth.saturating_sub(1);
-                }
+                Instr::Call { .. } | Instr::Return => last_callret = i,
                 _ => {}
             }
         }
@@ -366,23 +349,15 @@ impl DepGraph {
         self.flags[record] & bit != 0
     }
 
-    /// Call-stack depth at which `record` executes.
-    #[must_use]
-    pub fn depth(&self, record: usize) -> u32 {
-        self.depth[record]
-    }
-
     /// Approximate heap footprint in bytes.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.prod.capacity() * std::mem::size_of::<[u32; 2]>()
-            + self.flags.capacity()
-            + self.depth.capacity() * std::mem::size_of::<u32>()
+        self.prod.capacity() * std::mem::size_of::<[u32; 2]>() + self.flags.capacity()
     }
 
     /// Serializes the graph for embedding in a trace artifact (see
-    /// [`crate::artifact`]): record count, then the producer pairs, flag
-    /// bytes and call depths, all little-endian.
+    /// [`crate::artifact`]): record count, then the producer pairs and
+    /// flag bytes, all little-endian.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = crate::artifact::ByteWriter::new();
@@ -392,14 +367,17 @@ impl DepGraph {
             w.put_u32(b);
         }
         w.put_bytes(&self.flags);
-        for &d in &self.depth {
-            w.put_u32(d);
-        }
         w.into_bytes()
     }
 
-    /// Decodes a graph serialized by [`DepGraph::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<DepGraph, crate::artifact::ArtifactError> {
+    /// Decodes a graph serialized by [`DepGraph::to_bytes`] inside a trace
+    /// artifact of format `version`. Sections written before version 3
+    /// carry a trailing per-record call-depth column (4 bytes per record),
+    /// which is skipped.
+    pub fn from_bytes(
+        bytes: &[u8],
+        version: u32,
+    ) -> Result<DepGraph, crate::artifact::ArtifactError> {
         let mut r = crate::artifact::ByteReader::new(bytes, "dependence graph");
         let n = r.count()?;
         let mut prod = Vec::with_capacity(n);
@@ -407,12 +385,13 @@ impl DepGraph {
             prod.push([r.u32()?, r.u32()?]);
         }
         let flags = r.bytes(n)?.to_vec();
-        let mut depth = Vec::with_capacity(n);
-        for _ in 0..n {
-            depth.push(r.u32()?);
+        if version < 3 {
+            for _ in 0..n {
+                r.u32()?;
+            }
         }
         r.finish()?;
-        Ok(DepGraph { prod, flags, depth })
+        Ok(DepGraph { prod, flags })
     }
 }
 
@@ -511,9 +490,9 @@ mod tests {
         assert!(g.dest_dead(0));
     }
 
-    /// Calls sever caller-saved links (I-DVI) and track depth.
+    /// Calls sever caller-saved links (I-DVI).
     #[test]
-    fn calls_set_idvi_flags_and_depth() {
+    fn calls_set_idvi_flags() {
         let mut b = ProgramBuilder::new();
         let mut main = ProcBuilder::new("main");
         // 0: r8 <- 1        (r8 is caller-saved and in the I-DVI mask)
@@ -540,11 +519,6 @@ mod tests {
         let dep_r16 = g.source(5, 1);
         assert_eq!(dep_r16.producer, Some(1));
         assert!(!dep_r16.idvi_cut, "callee-saved registers are not killed by I-DVI");
-        // Depth: callee records run one deeper than main's.
-        assert_eq!(g.depth(2), 0, "the call itself runs at the caller's depth");
-        assert_eq!(g.depth(3), 1);
-        assert_eq!(g.depth(4), 1);
-        assert_eq!(g.depth(5), 0);
     }
 
     /// A branch loop: the back edge makes later iterations' reads link to
@@ -576,7 +550,7 @@ mod tests {
     fn footprint_is_accounted() {
         let trace = straight_line();
         let g = DepGraph::build(&trace);
-        assert!(g.approx_bytes() >= g.len() * (2 * 4 + 1 + 4));
+        assert!(g.approx_bytes() >= g.len() * (2 * 4 + 1));
         assert!(!g.is_empty());
     }
 }

@@ -17,7 +17,8 @@
 //! corruption pinned to the section tag, version skew and
 //! stale-trace-fingerprint rejection.
 
-use dvi_program::captured::{TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::artifact::ArtifactWriter;
+use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{
     ArtifactError, CapturedTrace, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
 };
@@ -169,6 +170,42 @@ fn header_corruption_reports_magic_and_version_errors() {
         CapturedTrace::from_bytes(&future_version).expect_err("future version must not load"),
         ArtifactError::VersionSkew { found: TRACE_VERSION + 1, supported: TRACE_VERSION }
     );
+}
+
+/// A version-2 artifact, whose DEPGRAPH section still carries the
+/// per-record call-depth column that version 3 dropped, loads with the
+/// column skipped: the same producer and flag rows come back.
+#[test]
+fn version_2_depgraph_section_decodes_to_the_same_rows() {
+    let mut trace = CapturedTrace::record(&mixed_program(6), 400);
+    trace.build_depgraph();
+    let graph = trace.depgraph().expect("graph attached");
+    let bytes = trace.to_bytes();
+    let mut v2 = ArtifactWriter::new(TRACE_MAGIC, 2);
+    for (tag, start, len) in section_spans(&bytes) {
+        let mut payload = bytes[start..start + len].to_vec();
+        if tag == section::DEPGRAPH {
+            for record in 0..graph.len() {
+                let depth = u32::try_from(record % 7).expect("small depth");
+                payload.extend_from_slice(&depth.to_le_bytes());
+            }
+        }
+        v2.section(tag, payload);
+    }
+    let loaded = CapturedTrace::from_bytes(&v2.to_bytes()).expect("a v2 artifact loads");
+    assert_eq!(loaded.fingerprint(), trace.fingerprint());
+    let loaded_graph = loaded.depgraph().expect("the v2 graph section decodes");
+    assert_eq!(loaded_graph.len(), graph.len());
+    for record in 0..graph.len() {
+        assert_eq!(loaded_graph.row(record), graph.row(record), "record {record}");
+    }
+
+    // The same section without its depth column is not a v2 section.
+    let mut short = ArtifactWriter::new(TRACE_MAGIC, 2);
+    for (tag, start, len) in section_spans(&bytes) {
+        short.section(tag, bytes[start..start + len].to_vec());
+    }
+    assert!(CapturedTrace::from_bytes(&short.to_bytes()).is_err());
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   *entire* pending queue — spanning however many distinct traces — into
 //!   one [`dvi_sim::MatrixRunner`] matrix: the fingerprint-keyed trace
 //!   registry builds the trace-pure products (`SharedTables`, dependence
-//!   graph, oracles) exactly once per distinct trace, identical
+//!   graph, oracles) once per distinct trace and shard, identical
 //!   (trace, configuration) members across jobs simulate **once**, and the
 //!   matrix optionally shards with per-shard trace replication
 //!   ([`ServiceConfig::with_shards`]). Turns run with `MemberOutcome`

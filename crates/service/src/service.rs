@@ -6,7 +6,7 @@
 //! while it is still queued, and each scheduling turn drains the *entire*
 //! pending queue — however many traces it spans — into one
 //! [`MatrixRunner`] run. The matrix's fingerprint-keyed trace registry
-//! builds the trace-pure shared products exactly once per distinct trace
+//! builds the trace-pure shared products once per distinct trace and shard
 //! (even when two batch keys resolve to the same trace), and each distinct
 //! (trace, configuration) member simulates at most once, however many jobs
 //! asked for it.
@@ -48,9 +48,9 @@ pub struct ServiceConfig {
     /// (see [`SweepRunner::with_checkpoint_every`]).
     pub checkpoint_every_turns: u64,
     /// Shards each matrix turn is partitioned into (see
-    /// [`MatrixRunner::shards`]): above 1, every shard replicates its
-    /// traces and shared products privately, keeping hot read-only state
-    /// local on multi-socket hosts.
+    /// [`MatrixRunner::shards`]): above 1, every shard builds its own
+    /// shared products from a private replica of its traces, keeping hot
+    /// read-only state local on multi-socket hosts.
     pub shards: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
@@ -256,12 +256,15 @@ pub struct MetricsSnapshot {
     /// Distinct traces seen across all matrix turns after
     /// fingerprint-keyed registry deduplication.
     pub matrix_distinct_traces: u64,
-    /// Shared-product build passes actually run — exactly one per
-    /// distinct trace per matrix turn.
+    /// Shared-product build passes actually run — one per (shard, trace)
+    /// pair with work per matrix turn.
     pub matrix_shared_builds: u64,
     /// Scheduled members that consumed shared products without triggering
     /// a build pass (the matrix's reuse proof).
     pub matrix_build_reuse_hits: u64,
+    /// The most (shard, trace) product sets any matrix turn held alive at
+    /// the same moment.
+    pub matrix_peak_live_products: u64,
     /// Members workers stole from other shards' queues across all matrix
     /// turns.
     pub matrix_steals: u64,
@@ -411,6 +414,7 @@ struct MetricsCounters {
     matrix_distinct_traces: u64,
     matrix_shared_builds: u64,
     matrix_build_reuse_hits: u64,
+    matrix_peak_live_products: u64,
     matrix_steals: u64,
     matrix_shard_members: Vec<u64>,
     outcomes: SweepSummary,
@@ -729,6 +733,7 @@ impl SweepService {
             matrix_distinct_traces: m.matrix_distinct_traces,
             matrix_shared_builds: m.matrix_shared_builds,
             matrix_build_reuse_hits: m.matrix_build_reuse_hits,
+            matrix_peak_live_products: m.matrix_peak_live_products,
             matrix_steals: m.matrix_steals,
             matrix_shard_members: m.matrix_shard_members,
             outcomes: m.outcomes,
@@ -945,6 +950,8 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
                 m.matrix_distinct_traces += report.distinct_traces as u64;
                 m.matrix_shared_builds += report.shared_builds;
                 m.matrix_build_reuse_hits += report.build_reuse_hits;
+                m.matrix_peak_live_products =
+                    m.matrix_peak_live_products.max(report.peak_live_products as u64);
                 m.matrix_steals += report.shard_steals.iter().sum::<u64>();
                 m.matrix_shard_members = report.shard_members.iter().map(|&n| n as u64).collect();
             }

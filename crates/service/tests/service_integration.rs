@@ -277,6 +277,7 @@ fn cancelled_queued_job_leaves_the_matrix_and_simulates_nothing() {
     assert_eq!(metrics.matrix_distinct_traces, 1);
     assert_eq!(metrics.matrix_shared_builds, 1);
     assert_eq!(metrics.matrix_build_reuse_hits, heavy_grid().len() as u64 - 1);
+    assert_eq!(metrics.matrix_peak_live_products, 1, "one worker holds one product set");
     assert_eq!(
         metrics.matrix_shard_members.iter().sum::<u64>(),
         heavy_grid().len() as u64,
@@ -345,6 +346,7 @@ fn sharded_service_matrix_is_bit_identical() {
     assert_eq!(metrics.shards, 2);
     assert_eq!(metrics.matrix_shard_members.len(), 2, "the turn ran on two shards");
     assert_eq!(metrics.matrix_shard_members.iter().sum::<u64>(), grid.len() as u64);
+    assert_eq!(metrics.matrix_shared_builds, 2, "each shard builds its own products");
     service.shutdown();
 }
 
@@ -380,6 +382,7 @@ fn http_cancel_route_cancels_and_conflicts_once_terminal() {
     assert_eq!(metrics.get("jobs_cancelled").and_then(Json::as_u64), Some(1));
     assert!(metrics.get("matrix_turns").is_some());
     assert!(metrics.get("matrix_build_reuse_hits").is_some());
+    assert!(metrics.get("matrix_peak_live_products").is_some());
     assert!(metrics.get("matrix_shard_members").is_some());
     assert!(metrics.get("queue_depth").is_some());
 

@@ -13,33 +13,47 @@
 //!
 //! * **Trace registry** — cells are deduplicated through a
 //!   fingerprint-keyed registry ([`dvi_program::CapturedTrace::fingerprint`]),
-//!   so shared products are built **exactly once per distinct trace**
-//!   across the entire matrix, no matter how many cells name it. Members
-//!   that request the same (trace, configuration) pair are deduplicated
-//!   too and fanned back out to every requesting cell.
+//!   so shared products are built **once per (shard, trace)** across the
+//!   entire matrix, no matter how many cells name the trace. Members that
+//!   request the same (trace, configuration) pair are deduplicated too and
+//!   fanned back out to every requesting cell.
 //! * **One work-stealing queue** — all members of all traces are
 //!   scheduled together: a worker that drains its own shard's queue
 //!   steals from the others, so one trace's laggard member overlaps with
 //!   another trace's members instead of serializing its cell.
 //! * **Shards** — the matrix is partitioned round-robin into
-//!   self-contained shards. In-process, each shard gets a **private
-//!   replica** of its traces and shared products (the NUMA story:
-//!   replicate read-only data per shard rather than sharing one copy
-//!   across sockets; within a shard, products stay shared). Out of
-//!   process, [`MatrixRunner::shard_jobs`] serializes each shard — trace
+//!   self-contained shards. In-process, each shard builds its own products
+//!   from a **private replica** of its traces (the NUMA story: replicate
+//!   read-only data per shard rather than sharing one copy across
+//!   sockets; within a shard, products stay shared). Out of process,
+//!   [`MatrixRunner::shard_jobs`] serializes each shard — trace
 //!   artifacts, config slices and expected fingerprints — into a
 //!   [`ShardJob`] that any worker process can execute with
 //!   [`ShardJob::run`], and [`MatrixRunner::merge_shard_results`] merges
 //!   the [`ShardResult`]s back in global member order.
 //!
+//! # Product residency
+//!
+//! A (shard, trace) pair's products — trace replica, dependence graph,
+//! oracles, fusion tables — live exactly as long as some member of the
+//! pair is still to finish. The first worker to claim one of the pair's
+//! members builds them under the pair's own lock; every member's job is
+//! moved out to the worker that runs it; the products are freed with the
+//! pair's last member. Workers claim members in trace-major order, so on
+//! one shard at most about `threads` product sets are alive at once
+//! ([`MatrixReport::peak_live_products`]) instead of one per trace.
+//! Members restored from a checkpoint or declined by the scheduling gate
+//! never trigger a build.
+//!
 //! # Bit-identity merge contract
 //!
 //! Per-member statistics are a pure function of (configuration, trace,
 //! shared products), and shared products leave the modelled machine
-//! bit-identical (`tests/batch_equiv.rs`). Shard replication only copies
-//! those products, so the merged matrix is **bit-identical** to serial
-//! per-trace sweeps at any shard and thread count — `tests/matrix_equiv.rs`
-//! locks matrix == per-trace-batched == serial across heterogeneous
+//! bit-identical (`tests/batch_equiv.rs`). Sharding only changes which
+//! members build a copy of those products together, so the merged matrix
+//! is **bit-identical** to serial per-trace sweeps at any shard and thread
+//! count — `tests/matrix_equiv.rs` locks matrix == per-trace-batched ==
+//! serial across heterogeneous
 //! grids, shard counts and thread counts, including the out-of-process
 //! [`ShardJob`] round trip.
 //!
@@ -55,22 +69,19 @@
 //! a killed shard resume instead of recomputing.
 
 use crate::batch::{
-    read_sim_config, run_member_outcome, write_sim_config, BranchOracle, DviOracle, IcacheOracle,
-    MemberOutcome, ParallelJob, SharedTables, SweepRunner,
+    read_sim_config, run_member_outcome, write_sim_config, MemberOutcome, ParallelJob, SweepRunner,
 };
 use crate::checkpoint::{
     config_fingerprint, read_outcome, write_outcome, MemberCheckpoint, MemberCheckpointState,
     SweepCheckpoint,
 };
 use crate::config::SimConfig;
-use crate::frontend::StaticDecodeTable;
-use dvi_mem::DcacheOracle;
 use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
-use dvi_program::{ArtifactError, CapturedTrace, DepGraph, FusionTable};
+use dvi_program::{ArtifactError, CapturedTrace};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Artifact container identity of a serialized shard job.
 pub const SHARD_JOB_MAGIC: [u8; 8] = *b"DVISHRDJ";
@@ -123,6 +134,8 @@ struct MemberEntry {
 struct MatrixIndex<'a> {
     traces: Vec<&'a CapturedTrace>,
     members: Vec<MemberEntry>,
+    /// Per trace, its global member ids in ascending order.
+    trace_members: Vec<Vec<usize>>,
     /// Per cell, the global member id of each grid position.
     cell_members: Vec<Vec<usize>>,
     /// Per member, the cells that requested it (deduplicated, in
@@ -180,9 +193,14 @@ impl<'a> MatrixIndex<'a> {
             }
             cell_members.push(ids);
         }
+        let mut trace_members = vec![Vec::new(); traces.len()];
+        for (id, member) in members.iter().enumerate() {
+            trace_members[member.trace_idx].push(id);
+        }
         MatrixIndex {
             traces,
             members,
+            trace_members,
             cell_members,
             requesters,
             trace_reuse_hits,
@@ -191,17 +209,12 @@ impl<'a> MatrixIndex<'a> {
         }
     }
 
-    /// Global member ids belonging to trace `t`, in global order.
-    fn trace_members(&self, t: usize) -> Vec<usize> {
-        (0..self.members.len()).filter(|&i| self.members[i].trace_idx == t).collect()
-    }
-
     /// Identity of trace `t`'s member set (ids + config fingerprints):
     /// binds a matrix checkpoint to the exact member list it was taken
     /// over, so a grid change invalidates the snapshot.
     fn member_set_hash(&self, t: usize) -> u64 {
         let mut w = ByteWriter::new();
-        for id in self.trace_members(t) {
+        for &id in &self.trace_members[t] {
             w.put_u64(id as u64);
             w.put_u64(self.members[id].config_fp);
         }
@@ -215,66 +228,6 @@ impl<'a> MatrixIndex<'a> {
             .iter()
             .map(|ids| ids.iter().map(|&i| results[i].clone()).collect())
             .collect()
-    }
-}
-
-/// Per-shard replica pools: deep-copies every `Arc`ed shared product
-/// exactly once per shard, keyed by source-`Arc` identity, so
-/// *within-shard* sharing is preserved (members of one trace still share
-/// one replica) while *cross-shard* sharing is severed (each shard owns a
-/// private copy of the read-only data — the NUMA replication story).
-struct TableReplicator {
-    decode: ArcPool<StaticDecodeTable>,
-    branches: ArcPool<BranchOracle>,
-    icache: ArcPool<IcacheOracle>,
-    depgraph: ArcPool<DepGraph>,
-    dvi: ArcPool<DviOracle>,
-    dcache: ArcPool<DcacheOracle>,
-    fusion: ArcPool<FusionTable>,
-}
-
-struct ArcPool<T> {
-    map: HashMap<usize, std::sync::Arc<T>>,
-}
-
-impl<T: Clone> ArcPool<T> {
-    fn new() -> ArcPool<T> {
-        ArcPool { map: HashMap::new() }
-    }
-
-    fn replicate(&mut self, src: &Option<std::sync::Arc<T>>) -> Option<std::sync::Arc<T>> {
-        src.as_ref().map(|arc| {
-            self.map
-                .entry(std::sync::Arc::as_ptr(arc) as usize)
-                .or_insert_with(|| std::sync::Arc::new(T::clone(arc)))
-                .clone()
-        })
-    }
-}
-
-impl TableReplicator {
-    fn new() -> TableReplicator {
-        TableReplicator {
-            decode: ArcPool::new(),
-            branches: ArcPool::new(),
-            icache: ArcPool::new(),
-            depgraph: ArcPool::new(),
-            dvi: ArcPool::new(),
-            dcache: ArcPool::new(),
-            fusion: ArcPool::new(),
-        }
-    }
-
-    fn replicate(&mut self, tables: &SharedTables) -> SharedTables {
-        SharedTables {
-            decode: self.decode.replicate(&tables.decode),
-            branches: self.branches.replicate(&tables.branches),
-            icache: self.icache.replicate(&tables.icache),
-            depgraph: self.depgraph.replicate(&tables.depgraph),
-            dvi: self.dvi.replicate(&tables.dvi),
-            dcache: self.dcache.replicate(&tables.dcache),
-            fusion: self.fusion.replicate(&tables.fusion),
-        }
     }
 }
 
@@ -294,12 +247,16 @@ pub struct MatrixReport {
     pub trace_reuse_hits: u64,
     /// Grid slots that mapped onto an already-registered member.
     pub member_dedup_hits: u64,
-    /// Shared-product build passes actually run — exactly one per distinct
-    /// trace with at least one non-restored member.
+    /// Shared-product build passes actually run — one per (shard, trace)
+    /// pair with at least one member that ran (neither restored from a
+    /// checkpoint nor declined by the scheduling gate).
     pub shared_builds: u64,
     /// Requested grid slots that consumed shared products without
     /// triggering a build pass (`requested_members - shared_builds`).
     pub build_reuse_hits: u64,
+    /// The most (shard, trace) product sets alive at the same moment
+    /// (in-process runs only; zero after an out-of-process merge).
+    pub peak_live_products: usize,
     /// Worker threads used.
     pub threads: usize,
     /// Shards the matrix was partitioned into.
@@ -350,14 +307,75 @@ impl MatrixOutcome {
     }
 }
 
-/// Whether a shard-local worker owns a shared trace reference or a
-/// shard-private replica.
-#[derive(Clone, Copy)]
-enum TraceSlot {
-    /// Index into the registry's borrowed traces (single-shard runs).
-    Shared(usize),
-    /// Index into the run's shard-private replicas.
-    Replica(usize),
+/// The lazily built products of one (shard, trace) pair: built when the
+/// first of its members is claimed, freed after its last one finishes.
+struct ProductSlot {
+    trace_idx: usize,
+    /// The pair's members still to run (not restored), ascending global
+    /// ids: the grid a build hands [`SweepRunner`].
+    members: Vec<usize>,
+    state: Mutex<SlotState>,
+}
+
+struct SlotState {
+    built: Option<BuiltProducts>,
+    /// Members not yet run or declined by the gate.
+    unfinished: usize,
+}
+
+struct BuiltProducts {
+    /// The shard-private trace copy (shards > 1); `None` runs the
+    /// registry's trace.
+    replica: Option<Arc<CapturedTrace>>,
+    /// One job per slot member, moved out by the worker that claims it.
+    jobs: Vec<Option<ParallelJob>>,
+}
+
+/// Product-set counters shared by a run's workers.
+#[derive(Default)]
+struct Residency {
+    builds: AtomicU64,
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl ProductSlot {
+    /// Takes member `id`'s job, building the slot's products first if no
+    /// member has claimed one yet. Returns the trace replica to run on
+    /// (`None`: the registry's trace) with the job.
+    fn claim(
+        &self,
+        id: usize,
+        index: &MatrixIndex<'_>,
+        replicate: bool,
+        residency: &Residency,
+    ) -> (Option<Arc<CapturedTrace>>, ParallelJob) {
+        let mut state = lock(&self.state);
+        let built = state.built.get_or_insert_with(|| {
+            let source = index.traces[self.trace_idx];
+            let replica = replicate.then(|| Arc::new(source.clone()));
+            let trace = replica.as_deref().unwrap_or(source);
+            let configs = self.members.iter().map(|&m| index.members[m].config.clone());
+            let (_trace, jobs) = SweepRunner::new(trace, configs).into_parallel_jobs();
+            residency.builds.fetch_add(1, Ordering::Relaxed);
+            let live = residency.live.fetch_add(1, Ordering::SeqCst) + 1;
+            residency.peak.fetch_max(live, Ordering::SeqCst);
+            BuiltProducts { replica, jobs: jobs.into_iter().map(Some).collect() }
+        });
+        let pos = self.members.binary_search(&id).expect("member belongs to its slot");
+        let job = built.jobs[pos].take().expect("each member is claimed once");
+        (built.replica.clone(), job)
+    }
+
+    /// Retires one member (run or declined); the last one frees the
+    /// slot's products.
+    fn finish(&self, residency: &Residency) {
+        let mut state = lock(&self.state);
+        state.unfinished -= 1;
+        if state.unfinished == 0 && state.built.take().is_some() {
+            residency.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Whole-matrix sweep runner — see the module documentation.
@@ -394,7 +412,7 @@ impl<'a> MatrixRunner<'a> {
     }
 
     /// Shard count (clamped to `1..=members` at run time). Shards above 1
-    /// replicate each shard's traces and shared products privately.
+    /// build each shard's shared products from a private trace replica.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -457,7 +475,7 @@ impl<'a> MatrixRunner<'a> {
         if let Some(dir) = &self.checkpoint_dir {
             let _ = std::fs::create_dir_all(dir);
             for (t, slot) in trace_paths.iter_mut().enumerate() {
-                let ids = index.trace_members(t);
+                let ids = &index.trace_members[t];
                 if ids.is_empty() {
                     continue;
                 }
@@ -470,11 +488,11 @@ impl<'a> MatrixRunner<'a> {
                     let binds =
                         snapshot.trace_fingerprint == index.traces[t].fingerprint()
                             && snapshot.members.len() == ids.len()
-                            && snapshot.members.iter().zip(&ids).all(|(m, &id)| {
+                            && snapshot.members.iter().zip(ids).all(|(m, &id)| {
                                 m.config_fingerprint == index.members[id].config_fp
                             });
                     if binds {
-                        for (member, &id) in snapshot.members.iter().zip(&ids) {
+                        for (member, &id) in snapshot.members.iter().zip(ids) {
                             if let MemberCheckpointState::Done(outcome) = &member.state {
                                 restored[id] = Some((**outcome).clone());
                             }
@@ -486,94 +504,65 @@ impl<'a> MatrixRunner<'a> {
         }
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
 
-        // Build shared products exactly once per distinct trace that
-        // still has work, and flatten every member into a standalone job.
-        let mut jobs: Vec<Option<ParallelJob>> = vec![None; n];
-        let mut shared_builds = 0u64;
-        for t in 0..index.traces.len() {
-            let ids = index.trace_members(t);
-            if ids.is_empty() {
-                continue;
-            }
-            if ids.iter().all(|&id| restored[id].is_some()) {
-                // Fully restored: pass the outcomes through without
-                // paying for a shared-product build.
-                for &id in &ids {
-                    jobs[id] = Some(ParallelJob {
-                        config: index.members[id].config.clone(),
-                        tables: SharedTables::default(),
-                        degraded: None,
-                        fault: None,
-                        done: restored[id].clone(),
-                    });
+        // Shard assignment (round-robin over global member order), then one
+        // lazily built product slot per (shard, trace) pair holding the
+        // members still to run. Each shard's queue is trace-major, so a
+        // slot's members are claimed back to back.
+        let shard_of = |i: usize| i % shards;
+        let mut slots: Vec<ProductSlot> = Vec::new();
+        let mut slot_of: Vec<usize> = vec![usize::MAX; n];
+        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); shards];
+        for (s, queue) in queues.iter_mut().enumerate() {
+            for (t, ids) in index.trace_members.iter().enumerate() {
+                let members: Vec<usize> = ids
+                    .iter()
+                    .copied()
+                    .filter(|&i| shard_of(i) == s && restored[i].is_none())
+                    .collect();
+                if members.is_empty() {
+                    continue;
                 }
-                continue;
-            }
-            let configs: Vec<SimConfig> =
-                ids.iter().map(|&id| index.members[id].config.clone()).collect();
-            shared_builds += 1;
-            let (_trace, trace_jobs) =
-                SweepRunner::new(index.traces[t], configs).into_parallel_jobs();
-            for (&id, mut job) in ids.iter().zip(trace_jobs) {
-                if let Some(done) = &restored[id] {
-                    job.done = Some(done.clone());
+                for &i in &members {
+                    slot_of[i] = slots.len();
                 }
-                jobs[id] = Some(job);
-            }
-        }
-        let mut jobs: Vec<ParallelJob> = jobs
-            .into_iter()
-            .map(|j| j.expect("every member belongs to exactly one trace"))
-            .collect();
-
-        // Shard assignment (round-robin over global member order) and,
-        // above one shard, per-shard replication of traces and shared
-        // products.
-        let shard_of: Vec<usize> = (0..n).map(|i| i % shards).collect();
-        let mut replicas: Vec<CapturedTrace> = Vec::new();
-        let mut member_trace: Vec<TraceSlot> = Vec::with_capacity(n);
-        if shards > 1 {
-            let mut replica_of: HashMap<(usize, usize), usize> = HashMap::new();
-            let mut replicators: Vec<TableReplicator> =
-                (0..shards).map(|_| TableReplicator::new()).collect();
-            for i in 0..n {
-                let (s, t) = (shard_of[i], index.members[i].trace_idx);
-                let r = *replica_of.entry((s, t)).or_insert_with(|| {
-                    replicas.push(index.traces[t].clone());
-                    replicas.len() - 1
+                queue.extend(&members);
+                let unfinished = members.len();
+                slots.push(ProductSlot {
+                    trace_idx: t,
+                    members,
+                    state: Mutex::new(SlotState { built: None, unfinished }),
                 });
-                member_trace.push(TraceSlot::Replica(r));
-                jobs[i].tables = replicators[s].replicate(&jobs[i].tables);
             }
-        } else {
-            member_trace.extend((0..n).map(|i| TraceSlot::Shared(index.members[i].trace_idx)));
         }
-
-        // One queue per shard; workers drain their home shard first and
-        // steal from the others once it is empty.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..shards)
-            .map(|s| Mutex::new((0..n).filter(|&i| shard_of[i] == s).collect()))
-            .collect();
+        let queues: Vec<Mutex<VecDeque<usize>>> = queues.into_iter().map(Mutex::new).collect();
         let steals: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let shard_members: Vec<usize> =
-            (0..shards).map(|s| shard_of.iter().filter(|&&x| x == s).count()).collect();
+            (0..shards).map(|s| (0..n).filter(|&i| shard_of(i) == s).count()).collect();
+        let residency = Residency::default();
 
         struct RunState {
             results: Vec<Option<MemberOutcome>>,
             completed: usize,
             skipped: u64,
         }
-        let state = Mutex::new(RunState { results: vec![None; n], completed: 0, skipped: 0 });
-        let jobs = &jobs;
+        // Restored members count as completed for the abort test hook,
+        // exactly as if they had been claimed and passed through.
+        let state = Mutex::new(RunState {
+            results: restored,
+            completed: resumed_members as usize,
+            skipped: 0,
+        });
         let index_ref = &index;
-        let member_trace = &member_trace;
-        let replicas = &replicas;
+        let slots = &slots;
+        let slot_of = &slot_of;
         let queues = &queues;
         let steals = &steals;
+        let residency = &residency;
         let state_ref = &state;
         let trace_paths = &trace_paths;
         let gate = self.gate.as_deref();
         let abort_after = self.abort_after_members;
+        let replicate = shards > 1;
 
         std::thread::scope(|scope| {
             for w in 0..threads {
@@ -599,23 +588,27 @@ impl<'a> MatrixRunner<'a> {
                         }
                     }
                     let Some(i) = claimed else { break };
+                    let slot = &slots[slot_of[i]];
                     if let Some(gate) = gate {
                         if !gate(&index_ref.requesters[i]) {
+                            slot.finish(residency);
                             let mut st = lock(state_ref);
                             st.skipped += 1;
                             st.completed += 1;
                             continue;
                         }
                     }
-                    let trace: &CapturedTrace = match member_trace[i] {
-                        TraceSlot::Shared(t) => index_ref.traces[t],
-                        TraceSlot::Replica(r) => &replicas[r],
-                    };
-                    let outcome = run_member_outcome(trace, jobs[i].clone());
+                    let (replica, job) = slot.claim(i, index_ref, replicate, residency);
+                    let trace = replica.as_deref().unwrap_or(index_ref.traces[slot.trace_idx]);
+                    let outcome = run_member_outcome(trace, job);
+                    // Let go of the replica first, so the slot's last
+                    // member frees it in `finish`.
+                    drop(replica);
+                    slot.finish(residency);
                     let mut st = lock(state_ref);
                     st.results[i] = Some(outcome);
                     st.completed += 1;
-                    let t = index_ref.members[i].trace_idx;
+                    let t = slot.trace_idx;
                     if let Some(path) = &trace_paths[t] {
                         write_trace_checkpoint(path, index_ref, t, &st.results);
                     }
@@ -628,6 +621,7 @@ impl<'a> MatrixRunner<'a> {
             let _ = std::fs::remove_file(path);
         }
 
+        let shared_builds = residency.builds.load(Ordering::Relaxed);
         let st = lock(&state);
         let report = MatrixReport {
             cells: index.cell_members.len(),
@@ -638,6 +632,7 @@ impl<'a> MatrixRunner<'a> {
             member_dedup_hits: index.member_dedup_hits,
             shared_builds,
             build_reuse_hits: (index.requested_members as u64).saturating_sub(shared_builds),
+            peak_live_products: residency.peak.load(Ordering::SeqCst),
             threads,
             shards,
             shard_members,
@@ -765,6 +760,7 @@ impl<'a> MatrixRunner<'a> {
             member_dedup_hits: index.member_dedup_hits,
             shared_builds: shard_builds,
             build_reuse_hits: (index.requested_members as u64).saturating_sub(shard_builds),
+            peak_live_products: 0,
             threads: 0,
             shards,
             shard_members,
@@ -785,7 +781,7 @@ fn write_trace_checkpoint(
     t: usize,
     results: &[Option<MemberOutcome>],
 ) {
-    let ids = index.trace_members(t);
+    let ids = &index.trace_members[t];
     let done = ids.iter().filter(|&&id| results[id].is_some()).count() as u64;
     let members = ids
         .iter()

@@ -192,24 +192,6 @@ fn fig10_mix_links_and_events_match_live_derivation() {
     }
 }
 
-/// Depth is conserved: every record's depth is the number of dynamic calls
-/// minus returns preceding it (clamped at zero).
-#[test]
-fn depth_matches_running_call_balance() {
-    let layout = edvi_layout(&presets::perl_like());
-    let trace = CapturedTrace::record(&layout, 6_000);
-    let graph = DepGraph::build(&trace);
-    let mut depth = 0u32;
-    for d in trace.cursor() {
-        assert_eq!(graph.depth(d.seq as usize), depth, "record {}", d.seq);
-        match d.instr {
-            Instr::Call { .. } => depth += 1,
-            Instr::Return => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-}
-
 // Random presets × seeds × DVI schemes: precomputed producer links and
 // DVI oracle events match what live `RenameState` + `DviEngine` derive
 // during a dispatch-order walk.
