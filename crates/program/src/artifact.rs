@@ -231,6 +231,11 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
+    /// Appends a `u16`, little-endian.
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -297,6 +302,11 @@ impl<'a> ByteReader<'a> {
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, ArtifactError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ArtifactError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     /// Reads a little-endian `u32`.
@@ -599,6 +609,7 @@ mod tests {
     fn byte_writer_reader_roundtrip() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
+        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_bool(true);
@@ -606,6 +617,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "roundtrip");
         assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert!(r.bool().unwrap());

@@ -20,7 +20,6 @@
 //!   the instruction itself and its owning procedure. A dynamic record never
 //!   repeats them.
 //! * **Dynamic per executed instruction** (stored per record):
-//!   - the program counter (`u32`),
 //!   - one flags byte ([`flags`] bits: memory-address present, branch
 //!     outcome present, branch outcome, fetch redirect),
 //!   - the effective address (`u64`, *only* for memory instructions, in a
@@ -28,11 +27,15 @@
 //!   - the next PC (`u32`, *only* when control does not fall through, in a
 //!     second side array).
 //!
-//! The sequence number is the record index and the fall-through `next_pc`
-//! is `pc + 1`, so neither is stored. A typical record costs 5 bytes plus
-//! ~2 amortized bytes of side-array data — versus ~56 bytes for a stored
-//! [`DynInst`] — and replay streams it back in strictly sequential order,
-//! which the hardware prefetcher turns into effectively free loads.
+//! No program counter is stored per record. The trace keeps the first
+//! record's PC, and every later PC is the previous record's `next_pc`: the
+//! redirect target when the flags byte says control did not fall through,
+//! `pc + 1` otherwise. The cursor carries that running PC. The sequence
+//! number is the record index, so it is not stored either. A typical record
+//! costs 1 byte plus ~1.4 amortized bytes of side-array data — versus ~56
+//! bytes for a stored [`DynInst`] — and replay streams it back in strictly
+//! sequential order, which the hardware prefetcher turns into effectively
+//! free loads.
 //!
 //! # Invariant
 //!
@@ -79,8 +82,9 @@ pub struct CapturedTrace {
     static_instrs: Box<[Instr]>,
     /// Owning procedure of each static instruction, indexed by PC.
     static_procs: Box<[ProcId]>,
-    /// Program counter of each dynamic record.
-    pcs: Vec<u32>,
+    /// Program counter of the first record (0 for an empty trace); every
+    /// later PC is derived from its predecessor's `next_pc`.
+    first_pc: u32,
     /// Flags byte of each dynamic record (see [`flags`]).
     flag_bits: Vec<u8>,
     /// Effective addresses of memory instructions, in execution order.
@@ -120,7 +124,7 @@ impl CapturedTrace {
             static_procs: (0..layout.len() as u32)
                 .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
                 .collect(),
-            pcs: Vec::with_capacity(estimate),
+            first_pc: 0,
             flag_bits: Vec::with_capacity(estimate),
             mem_addrs: Vec::new(),
             redirect_targets: Vec::new(),
@@ -129,14 +133,19 @@ impl CapturedTrace {
             fusion: Vec::new(),
             fingerprint: OnceLock::new(),
         };
+        let mut expected_pc = None;
         for d in interp.by_ref() {
+            match expected_pc {
+                None => trace.first_pc = d.pc,
+                Some(pc) => debug_assert_eq!(d.pc, pc, "record {} breaks the PC chain", d.seq),
+            }
+            expected_pc = Some(d.next_pc);
             trace.push(&d);
         }
         trace.summary = interp.summary();
         // The capacity estimate above can overshoot short programs by a
         // wide margin; release the slack so `approx_bytes` (which reports
         // capacities — the memory actually held) matches reality.
-        trace.pcs.shrink_to_fit();
         trace.flag_bits.shrink_to_fit();
         trace.mem_addrs.shrink_to_fit();
         trace.redirect_targets.shrink_to_fit();
@@ -145,7 +154,7 @@ impl CapturedTrace {
 
     /// Appends one dynamic record.
     fn push(&mut self, d: &DynInst) {
-        debug_assert_eq!(d.seq, self.pcs.len() as u64, "records must be pushed in order");
+        debug_assert_eq!(d.seq, self.len() as u64, "records must be pushed in order");
         let mut f = 0u8;
         if let Some(addr) = d.mem_addr {
             f |= flags::HAS_MEM;
@@ -161,20 +170,19 @@ impl CapturedTrace {
             f |= flags::REDIRECT;
             self.redirect_targets.push(d.next_pc);
         }
-        self.pcs.push(d.pc);
         self.flag_bits.push(f);
     }
 
     /// Number of dynamic instructions in the trace.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.flag_bits.len()
     }
 
     /// Whether the trace contains no instructions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.flag_bits.is_empty()
     }
 
     /// Summary of the recording run (instructions executed, whether the
@@ -191,8 +199,7 @@ impl CapturedTrace {
     /// built.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.pcs.capacity() * std::mem::size_of::<u32>()
-            + self.flag_bits.capacity()
+        self.flag_bits.capacity()
             + self.mem_addrs.capacity() * std::mem::size_of::<u64>()
             + self.redirect_targets.capacity() * std::mem::size_of::<u32>()
             + self.static_instrs.len() * std::mem::size_of::<Instr>()
@@ -264,7 +271,7 @@ impl CapturedTrace {
     /// concurrently at independent positions without cloning the buffers.
     #[must_use]
     pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor { trace: self, idx: 0, mem_idx: 0, redirect_idx: 0 }
+        TraceCursor { trace: self, idx: 0, pc: self.first_pc, mem_idx: 0, redirect_idx: 0 }
     }
 
     /// Alias of [`CapturedTrace::cursor`], kept for the established
@@ -314,45 +321,38 @@ impl CapturedTrace {
     /// Decodes a trace artifact produced by [`CapturedTrace::to_bytes`] /
     /// [`CapturedTrace::save`]. Every section checksum is verified before
     /// any decoding, and the decoded arrays are cross-checked against each
-    /// other (record counts, flag/side-array consistency, PC range), so a
-    /// corrupted or internally inconsistent artifact is rejected with a
-    /// typed [`ArtifactError`] instead of replaying garbage.
+    /// other (record counts, flag/side-array consistency, every derived PC
+    /// inside the static image), so a corrupted or internally inconsistent
+    /// artifact is rejected with a typed [`ArtifactError`] instead of
+    /// replaying garbage. Artifacts of versions 1–3 still load: their
+    /// stored PC column must agree with the PC walk derived from the flags
+    /// and redirect targets, and their dependence graph is converted to the
+    /// packed form.
     pub fn from_bytes(bytes: &[u8]) -> Result<CapturedTrace, ArtifactError> {
         let malformed = |context: String| ArtifactError::Malformed { context };
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
+        let version = r.version();
 
         let mut meta = ByteReader::new(r.section(section::META)?, "trace metadata");
         let records = meta.count()?;
         let static_len = meta.count()?;
-        let summary = read_summary(&mut meta, r.version())?;
+        let meta_first_pc = if version >= 4 { meta.u32()? } else { 0 };
+        let summary = read_summary(&mut meta, version)?;
         meta.finish()?;
 
         let mut instrs = ByteReader::new(r.section(section::STATIC_INSTRS)?, "static code");
-        let mut static_instrs = Vec::with_capacity(static_len);
+        let mut static_instrs = Vec::with_capacity(static_len.min(instrs.remaining() / 12));
         for _ in 0..static_len {
             static_instrs.push(read_instr(&mut instrs)?);
         }
         instrs.finish()?;
 
         let mut procs = ByteReader::new(r.section(section::STATIC_PROCS)?, "static procedures");
-        let mut static_procs = Vec::with_capacity(static_len);
+        let mut static_procs = Vec::with_capacity(static_len.min(procs.remaining() / 4));
         for _ in 0..static_len {
             static_procs.push(ProcId(procs.u32()? as usize));
         }
         procs.finish()?;
-
-        let mut pcs_r = ByteReader::new(r.section(section::PCS)?, "record PCs");
-        let mut pcs = Vec::with_capacity(records);
-        for _ in 0..records {
-            let pc = pcs_r.u32()?;
-            if pc as usize >= static_len {
-                return Err(malformed(format!(
-                    "record PC {pc} is outside the {static_len}-instruction static image"
-                )));
-            }
-            pcs.push(pc);
-        }
-        pcs_r.finish()?;
 
         let flags_section = r.section(section::FLAGS)?;
         if flags_section.len() != records {
@@ -389,9 +389,47 @@ impl CapturedTrace {
             redirect_targets.push(red_r.u32()?);
         }
 
+        // Versions 1–3 stored every record's PC: the first one seeds the
+        // walk below, which must reproduce the rest exactly.
+        let (first_pc, mut legacy_pcs) = if version >= 4 {
+            (meta_first_pc, None)
+        } else {
+            let pcs = r.section(section::PCS)?;
+            let first = pcs.get(..4).map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4")));
+            (first, Some(ByteReader::new(pcs, "record PCs")))
+        };
+
+        // Walk the PC chain: every derived PC must lie inside the static
+        // image, because replay indexes the image with it.
+        let mut pc = first_pc;
+        let mut targets = redirect_targets.iter();
+        for (i, &f) in flag_bits.iter().enumerate() {
+            if pc as usize >= static_len {
+                return Err(malformed(format!(
+                    "record {i} PC {pc} is outside the {static_len}-instruction static image"
+                )));
+            }
+            if let Some(pcs) = &mut legacy_pcs {
+                let stored = pcs.u32()?;
+                if stored != pc {
+                    return Err(malformed(format!(
+                        "record {i} stores PC {stored}, but the control-flow walk gives {pc}"
+                    )));
+                }
+            }
+            pc = if f & flags::REDIRECT != 0 {
+                *targets.next().expect("redirect count checked above")
+            } else {
+                pc + 1
+            };
+        }
+        if let Some(pcs) = legacy_pcs {
+            pcs.finish()?;
+        }
+
         let depgraph = match r.section_opt(section::DEPGRAPH) {
             Some(payload) => {
-                let graph = DepGraph::from_bytes(payload, r.version())?;
+                let graph = DepGraph::from_bytes(payload, version)?;
                 if graph.len() != records {
                     return Err(malformed(format!(
                         "dependence graph covers {} records, trace has {records}",
@@ -406,7 +444,7 @@ impl CapturedTrace {
         Ok(CapturedTrace {
             static_instrs: static_instrs.into(),
             static_procs: static_procs.into(),
-            pcs,
+            first_pc,
             flag_bits,
             mem_addrs,
             redirect_targets,
@@ -417,10 +455,10 @@ impl CapturedTrace {
         })
     }
 
-    /// A stable content fingerprint of the trace: the hash of the static
-    /// image and every dynamic array. Derived and volatile data —
-    /// the dependence graph and the metadata section, which carries the
-    /// wall-clock graph-build time — are deliberately excluded, so two
+    /// A stable content fingerprint of the trace: the hash of the first
+    /// PC, the static image and every dynamic array. Derived and volatile
+    /// data — the dependence graph and the metadata section, which carries
+    /// the wall-clock graph-build time — are deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
     /// sharing derived artifacts (oracle recordings, sweep checkpoints)
@@ -432,6 +470,7 @@ impl CapturedTrace {
             let mut w = ByteWriter::new();
             w.put_u64(self.len() as u64);
             w.put_u64(self.static_instrs.len() as u64);
+            w.put_u32(self.first_pc);
             for (tag, payload) in self.core_sections() {
                 if tag == section::META {
                     continue;
@@ -444,12 +483,13 @@ impl CapturedTrace {
     }
 
     /// The checksummed sections of the durable format, minus the optional
-    /// dependence graph: metadata, static image, and the four dynamic
-    /// arrays.
+    /// dependence graph: metadata (which carries the first PC), static
+    /// image, and the three dynamic arrays.
     fn core_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut meta = ByteWriter::new();
         meta.put_u64(self.len() as u64);
         meta.put_u64(self.static_instrs.len() as u64);
+        meta.put_u32(self.first_pc);
         write_summary(&mut meta, &self.summary);
 
         let mut instrs = ByteWriter::new();
@@ -459,10 +499,6 @@ impl CapturedTrace {
         let mut procs = ByteWriter::new();
         for proc in &self.static_procs {
             procs.put_u32(u32::try_from(proc.0).expect("procedure ids fit in u32"));
-        }
-        let mut pcs = ByteWriter::new();
-        for &pc in &self.pcs {
-            pcs.put_u32(pc);
         }
         let mut mems = ByteWriter::new();
         for &addr in &self.mem_addrs {
@@ -476,7 +512,6 @@ impl CapturedTrace {
             (section::META, meta.into_bytes()),
             (section::STATIC_INSTRS, instrs.into_bytes()),
             (section::STATIC_PROCS, procs.into_bytes()),
-            (section::PCS, pcs.into_bytes()),
             (section::FLAGS, self.flag_bits.clone()),
             (section::MEM_ADDRS, mems.into_bytes()),
             (section::REDIRECTS, redirects.into_bytes()),
@@ -491,15 +526,19 @@ pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// version-1 artifacts still load (the field reads back as `None`).
 /// Version 3 dropped the call-depth column from the DEPGRAPH section;
 /// older graph sections still load (the column is skipped).
-pub const TRACE_VERSION: u32 = 3;
+/// Version 4 dropped the PCS section (META carries the first PC and the
+/// rest are derived from the control-flow stream) and packed DEPGRAPH to
+/// 4 bytes per record plus a far-link table; older PC columns are checked
+/// against the derived walk and older graphs are converted on load.
+pub const TRACE_VERSION: u32 = 4;
 
 /// Section tags of the trace artifact. Tags below `0x100` are reserved
 /// for the trace itself; dependent crates embedding extra sections in
 /// their own artifacts (oracle recordings, checkpoints) use tags at or
 /// above `0x100`.
 pub mod section {
-    /// Record count, static image length and the recording's
-    /// [`crate::ExecSummary`].
+    /// Record count, static image length, the first record's PC (since
+    /// version 4) and the recording's [`crate::ExecSummary`].
     pub const META: u32 = 1;
     /// Static instruction image, 12 bytes per PC. This is a *total* wide
     /// encoding (tag + operand bytes + a 64-bit payload), not the ISA's
@@ -509,7 +548,9 @@ pub mod section {
     pub const STATIC_INSTRS: u32 = 2;
     /// Owning procedure of each static instruction, one `u32` per PC.
     pub const STATIC_PROCS: u32 = 3;
-    /// Program counter of each dynamic record.
+    /// Program counter of each dynamic record — written by versions 1–3
+    /// only; version 4 derives the PCs from the first PC and the
+    /// control-flow stream.
     pub const PCS: u32 = 4;
     /// Flags byte of each dynamic record.
     pub const FLAGS: u32 = 5;
@@ -517,7 +558,8 @@ pub mod section {
     pub const MEM_ADDRS: u32 = 6;
     /// Targets of non-fall-through records, in execution order.
     pub const REDIRECTS: u32 = 7;
-    /// Optional serialized [`crate::DepGraph`].
+    /// Optional serialized [`crate::DepGraph`] (packed rows and far
+    /// table since version 4).
     pub const DEPGRAPH: u32 = 8;
 }
 
@@ -729,6 +771,8 @@ pub type Replay<'a> = TraceCursor<'a>;
 pub struct TraceCursor<'a> {
     trace: &'a CapturedTrace,
     idx: usize,
+    /// PC of the record at `idx` (the previous record's `next_pc`).
+    pc: u32,
     mem_idx: usize,
     redirect_idx: usize,
 }
@@ -755,6 +799,7 @@ impl TraceCursor<'_> {
     /// Rewinds the cursor to the first record.
     pub fn rewind(&mut self) {
         self.idx = 0;
+        self.pc = self.trace.first_pc;
         self.mem_idx = 0;
         self.redirect_idx = 0;
     }
@@ -766,8 +811,8 @@ impl Iterator for TraceCursor<'_> {
     fn next(&mut self) -> Option<DynInst> {
         let t = self.trace;
         let i = self.idx;
-        let pc = *t.pcs.get(i)?;
-        let f = t.flag_bits[i];
+        let f = *t.flag_bits.get(i)?;
+        let pc = self.pc;
         self.idx += 1;
         let mem_addr = if f & flags::HAS_MEM != 0 {
             let addr = t.mem_addrs[self.mem_idx];
@@ -784,6 +829,7 @@ impl Iterator for TraceCursor<'_> {
         } else {
             pc + 1
         };
+        self.pc = next_pc;
         Some(DynInst {
             seq: i as u64,
             pc,
@@ -885,6 +931,21 @@ mod tests {
             "packed {} bytes vs naive {} bytes",
             trace.approx_bytes(),
             naive
+        );
+    }
+
+    #[test]
+    fn approx_bytes_is_one_flag_byte_per_record_plus_side_arrays() {
+        let layout = mixed_program();
+        let trace = CapturedTrace::record(&layout, u64::MAX);
+        let mems = trace.replay().filter(|d| d.mem_addr.is_some()).count();
+        let redirects = trace.replay().filter(|d| d.next_pc != d.pc + 1).count();
+        assert!(mems > 0 && redirects > 0, "the program exercises both side arrays");
+        let image = layout.len() * (std::mem::size_of::<Instr>() + std::mem::size_of::<ProcId>());
+        assert_eq!(
+            trace.approx_bytes(),
+            trace.len() + mems * 8 + redirects * 4 + image,
+            "no per-record PC column"
         );
     }
 

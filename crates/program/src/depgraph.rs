@@ -2,26 +2,26 @@
 //!
 //! A design-space sweep re-times one dynamic instruction stream on many
 //! machine configurations, and every one of those machines re-derives the
-//! *same* dataflow facts per record: which earlier record produced each
-//! source operand, whether a value is dead.
+//! *same* dataflow fact per record: which earlier record produced each
+//! source operand, and whether a DVI event lies in between.
 //! None of that depends on issue width, register-file size, cache geometry
 //! or the DVI scheme — it is a pure function of the trace, exactly like the
 //! decode table and the branch/I-cache oracles the batched sweep already
 //! shares. A [`DepGraph`] computes it **once** per [`CapturedTrace`]
 //! ([`DepGraph::build`], or [`CapturedTrace::build_depgraph`] to attach the
-//! result to the trace) and stores it in packed structure-of-arrays form so
-//! every sweep member can read it by reference.
+//! result to the trace) and stores it in packed form so every sweep member
+//! can read it by reference.
 //!
 //! # Contents, per dynamic record
 //!
 //! * **Producer links** — for each of the (up to two) source operands, the
-//!   index of the dynamic record whose destination write produced the
-//!   value, or "ready at fetch" when the register was never written in the
-//!   trace. The producer is the *last writer* of the architectural
-//!   register, with `live-load` restores counted as writers (under
-//!   configurations that eliminate a restore, dead-value semantics
-//!   guarantee the restored register is rewritten before any read, so the
-//!   link is never consulted).
+//!   dynamic record whose destination write produced the value, or "ready
+//!   at fetch" when the register was never written in the trace. The
+//!   producer is the *last writer* of the architectural register, with
+//!   `live-load` restores counted as writers (under configurations that
+//!   eliminate a restore, dead-value semantics guarantee the restored
+//!   register is rewritten before any read, so the link is never
+//!   consulted).
 //! * **Sever flags** — whether an E-DVI `kill` covering the register, or an
 //!   I-DVI event (`call`/`return`, for caller-saved registers), occurs
 //!   between the producer and the consumer. Machines that reclaim on that
@@ -30,14 +30,25 @@
 //!   graph stores the *fact*, each consumer applies its own
 //!   [`dvi_core`-style] configuration bits — that is what keeps one graph
 //!   valid for every point of a DVI-axis sweep.
-//! * **Dead-destination and last-use bits** — whether the value produced by
-//!   the record is never read again inside the trace before being
-//!   redefined or killed, and whether a given source read is the final
-//!   read of its producer's value. These are the paper's dead-value facts
-//!   in dynamic form, usable by analyses without running a machine model.
 //!
-//! That is 9 bytes per record: two 4-byte producer links and one flag
-//! byte.
+//! # Encoding: 4 bytes per record
+//!
+//! Each record is one `[u16; 2]` row, one word per source operand (see
+//! [`link`]):
+//!
+//! * bits 0–13 hold the distance back to the producer, in records; 0 means
+//!   no producer;
+//! * bit 14 is the E-DVI cut, bit 15 the I-DVI cut.
+//!
+//! Producers are almost always close: a distance of [`link::FAR`] (0x3FFF)
+//! or more is stored as [`link::FAR`], and the exact producer of such a
+//! *far link* goes into a side table sorted by (record, operand). The graph
+//! is therefore exact for any trace, and the side table is empty on every
+//! workload the figures run. Consumers that only need to know whether a
+//! producer can still be in flight (the simulator's dependence ring, the
+//! fusion table's in-run wiring) read the distance directly and never touch
+//! the side table while their window is shorter than [`link::FAR`];
+//! [`DepGraph::source`] resolves absolute producers for everyone else.
 //!
 //! # Invariant
 //!
@@ -54,33 +65,31 @@
 //! [`SimStats`]: ../dvi_sim/struct.SimStats.html
 //! [`dvi_core`-style]: ../dvi_core/struct.DviConfig.html
 
+use crate::artifact::{ArtifactError, ByteReader, ByteWriter};
 use crate::captured::CapturedTrace;
 use dvi_isa::{Abi, Instr, NUM_ARCH_REGS};
 
-/// Sentinel: no producer / no pending record.
+/// Sentinel of the build pass: no writer / no event yet.
 const NONE: u32 = u32::MAX;
 
-/// Per-record flag bits (see [`SrcDep`] and the accessors). The raw bits
-/// are public so hot consumers ([`DepGraph::row`]) can test them with one
-/// mask instead of unpacking a [`SrcDep`] per operand.
-pub mod flag {
-    /// Operand 0: an E-DVI kill covering the register lies between producer
-    /// and consumer.
-    pub const SRC0_EDVI_CUT: u8 = 1 << 0;
-    /// Operand 0: a call/return lies between producer and consumer and the
-    /// register is in the I-DVI (caller-saved) mask.
-    pub const SRC0_IDVI_CUT: u8 = 1 << 1;
-    /// Operand 1 variant of [`SRC0_EDVI_CUT`].
-    pub const SRC1_EDVI_CUT: u8 = 1 << 2;
-    /// Operand 1 variant of [`SRC0_IDVI_CUT`].
-    pub const SRC1_IDVI_CUT: u8 = 1 << 3;
-    /// The destination value is never read before redefinition/kill/trace
-    /// end.
-    pub const DEST_DEAD: u8 = 1 << 4;
-    /// Operand 0 is the last read of its producer's value.
-    pub const SRC0_LAST_USE: u8 = 1 << 5;
-    /// Operand 1 variant of [`SRC0_LAST_USE`].
-    pub const SRC1_LAST_USE: u8 = 1 << 6;
+/// Bit layout of one packed operand word of a [`DepGraph`] row.
+pub mod link {
+    /// Bits 0–13: the distance back to the producing record (0 = no
+    /// producer).
+    pub const DISTANCE: u16 = 0x3FFF;
+    /// Distance value of a far link: the producer is at least this many
+    /// records back, and its exact index lives in the graph's far table
+    /// ([`super::DepGraph::far_producer`]).
+    pub const FAR: u16 = DISTANCE;
+    /// Shift that brings a word's (E-DVI, I-DVI) cut pair down to bits
+    /// 0–1.
+    pub const CUT_SHIFT: u32 = 14;
+    /// An E-DVI kill covering the register lies between producer and
+    /// consumer.
+    pub const EDVI_CUT: u16 = 1 << CUT_SHIFT;
+    /// A call/return lies between producer and consumer and the register
+    /// is in the I-DVI (caller-saved) mask.
+    pub const IDVI_CUT: u16 = 2 << CUT_SHIFT;
 }
 
 /// The dependence information of one source operand of one record.
@@ -116,202 +125,166 @@ impl SrcDep {
     }
 }
 
+/// One entry of the far table: the exact producer of an operand whose
+/// distance is [`link::FAR`] or more.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FarLink {
+    record: u32,
+    operand: u8,
+    producer: u32,
+}
+
 /// The precomputed dependence graph of one captured trace. See the module
-/// documentation for contents and guarantees.
+/// documentation for contents, encoding and guarantees.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
-    /// Producer record indices of both source operands
-    /// ([`DepGraph::NO_PRODUCER`] = ready at fetch), one row per record.
-    prod: Vec<[u32; 2]>,
-    /// Packed per-record flag bits (see [`flag`]).
-    flags: Vec<u8>,
+    /// One packed word per source operand (see [`link`]), one row per
+    /// record.
+    rows: Vec<[u16; 2]>,
+    /// Exact producers of far links, sorted by (record, operand).
+    far: Vec<FarLink>,
 }
 
 impl DepGraph {
     /// Builds the graph in one pass over the trace.
     ///
     /// The pass maintains, per architectural register, the last writing
-    /// record, the last E-DVI kill covering it and the pending "most recent
-    /// read" (for last-use marking); plus the index of the last
-    /// call/return. Writes are identified by
-    /// [`Instr::dst_reg`] — the same query the rename stage uses — so the
-    /// link structure matches what destination renaming produces on every
-    /// machine.
+    /// record and the last E-DVI kill covering it, plus the index of the
+    /// last call/return. Writes are identified by [`Instr::dst_reg`] — the
+    /// same query the rename stage uses — so the link structure matches
+    /// what destination renaming produces on every machine.
     #[must_use]
     pub fn build(trace: &CapturedTrace) -> DepGraph {
         let n = trace.len();
         assert!(
             n < u32::MAX as usize,
-            "trace too long for 32-bit record indices (the top value is the no-producer sentinel)"
+            "trace too long for 32-bit record indices (the top value is the pass sentinel)"
         );
         let idvi_mask = Abi::mips_like().idvi_mask();
-        let mut g = DepGraph { prod: Vec::with_capacity(n), flags: Vec::with_capacity(n) };
+        let mut rows = Vec::with_capacity(n);
+        let mut far = Vec::new();
         // Per-register pass state (all indices are record indices).
         let mut last_writer = [NONE; NUM_ARCH_REGS];
         let mut last_kill = [NONE; NUM_ARCH_REGS];
-        // Most recent read of the current value: (record, operand slot).
-        let mut pending_read = [(NONE, 0u8); NUM_ARCH_REGS];
-        let mut read_since_def = [false; NUM_ARCH_REGS];
         let mut last_callret = NONE;
 
         for d in trace.cursor() {
             #[allow(clippy::cast_possible_truncation)]
             let i = d.seq as u32;
-            let mut f = 0u8;
 
             // Source operands first: dispatch renames sources before the
             // destination, so a record reading its own destination register
             // links to the *previous* writer.
-            let mut row = [NONE; 2];
+            let mut row = [0u16; 2];
             for (k, src) in d.instr.src_regs().into_iter().enumerate() {
                 let Some(reg) = src else { continue };
                 let r = reg.index();
                 let p = last_writer[r];
-                row[k] = p;
-                if p != NONE {
-                    if last_kill[r] != NONE && last_kill[r] > p {
-                        f |= if k == 0 { flag::SRC0_EDVI_CUT } else { flag::SRC1_EDVI_CUT };
-                    }
-                    if last_callret != NONE && last_callret > p && idvi_mask.contains(reg) {
-                        f |= if k == 0 { flag::SRC0_IDVI_CUT } else { flag::SRC1_IDVI_CUT };
-                    }
+                if p == NONE {
+                    continue;
                 }
-                read_since_def[r] = true;
-                pending_read[r] = (i, k as u8);
+                let distance = i - p;
+                let mut word = if distance >= u32::from(link::FAR) {
+                    far.push(FarLink { record: i, operand: k as u8, producer: p });
+                    link::FAR
+                } else {
+                    distance as u16
+                };
+                if last_kill[r] != NONE && last_kill[r] > p {
+                    word |= link::EDVI_CUT;
+                }
+                if last_callret != NONE && last_callret > p && idvi_mask.contains(reg) {
+                    word |= link::IDVI_CUT;
+                }
+                row[k] = word;
             }
-            g.prod.push(row);
-            g.flags.push(f);
+            rows.push(row);
 
-            // Destination write: the previous value of the register dies
-            // here. If it was never read, mark its producer dead; either
-            // way the pending read (if any) was the value's last use.
             if let Some(rd) = d.instr.dst_reg() {
-                g.value_dies(rd.index(), &mut last_writer, &mut pending_read, &mut read_since_def);
                 last_writer[rd.index()] = i;
             }
 
             // DVI events.
             match d.instr {
                 Instr::Kill { mask } => {
-                    for reg in mask.iter() {
-                        if reg.is_zero() {
-                            continue;
-                        }
-                        let r = reg.index();
-                        last_kill[r] = i;
-                        // A kill is a death point for the current value:
-                        // close out its dead/last-use bookkeeping (but keep
-                        // the writer link — machines without E-DVI
-                        // reclamation still depend on it).
-                        g.kill_current_value(
-                            r,
-                            &last_writer,
-                            &mut pending_read,
-                            &mut read_since_def,
-                        );
+                    for reg in mask.iter().filter(|reg| !reg.is_zero()) {
+                        last_kill[reg.index()] = i;
                     }
                 }
                 Instr::Call { .. } | Instr::Return => last_callret = i,
                 _ => {}
             }
         }
-
-        // Trace end: values never read again are dead, and their most
-        // recent read (if any) was their last use.
-        for r in 0..NUM_ARCH_REGS {
-            g.kill_current_value(r, &last_writer, &mut pending_read, &mut read_since_def);
-        }
-        g
-    }
-
-    /// Closes out the current value of register `r` at a redefinition:
-    /// marks the old producer dead if unread and the pending read as the
-    /// last use, then resets the per-definition state.
-    fn value_dies(
-        &mut self,
-        r: usize,
-        last_writer: &mut [u32; NUM_ARCH_REGS],
-        pending_read: &mut [(u32, u8); NUM_ARCH_REGS],
-        read_since_def: &mut [bool; NUM_ARCH_REGS],
-    ) {
-        self.kill_current_value(r, last_writer, pending_read, read_since_def);
-        read_since_def[r] = false;
-        pending_read[r] = (NONE, 0);
-    }
-
-    /// Marks the death of register `r`'s current value without resetting
-    /// the definition state (used by kills, which do not redefine).
-    fn kill_current_value(
-        &mut self,
-        r: usize,
-        last_writer: &[u32; NUM_ARCH_REGS],
-        pending_read: &mut [(u32, u8); NUM_ARCH_REGS],
-        read_since_def: &mut [bool; NUM_ARCH_REGS],
-    ) {
-        if last_writer[r] != NONE && !read_since_def[r] {
-            self.flags[last_writer[r] as usize] |= flag::DEST_DEAD;
-        }
-        let (rec, k) = pending_read[r];
-        if rec != NONE {
-            self.flags[rec as usize] |=
-                if k == 0 { flag::SRC0_LAST_USE } else { flag::SRC1_LAST_USE };
-            pending_read[r] = (NONE, 0);
-        }
+        far.shrink_to_fit();
+        DepGraph { rows, far }
     }
 
     /// Number of records covered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.flags.len()
+        self.rows.len()
     }
 
     /// Whether the graph covers no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Sentinel in [`DepGraph::row`] producers: the register was never
-    /// written in the trace; the operand is ready at fetch everywhere.
-    pub const NO_PRODUCER: u32 = NONE;
-
-    /// Per-operand masks over a row's flag byte selecting that operand's
-    /// sever bits (combine with [`DepGraph::sever_mask`]).
-    pub const OPERAND_CUT: [u8; 2] =
-        [flag::SRC0_EDVI_CUT | flag::SRC0_IDVI_CUT, flag::SRC1_EDVI_CUT | flag::SRC1_IDVI_CUT];
-
-    /// The flag-byte mask selecting the sever bits a machine with the
-    /// given DVI-reclamation configuration acts on: a producer link whose
-    /// `row` flags intersect `sever_mask & OPERAND_CUT[k]` is severed (the
-    /// operand is ready at fetch on that machine).
+    /// Number of far links (operands whose producer is [`link::FAR`] or
+    /// more records back).
     #[must_use]
-    pub fn sever_mask(sever_edvi: bool, sever_idvi: bool) -> u8 {
+    pub fn far_links(&self) -> usize {
+        self.far.len()
+    }
+
+    /// The cut bits ([`link::EDVI_CUT`], [`link::IDVI_CUT`]) a machine with
+    /// the given DVI-reclamation configuration acts on: an operand word
+    /// that intersects the mask is severed (the operand is ready at fetch
+    /// on that machine).
+    #[must_use]
+    pub fn sever_mask(sever_edvi: bool, sever_idvi: bool) -> u16 {
         let mut mask = 0;
         if sever_edvi {
-            mask |= flag::SRC0_EDVI_CUT | flag::SRC1_EDVI_CUT;
+            mask |= link::EDVI_CUT;
         }
         if sever_idvi {
-            mask |= flag::SRC0_IDVI_CUT | flag::SRC1_IDVI_CUT;
+            mask |= link::IDVI_CUT;
         }
         mask
     }
 
-    /// The raw packed row of `record`: both operands' producer indices
-    /// ([`DepGraph::NO_PRODUCER`] = ready at fetch) and the record's flag
-    /// byte — the one-load-per-array hot-path accessor behind
-    /// [`DepGraph::source`].
+    /// The packed row of `record`: one [`link`] word per source operand —
+    /// the one-load hot-path accessor behind [`DepGraph::source`].
     ///
     /// # Panics
     ///
     /// Panics if `record` is out of range.
     #[inline]
     #[must_use]
-    pub fn row(&self, record: usize) -> ([u32; 2], u8) {
-        (self.prod[record], self.flags[record])
+    pub fn row(&self, record: usize) -> [u16; 2] {
+        self.rows[record]
+    }
+
+    /// The exact producer of a far link (an operand whose row word holds
+    /// the distance [`link::FAR`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if operand `operand` of `record` is not a far link.
+    #[cold]
+    #[must_use]
+    pub fn far_producer(&self, record: usize, operand: usize) -> u32 {
+        let key = (record, operand);
+        let at = self
+            .far
+            .binary_search_by(|f| (f.record as usize, f.operand as usize).cmp(&key))
+            .unwrap_or_else(|_| panic!("record {record} operand {operand} is not a far link"));
+        self.far[at].producer
     }
 
     /// The dependence of source operand `operand` (0 or 1) of record
-    /// `record`.
+    /// `record`, with the producer as an absolute record index.
     ///
     /// # Panics
     ///
@@ -319,79 +292,174 @@ impl DepGraph {
     #[inline]
     #[must_use]
     pub fn source(&self, record: usize, operand: usize) -> SrcDep {
-        let (row, f) = self.row(record);
-        let p = row[operand];
-        let (edvi_bit, idvi_bit) = if operand == 0 {
-            (flag::SRC0_EDVI_CUT, flag::SRC0_IDVI_CUT)
-        } else {
-            (flag::SRC1_EDVI_CUT, flag::SRC1_IDVI_CUT)
+        let word = self.rows[record][operand];
+        let producer = match word & link::DISTANCE {
+            0 => None,
+            link::FAR => Some(self.far_producer(record, operand)),
+            #[allow(clippy::cast_possible_truncation)]
+            d => Some(record as u32 - u32::from(d)),
         };
         SrcDep {
-            producer: (p != NONE).then_some(p),
-            edvi_cut: f & edvi_bit != 0,
-            idvi_cut: f & idvi_bit != 0,
+            producer,
+            edvi_cut: word & link::EDVI_CUT != 0,
+            idvi_cut: word & link::IDVI_CUT != 0,
         }
     }
 
-    /// Whether the value produced by `record` is never read inside the
-    /// trace before being redefined, killed or reaching trace end. Records
-    /// without a destination never set this bit.
-    #[must_use]
-    pub fn dest_dead(&self, record: usize) -> bool {
-        self.flags[record] & flag::DEST_DEAD != 0
-    }
-
-    /// Whether source operand `operand` of `record` is the final read of
-    /// its producer's value.
-    #[must_use]
-    pub fn is_last_use(&self, record: usize, operand: usize) -> bool {
-        let bit = if operand == 0 { flag::SRC0_LAST_USE } else { flag::SRC1_LAST_USE };
-        self.flags[record] & bit != 0
-    }
-
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the packed rows plus the far
+    /// table.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.prod.capacity() * std::mem::size_of::<[u32; 2]>() + self.flags.capacity()
+        self.rows.capacity() * std::mem::size_of::<[u16; 2]>()
+            + self.far.capacity() * std::mem::size_of::<FarLink>()
     }
 
     /// Serializes the graph for embedding in a trace artifact (see
-    /// [`crate::artifact`]): record count, then the producer pairs and
-    /// flag bytes, all little-endian.
+    /// [`crate::artifact`]): record count, the packed rows, then the far
+    /// table (count, then `record: u32, operand: u8, producer: u32` per
+    /// entry), all little-endian.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = crate::artifact::ByteWriter::new();
+        let mut w = ByteWriter::new();
         w.put_u64(self.len() as u64);
-        for &[a, b] in &self.prod {
-            w.put_u32(a);
-            w.put_u32(b);
+        for &[a, b] in &self.rows {
+            w.put_u16(a);
+            w.put_u16(b);
         }
-        w.put_bytes(&self.flags);
+        w.put_u64(self.far.len() as u64);
+        for f in &self.far {
+            w.put_u32(f.record);
+            w.put_u8(f.operand);
+            w.put_u32(f.producer);
+        }
         w.into_bytes()
     }
 
-    /// Decodes a graph serialized by [`DepGraph::to_bytes`] inside a trace
-    /// artifact of format `version`. Sections written before version 3
-    /// carry a trailing per-record call-depth column (4 bytes per record),
-    /// which is skipped.
-    pub fn from_bytes(
-        bytes: &[u8],
-        version: u32,
-    ) -> Result<DepGraph, crate::artifact::ArtifactError> {
-        let mut r = crate::artifact::ByteReader::new(bytes, "dependence graph");
+    /// Decodes a graph serialized inside a trace artifact of format
+    /// `version`, rejecting any row or far-table entry that does not
+    /// describe a producer strictly before its consumer. Sections written
+    /// before version 4 hold absolute `u32` producer links and a flag byte
+    /// per record (whose dead-value bits are ignored) and are converted to
+    /// the packed form; sections before version 3 also carry a per-record
+    /// call-depth column, which is skipped.
+    pub fn from_bytes(bytes: &[u8], version: u32) -> Result<DepGraph, ArtifactError> {
+        let mut r = ByteReader::new(bytes, "dependence graph");
         let n = r.count()?;
-        let mut prod = Vec::with_capacity(n);
-        for _ in 0..n {
-            prod.push([r.u32()?, r.u32()?]);
+        let row_bytes = if version >= 4 { 4 } else { 9 };
+        if r.remaining() / row_bytes < n {
+            return Err(ArtifactError::TruncatedArtifact { context: "dependence graph".into() });
         }
-        let flags = r.bytes(n)?.to_vec();
-        if version < 3 {
+        let graph = if version >= 4 {
+            let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
-                r.u32()?;
+                rows.push([r.u16()?, r.u16()?]);
+            }
+            let far_len = r.count()?;
+            let mut far = Vec::with_capacity(far_len.min(r.remaining() / 9));
+            for _ in 0..far_len {
+                far.push(FarLink { record: r.u32()?, operand: r.u8()?, producer: r.u32()? });
+            }
+            DepGraph { rows, far }
+        } else {
+            let mut producers = Vec::with_capacity(n);
+            for _ in 0..n {
+                producers.push([r.u32()?, r.u32()?]);
+            }
+            let flags = r.bytes(n)?;
+            if version < 3 {
+                r.bytes(4 * n)?;
+            }
+            Self::from_absolute(&producers, flags)?
+        };
+        r.finish()?;
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    /// Packs pre-version-4 rows: absolute producer links
+    /// ([`u32::MAX`] = none) and a flag byte whose bits 0–3 are the
+    /// (E-DVI, I-DVI) cut pairs of operands 0 and 1.
+    fn from_absolute(producers: &[[u32; 2]], flags: &[u8]) -> Result<DepGraph, ArtifactError> {
+        let mut rows = Vec::with_capacity(producers.len());
+        let mut far = Vec::new();
+        for (i, (pair, &f)) in producers.iter().zip(flags).enumerate() {
+            let mut row = [0u16; 2];
+            for (k, &p) in pair.iter().enumerate() {
+                let cuts = u16::from((f >> (2 * k)) & 0b11) << link::CUT_SHIFT;
+                if p == NONE {
+                    row[k] = cuts;
+                    continue;
+                }
+                let Some(distance) = i.checked_sub(p as usize).filter(|&d| d > 0) else {
+                    return Err(ArtifactError::Malformed {
+                        context: format!("record {i} links to producer {p}, not an earlier record"),
+                    });
+                };
+                let stored = if distance >= usize::from(link::FAR) {
+                    #[allow(clippy::cast_possible_truncation)]
+                    far.push(FarLink { record: i as u32, operand: k as u8, producer: p });
+                    link::FAR
+                } else {
+                    distance as u16
+                };
+                row[k] = cuts | stored;
+            }
+            rows.push(row);
+        }
+        Ok(DepGraph { rows, far })
+    }
+
+    /// Checks that every link points strictly backwards and that the far
+    /// table holds exactly the far links, sorted and in range.
+    fn validate(&self) -> Result<(), ArtifactError> {
+        let malformed = |context: String| ArtifactError::Malformed { context };
+        let mut far_words = 0usize;
+        for (i, row) in self.rows.iter().enumerate() {
+            for (k, &word) in row.iter().enumerate() {
+                let d = word & link::DISTANCE;
+                if d == 0 && word != 0 {
+                    return Err(malformed(format!(
+                        "record {i} operand {k} has cut bits but no producer"
+                    )));
+                }
+                if d == link::FAR {
+                    far_words += 1;
+                } else if usize::from(d) > i {
+                    return Err(malformed(format!(
+                        "record {i} operand {k} links {d} records back, before the trace start"
+                    )));
+                }
             }
         }
-        r.finish()?;
-        Ok(DepGraph { prod, flags })
+        if far_words != self.far.len() {
+            return Err(malformed(format!(
+                "{far_words} far links but {} far-table entries",
+                self.far.len()
+            )));
+        }
+        let mut previous = None;
+        for f in &self.far {
+            let key = (f.record, f.operand);
+            if previous.is_some_and(|p| p >= key) {
+                return Err(malformed(format!(
+                    "far table is not sorted at record {} operand {}",
+                    f.record, f.operand
+                )));
+            }
+            previous = Some(key);
+            let in_range = (f.record as usize) < self.len()
+                && f.operand < 2
+                && self.rows[f.record as usize][f.operand as usize] & link::DISTANCE == link::FAR
+                && f.producer < f.record
+                && f.record - f.producer >= u32::from(link::FAR);
+            if !in_range {
+                return Err(malformed(format!(
+                    "far-table entry (record {}, operand {}, producer {}) is out of range",
+                    f.record, f.operand, f.producer
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -410,13 +478,12 @@ mod tests {
         CapturedTrace::record(layout, u64::MAX)
     }
 
-    /// Straight-line program exercising producers, dead values and last
-    /// uses:
+    /// Straight-line program exercising producers and redefinitions:
     /// ```text
     /// 0: r8  <- 1
     /// 1: r9  <- 2
     /// 2: r10 <- r8 + r9      (reads 0 and 1)
-    /// 3: r8  <- 7            (kills value of record 0; record 2 was its last use)
+    /// 3: r8  <- 7            (redefines r8)
     /// 4: r11 <- r8 + r8      (reads 3 twice)
     /// 5: halt
     /// ```
@@ -446,22 +513,6 @@ mod tests {
         assert_eq!(g.source(0, 1).producer, None);
     }
 
-    #[test]
-    fn dead_destinations_and_last_uses_are_marked() {
-        let g = DepGraph::build(&straight_line());
-        // r10 and r11 are never read: their producers are dead.
-        assert!(g.dest_dead(2));
-        assert!(g.dest_dead(4));
-        // r8's first value is read (record 2), so record 0 is not dead; the
-        // read at record 2 is its last use (r8 is rewritten at 3).
-        assert!(!g.dest_dead(0));
-        assert!(g.is_last_use(2, 0), "record 2 reads r8 for the last time");
-        assert!(g.is_last_use(2, 1), "record 2 reads r9 for the last time (trace end)");
-        // Record 4 reads r8 twice; the last-use bit lands on the most
-        // recent operand slot (1).
-        assert!(g.is_last_use(4, 1));
-    }
-
     /// A kill between a write and a (well-formed: absent) read severs the
     /// dependence of a save that reads the dead register.
     #[test]
@@ -486,8 +537,6 @@ mod tests {
         // E-DVI drop the link, others keep it.
         assert_eq!(dep.producer_for(true, false), None);
         assert_eq!(dep.producer_for(false, true), Some(0));
-        // The kill is the death point of r16's value.
-        assert!(g.dest_dead(0));
     }
 
     /// Calls sever caller-saved links (I-DVI).
@@ -550,7 +599,115 @@ mod tests {
     fn footprint_is_accounted() {
         let trace = straight_line();
         let g = DepGraph::build(&trace);
-        assert!(g.approx_bytes() >= g.len() * (2 * 4 + 1));
         assert!(!g.is_empty());
+        assert_eq!(g.far_links(), 0);
+        assert_eq!(g.approx_bytes(), g.len() * 4, "4 bytes per record, empty far table");
+        let far = DepGraph::build(&far_link_trace());
+        assert_eq!(far.far_links(), 2);
+        assert_eq!(
+            far.approx_bytes(),
+            far.len() * 4 + far.far_links() * std::mem::size_of::<FarLink>(),
+            "the far table is accounted"
+        );
+    }
+
+    /// Loop iterations between the writes of r16/r8 and their reads: two
+    /// records per iteration, so the reads are more than [`link::FAR`]
+    /// records after the writes.
+    const FAR_ITERS: i32 = 9_000;
+
+    /// A program whose registers are read more than 16383 records after
+    /// their last write:
+    /// ```text
+    /// 0: r16 <- 5           (callee-saved)
+    /// 1: r8  <- 3           (caller-saved, in the I-DVI mask)
+    /// 2: r9  <- FAR_ITERS
+    ///    loop: r9 <- r9 - 1; branch r9 != 0 -> loop
+    ///    call leaf (nop; return)
+    ///    r10 <- r16 + r8    (two far links; r8's crosses the call)
+    ///    halt
+    /// ```
+    fn far_link_trace() -> CapturedTrace {
+        let mut b = ProgramBuilder::new();
+        let mut main = ProcBuilder::new("main");
+        let body = main.new_block();
+        main.emit(Instr::load_imm(r(16), 5));
+        main.emit(Instr::load_imm(r(8), 3));
+        main.emit(Instr::load_imm(r(9), FAR_ITERS));
+        main.switch_to(body);
+        main.emit(Instr::AluImm { op: AluOp::Sub, rd: r(9), rs: r(9), imm: 1 });
+        main.emit_branch(CmpOp::Ne, r(9), ArchReg::ZERO, body);
+        let exit = main.new_block();
+        main.switch_to(exit);
+        main.emit_call("leaf");
+        main.emit(Instr::Alu { op: AluOp::Add, rd: r(10), rs: r(16), rt: r(8) });
+        main.emit(Instr::Halt);
+        b.add_procedure(main).unwrap();
+        let mut leaf = ProcBuilder::new("leaf");
+        leaf.emit(Instr::Nop);
+        leaf.emit(Instr::Return);
+        b.add_procedure(leaf).unwrap();
+        capture(&b.build("main").unwrap().layout().unwrap())
+    }
+
+    #[test]
+    fn far_links_resolve_to_the_exact_producer() {
+        let trace = far_link_trace();
+        let g = DepGraph::build(&trace);
+        // ..., add, halt: the add is the second-to-last record.
+        let add = trace.len() - 2;
+        assert!(add > usize::from(link::FAR));
+        assert_eq!(g.row(add)[0] & link::DISTANCE, link::FAR);
+        let r16 = g.source(add, 0);
+        assert_eq!(r16, SrcDep { producer: Some(0), edvi_cut: false, idvi_cut: false });
+        let r8 = g.source(add, 1);
+        assert_eq!(r8, SrcDep { producer: Some(1), edvi_cut: false, idvi_cut: true });
+        assert_eq!(g.far_producer(add, 1), 1);
+        // Near links in the same trace keep their exact distances.
+        assert_eq!(g.source(4, 0).producer, Some(3), "first branch reads the first sub");
+    }
+
+    #[test]
+    fn serialized_graphs_roundtrip_and_damage_is_typed() {
+        let g = DepGraph::build(&far_link_trace());
+        let bytes = g.to_bytes();
+        let back = DepGraph::from_bytes(&bytes, 4).expect("clean graph loads");
+        assert_eq!(back.rows, g.rows);
+        assert_eq!(back.far, g.far);
+
+        let malformed = |g: &DepGraph| {
+            matches!(DepGraph::from_bytes(&g.to_bytes(), 4), Err(ArtifactError::Malformed { .. }))
+        };
+        // A near link reaching before the trace start.
+        let mut bad = g.clone();
+        bad.rows[2][0] = 3;
+        assert!(malformed(&bad));
+        // Cut bits on an operand without a producer.
+        let mut bad = g.clone();
+        bad.rows[0][0] = link::EDVI_CUT;
+        assert!(malformed(&bad));
+        // An unsorted far table.
+        let mut bad = g.clone();
+        bad.far.swap(0, 1);
+        assert!(malformed(&bad));
+        // A far entry whose producer is not far back.
+        let mut bad = g.clone();
+        bad.far[1].producer = bad.far[1].record - 1;
+        assert!(malformed(&bad));
+        // A far entry past the last record.
+        let mut bad = g.clone();
+        bad.far[1].record = u32::MAX;
+        assert!(malformed(&bad));
+        // A far link without its table entry.
+        let mut bad = g.clone();
+        bad.far.pop();
+        assert!(malformed(&bad));
+        // Truncation anywhere is typed.
+        for cut in [0, 7, 8, bytes.len() / 2, bytes.len() - 1] {
+            assert!(matches!(
+                DepGraph::from_bytes(&bytes[..cut], 4),
+                Err(ArtifactError::TruncatedArtifact { .. })
+            ));
+        }
     }
 }

@@ -35,7 +35,7 @@
 
 use crate::artifact::{ArtifactError, ByteReader, ByteWriter};
 use crate::captured::CapturedTrace;
-use crate::depgraph::DepGraph;
+use crate::depgraph::{link, DepGraph};
 use dvi_isa::{ArchReg, Instr, InstrClass, NUM_ARCH_REGS};
 use std::sync::Arc;
 
@@ -70,8 +70,10 @@ pub struct RecordMeta {
     pub dst: u8,
     /// [`fusion_flag`] bits.
     pub flags: u8,
-    /// Copy of the [`DepGraph`] flag byte (sever/cut bits); the fast path
-    /// ANDs it with the member's sever mask at dispatch.
+    /// The [`DepGraph`] row's cut bits folded into one byte: bits 0–1 hold
+    /// operand 0's (E-DVI, I-DVI) cuts, bits 2–3 operand 1's. The fast path
+    /// ANDs it with [`FusionTable::sever_bits`] of the member's sever mask
+    /// at dispatch.
     pub dep_flags: u8,
     /// Per-operand wakeup wiring: [`FusionTable::NO_WAIT`] = ready at
     /// dispatch, otherwise the *distance back* to the producer in records.
@@ -117,6 +119,17 @@ impl FusionTable {
     pub const NO_DST: u8 = u8::MAX;
     /// Largest supported decode width (group lengths are stored in a byte).
     pub const MAX_WIDTH: usize = 128;
+    /// Per-operand masks over [`RecordMeta::dep_flags`].
+    pub const OPERAND_CUT: [u8; 2] = [0b0011, 0b1100];
+
+    /// The [`RecordMeta::dep_flags`] bits selected by a
+    /// [`DepGraph::sever_mask`]: an operand whose cut bits intersect it is
+    /// severed on that machine.
+    #[must_use]
+    pub fn sever_bits(sever: u16) -> u8 {
+        let pair = (sever >> link::CUT_SHIFT) as u8;
+        pair | pair << 2
+    }
 
     /// Builds the fusion table for `trace` at decode width `width`, using
     /// `graph` for producer links.
@@ -166,7 +179,9 @@ impl FusionTable {
             let redirect = d.next_pc != d.pc.wrapping_add(1);
             let has_fu = class.fu_kind().is_some();
             let dst = instr.dst_reg();
-            let (producers, dep_flags) = graph.row(i);
+            let row = graph.row(i);
+            let dep_flags =
+                ((row[0] >> link::CUT_SHIFT) | ((row[1] >> link::CUT_SHIFT) << 2)) as u8;
 
             let mut flags = 0u8;
             if eligible {
@@ -211,17 +226,20 @@ impl FusionTable {
             let mut wait = [Self::NO_WAIT; 2];
             if eligible && has_fu {
                 for (k, w) in wait.iter_mut().enumerate() {
-                    let p = producers[k];
-                    if p == DepGraph::NO_PRODUCER {
+                    // A far link (distance `link::FAR`, at least 16383
+                    // records) is never in-run: it takes the external path.
+                    let distance = usize::from(row[k] & link::DISTANCE);
+                    if distance == 0 {
                         continue;
                     }
-                    let p = p as usize;
-                    if p >= run_start.expect("eligible record is inside a run") && i - p < 255 {
+                    if distance < 255
+                        && i - distance >= run_start.expect("eligible record is inside a run")
+                    {
                         // In-run producer: a wakeup edge is needed only if
                         // the producer occupies a functional unit (a no-FU
                         // producer is complete the cycle it enters).
-                        if meta[p].flags & fusion_flag::HAS_FU != 0 {
-                            *w = (i - p) as u8;
+                        if meta[i - distance].flags & fusion_flag::HAS_FU != 0 {
+                            *w = distance as u8;
                         }
                     } else {
                         flags |= fusion_flag::ANY_EXTERNAL;
@@ -328,8 +346,9 @@ impl FusionTable {
         (d != Self::NO_DST).then(|| ArchReg::new(d))
     }
 
-    /// The [`DepGraph`] flag byte of `record` (AND with the member's sever
-    /// mask and [`DepGraph::OPERAND_CUT`] at dispatch).
+    /// The folded cut bits of `record` (AND with
+    /// [`FusionTable::sever_bits`] and [`FusionTable::OPERAND_CUT`] at
+    /// dispatch).
     #[inline]
     #[must_use]
     pub fn dep_flags(&self, record: usize) -> u8 {

@@ -17,10 +17,10 @@
 //! corruption pinned to the section tag, version skew and
 //! stale-trace-fingerprint rejection.
 
-use dvi_program::artifact::ArtifactWriter;
+use dvi_program::artifact::{ArtifactReader, ArtifactWriter};
 use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{
-    ArtifactError, CapturedTrace, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
+    ArtifactError, CapturedTrace, DepGraph, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
 };
 use dvi_sim::batch::{oracle_section, ORACLES_VERSION};
 use dvi_sim::{record_dcache_oracle, RecordedOracles, SimConfig};
@@ -56,6 +56,108 @@ fn mixed_program(iters: i32) -> LayoutProgram {
     leaf.emit(Instr::Return);
     b.add_procedure(leaf).unwrap();
     b.build("main").unwrap().layout().unwrap()
+}
+
+/// A program whose registers are read more than 16383 records after their
+/// last write (two far dependence links, one of them across a call).
+fn far_link_program() -> LayoutProgram {
+    let mut b = ProgramBuilder::new();
+    let mut main = ProcBuilder::new("main");
+    let body = main.new_block();
+    main.emit(Instr::load_imm(r(16), 5));
+    main.emit(Instr::load_imm(r(8), 3));
+    main.emit(Instr::load_imm(r(9), 9_000));
+    main.switch_to(body);
+    main.emit(Instr::AluImm { op: AluOp::Sub, rd: r(9), rs: r(9), imm: 1 });
+    main.emit_branch(CmpOp::Ne, r(9), ArchReg::ZERO, body);
+    let exit = main.new_block();
+    main.switch_to(exit);
+    main.emit_call("leaf");
+    main.emit(Instr::Alu { op: AluOp::Add, rd: r(10), rs: r(16), rt: r(8) });
+    main.emit(Instr::Halt);
+    b.add_procedure(main).unwrap();
+    let mut leaf = ProcBuilder::new("leaf");
+    leaf.emit(Instr::Nop);
+    leaf.emit(Instr::Return);
+    b.add_procedure(leaf).unwrap();
+    b.build("main").unwrap().layout().unwrap()
+}
+
+/// Re-encodes `trace` (and its attached graph, if any) in the layout of
+/// trace-artifact `version` 2 or 3: META without the first PC, a PCS
+/// section with one `u32` per record, and a DEPGRAPH section of absolute
+/// `u32` producer links (`u32::MAX` = none) followed by one flag byte per
+/// record — bits 0–3 the (E-DVI, I-DVI) cut pairs of operands 0 and 1, and
+/// on every third record a since-removed dead-value bit the loader must
+/// ignore. Version 2 adds the per-record call-depth column.
+fn legacy_artifact(trace: &CapturedTrace, version: u32) -> Vec<u8> {
+    let bytes = trace.to_bytes();
+    let current = ArtifactReader::parse(&bytes, TRACE_MAGIC, TRACE_VERSION).unwrap();
+    let mut w = ArtifactWriter::new(TRACE_MAGIC, version);
+    let meta = current.section(section::META).unwrap();
+    w.section(section::META, [&meta[..16], &meta[20..]].concat());
+    for tag in [section::STATIC_INSTRS, section::STATIC_PROCS] {
+        w.section(tag, current.section(tag).unwrap().to_vec());
+    }
+    w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
+    for tag in [section::FLAGS, section::MEM_ADDRS, section::REDIRECTS] {
+        w.section(tag, current.section(tag).unwrap().to_vec());
+    }
+    if let Some(graph) = trace.depgraph() {
+        let mut payload = (graph.len() as u64).to_le_bytes().to_vec();
+        for record in 0..graph.len() {
+            for operand in 0..2 {
+                let producer = graph.source(record, operand).producer.unwrap_or(u32::MAX);
+                payload.extend_from_slice(&producer.to_le_bytes());
+            }
+        }
+        for record in 0..graph.len() {
+            let mut f = if record % 3 == 0 { 1 << 4 } else { 0 };
+            for operand in 0..2 {
+                let dep = graph.source(record, operand);
+                f |= (u8::from(dep.edvi_cut) | u8::from(dep.idvi_cut) << 1) << (2 * operand);
+            }
+            payload.push(f);
+        }
+        if version < 3 {
+            for record in 0..graph.len() {
+                payload.extend_from_slice(&u32::try_from(record % 7).unwrap().to_le_bytes());
+            }
+        }
+        w.section(section::DEPGRAPH, payload);
+    }
+    w.to_bytes()
+}
+
+/// Rebuilds `bytes` with `edit` applied to the payload of section `tag`
+/// and every checksum recomputed, so the damage reaches the decoder
+/// instead of being caught by the container.
+fn with_section_edited(bytes: &[u8], tag: u32, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let reader = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION).unwrap();
+    let mut w = ArtifactWriter::new(TRACE_MAGIC, reader.version());
+    for (t, start, len) in section_spans(bytes) {
+        let mut payload = bytes[start..start + len].to_vec();
+        if t == tag {
+            edit(&mut payload);
+        }
+        w.section(t, payload);
+    }
+    w.to_bytes()
+}
+
+/// Asserts both graphs give every record the same `source()` rows.
+fn assert_same_sources(got: &DepGraph, want: &DepGraph) {
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got.far_links(), want.far_links());
+    for record in 0..want.len() {
+        for operand in 0..2 {
+            assert_eq!(
+                got.source(record, operand),
+                want.source(record, operand),
+                "record {record} operand {operand}"
+            );
+        }
+    }
 }
 
 /// Walks the artifact container and yields `(tag, payload_start, payload_len)`
@@ -174,38 +276,141 @@ fn header_corruption_reports_magic_and_version_errors() {
 
 /// A version-2 artifact, whose DEPGRAPH section still carries the
 /// per-record call-depth column that version 3 dropped, loads with the
-/// column skipped: the same producer and flag rows come back.
+/// column skipped: the same producer and cut rows come back.
 #[test]
 fn version_2_depgraph_section_decodes_to_the_same_rows() {
     let mut trace = CapturedTrace::record(&mixed_program(6), 400);
     trace.build_depgraph();
     let graph = trace.depgraph().expect("graph attached");
-    let bytes = trace.to_bytes();
-    let mut v2 = ArtifactWriter::new(TRACE_MAGIC, 2);
-    for (tag, start, len) in section_spans(&bytes) {
-        let mut payload = bytes[start..start + len].to_vec();
-        if tag == section::DEPGRAPH {
-            for record in 0..graph.len() {
-                let depth = u32::try_from(record % 7).expect("small depth");
-                payload.extend_from_slice(&depth.to_le_bytes());
-            }
-        }
-        v2.section(tag, payload);
-    }
-    let loaded = CapturedTrace::from_bytes(&v2.to_bytes()).expect("a v2 artifact loads");
+    let loaded =
+        CapturedTrace::from_bytes(&legacy_artifact(&trace, 2)).expect("a v2 artifact loads");
     assert_eq!(loaded.fingerprint(), trace.fingerprint());
     let loaded_graph = loaded.depgraph().expect("the v2 graph section decodes");
-    assert_eq!(loaded_graph.len(), graph.len());
     for record in 0..graph.len() {
         assert_eq!(loaded_graph.row(record), graph.row(record), "record {record}");
     }
 
     // The same section without its depth column is not a v2 section.
+    let v3_bytes = legacy_artifact(&trace, 3);
     let mut short = ArtifactWriter::new(TRACE_MAGIC, 2);
-    for (tag, start, len) in section_spans(&bytes) {
-        short.section(tag, bytes[start..start + len].to_vec());
+    for (tag, start, len) in section_spans(&v3_bytes) {
+        short.section(tag, v3_bytes[start..start + len].to_vec());
     }
     assert!(CapturedTrace::from_bytes(&short.to_bytes()).is_err());
+}
+
+/// A version-3 artifact — a stored PC column and absolute `u32` producer
+/// links — loads to a bit-identical replay and identical `source()` rows,
+/// far links included.
+#[test]
+fn version_3_artifact_loads_to_an_identical_replay_and_graph() {
+    for layout in [mixed_program(6), far_link_program()] {
+        let mut trace = CapturedTrace::record(&layout, u64::MAX);
+        let graph = trace.build_depgraph();
+        let loaded =
+            CapturedTrace::from_bytes(&legacy_artifact(&trace, 3)).expect("a v3 artifact loads");
+        assert_eq!(loaded.summary(), trace.summary());
+        assert_eq!(loaded.fingerprint(), trace.fingerprint());
+        assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
+        assert_same_sources(loaded.depgraph().expect("the v3 graph converts"), &graph);
+    }
+}
+
+/// A version-3 PC column that disagrees with the walk the flags and
+/// redirect targets derive is rejected, never replayed.
+#[test]
+fn version_3_pcs_that_disagree_with_the_control_flow_walk_are_rejected() {
+    let trace = CapturedTrace::record(&mixed_program(4), 200);
+    let v3 = legacy_artifact(&trace, 3);
+    for record in [0usize, 1, trace.len() / 2, trace.len() - 1] {
+        let bad = with_section_edited(&v3, section::PCS, |pcs| {
+            pcs[record * 4] ^= 1;
+        });
+        assert!(
+            matches!(CapturedTrace::from_bytes(&bad), Err(ArtifactError::Malformed { .. })),
+            "a wrong PC at record {record} must be malformed"
+        );
+    }
+    let short = with_section_edited(&v3, section::PCS, |pcs| pcs.truncate(pcs.len() - 4));
+    assert!(matches!(
+        CapturedTrace::from_bytes(&short),
+        Err(ArtifactError::TruncatedArtifact { .. })
+    ));
+    let long = with_section_edited(&v3, section::PCS, |pcs| pcs.extend_from_slice(&[0; 4]));
+    assert!(matches!(CapturedTrace::from_bytes(&long), Err(ArtifactError::Malformed { .. })));
+}
+
+/// A dependence graph with far links (producers 16383 or more records
+/// back) round-trips through the artifact exactly.
+#[test]
+fn far_links_roundtrip_through_the_artifact() {
+    let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
+    let graph = trace.build_depgraph();
+    assert_eq!(graph.far_links(), 2, "the program reads r16 and r8 from far back");
+    let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
+    assert_same_sources(loaded.depgraph().expect("graph travels with the trace"), &graph);
+}
+
+/// Internally inconsistent version-4 contents behind valid checksums are
+/// typed errors, never panics: a derived PC outside the static image, a
+/// link reaching before the trace start, a damaged far table, and a
+/// truncated section.
+#[test]
+fn damaged_version_4_contents_are_typed_errors() {
+    let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
+    trace.build_depgraph();
+    let bytes = trace.to_bytes();
+    let malformed = |bytes: &[u8]| {
+        matches!(CapturedTrace::from_bytes(bytes), Err(ArtifactError::Malformed { .. }))
+    };
+
+    // META: records u64, static length u64, then the first PC.
+    let static_len = trace.static_code().len() as u32;
+    let outside = with_section_edited(&bytes, section::META, |meta| {
+        meta[16..20].copy_from_slice(&static_len.to_le_bytes());
+    });
+    assert!(malformed(&outside), "a first PC past the image");
+    let outside = with_section_edited(&bytes, section::REDIRECTS, |targets| {
+        targets[..4].copy_from_slice(&static_len.to_le_bytes());
+    });
+    assert!(malformed(&outside), "a redirect past the image");
+
+    // DEPGRAPH: count u64, then one [u16; 2] row per record. Record 0 has
+    // no earlier record to link to.
+    let early = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
+        graph[8..10].copy_from_slice(&1u16.to_le_bytes());
+    });
+    assert!(malformed(&early), "a link before the trace start");
+
+    // The far table closes the section: count u64, then 9-byte entries
+    // (record u32, operand u8, producer u32), two of them here.
+    let unsorted = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
+        let at = graph.len() - 18;
+        let (first, second) = graph[at..].split_at_mut(9);
+        first.swap_with_slice(second);
+    });
+    assert!(malformed(&unsorted), "an unsorted far table");
+    let out_of_range = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
+        let at = graph.len() - 9;
+        graph[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    assert!(malformed(&out_of_range), "a far entry past the last record");
+
+    for (tag, _, len) in section_spans(&bytes) {
+        if len == 0 {
+            continue;
+        }
+        let truncated = with_section_edited(&bytes, tag, |payload| payload.truncate(len - 1));
+        let err =
+            CapturedTrace::from_bytes(&truncated).expect_err("a truncated section must not load");
+        assert!(
+            matches!(
+                err,
+                ArtifactError::TruncatedArtifact { .. } | ArtifactError::Malformed { .. }
+            ),
+            "section {tag} cut short gave {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -1976,7 +1976,7 @@ impl<'a> SweepRunner<'a> {
     /// rename sources through their private alias tables even when the
     /// trace carries a prebuilt graph. A host-time policy knob only —
     /// statistics are bit-identical either way. Useful where the graph's
-    /// streamed row traffic (~9 bytes per record per member) outweighs the
+    /// streamed row traffic (4 bytes per record per member) outweighs the
     /// skipped alias-table walk; on the reference container the two are
     /// within measurement noise of each other (see the ROADMAP's PR 4
     /// decomposition).

@@ -50,6 +50,7 @@ use crate::stats::SimStats;
 use crate::window::{EntryState, WindowRing};
 use dvi_isa::{Abi, ArchReg, FuKind, InstrClass};
 use dvi_mem::{CachePorts, DataMemModel, DcacheOracleCursor, MemoryHierarchy, PerfectDcache};
+use dvi_program::depgraph::link;
 use dvi_program::fusion::{fusion_flag, FusionTable};
 use dvi_program::{DepGraph, DynInst, InstrSource};
 use std::sync::Arc;
@@ -127,13 +128,19 @@ struct DepWire {
     /// First record sequence number at which the span invariant must be
     /// re-established (see the type docs).
     check_at: u64,
-    /// Sever bits this machine acts on ([`DepGraph::sever_mask`]).
-    sever: u8,
+    /// Cut bits of a graph word this machine acts on
+    /// ([`DepGraph::sever_mask`]).
+    sever: u16,
+    /// The same selection over a fusion record's folded cut byte
+    /// ([`FusionTable::sever_bits`]).
+    fused_sever: u8,
 }
 
 impl DepWire {
     fn new(graph: Arc<DepGraph>, config: &SimConfig, window_ring: u64) -> DepWire {
         let reclaim = config.dvi.reclaim_phys_regs;
+        let sever =
+            DepGraph::sever_mask(config.dvi.use_edvi && reclaim, config.dvi.use_idvi && reclaim);
         DepWire {
             graph,
             // Start comfortably above the window span; consumed-at-decode
@@ -141,10 +148,8 @@ impl DepWire {
             // `ensure_span` grows the ring when they do.
             slots: vec![NOT_DISPATCHED; (window_ring as usize * 4).max(256)],
             check_at: 0,
-            sever: DepGraph::sever_mask(
-                config.dvi.use_edvi && reclaim,
-                config.dvi.use_idvi && reclaim,
-            ),
+            sever,
+            fused_sever: FusionTable::sever_bits(sever),
         }
     }
 
@@ -205,30 +210,35 @@ impl DepWire {
     /// dependence-path analogue of the alias table's dense ready bits.
     #[inline]
     fn resolve_pair(&self, seq: u64, window: &WindowRing) -> [Option<u64>; 2] {
-        let (producers, flags) = self.graph.row(seq as usize);
-        let cut = flags & self.sever;
-        let mask = self.slots.len() - 1;
+        let row = self.graph.row(seq as usize);
+        let mask = self.slots.len() as u64 - 1;
         let mut waits = [None, None];
         for (k, wait) in waits.iter_mut().enumerate() {
-            let producer = producers[k];
-            if producer == DepGraph::NO_PRODUCER || cut & DepGraph::OPERAND_CUT[k] != 0 {
+            let word = row[k];
+            let distance = u64::from(word & link::DISTANCE);
+            // No producer, a producer beyond the ring (the span invariant
+            // guarantees it committed long ago), or a link this machine's
+            // DVI reclamation severs. A far link's stored distance is a
+            // lower bound, so it lands here whenever the ring is shorter
+            // than `link::FAR`.
+            if distance == 0 || distance > mask || word & self.sever != 0 {
                 continue;
             }
-            if seq - u64::from(producer) > mask as u64 {
-                // Beyond the ring: the span invariant guarantees the
-                // producer committed long ago.
-                continue;
-            }
-            let wseq = self.slots[producer as usize & mask];
+            let producer = if distance == u64::from(link::FAR) {
+                let exact = u64::from(self.graph.far_producer(seq as usize, k));
+                if seq - exact > mask {
+                    continue;
+                }
+                exact
+            } else {
+                seq - distance
+            };
+            let wseq = self.slots[(producer & mask) as usize];
             if wseq == NOT_DISPATCHED || wseq < window.head_seq() {
                 continue;
             }
             debug_assert!(window.contains(wseq), "producer entry neither committed nor in flight");
-            debug_assert_eq!(
-                window.dseq(wseq),
-                u64::from(producer),
-                "dependence ring slot aliased"
-            );
+            debug_assert_eq!(window.dseq(wseq), producer, "dependence ring slot aliased");
             if !window.is_done(wseq) {
                 *wait = Some(wseq);
             }
@@ -817,9 +827,9 @@ impl Core {
                     // `resolve_pair` gate the wakeup edge; the
                     // member-dependent DVI sever bits are applied here
                     // too.
-                    let cut = m.dep_flags & dep.sever;
+                    let cut = m.dep_flags & dep.fused_sever;
                     for (k, &w) in m.wait.iter().enumerate() {
-                        if w == FusionTable::NO_WAIT || cut & DepGraph::OPERAND_CUT[k] != 0 {
+                        if w == FusionTable::NO_WAIT || cut & FusionTable::OPERAND_CUT[k] != 0 {
                             continue;
                         }
                         let pw = wseq - u64::from(w);

@@ -10,11 +10,13 @@
 //!   naive-scan and legacy cores;
 //! * across randomly sampled workload presets, seeds and machine
 //!   configurations (register-file size, cache ports, DVI scheme, issue
-//!   width), via proptest.
+//!   width), via proptest;
+//! * on a program whose dependence links reach further back than the
+//!   dependence graph's packed distance field (far links).
 
 use dvi_core::DviConfig;
-use dvi_isa::Abi;
-use dvi_program::{CapturedTrace, Interpreter, LayoutProgram};
+use dvi_isa::{Abi, AluOp, ArchReg, CmpOp, Instr};
+use dvi_program::{CapturedTrace, Interpreter, LayoutProgram, ProcBuilder, ProgramBuilder};
 use dvi_sim::{
     record_dcache_oracle, BranchOracle, DviOracle, IcacheOracle, SchedulerKind, SharedTables,
     SimConfig, SimSession, SimStats, Simulator, StaticDecodeTable,
@@ -156,6 +158,48 @@ fn replay_is_exact_for_truncated_and_complete_traces() {
     let truncated = CapturedTrace::record(&layout, 777);
     assert_eq!(truncated.len(), 777);
     assert_replay_equivalent(&layout, &truncated, &config, 777, "truncated");
+}
+
+/// A program whose registers are read more than 16383 records after their
+/// last write — beyond the dependence graph's packed distance field, so
+/// both links live in its far table; r8's also crosses a call (an I-DVI
+/// cut).
+fn far_link_layout() -> LayoutProgram {
+    let r = ArchReg::new;
+    let mut b = ProgramBuilder::new();
+    let mut main = ProcBuilder::new("main");
+    let body = main.new_block();
+    main.emit(Instr::load_imm(r(16), 5));
+    main.emit(Instr::load_imm(r(8), 3));
+    main.emit(Instr::load_imm(r(9), 9_000));
+    main.switch_to(body);
+    main.emit(Instr::AluImm { op: AluOp::Sub, rd: r(9), rs: r(9), imm: 1 });
+    main.emit_branch(CmpOp::Ne, r(9), ArchReg::ZERO, body);
+    let exit = main.new_block();
+    main.switch_to(exit);
+    main.emit_call("leaf");
+    main.emit(Instr::Alu { op: AluOp::Add, rd: r(10), rs: r(16), rt: r(8) });
+    main.emit(Instr::Halt);
+    b.add_procedure(main).unwrap();
+    let mut leaf = ProcBuilder::new("leaf");
+    leaf.emit(Instr::Nop);
+    leaf.emit(Instr::Return);
+    b.add_procedure(leaf).unwrap();
+    b.build("main").unwrap().layout().unwrap()
+}
+
+/// Far dependence links change nothing: replay and depgraph wiring stay
+/// bit-identical to live interpretation with and without DVI.
+#[test]
+fn far_dependence_links_replay_bit_identically() {
+    let layout = far_link_layout();
+    let mut trace = CapturedTrace::record(&layout, u64::MAX);
+    assert!(trace.summary().halted);
+    assert_eq!(trace.build_depgraph().far_links(), 2, "both reads are far links");
+    for dvi in [DviConfig::none(), DviConfig::full()] {
+        let config = SimConfig::micro97().with_dvi(dvi);
+        assert_replay_equivalent(&layout, &trace, &config, u64::MAX, "far links");
+    }
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {
