@@ -12,14 +12,8 @@
 //!   recorded once per benchmark, the way every figure sweep now runs.
 //!   Capture happens outside the timed region: a sweep pays it once and
 //!   replays dozens of configurations, so steady-state sweep throughput is
-//!   the replay number (the one-off capture cost is reported separately);
-//! * **replay + shared products** — the same core consuming every
-//!   precomputed trace-pure product (decode table, branch/I-cache
-//!   oracles, the dependence graph wiring dispatch straight to producer
-//!   window entries, and the decode-stage DVI event stream). This is the
-//!   per-member steady state of a batched sweep, measured serially; the
-//!   one-off precompute cost (`depgraph_build_seconds`,
-//!   `shared_precompute_seconds`) is reported separately like capture.
+//!   the replay number (the one-off capture cost is reported separately,
+//!   next to the one-off dependence-graph build, `depgraph_build_seconds`).
 //!
 //! All four produce bit-identical `SimStats` (`tests/replay_equiv.rs`,
 //! `tests/scheduler_equiv.rs`), so this is a pure host-speed comparison.
@@ -29,29 +23,24 @@
 //! A separate **sweep** section compares three ways of running a whole
 //! configuration grid over the captured traces: the serial capture/replay
 //! loop (one `Simulator::run` per grid point), one co-scheduled
-//! `SweepRunner` pass per trace (shared decode table + branch oracle; see
-//! `dvi_sim::batch`), and the thread-parallel runner
+//! `SweepRunner` pass per trace (see `dvi_sim::batch`), and the
+//! thread-parallel runner
 //! (`SweepRunner::run_parallel`, recorded as `sweep.parallel_vs_serial` —
 //! parity on a single-core container, where it degenerates to the serial
 //! schedule). The comparison first asserts all three produce bit-identical
 //! `SimStats`, so the CI bench-smoke job also acts as a batching and
-//! parallelism regression test. The sweep section also A/Bs the shared
-//! D-cache oracle (`sweep.dcache_oracle_vs_live`) and records the
-//! qualification measurement behind it (`dcache.qualification_rate`: the
-//! fraction of shareable-group members that reproduce their group
-//! leader's issue-order data-access stream, i.e. the members the oracle
-//! can serve without a divergence retry). A **backend** section records the SoA
-//! core's all-products serial cost against the PR-4 AoS back end
-//! (`backend.soa_vs_pr4`; the PR-4 side is a pinned same-container
-//! measurement, overridable via `BENCH_PR4_NS_PER_INSTR`).
+//! parallelism regression test. A **backend** section records the pinned
+//! A/B of the SoA back end against the earlier AoS back end
+//! (`backend.soa_vs_pr4`; both sides are pinned same-container
+//! measurements, see `ab_reference`) next to this run's plain-replay
+//! cost.
 //!
 //! A **matrix** section times the whole-matrix (trace × config) runner
 //! (`dvi_sim::MatrixRunner`) against the per-figure loop it replaced —
 //! one `SweepRunner` pass per trace over the same grid —
 //! (`matrix.vs_per_figure`, interleaved min-of-N, bit-identity incl. a
-//! 2-shard run asserted before timing), and asserts the shared-build
-//! reuse counters on a duplicated submission
-//! (`matrix.shared_build_reuse`: one build pass per distinct trace, the
+//! 2-shard run asserted before timing), and asserts the dedup counters on
+//! a duplicated submission (one registry entry per distinct trace, the
 //! second copy of every cell deduplicated member-for-member).
 //!
 //! A **service** section measures the persistent sweep service end to end
@@ -75,11 +64,9 @@ use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram};
 use dvi_service::{JobSpec, ServiceConfig, SweepService, TraceSource};
 use dvi_sim::{
-    BranchOracle, DviOracle, IcacheOracle, MatrixRunner, MemberOutcome, SchedulerKind,
-    SharedTables, SimConfig, SimSession, SimStats, Simulator, StaticDecodeTable, SweepRunner,
+    MatrixRunner, MemberOutcome, SchedulerKind, SimConfig, SimStats, Simulator, SweepRunner,
 };
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Whether the bench runs in CI-smoke quick mode.
@@ -174,12 +161,6 @@ enum Core {
     /// The current core replaying pre-recorded traces (the sweep
     /// configuration).
     Replay,
-    /// The current core replaying with every precomputed trace-pure
-    /// product attached: decode table, branch and I-cache oracles, the
-    /// dependence graph (producer-link dispatch wiring) and the DVI event
-    /// stream. The one-off precompute cost is amortized across a sweep and
-    /// reported separately, like the capture cost.
-    ReplayShared,
 }
 
 /// The 4-wide machine of Figure 2.
@@ -200,25 +181,14 @@ fn very_wide_machine() -> SimConfig {
     SimConfig::micro97().with_issue_width(16).with_phys_regs(320).with_dvi(DviConfig::full())
 }
 
-/// The workload mix plus its once-captured traces and their precomputed
-/// trace-pure products.
+/// The workload mix plus its once-captured traces.
 struct Mix {
     layouts: Vec<LayoutProgram>,
     traces: Vec<CapturedTrace>,
-    /// One shared-product bundle per trace (decode table, branch/I-cache
-    /// oracles, dependence graph, full-DVI event stream) — all three bench
-    /// machines agree on the trace-pure axes, so one bundle serves them.
-    shared: Vec<SharedTables>,
     /// Wall-clock seconds the one-off capture pass took.
     capture_seconds: f64,
     /// Wall-clock seconds the one-off dependence-graph builds took.
     depgraph_seconds: f64,
-    /// Wall-clock seconds the one-off dispatch-group fusion-table builds
-    /// took (one 4-wide table per trace, amortized like capture).
-    fusion_seconds: f64,
-    /// Wall-clock seconds recording the remaining shared products took
-    /// (decode table, branch/I-cache/DVI oracles).
-    precompute_seconds: f64,
 }
 
 impl Mix {
@@ -233,101 +203,8 @@ impl Mix {
             trace.build_depgraph();
         }
         let depgraph_seconds = start.elapsed().as_secs_f64();
-        let reference = narrow_machine();
-        let start = Instant::now();
-        for trace in &mut traces {
-            trace.build_fusion(reference.decode_width);
-        }
-        let fusion_seconds = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let shared = traces
-            .iter()
-            .map(|trace| SharedTables {
-                decode: Some(Arc::new(StaticDecodeTable::for_trace(trace))),
-                branches: Some(Arc::new(BranchOracle::record(trace, reference.predictor))),
-                icache: Some(Arc::new(IcacheOracle::record(trace, reference.icache))),
-                depgraph: trace.depgraph().cloned(),
-                dvi: Some(Arc::new(DviOracle::record(trace, reference.dvi))),
-                // The replay_shared measurement keeps the trace-order
-                // products only; the issue-order D-cache oracle has its
-                // own A/B (`dcache_oracle_vs_live_ratio`).
-                dcache: None,
-                // The headline replay_shared stays on the slow dispatch
-                // loop; dispatch-group fusion has its own interleaved A/B
-                // (`fusion_vs_live_ratio`) against exactly this baseline.
-                fusion: None,
-            })
-            .collect();
-        let precompute_seconds = start.elapsed().as_secs_f64();
-        Mix {
-            layouts,
-            traces,
-            shared,
-            capture_seconds,
-            depgraph_seconds,
-            fusion_seconds,
-            precompute_seconds,
-        }
+        Mix { layouts, traces, capture_seconds, depgraph_seconds }
     }
-}
-
-/// Interleaved A/B of the serial all-products path with and without
-/// dispatch-group fusion on the narrow machine, as a throughput ratio
-/// (>1: fused dispatch was faster) plus the measured fast-path coverage
-/// (fused records / dispatched records over the whole mix). Both sides
-/// run the identical shared bundle — the fused side just attaches the
-/// mix's precomputed 4-wide fusion tables — and bit-identity is asserted
-/// on full `SimStats` before anything is timed, so the bench-smoke CI
-/// job also regression-tests the fusion purity invariant.
-fn fusion_vs_live_ratio(mix: &Mix, config: &SimConfig) -> (f64, f64) {
-    let fused: Vec<SharedTables> = mix
-        .traces
-        .iter()
-        .zip(&mix.shared)
-        .map(|(trace, shared)| {
-            let mut tables = shared.clone();
-            tables.fusion = trace.fusion_for(config.decode_width).cloned();
-            assert!(tables.fusion.is_some(), "the mix precomputes 4-wide fusion tables");
-            tables
-        })
-        .collect();
-    let run = |tables: &[SharedTables]| -> u64 {
-        mix.traces
-            .iter()
-            .zip(tables)
-            .map(|(trace, tables)| {
-                SimSession::with_shared_tables(config.clone(), trace.cursor(), tables.clone())
-                    .run_to_completion()
-                    .program_instrs
-            })
-            .sum()
-    };
-    let (mut fused_records, mut fallback_records) = (0u64, 0u64);
-    for ((trace, shared), fused) in mix.traces.iter().zip(&mix.shared).zip(&fused) {
-        let live = SimSession::with_shared_tables(config.clone(), trace.cursor(), shared.clone())
-            .run_to_completion();
-        let fast = SimSession::with_shared_tables(config.clone(), trace.cursor(), fused.clone())
-            .run_to_completion();
-        assert_eq!(live, fast, "fused dispatch diverged from the slow loop");
-        assert!(
-            fast.fusion.fused_records > 0,
-            "the fused side must actually exercise the fast path"
-        );
-        fused_records += fast.fusion.fused_records;
-        fallback_records += fast.fusion.fallback_records;
-    }
-    let coverage = fused_records as f64 / (fused_records + fallback_records) as f64;
-    let mut best = [f64::MAX; 2];
-    for _ in 0..reps() {
-        let start = Instant::now();
-        let live = run(&mix.shared);
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let with_fusion = run(&fused);
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-        assert_eq!(live, with_fusion, "both sides must simulate the same instructions");
-    }
-    (best[0] / best[1], coverage)
 }
 
 /// Runs the whole mix once, returning simulated instructions.
@@ -337,16 +214,6 @@ fn run_mix(mix: &Mix, config: &SimConfig, core: Core) -> u64 {
             .traces
             .iter()
             .map(|trace| Simulator::new(config.clone()).run(trace.replay()).program_instrs)
-            .sum(),
-        Core::ReplayShared => mix
-            .traces
-            .iter()
-            .zip(&mix.shared)
-            .map(|(trace, shared)| {
-                SimSession::with_shared_tables(config.clone(), trace.cursor(), shared.clone())
-                    .run_to_completion()
-                    .program_instrs
-            })
             .sum(),
         _ => mix
             .layouts
@@ -373,11 +240,10 @@ fn run_mix(mix: &Mix, config: &SimConfig, core: Core) -> u64 {
 /// Interleaved min-of-N timing: every core is measured once per round, so
 /// host frequency/load drift hits all cores alike and the *ratios* stay
 /// meaningful even on a noisy container.
-fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 5] {
-    const CORES: [Core; 5] =
-        [Core::SeedBaseline, Core::NaiveScan, Core::EventDriven, Core::Replay, Core::ReplayShared];
-    let mut best = [f64::MAX; 5];
-    let mut instrs = [0u64; 5];
+fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 4] {
+    const CORES: [Core; 4] = [Core::SeedBaseline, Core::NaiveScan, Core::EventDriven, Core::Replay];
+    let mut best = [f64::MAX; 4];
+    let mut instrs = [0u64; 4];
     for (i, &core) in CORES.iter().enumerate() {
         instrs[i] = run_mix(mix, config, core); // warm-up
     }
@@ -388,34 +254,16 @@ fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 5] {
             best[i] = best[i].min(start.elapsed().as_secs_f64());
         }
     }
-    let mut mips = [0.0; 5];
-    for i in 0..5 {
+    let mut mips = [0.0; 4];
+    for i in 0..4 {
         mips[i] = instrs[i] as f64 / best[i] / 1.0e6;
     }
     mips
 }
 
-/// Asserts the shared-products serial path is bit-identical to the plain
-/// replay path on every bench machine before anything is timed.
-fn verify_shared_equivalence(mix: &Mix, machines: &[(&'static str, SimConfig)]) {
-    for (name, config) in machines {
-        for (trace, shared) in mix.traces.iter().zip(&mix.shared) {
-            let plain = Simulator::new(config.clone()).run(trace.replay());
-            let with_shared =
-                SimSession::with_shared_tables(config.clone(), trace.cursor(), shared.clone())
-                    .run_to_completion();
-            assert_eq!(
-                plain, with_shared,
-                "{name}: shared-products replay diverged from plain replay"
-            );
-        }
-    }
-}
-
 /// The 8-configuration sweep grid of the batched-vs-serial comparison: the
 /// register-file axis of the paper's Figure 5 on the 4-wide machine with
-/// full DVI. Every member shares the Figure 2 predictor, so the batched
-/// runner shares one branch oracle across all eight.
+/// full DVI.
 fn sweep_grid() -> Vec<SimConfig> {
     [34usize, 40, 48, 56, 64, 72, 80, 96]
         .into_iter()
@@ -467,26 +315,6 @@ fn run_sweep_parallel(mix: &Mix, grid: &[SimConfig]) -> u64 {
         .sum()
 }
 
-/// The batched runner with the shared D-cache oracle enabled: one
-/// recording run per geometry group (the whole grid is one group), then
-/// replayed L1D outcomes for every member that reproduces the recording
-/// stream — members that diverge fall back to a live retry, and that cost
-/// is exactly what this measurement is honest about. Returns total
-/// simulated instructions.
-fn run_sweep_batch_dcache(mix: &Mix, grid: &[SimConfig]) -> u64 {
-    mix.traces
-        .iter()
-        .map(|trace| {
-            SweepRunner::new(trace, grid.iter().cloned())
-                .with_dcache_oracle()
-                .run()
-                .iter()
-                .map(|s| s.program_instrs)
-                .sum::<u64>()
-        })
-        .sum()
-}
-
 /// Asserts the batched and parallel runners reproduce the serial
 /// statistics bit for bit on the bench's own grid and traces (the
 /// bench-smoke CI job runs this in quick mode, so a batching or
@@ -503,49 +331,6 @@ fn verify_sweep_equivalence(mix: &Mix, grid: &[SimConfig]) {
         assert_eq!(parallel, serial, "parallel sweep diverged from serial replays");
         let pinned = SweepRunner::new(trace, grid.iter().cloned()).run_parallel_threads(2);
         assert_eq!(pinned, serial, "2-thread sweep diverged from serial replays");
-        let oracled = SweepRunner::new(trace, grid.iter().cloned()).with_dcache_oracle().run();
-        assert_eq!(oracled, serial, "D-cache-oracle sweep diverged from serial replays");
-    }
-}
-
-/// Interleaved A/B of the batched runner with and without the D-cache
-/// oracle, as a throughput ratio (>1: the oracle run was faster). The
-/// oracle pays one extra recording run per geometry group and a live
-/// retry per diverging member, so on a grid whose members perturb issue
-/// order this can come out *below* 1 — which is the honest number, and
-/// `dcache.qualification_rate` right next to it says why.
-fn dcache_oracle_vs_live_ratio(mix: &Mix, grid: &[SimConfig]) -> f64 {
-    let mut best = [f64::MAX; 2];
-    for _ in 0..reps() {
-        let start = Instant::now();
-        let live = run_sweep_batch(mix, grid);
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let oracled = run_sweep_batch_dcache(mix, grid);
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-        assert_eq!(live, oracled, "both sides must simulate the same instructions");
-    }
-    best[0] / best[1]
-}
-
-/// The qualification rate behind the oracle's effectiveness on this grid:
-/// across the mix's traces, the fraction of shareable-group members whose
-/// instrumented D-cache access stream matches their group leader's
-/// (`SweepRunner::measure_dcache_qualification`) — exactly the members the
-/// oracle serves without a divergence retry.
-fn dcache_qualification_rate(mix: &Mix, grid: &[SimConfig]) -> f64 {
-    let (mut matching, mut members) = (0usize, 0usize);
-    for trace in &mix.traces {
-        let measured = SweepRunner::new(trace, grid.iter().cloned()).measure_dcache_qualification();
-        for group in measured.groups.iter().filter(|g| g.members >= 2) {
-            matching += group.matching;
-            members += group.members;
-        }
-    }
-    if members == 0 {
-        1.0
-    } else {
-        matching as f64 / members as f64
     }
 }
 
@@ -595,9 +380,8 @@ fn checkpoint_overhead_ratio() -> f64 {
         .program
         .layout()
         .expect("binary lays out");
-    let mut trace = CapturedTrace::record(&layout, FOUR_TURNS);
+    let trace = CapturedTrace::record(&layout, FOUR_TURNS);
     assert_eq!(trace.len() as u64, FOUR_TURNS, "the checkpoint A/B needs full scheduling turns");
-    trace.build_depgraph();
     let grid = [
         SimConfig::micro97(),
         SimConfig::micro97().with_dvi(DviConfig::full()),
@@ -744,8 +528,7 @@ struct MatrixBenchResult {
     /// unified work-stealing queue degenerates to the same serial member
     /// schedule as the per-figure loop, so the honest expectation here is
     /// parity (~1.0x) — the queue-unification win needs cores to steal
-    /// across, and the build-reuse win needs traces shared across cells
-    /// (counted separately below, not timed into this ratio).
+    /// across.
     vs_per_figure: f64,
     /// Best per-figure pass (one `SweepRunner` per trace), seconds.
     per_figure_seconds: f64,
@@ -757,16 +540,10 @@ struct MatrixBenchResult {
     /// Grid slots across all timed cells.
     requested_members: usize,
     /// Distinct traces the registry resolved in the duplicated-cells
-    /// reuse check.
+    /// check.
     distinct_traces: usize,
-    /// Shared-product build passes in the duplicated-cells reuse check —
-    /// exactly one per distinct trace even though every cell appears
-    /// twice.
-    shared_builds: u64,
-    /// Grid slots served without a build pass in the reuse check.
-    build_reuse_hits: u64,
     /// Duplicate grid slots that mapped onto an already-registered member
-    /// in the reuse check (the whole second submission).
+    /// in the duplicated-cells check (the whole second submission).
     member_dedup_hits: u64,
     /// Worker threads the matrix used.
     threads: usize,
@@ -783,8 +560,8 @@ struct MatrixBenchResult {
 /// 2-shard matrix is asserted on full `MemberOutcome`s before anything is
 /// timed, so the bench-smoke CI job also regression-tests the shard-merge
 /// contract. A separate duplicated-cells run (every cell submitted twice)
-/// asserts the shared-build reuse counters: one build per distinct trace,
-/// the entire second submission deduplicated member-for-member.
+/// asserts the dedup counters: one registry entry per distinct trace, the
+/// entire second submission deduplicated member-for-member.
 fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
     let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         mix.traces.iter().map(|trace| (trace, grid.to_vec())).collect();
@@ -813,7 +590,6 @@ fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
         cells.iter().chain(cells.iter()).cloned().collect();
     let reuse = MatrixRunner::new(doubled).run().report;
     assert_eq!(reuse.distinct_traces, mix.traces.len(), "one registry entry per distinct trace");
-    assert_eq!(reuse.shared_builds, mix.traces.len() as u64, "one build pass per distinct trace");
     assert_eq!(
         reuse.member_dedup_hits,
         (mix.traces.len() * grid.len()) as u64,
@@ -853,8 +629,6 @@ fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
         cells: cells.len(),
         requested_members: cells.len() * grid.len(),
         distinct_traces: reuse.distinct_traces,
-        shared_builds: reuse.shared_builds,
-        build_reuse_hits: reuse.build_reuse_hits,
         member_dedup_hits: reuse.member_dedup_hits,
         threads,
         shards,
@@ -868,7 +642,6 @@ struct MachineResult {
     naive_scan: f64,
     event_driven: f64,
     replay: f64,
-    replay_shared: f64,
 }
 
 /// The sweep-comparison headline numbers.
@@ -883,12 +656,6 @@ struct SweepResult {
     /// writes happen once per member completion; see
     /// `checkpoint_overhead_ratio`).
     checkpoint_overhead: f64,
-    /// Throughput of the D-cache-oracle batched run relative to the plain
-    /// batched run (see `dcache_oracle_vs_live_ratio`).
-    dcache_oracle_vs_live: f64,
-    /// Fraction of shareable-group members whose access stream matches
-    /// their group leader's (see `dcache_qualification_rate`).
-    dcache_qualification: f64,
     /// One save -> load round trip of every trace in the mix, seconds.
     save_load_seconds: f64,
 }
@@ -900,8 +667,6 @@ fn write_json(
     service: &ServiceBenchResult,
     matrix: &MatrixBenchResult,
     mix: &Mix,
-    fusion_vs_live: f64,
-    fused_coverage: f64,
 ) -> std::io::Result<()> {
     let path =
         std::env::var("BENCH_JSON_PATH").unwrap_or_else(|_| "BENCH_sim_throughput.json".to_owned());
@@ -912,56 +677,44 @@ fn write_json(
     writeln!(f, "  \"instrs_per_run\": {},", instrs_per_run())?;
     writeln!(f, "  \"capture_seconds\": {:.4},", mix.capture_seconds)?;
     writeln!(f, "  \"depgraph_build_seconds\": {:.4},", mix.depgraph_seconds)?;
-    writeln!(f, "  \"shared_precompute_seconds\": {:.4},", mix.precompute_seconds)?;
     writeln!(f, "  \"simulated_mips\": [")?;
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         writeln!(
             f,
             "    {{\"machine\": \"{}\", \"seed_baseline\": {:.3}, \"naive_scan\": {:.3}, \
-             \"event_driven\": {:.3}, \"replay\": {:.3}, \"replay_shared\": {:.3}, \
-             \"replay_vs_seed\": {:.3}, \"replay_vs_event\": {:.3}, \
-             \"replay_shared_vs_replay\": {:.3}}}{comma}",
+             \"event_driven\": {:.3}, \"replay\": {:.3}, \
+             \"replay_vs_seed\": {:.3}, \"replay_vs_event\": {:.3}}}{comma}",
             r.name,
             r.seed_baseline,
             r.naive_scan,
             r.event_driven,
             r.replay,
-            r.replay_shared,
             r.replay / r.seed_baseline,
             r.replay / r.event_driven,
-            r.replay_shared / r.replay,
         )?;
     }
     writeln!(f, "  ],")?;
-    // The SoA back end against the PR-4 AoS back end, both on the
-    // all-products serial path (the sweep steady state). The ratio comes
+    // The SoA back end against the earlier AoS back end. The ratio comes
     // from the pinned alternating-binary A/B (see `ab_reference` for the
     // methodology and why a cross-run division would be dishonest on
-    // this host); this run's own measurement is recorded next to it so
-    // drift against the pinned pair stays visible.
-    let narrow_shared = results.first().expect("the narrow machine is measured first");
-    let this_run_soa_ns = 1.0e3 / narrow_shared.replay_shared;
+    // this host); this run's plain-replay cost is recorded next to it.
+    let narrow = results.first().expect("the narrow machine is measured first");
+    let this_run_soa_ns = 1.0e3 / narrow.replay;
     let (pr4_ns, soa_ns) = ab_reference();
     writeln!(
         f,
         "  \"backend\": {{\"soa_ns_per_instr\": {this_run_soa_ns:.2}, \
          \"ab_soa_ns_per_instr\": {soa_ns:.2}, \"ab_pr4_ns_per_instr\": {pr4_ns:.2}, \
-         \"soa_vs_pr4\": {:.3}, \"fusion_vs_live\": {fusion_vs_live:.3}, \
+         \"soa_vs_pr4\": {:.3}, \
          \"method\": \"pinned alternating-binary A/B (see bench docs)\"}},",
         pr4_ns / soa_ns,
     )?;
     writeln!(
         f,
-        "  \"fusion\": {{\"table_build_seconds\": {:.4}, \"fused_coverage\": {fused_coverage:.3}}},",
-        mix.fusion_seconds
-    )?;
-    writeln!(
-        f,
         "  \"sweep\": {{\"configs\": {}, \"serial_mips\": {:.3}, \"batch_mips\": {:.3}, \
          \"batch_vs_serial\": {:.3}, \"parallel_mips\": {:.3}, \"parallel_vs_serial\": {:.3}, \
-         \"parallel_threads\": {}, \"checkpoint_overhead\": {:.3}, \
-         \"dcache_oracle_vs_live\": {:.3}}},",
+         \"parallel_threads\": {}, \"checkpoint_overhead\": {:.3}}},",
         sweep.configs,
         sweep.serial_mips,
         sweep.batch_mips,
@@ -970,16 +723,13 @@ fn write_json(
         sweep.parallel_mips / sweep.serial_mips,
         sweep.threads,
         sweep.checkpoint_overhead,
-        sweep.dcache_oracle_vs_live,
     )?;
-    writeln!(f, "  \"dcache\": {{\"qualification_rate\": {:.3}}},", sweep.dcache_qualification,)?;
     writeln!(
         f,
         "  \"matrix\": {{\"vs_per_figure\": {:.3}, \"per_figure_seconds\": {:.4}, \
          \"matrix_seconds\": {:.4}, \"cells\": {}, \"requested_members\": {}, \
-         \"parallel_threads\": {}, \"shards\": {}, \
-         \"shared_build_reuse\": {{\"distinct_traces\": {}, \"shared_builds\": {}, \
-         \"build_reuse_hits\": {}, \"member_dedup_hits\": {}}}}},",
+         \"parallel_threads\": {}, \"shards\": {}, \"distinct_traces\": {}, \
+         \"member_dedup_hits\": {}}},",
         matrix.vs_per_figure,
         matrix.per_figure_seconds,
         matrix.matrix_seconds,
@@ -988,8 +738,6 @@ fn write_json(
         matrix.threads,
         matrix.shards,
         matrix.distinct_traces,
-        matrix.shared_builds,
-        matrix.build_reuse_hits,
         matrix.member_dedup_hits,
     )?;
     writeln!(f, "  \"artifact\": {{\"save_load_seconds\": {:.4}}},", sweep.save_load_seconds,)?;
@@ -1020,24 +768,18 @@ fn bench(c: &mut Criterion) {
         ("8-wide/160-reg", wide_machine()),
         ("16-wide/320-reg", very_wide_machine()),
     ];
-    verify_shared_equivalence(&mix, &machines);
     let mut results = Vec::new();
     for (name, config) in &machines {
-        let [seed_baseline, naive_scan, event_driven, replay, replay_shared] =
-            simulated_mips_all(&mix, config);
-        let r =
-            MachineResult { name, seed_baseline, naive_scan, event_driven, replay, replay_shared };
+        let [seed_baseline, naive_scan, event_driven, replay] = simulated_mips_all(&mix, config);
+        let r = MachineResult { name, seed_baseline, naive_scan, event_driven, replay };
         println!("sim_throughput/{name}/seed_baseline:  {:.2} simulated-MIPS", r.seed_baseline);
         println!("sim_throughput/{name}/naive_scan:     {:.2} simulated-MIPS", r.naive_scan);
         println!("sim_throughput/{name}/event_driven:   {:.2} simulated-MIPS", r.event_driven);
         println!("sim_throughput/{name}/capture_replay: {:.2} simulated-MIPS", r.replay);
-        println!("sim_throughput/{name}/replay_shared:  {:.2} simulated-MIPS", r.replay_shared);
         println!(
-            "sim_throughput/{name}/speedup:        {:.2}x vs seed, {:.2}x vs live event-driven, \
-             {:.2}x shared-products vs plain replay",
+            "sim_throughput/{name}/speedup:        {:.2}x vs seed, {:.2}x vs live event-driven",
             r.replay / r.seed_baseline,
             r.replay / r.event_driven,
-            r.replay_shared / r.replay,
         );
         results.push(r);
     }
@@ -1050,10 +792,9 @@ fn bench(c: &mut Criterion) {
     );
     println!(
         "sim_throughput/depgraph_build: one-off dependence-graph builds took {:.4}s \
-         ({:.1} ns/record); shared-product recording took {:.4}s — both amortized like capture",
+         ({:.1} ns/record)",
         mix.depgraph_seconds,
         mix.depgraph_seconds * 1.0e9 / dynamic_instrs,
-        mix.precompute_seconds,
     );
 
     // Batched-vs-serial sweep comparison: the same 8-configuration grid
@@ -1063,11 +804,8 @@ fn bench(c: &mut Criterion) {
     // batching regression test.
     let grid = sweep_grid();
     verify_sweep_equivalence(&mix, &grid);
-    let (fusion_vs_live, fused_coverage) = fusion_vs_live_ratio(&mix, &machines[0].1);
     let (serial_mips, batch_mips, parallel_mips) = sweep_mips(&mix, &grid);
     let checkpoint_overhead = checkpoint_overhead_ratio();
-    let dcache_oracle_vs_live = dcache_oracle_vs_live_ratio(&mix, &grid);
-    let dcache_qualification = dcache_qualification_rate(&mix, &grid);
     let save_load_seconds = artifact_save_load_seconds(&mix);
     let matrix = matrix_measurements(&mix, &grid);
     let service = service_measurements(&mix);
@@ -1079,8 +817,6 @@ fn bench(c: &mut Criterion) {
         parallel_mips,
         threads,
         checkpoint_overhead,
-        dcache_oracle_vs_live,
-        dcache_qualification,
         save_load_seconds,
     };
     println!(
@@ -1106,15 +842,6 @@ fn bench(c: &mut Criterion) {
          durable snapshots — one atomic write per member completion — vs none)"
     );
     println!(
-        "sim_throughput/sweep/dcache_oracle:        {dcache_oracle_vs_live:.3}x vs plain batched \
-         (one recording run per geometry group, live retry per diverging member)"
-    );
-    println!(
-        "sim_throughput/dcache/qualification_rate:  {:.1}% of shareable-group members reproduce \
-         their group leader's access stream",
-        100.0 * dcache_qualification
-    );
-    println!(
         "sim_throughput/artifact/save_load:         {save_load_seconds:.4}s for one save -> load \
          round trip of the whole mix"
     );
@@ -1129,12 +856,9 @@ fn bench(c: &mut Criterion) {
         matrix.shards,
     );
     println!(
-        "sim_throughput/matrix/shared_build_reuse:  duplicated submission: {} distinct traces, \
-         {} build passes, {} build-reuse hits, {} member-dedup hits",
-        matrix.distinct_traces,
-        matrix.shared_builds,
-        matrix.build_reuse_hits,
-        matrix.member_dedup_hits,
+        "sim_throughput/matrix/dedup:               duplicated submission: {} distinct traces, \
+         {} member-dedup hits",
+        matrix.distinct_traces, matrix.member_dedup_hits,
     );
     println!(
         "sim_throughput/service/end_to_end_overhead: {:.3}x vs direct SweepRunner (target \
@@ -1146,25 +870,15 @@ fn bench(c: &mut Criterion) {
          served from the content-addressed cache with zero members simulated ({:.4}s)",
         service.memo_hit_vs_miss, service.hit_seconds,
     );
-    let this_run_soa_ns = 1.0e3 / results[0].replay_shared;
+    let this_run_soa_ns = 1.0e3 / results[0].replay;
     let (pr4_ns, soa_ns) = ab_reference();
     println!(
-        "sim_throughput/backend: SoA vs PR-4 all-products = {:.2}x (pinned alternating A/B: \
-         {soa_ns:.1} vs {pr4_ns:.1} ns/instr; this run measured {this_run_soa_ns:.1} — drift \
-         against the pin is host noise, re-run the A/B before reading anything into it)",
+        "sim_throughput/backend: SoA vs AoS = {:.2}x (pinned alternating A/B: {soa_ns:.1} vs \
+         {pr4_ns:.1} ns/instr; this run's plain replay measured {this_run_soa_ns:.1})",
         pr4_ns / soa_ns,
     );
-    println!(
-        "sim_throughput/backend/fusion_vs_live:     {fusion_vs_live:.3}x serial all-products \
-         with fused dispatch vs the slow loop ({:.1}% of dispatches on the fast path; \
-         bit-identity asserted first; table builds took {:.4}s one-off, amortized like capture)",
-        100.0 * fused_coverage,
-        mix.fusion_seconds,
-    );
 
-    if let Err(e) =
-        write_json(&results, &sweep, &service, &matrix, &mix, fusion_vs_live, fused_coverage)
-    {
+    if let Err(e) = write_json(&results, &sweep, &service, &matrix, &mix) {
         eprintln!("sim_throughput: could not write JSON artifact: {e}");
     }
 
@@ -1179,9 +893,6 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10).warm_up_time(warm).measurement_time(measure);
     g.bench_function("capture_replay_4wide", |b| {
         b.iter(|| run_mix(&mix, &narrow, Core::Replay));
-    });
-    g.bench_function("replay_shared_4wide", |b| {
-        b.iter(|| run_mix(&mix, &narrow, Core::ReplayShared));
     });
     g.bench_function("event_driven_4wide", |b| {
         b.iter(|| run_mix(&mix, &narrow, Core::EventDriven));
@@ -1206,9 +917,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("sweep_parallel_8cfg", |b| {
         b.iter(|| run_sweep_parallel(&mix, &grid));
-    });
-    g.bench_function("sweep_batch_dcache_8cfg", |b| {
-        b.iter(|| run_sweep_batch_dcache(&mix, &grid));
     });
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! Front-end cost ablation: how much host time does each trace source
-//! cost, in isolation and end-to-end — and how much of the remaining
-//! per-member back end do the precomputed trace-pure products remove?
+//! cost, in isolation and end-to-end, and how does the plain replay back
+//! end split between trace production, the D-cache model and the rest?
 //!
 //! Measures, on the Figure 10 mix (min-of-5 wall clock):
 //!
@@ -10,34 +10,26 @@
 //! * driving the mix's memory references through a standalone
 //!   [`dvi_mem::MemoryHierarchy`] in trace order — an isolated lower
 //!   bound on the D-cache model's share of the back end,
-//! * the full event-driven simulator fed by replay,
-//! * the same simulator consuming every precomputed trace-pure product
-//!   (decode table, branch/I-cache oracles, dependence graph, DVI event
-//!   stream) — the per-member steady state of a batched sweep,
-//! * the same shared-products simulator with a [`dvi_mem::PerfectDcache`]
-//!   swapped in through the [`dvi_mem::DataMemModel`] seam (**a
-//!   different modelled machine** — printed for the host-cost contrast
-//!   and as the end-to-end proof the data side is swappable),
+//! * the full event-driven simulator fed by replay — the per-member steady
+//!   state of every sweep,
+//! * the same simulator with a [`dvi_mem::PerfectDcache`] swapped in
+//!   through the [`dvi_mem::DataMemModel`] seam (**a different modelled
+//!   machine** — printed for the host-cost contrast and as the end-to-end
+//!   proof the data side is swappable),
 //! * the full event-driven simulator fed by live interpretation.
 //!
 //! The replay-vs-interp difference is the end-to-end value of
-//! capture-once/replay-many; the shared-vs-replay difference is the
-//! back-end shrink the dependence-graph layer buys per member; and the
-//! final **back-end decomposition** line splits the shared-products
-//! steady state into trace production, the isolated D-cache model drive
-//! and the residual window/scheduler/rename core — the decomposition the
-//! ROADMAP's honest-performance tables quote.
+//! capture-once/replay-many, and the final **back-end decomposition**
+//! line splits the plain-replay steady state into trace production, the
+//! isolated D-cache model drive and the residual window/scheduler/rename
+//! core — the decomposition the ROADMAP's performance tables quote.
 //!
 //! Run with `cargo run --release -p dvi-bench --example frontend_ablation`.
 
 use dvi_core::DviConfig;
 use dvi_experiments::Binaries;
 use dvi_program::{CapturedTrace, DepGraph, Interpreter};
-use dvi_sim::{
-    BranchOracle, DviOracle, IcacheOracle, SharedTables, SimConfig, SimSession, Simulator,
-    StaticDecodeTable,
-};
-use std::sync::Arc;
+use dvi_sim::{SimConfig, SimSession, Simulator};
 use std::time::Instant;
 
 const INSTRS_PER_RUN: u64 = 60_000;
@@ -50,22 +42,6 @@ fn main() {
     let traces: Vec<_> = layouts.iter().map(|l| CapturedTrace::record(l, INSTRS_PER_RUN)).collect();
     let dynamic_instrs: u64 = traces.iter().map(|t| t.len() as u64).sum();
     let config = SimConfig::micro97().with_dvi(DviConfig::full());
-    let shared: Vec<SharedTables> = traces
-        .iter()
-        .map(|trace| SharedTables {
-            decode: Some(Arc::new(StaticDecodeTable::for_trace(trace))),
-            branches: Some(Arc::new(BranchOracle::record(trace, config.predictor))),
-            icache: Some(Arc::new(IcacheOracle::record(trace, config.icache))),
-            depgraph: Some(Arc::new(DepGraph::build(trace))),
-            dvi: Some(Arc::new(DviOracle::record(trace, config.dvi))),
-            // Trace-order products only: the ablation isolates the
-            // D-cache *drive* cost, so the L1D stays a live tag array.
-            dcache: None,
-            // Per-stage ablation wants the slow dispatch loop's cost
-            // visible, not fused away.
-            fusion: None,
-        })
-        .collect();
 
     let time = |label: &str, f: &dyn Fn() -> u64| -> f64 {
         let mut best = f64::MAX;
@@ -127,33 +103,20 @@ fn main() {
             })
             .sum()
     });
-    time("sim+replay (plain replay back end)", &|| {
+    let replay_ns = time("sim+replay (sweep steady state: plain replay back end)", &|| {
         traces.iter().map(|t| Simulator::new(config.clone()).run(t.replay()).program_instrs).sum()
-    });
-    let shared_ns = time("sim+replay+shared (sweep steady state: depgraph + oracles)", &|| {
-        traces
-            .iter()
-            .zip(&shared)
-            .map(|(t, tables)| {
-                SimSession::with_shared_tables(config.clone(), t.cursor(), tables.clone())
-                    .run_to_completion()
-                    .program_instrs
-            })
-            .sum()
     });
     // A *different modelled machine* (every data access hits in one
     // cycle): end-to-end proof the data side swaps through the
     // `DataMemModel` seam, and a second host-cost contrast for the
     // D-cache share (fewer simulated stall cycles AND no tag walks).
-    time("sim+replay+shared+perfect-L1D (different machine: always-hit data side)", &|| {
+    time("sim+replay+perfect-L1D (different machine: always-hit data side)", &|| {
         traces
             .iter()
-            .zip(&shared)
-            .map(|(t, tables)| {
+            .map(|t| {
                 SimSession::with_dcache_model(
                     config.clone(),
                     t.cursor(),
-                    tables.clone(),
                     Box::new(dvi_mem::PerfectDcache::new(config.dcache.latency)),
                 )
                 .run_to_completion()
@@ -171,15 +134,15 @@ fn main() {
             })
             .sum()
     });
-    // The honest back-end split of the sweep steady state: what the
-    // ROADMAP's decomposition tables quote. Trace production and the
+    // The back-end split of the sweep steady state: what the ROADMAP's
+    // decomposition tables quote. Trace production and the
     // isolated D-cache drive are measured above; the remainder is the
     // window/scheduler/rename core plus everything the isolation cannot
     // capture (issue-order effects, shared-L2 interleaving).
     println!(
-        "backend-decomposition: shared steady state {shared_ns:.1} ns/instr = replay-drain \
+        "backend-decomposition: replay steady state {replay_ns:.1} ns/instr = replay-drain \
          {replay_drain:.1} + dcache-model ≈{dcache_drive:.1} + window/sched/rename residual \
          ≈{:.1}",
-        (shared_ns - replay_drain - dcache_drive).max(0.0)
+        (replay_ns - replay_drain - dcache_drive).max(0.0)
     );
 }

@@ -64,7 +64,7 @@ pub fn run(budget: Budget) -> Figure09 {
 pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> Figure09 {
     // Capture every benchmark's traces in parallel, then time both
     // hardware schemes of every benchmark as cells of one whole-matrix
-    // sweep (one shared-product build per trace, one work queue).
+    // sweep (one work queue).
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let cells = captured

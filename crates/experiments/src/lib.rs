@@ -45,7 +45,7 @@ mod harness;
 mod table;
 
 pub use harness::{
-    fold_outcomes, replay, simulate, sweep, sweep_dcache_oracle_outcomes, sweep_matrix,
-    sweep_outcomes, sweep_parallel, sweep_parallel_outcomes, Binaries, Budget, CapturedBinaries,
+    fold_outcomes, replay, simulate, sweep, sweep_matrix, sweep_outcomes, sweep_parallel,
+    sweep_parallel_outcomes, Binaries, Budget, CapturedBinaries,
 };
 pub use table::Table;

@@ -3,9 +3,7 @@
 //! A hierarchy is split L1s in front of a chain of unified lower levels
 //! with a fixed-latency main memory at the end:
 //!
-//! * the **L1 instruction side** is a concrete [`CacheLevel`] (its outcome
-//!   stream is trace-pure and already oracle-able upstream, see
-//!   `MemoryHierarchy::inst_fetch_known`);
+//! * the **L1 instruction side** is a concrete [`CacheLevel`];
 //! * the **L1 data side** is a swappable [`DataMemModel`] — a real
 //!   [`CacheLevel`] tag array by default, replaceable per machine (see
 //!   [`MemoryHierarchy::with_dcache_model`]);
@@ -173,28 +171,6 @@ impl MemoryHierarchy {
         MemAccess { latency, l1_hit: hit }
     }
 
-    /// Fetches an instruction line whose L1I outcome the caller already
-    /// knows.
-    ///
-    /// The L1 instruction cache is touched *only* by [`inst_fetch`]
-    /// (`inst_fetch` is this method plus the L1I lookup), so its hit/miss
-    /// stream is a pure function of the fetch address sequence and can be
-    /// precomputed once per trace and shared across many simulations — see
-    /// `dvi_sim::batch::IcacheOracle`. Only the unified-downstream
-    /// interaction of a miss, which *is* entangled with the caller's data
-    /// accesses, happens here, on this hierarchy's own levels; the local
-    /// L1I tag array is bypassed entirely (its statistics must then come
-    /// from the oracle's own counters).
-    ///
-    /// [`inst_fetch`]: MemoryHierarchy::inst_fetch
-    pub fn inst_fetch_known(&mut self, addr: u64, l1_hit: bool) -> MemAccess {
-        let mut latency = self.l1i.latency();
-        if !l1_hit {
-            latency += self.lower_levels(addr, AccessKind::Read);
-        }
-        MemAccess { latency, l1_hit }
-    }
-
     /// Performs a data access; returns the access latency.
     pub fn data_access(&mut self, addr: u64, is_write: bool) -> MemAccess {
         let hit = self.dcache.access(addr, is_write);
@@ -307,8 +283,7 @@ mod tests {
 
     /// Substituting a fresh tag array of the same geometry through the
     /// [`DataMemModel`] seam is invisible: identical outcomes, latencies
-    /// and statistics on an eviction-heavy access pattern. This is the
-    /// property a future D-cache oracle relies on.
+    /// and statistics on an eviction-heavy access pattern.
     #[test]
     fn swapped_same_geometry_dcache_is_bit_identical() {
         let mut stock = MemoryHierarchy::micro97();

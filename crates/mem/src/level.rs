@@ -11,21 +11,17 @@
 //! * [`DataMemModel`] — the interface of the **L1 data side**: resolve one
 //!   data access to an L1D hit/miss and account it. The default
 //!   implementation is a [`CacheLevel`] (a real tag array), but any model
-//!   can stand in per simulated machine: an always-hit [`PerfectDcache`]
-//!   for an upper-bound machine, or the pre-recorded
-//!   [`crate::DcacheOracleCursor`] shared by sweep members that agree on
-//!   the data-side geometry *and* produce the recording member's exact
-//!   access stream, the same way the I-cache oracle already bypasses
-//!   private L1I tag arrays. Only the L1D *outcome* goes through the
-//!   trait; a miss's unified-L2 interaction stays on the owning
-//!   hierarchy, which is what keeps the L2 entanglement (instruction
-//!   fetches and data misses share it) modelled per machine.
+//!   can stand in per simulated machine, such as an always-hit
+//!   [`PerfectDcache`] for an upper-bound machine. Only the L1D *outcome*
+//!   goes through the trait; a miss's unified-L2 interaction stays on the
+//!   owning hierarchy, which is what keeps the L2 entanglement
+//!   (instruction fetches and data misses share it) modelled per machine.
 //!
 //! Swapping the model changes the *modelled machine* (a perfect D-cache is
 //! a different processor), except when the substitute makes identical
 //! hit/miss decisions — substituting a fresh `CacheLevel` of the same
-//! geometry for the built-in one is bit-identical, which is the property a
-//! D-cache oracle will rely on (locked by the hierarchy tests).
+//! geometry for the built-in one is bit-identical (locked by the hierarchy
+//! tests).
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
 use std::fmt;
@@ -87,8 +83,7 @@ impl CacheLevel {
 
 /// The swappable L1-data-side model of a [`crate::MemoryHierarchy`].
 ///
-/// The contract mirrors how the I-cache oracle splits responsibilities:
-/// the model resolves each access's **L1D outcome** (and owns the L1D
+/// The model resolves each access's **L1D outcome** (and owns the L1D
 /// statistics); the hierarchy charges the hit latency and performs the
 /// unified-lower-level interaction of every miss on its own state. See the
 /// module docs for why only the outcome is abstracted.

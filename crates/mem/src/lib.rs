@@ -27,14 +27,9 @@
 mod cache;
 mod hierarchy;
 mod level;
-mod oracle;
 mod ports;
 
 pub use cache::{AccessKind, AccessResult, Cache, CacheConfig, CacheStats};
 pub use hierarchy::{HierarchyStats, MemAccess, MemoryHierarchy};
 pub use level::{CacheLevel, DataMemModel, PerfectDcache};
-pub use oracle::{
-    DcacheFingerprinter, DcacheOracle, DcacheOracleCursor, DcacheRecorder, DcacheRecording,
-    PackedBits, StreamFingerprint,
-};
 pub use ports::CachePorts;

@@ -1,13 +1,13 @@
 //! End-to-end trace-artifact durability drill, runnable in CI:
 //!
-//! 1. record a trace (with its dependence graph attached), save it to a
-//!    checksummed artifact and load it back — the reload must replay
-//!    bit-identically;
+//! 1. record a trace, save it to a checksummed artifact and load it back —
+//!    the reload must replay bit-identically;
 //! 2. truncate the file and corrupt one payload byte — both damaged copies
 //!    must be **rejected with typed errors**, never loaded;
 //! 3. re-encode the trace as a version-3 artifact (stored PC column,
-//!    absolute `u32` producer links) — the current loader must replay it
-//!    bit-identically and rebuild the same dependence graph;
+//!    absolute `u32` producer links) and as a version-4 artifact (packed
+//!    DEPGRAPH section) — the current loader must replay both
+//!    bit-identically under the same fingerprint, skipping their graphs;
 //! 4. print one `trace-artifact: ...` line per step for the CI job to grep.
 //!
 //! ```text
@@ -23,38 +23,57 @@ fn r(i: u8) -> ArchReg {
     ArchReg::new(i)
 }
 
-/// Re-encodes `trace` and its attached graph in the version-3 layout: META
-/// without the first PC, a PCS section with one `u32` per record, and a
-/// DEPGRAPH section of absolute `u32` producer links (`u32::MAX` = none)
-/// followed by one flag byte per record whose bits 0–3 are the (E-DVI,
-/// I-DVI) cut pairs of operands 0 and 1.
-fn version_3_bytes(trace: &CapturedTrace) -> Vec<u8> {
+/// Re-encodes `trace` and its attached graph in the layout of version 3
+/// or 4. Both append a fusion-build time (`bool` + `u64`) to META's
+/// summary and carry a DEPGRAPH section. Version 3 also drops the first PC
+/// from META, adds a PCS section with one `u32` per record, and writes the
+/// graph as absolute `u32` producer links (`u32::MAX` = none) followed by
+/// one flag byte per record whose bits 0–3 are the (E-DVI, I-DVI) cut pairs
+/// of operands 0 and 1. Version 4 writes the graph as packed `[u16; 2]`
+/// rows followed by an (empty, for this short program) far table.
+fn legacy_bytes(trace: &CapturedTrace, version: u32) -> Vec<u8> {
     let bytes = trace.to_bytes();
     let current = ArtifactReader::parse(&bytes, TRACE_MAGIC, TRACE_VERSION).expect("clean bytes");
     let copy = |tag| current.section(tag).expect("section present").to_vec();
     let graph = trace.depgraph().expect("graph attached");
-    let mut links = (graph.len() as u64).to_le_bytes().to_vec();
-    let mut cuts = Vec::with_capacity(graph.len());
-    for record in 0..graph.len() {
-        let mut f = 0u8;
-        for operand in 0..2 {
-            let dep = graph.source(record, operand);
-            links.extend_from_slice(&dep.producer.unwrap_or(u32::MAX).to_le_bytes());
-            f |= (u8::from(dep.edvi_cut) | u8::from(dep.idvi_cut) << 1) << (2 * operand);
+    let mut payload = (graph.len() as u64).to_le_bytes().to_vec();
+    if version >= 4 {
+        assert_eq!(graph.far_links(), 0, "the example program has no far links");
+        for record in 0..graph.len() {
+            for word in graph.row(record) {
+                payload.extend_from_slice(&word.to_le_bytes());
+            }
         }
-        cuts.push(f);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+    } else {
+        let mut cuts = Vec::with_capacity(graph.len());
+        for record in 0..graph.len() {
+            let mut f = 0u8;
+            for operand in 0..2 {
+                let dep = graph.source(record, operand);
+                payload.extend_from_slice(&dep.producer.unwrap_or(u32::MAX).to_le_bytes());
+                f |= (u8::from(dep.edvi_cut) | u8::from(dep.idvi_cut) << 1) << (2 * operand);
+            }
+            cuts.push(f);
+        }
+        payload.extend_from_slice(&cuts);
     }
-    links.extend_from_slice(&cuts);
-    let meta = copy(section::META);
-    let mut w = ArtifactWriter::new(TRACE_MAGIC, 3);
-    w.section(section::META, [&meta[..16], &meta[20..]].concat());
+    let mut meta = copy(section::META);
+    meta.extend_from_slice(&[0; 9]);
+    if version < 4 {
+        meta.drain(16..20);
+    }
+    let mut w = ArtifactWriter::new(TRACE_MAGIC, version);
+    w.section(section::META, meta);
     w.section(section::STATIC_INSTRS, copy(section::STATIC_INSTRS));
     w.section(section::STATIC_PROCS, copy(section::STATIC_PROCS));
-    w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
+    if version < 4 {
+        w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
+    }
     w.section(section::FLAGS, copy(section::FLAGS));
     w.section(section::MEM_ADDRS, copy(section::MEM_ADDRS));
     w.section(section::REDIRECTS, copy(section::REDIRECTS));
-    w.section(section::DEPGRAPH, links);
+    w.section(section::DEPGRAPH, payload);
     w.to_bytes()
 }
 
@@ -126,21 +145,25 @@ fn main() {
         other => panic!("corrupted artifact must be rejected by checksum, got {other:?}"),
     }
 
-    // 3. A version-3 artifact still loads, bit-identically.
-    let v3_path = dir.join("trace-v3.dvitrace");
-    std::fs::write(&v3_path, version_3_bytes(&trace)).expect("v3 artifact writes");
-    let old = CapturedTrace::load(&v3_path).expect("a version-3 artifact loads");
-    assert_eq!(old.fingerprint(), trace.fingerprint(), "v3 fingerprint drifted");
-    assert_eq!(
-        old.replay().collect::<Vec<_>>(),
-        trace.replay().collect::<Vec<_>>(),
-        "a version-3 artifact must replay bit-identically"
-    );
-    let (old_graph, graph) = (old.depgraph().expect("v3 graph"), trace.depgraph().expect("graph"));
-    for record in 0..graph.len() {
-        assert_eq!(old_graph.row(record), graph.row(record), "v3 graph row {record}");
+    // 3. Version-3 and version-4 artifacts still load, bit-identically;
+    //    their DEPGRAPH sections are checksummed but not decoded.
+    for version in [3, 4] {
+        let old_path = dir.join(format!("trace-v{version}.dvitrace"));
+        std::fs::write(&old_path, legacy_bytes(&trace, version)).expect("legacy artifact writes");
+        let mut old = CapturedTrace::load(&old_path).expect("a legacy artifact loads");
+        assert_eq!(old.fingerprint(), trace.fingerprint(), "v{version} fingerprint drifted");
+        assert_eq!(
+            old.replay().collect::<Vec<_>>(),
+            trace.replay().collect::<Vec<_>>(),
+            "a version-{version} artifact must replay bit-identically"
+        );
+        assert!(old.depgraph().is_none(), "legacy graph sections are skipped");
+        let (rebuilt, graph) = (old.build_depgraph(), trace.depgraph().expect("graph"));
+        for record in 0..graph.len() {
+            assert_eq!(rebuilt.row(record), graph.row(record), "v{version} graph row {record}");
+        }
+        println!("trace-artifact: version-{version} artifact loaded and replayed bit-identically");
     }
-    println!("trace-artifact: version-3 artifact loaded and replayed bit-identically");
 
     std::fs::remove_dir_all(&dir).ok();
     println!("trace-artifact: ok");

@@ -1,7 +1,7 @@
 //! Durable, integrity-checked binary artifacts.
 //!
-//! Captured traces (and the sim crate's oracle recordings and sweep
-//! checkpoints, which reuse this module) are written to disk as
+//! Captured traces (and the sim crate's sweep checkpoints and shard jobs,
+//! which reuse this module) are written to disk as
 //! **artifact containers**: a fixed header followed by independently
 //! checksummed sections. The format is deliberately dumb — no compression,
 //! no schema evolution machinery — because its one job is to make every
@@ -169,8 +169,8 @@ pub enum ArtifactError {
         context: String,
     },
     /// The artifact is internally valid but was derived from different
-    /// inputs than the ones it is being loaded against (e.g. oracle
-    /// recordings for a different captured trace).
+    /// inputs than the ones it is being loaded against (e.g. a checkpoint
+    /// taken over a different captured trace).
     FingerprintMismatch {
         /// Fingerprint the loader expected.
         expected: u64,
@@ -511,7 +511,7 @@ impl<'a> ArtifactReader<'a> {
     }
 
     /// Every section with `tag`, in file order (for repeated sections such
-    /// as one-per-configuration oracle streams).
+    /// as one-per-member checkpoint entries).
     pub fn sections_with_tag(&self, tag: u32) -> impl Iterator<Item = &'a [u8]> + '_ {
         self.sections.iter().filter(move |(t, _)| *t == tag).map(|(_, p)| *p)
     }

@@ -51,7 +51,6 @@ use crate::artifact::{
 };
 use crate::depgraph::DepGraph;
 use crate::error::InterpError;
-use crate::fusion::FusionTable;
 use crate::interp::{ExecSummary, Interpreter};
 use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
@@ -94,18 +93,12 @@ pub struct CapturedTrace {
     redirect_targets: Vec<u32>,
     /// Summary of the recording run (instruction count, halt, error).
     summary: ExecSummary,
-    /// The precomputed dependence graph, once built
-    /// ([`CapturedTrace::build_depgraph`]); shared by reference with every
-    /// consumer of the trace.
+    /// The dependence graph, once built ([`CapturedTrace::build_depgraph`]).
+    /// Derived data: excluded from the fingerprint and not persisted.
     depgraph: Option<Arc<DepGraph>>,
-    /// Dispatch-group fusion tables, one per decode width built so far
-    /// ([`CapturedTrace::build_fusion`]). Derived data like the dependence
-    /// graph — shared by reference, excluded from the fingerprint, and not
-    /// persisted in the trace artifact (oracle bundles carry them instead).
-    fusion: Vec<Arc<FusionTable>>,
     /// Lazily computed [`CapturedTrace::fingerprint`]. The hash covers the
     /// whole dynamic stream (~1 ms per 10⁵ records), and checkpointed
-    /// sweeps, artifact saves and oracle-bundle validation all ask for it —
+    /// sweeps, artifact saves and the matrix registry all ask for it —
     /// so it is computed once per trace, not once per consumer. Safe to
     /// cache because everything it covers is immutable after construction
     /// (only the excluded dependence graph can be attached later).
@@ -130,7 +123,6 @@ impl CapturedTrace {
             redirect_targets: Vec::new(),
             summary: interp.summary(),
             depgraph: None,
-            fusion: Vec::new(),
             fingerprint: OnceLock::new(),
         };
         let mut expected_pc = None;
@@ -205,21 +197,22 @@ impl CapturedTrace {
             + self.static_instrs.len() * std::mem::size_of::<Instr>()
             + self.static_procs.len() * std::mem::size_of::<ProcId>()
             + self.depgraph.as_ref().map_or(0, |g| g.approx_bytes())
-            + self.fusion.iter().map(|f| f.approx_bytes()).sum::<usize>()
     }
 
-    /// The precomputed dependence graph attached to this trace, if
-    /// [`CapturedTrace::build_depgraph`] has run.
+    /// The dependence graph attached to this trace, if
+    /// [`CapturedTrace::build_depgraph`] has run. No simulator path reads
+    /// it; it is kept for the repository benchmark's graph-build probe
+    /// until a benchmark change retires that probe.
     #[must_use]
     pub fn depgraph(&self) -> Option<&Arc<DepGraph>> {
         self.depgraph.as_ref()
     }
 
     /// Builds the trace's [`DepGraph`] (one extra pass over the records),
-    /// attaches it for every consumer to share by reference, and returns
-    /// it. Idempotent: repeated calls return the already-built graph. The
-    /// build's wall-clock cost is surfaced in
-    /// [`ExecSummary::depgraph_build_nanos`].
+    /// attaches it and returns it. Idempotent: repeated calls return the
+    /// already-built graph. The build's wall-clock cost is surfaced in
+    /// [`ExecSummary::depgraph_build_nanos`]. Kept for the repository
+    /// benchmark's graph-build probe until a benchmark change retires it.
     pub fn build_depgraph(&mut self) -> Arc<DepGraph> {
         if self.depgraph.is_none() {
             let start = std::time::Instant::now();
@@ -231,35 +224,8 @@ impl CapturedTrace {
         Arc::clone(self.depgraph.as_ref().expect("just built"))
     }
 
-    /// The dispatch-group fusion table for decode width `width`, if
-    /// [`CapturedTrace::build_fusion`] has built one.
-    #[must_use]
-    pub fn fusion_for(&self, width: usize) -> Option<&Arc<FusionTable>> {
-        self.fusion.iter().find(|f| f.width() == width)
-    }
-
-    /// Builds the [`FusionTable`] for decode width `width` (building the
-    /// [`DepGraph`] first if the trace has none), attaches it for every
-    /// consumer to share by reference, and returns it. Idempotent per
-    /// width. The build's wall-clock cost accumulates in
-    /// [`ExecSummary::fusion_build_nanos`].
-    pub fn build_fusion(&mut self, width: usize) -> Arc<FusionTable> {
-        if self.fusion_for(width).is_none() {
-            let graph = self.build_depgraph();
-            let start = std::time::Instant::now();
-            let table = FusionTable::build_shared(self, &graph, width);
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.summary.fusion_build_nanos =
-                Some(self.summary.fusion_build_nanos.unwrap_or(0).saturating_add(nanos));
-            self.fusion.push(table);
-        }
-        Arc::clone(self.fusion_for(width).expect("just built"))
-    }
-
     /// The static instruction image the trace was recorded from, indexed by
-    /// PC. Consumers that memoize per-PC decode products (the simulator's
-    /// `StaticDecode` table) can precompute them for the whole image and
-    /// share the result across every cursor into this trace.
+    /// PC.
     #[must_use]
     pub fn static_code(&self) -> &[Instr] {
         &self.static_instrs
@@ -283,32 +249,26 @@ impl CapturedTrace {
 
     // ------------------------------------------------ durable artifacts --
 
-    /// Serializes the trace (and its attached [`DepGraph`], if built) into
-    /// a checksummed artifact container — see [`crate::artifact`] for the
-    /// header/section layout and the corruption guarantees.
+    /// Serializes the trace into a checksummed artifact container — see
+    /// [`crate::artifact`] for the header/section layout and the
+    /// corruption guarantees. An attached [`DepGraph`] is not written.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ArtifactWriter::new(TRACE_MAGIC, TRACE_VERSION);
-        for (tag, payload) in self.core_sections() {
-            w.section(tag, payload);
-        }
-        if let Some(graph) = &self.depgraph {
-            w.section(section::DEPGRAPH, graph.to_bytes());
-        }
-        w.to_bytes()
+        self.writer().to_bytes()
     }
 
     /// Writes the trace artifact to `path` atomically
     /// ([`ArtifactWriter::write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
+        self.writer().write_atomic(path)
+    }
+
+    fn writer(&self) -> ArtifactWriter {
         let mut w = ArtifactWriter::new(TRACE_MAGIC, TRACE_VERSION);
         for (tag, payload) in self.core_sections() {
             w.section(tag, payload);
         }
-        if let Some(graph) = &self.depgraph {
-            w.section(section::DEPGRAPH, graph.to_bytes());
-        }
-        w.write_atomic(path)
+        w
     }
 
     /// Reads a trace artifact from `path` (see
@@ -324,10 +284,10 @@ impl CapturedTrace {
     /// other (record counts, flag/side-array consistency, every derived PC
     /// inside the static image), so a corrupted or internally inconsistent
     /// artifact is rejected with a typed [`ArtifactError`] instead of
-    /// replaying garbage. Artifacts of versions 1–3 still load: their
-    /// stored PC column must agree with the PC walk derived from the flags
-    /// and redirect targets, and their dependence graph is converted to the
-    /// packed form.
+    /// replaying garbage. Artifacts of versions 1–4 still load: a stored
+    /// PC column (versions 1–3) must agree with the PC walk derived from
+    /// the flags and redirect targets, and a DEPGRAPH section is
+    /// checksummed by the container but not decoded.
     pub fn from_bytes(bytes: &[u8]) -> Result<CapturedTrace, ArtifactError> {
         let malformed = |context: String| ArtifactError::Malformed { context };
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
@@ -427,20 +387,6 @@ impl CapturedTrace {
             pcs.finish()?;
         }
 
-        let depgraph = match r.section_opt(section::DEPGRAPH) {
-            Some(payload) => {
-                let graph = DepGraph::from_bytes(payload, version)?;
-                if graph.len() != records {
-                    return Err(malformed(format!(
-                        "dependence graph covers {} records, trace has {records}",
-                        graph.len()
-                    )));
-                }
-                Some(Arc::new(graph))
-            }
-            None => None,
-        };
-
         Ok(CapturedTrace {
             static_instrs: static_instrs.into(),
             static_procs: static_procs.into(),
@@ -449,8 +395,7 @@ impl CapturedTrace {
             mem_addrs,
             redirect_targets,
             summary,
-            depgraph,
-            fusion: Vec::new(),
+            depgraph: None,
             fingerprint: OnceLock::new(),
         })
     }
@@ -461,7 +406,7 @@ impl CapturedTrace {
     /// the wall-clock graph-build time — are deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
-    /// sharing derived artifacts (oracle recordings, sweep checkpoints)
+    /// sharing derived artifacts (sweep checkpoints, cached results)
     /// across processes. Computed on first use, cached for the trace's
     /// lifetime (the covered data is immutable after construction).
     #[must_use]
@@ -482,9 +427,8 @@ impl CapturedTrace {
         })
     }
 
-    /// The checksummed sections of the durable format, minus the optional
-    /// dependence graph: metadata (which carries the first PC), static
-    /// image, and the three dynamic arrays.
+    /// The checksummed sections of the durable format: metadata (which
+    /// carries the first PC), static image, and the three dynamic arrays.
     fn core_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut meta = ByteWriter::new();
         meta.put_u64(self.len() as u64);
@@ -530,11 +474,14 @@ pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// rest are derived from the control-flow stream) and packed DEPGRAPH to
 /// 4 bytes per record plus a far-link table; older PC columns are checked
 /// against the derived walk and older graphs are converted on load.
-pub const TRACE_VERSION: u32 = 4;
+/// Version 5 writes no DEPGRAPH section and drops the fusion-build time
+/// from the metadata summary; older DEPGRAPH sections are checksummed but
+/// not decoded.
+pub const TRACE_VERSION: u32 = 5;
 
 /// Section tags of the trace artifact. Tags below `0x100` are reserved
 /// for the trace itself; dependent crates embedding extra sections in
-/// their own artifacts (oracle recordings, checkpoints) use tags at or
+/// their own artifacts (checkpoints, shard jobs) use tags at or
 /// above `0x100`.
 pub mod section {
     /// Record count, static image length, the first record's PC (since
@@ -558,8 +505,9 @@ pub mod section {
     pub const MEM_ADDRS: u32 = 6;
     /// Targets of non-fall-through records, in execution order.
     pub const REDIRECTS: u32 = 7;
-    /// Optional serialized [`crate::DepGraph`] (packed rows and far
-    /// table since version 4).
+    /// Serialized [`crate::DepGraph`] — optional, and written by versions
+    /// 1–4 only. A reader verifies its checksum with the rest of the
+    /// container and otherwise ignores it.
     pub const DEPGRAPH: u32 = 8;
 }
 
@@ -585,7 +533,6 @@ fn write_summary(w: &mut ByteWriter, summary: &ExecSummary) {
         }
     }
     write_opt_nanos(w, summary.depgraph_build_nanos);
-    write_opt_nanos(w, summary.fusion_build_nanos);
 }
 
 fn write_opt_nanos(w: &mut ByteWriter, nanos: Option<u64>) {
@@ -623,21 +570,17 @@ fn read_summary(r: &mut ByteReader<'_>, version: u32) -> Result<ExecSummary, Art
     };
     let has_nanos = r.bool()?;
     let nanos = r.u64()?;
-    // The fusion pair was appended in trace-format version 2; earlier
-    // artifacts simply never measured a fusion build.
-    let fusion_build_nanos = if version >= 2 {
-        let has = r.bool()?;
-        let v = r.u64()?;
-        has.then_some(v)
-    } else {
-        None
-    };
+    // Versions 2–4 carry a fusion-build time after the graph's; nothing
+    // reads it.
+    if (2..5).contains(&version) {
+        r.bool()?;
+        r.u64()?;
+    }
     Ok(ExecSummary {
         instructions,
         halted,
         error,
         depgraph_build_nanos: has_nanos.then_some(nanos),
-        fusion_build_nanos,
     })
 }
 
@@ -989,8 +932,7 @@ mod tests {
             trace.replay().collect::<Vec<_>>(),
             "a reloaded trace must replay bit-identically"
         );
-        let graph = loaded.depgraph().expect("attached graph travels with the trace");
-        assert_eq!(graph.len(), trace.len());
+        assert!(loaded.depgraph().is_none(), "the attached graph is not written");
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
     }
 

@@ -1,16 +1,16 @@
-//! The trace-pure dynamic dependence graph of a captured trace.
+//! The dynamic dependence graph of a captured trace.
 //!
-//! A design-space sweep re-times one dynamic instruction stream on many
-//! machine configurations, and every one of those machines re-derives the
-//! *same* dataflow fact per record: which earlier record produced each
-//! source operand, and whether a DVI event lies in between.
-//! None of that depends on issue width, register-file size, cache geometry
-//! or the DVI scheme — it is a pure function of the trace, exactly like the
-//! decode table and the branch/I-cache oracles the batched sweep already
-//! shares. A [`DepGraph`] computes it **once** per [`CapturedTrace`]
-//! ([`DepGraph::build`], or [`CapturedTrace::build_depgraph`] to attach the
-//! result to the trace) and stores it in packed form so every sweep member
-//! can read it by reference.
+//! For each source operand of each dynamic record, a [`DepGraph`] names the
+//! earlier record that produced the value and whether a DVI event lies in
+//! between. None of that depends on the machine configuration: it is a pure
+//! function of the trace. [`DepGraph::build`] computes it in one pass, and
+//! [`CapturedTrace::build_depgraph`] attaches the result to the trace.
+//!
+//! The simulator does not read the graph: every machine renames through its
+//! own alias table. The graph is kept for the repository benchmark, which
+//! times its build as a per-layer probe, and for `dvi-sim`'s
+//! `depgraph_equiv` suite, which checks its links against a live rename
+//! walk. It goes when a benchmark change retires that probe.
 //!
 //! # Contents, per dynamic record
 //!
@@ -18,18 +18,12 @@
 //!   dynamic record whose destination write produced the value, or "ready
 //!   at fetch" when the register was never written in the trace. The
 //!   producer is the *last writer* of the architectural register, with
-//!   `live-load` restores counted as writers (under configurations that
-//!   eliminate a restore, dead-value semantics guarantee the restored
-//!   register is rewritten before any read, so the link is never
-//!   consulted).
+//!   `live-load` restores counted as writers.
 //! * **Sever flags** — whether an E-DVI `kill` covering the register, or an
 //!   I-DVI event (`call`/`return`, for caller-saved registers), occurs
 //!   between the producer and the consumer. Machines that reclaim on that
 //!   DVI source unmap the register at the event, which removes the
-//!   dependence from their rename path; machines that do not keep it. The
-//!   graph stores the *fact*, each consumer applies its own
-//!   [`dvi_core`-style] configuration bits — that is what keeps one graph
-//!   valid for every point of a DVI-axis sweep.
+//!   dependence from their rename path ([`SrcDep::producer_for`]).
 //!
 //! # Encoding: 4 bytes per record
 //!
@@ -40,32 +34,11 @@
 //!   no producer;
 //! * bit 14 is the E-DVI cut, bit 15 the I-DVI cut.
 //!
-//! Producers are almost always close: a distance of [`link::FAR`] (0x3FFF)
-//! or more is stored as [`link::FAR`], and the exact producer of such a
-//! *far link* goes into a side table sorted by (record, operand). The graph
-//! is therefore exact for any trace, and the side table is empty on every
-//! workload the figures run. Consumers that only need to know whether a
-//! producer can still be in flight (the simulator's dependence ring, the
-//! fusion table's in-run wiring) read the distance directly and never touch
-//! the side table while their window is shorter than [`link::FAR`];
-//! [`DepGraph::source`] resolves absolute producers for everyone else.
-//!
-//! # Invariant
-//!
-//! For every machine configuration, resolving operands through the graph
-//! (producer in flight and not complete ⇒ wait; otherwise ready; severed
-//! links ready when the machine's DVI configuration unmaps on that event)
-//! is cycle-accurate-identical to renaming sources through a live
-//! [`RenameState`]-style alias table. `dvi-sim/tests/depgraph_equiv.rs`
-//! locks the link structure against a live rename walk, and the
-//! `replay_equiv.rs`/`batch_equiv.rs` suites lock the end-to-end
-//! [`SimStats`]-level equivalence.
-//!
-//! [`RenameState`-style]: ../dvi_sim/struct.RenameState.html
-//! [`SimStats`]: ../dvi_sim/struct.SimStats.html
-//! [`dvi_core`-style]: ../dvi_core/struct.DviConfig.html
+//! A distance of [`link::FAR`] (0x3FFF) or more is stored as [`link::FAR`],
+//! and the exact producer of such a *far link* goes into a side table
+//! sorted by (record, operand), so the graph is exact for any trace.
+//! [`DepGraph::source`] resolves absolute producers.
 
-use crate::artifact::{ArtifactError, ByteReader, ByteWriter};
 use crate::captured::CapturedTrace;
 use dvi_isa::{Abi, Instr, NUM_ARCH_REGS};
 
@@ -238,22 +211,6 @@ impl DepGraph {
         self.far.len()
     }
 
-    /// The cut bits ([`link::EDVI_CUT`], [`link::IDVI_CUT`]) a machine with
-    /// the given DVI-reclamation configuration acts on: an operand word
-    /// that intersects the mask is severed (the operand is ready at fetch
-    /// on that machine).
-    #[must_use]
-    pub fn sever_mask(sever_edvi: bool, sever_idvi: bool) -> u16 {
-        let mut mask = 0;
-        if sever_edvi {
-            mask |= link::EDVI_CUT;
-        }
-        if sever_idvi {
-            mask |= link::IDVI_CUT;
-        }
-        mask
-    }
-
     /// The packed row of `record`: one [`link`] word per source operand —
     /// the one-load hot-path accessor behind [`DepGraph::source`].
     ///
@@ -312,154 +269,6 @@ impl DepGraph {
     pub fn approx_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<[u16; 2]>()
             + self.far.capacity() * std::mem::size_of::<FarLink>()
-    }
-
-    /// Serializes the graph for embedding in a trace artifact (see
-    /// [`crate::artifact`]): record count, the packed rows, then the far
-    /// table (count, then `record: u32, operand: u8, producer: u32` per
-    /// entry), all little-endian.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(self.len() as u64);
-        for &[a, b] in &self.rows {
-            w.put_u16(a);
-            w.put_u16(b);
-        }
-        w.put_u64(self.far.len() as u64);
-        for f in &self.far {
-            w.put_u32(f.record);
-            w.put_u8(f.operand);
-            w.put_u32(f.producer);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a graph serialized inside a trace artifact of format
-    /// `version`, rejecting any row or far-table entry that does not
-    /// describe a producer strictly before its consumer. Sections written
-    /// before version 4 hold absolute `u32` producer links and a flag byte
-    /// per record (whose dead-value bits are ignored) and are converted to
-    /// the packed form; sections before version 3 also carry a per-record
-    /// call-depth column, which is skipped.
-    pub fn from_bytes(bytes: &[u8], version: u32) -> Result<DepGraph, ArtifactError> {
-        let mut r = ByteReader::new(bytes, "dependence graph");
-        let n = r.count()?;
-        let row_bytes = if version >= 4 { 4 } else { 9 };
-        if r.remaining() / row_bytes < n {
-            return Err(ArtifactError::TruncatedArtifact { context: "dependence graph".into() });
-        }
-        let graph = if version >= 4 {
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push([r.u16()?, r.u16()?]);
-            }
-            let far_len = r.count()?;
-            let mut far = Vec::with_capacity(far_len.min(r.remaining() / 9));
-            for _ in 0..far_len {
-                far.push(FarLink { record: r.u32()?, operand: r.u8()?, producer: r.u32()? });
-            }
-            DepGraph { rows, far }
-        } else {
-            let mut producers = Vec::with_capacity(n);
-            for _ in 0..n {
-                producers.push([r.u32()?, r.u32()?]);
-            }
-            let flags = r.bytes(n)?;
-            if version < 3 {
-                r.bytes(4 * n)?;
-            }
-            Self::from_absolute(&producers, flags)?
-        };
-        r.finish()?;
-        graph.validate()?;
-        Ok(graph)
-    }
-
-    /// Packs pre-version-4 rows: absolute producer links
-    /// ([`u32::MAX`] = none) and a flag byte whose bits 0–3 are the
-    /// (E-DVI, I-DVI) cut pairs of operands 0 and 1.
-    fn from_absolute(producers: &[[u32; 2]], flags: &[u8]) -> Result<DepGraph, ArtifactError> {
-        let mut rows = Vec::with_capacity(producers.len());
-        let mut far = Vec::new();
-        for (i, (pair, &f)) in producers.iter().zip(flags).enumerate() {
-            let mut row = [0u16; 2];
-            for (k, &p) in pair.iter().enumerate() {
-                let cuts = u16::from((f >> (2 * k)) & 0b11) << link::CUT_SHIFT;
-                if p == NONE {
-                    row[k] = cuts;
-                    continue;
-                }
-                let Some(distance) = i.checked_sub(p as usize).filter(|&d| d > 0) else {
-                    return Err(ArtifactError::Malformed {
-                        context: format!("record {i} links to producer {p}, not an earlier record"),
-                    });
-                };
-                let stored = if distance >= usize::from(link::FAR) {
-                    #[allow(clippy::cast_possible_truncation)]
-                    far.push(FarLink { record: i as u32, operand: k as u8, producer: p });
-                    link::FAR
-                } else {
-                    distance as u16
-                };
-                row[k] = cuts | stored;
-            }
-            rows.push(row);
-        }
-        Ok(DepGraph { rows, far })
-    }
-
-    /// Checks that every link points strictly backwards and that the far
-    /// table holds exactly the far links, sorted and in range.
-    fn validate(&self) -> Result<(), ArtifactError> {
-        let malformed = |context: String| ArtifactError::Malformed { context };
-        let mut far_words = 0usize;
-        for (i, row) in self.rows.iter().enumerate() {
-            for (k, &word) in row.iter().enumerate() {
-                let d = word & link::DISTANCE;
-                if d == 0 && word != 0 {
-                    return Err(malformed(format!(
-                        "record {i} operand {k} has cut bits but no producer"
-                    )));
-                }
-                if d == link::FAR {
-                    far_words += 1;
-                } else if usize::from(d) > i {
-                    return Err(malformed(format!(
-                        "record {i} operand {k} links {d} records back, before the trace start"
-                    )));
-                }
-            }
-        }
-        if far_words != self.far.len() {
-            return Err(malformed(format!(
-                "{far_words} far links but {} far-table entries",
-                self.far.len()
-            )));
-        }
-        let mut previous = None;
-        for f in &self.far {
-            let key = (f.record, f.operand);
-            if previous.is_some_and(|p| p >= key) {
-                return Err(malformed(format!(
-                    "far table is not sorted at record {} operand {}",
-                    f.record, f.operand
-                )));
-            }
-            previous = Some(key);
-            let in_range = (f.record as usize) < self.len()
-                && f.operand < 2
-                && self.rows[f.record as usize][f.operand as usize] & link::DISTANCE == link::FAR
-                && f.producer < f.record
-                && f.record - f.producer >= u32::from(link::FAR);
-            if !in_range {
-                return Err(malformed(format!(
-                    "far-table entry (record {}, operand {}, producer {}) is out of range",
-                    f.record, f.operand, f.producer
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -665,49 +474,5 @@ mod tests {
         assert_eq!(g.far_producer(add, 1), 1);
         // Near links in the same trace keep their exact distances.
         assert_eq!(g.source(4, 0).producer, Some(3), "first branch reads the first sub");
-    }
-
-    #[test]
-    fn serialized_graphs_roundtrip_and_damage_is_typed() {
-        let g = DepGraph::build(&far_link_trace());
-        let bytes = g.to_bytes();
-        let back = DepGraph::from_bytes(&bytes, 4).expect("clean graph loads");
-        assert_eq!(back.rows, g.rows);
-        assert_eq!(back.far, g.far);
-
-        let malformed = |g: &DepGraph| {
-            matches!(DepGraph::from_bytes(&g.to_bytes(), 4), Err(ArtifactError::Malformed { .. }))
-        };
-        // A near link reaching before the trace start.
-        let mut bad = g.clone();
-        bad.rows[2][0] = 3;
-        assert!(malformed(&bad));
-        // Cut bits on an operand without a producer.
-        let mut bad = g.clone();
-        bad.rows[0][0] = link::EDVI_CUT;
-        assert!(malformed(&bad));
-        // An unsorted far table.
-        let mut bad = g.clone();
-        bad.far.swap(0, 1);
-        assert!(malformed(&bad));
-        // A far entry whose producer is not far back.
-        let mut bad = g.clone();
-        bad.far[1].producer = bad.far[1].record - 1;
-        assert!(malformed(&bad));
-        // A far entry past the last record.
-        let mut bad = g.clone();
-        bad.far[1].record = u32::MAX;
-        assert!(malformed(&bad));
-        // A far link without its table entry.
-        let mut bad = g.clone();
-        bad.far.pop();
-        assert!(malformed(&bad));
-        // Truncation anywhere is typed.
-        for cut in [0, 7, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(matches!(
-                DepGraph::from_bytes(&bytes[..cut], 4),
-                Err(ArtifactError::TruncatedArtifact { .. })
-            ));
-        }
     }
 }

@@ -1,42 +1,20 @@
-//! Dispatch-group fusion tables: trace-pure per-fetch-group metadata.
+//! Dispatch-group fusion tables: per-fetch-group metadata of a trace.
 //!
-//! The PR-5 decomposition showed ~70 of ~73 ns/instr of sweep cost is
-//! per-member pipeline *logic* — the fetch/dispatch/issue loops re-derive,
-//! for every member of a config sweep, facts that are pure functions of the
-//! instruction stream. A [`FusionTable`] hoists the dispatch-stage half of
-//! that work into the trace-pure layer: one pass over a
-//! [`CapturedTrace`](crate::CapturedTrace) and its [`DepGraph`] precomputes,
-//! per decode-width class,
+//! One pass over a [`CapturedTrace`] and its
+//! [`DepGraph`] precomputes, per decode width, which maximal runs of
+//! "plain" records (no decode-stage DVI special casing, no taken redirect
+//! mid-group) a front end of that width could dispatch back to back, the
+//! in-run wakeup distance of each operand and each run's destination
+//! register demand.
 //!
-//! - **group boundaries** — maximal runs of "plain" records (no decode-stage
-//!   special casing, no taken-branch redirect mid-group) that a `width`-wide
-//!   front end could dispatch back-to-back,
-//! - **intra-group dependence shape** — for each operand, whether its
-//!   producer sits *inside* the group (wakeup wiring is then a precomputed
-//!   offset) or outside it (the live producer-ring probe runs as usual),
-//! - **rename demand** — how many physical destination registers the group
-//!   allocates, so the free-list check is one compare instead of per-record
-//!   stalls, and
-//! - per-record dispatch facts (class, destination register, memory-reference
-//!   and functional-unit bits) that replace the decode-table lookup.
-//!
-//! **Purity invariant:** a `FusionTable` depends only on `(trace, depgraph,
-//! width)`. Everything member-dependent — DVI sever configuration, branch
-//! mispredictions, I-cache misses, window/register-file occupancy — is
-//! applied at *use* time by the simulator's fast path, which falls back to
-//! the unfused cycle loop at every structural-hazard or oracle-event
-//! boundary. A fused member therefore produces bit-identical statistics to
-//! an unfused one; the table only removes redundant re-derivation.
-//!
-//! Eligibility mirrors the decode stage exactly: records whose decode kind
-//! consults the DVI model (`kill`, `live-store`, `live-load`, `call`,
-//! `return`) are never fused — each forms its own one-record "group" with
-//! length 0 recorded, forcing the fallback path.
+//! The simulator does not read these tables: every machine dispatches one
+//! record at a time through its own front end. [`FusionTable::build_shared`]
+//! is kept for the repository benchmark, which times the build as a
+//! per-layer probe; it goes when a benchmark change retires that probe.
 
-use crate::artifact::{ArtifactError, ByteReader, ByteWriter};
 use crate::captured::CapturedTrace;
 use crate::depgraph::{link, DepGraph};
-use dvi_isa::{ArchReg, Instr, InstrClass, NUM_ARCH_REGS};
+use dvi_isa::{Instr, InstrClass};
 use std::sync::Arc;
 
 /// Per-record flag bits of a [`FusionTable`] (see [`FusionTable::flags`]).
@@ -71,9 +49,7 @@ pub struct RecordMeta {
     /// [`fusion_flag`] bits.
     pub flags: u8,
     /// The [`DepGraph`] row's cut bits folded into one byte: bits 0–1 hold
-    /// operand 0's (E-DVI, I-DVI) cuts, bits 2–3 operand 1's. The fast path
-    /// ANDs it with [`FusionTable::sever_bits`] of the member's sever mask
-    /// at dispatch.
+    /// operand 0's (E-DVI, I-DVI) cuts, bits 2–3 operand 1's.
     pub dep_flags: u8,
     /// Per-operand wakeup wiring: [`FusionTable::NO_WAIT`] = ready at
     /// dispatch, otherwise the *distance back* to the producer in records.
@@ -98,10 +74,8 @@ pub struct RecordMeta {
 
 /// Trace-pure dispatch-group metadata for one decode width.
 ///
-/// Built once per `(trace, width)` by [`FusionTable::build`] (or
-/// [`CapturedTrace::build_fusion`](crate::CapturedTrace::build_fusion)) and
-/// shared — behind an [`Arc`] — by every sweep member of that width. See the
-/// [module docs](self) for the purity invariant.
+/// Built once per `(trace, width)` by [`FusionTable::build`]. See the
+/// [module docs](self) for why nothing reads it.
 #[derive(Debug, Clone)]
 pub struct FusionTable {
     /// Decode width the groups were partitioned for.
@@ -119,18 +93,6 @@ impl FusionTable {
     pub const NO_DST: u8 = u8::MAX;
     /// Largest supported decode width (group lengths are stored in a byte).
     pub const MAX_WIDTH: usize = 128;
-    /// Per-operand masks over [`RecordMeta::dep_flags`].
-    pub const OPERAND_CUT: [u8; 2] = [0b0011, 0b1100];
-
-    /// The [`RecordMeta::dep_flags`] bits selected by a
-    /// [`DepGraph::sever_mask`]: an operand whose cut bits intersect it is
-    /// severed on that machine.
-    #[must_use]
-    pub fn sever_bits(sever: u16) -> u8 {
-        let pair = (sever >> link::CUT_SHIFT) as u8;
-        pair | pair << 2
-    }
-
     /// Builds the fusion table for `trace` at decode width `width`, using
     /// `graph` for producer links.
     ///
@@ -280,8 +242,8 @@ impl FusionTable {
         FusionTable { width, meta }
     }
 
-    /// Builds the table wrapped in an [`Arc`] for sharing across sweep
-    /// members.
+    /// Builds the table wrapped in an [`Arc`]. Kept for the repository
+    /// benchmark's fusion-build probe until a benchmark change retires it.
     #[must_use]
     pub fn build_shared(trace: &CapturedTrace, graph: &DepGraph, width: usize) -> Arc<FusionTable> {
         Arc::new(Self::build(trace, graph, width))
@@ -331,30 +293,6 @@ impl FusionTable {
         self.meta[record].flags
     }
 
-    /// The resource class of `record`.
-    #[inline]
-    #[must_use]
-    pub fn class(&self, record: usize) -> InstrClass {
-        self.meta[record].class
-    }
-
-    /// The destination architectural register of `record`, if any.
-    #[inline]
-    #[must_use]
-    pub fn dst(&self, record: usize) -> Option<ArchReg> {
-        let d = self.meta[record].dst;
-        (d != Self::NO_DST).then(|| ArchReg::new(d))
-    }
-
-    /// The folded cut bits of `record` (AND with
-    /// [`FusionTable::sever_bits`] and [`FusionTable::OPERAND_CUT`] at
-    /// dispatch).
-    #[inline]
-    #[must_use]
-    pub fn dep_flags(&self, record: usize) -> u8 {
-        self.meta[record].dep_flags
-    }
-
     /// Per-operand in-run wakeup distances of `record`
     /// ([`FusionTable::NO_WAIT`] = no edge needed).
     #[inline]
@@ -362,201 +300,13 @@ impl FusionTable {
     pub fn wait(&self, record: usize) -> [u8; 2] {
         self.meta[record].wait
     }
-
-    /// The whole packed 8-byte metadata record — the dispatch fast path
-    /// loads it once per record instead of paying a bounds check per
-    /// field.
-    #[inline]
-    #[must_use]
-    pub fn record(&self, record: usize) -> RecordMeta {
-        self.meta[record]
-    }
-
-    /// Number of fusion groups in the table.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.meta.iter().filter(|m| m.flags & fusion_flag::GROUP_START != 0).count()
-    }
-
-    /// Number of records covered by some fusion group (the static ceiling
-    /// on fast-path coverage).
-    #[must_use]
-    pub fn fused_records(&self) -> usize {
-        self.meta.iter().filter(|m| m.run > 0).count()
-    }
-
-    /// Approximate heap footprint in bytes.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.meta.capacity() * std::mem::size_of::<RecordMeta>()
-    }
-
-    /// Serializes the table for embedding in an artifact container: width,
-    /// record count, then the per-record columns, all little-endian. (The
-    /// wire format is columnar for compressibility and stability; the
-    /// in-memory layout packs the columns per record for dispatch
-    /// locality.)
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(self.width as u64);
-        w.put_u64(self.len() as u64);
-        for m in &self.meta {
-            w.put_u8(class_to_byte(m.class));
-        }
-        for m in &self.meta {
-            w.put_u8(m.dst);
-        }
-        for m in &self.meta {
-            w.put_u8(m.flags);
-        }
-        for m in &self.meta {
-            w.put_u8(m.dep_flags);
-        }
-        for m in &self.meta {
-            w.put_u8(m.wait[0]);
-            w.put_u8(m.wait[1]);
-        }
-        for m in &self.meta {
-            w.put_u8(m.run);
-        }
-        for m in &self.meta {
-            w.put_u8(m.rdst);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a table serialized by [`FusionTable::to_bytes`], validating
-    /// every structural invariant (class codes, register indices, group
-    /// lengths and wakeup offsets against the recorded width).
-    pub fn from_bytes(bytes: &[u8]) -> Result<FusionTable, ArtifactError> {
-        let malformed = |context: &str| ArtifactError::Malformed { context: context.to_string() };
-        let mut r = ByteReader::new(bytes, "fusion table");
-        let width = r.count()?;
-        if width == 0 || width > Self::MAX_WIDTH {
-            return Err(malformed("fusion table width out of range"));
-        }
-        let n = r.count()?;
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            class.push(class_from_byte(r.u8()?)?);
-        }
-        let dst = r.bytes(n)?.to_vec();
-        let flags = r.bytes(n)?.to_vec();
-        let dep_flags = r.bytes(n)?.to_vec();
-        let mut wait = Vec::with_capacity(n);
-        for _ in 0..n {
-            wait.push([r.u8()?, r.u8()?]);
-        }
-        let run = r.bytes(n)?.to_vec();
-        let rdst = r.bytes(n)?.to_vec();
-        r.finish()?;
-        for (&d, &f) in dst.iter().zip(&flags) {
-            let has = d != Self::NO_DST;
-            if has && d as usize >= NUM_ARCH_REGS {
-                return Err(malformed("fusion table destination register out of range"));
-            }
-            if has != (f & fusion_flag::HAS_DST != 0) {
-                return Err(malformed("fusion table destination flag disagrees with column"));
-            }
-        }
-        // The run chain is what the fast path indexes the window by, so its
-        // structure is fully validated: runs exist exactly at eligible
-        // records, stay within the width, count down record by record,
-        // destination demand is consistent with the flag column, and
-        // wakeup distances never reach past the start of the maximal
-        // eligible run (the contiguity domain of the window arithmetic).
-        let mut run_offset = 0usize;
-        for i in 0..n {
-            let eligible = flags[i] & fusion_flag::ELIGIBLE != 0;
-            if (run[i] > 0) != eligible || run[i] as usize > width || rdst[i] > run[i] {
-                return Err(malformed("fusion table run descriptor out of range"));
-            }
-            if run[i] > 1
-                && (i + 1 == n
-                    || run[i + 1] != run[i] - 1
-                    || flags[i + 1] & fusion_flag::GROUP_START != 0)
-            {
-                return Err(malformed("fusion table run chain is broken"));
-            }
-            if eligible
-                && flags[i] & fusion_flag::GROUP_START == 0
-                && (i == 0 || run[i - 1] != run[i] + 1)
-            {
-                return Err(malformed("fusion table group member has no predecessor"));
-            }
-            run_offset = if !eligible {
-                0
-            } else if i > 0 && flags[i - 1] & fusion_flag::ELIGIBLE != 0 {
-                run_offset + 1
-            } else {
-                0
-            };
-            for w in wait[i] {
-                if w != Self::NO_WAIT && (w == 0 || w as usize > run_offset) {
-                    return Err(malformed("fusion table wakeup distance out of range"));
-                }
-            }
-        }
-        let meta = (0..n)
-            .map(|i| RecordMeta {
-                class: class[i],
-                dst: dst[i],
-                flags: flags[i],
-                dep_flags: dep_flags[i],
-                wait: wait[i],
-                run: run[i],
-                rdst: rdst[i],
-            })
-            .collect();
-        Ok(FusionTable { width, meta })
-    }
-}
-
-/// Serialized code of an [`InstrClass`] (the enum carries no explicit
-/// discriminants; the codec is the stability contract).
-fn class_to_byte(c: InstrClass) -> u8 {
-    match c {
-        InstrClass::IntAlu => 0,
-        InstrClass::IntMul => 1,
-        InstrClass::Load => 2,
-        InstrClass::Store => 3,
-        InstrClass::Branch => 4,
-        InstrClass::Jump => 5,
-        InstrClass::Call => 6,
-        InstrClass::Return => 7,
-        InstrClass::Kill => 8,
-        InstrClass::Nop => 9,
-        InstrClass::Halt => 10,
-    }
-}
-
-fn class_from_byte(b: u8) -> Result<InstrClass, ArtifactError> {
-    Ok(match b {
-        0 => InstrClass::IntAlu,
-        1 => InstrClass::IntMul,
-        2 => InstrClass::Load,
-        3 => InstrClass::Store,
-        4 => InstrClass::Branch,
-        5 => InstrClass::Jump,
-        6 => InstrClass::Call,
-        7 => InstrClass::Return,
-        8 => InstrClass::Kill,
-        9 => InstrClass::Nop,
-        10 => InstrClass::Halt,
-        _ => {
-            return Err(ArtifactError::Malformed {
-                context: format!("fusion table instruction class code {b} is not valid"),
-            })
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{ProcBuilder, ProgramBuilder};
-    use dvi_isa::AluOp;
+    use dvi_isa::{AluOp, ArchReg};
 
     fn r(i: u8) -> ArchReg {
         ArchReg::new(i)
@@ -608,32 +358,5 @@ mod tests {
         assert_eq!(t2.flags(2) & fusion_flag::ANY_EXTERNAL, 0);
         assert_eq!(t2.wait(2), [2, 1]);
         assert_eq!(t2.wait(3), [1, 1]);
-    }
-
-    #[test]
-    fn roundtrip_and_validation() {
-        let trace = straight_trace();
-        let graph = DepGraph::build(&trace);
-        let t = FusionTable::build(&trace, &graph, 4);
-        let bytes = t.to_bytes();
-        let back = FusionTable::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back.width(), t.width());
-        assert_eq!(back.len(), t.len());
-        for i in 0..t.len() {
-            assert_eq!(back.flags(i), t.flags(i));
-            assert_eq!(back.class(i), t.class(i));
-            assert_eq!(back.dst(i), t.dst(i));
-            assert_eq!(back.dep_flags(i), t.dep_flags(i));
-            assert_eq!(back.wait(i), t.wait(i));
-            assert_eq!(back.run_len(i), t.run_len(i));
-            assert_eq!(back.run_dsts(i), t.run_dsts(i));
-        }
-        // Structural corruption is a typed rejection, not bad data.
-        let mut corrupt = bytes.clone();
-        corrupt[16] = 0xEE; // first class byte
-        assert!(matches!(FusionTable::from_bytes(&corrupt), Err(ArtifactError::Malformed { .. })));
-        let mut truncated = bytes;
-        truncated.truncate(truncated.len() - 1);
-        assert!(FusionTable::from_bytes(&truncated).is_err());
     }
 }

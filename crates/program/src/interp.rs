@@ -233,10 +233,6 @@ pub struct ExecSummary {
     /// has been built. Reported here so sweep drivers can account the
     /// one-off precompute cost next to the capture cost it amortizes with.
     pub depgraph_build_nanos: Option<u64>,
-    /// Wall-clock nanoseconds spent building dispatch-group fusion tables
-    /// ([`crate::CapturedTrace::build_fusion`]), accumulated across decode
-    /// widths; `None` while none has been built.
-    pub fusion_build_nanos: Option<u64>,
 }
 
 /// Functional interpreter over a [`LayoutProgram`].
@@ -317,7 +313,6 @@ impl<'a> Interpreter<'a> {
             halted: self.halted,
             error: self.error,
             depgraph_build_nanos: None,
-            fusion_build_nanos: None,
         }
     }
 

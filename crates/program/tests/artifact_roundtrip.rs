@@ -2,28 +2,22 @@
 //!
 //! A saved [`CapturedTrace`] must survive the disk round trip bit-exactly —
 //! same replayed stream, same summary, same fingerprint — for traces of any
-//! length, with or without the attached dependence graph. And because
-//! sweeps are driven from these artifacts, a *damaged* artifact must never
-//! replay garbage: every truncation has to surface as
-//! [`ArtifactError::TruncatedArtifact`] (or a header error) and every
-//! flipped payload byte as [`ArtifactError::ChecksumMismatch`] naming the
-//! corrupted section, never as a panic or a silently different trace.
+//! length, with or without an attached dependence graph (which is never
+//! written). And because sweeps are driven from these artifacts, a
+//! *damaged* artifact must never replay garbage: every truncation has to
+//! surface as [`ArtifactError::TruncatedArtifact`] (or a header error) and
+//! every flipped payload byte as [`ArtifactError::ChecksumMismatch`] naming
+//! the corrupted section, never as a panic or a silently different trace.
 //!
-//! The same container carries the sweep runner's oracle bundle
-//! (`dvi_sim::RecordedOracles`, a dev-only dependency cycle), so the tail
-//! of this suite drills its tagged sections — the D-cache oracle (bundle
-//! v2) and the dispatch-group fusion tables (bundle v3) — through the
-//! identical gauntlet: bit-exact roundtrip, truncation, checksum
-//! corruption pinned to the section tag, version skew and
-//! stale-trace-fingerprint rejection.
+//! Older versions still load: versions 2–3 (a stored PC column) and
+//! version 4 (a packed DEPGRAPH section, checksummed but not decoded).
 
 use dvi_program::artifact::{ArtifactReader, ArtifactWriter};
 use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::depgraph::link;
 use dvi_program::{
     ArtifactError, CapturedTrace, DepGraph, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
 };
-use dvi_sim::batch::{oracle_section, ORACLES_VERSION};
-use dvi_sim::{record_dcache_oracle, RecordedOracles, SimConfig};
 use proptest::prelude::*;
 
 use dvi_isa::{AluOp, ArchReg, CmpOp, Instr};
@@ -84,27 +78,54 @@ fn far_link_program() -> LayoutProgram {
 }
 
 /// Re-encodes `trace` (and its attached graph, if any) in the layout of
-/// trace-artifact `version` 2 or 3: META without the first PC, a PCS
-/// section with one `u32` per record, and a DEPGRAPH section of absolute
-/// `u32` producer links (`u32::MAX` = none) followed by one flag byte per
-/// record — bits 0–3 the (E-DVI, I-DVI) cut pairs of operands 0 and 1, and
-/// on every third record a since-removed dead-value bit the loader must
-/// ignore. Version 2 adds the per-record call-depth column.
+/// trace-artifact `version` 2, 3 or 4. Every one of them appends a
+/// fusion-build time (`bool` + `u64`) to META's summary. Versions 2 and 3
+/// also drop the first PC from META, add a PCS section with one `u32` per
+/// record, and write the DEPGRAPH section as absolute `u32` producer links
+/// (`u32::MAX` = none) followed by one flag byte per record — bits 0–3
+/// the (E-DVI, I-DVI) cut pairs of operands 0 and 1, and on every third
+/// record a since-removed dead-value bit. Version 2 adds a per-record
+/// call-depth column. Version 4 writes the graph as packed `[u16; 2]` rows
+/// followed by the far table.
 fn legacy_artifact(trace: &CapturedTrace, version: u32) -> Vec<u8> {
     let bytes = trace.to_bytes();
     let current = ArtifactReader::parse(&bytes, TRACE_MAGIC, TRACE_VERSION).unwrap();
     let mut w = ArtifactWriter::new(TRACE_MAGIC, version);
-    let meta = current.section(section::META).unwrap();
-    w.section(section::META, [&meta[..16], &meta[20..]].concat());
+    let mut meta = current.section(section::META).unwrap().to_vec();
+    meta.extend_from_slice(&[1, 7, 0, 0, 0, 0, 0, 0, 0]);
+    if version < 4 {
+        meta.drain(16..20);
+    }
+    w.section(section::META, meta);
     for tag in [section::STATIC_INSTRS, section::STATIC_PROCS] {
         w.section(tag, current.section(tag).unwrap().to_vec());
     }
-    w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
+    if version < 4 {
+        w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
+    }
     for tag in [section::FLAGS, section::MEM_ADDRS, section::REDIRECTS] {
         w.section(tag, current.section(tag).unwrap().to_vec());
     }
-    if let Some(graph) = trace.depgraph() {
-        let mut payload = (graph.len() as u64).to_le_bytes().to_vec();
+    let Some(graph) = trace.depgraph() else { return w.to_bytes() };
+    let mut payload = (graph.len() as u64).to_le_bytes().to_vec();
+    if version >= 4 {
+        let mut far = Vec::new();
+        for record in 0..graph.len() {
+            for (operand, word) in graph.row(record).into_iter().enumerate() {
+                payload.extend_from_slice(&word.to_le_bytes());
+                if word & link::DISTANCE == link::FAR {
+                    let producer = graph.source(record, operand).producer.unwrap();
+                    far.push((record as u32, operand as u8, producer));
+                }
+            }
+        }
+        payload.extend_from_slice(&(far.len() as u64).to_le_bytes());
+        for (record, operand, producer) in far {
+            payload.extend_from_slice(&record.to_le_bytes());
+            payload.push(operand);
+            payload.extend_from_slice(&producer.to_le_bytes());
+        }
+    } else {
         for record in 0..graph.len() {
             for operand in 0..2 {
                 let producer = graph.source(record, operand).producer.unwrap_or(u32::MAX);
@@ -124,8 +145,8 @@ fn legacy_artifact(trace: &CapturedTrace, version: u32) -> Vec<u8> {
                 payload.extend_from_slice(&u32::try_from(record % 7).unwrap().to_le_bytes());
             }
         }
-        w.section(section::DEPGRAPH, payload);
     }
+    w.section(section::DEPGRAPH, payload);
     w.to_bytes()
 }
 
@@ -198,10 +219,7 @@ proptest! {
             loaded.replay().collect::<Vec<_>>(),
             trace.replay().collect::<Vec<_>>()
         );
-        prop_assert_eq!(loaded.depgraph().is_some(), with_graph);
-        if let Some(graph) = loaded.depgraph() {
-            prop_assert_eq!(graph.len(), trace.len());
-        }
+        prop_assert!(loaded.depgraph().is_none(), "the graph is never written");
     }
 
     #[test]
@@ -234,7 +252,7 @@ fn one_flipped_byte_in_any_section_is_a_checksum_mismatch() {
     trace.build_depgraph();
     let bytes = trace.to_bytes();
     let spans = section_spans(&bytes);
-    assert!(spans.len() >= 6, "the trace artifact carries every core section plus the graph");
+    assert_eq!(spans.len(), 6, "the trace artifact carries exactly the core sections");
     for (tag, start, len) in spans {
         if len == 0 {
             continue;
@@ -274,45 +292,80 @@ fn header_corruption_reports_magic_and_version_errors() {
     );
 }
 
-/// A version-2 artifact, whose DEPGRAPH section still carries the
-/// per-record call-depth column that version 3 dropped, loads with the
-/// column skipped: the same producer and cut rows come back.
-#[test]
-fn version_2_depgraph_section_decodes_to_the_same_rows() {
-    let mut trace = CapturedTrace::record(&mixed_program(6), 400);
-    trace.build_depgraph();
-    let graph = trace.depgraph().expect("graph attached");
-    let loaded =
-        CapturedTrace::from_bytes(&legacy_artifact(&trace, 2)).expect("a v2 artifact loads");
-    assert_eq!(loaded.fingerprint(), trace.fingerprint());
-    let loaded_graph = loaded.depgraph().expect("the v2 graph section decodes");
-    for record in 0..graph.len() {
-        assert_eq!(loaded_graph.row(record), graph.row(record), "record {record}");
-    }
-
-    // The same section without its depth column is not a v2 section.
-    let v3_bytes = legacy_artifact(&trace, 3);
-    let mut short = ArtifactWriter::new(TRACE_MAGIC, 2);
-    for (tag, start, len) in section_spans(&v3_bytes) {
-        short.section(tag, v3_bytes[start..start + len].to_vec());
-    }
-    assert!(CapturedTrace::from_bytes(&short.to_bytes()).is_err());
-}
-
-/// A version-3 artifact — a stored PC column and absolute `u32` producer
-/// links — loads to a bit-identical replay and identical `source()` rows,
-/// far links included.
+/// Version-2 and version-3 artifacts — a stored PC column and a DEPGRAPH
+/// section of absolute `u32` producer links — load to a bit-identical
+/// replay. Their graph section is not decoded; rebuilding the graph from
+/// the loaded trace gives the same `source()` rows, far links included.
 #[test]
 fn version_3_artifact_loads_to_an_identical_replay_and_graph() {
     for layout in [mixed_program(6), far_link_program()] {
         let mut trace = CapturedTrace::record(&layout, u64::MAX);
         let graph = trace.build_depgraph();
-        let loaded =
-            CapturedTrace::from_bytes(&legacy_artifact(&trace, 3)).expect("a v3 artifact loads");
+        for version in [2, 3] {
+            let mut loaded = CapturedTrace::from_bytes(&legacy_artifact(&trace, version))
+                .expect("a legacy artifact loads");
+            assert_eq!(loaded.summary(), trace.summary());
+            assert_eq!(loaded.fingerprint(), trace.fingerprint());
+            assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
+            assert!(loaded.depgraph().is_none(), "v{version} graph sections are not decoded");
+            assert_same_sources(&loaded.build_depgraph(), &graph);
+        }
+    }
+}
+
+/// A version-4 artifact with a packed DEPGRAPH section loads with the same
+/// fingerprint and a bit-identical replay; the section is not decoded.
+#[test]
+fn version_4_artifact_with_a_depgraph_loads_to_the_same_fingerprint_and_replay() {
+    for layout in [mixed_program(6), far_link_program()] {
+        let mut trace = CapturedTrace::record(&layout, u64::MAX);
+        trace.build_depgraph();
+        let v4 = legacy_artifact(&trace, 4);
+        assert!(section_spans(&v4).iter().any(|&(tag, _, _)| tag == section::DEPGRAPH));
+        let loaded = CapturedTrace::from_bytes(&v4).expect("a v4 artifact loads");
         assert_eq!(loaded.summary(), trace.summary());
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
         assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
-        assert_same_sources(loaded.depgraph().expect("the v3 graph converts"), &graph);
+        assert!(loaded.depgraph().is_none());
+    }
+}
+
+/// The current version writes no DEPGRAPH section, attached graph or not.
+#[test]
+fn version_5_writes_no_depgraph_section() {
+    let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
+    trace.build_depgraph();
+    assert_eq!(TRACE_VERSION, 5);
+    for bytes in [trace.to_bytes(), {
+        let path = std::env::temp_dir().join("dvi-artifact-v5-no-depgraph.dvitrace");
+        trace.save(&path).expect("save succeeds");
+        let bytes = std::fs::read(&path).expect("saved artifact reads back");
+        std::fs::remove_file(&path).ok();
+        bytes
+    }] {
+        let tags: Vec<u32> = section_spans(&bytes).into_iter().map(|(tag, _, _)| tag).collect();
+        assert!(!tags.contains(&section::DEPGRAPH), "sections written: {tags:?}");
+    }
+}
+
+/// A byte flip inside a version-4 DEPGRAPH section is still a checksum
+/// error pinned to that section, although nothing decodes the section.
+#[test]
+fn flipped_byte_in_a_version_4_depgraph_section_is_a_checksum_mismatch() {
+    let mut trace = CapturedTrace::record(&mixed_program(5), 300);
+    trace.build_depgraph();
+    let v4 = legacy_artifact(&trace, 4);
+    let (_, start, len) = section_spans(&v4)
+        .into_iter()
+        .find(|&(tag, _, _)| tag == section::DEPGRAPH)
+        .expect("the v4 re-encoding carries the graph");
+    for at in [start, start + len / 2, start + len - 1] {
+        let mut corrupt = v4.clone();
+        corrupt[at] ^= 0x40;
+        assert_eq!(
+            CapturedTrace::from_bytes(&corrupt).expect_err("a corrupted artifact must not load"),
+            ArtifactError::ChecksumMismatch { section: section::DEPGRAPH }
+        );
     }
 }
 
@@ -340,26 +393,15 @@ fn version_3_pcs_that_disagree_with_the_control_flow_walk_are_rejected() {
     assert!(matches!(CapturedTrace::from_bytes(&long), Err(ArtifactError::Malformed { .. })));
 }
 
-/// A dependence graph with far links (producers 16383 or more records
-/// back) round-trips through the artifact exactly.
-#[test]
-fn far_links_roundtrip_through_the_artifact() {
-    let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
-    let graph = trace.build_depgraph();
-    assert_eq!(graph.far_links(), 2, "the program reads r16 and r8 from far back");
-    let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
-    assert_same_sources(loaded.depgraph().expect("graph travels with the trace"), &graph);
-}
-
 /// Internally inconsistent version-4 contents behind valid checksums are
-/// typed errors, never panics: a derived PC outside the static image, a
-/// link reaching before the trace start, a damaged far table, and a
-/// truncated section.
+/// typed errors, never panics: a derived PC outside the static image and a
+/// truncated section. The DEPGRAPH section is not decoded, so damage
+/// behind its valid checksum leaves the trace loadable and unchanged.
 #[test]
 fn damaged_version_4_contents_are_typed_errors() {
     let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
     trace.build_depgraph();
-    let bytes = trace.to_bytes();
+    let bytes = legacy_artifact(&trace, 4);
     let malformed = |bytes: &[u8]| {
         matches!(CapturedTrace::from_bytes(bytes), Err(ArtifactError::Malformed { .. }))
     };
@@ -375,29 +417,14 @@ fn damaged_version_4_contents_are_typed_errors() {
     });
     assert!(malformed(&outside), "a redirect past the image");
 
-    // DEPGRAPH: count u64, then one [u16; 2] row per record. Record 0 has
-    // no earlier record to link to.
     let early = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
         graph[8..10].copy_from_slice(&1u16.to_le_bytes());
     });
-    assert!(malformed(&early), "a link before the trace start");
-
-    // The far table closes the section: count u64, then 9-byte entries
-    // (record u32, operand u8, producer u32), two of them here.
-    let unsorted = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
-        let at = graph.len() - 18;
-        let (first, second) = graph[at..].split_at_mut(9);
-        first.swap_with_slice(second);
-    });
-    assert!(malformed(&unsorted), "an unsorted far table");
-    let out_of_range = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
-        let at = graph.len() - 9;
-        graph[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    });
-    assert!(malformed(&out_of_range), "a far entry past the last record");
+    let loaded = CapturedTrace::from_bytes(&early).expect("an undecoded section cannot fail");
+    assert_eq!(loaded.fingerprint(), trace.fingerprint());
 
     for (tag, _, len) in section_spans(&bytes) {
-        if len == 0 {
+        if len == 0 || tag == section::DEPGRAPH {
             continue;
         }
         let truncated = with_section_edited(&bytes, tag, |payload| payload.truncate(len - 1));
@@ -434,166 +461,4 @@ fn save_and_load_round_trip_through_the_filesystem() {
         .collect();
     assert!(leftovers.is_empty(), "stray files after atomic save: {leftovers:?}");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// An oracle bundle whose D-cache section is populated from a real
-/// recording run over `trace` (the paper geometry), alongside the branch
-/// and I-cache streams so the section walker sees a realistic mix.
-fn dcache_bundle(trace: &CapturedTrace) -> RecordedOracles {
-    let config = SimConfig::micro97();
-    RecordedOracles::record(trace, Some(config.predictor), Some(config.icache), &[])
-        .with_dcache(config.dmem_geometry(), record_dcache_oracle(trace, &config))
-}
-
-#[test]
-fn dcache_oracle_section_roundtrips_bit_exactly() {
-    let trace = CapturedTrace::record(&mixed_program(6), 400);
-    let bundle = dcache_bundle(&trace);
-    let bytes = bundle.to_bytes();
-    let loaded = RecordedOracles::from_bytes(&bytes, Some(trace.fingerprint()))
-        .expect("a clean bundle loads");
-
-    assert_eq!(loaded.trace_fingerprint(), bundle.trace_fingerprint());
-    let [(geometry, oracle)] = loaded.dcache() else {
-        panic!("the bundle carries exactly one D-cache oracle");
-    };
-    let [(want_geometry, want)] = bundle.dcache() else { unreachable!("recorded above") };
-    assert_eq!(geometry, want_geometry);
-    assert!(!want.is_empty(), "the recording run produced data accesses");
-    assert_eq!(oracle.geometry(), want.geometry());
-    assert_eq!(oracle.len(), want.len());
-    assert_eq!(oracle.totals(), want.totals());
-    assert_eq!(oracle.addrs(), want.addrs());
-    assert_eq!(oracle.writes(), want.writes());
-    assert_eq!(oracle.hits(), want.hits());
-    assert_eq!(
-        oracle.stream_fingerprint(),
-        want.stream_fingerprint(),
-        "the replayed access stream must hash identically to the recorded one"
-    );
-}
-
-#[test]
-fn truncated_dcache_bundles_are_rejected_with_typed_errors() {
-    let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = dcache_bundle(&trace).to_bytes();
-    // Every cut that lands inside the D-cache section (the last one
-    // written), plus the usual boundary cuts.
-    let spans = section_spans(&bytes);
-    let (_, dcache_start, dcache_len) =
-        *spans.iter().find(|(tag, ..)| *tag == oracle_section::DCACHE).expect("dcache section");
-    for cut in [0, 7, 15, dcache_start - 1, dcache_start + dcache_len / 2, bytes.len() - 1] {
-        let err = RecordedOracles::from_bytes(&bytes[..cut], None)
-            .expect_err("a truncated bundle must not load");
-        assert!(
-            matches!(err, ArtifactError::TruncatedArtifact { .. } | ArtifactError::BadMagic { .. }),
-            "cut at {cut} gave {err:?}"
-        );
-    }
-}
-
-#[test]
-fn corrupted_dcache_section_is_a_checksum_mismatch_pinned_to_its_tag() {
-    let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = dcache_bundle(&trace).to_bytes();
-    for (tag, start, len) in section_spans(&bytes) {
-        if len == 0 {
-            continue;
-        }
-        let mut corrupt = bytes.clone();
-        corrupt[start + len / 2] ^= 0x40;
-        let err = RecordedOracles::from_bytes(&corrupt, None)
-            .expect_err("a corrupted bundle must not load");
-        assert_eq!(
-            err,
-            ArtifactError::ChecksumMismatch { section: tag },
-            "flip in section {tag} must be pinned to that section"
-        );
-    }
-}
-
-/// An oracle bundle whose FUSION sections are populated from real table
-/// builds over `trace` (two decode widths), alongside the other streams so
-/// the section walker sees a realistic mix.
-fn fusion_bundle(trace: &CapturedTrace) -> RecordedOracles {
-    let mut owned = trace.clone();
-    let config = SimConfig::micro97();
-    RecordedOracles::record(trace, Some(config.predictor), Some(config.icache), &[])
-        .with_fusion(owned.build_fusion(4))
-        .with_fusion(owned.build_fusion(8))
-}
-
-#[test]
-fn fusion_sections_roundtrip_bit_exactly() {
-    let trace = CapturedTrace::record(&mixed_program(6), 400);
-    let bundle = fusion_bundle(&trace);
-    let bytes = bundle.to_bytes();
-    let loaded = RecordedOracles::from_bytes(&bytes, Some(trace.fingerprint()))
-        .expect("a clean bundle loads");
-
-    assert_eq!(loaded.fusion().len(), 2, "both width classes survive the trip");
-    for (got, want) in loaded.fusion().iter().zip(bundle.fusion()) {
-        assert_eq!(got.width(), want.width());
-        assert_eq!(got.len(), want.len());
-        assert!(want.fused_records() > 0, "the mixed program carries fusable groups");
-        assert_eq!(got.group_count(), want.group_count());
-        assert_eq!(got.fused_records(), want.fused_records());
-        assert_eq!(
-            got.to_bytes(),
-            want.to_bytes(),
-            "width-{} table must survive the round trip bit-exactly",
-            want.width()
-        );
-    }
-}
-
-#[test]
-fn corrupted_or_truncated_fusion_sections_are_rejected_with_typed_errors() {
-    let trace = CapturedTrace::record(&mixed_program(5), 300);
-    let bytes = fusion_bundle(&trace).to_bytes();
-    let spans = section_spans(&bytes);
-    let fusion_spans: Vec<_> =
-        spans.iter().filter(|(tag, ..)| *tag == oracle_section::FUSION).collect();
-    assert_eq!(fusion_spans.len(), 2, "one section per bundled width");
-    for &&(tag, start, len) in &fusion_spans {
-        let mut corrupt = bytes.clone();
-        corrupt[start + len / 2] ^= 0x40;
-        assert_eq!(
-            RecordedOracles::from_bytes(&corrupt, None)
-                .expect_err("a corrupted bundle must not load"),
-            ArtifactError::ChecksumMismatch { section: tag },
-            "flip in a fusion section must be pinned to its tag"
-        );
-        let err = RecordedOracles::from_bytes(&bytes[..start + len / 2], None)
-            .expect_err("a truncated bundle must not load");
-        assert!(
-            matches!(err, ArtifactError::TruncatedArtifact { .. }),
-            "cut inside a fusion section gave {err:?}"
-        );
-    }
-}
-
-#[test]
-fn dcache_bundle_version_skew_and_stale_fingerprints_are_rejected() {
-    let trace = CapturedTrace::record(&mixed_program(4), 250);
-    let bytes = dcache_bundle(&trace).to_bytes();
-
-    // A bundle from a future format version must not parse (the D-cache
-    // section bumped ORACLES_VERSION to 2 and the fusion tables to 3; a
-    // later reader could give its sections new meaning).
-    let mut future = bytes.clone();
-    future[8..12].copy_from_slice(&(ORACLES_VERSION + 1).to_le_bytes());
-    assert_eq!(
-        RecordedOracles::from_bytes(&future, None).expect_err("future version must not load"),
-        ArtifactError::VersionSkew { found: ORACLES_VERSION + 1, supported: ORACLES_VERSION }
-    );
-
-    // A bundle recorded from a different trace is rejected at load time
-    // when the caller supplies the trace fingerprint it expects.
-    let other = CapturedTrace::record(&mixed_program(9), 350);
-    assert_ne!(other.fingerprint(), trace.fingerprint(), "distinct traces for the stale check");
-    assert!(matches!(
-        RecordedOracles::from_bytes(&bytes, Some(other.fingerprint())),
-        Err(ArtifactError::FingerprintMismatch { .. })
-    ));
 }

@@ -1,9 +1,8 @@
 //! The content-addressed result cache.
 //!
 //! A completed sweep member's statistics are a **pure function** of
-//! (configuration, trace, shared products) — the invariant every batch,
-//! parallel, checkpoint/resume and oracle path in `dvi-sim` is locked
-//! against. That purity is what makes memoization sound: the pair
+//! (configuration, trace) — the invariant every batch, parallel, matrix
+//! and checkpoint/resume path in `dvi-sim` is locked against. That purity is what makes memoization sound: the pair
 //!
 //! ```text
 //! (CapturedTrace::fingerprint, checkpoint::config_fingerprint)
@@ -23,7 +22,7 @@
 //!
 //! Only fully healthy outcomes are memoized. `Degraded` statistics are
 //! bit-identical to `Ok` by contract but their reasons describe the run
-//! that produced them (fault injection, stale oracle bundles); deadlocks
+//! that produced them (an injected fault, a retried panic); deadlocks
 //! are deterministic but cheap to reproduce and worth re-observing; a
 //! `Panicked` member has no statistics at all. Skipping all three keeps
 //! every cache entry unambiguous: stored once, correct forever.

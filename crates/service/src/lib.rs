@@ -11,15 +11,13 @@
 //!   (trace × configuration-grid) request. Each scheduling turn drains the
 //!   *entire* pending queue — spanning however many distinct traces — into
 //!   one [`dvi_sim::MatrixRunner`] matrix: the fingerprint-keyed trace
-//!   registry builds the trace-pure products (`SharedTables`, dependence
-//!   graph, oracles) once per distinct trace and shard, identical
+//!   registry resolves each distinct trace once, identical
 //!   (trace, configuration) members across jobs simulate **once**, and the
-//!   matrix optionally shards with per-shard trace replication
-//!   ([`ServiceConfig::with_shards`]). Turns run with `MemberOutcome`
+//!   matrix optionally shards ([`ServiceConfig::with_shards`]). Turns run with `MemberOutcome`
 //!   fault isolation and checkpoint/resume durability: an attempt that
 //!   dies mid-matrix is retried from the per-trace snapshots and finishes
 //!   bit-identical (member statistics are a pure function of
-//!   configuration, trace and shared products). Jobs can be cancelled
+//!   configuration and trace). Jobs can be cancelled
 //!   ([`SweepService::cancel`]): queued members leave the matrix
 //!   immediately, in-flight members stop cooperatively at the next
 //!   scheduling claim.

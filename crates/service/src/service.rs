@@ -6,10 +6,9 @@
 //! while it is still queued, and each scheduling turn drains the *entire*
 //! pending queue — however many traces it spans — into one
 //! [`MatrixRunner`] run. The matrix's fingerprint-keyed trace registry
-//! builds the trace-pure shared products once per distinct trace and shard
-//! (even when two batch keys resolve to the same trace), and each distinct
-//! (trace, configuration) member simulates at most once, however many jobs
-//! asked for it.
+//! resolves two batch keys naming the same trace to one entry, and each
+//! distinct (trace, configuration) member simulates at most once, however
+//! many jobs asked for it.
 //!
 //! Each matrix turn gets the substrate's full durability story: the cache
 //! is probed per distinct member (hits simulate nothing), the misses run
@@ -17,7 +16,7 @@
 //! thread whose panic is caught — a dead attempt is retried once, resuming
 //! every checkpointed member bit-identical to the uninterrupted run
 //! because member statistics are a pure function of (configuration,
-//! trace, shared products) — and fresh results are memoized for every
+//! trace) — and fresh results are memoized for every
 //! later job. Cancellation rides the matrix's cooperative cell gate: a
 //! cancelled job's queued units leave the pending queue immediately, and
 //! its in-flight members are skipped at the next scheduling claim unless
@@ -48,9 +47,7 @@ pub struct ServiceConfig {
     /// (see [`SweepRunner::with_checkpoint_every`]).
     pub checkpoint_every_turns: u64,
     /// Shards each matrix turn is partitioned into (see
-    /// [`MatrixRunner::shards`]): above 1, every shard builds its own
-    /// shared products from a private replica of its traces, keeping hot
-    /// read-only state local on multi-socket hosts.
+    /// [`MatrixRunner::shards`]).
     pub shards: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
@@ -237,16 +234,14 @@ pub struct MetricsSnapshot {
     /// Members whose cache entry existed but failed verification and
     /// degraded to a live run.
     pub cache_damaged: u64,
-    /// Dispatch-group fusion groups dispatched whole across all simulated
-    /// members (host-policy observability riding each member's
-    /// `SimStats::fusion`; cached members add nothing — nothing was
-    /// dispatched for them).
+    /// Always 0: no member dispatches through a fusion table. Kept, with
+    /// the two counters below and [`MetricsSnapshot::fusion_coverage_pct`],
+    /// because the repository benchmark reads them, until a benchmark
+    /// change retires its `model.fusion_coverage` metric.
     pub fusion_groups: u64,
-    /// Records dispatched by the fusion fast path across all simulated
-    /// members.
+    /// Always 0 (see [`MetricsSnapshot::fusion_groups`]).
     pub fusion_fused_records: u64,
-    /// Records dispatched by the fallback slow loop (while a fusion table
-    /// was attached) across all simulated members.
+    /// Always 0 (see [`MetricsSnapshot::fusion_groups`]).
     pub fusion_fallback_records: u64,
     /// Batch attempts that died (panicked) and went through the
     /// checkpoint/resume retry.
@@ -256,15 +251,12 @@ pub struct MetricsSnapshot {
     /// Distinct traces seen across all matrix turns after
     /// fingerprint-keyed registry deduplication.
     pub matrix_distinct_traces: u64,
-    /// Shared-product build passes actually run — one per (shard, trace)
-    /// pair with work per matrix turn.
+    /// Always 0 ([`dvi_sim::MatrixReport::shared_builds`]); kept for the
+    /// repository benchmark's `sim.products.builds` metric.
     pub matrix_shared_builds: u64,
-    /// Scheduled members that consumed shared products without triggering
-    /// a build pass (the matrix's reuse proof).
+    /// Always 0 ([`dvi_sim::MatrixReport::build_reuse_hits`]); kept for
+    /// the repository benchmark's `sim.products.reuse_hits` metric.
     pub matrix_build_reuse_hits: u64,
-    /// The most (shard, trace) product sets any matrix turn held alive at
-    /// the same moment.
-    pub matrix_peak_live_products: u64,
     /// Members workers stole from other shards' queues across all matrix
     /// turns.
     pub matrix_steals: u64,
@@ -322,10 +314,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of fusion-eligible dispatch work carried by the fused fast
-    /// path across all simulated members, in percent (0 when nothing was
-    /// simulated). A service whose grids mostly fall back is *visible*
-    /// here instead of silently slow.
+    /// Fraction of dispatch work carried by a fusion fast path, in
+    /// percent: always 0 (see [`MetricsSnapshot::fusion_groups`]).
     #[must_use]
     pub fn fusion_coverage_pct(&self) -> f64 {
         let total = self.fusion_fused_records + self.fusion_fallback_records;
@@ -414,7 +404,6 @@ struct MetricsCounters {
     matrix_distinct_traces: u64,
     matrix_shared_builds: u64,
     matrix_build_reuse_hits: u64,
-    matrix_peak_live_products: u64,
     matrix_steals: u64,
     matrix_shard_members: Vec<u64>,
     outcomes: SweepSummary,
@@ -498,13 +487,11 @@ impl SweepService {
         &self.0.cache
     }
 
-    /// Registers a trace (building its dependence graph if needed) and
-    /// returns its content fingerprint for use in
+    /// Registers a trace and returns its content fingerprint for use in
     /// [`TraceSource::Fingerprint`]. Registering the same trace twice is
     /// idempotent.
     #[must_use]
-    pub fn register_trace(&self, mut trace: CapturedTrace) -> u64 {
-        trace.build_depgraph();
+    pub fn register_trace(&self, trace: CapturedTrace) -> u64 {
         let fingerprint = trace.fingerprint();
         lock(&self.0.state).traces.entry(fingerprint).or_insert_with(|| Arc::new(trace));
         fingerprint
@@ -733,7 +720,6 @@ impl SweepService {
             matrix_distinct_traces: m.matrix_distinct_traces,
             matrix_shared_builds: m.matrix_shared_builds,
             matrix_build_reuse_hits: m.matrix_build_reuse_hits,
-            matrix_peak_live_products: m.matrix_peak_live_products,
             matrix_steals: m.matrix_steals,
             matrix_shard_members: m.matrix_shard_members,
             outcomes: m.outcomes,
@@ -894,11 +880,10 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
 
     // One matrix cell per (batch, job): the job's distinct misses in
     // first-appearance order. The matrix registry dedups identical traces
-    // and identical (trace, configuration) members across cells, so
-    // shared products build once per distinct trace — even when two batch
-    // keys (say a preset and an uploaded trace) resolve to the same
-    // fingerprint — and shared members simulate once for every job that
-    // asked.
+    // and identical (trace, configuration) members across cells — even
+    // when two batch keys (say a preset and an uploaded trace) resolve to
+    // the same fingerprint — so shared members simulate once for every job
+    // that asked.
     let mut cells: Vec<(&CapturedTrace, Vec<SimConfig>)> = Vec::new();
     let mut cell_meta: Vec<CellMeta> = Vec::new();
     for (b, (batch, trace)) in prepared.iter().enumerate() {
@@ -941,17 +926,8 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
                 let report = &outcome.report;
                 let mut m = lock(&inner.metrics);
                 m.members_simulated += report.unique_members as u64 - report.skipped_members;
-                for fusion in fresh.values().filter_map(|o| o.stats().map(|s| s.fusion)) {
-                    m.fusion_groups += fusion.groups;
-                    m.fusion_fused_records += fusion.fused_records;
-                    m.fusion_fallback_records += fusion.fallback_records;
-                }
                 m.matrix_turns += 1;
                 m.matrix_distinct_traces += report.distinct_traces as u64;
-                m.matrix_shared_builds += report.shared_builds;
-                m.matrix_build_reuse_hits += report.build_reuse_hits;
-                m.matrix_peak_live_products =
-                    m.matrix_peak_live_products.max(report.peak_live_products as u64);
                 m.matrix_steals += report.shard_steals.iter().sum::<u64>();
                 m.matrix_shard_members = report.shard_members.iter().map(|&n| n as u64).collect();
             }

@@ -347,7 +347,6 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
         ("matrix_distinct_traces", Json::UInt(m.matrix_distinct_traces)),
         ("matrix_shared_builds", Json::UInt(m.matrix_shared_builds)),
         ("matrix_build_reuse_hits", Json::UInt(m.matrix_build_reuse_hits)),
-        ("matrix_peak_live_products", Json::UInt(m.matrix_peak_live_products)),
         ("matrix_steals", Json::UInt(m.matrix_steals)),
         (
             "matrix_shard_members",

@@ -49,9 +49,7 @@ pub fn build_preset_trace(name: &str, instrs: u64) -> Result<CapturedTrace, Serv
     let layout = compiled.program.layout().map_err(|e| {
         ServiceError::InvalidRequest(format!("preset '{name}' failed to lay out: {e}"))
     })?;
-    let mut trace = CapturedTrace::record(&layout, instrs);
-    trace.build_depgraph();
-    Ok(trace)
+    Ok(CapturedTrace::record(&layout, instrs))
 }
 
 #[cfg(test)]

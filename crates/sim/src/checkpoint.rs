@@ -13,7 +13,7 @@
 //! Resume ([`crate::batch::SweepRunner::resume`]) restores finished
 //! members verbatim and re-runs interrupted ones from record 0. That is
 //! not an approximation: member statistics are a pure function of
-//! (configuration, trace, shared products), so the resumed run's final
+//! (configuration, trace), so the resumed run's final
 //! outcomes are **bit-identical** to the uninterrupted run's — the
 //! recorded in-flight positions are diagnostic (how far the sweep got),
 //! not replay state. `tests/fault_tolerance.rs` locks the equivalence by
@@ -146,7 +146,10 @@ impl SweepCheckpoint {
         let turns = meta.u64()?;
         let member_count = meta.count()?;
         meta.finish()?;
-        let mut members = Vec::with_capacity(member_count);
+        // The META count is untrusted until cross-checked below: bound the
+        // allocation by the member sections actually present.
+        let mut members =
+            Vec::with_capacity(member_count.min(reader.sections_with_tag(section::MEMBER).count()));
         for payload in reader.sections_with_tag(section::MEMBER) {
             let mut b = ByteReader::new(payload, "checkpoint member");
             let config_fingerprint = b.u64()?;
@@ -565,5 +568,29 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "standalone outcome");
         assert_eq!(read_outcome(&mut r).expect("roundtrips"), outcome);
         r.finish().expect("no trailing bytes");
+    }
+
+    /// A checksum-valid checkpoint whose META promises far more members
+    /// than it carries is malformed — not an allocation abort (2^40
+    /// members) or a capacity-overflow panic (2^61).
+    #[test]
+    fn an_inflated_meta_member_count_is_malformed_not_an_abort() {
+        for promised in [1u64 << 40, 1 << 61] {
+            let mut w = ArtifactWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+            let mut meta = ByteWriter::new();
+            meta.put_u64(0xF00D);
+            meta.put_u64(1);
+            meta.put_u64(promised);
+            w.section(section::META, meta.into_bytes());
+            let mut member = ByteWriter::new();
+            member.put_u64(7);
+            member.put_u8(0);
+            member.put_u64(100);
+            w.section(section::MEMBER, member.into_bytes());
+            assert!(matches!(
+                SweepCheckpoint::from_bytes(&w.to_bytes()),
+                Err(ArtifactError::Malformed { .. })
+            ));
+        }
     }
 }

@@ -70,38 +70,18 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Which model stands behind the L1-data-side seam
-/// ([`SimConfig::dcache_model`]). Distinct kinds model distinct machines,
-/// so the grouping key for sharing a recorded D-cache product must carry
-/// the kind, not just the tag-array geometry: a [`DcacheModelKind::Perfect`]
-/// member of the same shape makes different hit/miss decisions than a stock
-/// member and can never share its recording.
+/// ([`SimConfig::dcache_model`]). Distinct kinds model distinct machines:
+/// a [`DcacheModelKind::Perfect`] member makes different hit/miss decisions
+/// than a stock member of the same shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DcacheModelKind {
     /// The stock set-associative L1D tag array of
-    /// [`SimConfig::dcache`]'s geometry. The default, and the only kind a
-    /// D-cache oracle can be recorded for.
+    /// [`SimConfig::dcache`]'s geometry. The default.
     #[default]
     Stock,
     /// An always-hit L1D at the configured hit latency
     /// ([`dvi_mem::PerfectDcache`]) — the data-side upper-bound machine.
     Perfect,
-}
-
-/// The data-side axes of a machine ([`SimConfig::dmem_geometry`]): the
-/// L1D model kind and geometry, unified-L2 geometry and main-memory
-/// latency. Members of a sweep that agree on all four make identical L1D
-/// hit/miss decisions for identical access sequences — the precondition
-/// for sharing a recorded D-cache product between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmemGeometry {
-    /// L1 data-side model kind.
-    pub model: DcacheModelKind,
-    /// L1 data cache geometry.
-    pub dcache: CacheConfig,
-    /// Unified L2 geometry.
-    pub l2: CacheConfig,
-    /// Main-memory latency in cycles.
-    pub memory_latency: u64,
 }
 
 /// Which wakeup/select implementation the simulator uses. Both model the
@@ -240,8 +220,7 @@ impl SimConfig {
 
     /// Returns a copy whose L1 data side always hits at the configured
     /// L1D latency ([`DcacheModelKind::Perfect`]) — the data-side
-    /// upper-bound machine. Such a member never shares a D-cache oracle
-    /// with stock members of the same shape.
+    /// upper-bound machine.
     #[must_use]
     pub fn with_perfect_dcache(mut self) -> Self {
         self.dcache_model = DcacheModelKind::Perfect;
@@ -281,25 +260,6 @@ impl SimConfig {
         self.window_size = self.window_size * width / 4;
         self.fetch_queue = self.fetch_queue * width / 4;
         self
-    }
-
-    /// The data-side axes of this machine: what two sweep members must
-    /// agree on for their L1-data-side behaviour to be interchangeable.
-    /// This is the grouping key the shared D-cache oracle is recorded
-    /// under (the data-side analogue of [`crate::batch::IcacheOracle`]'s
-    /// L1I-geometry agreement rule); see
-    /// [`crate::batch::SweepRunner::dmem_geometry_groups`]. The key
-    /// carries the model kind, not just the shape: a perfect-D-cache
-    /// member makes different hit/miss decisions than a stock member of
-    /// identical geometry.
-    #[must_use]
-    pub fn dmem_geometry(&self) -> DmemGeometry {
-        DmemGeometry {
-            model: self.dcache_model,
-            dcache: self.dcache,
-            l2: self.l2,
-            memory_latency: self.memory_latency,
-        }
     }
 
     /// Checks the structural parameters, returning the first defect as a
@@ -420,16 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn perfect_dcache_changes_the_dmem_grouping_key() {
+    fn perfect_dcache_changes_the_config_fingerprint() {
         let stock = SimConfig::micro97();
         let perfect = SimConfig::micro97().with_perfect_dcache();
         assert_eq!(stock.dcache_model, DcacheModelKind::Stock);
         assert_eq!(perfect.dcache_model, DcacheModelKind::Perfect);
         assert_eq!(perfect.dcache, stock.dcache, "geometry itself is untouched");
         assert_ne!(
-            stock.dmem_geometry(),
-            perfect.dmem_geometry(),
-            "same shape, different model: must never share a D-cache recording"
+            crate::checkpoint::config_fingerprint(&stock),
+            crate::checkpoint::config_fingerprint(&perfect),
+            "same shape, different model: must never share a stored result"
         );
     }
 

@@ -1,28 +1,17 @@
 //! The decode-stage DVI machinery: LVM, LVM-Stack and the elimination /
 //! reclamation decisions.
 //!
-//! Two interchangeable implementations stand behind the pipeline's
-//! dispatch stage ([`DviModel`]):
-//!
-//! * [`DviEngine`] — the live machinery: the Live Value Mask, the
-//!   LVM-Stack and the per-event decisions, exactly as the paper's decode
-//!   hardware makes them.
-//! * [`crate::batch::DviCursor`] — a cursor over a pre-recorded
-//!   [`crate::batch::DviOracle`] event stream. Decode-stage DVI is
-//!   in-order and a pure function of (trace, [`DviConfig`]), so a batched
-//!   sweep records the elimination bits and reclaim masks once per
-//!   distinct DVI configuration and shares the stream across every member
-//!   that agrees on it, instead of running N live LVM/LVM-Stack instances.
+//! [`DviEngine`] holds the Live Value Mask, the LVM-Stack and the
+//! per-event decisions, exactly as the paper's decode hardware makes them.
 //!
 //! The engine's event entry points take the register-unmap action as a
 //! closure rather than a concrete alias table: the pipeline passes "unmap
-//! in my [`RenameState`] and queue the physical register for release",
-//! while the oracle recorder passes a shadow mapped-bit tracker that turns
-//! the same decisions into a storable [`RegMask`] stream. One
-//! implementation of the decision logic serves both, so they cannot
-//! drift.
+//! in my [`RenameState`] and queue the physical register for release"
+//! ([`unmap_into`]), while [`crate::DviOracle::record`] passes a shadow
+//! mapped-bit tracker that turns the same decisions into a [`RegMask`]
+//! stream. One implementation of the decision logic serves both, so they
+//! cannot drift.
 
-use crate::batch::DviCursor;
 use crate::rename::{PhysReg, RenameState};
 use crate::smallvec::SmallVec;
 use dvi_core::{DviConfig, DviStats, Lvm, LvmStack};
@@ -193,23 +182,10 @@ impl DviEngine {
     }
 }
 
-/// The dispatch stage's view of decode-stage DVI: a private live
-/// [`DviEngine`] (the default), or a cursor over a sweep-shared
-/// [`crate::batch::DviOracle`] event stream. Both produce bit-identical
-/// elimination decisions, reclaim sequences and [`DviStats`] (locked by
-/// `tests/batch_equiv.rs` and `tests/depgraph_equiv.rs`).
-#[derive(Debug)]
-pub(crate) enum DviModel {
-    /// Live LVM / LVM-Stack machinery.
-    Live(DviEngine),
-    /// Pre-recorded per-DVI-configuration event stream.
-    Oracle(DviCursor),
-}
-
 /// The pipeline's unmap action: remove the mapping from the alias table
 /// and queue the physical register for release at the carrying
 /// instruction's commit.
-fn unmap_into<'a>(
+pub(crate) fn unmap_into<'a>(
     rename: &'a mut RenameState,
     out: &'a mut ReclaimList,
 ) -> impl FnMut(ArchReg) -> bool + 'a {
@@ -219,82 +195,6 @@ fn unmap_into<'a>(
             true
         }
         None => false,
-    }
-}
-
-impl DviModel {
-    /// An explicit `kill` consumed at decode.
-    pub(crate) fn on_kill(
-        &mut self,
-        mask: RegMask,
-        rename: &mut RenameState,
-        out: &mut ReclaimList,
-    ) {
-        match self {
-            DviModel::Live(engine) => engine.on_kill(mask, unmap_into(rename, out)),
-            DviModel::Oracle(cursor) => cursor.on_kill(mask, rename, out),
-        }
-    }
-
-    /// A dispatch attempt on a `live-store`; returns whether the save is
-    /// eliminated (and always counts the attempt).
-    pub(crate) fn on_save_attempt(&mut self, data_reg: ArchReg) -> bool {
-        match self {
-            DviModel::Live(engine) => engine.on_save(data_reg),
-            DviModel::Oracle(cursor) => cursor.on_save_attempt(),
-        }
-    }
-
-    /// A dispatch attempt on a `live-load`; returns whether the restore is
-    /// eliminated (and always counts the attempt).
-    pub(crate) fn on_restore_attempt(&mut self, dst_reg: ArchReg) -> bool {
-        match self {
-            DviModel::Live(engine) => engine.on_restore(dst_reg),
-            DviModel::Oracle(cursor) => cursor.on_restore_attempt(),
-        }
-    }
-
-    /// Destination renaming marks the register live again (a no-op for the
-    /// oracle, whose recording already folded the liveness evolution into
-    /// the event stream).
-    pub(crate) fn on_dest_rename(&mut self, reg: ArchReg) {
-        match self {
-            DviModel::Live(engine) => engine.on_dest_rename(reg),
-            DviModel::Oracle(_) => {}
-        }
-    }
-
-    /// A procedure call dispatched (after its destination rename).
-    pub(crate) fn on_call(&mut self, rename: &mut RenameState, out: &mut ReclaimList) {
-        match self {
-            DviModel::Live(engine) => engine.on_call(unmap_into(rename, out)),
-            DviModel::Oracle(cursor) => cursor.on_call(rename, out),
-        }
-    }
-
-    /// A procedure return dispatched.
-    pub(crate) fn on_return(&mut self, rename: &mut RenameState, out: &mut ReclaimList) {
-        match self {
-            DviModel::Live(engine) => engine.on_return(unmap_into(rename, out)),
-            DviModel::Oracle(cursor) => cursor.on_return(rename, out),
-        }
-    }
-
-    /// A non-eliminated save/restore left decode for the window: the
-    /// oracle's elimination stream advances past its (false) bit.
-    pub(crate) fn on_save_restore_dispatched(&mut self) {
-        match self {
-            DviModel::Live(_) => {}
-            DviModel::Oracle(cursor) => cursor.on_save_restore_dispatched(),
-        }
-    }
-
-    /// Counters accumulated so far.
-    pub(crate) fn stats(&self) -> DviStats {
-        match self {
-            DviModel::Live(engine) => engine.stats(),
-            DviModel::Oracle(cursor) => cursor.stats(),
-        }
     }
 }
 

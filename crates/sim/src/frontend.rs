@@ -31,16 +31,14 @@
 //!   same memo contents and, byte for byte, the same [`crate::SimStats`]
 //!   (locked down by `tests/replay_equiv.rs`).
 
-use crate::batch::{IcacheCursor, OracleCursor};
 use crate::config::SimConfig;
-use crate::dvi_engine::{DviModel, ReclaimList};
+use crate::dvi_engine::{unmap_into, DviEngine, ReclaimList};
 use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
 use dvi_bpred::{CombiningPredictor, PredictorConfig, PredictorStats};
 use dvi_isa::{ArchReg, FuKind, Instr, InstrClass, RegMask};
-use dvi_mem::{CacheStats, MemAccess, MemoryHierarchy};
-use dvi_program::{CapturedTrace, DynInst, InstrSource, LayoutProgram};
-use std::sync::Arc;
+use dvi_mem::MemoryHierarchy;
+use dvi_program::{DynInst, InstrSource, LayoutProgram};
 
 /// A fixed-capacity FIFO of fetched instructions.
 ///
@@ -103,12 +101,6 @@ impl FetchQueue {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> &DynInst {
-        debug_assert!(i < self.len(), "fetch queue index {i} out of range");
-        &self.slots[((self.head + i as u64) & self.mask) as usize]
-    }
-
-    #[inline]
     fn pop_front(&mut self) {
         debug_assert!(!self.is_empty(), "pop from empty fetch queue");
         self.head += 1;
@@ -117,7 +109,7 @@ impl FetchQueue {
 
 /// How the decode stage treats an instruction (the static half of the
 /// decision; the dynamic half — is the register dead *right now* — lives in
-/// the [`crate::DviEngine`] or its pre-recorded oracle equivalent).
+/// the [`crate::DviEngine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeKind {
     /// An E-DVI annotation carrying a kill mask; consumed at decode.
@@ -231,169 +223,44 @@ impl DecodeMemo {
     }
 }
 
-/// A fully precomputed, immutable table of [`StaticDecode`] records for one
-/// program image, indexed by PC.
-///
-/// Where [`DecodeMemo`] fills lazily and is private to one simulator, a
-/// `StaticDecodeTable` is computed once for a whole image (typically from a
-/// [`CapturedTrace`]'s static code) and shared — behind an [`Arc`] — by
-/// every member of a batched sweep, so N co-scheduled sessions keep one
-/// cache-resident decode table instead of N private memos. Entry contents
-/// are identical to what a memo would compute ([`StaticDecode::new`] is a
-/// pure function of the instruction), so sharing is invisible to the
-/// modelled machine.
-#[derive(Debug, Clone)]
-pub struct StaticDecodeTable {
-    slots: Box<[StaticDecode]>,
-}
-
-impl StaticDecodeTable {
-    /// Precomputes the decode record of every instruction in `code`
-    /// (indexed by PC).
-    #[must_use]
-    pub fn from_code(code: &[Instr]) -> StaticDecodeTable {
-        StaticDecodeTable { slots: code.iter().map(|&i| StaticDecode::new(i)).collect() }
-    }
-
-    /// Precomputes the table for the static image of a captured trace.
-    #[must_use]
-    pub fn for_trace(trace: &CapturedTrace) -> StaticDecodeTable {
-        StaticDecodeTable::from_code(trace.static_code())
-    }
-
-    /// Number of static instructions in the table.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The decode record at `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is outside the image; debug builds additionally assert
-    /// that `instr` matches the instruction the table was built from (one
-    /// table serves exactly one program image).
-    #[inline]
-    #[must_use]
-    pub fn get(&self, pc: u32, instr: Instr) -> &StaticDecode {
-        let entry = &self.slots[pc as usize];
-        debug_assert_eq!(
-            entry.instr, instr,
-            "shared decode table built from a different program image (pc {pc})"
-        );
-        entry
-    }
-}
-
-/// The decode-product source of one front end: a private lazily-filled memo
-/// (the default), or an immutable precomputed table shared across the
-/// members of a batched sweep.
+/// The fetch stage's view of branch prediction: "did this conditional
+/// branch mispredict", "did this return mispredict", and pushing a call's
+/// return address, all on one live [`CombiningPredictor`].
 #[derive(Debug)]
-enum Decoder {
-    Memo(DecodeMemo),
-    Shared(Arc<StaticDecodeTable>),
-}
-
-impl Decoder {
-    #[inline]
-    fn decode(&mut self, pc: u32, instr: Instr) -> &StaticDecode {
-        match self {
-            Decoder::Memo(memo) => memo.decode(pc, instr),
-            Decoder::Shared(table) => table.get(pc, instr),
-        }
-    }
-}
-
-/// The fetch stage's view of branch prediction.
-///
-/// Fetch consumes exactly three predictor products: "did this conditional
-/// branch mispredict", "did this return mispredict", and the side effect of
-/// pushing a call's return address. Crucially, every one of them is
-/// produced *in trace order at fetch* — the predictor's evolution is a pure
-/// function of the dynamic instruction stream, independent of machine
-/// width, register count or DVI scheme. A batched sweep exploits that:
-/// instead of N identical [`CombiningPredictor`]s (the largest
-/// single block of per-session state) re-deriving the same answers, one
-/// [`crate::batch::BranchOracle`] records the misprediction bitstream once
-/// per trace and every member replays it through an [`OracleCursor`].
-///
-/// Both variants produce bit-identical timing and [`PredictorStats`]
-/// (locked by `tests/batch_equiv.rs`).
-#[derive(Debug)]
-pub(crate) enum FetchPredictor {
-    /// A private live predictor (the default, and the only option for live
-    /// interpreter sources).
-    Live(CombiningPredictor),
-    /// A cursor over a shared, pre-recorded misprediction bitstream.
-    Oracle(OracleCursor),
-}
+pub(crate) struct FetchPredictor(CombiningPredictor);
 
 impl FetchPredictor {
     /// A live predictor with the given configuration.
-    pub(crate) fn live(config: PredictorConfig) -> FetchPredictor {
-        FetchPredictor::Live(CombiningPredictor::new(config))
+    pub(crate) fn new(config: PredictorConfig) -> FetchPredictor {
+        FetchPredictor(CombiningPredictor::new(config))
     }
 
     /// Processes the conditional branch at byte address `pc` with outcome
     /// `taken`; returns whether the direction was mispredicted.
     #[inline]
     pub(crate) fn branch(&mut self, pc: u64, taken: bool) -> bool {
-        match self {
-            FetchPredictor::Live(bp) => {
-                let predicted = bp.predict(pc);
-                bp.update(pc, taken);
-                predicted != taken
-            }
-            FetchPredictor::Oracle(cursor) => cursor.branch(),
-        }
+        let predicted = self.0.predict(pc);
+        self.0.update(pc, taken);
+        predicted != taken
     }
 
-    /// Processes a call: pushes the return address on the live RAS (the
-    /// oracle baked the RAS evolution into its return bits).
+    /// Processes a call: pushes the return address on the RAS.
     #[inline]
     pub(crate) fn call(&mut self, return_addr: u64) {
-        match self {
-            FetchPredictor::Live(bp) => bp.push_return_address(return_addr),
-            FetchPredictor::Oracle(_) => {}
-        }
+        self.0.push_return_address(return_addr);
     }
 
     /// Processes the return whose actual target is `actual`; returns whether
     /// the return address was mispredicted.
     #[inline]
     pub(crate) fn ret(&mut self, actual: u64) -> bool {
-        match self {
-            FetchPredictor::Live(bp) => !bp.predict_return(actual),
-            FetchPredictor::Oracle(cursor) => cursor.ret(),
-        }
+        !self.0.predict_return(actual)
     }
 
-    /// Accumulated statistics (exact at any position for both variants).
+    /// Accumulated statistics.
     pub(crate) fn stats(&self) -> PredictorStats {
-        match self {
-            FetchPredictor::Live(bp) => bp.stats(),
-            FetchPredictor::Oracle(cursor) => cursor.stats(),
-        }
+        self.0.stats()
     }
-}
-
-/// The fetch stage's view of the L1 instruction cache: its own tag array
-/// in the memory hierarchy (the default), or a cursor over a shared
-/// [`crate::batch::IcacheOracle`] bitstream — the L1I is touched only at
-/// fetch in trace order, so its outcomes are trace-pure per geometry (see
-/// the oracle's docs). The unified-L2 interaction of a miss always happens
-/// on the session's own hierarchy.
-#[derive(Debug)]
-enum IcacheModel {
-    Live,
-    Oracle(IcacheCursor),
 }
 
 /// The outcome of one dispatch attempt (see [`FrontEnd::next_dispatch`]).
@@ -402,13 +269,8 @@ pub(crate) enum Dispatch {
     /// The fetch queue is empty; nothing to dispatch this cycle.
     Empty,
     /// The instruction was consumed at decode without a window slot: an
-    /// E-DVI kill, or a save/restore the DVI hardware eliminated. Carries
-    /// the consumed record's trace sequence number so a dependence-graph
-    /// back end can mark the record as never dispatched.
-    Consumed {
-        /// Trace sequence number of the consumed record.
-        seq: u64,
-    },
+    /// E-DVI kill, or a save/restore the DVI hardware eliminated.
+    Consumed,
     /// The window is full; dispatch must stop for this cycle.
     StallWindow,
     /// The free list is empty; dispatch must stop for this cycle.
@@ -425,9 +287,7 @@ pub(crate) struct EnterWindow {
     pub fu_kind: Option<FuKind>,
     pub dst: Option<PhysReg>,
     pub old_dst: Option<PhysReg>,
-    /// Renamed source operands. Left `[None, None]` when the core wires
-    /// dependences through a shared [`dvi_program::DepGraph`] instead of
-    /// the alias table (the producer links carry the same information).
+    /// Renamed source operands.
     pub srcs: [Option<PhysReg>; 2],
     /// Trace sequence number of the dispatched record.
     pub seq: u64,
@@ -450,13 +310,7 @@ pub(crate) struct FrontEnd {
     /// accesses the I-cache once per line, not once per instruction).
     last_fetch_line: Option<u64>,
     trace_done: bool,
-    decoder: Decoder,
-    icache: IcacheModel,
-    /// When set, source operands are *not* renamed through the alias
-    /// table: the core resolves them via a shared
-    /// [`dvi_program::DepGraph`]'s producer links, and
-    /// [`EnterWindow::srcs`] stays `[None, None]`.
-    depgraph_srcs: bool,
+    decoder: DecodeMemo,
     /// Physical registers reclaimed by DVI at decode, waiting to be
     /// attached to the next dispatched window entry so they are freed at
     /// its commit.
@@ -465,91 +319,20 @@ pub(crate) struct FrontEnd {
 
 impl FrontEnd {
     pub(crate) fn new(config: &SimConfig) -> FrontEnd {
-        FrontEnd::build(config, Decoder::Memo(DecodeMemo::new()), IcacheModel::Live, false)
-    }
-
-    /// A front end reading sweep-shared front-end products — a precomputed
-    /// decode table and/or an L1I outcome bitstream — instead of private
-    /// structures. `depgraph_srcs` marks that the core wires source
-    /// dependences through a shared dependence graph, so the per-source
-    /// alias-table lookups at dispatch are skipped.
-    pub(crate) fn with_shared(
-        config: &SimConfig,
-        decode: Option<Arc<StaticDecodeTable>>,
-        icache: Option<IcacheCursor>,
-        depgraph_srcs: bool,
-    ) -> FrontEnd {
-        let decoder = match decode {
-            Some(table) => Decoder::Shared(table),
-            None => Decoder::Memo(DecodeMemo::new()),
-        };
-        let icache = match icache {
-            Some(cursor) => IcacheModel::Oracle(cursor),
-            None => IcacheModel::Live,
-        };
-        FrontEnd::build(config, decoder, icache, depgraph_srcs)
-    }
-
-    fn build(
-        config: &SimConfig,
-        decoder: Decoder,
-        icache: IcacheModel,
-        depgraph_srcs: bool,
-    ) -> FrontEnd {
         FrontEnd {
             fetch_queue: FetchQueue::new(config.fetch_queue),
             fetch_stall_until: 0,
             pending_mispredict: None,
             last_fetch_line: None,
             trace_done: false,
-            decoder,
-            icache,
-            depgraph_srcs,
+            decoder: DecodeMemo::new(),
             pending_reclaim: ReclaimList::new(),
-        }
-    }
-
-    /// The L1I statistics accumulated by a shared I-cache oracle cursor,
-    /// if this front end uses one (they replace the bypassed private
-    /// cache's counters in the final statistics).
-    pub(crate) fn icache_oracle_stats(&self) -> Option<CacheStats> {
-        match &self.icache {
-            IcacheModel::Live => None,
-            IcacheModel::Oracle(cursor) => Some(cursor.stats()),
         }
     }
 
     /// Whether the trace is exhausted and the fetch queue drained.
     pub(crate) fn is_drained(&self) -> bool {
         self.trace_done && self.fetch_queue.is_empty()
-    }
-
-    // Fused-dispatch peeking: the fast path reads whole fetch groups out of
-    // the queue before consuming them, and falls back to `next_dispatch`
-    // (which sees an untouched queue) whenever a group cannot dispatch.
-
-    /// Number of queued instructions awaiting dispatch.
-    pub(crate) fn queue_len(&self) -> usize {
-        self.fetch_queue.len()
-    }
-
-    /// The `i`-th queued instruction from the front.
-    pub(crate) fn queued(&self, i: usize) -> &DynInst {
-        self.fetch_queue.get(i)
-    }
-
-    /// Drops the first `n` queued instructions (dispatched by the fused
-    /// fast path).
-    pub(crate) fn consume_queued(&mut self, n: usize) {
-        for _ in 0..n {
-            self.fetch_queue.pop_front();
-        }
-    }
-
-    /// The sequence number of the unresolved mispredicted record fetch is
-    /// stalled on, if any.
-    pub(crate) fn unresolved_mispredict(&self) -> Option<u64> {
-        self.pending_mispredict
     }
 
     /// Called by writeback when the mispredicted branch/return resolves:
@@ -589,12 +372,6 @@ impl FrontEnd {
     /// an I-cache miss or a predictor redirect and stalls entirely while a
     /// misprediction is unresolved.
     ///
-    /// The predictor interaction below (which records are direction
-    /// predictions, which push the RAS, which pop it, and the byte addresses
-    /// used) *is* the event sequence a [`crate::batch::BranchOracle`]
-    /// pre-records — `BranchOracle::record` drives a [`FetchPredictor`]
-    /// through the same `match` over the same records, so the two cannot
-    /// diverge without failing `tests/batch_equiv.rs`.
     pub(crate) fn fetch<S>(
         &mut self,
         cycle: u64,
@@ -637,29 +414,13 @@ impl FrontEnd {
             // Instruction-cache access: once per cache line, with a
             // next-line prefetch so sequential code does not pay the full
             // miss latency on every line (fetch units of this era overlap
-            // line fills with draining the fetch queue). With a shared
-            // oracle the L1I outcomes come from the pre-recorded bitstream
-            // (this access sequence is what `IcacheOracle::record`
-            // replays); each miss's unified-L2 interaction still happens
-            // on this session's own hierarchy.
+            // line fills with draining the fetch queue).
             let line = byte_addr >> line_shift;
             let mut icache_miss = false;
             if self.last_fetch_line != Some(line) {
                 self.last_fetch_line = Some(line);
-                let access = match &mut self.icache {
-                    IcacheModel::Live => {
-                        let access = mem.inst_fetch(byte_addr);
-                        let _ = mem.inst_fetch((line + 1) << line_shift);
-                        access
-                    }
-                    IcacheModel::Oracle(cursor) => {
-                        let hit = cursor.next_hit();
-                        let prefetch_hit = cursor.next_hit();
-                        let access: MemAccess = mem.inst_fetch_known(byte_addr, hit);
-                        let _ = mem.inst_fetch_known((line + 1) << line_shift, prefetch_hit);
-                        access
-                    }
-                };
+                let access = mem.inst_fetch(byte_addr);
+                let _ = mem.inst_fetch((line + 1) << line_shift);
                 if !access.l1_hit {
                     self.fetch_stall_until = cycle + access.latency;
                     icache_miss = true;
@@ -706,7 +467,7 @@ impl FrontEnd {
     pub(crate) fn next_dispatch(
         &mut self,
         window_full: bool,
-        dvi: &mut DviModel,
+        dvi: &mut DviEngine,
         rename: &mut RenameState,
         stats: &mut SimStats,
     ) -> Dispatch {
@@ -726,9 +487,9 @@ impl FrontEnd {
         // registers they unmap are freed when the next dispatched
         // instruction (in practice, the annotated call) commits.
         if let DecodeKind::Kill(mask) = d.kind {
-            dvi.on_kill(mask, rename, &mut self.pending_reclaim);
+            dvi.on_kill(mask, unmap_into(rename, &mut self.pending_reclaim));
             self.fetch_queue.pop_front();
-            return Dispatch::Consumed { seq };
+            return Dispatch::Consumed;
         }
 
         if d.is_mem {
@@ -749,15 +510,15 @@ impl FrontEnd {
         // count the save/restore as seen) on every dispatch attempt,
         // exactly as the seed core did.
         match d.kind {
-            DecodeKind::Save(data_reg) if dvi.on_save_attempt(data_reg) => {
+            DecodeKind::Save(data_reg) if dvi.on_save(data_reg) => {
                 self.fetch_queue.pop_front();
                 stats.program_instrs += 1;
-                return Dispatch::Consumed { seq };
+                return Dispatch::Consumed;
             }
-            DecodeKind::Restore(dst_reg) if dvi.on_restore_attempt(dst_reg) => {
+            DecodeKind::Restore(dst_reg) if dvi.on_restore(dst_reg) => {
                 self.fetch_queue.pop_front();
                 stats.program_instrs += 1;
-                return Dispatch::Consumed { seq };
+                return Dispatch::Consumed;
             }
             _ => {}
         }
@@ -769,14 +530,9 @@ impl FrontEnd {
         }
 
         // Rename sources before the destination (an instruction may read
-        // the register it overwrites). With a shared dependence graph the
-        // lookups are skipped: the graph's producer links replace the
-        // alias-table walk on the dependence path.
-        let srcs = if self.depgraph_srcs {
-            [None, None]
-        } else {
-            [d.srcs[0].and_then(|r| rename.lookup(r)), d.srcs[1].and_then(|r| rename.lookup(r))]
-        };
+        // the register it overwrites).
+        let srcs =
+            [d.srcs[0].and_then(|r| rename.lookup(r)), d.srcs[1].and_then(|r| rename.lookup(r))];
 
         let mut dst = None;
         let mut old_dst = None;
@@ -797,9 +553,8 @@ impl FrontEnd {
         // Implicit DVI and the LVM-Stack. Reclaimed mappings are freed
         // when this call/return commits.
         match d.kind {
-            DecodeKind::Call => dvi.on_call(rename, &mut self.pending_reclaim),
-            DecodeKind::Return => dvi.on_return(rename, &mut self.pending_reclaim),
-            DecodeKind::Save(_) | DecodeKind::Restore(_) => dvi.on_save_restore_dispatched(),
+            DecodeKind::Call => dvi.on_call(unmap_into(rename, &mut self.pending_reclaim)),
+            DecodeKind::Return => dvi.on_return(unmap_into(rename, &mut self.pending_reclaim)),
             _ => {}
         }
 

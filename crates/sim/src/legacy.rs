@@ -21,7 +21,7 @@
 //! it.
 
 use crate::config::SimConfig;
-use crate::dvi_engine::{DviEngine, DviModel};
+use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::{PhysReg, RenameState};
@@ -74,7 +74,7 @@ const PROGRESS_LIMIT: u64 = 100_000;
 pub struct LegacySimulator {
     config: SimConfig,
     rename: RenameState,
-    dvi: DviModel,
+    dvi: DviEngine,
     mem: MemoryHierarchy,
     ports: CachePorts,
     fu: FuPool,
@@ -98,7 +98,7 @@ impl LegacySimulator {
         config.validate();
         LegacySimulator {
             rename: RenameState::new(config.phys_regs),
-            dvi: DviModel::Live(DviEngine::new(config.dvi, Abi::mips_like())),
+            dvi: DviEngine::new(config.dvi, Abi::mips_like()),
             mem: MemoryHierarchy::new(
                 config.icache,
                 config.dcache,
@@ -107,7 +107,7 @@ impl LegacySimulator {
             ),
             ports: CachePorts::new(config.cache_ports),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units),
-            pred: FetchPredictor::live(config.predictor),
+            pred: FetchPredictor::new(config.predictor),
             window: VecDeque::with_capacity(config.window_size),
             front: FrontEnd::new(&config),
             cycle: 0,
@@ -287,7 +287,7 @@ impl LegacySimulator {
             );
             match outcome {
                 Dispatch::Empty | Dispatch::StallWindow | Dispatch::StallRename => break,
-                Dispatch::Consumed { .. } => dispatched += 1,
+                Dispatch::Consumed => dispatched += 1,
                 Dispatch::Enter(e) => {
                     // Exactly the seed's entry construction: a fresh owned
                     // entry with a heap-allocated reclaim list per dispatch.

@@ -42,23 +42,13 @@
 //!
 //! Returning control between cycles is what makes design-space sweeps
 //! batchable: [`batch::SweepRunner`] co-schedules N sessions — one per
-//! machine configuration — round-robin over **one** shared captured trace,
-//! sharing everything that is a pure function of the trace: the trace
-//! buffers, one immutable [`StaticDecodeTable`], one
-//! [`batch::BranchOracle`] misprediction bitstream in place of N private
-//! predictor table sets, one [`batch::IcacheOracle`] L1I outcome
-//! bitstream in place of N private instruction-cache tag arrays, one
-//! [`dvi_program::DepGraph`] wiring dispatch straight to producer window
-//! entries in place of N alias-table walks, and one [`batch::DviOracle`]
-//! decode-stage DVI event stream per distinct DVI configuration in place
-//! of N live LVM / LVM-Stack instances. The config-dependent residue —
-//! window, free-list occupancy and reclaim timing, data path, unified L2
-//! — stays private per member, so per-member statistics are bit-identical
-//! to serial runs (`tests/batch_equiv.rs`, `tests/depgraph_equiv.rs`).
-//! And because every shared product is immutable and `Sync`, the same
-//! sweep also runs across threads: [`batch::SweepRunner::run_parallel`]
-//! distributes members over the host's cores with statistics
-//! bit-identical at any thread count (`tests/parallel_equiv.rs`).
+//! machine configuration — round-robin over **one** captured trace, and
+//! [`MatrixRunner`] runs a whole (trace × configuration) matrix with
+//! member deduplication, work stealing and checkpoints. Every member runs
+//! the same plain core with its own live predictor, L1I, DVI engine, L1D
+//! and decode memo, so per-member statistics are bit-identical to serial
+//! runs (`tests/batch_equiv.rs`, `tests/matrix_equiv.rs`), at any thread
+//! count (`tests/parallel_equiv.rs`).
 //!
 //! # Host performance
 //!
@@ -75,9 +65,6 @@
 //! [`DecodeMemo`] computes the static decoding of each instruction (class,
 //! functional unit, source/destination registers, DVI kill masks) exactly
 //! once per static PC — see [`frontend`] for the memoization invariants.
-//! The `sim_throughput` bench reports the simulated-MIPS of every
-//! combination, and its `sweep` section measures the batched runner
-//! against the serial capture/replay loop on an 8-configuration grid.
 //!
 //! # Example
 //!
@@ -106,7 +93,7 @@
 //! while session.tick() {}
 //! assert_eq!(session.finish(), stats);
 //!
-//! // A whole register-file sweep in one batched pass over the trace.
+//! // A whole register-file sweep over the same trace.
 //! let grid = [40usize, 56, 80].map(|n| config.clone().with_phys_regs(n));
 //! let swept = batch::SweepRunner::new(&trace, grid).run();
 //! assert_eq!(swept[2], stats, "80 registers is the shorthand run above");
@@ -124,6 +111,7 @@ pub mod frontend;
 mod fu;
 pub mod legacy;
 pub mod matrix;
+mod oracle;
 mod pipeline;
 mod rename;
 pub mod sched;
@@ -132,19 +120,14 @@ mod smallvec;
 mod stats;
 mod window;
 
-pub use batch::{
-    record_dcache_oracle, sweep, sweep_parallel, BranchOracle, DcacheGroupQualification,
-    DcacheQualification, DviCursor, DviOracle, IcacheOracle, MemberOutcome, RecordedOracles,
-    SharedTables, SweepRunner, SweepSummary,
-};
+pub use batch::{sweep, sweep_parallel, MemberOutcome, SweepRunner, SweepSummary};
 pub use checkpoint::SweepCheckpoint;
-pub use config::DmemGeometry;
 pub use config::{ConfigError, DcacheModelKind, SchedulerKind, SimConfig};
 pub use dvi_engine::{DviEngine, ReclaimList};
-pub use dvi_mem::DcacheOracle;
-pub use frontend::{DecodeKind, DecodeMemo, StaticDecode, StaticDecodeTable};
+pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, ShardJob, ShardResult};
+pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;
 pub use rename::{PhysReg, RenameState};
 pub use session::SimSession;

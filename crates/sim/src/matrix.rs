@@ -1,61 +1,37 @@
 //! Whole-matrix (trace × config) batching with sharded execution.
 //!
-//! A [`crate::batch::SweepRunner`] amortizes the trace-pure products
-//! (decode table, branch/I-cache/DVI oracles, dependence graph, fusion
-//! tables) across the members of **one** trace's configuration grid. The
-//! figure drivers, however, sweep a whole experiment *matrix*: many
-//! (trace, config-grid) cells, frequently naming the same captured trace
-//! from several cells (fig05/09/10/11/13 all sweep the same benchmark
-//! mix). Run per cell, every driver rebuilds the same shared products and
-//! each cell's laggard serializes its figure.
-//!
+//! The figure drivers sweep a whole experiment *matrix*: many (trace,
+//! config-grid) cells, frequently naming the same captured trace from
+//! several cells (fig05/09/10/11/13 all sweep the same benchmark mix).
 //! [`MatrixRunner`] flattens the full matrix into one job list:
 //!
 //! * **Trace registry** — cells are deduplicated through a
 //!   fingerprint-keyed registry ([`dvi_program::CapturedTrace::fingerprint`]),
-//!   so shared products are built **once per (shard, trace)** across the
-//!   entire matrix, no matter how many cells name the trace. Members that
-//!   request the same (trace, configuration) pair are deduplicated too and
-//!   fanned back out to every requesting cell.
+//!   and members that request the same (trace, configuration) pair are
+//!   simulated once and fanned back out to every requesting cell.
 //! * **One work-stealing queue** — all members of all traces are
 //!   scheduled together: a worker that drains its own shard's queue
 //!   steals from the others, so one trace's laggard member overlaps with
 //!   another trace's members instead of serializing its cell.
 //! * **Shards** — the matrix is partitioned round-robin into
-//!   self-contained shards. In-process, each shard builds its own products
-//!   from a **private replica** of its traces (the NUMA story: replicate
-//!   read-only data per shard rather than sharing one copy across
-//!   sockets; within a shard, products stay shared). Out of process,
-//!   [`MatrixRunner::shard_jobs`] serializes each shard — trace
-//!   artifacts, config slices and expected fingerprints — into a
-//!   [`ShardJob`] that any worker process can execute with
-//!   [`ShardJob::run`], and [`MatrixRunner::merge_shard_results`] merges
-//!   the [`ShardResult`]s back in global member order.
+//!   self-contained shards. Out of process, [`MatrixRunner::shard_jobs`]
+//!   serializes each shard — trace artifacts, config slices and expected
+//!   fingerprints — into a [`ShardJob`] that any worker process can
+//!   execute with [`ShardJob::run`], and
+//!   [`MatrixRunner::merge_shard_results`] merges the [`ShardResult`]s
+//!   back in global member order.
 //!
-//! # Product residency
-//!
-//! A (shard, trace) pair's products — trace replica, dependence graph,
-//! oracles, fusion tables — live exactly as long as some member of the
-//! pair is still to finish. The first worker to claim one of the pair's
-//! members builds them under the pair's own lock; every member's job is
-//! moved out to the worker that runs it; the products are freed with the
-//! pair's last member. Workers claim members in trace-major order, so on
-//! one shard at most about `threads` product sets are alive at once
-//! ([`MatrixReport::peak_live_products`]) instead of one per trace.
-//! Members restored from a checkpoint or declined by the scheduling gate
-//! never trigger a build.
+//! Every member runs the plain core on its own session, inside the same
+//! panic boundary as [`crate::batch::SweepRunner`]'s members.
 //!
 //! # Bit-identity merge contract
 //!
-//! Per-member statistics are a pure function of (configuration, trace,
-//! shared products), and shared products leave the modelled machine
-//! bit-identical (`tests/batch_equiv.rs`). Sharding only changes which
-//! members build a copy of those products together, so the merged matrix
-//! is **bit-identical** to serial per-trace sweeps at any shard and thread
-//! count — `tests/matrix_equiv.rs` locks matrix == per-trace-batched ==
-//! serial across heterogeneous
-//! grids, shard counts and thread counts, including the out-of-process
-//! [`ShardJob`] round trip.
+//! Per-member statistics are a pure function of (configuration, trace),
+//! so the merged matrix is **bit-identical** to serial per-trace sweeps at
+//! any shard and thread count — `tests/matrix_equiv.rs` locks matrix ==
+//! per-trace-batched == serial across heterogeneous grids, shard counts
+//! and thread counts, including the out-of-process [`ShardJob`] round
+//! trip.
 //!
 //! # Durability
 //!
@@ -69,7 +45,7 @@
 //! a killed shard resume instead of recomputing.
 
 use crate::batch::{
-    read_sim_config, run_member_outcome, write_sim_config, MemberOutcome, ParallelJob, SweepRunner,
+    read_sim_config, run_member_outcome, write_sim_config, MemberOutcome, ParallelJob,
 };
 use crate::checkpoint::{
     config_fingerprint, read_outcome, write_outcome, MemberCheckpoint, MemberCheckpointState,
@@ -80,8 +56,8 @@ use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, B
 use dvi_program::{ArtifactError, CapturedTrace};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Artifact container identity of a serialized shard job.
 pub const SHARD_JOB_MAGIC: [u8; 8] = *b"DVISHRDJ";
@@ -247,16 +223,13 @@ pub struct MatrixReport {
     pub trace_reuse_hits: u64,
     /// Grid slots that mapped onto an already-registered member.
     pub member_dedup_hits: u64,
-    /// Shared-product build passes actually run — one per (shard, trace)
-    /// pair with at least one member that ran (neither restored from a
-    /// checkpoint nor declined by the scheduling gate).
+    /// Always 0: members build no shared products. Kept because the
+    /// repository benchmark reads it, until a benchmark change retires
+    /// its `sim.products.builds` metric.
     pub shared_builds: u64,
-    /// Requested grid slots that consumed shared products without
-    /// triggering a build pass (`requested_members - shared_builds`).
+    /// Always 0, for the same reason as [`MatrixReport::shared_builds`]
+    /// (the benchmark's `sim.products.reuse_hits`).
     pub build_reuse_hits: u64,
-    /// The most (shard, trace) product sets alive at the same moment
-    /// (in-process runs only; zero after an out-of-process merge).
-    pub peak_live_products: usize,
     /// Worker threads used.
     pub threads: usize,
     /// Shards the matrix was partitioned into.
@@ -307,77 +280,6 @@ impl MatrixOutcome {
     }
 }
 
-/// The lazily built products of one (shard, trace) pair: built when the
-/// first of its members is claimed, freed after its last one finishes.
-struct ProductSlot {
-    trace_idx: usize,
-    /// The pair's members still to run (not restored), ascending global
-    /// ids: the grid a build hands [`SweepRunner`].
-    members: Vec<usize>,
-    state: Mutex<SlotState>,
-}
-
-struct SlotState {
-    built: Option<BuiltProducts>,
-    /// Members not yet run or declined by the gate.
-    unfinished: usize,
-}
-
-struct BuiltProducts {
-    /// The shard-private trace copy (shards > 1); `None` runs the
-    /// registry's trace.
-    replica: Option<Arc<CapturedTrace>>,
-    /// One job per slot member, moved out by the worker that claims it.
-    jobs: Vec<Option<ParallelJob>>,
-}
-
-/// Product-set counters shared by a run's workers.
-#[derive(Default)]
-struct Residency {
-    builds: AtomicU64,
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl ProductSlot {
-    /// Takes member `id`'s job, building the slot's products first if no
-    /// member has claimed one yet. Returns the trace replica to run on
-    /// (`None`: the registry's trace) with the job.
-    fn claim(
-        &self,
-        id: usize,
-        index: &MatrixIndex<'_>,
-        replicate: bool,
-        residency: &Residency,
-    ) -> (Option<Arc<CapturedTrace>>, ParallelJob) {
-        let mut state = lock(&self.state);
-        let built = state.built.get_or_insert_with(|| {
-            let source = index.traces[self.trace_idx];
-            let replica = replicate.then(|| Arc::new(source.clone()));
-            let trace = replica.as_deref().unwrap_or(source);
-            let configs = self.members.iter().map(|&m| index.members[m].config.clone());
-            let (_trace, jobs) = SweepRunner::new(trace, configs).into_parallel_jobs();
-            residency.builds.fetch_add(1, Ordering::Relaxed);
-            let live = residency.live.fetch_add(1, Ordering::SeqCst) + 1;
-            residency.peak.fetch_max(live, Ordering::SeqCst);
-            BuiltProducts { replica, jobs: jobs.into_iter().map(Some).collect() }
-        });
-        let pos = self.members.binary_search(&id).expect("member belongs to its slot");
-        let job = built.jobs[pos].take().expect("each member is claimed once");
-        (built.replica.clone(), job)
-    }
-
-    /// Retires one member (run or declined); the last one frees the
-    /// slot's products.
-    fn finish(&self, residency: &Residency) {
-        let mut state = lock(&self.state);
-        state.unfinished -= 1;
-        if state.unfinished == 0 && state.built.take().is_some() {
-            residency.live.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
 /// Whole-matrix sweep runner — see the module documentation.
 pub struct MatrixRunner<'a> {
     cells: Vec<(&'a CapturedTrace, Vec<SimConfig>)>,
@@ -411,8 +313,7 @@ impl<'a> MatrixRunner<'a> {
         self
     }
 
-    /// Shard count (clamped to `1..=members` at run time). Shards above 1
-    /// build each shard's shared products from a private trace replica.
+    /// Shard count (clamped to `1..=members` at run time).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -504,41 +405,21 @@ impl<'a> MatrixRunner<'a> {
         }
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
 
-        // Shard assignment (round-robin over global member order), then one
-        // lazily built product slot per (shard, trace) pair holding the
-        // members still to run. Each shard's queue is trace-major, so a
-        // slot's members are claimed back to back.
+        // Shard assignment (round-robin over global member order). Each
+        // shard's queue holds its members still to run, trace-major.
         let shard_of = |i: usize| i % shards;
-        let mut slots: Vec<ProductSlot> = Vec::new();
-        let mut slot_of: Vec<usize> = vec![usize::MAX; n];
         let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); shards];
         for (s, queue) in queues.iter_mut().enumerate() {
-            for (t, ids) in index.trace_members.iter().enumerate() {
-                let members: Vec<usize> = ids
-                    .iter()
-                    .copied()
-                    .filter(|&i| shard_of(i) == s && restored[i].is_none())
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                for &i in &members {
-                    slot_of[i] = slots.len();
-                }
-                queue.extend(&members);
-                let unfinished = members.len();
-                slots.push(ProductSlot {
-                    trace_idx: t,
-                    members,
-                    state: Mutex::new(SlotState { built: None, unfinished }),
-                });
+            for ids in &index.trace_members {
+                queue.extend(
+                    ids.iter().copied().filter(|&i| shard_of(i) == s && restored[i].is_none()),
+                );
             }
         }
         let queues: Vec<Mutex<VecDeque<usize>>> = queues.into_iter().map(Mutex::new).collect();
         let steals: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let shard_members: Vec<usize> =
             (0..shards).map(|s| (0..n).filter(|&i| shard_of(i) == s).count()).collect();
-        let residency = Residency::default();
 
         struct RunState {
             results: Vec<Option<MemberOutcome>>,
@@ -553,16 +434,12 @@ impl<'a> MatrixRunner<'a> {
             skipped: 0,
         });
         let index_ref = &index;
-        let slots = &slots;
-        let slot_of = &slot_of;
         let queues = &queues;
         let steals = &steals;
-        let residency = &residency;
         let state_ref = &state;
         let trace_paths = &trace_paths;
         let gate = self.gate.as_deref();
         let abort_after = self.abort_after_members;
-        let replicate = shards > 1;
 
         std::thread::scope(|scope| {
             for w in 0..threads {
@@ -588,27 +465,21 @@ impl<'a> MatrixRunner<'a> {
                         }
                     }
                     let Some(i) = claimed else { break };
-                    let slot = &slots[slot_of[i]];
                     if let Some(gate) = gate {
                         if !gate(&index_ref.requesters[i]) {
-                            slot.finish(residency);
                             let mut st = lock(state_ref);
                             st.skipped += 1;
                             st.completed += 1;
                             continue;
                         }
                     }
-                    let (replica, job) = slot.claim(i, index_ref, replicate, residency);
-                    let trace = replica.as_deref().unwrap_or(index_ref.traces[slot.trace_idx]);
-                    let outcome = run_member_outcome(trace, job);
-                    // Let go of the replica first, so the slot's last
-                    // member frees it in `finish`.
-                    drop(replica);
-                    slot.finish(residency);
+                    let member = &index_ref.members[i];
+                    let t = member.trace_idx;
+                    let job = ParallelJob::new(member.config.clone());
+                    let outcome = run_member_outcome(index_ref.traces[t], job);
                     let mut st = lock(state_ref);
                     st.results[i] = Some(outcome);
                     st.completed += 1;
-                    let t = slot.trace_idx;
                     if let Some(path) = &trace_paths[t] {
                         write_trace_checkpoint(path, index_ref, t, &st.results);
                     }
@@ -621,7 +492,6 @@ impl<'a> MatrixRunner<'a> {
             let _ = std::fs::remove_file(path);
         }
 
-        let shared_builds = residency.builds.load(Ordering::Relaxed);
         let st = lock(&state);
         let report = MatrixReport {
             cells: index.cell_members.len(),
@@ -630,9 +500,8 @@ impl<'a> MatrixRunner<'a> {
             distinct_traces: index.traces.len(),
             trace_reuse_hits: index.trace_reuse_hits,
             member_dedup_hits: index.member_dedup_hits,
-            shared_builds,
-            build_reuse_hits: (index.requested_members as u64).saturating_sub(shared_builds),
-            peak_live_products: residency.peak.load(Ordering::SeqCst),
+            shared_builds: 0,
+            build_reuse_hits: 0,
             threads,
             shards,
             shard_members,
@@ -739,18 +608,8 @@ impl<'a> MatrixRunner<'a> {
                 context: format!("shard results leave member {missing} unreported"),
             });
         }
-        // Out of process, every shard builds its own shared products — the
-        // replication story — so builds count one per (shard, trace) pair.
-        let mut shard_builds = 0u64;
-        let mut shard_members = vec![0usize; shards];
-        for (s, count) in shard_members.iter_mut().enumerate() {
-            let mut seen: Vec<bool> = vec![false; index.traces.len()];
-            for i in (0..n).filter(|i| i % shards == s) {
-                *count += 1;
-                seen[index.members[i].trace_idx] = true;
-            }
-            shard_builds += seen.iter().filter(|&&b| b).count() as u64;
-        }
+        let shard_members: Vec<usize> =
+            (0..shards).map(|s| (0..n).filter(|i| i % shards == s).count()).collect();
         let report = MatrixReport {
             cells: index.cell_members.len(),
             requested_members: index.requested_members,
@@ -758,9 +617,8 @@ impl<'a> MatrixRunner<'a> {
             distinct_traces: index.traces.len(),
             trace_reuse_hits: index.trace_reuse_hits,
             member_dedup_hits: index.member_dedup_hits,
-            shared_builds: shard_builds,
-            build_reuse_hits: (index.requested_members as u64).saturating_sub(shard_builds),
-            peak_live_products: 0,
+            shared_builds: 0,
+            build_reuse_hits: 0,
             threads: 0,
             shards,
             shard_members,
@@ -897,7 +755,11 @@ impl ShardJob {
         let trace_count = meta.count()?;
         let member_count = meta.count()?;
         meta.finish()?;
-        let mut traces = Vec::with_capacity(trace_count);
+        // The META counts are untrusted until cross-checked below: bound
+        // each allocation by the sections actually present.
+        let mut traces = Vec::with_capacity(
+            trace_count.min(reader.sections_with_tag(job_section::TRACE).count()),
+        );
         for payload in reader.sections_with_tag(job_section::TRACE) {
             let mut b = ByteReader::new(payload, "shard job trace");
             let fingerprint = b.u64()?;
@@ -914,7 +776,9 @@ impl ShardJob {
                 ),
             });
         }
-        let mut members = Vec::with_capacity(member_count);
+        let mut members = Vec::with_capacity(
+            member_count.min(reader.sections_with_tag(job_section::MEMBER).count()),
+        );
         for payload in reader.sections_with_tag(job_section::MEMBER) {
             let mut b = ByteReader::new(payload, "shard job member");
             let global_id = b.u64()?;
@@ -979,10 +843,8 @@ impl ShardJob {
         dir.join(format!("shard{:04}-{trace_fp:016x}.dviswpck", self.shard_index))
     }
 
-    /// Executes the shard: decodes and fingerprint-verifies its traces,
-    /// builds shared products once per embedded trace (the per-shard
-    /// replication contract), and runs every member inside the standard
-    /// panic boundary. With `checkpoint_dir`, progress persists per
+    /// Executes the shard: decodes and fingerprint-verifies its traces and
+    /// runs every member inside the standard panic boundary. With `checkpoint_dir`, progress persists per
     /// (shard, trace) after every member and a rerun resumes finished
     /// members verbatim — a killed shard resumes bit-identically.
     ///
@@ -1036,16 +898,10 @@ impl ShardJob {
                     }
                 }
             }
-            let configs: Vec<SimConfig> =
-                positions.iter().map(|&k| self.members[k].config.clone()).collect();
-            let (_trace, mut jobs) = SweepRunner::new(trace, configs).into_parallel_jobs();
-            for (job, done) in jobs.iter_mut().zip(&restored) {
-                if let Some(done) = done {
-                    job.done = Some(done.clone());
-                }
-            }
-            for (slot, job) in positions.iter().zip(jobs) {
-                outcomes[*slot] = Some(run_member_outcome(trace, job));
+            for (&slot, done) in positions.iter().zip(restored) {
+                let job =
+                    ParallelJob { done, ..ParallelJob::new(self.members[slot].config.clone()) };
+                outcomes[slot] = Some(run_member_outcome(trace, job));
                 if let Some(path) = &path {
                     let members = positions
                         .iter()
@@ -1144,7 +1000,9 @@ impl ShardResult {
         let shard_index = meta.u64()?;
         let member_count = meta.count()?;
         meta.finish()?;
-        let mut members = Vec::with_capacity(member_count);
+        let mut members = Vec::with_capacity(
+            member_count.min(reader.sections_with_tag(result_section::MEMBER).count()),
+        );
         for payload in reader.sections_with_tag(result_section::MEMBER) {
             let mut b = ByteReader::new(payload, "shard result member");
             let global_id = b.u64()?;
@@ -1189,5 +1047,54 @@ impl ShardResult {
         let bytes = std::fs::read(path)
             .map_err(|e| ArtifactError::Io(format!("reading {}: {e}", path.display())))?;
         ShardResult::from_bytes(&bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard-job artifact with the given META counts and no trace or
+    /// member sections.
+    fn empty_job(traces: u64, members: u64) -> Vec<u8> {
+        let mut w = ArtifactWriter::new(SHARD_JOB_MAGIC, SHARD_JOB_VERSION);
+        let mut meta = ByteWriter::new();
+        meta.put_u64(0);
+        meta.put_u64(1);
+        meta.put_u64(traces);
+        meta.put_u64(members);
+        w.section(job_section::META, meta.into_bytes());
+        w.to_bytes()
+    }
+
+    /// Checksum-valid shard jobs whose META promises far more traces or
+    /// members than they carry are malformed — not an allocation abort
+    /// (2^40) or a capacity-overflow panic (2^61).
+    #[test]
+    fn an_inflated_shard_job_count_is_malformed_not_an_abort() {
+        for promised in [1u64 << 40, 1 << 61] {
+            for bytes in [empty_job(promised, 0), empty_job(0, promised)] {
+                assert!(matches!(
+                    ShardJob::from_bytes(&bytes),
+                    Err(ArtifactError::Malformed { .. })
+                ));
+            }
+        }
+    }
+
+    /// The same for a shard result's member count.
+    #[test]
+    fn an_inflated_shard_result_count_is_malformed_not_an_abort() {
+        for promised in [1u64 << 40, 1 << 61] {
+            let mut w = ArtifactWriter::new(SHARD_RESULT_MAGIC, SHARD_RESULT_VERSION);
+            let mut meta = ByteWriter::new();
+            meta.put_u64(0);
+            meta.put_u64(promised);
+            w.section(result_section::META, meta.into_bytes());
+            assert!(matches!(
+                ShardResult::from_bytes(&w.to_bytes()),
+                Err(ArtifactError::Malformed { .. })
+            ));
+        }
     }
 }

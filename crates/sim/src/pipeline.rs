@@ -31,16 +31,13 @@
 //! arrays it needs (commit: the `done` flags and `old_dst`; writeback:
 //! `done`/`dst`; select: `class` and, for memory operations, the
 //! effective address) instead of loading ~80-byte entry structs, and the
-//! window's `done` flag array doubles as the completion set the
-//! dependence-graph wiring probes — the back end keeps no second copy of
-//! any per-entry fact. The modelled machine is unchanged: all
-//! equivalence suites (`scheduler_equiv`, `replay_equiv`, `batch_equiv`,
-//! `depgraph_equiv`) and the golden figures lock the statistics
-//! bit-for-bit.
+//! back end keeps no second copy of any per-entry fact. The modelled
+//! machine is unchanged: the equivalence suites (`scheduler_equiv`,
+//! `replay_equiv`, `batch_equiv`) and the golden figures lock the
+//! statistics bit-for-bit.
 
-use crate::batch::{DviCursor, IcacheCursor, OracleCursor, SharedTables};
 use crate::config::{DcacheModelKind, SchedulerKind, SimConfig};
-use crate::dvi_engine::{DviEngine, DviModel};
+use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::RenameState;
@@ -48,12 +45,9 @@ use crate::sched::{Calendar, ReadyRing, Waiters};
 use crate::session::SimSession;
 use crate::stats::SimStats;
 use crate::window::{EntryState, WindowRing};
-use dvi_isa::{Abi, ArchReg, FuKind, InstrClass};
-use dvi_mem::{CachePorts, DataMemModel, DcacheOracleCursor, MemoryHierarchy, PerfectDcache};
-use dvi_program::depgraph::link;
-use dvi_program::fusion::{fusion_flag, FusionTable};
-use dvi_program::{DepGraph, DynInst, InstrSource};
-use std::sync::Arc;
+use dvi_isa::{Abi, FuKind, InstrClass};
+use dvi_mem::{CachePorts, DataMemModel, MemoryHierarchy, PerfectDcache};
+use dvi_program::{DynInst, InstrSource};
 
 /// Safety valve: if the pipeline makes no forward progress for this many
 /// cycles, the run is aborted with [`SimStats::deadlocked`] set (this
@@ -97,186 +91,26 @@ impl Simulator {
     }
 }
 
-/// Sentinel in [`DepWire::slots`]: the record was consumed at decode
-/// (kill, eliminated save/restore) and never occupied a window entry.
-const NOT_DISPATCHED: u64 = u64::MAX;
-
-/// The dependence-graph wiring of one core: maps the shared
-/// [`DepGraph`]'s producer *record indices* onto this member's *window
-/// sequence numbers* so dispatch and wakeup bypass the alias table.
-///
-/// The map is a power-of-two ring indexed by `record_seq & mask`, written
-/// once per record in dispatch order (the entry's window sequence number,
-/// or [`NOT_DISPATCHED`]). Soundness rests on one invariant, maintained
-/// by [`DepWire::ensure_span`] before every write: the ring is longer
-/// than the record-index span of the instruction window, so
-///
-/// * a producer further back than the ring length is necessarily
-///   committed (its operand is ready), and
-/// * a producer within the ring length reads its own slot — aliasing
-///   would require a younger record at the same masked index, which the
-///   span invariant excludes while the producer can still be in flight.
-///
-/// The invariant check is amortized: because the window head's record
-/// sequence number only grows, a single precomputed watermark
-/// (`check_at = head_seq + ring_len`) certifies every record before it,
-/// and the head is only re-read when a record crosses the watermark.
-#[derive(Debug)]
-struct DepWire {
-    graph: Arc<DepGraph>,
-    slots: Vec<u64>,
-    /// First record sequence number at which the span invariant must be
-    /// re-established (see the type docs).
-    check_at: u64,
-    /// Cut bits of a graph word this machine acts on
-    /// ([`DepGraph::sever_mask`]).
-    sever: u16,
-    /// The same selection over a fusion record's folded cut byte
-    /// ([`FusionTable::sever_bits`]).
-    fused_sever: u8,
-}
-
-impl DepWire {
-    fn new(graph: Arc<DepGraph>, config: &SimConfig, window_ring: u64) -> DepWire {
-        let reclaim = config.dvi.reclaim_phys_regs;
-        let sever =
-            DepGraph::sever_mask(config.dvi.use_edvi && reclaim, config.dvi.use_idvi && reclaim);
-        DepWire {
-            graph,
-            // Start comfortably above the window span; consumed-at-decode
-            // records stretch the span past the window size, and
-            // `ensure_span` grows the ring when they do.
-            slots: vec![NOT_DISPATCHED; (window_ring as usize * 4).max(256)],
-            check_at: 0,
-            sever,
-            fused_sever: FusionTable::sever_bits(sever),
-        }
-    }
-
-    /// Re-establishes the span invariant before writing record `seq`'s
-    /// slot: on the (amortized-rare) watermark crossing, re-reads the
-    /// window head and grows the ring if the span caught up with it.
-    #[inline]
-    fn ensure_span(&mut self, seq: u64, window: &WindowRing) {
-        if seq < self.check_at {
-            return;
-        }
-        self.reestablish_span(seq, window);
-    }
-
-    /// Cold path of [`DepWire::ensure_span`]: recompute the watermark,
-    /// growing the ring when the window's record span caught up with its
-    /// length. Existing in-window entries are rehashed from their stored
-    /// sequence numbers; everything older is committed or consumed, for
-    /// which the default [`NOT_DISPATCHED`] gives the correct (ready)
-    /// answer.
-    #[cold]
-    fn reestablish_span(&mut self, seq: u64, window: &WindowRing) {
-        let Some(head) = (!window.is_empty()).then(|| window.dseq(window.head_seq())) else {
-            // Empty window: every later head is a record at or after
-            // `seq`, so the span stays under the ring length for the next
-            // ring-length records.
-            self.check_at = seq + self.slots.len() as u64;
-            return;
-        };
-        let span = (seq - head) as usize;
-        if span >= self.slots.len() {
-            let new_len = (span + 1).next_power_of_two() * 2;
-            let mut slots = vec![NOT_DISPATCHED; new_len];
-            for wseq in window.seqs() {
-                slots[(window.dseq(wseq) as usize) & (new_len - 1)] = wseq;
-            }
-            self.slots = slots;
-        }
-        // The head's record sequence number only grows, so every record
-        // before `head + len` keeps the span under the ring length.
-        self.check_at = head + self.slots.len() as u64;
-    }
-
-    /// Records the dispatch outcome of record `seq`.
-    #[inline]
-    fn mark(&mut self, seq: u64, value: u64) {
-        let mask = self.slots.len() - 1;
-        self.slots[seq as usize & mask] = value;
-    }
-
-    /// Resolves both source operands of record `seq` against the member's
-    /// window: `None` means the operand is available, `Some(wseq)` the
-    /// window entry it must wait on. Equivalent to the alias-table walk:
-    /// an operand is available exactly when `rename.lookup` would return
-    /// `None` (no producer, or a DVI-severed mapping) or a physical
-    /// register whose value has been produced. Completion is probed
-    /// straight off the window's packed `done` flag array — the
-    /// dependence-path analogue of the alias table's dense ready bits.
-    #[inline]
-    fn resolve_pair(&self, seq: u64, window: &WindowRing) -> [Option<u64>; 2] {
-        let row = self.graph.row(seq as usize);
-        let mask = self.slots.len() as u64 - 1;
-        let mut waits = [None, None];
-        for (k, wait) in waits.iter_mut().enumerate() {
-            let word = row[k];
-            let distance = u64::from(word & link::DISTANCE);
-            // No producer, a producer beyond the ring (the span invariant
-            // guarantees it committed long ago), or a link this machine's
-            // DVI reclamation severs. A far link's stored distance is a
-            // lower bound, so it lands here whenever the ring is shorter
-            // than `link::FAR`.
-            if distance == 0 || distance > mask || word & self.sever != 0 {
-                continue;
-            }
-            let producer = if distance == u64::from(link::FAR) {
-                let exact = u64::from(self.graph.far_producer(seq as usize, k));
-                if seq - exact > mask {
-                    continue;
-                }
-                exact
-            } else {
-                seq - distance
-            };
-            let wseq = self.slots[(producer & mask) as usize];
-            if wseq == NOT_DISPATCHED || wseq < window.head_seq() {
-                continue;
-            }
-            debug_assert!(window.contains(wseq), "producer entry neither committed nor in flight");
-            debug_assert_eq!(window.dseq(wseq), producer, "dependence ring slot aliased");
-            if !window.is_done(wseq) {
-                *wait = Some(wseq);
-            }
-        }
-        waits
-    }
-}
-
 /// The pipeline state and per-cycle machinery of one simulated machine,
 /// driven cycle-at-a-time by [`SimSession`].
 #[derive(Debug)]
 pub(crate) struct Core {
     config: SimConfig,
     rename: RenameState,
-    dvi: DviModel,
+    dvi: DviEngine,
     mem: MemoryHierarchy,
     ports: CachePorts,
     fu: FuPool,
-    /// Fetch-stage branch prediction: a private live predictor, or a
-    /// cursor over a sweep-shared [`crate::batch::BranchOracle`].
+    /// Fetch-stage branch prediction.
     pred: FetchPredictor,
     window: WindowRing,
-    /// The shared in-order front end (fetch queue, redirect state machine,
-    /// per-PC decode products, decode-stage DVI plumbing).
+    /// The in-order front end (fetch queue, redirect state machine, per-PC
+    /// decode memo, decode-stage DVI plumbing).
     front: FrontEnd,
     pub(crate) cycle: u64,
     pub(crate) stats: SimStats,
     // --- Event-driven scheduling state (unused by the naive scan). ---
     event_driven: bool,
-    /// Producer-link wiring over a shared dependence graph; `None` renames
-    /// sources through the alias table (the default, and the only option
-    /// for the naive-scan scheduler and live instruction sources).
-    dep: Option<DepWire>,
-    /// Shared dispatch-group fusion table (trace-pure group boundaries,
-    /// intra-group wakeup wiring, rename demand); `None` dispatches every
-    /// record through the cycle-accurate slow loop. Only attached together
-    /// with producer-link wiring (`dep`) at a matching decode width.
-    fusion: Option<Arc<FusionTable>>,
     calendar: Calendar,
     waiters: Waiters,
     ready: ReadyRing,
@@ -288,87 +122,16 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Builds a core with private front-end tables (decode memo, live
-    /// predictor).
+    /// Builds a core for `config`, with the L1 data side `config`
+    /// describes unless `dcache` substitutes another model (see
+    /// [`dvi_mem::DataMemModel`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
-    pub(crate) fn new(config: SimConfig) -> Core {
-        let pred = FetchPredictor::live(config.predictor);
-        let front = FrontEnd::new(&config);
-        Core::build(config, pred, front, None, None, None, None)
-    }
-
-    /// Builds a core consuming immutable trace-pure products shared across
-    /// a batched sweep: decode table, branch prediction, L1I outcomes,
-    /// dependence graph and/or the decode-stage DVI event stream. Absent
-    /// products fall back to private live structures.
-    pub(crate) fn with_shared(config: SimConfig, tables: SharedTables) -> Core {
-        Core::with_shared_and_dcache(config, tables, None)
-    }
-
-    /// [`Core::with_shared`] with an optional substitute L1-data-side
-    /// model (see [`dvi_mem::DataMemModel`]): the session-level seam for a
-    /// per-member D-cache — a recording instrument, a fingerprint probe,
-    /// or any explicit stand-in. When no explicit model is given and the
-    /// shared tables carry a D-cache oracle, the member replays the
-    /// recorded L1D outcomes through a [`DcacheOracleCursor`] instead of
-    /// driving a private tag array.
-    pub(crate) fn with_shared_and_dcache(
-        config: SimConfig,
-        tables: SharedTables,
-        dcache: Option<Box<dyn DataMemModel>>,
-    ) -> Core {
-        // An explicit model wins over the shared oracle: recording and
-        // qualification runs pass instruments here while consuming the
-        // rest of the shared bundle.
-        let dcache = dcache.or_else(|| {
-            tables.dcache.as_ref().map(|oracle| {
-                Box::new(DcacheOracleCursor::new(Arc::clone(oracle))) as Box<dyn DataMemModel>
-            })
-        });
-        let pred = match tables.branches {
-            Some(oracle) => FetchPredictor::Oracle(OracleCursor::new(oracle)),
-            None => FetchPredictor::live(config.predictor),
-        };
-        let icache = tables.icache.map(IcacheCursor::new);
-        // Producer-link wiring is an event-driven-scheduler refinement;
-        // the naive scan's reference writeback/issue loops re-check
-        // per-operand physical-register ready bits, so those members keep
-        // alias-table renaming.
-        let depgraph = tables.depgraph.filter(|_| config.scheduler == SchedulerKind::EventDriven);
-        // Fusion rides the producer-link wiring (its precomputed wakeup
-        // edges are window positions) and is partitioned per decode width;
-        // anything else falls back to the slow loop wholesale.
-        let fusion =
-            tables.fusion.filter(|f| depgraph.is_some() && f.width() == config.decode_width);
-        let dvi = tables.dvi.map(|oracle| DviModel::Oracle(DviCursor::new(oracle)));
-        let front = FrontEnd::with_shared(&config, tables.decode, icache, depgraph.is_some());
-        Core::build(config, pred, front, depgraph, fusion, dvi, dcache)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        config: SimConfig,
-        pred: FetchPredictor,
-        front: FrontEnd,
-        depgraph: Option<Arc<DepGraph>>,
-        fusion: Option<Arc<FusionTable>>,
-        dvi: Option<DviModel>,
-        dcache: Option<Box<dyn DataMemModel>>,
-    ) -> Core {
+    pub(crate) fn new(config: SimConfig, dcache: Option<Box<dyn DataMemModel>>) -> Core {
         config.validate();
         let window = WindowRing::new(config.window_size);
-        let dep = depgraph.map(|graph| DepWire::new(graph, &config, window.ring_size()));
-        // Waiter lists are keyed by physical register under alias-table
-        // renaming, and by window ring position under producer-link
-        // wiring (in-flight producers only).
-        let waiter_keys = if dep.is_some() {
-            usize::try_from(window.ring_size()).expect("window ring fits in usize")
-        } else {
-            config.phys_regs
-        };
         let mut mem =
             MemoryHierarchy::new(config.icache, config.dcache, config.l2, config.memory_latency);
         if let Some(model) = dcache {
@@ -380,20 +143,17 @@ impl Core {
         let max_latency = config.dcache.latency + config.l2.latency + config.memory_latency + 64;
         Core {
             rename: RenameState::new(config.phys_regs),
-            dvi: dvi
-                .unwrap_or_else(|| DviModel::Live(DviEngine::new(config.dvi, Abi::mips_like()))),
+            dvi: DviEngine::new(config.dvi, Abi::mips_like()),
             mem,
             ports: CachePorts::new(config.cache_ports),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units),
-            pred,
-            front,
+            pred: FetchPredictor::new(config.predictor),
+            front: FrontEnd::new(&config),
             cycle: 0,
             stats: SimStats::default(),
             event_driven: config.scheduler == SchedulerKind::EventDriven,
-            dep,
-            fusion,
             calendar: Calendar::new(max_latency),
-            waiters: Waiters::new(waiter_keys),
+            waiters: Waiters::new(config.phys_regs),
             ready: ReadyRing::new(window.ring_size()),
             scratch_events: Vec::new(),
             scratch_woken: Vec::new(),
@@ -401,13 +161,6 @@ impl Core {
             window,
             config,
         }
-    }
-
-    /// Waiter-list key of an in-flight producer under producer-link
-    /// wiring: its window ring position.
-    #[inline]
-    fn waiter_key(&self, wseq: u64) -> usize {
-        (wseq & (self.window.ring_size() - 1)) as usize
     }
 
     /// Simulates one cycle: commit, writeback, issue, rename/dispatch and
@@ -473,11 +226,6 @@ impl Core {
         self.stats.dvi = self.dvi.stats();
         self.stats.branch = self.pred.stats();
         self.stats.memory = self.mem.stats();
-        if let Some(l1i) = self.front.icache_oracle_stats() {
-            // The private L1I tag array was bypassed in favour of a shared
-            // oracle; its counters live in the oracle cursor.
-            self.stats.memory.l1i = l1i;
-        }
         self.stats
     }
 
@@ -487,7 +235,6 @@ impl Core {
     /// one `old_dst` halfword and the (usually empty) reclaim list — the
     /// rest of the slot's arrays are never touched.
     fn commit(&mut self) {
-        let dep_wired = self.dep.is_some();
         let mut committed = 0;
         while committed < self.config.commit_width {
             if self.window.is_empty() {
@@ -497,22 +244,16 @@ impl Core {
             if !self.window.is_done(head) {
                 break;
             }
-            debug_assert!(
-                !dep_wired || !self.waiters.has_waiters(self.waiter_key(head)),
-                "committing entry still has waiters"
-            );
             if let Some(old) = self.window.old_dst(head) {
                 debug_assert!(
-                    !self.event_driven
-                        || dep_wired
-                        || !self.waiters.has_waiters(usize::from(old.0)),
+                    !self.event_driven || !self.waiters.has_waiters(usize::from(old.0)),
                     "released register still has waiters"
                 );
                 self.rename.release(old);
             }
             for p in self.window.reclaim(head).iter() {
                 debug_assert!(
-                    !self.event_driven || dep_wired || !self.waiters.has_waiters(usize::from(p.0)),
+                    !self.event_driven || !self.waiters.has_waiters(usize::from(p.0)),
                     "reclaimed register still has waiters"
                 );
                 self.rename.release(p);
@@ -535,9 +276,8 @@ impl Core {
 
     /// Event-driven writeback fused with wakeup: drain exactly the
     /// calendar bucket for this cycle, publish each completion in the
-    /// window's `done` flag array (the same array dependence-graph
-    /// resolution probes — there is no second copy to keep in sync) and
-    /// wake each result's waiters in the same pass.
+    /// window's `done` flag array and wake each result's waiters in the
+    /// same pass.
     fn writeback_event(&mut self) {
         if self.calendar.pending() == 0 {
             return;
@@ -550,12 +290,7 @@ impl Core {
                 EntryState::Executing { done_at: self.cycle }
             );
             let (dst, resolves) = self.window.complete(wseq);
-            if self.dep.is_some() {
-                // Producer-link wiring: waiters are keyed on this entry's
-                // ring position (the physical-register ready bits are not
-                // on the dependence path at all).
-                self.drain_waiters(self.waiter_key(wseq));
-            } else if let Some(p) = dst {
+            if let Some(p) = dst {
                 self.wake_phys(p.0);
             }
             if resolves {
@@ -709,156 +444,9 @@ impl Core {
 
     // --------------------------------------------------- rename/dispatch --
 
-    /// Fused fast path: bulk-dispatches a prefix of the fusion run at the
-    /// fetch-queue front via [`FusionTable`] lookups, or returns `None`
-    /// when the front record needs the slow loop — no table, an ineligible
-    /// record, or a structural hazard (no window slot, or a destination
-    /// with no free register) that the cycle-accurate loop must resolve
-    /// record-at-a-time, reproducing its stall counters and per-attempt
-    /// billing exactly. The take is capped at the width budget, the queue
-    /// depth, the window's free slots and the free list, so dynamic
-    /// dispatch can split a static group across cycles (and resume it
-    /// mid-group) without ever leaving the fast path.
-    ///
-    /// Per record, the fast path performs the same side effects in the
-    /// same order as [`FrontEnd::next_dispatch`] + the dispatch arm of
-    /// [`Core::rename_dispatch`]: memory-reference accounting, free-list
-    /// allocation (identical LIFO order), DVI destination liveness, window
-    /// push, reclaim drain, and producer-link wiring. Intra-group wakeup
-    /// edges come from the table as a distance back in window slots —
-    /// every group member occupies exactly one slot, so the producer of a
-    /// record is always `wseq - distance` no matter which cycle dispatched
-    /// it — guarded by the same committed/complete probes as
-    /// [`DepWire::resolve_pair`]. Fused and unfused dispatch are therefore
-    /// bit-identical (locked by `tests/fusion_equiv.rs`).
-    fn try_dispatch_group(&mut self, dispatched: usize) -> Option<usize> {
-        let fusion = self.fusion.as_deref()?;
-        let dep = self.dep.as_mut()?;
-        let queue_len = self.front.queue_len();
-        if queue_len == 0 {
-            return None;
-        }
-        let start = self.front.queued(0).seq as usize;
-        let run = fusion.run_len(start);
-        if run == 0 {
-            return None;
-        }
-        let budget = self.config.decode_width - dispatched;
-        let mut take = run.min(budget).min(queue_len).min(self.window.free_slots());
-        if take == 0 {
-            return None;
-        }
-        let free = self.rename.free_count();
-        if free < take.min(fusion.run_dsts(start)) {
-            // The free list cannot cover the whole take's worst case:
-            // dispatch up to (not including) the destination-bearing
-            // record the slow loop would stall renaming, so the stall is
-            // attempted — and billed — exactly where the slow loop bills
-            // it.
-            let mut dsts = 0;
-            let mut n = 0;
-            while n < take {
-                if fusion.flags(start + n) & fusion_flag::HAS_DST != 0 {
-                    if dsts == free {
-                        break;
-                    }
-                    dsts += 1;
-                }
-                n += 1;
-            }
-            if n == 0 {
-                return None;
-            }
-            take = n;
-        }
-        let mispredict = self.front.unresolved_mispredict();
-        let ring_mask = self.window.ring_size() - 1;
-        let head = self.window.head_seq();
-        for i in 0..take {
-            let d = self.front.queued(i);
-            let (seq, mem_addr) = (d.seq, d.mem_addr);
-            let rec = start + i;
-            debug_assert_eq!(seq as usize, rec, "fetch queue out of step with fusion run");
-            let m = fusion.record(rec);
-            let flags = m.flags;
-            if flags & fusion_flag::IS_MEM != 0 {
-                self.stats.mem_refs += 1;
-            }
-            let (dst, old_dst) = if flags & fusion_flag::HAS_DST != 0 {
-                let ar = ArchReg::new(m.dst);
-                let (new, old) =
-                    self.rename.rename_dst(ar).expect("free-list precheck covered the take");
-                self.dvi.on_dest_rename(ar);
-                (Some(new), old)
-            } else {
-                (None, None)
-            };
-            let wseq = self.window.push(
-                mem_addr,
-                dst,
-                old_dst,
-                [None, None],
-                m.class,
-                seq,
-                mispredict == Some(seq),
-            );
-            self.front.drain_reclaim_into(self.window.reclaim_mut(wseq));
-            if flags & fusion_flag::HAS_FU == 0 {
-                self.window.set_done(wseq);
-                dep.ensure_span(seq, &self.window);
-                dep.mark(seq, wseq);
-            } else {
-                dep.ensure_span(seq, &self.window);
-                let mut missing = 0u8;
-                if flags & fusion_flag::ANY_EXTERNAL != 0 {
-                    // An operand's producer predates the group: probe the
-                    // dependence ring exactly like the slow loop (it also
-                    // covers the other, possibly intra-group, operand —
-                    // earlier group members are already marked).
-                    for pw in dep.resolve_pair(seq, &self.window).into_iter().flatten() {
-                        self.waiters.wait((pw & ring_mask) as usize, wseq);
-                        missing += 1;
-                    }
-                } else {
-                    // Purely intra-group (or ready-at-dispatch) operands:
-                    // the producer sits `w` window slots back. A producer
-                    // dispatched in an earlier cycle may already have
-                    // completed or committed, so the same two probes as
-                    // `resolve_pair` gate the wakeup edge; the
-                    // member-dependent DVI sever bits are applied here
-                    // too.
-                    let cut = m.dep_flags & dep.fused_sever;
-                    for (k, &w) in m.wait.iter().enumerate() {
-                        if w == FusionTable::NO_WAIT || cut & FusionTable::OPERAND_CUT[k] != 0 {
-                            continue;
-                        }
-                        let pw = wseq - u64::from(w);
-                        if pw >= head && !self.window.is_done(pw) {
-                            self.waiters.wait((pw & ring_mask) as usize, wseq);
-                            missing += 1;
-                        }
-                    }
-                }
-                dep.mark(seq, wseq);
-                self.window.set_missing(wseq, missing);
-                if missing == 0 {
-                    self.ready.set(wseq);
-                }
-            }
-        }
-        self.front.consume_queued(take);
-        self.stats.fusion.groups += 1;
-        self.stats.fusion.fused_records += take as u64;
-        Some(take)
-    }
-
     fn rename_dispatch(&mut self) {
         let mut dispatched = 0;
         while dispatched < self.config.decode_width {
-            if let Some(n) = self.try_dispatch_group(dispatched) {
-                dispatched += n;
-                continue;
-            }
             let outcome = self.front.next_dispatch(
                 self.window.is_full(),
                 &mut self.dvi,
@@ -867,23 +455,8 @@ impl Core {
             );
             match outcome {
                 Dispatch::Empty | Dispatch::StallWindow | Dispatch::StallRename => break,
-                Dispatch::Consumed { seq } => {
-                    if self.fusion.is_some() {
-                        self.stats.fusion.fallback_records += 1;
-                    }
-                    if let Some(dep) = &mut self.dep {
-                        // Consumed at decode: the record never produces a
-                        // window entry, so any (well-formed-ly impossible)
-                        // link to it resolves ready.
-                        dep.ensure_span(seq, &self.window);
-                        dep.mark(seq, NOT_DISPATCHED);
-                    }
-                    dispatched += 1;
-                }
+                Dispatch::Consumed => dispatched += 1,
                 Dispatch::Enter(e) => {
-                    if self.fusion.is_some() {
-                        self.stats.fusion.fallback_records += 1;
-                    }
                     let wseq = self.window.push(
                         e.mem_addr,
                         e.dst,
@@ -897,31 +470,8 @@ impl Core {
                     if e.fu_kind.is_none() {
                         // No functional unit: complete at dispatch (moves,
                         // nops and control handled entirely in the front
-                        // end). The window's `done` flag is the completion
-                        // set dependence resolution probes, so there is
-                        // nothing extra to publish.
+                        // end).
                         self.window.set_done(wseq);
-                        if let Some(dep) = &mut self.dep {
-                            dep.ensure_span(e.seq, &self.window);
-                            dep.mark(e.seq, wseq);
-                        }
-                    } else if let Some(dep) = &mut self.dep {
-                        // Producer-link wiring: resolve both operands
-                        // against the shared dependence graph — wait
-                        // exactly on producers that are in flight and not
-                        // yet complete, keyed by their window position.
-                        dep.ensure_span(e.seq, &self.window);
-                        let ring_mask = self.window.ring_size() - 1;
-                        let mut missing = 0u8;
-                        for pw in dep.resolve_pair(e.seq, &self.window).into_iter().flatten() {
-                            self.waiters.wait((pw & ring_mask) as usize, wseq);
-                            missing += 1;
-                        }
-                        dep.mark(e.seq, wseq);
-                        self.window.set_missing(wseq, missing);
-                        if missing == 0 {
-                            self.ready.set(wseq);
-                        }
                     } else if self.event_driven {
                         // Register with the wakeup network: wait on each
                         // operand that has not been produced yet.
@@ -1145,7 +695,6 @@ mod tests {
         let same_geometry = SimSession::with_dcache_model(
             config.clone(),
             trace.cursor(),
-            SharedTables::default(),
             Box::new(dvi_mem::CacheLevel::new(config.dcache)),
         )
         .run_to_completion();
@@ -1154,7 +703,6 @@ mod tests {
         let perfect = SimSession::with_dcache_model(
             config.clone(),
             trace.cursor(),
-            SharedTables::default(),
             Box::new(dvi_mem::PerfectDcache::new(config.dcache.latency)),
         )
         .run_to_completion();

@@ -124,13 +124,8 @@ impl Calendar {
 
 /// Per-producer lists of window entries waiting on a value.
 ///
-/// The key space depends on how the core wires dependences: with
-/// alias-table renaming the lists are keyed by **physical register** (one
-/// list per physical register, so the structure scales with the register
-/// file), while the dependence-graph back end keys them by the producer's
-/// **window ring position** — in-flight producers only, so the structure
-/// scales with the window and shrinks for large register files. Both
-/// keyings deliver the same wakeups in the same registration order.
+/// The lists are keyed by **physical register**: one list per physical
+/// register, so the structure scales with the register file.
 #[derive(Debug)]
 pub struct Waiters {
     lists: Vec<SmallVec<u64, 2>>,

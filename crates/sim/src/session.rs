@@ -9,9 +9,8 @@
 //! convenience wrapper does — but because control returns to the caller
 //! between cycles, sessions can also be *co-scheduled*: the batched
 //! [`crate::batch::SweepRunner`] interleaves dozens of sessions over one
-//! shared captured trace, something a run-to-completion API cannot express.
+//! captured trace, something a run-to-completion API cannot express.
 
-use crate::batch::SharedTables;
 use crate::config::SimConfig;
 use crate::pipeline::{Core, PROGRESS_LIMIT};
 use crate::stats::{DeadlockReport, ProgressStage, SimStats};
@@ -63,111 +62,30 @@ impl<S: InstrSource> SimSession<S> {
     /// Panics if the configuration fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(config: SimConfig, source: S) -> SimSession<S> {
-        SimSession::from_core(Core::new(config), source)
-    }
-
-    /// Builds a session whose front and back end read shared, trace-pure
-    /// products instead of private ones (see [`SharedTables`]): a
-    /// precomputed [`crate::StaticDecodeTable`] in place of the
-    /// lazily-filled decode memo, a [`crate::BranchOracle`] bitstream in
-    /// place of a live branch predictor, an [`crate::IcacheOracle`]
-    /// bitstream in place of the private L1I tag array, a
-    /// [`dvi_program::DepGraph`] wiring dispatch directly to producer
-    /// window entries in place of alias-table source renaming, a
-    /// [`crate::DviOracle`] event stream in place of the live decode-stage
-    /// DVI machinery, and/or a [`crate::DcacheOracle`] in place of the
-    /// private L1D tag array (valid only for members that reproduce the
-    /// recording member's exact data-access stream — the replay cursor
-    /// checks every access and panics on divergence rather than replay
-    /// wrong outcomes). All leave the modelled machine bit-identical;
-    /// [`crate::batch::SweepRunner`] uses this to share the products
-    /// across every member of a sweep.
-    ///
-    /// The dependence graph and DVI oracle must have been built from the
-    /// same captured trace the session replays (their event streams are
-    /// indexed by the trace's record sequence numbers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`], or if an
-    /// oracle is supplied that was recorded under a different predictor
-    /// configuration / L1I geometry / DVI configuration than `config`
-    /// requests (its stream would describe a different machine).
-    #[must_use]
-    pub fn with_shared_tables(config: SimConfig, source: S, tables: SharedTables) -> SimSession<S> {
-        if let Some(oracle) = &tables.branches {
-            assert_eq!(
-                oracle.predictor(),
-                config.predictor,
-                "branch oracle was recorded under a different predictor configuration"
-            );
-        }
-        if let Some(oracle) = &tables.icache {
-            assert_eq!(
-                oracle.geometry(),
-                config.icache,
-                "I-cache oracle was recorded under a different L1I geometry"
-            );
-        }
-        if let Some(oracle) = &tables.dvi {
-            assert_eq!(
-                oracle.config(),
-                config.dvi,
-                "DVI oracle was recorded under a different DVI configuration"
-            );
-        }
-        if let Some(oracle) = &tables.dcache {
-            assert_eq!(
-                oracle.geometry(),
-                config.dcache,
-                "D-cache oracle was recorded under a different L1D geometry"
-            );
-            assert_eq!(
-                config.dcache_model,
-                crate::config::DcacheModelKind::Stock,
-                "D-cache oracle replays a stock tag array; this member models a \
-                 different L1 data side"
-            );
-        }
-        if let Some(table) = &tables.fusion {
-            assert_eq!(
-                table.width(),
-                config.decode_width,
-                "fusion table was built for a different decode width \
-                 (its group boundaries describe a different fetch grouping)"
-            );
-        }
-        SimSession::from_core(Core::with_shared(config, tables), source)
+        SimSession::from_core(Core::new(config, None), source)
     }
 
     /// Builds a session whose L1-data-side model is `dcache` instead of
     /// the tag array `config.dcache` describes (see
     /// [`dvi_mem::DataMemModel`] and
-    /// [`dvi_mem::MemoryHierarchy::with_dcache_model`]). Shared tables
-    /// compose with the substitution exactly as in
-    /// [`SimSession::with_shared_tables`] (pass
-    /// [`SharedTables::default`] for a fully private session).
+    /// [`dvi_mem::MemoryHierarchy::with_dcache_model`]).
     ///
     /// Substituting a model that makes the same hit/miss decisions (a
-    /// fresh [`dvi_mem::CacheLevel`] of the member's own geometry, a
-    /// [`dvi_mem::DcacheRecorder`]/[`dvi_mem::DcacheFingerprinter`]
-    /// instrument, or a matching [`dvi_mem::DcacheOracleCursor`]) leaves
-    /// the statistics bit-identical; any other model simulates a
-    /// different machine on purpose (e.g. [`dvi_mem::PerfectDcache`] for
-    /// an upper-bound run). An explicit model here wins over a D-cache
-    /// oracle in `tables`.
+    /// fresh [`dvi_mem::CacheLevel`] of the member's own geometry) leaves
+    /// the statistics bit-identical; any other model simulates a different
+    /// machine on purpose (e.g. [`dvi_mem::PerfectDcache`] for an
+    /// upper-bound run).
     ///
     /// # Panics
     ///
-    /// As [`SimSession::with_shared_tables`].
+    /// Panics if the configuration fails [`SimConfig::validate`].
     #[must_use]
     pub fn with_dcache_model(
         config: SimConfig,
         source: S,
-        tables: SharedTables,
         dcache: Box<dyn dvi_mem::DataMemModel>,
     ) -> SimSession<S> {
-        SimSession::from_core(Core::with_shared_and_dcache(config, tables, Some(dcache)), source)
+        SimSession::from_core(Core::new(config, Some(dcache)), source)
     }
 
     fn from_core(core: Core, source: S) -> SimSession<S> {

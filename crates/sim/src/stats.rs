@@ -49,53 +49,24 @@ pub struct SimStats {
     /// machine (no host state), so statistics stay bit-identical across
     /// serial, batched and parallel execution even for deadlocked members.
     pub deadlock: Option<DeadlockReport>,
-    /// Dispatch-group fusion fast-path coverage (see [`FusionCounters`]).
-    /// Host-policy observability, not modelled-machine state: excluded
-    /// from equality so fused and unfused runs of the same member compare
-    /// bit-identical.
+    /// Always zero: no member dispatches through a fusion table. Kept
+    /// because the repository benchmark reads it for its
+    /// `model.fusion_coverage` metric, until a benchmark change retires
+    /// that metric.
     pub fusion: FusionCounters,
 }
 
-/// How often the fused dispatch fast path carried the run versus falling
-/// back to the cycle-accurate slow loop. These counters describe the *host*
-/// execution strategy (which code path dispatched a record), never the
-/// simulated machine — a grid that mostly falls back is *visible* here
-/// (service `/metrics`, CLI `status`) instead of silently slow.
-#[derive(Debug, Clone, Copy, Default)]
+/// Fusion fast-path counters of a run: always zero (see
+/// [`SimStats::fusion`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionCounters {
     /// Fusion groups dispatched whole by the fast path.
     pub groups: u64,
     /// Records dispatched by the fast path.
     pub fused_records: u64,
-    /// Records dispatched (or consumed at decode) by the fallback slow
-    /// loop while a fusion table was attached.
+    /// Records dispatched by the fallback slow loop.
     pub fallback_records: u64,
 }
-
-impl FusionCounters {
-    /// Fraction of fusion-eligible dispatch work carried by the fast path,
-    /// in percent (0 when nothing dispatched).
-    #[must_use]
-    pub fn coverage_pct(&self) -> f64 {
-        let total = self.fused_records + self.fallback_records;
-        if total == 0 {
-            0.0
-        } else {
-            self.fused_records as f64 / total as f64 * 100.0
-        }
-    }
-}
-
-// Host-policy counters: two runs of the same member must compare equal no
-// matter which dispatch path executed them, so equality ignores the struct
-// entirely (the modelled-machine counters around it do the comparing).
-impl PartialEq for FusionCounters {
-    fn eq(&self, _other: &FusionCounters) -> bool {
-        true
-    }
-}
-
-impl Eq for FusionCounters {}
 
 /// The pipeline stage that last made forward progress before a watchdog
 /// abort — the first question a deadlock triage asks (a stuck *commit*

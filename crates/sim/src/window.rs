@@ -19,9 +19,7 @@
 //! as two flag arrays (`issued`, `done`) plus a `done_at` cycle array
 //! instead of a per-entry enum; [`WindowRing::state`] reconstructs the
 //! [`EntryState`] view for the reference naive-scan scheduler and for
-//! assertions. The `done` flags double as the completion set the
-//! dependence-graph back end probes when resolving producer links (it
-//! used to mirror them in a private bitset).
+//! assertions.
 //!
 //! Entries are identified by their *window sequence number* (`wseq`), a
 //! monotonically increasing dispatch counter; the slot of entry `wseq` is
@@ -81,8 +79,7 @@ pub struct WindowRing {
     /// Whether the entry issued to a functional unit (`Executing` or, once
     /// `done` is also set, finished after executing).
     issued: Vec<bool>,
-    /// Whether the entry finished (eligible for commit). This is the
-    /// completion set the dependence-graph back end probes directly.
+    /// Whether the entry finished (eligible for commit).
     done: Vec<bool>,
     /// Whether this is the mispredicted branch/return fetch stalls on.
     resolves: Vec<bool>,
@@ -93,16 +90,14 @@ pub struct WindowRing {
     /// Previous mapping of the destination architectural register, freed
     /// at commit ([`NO_REG`] = none).
     old_dst: Vec<u16>,
-    /// Renamed source operands ([`NO_REG`] = always ready). Left unset
-    /// under dependence-graph wiring (producer links carry the
-    /// information).
+    /// Renamed source operands ([`NO_REG`] = always ready).
     srcs: Vec<[u16; 2]>,
     /// Effective address — written and read only for memory classes.
     mem_addr: Vec<u64>,
     /// Cycle at which execution finishes (valid while `issued`).
     done_at: Vec<u64>,
-    /// Trace sequence number of the dispatched record (dependence-graph
-    /// back end; zero when unused).
+    /// Trace sequence number of the dispatched record (deadlock
+    /// diagnostics name the wedged record by it).
     dseq: Vec<u64>,
     /// Physical registers reclaimed by DVI that become free when this
     /// entry commits. The paper frees dead physical registers only when
@@ -167,13 +162,6 @@ impl WindowRing {
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.len() >= self.capacity
-    }
-
-    /// Free entry slots remaining — the fused dispatch path's one-compare
-    /// structural-hazard check for a whole fetch group.
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.len()
     }
 
     /// Sequence number of the oldest entry (the next to commit), if any.
@@ -350,9 +338,7 @@ impl WindowRing {
 
     // -------------------------------------------------- execution state --
 
-    /// Whether the entry has finished executing (this flag array is what
-    /// the dependence-graph back end probes when resolving producer
-    /// links).
+    /// Whether the entry has finished executing.
     #[inline]
     #[must_use]
     pub fn is_done(&self, wseq: u64) -> bool {

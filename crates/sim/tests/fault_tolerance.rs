@@ -2,25 +2,21 @@
 //!
 //! The robustness contract of the sweep runner, locked from the outside:
 //!
-//! * a member that **panics mid-sweep** is retried as a live per-member
-//!   simulation and reports [`MemberOutcome::Degraded`] with statistics
-//!   bit-identical to a healthy run — the other members never notice;
+//! * a member that **panics mid-sweep** is retried from record 0 and
+//!   reports [`MemberOutcome::Degraded`] with statistics bit-identical to
+//!   a healthy run — the other members never notice;
 //! * a member that panics **twice** reports [`MemberOutcome::Panicked`]
 //!   and, again, leaves every sibling's statistics untouched — serial and
 //!   parallel runners alike;
-//! * a [`RecordedOracles`] bundle round-trips through its artifact and
-//!   drives a sweep to bit-identical statistics, while a bundle recorded
-//!   from a *different* trace degrades the sweep (bit-identical, just
-//!   slower) instead of replaying the wrong event stream;
 //! * a sweep **killed at any scheduling turn** and resumed from its
 //!   checkpoint produces final outcomes bit-identical to the uninterrupted
 //!   run, because member statistics are a pure function of
-//!   (configuration, trace, shared products).
+//!   (configuration, trace).
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{ArtifactError, CapturedTrace, LayoutProgram};
-use dvi_sim::{MemberOutcome, RecordedOracles, SimConfig, SweepRunner};
+use dvi_sim::{MemberOutcome, SimConfig, SweepRunner};
 use dvi_workloads::{presets, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -33,8 +29,8 @@ fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
     compiled.program.layout().expect("binary lays out")
 }
 
-/// A small heterogeneous grid: enough members to share oracles, distinct
-/// enough to catch cross-member contamination.
+/// A small heterogeneous grid, distinct enough to catch cross-member
+/// contamination.
 fn grid() -> Vec<SimConfig> {
     vec![
         SimConfig::micro97(),
@@ -45,9 +41,8 @@ fn grid() -> Vec<SimConfig> {
 }
 
 fn small_trace() -> CapturedTrace {
-    let mut trace = CapturedTrace::record(&edvi_layout(&presets::gcc_like()), 20_000);
+    let trace = CapturedTrace::record(&edvi_layout(&presets::gcc_like()), 20_000);
     assert!(trace.len() > 10_000, "fault thresholds below assume a 10k+ record trace");
-    trace.build_depgraph();
     trace
 }
 
@@ -126,74 +121,6 @@ fn sticky_fault_fails_the_member_without_taking_the_sweep_down() {
             }
         }
     }
-}
-
-#[test]
-fn recorded_oracles_roundtrip_and_drive_bit_identical_sweeps() {
-    let dir = scratch("oracles");
-    let trace = small_trace();
-    let healthy = SweepRunner::new(&trace, grid()).run_outcomes();
-
-    let micro97 = SimConfig::micro97();
-    let dvi_configs: Vec<DviConfig> =
-        vec![DviConfig::none(), DviConfig::idvi_only(), DviConfig::full()];
-    let bundle = RecordedOracles::record(
-        &trace,
-        Some(micro97.predictor),
-        Some(micro97.icache),
-        &dvi_configs,
-    );
-
-    let path = dir.join("oracles.dviorcl");
-    bundle.save(&path).expect("bundle saves");
-    let loaded = RecordedOracles::load(&path, Some(trace.fingerprint())).expect("bundle loads");
-    assert_eq!(loaded.trace_fingerprint(), bundle.trace_fingerprint());
-
-    let preloaded = SweepRunner::new(&trace, grid()).with_recorded_oracles(&loaded).run_outcomes();
-    assert_eq!(preloaded, healthy, "preloaded oracles must not perturb statistics");
-
-    // Loading against the wrong trace is rejected outright...
-    let other = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("other", 11)), 20_000);
-    assert!(matches!(
-        RecordedOracles::load(&path, Some(other.fingerprint())),
-        Err(ArtifactError::FingerprintMismatch { .. })
-    ));
-
-    // ...and a stale bundle smuggled past the load check degrades the
-    // sweep to live per-member simulation with identical statistics.
-    let stale = RecordedOracles::record(&other, Some(micro97.predictor), None, &[]);
-    let degraded = SweepRunner::new(&trace, grid()).with_recorded_oracles(&stale).run_outcomes();
-    for (got, want) in degraded.iter().zip(&healthy) {
-        let MemberOutcome::Degraded { stats, reason } = got else {
-            panic!("stale bundle must degrade every member, got {got:?}");
-        };
-        assert!(reason.contains("fingerprint"), "reason {reason:?}");
-        assert_eq!(Some(stats), want.stats(), "degraded statistics must stay bit-identical");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn corrupted_oracle_bundles_are_rejected() {
-    let trace = small_trace();
-    let micro97 = SimConfig::micro97();
-    let bundle =
-        RecordedOracles::record(&trace, Some(micro97.predictor), Some(micro97.icache), &[]);
-    let bytes = bundle.to_bytes();
-
-    for cut in [0, bytes.len() / 2, bytes.len() - 1] {
-        assert!(
-            RecordedOracles::from_bytes(&bytes[..cut], None).is_err(),
-            "truncation at {cut} must be rejected"
-        );
-    }
-    let mut corrupt = bytes.clone();
-    let mid = bytes.len() / 2;
-    corrupt[mid] ^= 0x10;
-    assert!(matches!(
-        RecordedOracles::from_bytes(&corrupt, None),
-        Err(ArtifactError::ChecksumMismatch { .. })
-    ));
 }
 
 /// The kill/resume equivalence lock: a sweep checkpointing every turn,

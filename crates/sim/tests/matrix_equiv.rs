@@ -10,13 +10,11 @@
 //!
 //! * matrix == per-trace-batched == serial over the Figure 10 workload
 //!   mix × heterogeneous grids, at shard counts 1/2/members and thread
-//!   counts 1/2/available;
-//! * shared products built once per (shard, trace) pair — the in-process
-//!   count agrees with the out-of-process merge's — with duplicate cells
-//!   and duplicate members deduplicated and fanned back out;
-//! * product residency: a trace's products live from its first claimed
-//!   member to its last, so at most `threads` sets are alive at once, and
-//!   gate-declined or checkpoint-restored traces build nothing;
+//!   counts 1/2/available, and over a grid with several members per
+//!   predictor, L1I geometry and DVI scheme, mixed decode widths and a
+//!   perfect-L1D member, at shard counts 1/2;
+//! * duplicate cells and duplicate members deduplicated and fanned back
+//!   out;
 //! * the serialized shard path: `shard_jobs` → bytes → `ShardJob::run`
 //!   → `merge_shard_results` equals the in-process run, and corrupted
 //!   artifacts are rejected, never misparsed;
@@ -120,26 +118,31 @@ fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
     assert_eq!(batched, serial, "per-trace batched runner diverges from serial");
 
     let members: usize = grids.iter().map(Vec::len).sum();
-    for shards in [1, 2, members] {
-        // The out-of-process path builds once per (shard, trace) pair; the
-        // in-process run must count the same builds.
-        let runner = MatrixRunner::new(cells.clone()).shards(shards);
+    assert_matrix_matches_serial(&cells, &serial, &[1, 2, members]);
+}
+
+/// Asserts the matrix over `cells` reproduces `serial` bit for bit at every
+/// shard count in `shard_counts` and thread counts 1/2/available, and that
+/// the out-of-process shard round trip merges to the same outcomes.
+fn assert_matrix_matches_serial(
+    cells: &[(&CapturedTrace, Vec<SimConfig>)],
+    serial: &[Vec<SimStats>],
+    shard_counts: &[usize],
+) {
+    let members: usize = cells.iter().map(|(_, grid)| grid.len()).sum();
+    for &shards in shard_counts {
+        let runner = MatrixRunner::new(cells.to_vec()).shards(shards);
         let results: Vec<ShardResult> =
             runner.shard_jobs().iter().map(|job| job.run(None).expect("shard runs")).collect();
         let merged = runner.merge_shard_results(&results).expect("complete results merge");
+        assert_eq!(
+            unwrap_ok(merged.into_cells()),
+            serial,
+            "out-of-process matrix({shards} shards) diverges from serial"
+        );
         for threads in [1, 2, available_threads()] {
-            let outcome = MatrixRunner::new(cells.clone()).shards(shards).threads(threads).run();
+            let outcome = MatrixRunner::new(cells.to_vec()).shards(shards).threads(threads).run();
             assert_eq!(outcome.report.shards, shards.min(members));
-            assert_eq!(
-                outcome.report.shared_builds, merged.report.shared_builds,
-                "one build per (shard, trace) pair, in process and out"
-            );
-            if shards == 1 {
-                assert_eq!(
-                    outcome.report.shared_builds, outcome.report.distinct_traces as u64,
-                    "one shard builds exactly once per distinct trace"
-                );
-            }
             let stats = unwrap_ok(outcome.into_cells());
             assert_eq!(
                 stats, serial,
@@ -149,9 +152,46 @@ fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
     }
 }
 
+/// The grid shape that used to switch on every trace-pure product: at
+/// least three members sharing each predictor configuration, L1I geometry
+/// and DVI scheme, mixed decode widths, and one perfect-L1D member. Every
+/// member now runs the plain core; the matrix must still equal serial
+/// replays at shard counts 1 and 2.
+#[test]
+fn all_products_grid_matrix_is_bit_identical_to_serial() {
+    const STEPS: u64 = 8_000;
+    let wide =
+        |dvi: DviConfig| SimConfig::micro97().with_issue_width(8).with_phys_regs(160).with_dvi(dvi);
+    let grid = vec![
+        SimConfig::micro97().with_phys_regs(34).with_dvi(DviConfig::full()),
+        SimConfig::micro97().with_phys_regs(48).with_dvi(DviConfig::full()),
+        SimConfig::micro97().with_dvi(DviConfig::full()),
+        SimConfig::micro97().with_phys_regs(48),
+        SimConfig::micro97(),
+        wide(DviConfig::none()),
+        wide(DviConfig::full()),
+        SimConfig::micro97().with_perfect_dcache().with_dvi(DviConfig::full()),
+    ];
+    let traces: Vec<CapturedTrace> = presets::save_restore_suite()
+        .iter()
+        .take(2)
+        .map(|spec| CapturedTrace::record(&edvi_layout(spec), STEPS))
+        .collect();
+    let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
+        traces.iter().map(|trace| (trace, grid.clone())).collect();
+    let serial: Vec<Vec<SimStats>> = cells
+        .iter()
+        .map(|(trace, grid)| {
+            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
+        })
+        .collect();
+    assert_matrix_matches_serial(&cells, &serial, &[1, 2]);
+}
+
 /// Duplicate cells and duplicate members deduplicate through the
-/// fingerprint-keyed registry — one build per distinct trace, one run per
-/// distinct member — and fan back out to every requesting grid slot.
+/// fingerprint-keyed registry — one registry entry per distinct trace, one
+/// run per distinct member — and fan back out to every requesting grid
+/// slot.
 #[test]
 fn duplicate_traces_and_members_share_one_build() {
     let trace_a = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("dup-a", 11)), 4_000);
@@ -173,8 +213,6 @@ fn duplicate_traces_and_members_share_one_build() {
     assert_eq!(report.distinct_traces, 2);
     assert_eq!(report.trace_reuse_hits, 1, "cell 2 reuses cell 0's trace");
     assert_eq!(report.member_dedup_hits, 2);
-    assert_eq!(report.shared_builds, 2, "exactly one build per distinct trace");
-    assert_eq!(report.build_reuse_hits, 4);
     let cells = outcome.into_cells();
     assert_eq!(cells[0][0], cells[2][1], "deduped member fans out identically");
     assert_eq!(cells[0][1], cells[2][0]);
@@ -294,79 +332,6 @@ fn cell_gate_skips_exclusively_declined_members() {
         matches!(&unwrapped[1][1], MemberOutcome::Panicked { payload } if payload.contains("gate")),
         "skipped slots surface explicitly after unwrapping"
     );
-}
-
-/// Product residency over a matrix of many traces whose duplicate cells
-/// interleave the traces in submission order, so no trace's member ids are
-/// contiguous: claims still go trace by trace and each trace's products
-/// are freed after its last member, so at most `threads` product sets are
-/// alive at once. Traces the gate wholly declines, or that a checkpoint
-/// wholly restores, build nothing.
-#[test]
-fn trace_products_live_only_while_their_members_run() {
-    const TRACES: usize = 8;
-    let traces: Vec<CapturedTrace> = (0..TRACES as u64)
-        .map(|k| {
-            let spec = WorkloadSpec::small(&format!("resident-{k}"), 60 + k);
-            CapturedTrace::record(&edvi_layout(&spec), 2_000)
-        })
-        .collect();
-    let base = SimConfig::micro97();
-    let full = SimConfig::micro97().with_dvi(DviConfig::full());
-    // Cells A..H, then A..H again: the second pass repeats one member and
-    // adds one, whose global id lands after every first-pass member.
-    let mut cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
-        traces.iter().map(|t| (t, vec![base.clone(), full.clone()])).collect();
-    cells.extend(traces.iter().map(|t| (t, vec![full.clone(), base.clone().with_phys_regs(48)])));
-    let serial: Vec<Vec<SimStats>> = cells
-        .iter()
-        .map(|(trace, grid)| {
-            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
-        })
-        .collect();
-
-    for threads in [1, 2] {
-        let outcome = MatrixRunner::new(cells.clone()).threads(threads).run();
-        let report = outcome.report.clone();
-        assert_eq!(report.distinct_traces, TRACES);
-        assert_eq!(report.unique_members, 3 * TRACES);
-        assert_eq!(report.shared_builds, TRACES as u64, "one build per distinct trace");
-        assert!(
-            (1..=threads).contains(&report.peak_live_products),
-            "{} product sets alive at once on {threads} threads",
-            report.peak_live_products
-        );
-        assert_eq!(unwrap_ok(outcome.into_cells()), serial, "{threads} threads diverge");
-    }
-
-    // The gate declines every member of trace 3 (cells 3 and 11 are the
-    // only cells naming it): its products are never built.
-    let declined = 3;
-    let outcome = MatrixRunner::new(cells.clone())
-        .threads(2)
-        .with_cell_gate(|requesters| requesters.iter().any(|&cell| cell % TRACES != declined))
-        .run();
-    assert_eq!(outcome.report.skipped_members, 3);
-    assert_eq!(outcome.report.shared_builds, TRACES as u64 - 1, "a declined trace builds nothing");
-    assert!(outcome.cells[declined].iter().all(Option::is_none));
-
-    // Kill after three completions: one thread claims trace-major, so
-    // those are all of trace 0's members, and the resumed run restores
-    // trace 0 without building its products.
-    let dir = scratch("residency");
-    let killed = catch_unwind(AssertUnwindSafe(|| {
-        MatrixRunner::new(cells.clone())
-            .threads(1)
-            .with_checkpoint_dir(&dir)
-            .with_abort_after_members(3)
-            .run()
-    }));
-    assert!(killed.is_err(), "the abort test hook kills the run");
-    let resumed = MatrixRunner::new(cells).threads(1).with_checkpoint_dir(&dir).run();
-    assert_eq!(resumed.report.resumed_members, 3);
-    assert_eq!(resumed.report.shared_builds, TRACES as u64 - 1, "a restored trace builds nothing");
-    assert_eq!(unwrap_ok(resumed.into_cells()), serial, "resumed matrix diverges from serial");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {

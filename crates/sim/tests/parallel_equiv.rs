@@ -4,8 +4,8 @@
 //! worker threads; `run_parallel_threads` pins the worker count. Both must
 //! be *invisible*: per-member `SimStats` bit-identical to the serial
 //! co-scheduled runner (`SweepRunner::run`) and to plain serial replays,
-//! at **any** thread count — determinism is structural (members share only
-//! immutable `Arc`ed products), not a property of the schedule. These
+//! at **any** thread count — determinism is structural (members share
+//! nothing mutable), not a property of the schedule. These
 //! tests lock that down:
 //!
 //! * across the full Figure 10 workload mix with a heterogeneous 9-point
@@ -104,8 +104,9 @@ fn oversubscribed_thread_count_is_clamped() {
     assert!(empty.is_empty());
 }
 
-/// Builder options (oracle threshold, depgraph opt-out) compose with the
-/// parallel runner and stay invisible to the modelled machine.
+/// Builder options (an injected one-shot member fault, a checkpoint path
+/// the parallel runner does not write) compose with the parallel runner
+/// and stay invisible to the modelled machine.
 #[test]
 fn builder_options_compose_with_run_parallel() {
     let layout = edvi_layout(&WorkloadSpec::small("compose", 29));
@@ -117,48 +118,15 @@ fn builder_options_compose_with_run_parallel() {
     ];
     let serial: Vec<SimStats> =
         grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    let forced =
-        SweepRunner::new(&trace, grid.iter().cloned()).with_oracle_min_members(1).run_parallel();
-    assert_eq!(forced, serial);
-    let bare =
-        SweepRunner::new(&trace, grid.iter().cloned()).without_depgraph().run_parallel_threads(2);
-    assert_eq!(bare, serial);
-}
-
-/// `dmem_geometry_groups` clusters members exactly by the data-side axes
-/// (L1D model + L1D + L2 + memory latency) and ignores everything else —
-/// the agreement rule the shared D-cache oracle is recorded under
-/// (`tests/dcache_equiv.rs` locks the model axis and the oracle itself).
-#[test]
-fn dmem_geometry_groups_cluster_by_data_side_axes() {
-    let layout = edvi_layout(&WorkloadSpec::small("geometry", 3));
-    let trace = CapturedTrace::record(&layout, 2_000);
-    let small_dcache = SimConfig {
-        dcache: dvi_mem::CacheConfig {
-            size_bytes: 32 * 1024,
-            ..dvi_mem::CacheConfig::micro97_l1d()
-        },
-        ..SimConfig::micro97()
-    };
-    let slow_memory = SimConfig { memory_latency: 100, ..SimConfig::micro97() };
-    let grid = vec![
-        SimConfig::micro97(),                             // group 0
-        SimConfig::micro97().with_dvi(DviConfig::full()), // group 0 (DVI is not a data-side axis)
-        small_dcache.clone(),                             // group 1
-        SimConfig::micro97().with_phys_regs(48),          // group 0 (nor is the register file)
-        slow_memory.clone(),                              // group 2
-        small_dcache.clone(),                             // group 1
-    ];
-    let runner = SweepRunner::new(&trace, grid);
-    let groups = runner.dmem_geometry_groups();
-    assert_eq!(groups.len(), 3);
-    assert_eq!(groups[0].1, vec![0, 1, 3]);
-    assert_eq!(groups[1].1, vec![2, 5]);
-    assert_eq!(groups[2].1, vec![4]);
-    assert_eq!(groups[1].0, small_dcache.dmem_geometry());
-    assert_eq!(groups[2].0.memory_latency, 100);
-    // Grouping is a read-only query: the sweep still runs afterwards.
-    assert_eq!(runner.run_parallel().len(), 6);
+    let faulted =
+        SweepRunner::new(&trace, grid.iter().cloned()).with_member_fault(1, 1_000).run_parallel();
+    assert_eq!(faulted, serial);
+    let path = std::env::temp_dir().join("dvi-parallel-compose.dviswpck");
+    let checkpointed = SweepRunner::new(&trace, grid.iter().cloned())
+        .with_checkpoint(&path)
+        .run_parallel_threads(2);
+    assert_eq!(checkpointed, serial);
+    assert!(!path.exists(), "the parallel runner has no turn boundary to snapshot at");
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {

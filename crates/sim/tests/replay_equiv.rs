@@ -17,13 +17,9 @@
 use dvi_core::DviConfig;
 use dvi_isa::{Abi, AluOp, ArchReg, CmpOp, Instr};
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram, ProcBuilder, ProgramBuilder};
-use dvi_sim::{
-    record_dcache_oracle, BranchOracle, DviOracle, IcacheOracle, SchedulerKind, SharedTables,
-    SimConfig, SimSession, SimStats, Simulator, StaticDecodeTable,
-};
+use dvi_sim::{SchedulerKind, SimConfig, SimStats, Simulator};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
     let program = dvi_workloads::generate(spec);
@@ -51,7 +47,6 @@ fn assert_replay_equivalent(
     steps: u64,
     context: &str,
 ) {
-    let mut event_driven_live = None;
     for scheduler in [SchedulerKind::EventDriven, SchedulerKind::NaiveScan] {
         let config = config.clone().with_scheduler(scheduler);
         let from_live = live(layout, config.clone(), steps);
@@ -64,50 +59,12 @@ fn assert_replay_equivalent(
             !from_live.deadlocked,
             "{context}: the forward-progress watchdog fired on a healthy workload"
         );
-        if scheduler == SchedulerKind::EventDriven {
-            event_driven_live = Some(from_live);
-        }
     }
     let from_live = live_legacy(layout, config.clone(), steps);
     let from_replay = dvi_sim::legacy::LegacySimulator::new(config.clone()).run(trace.replay());
     assert_eq!(
         from_live, from_replay,
         "{context}: replayed stats diverge from live interpretation (legacy core)"
-    );
-    let expected = event_driven_live.expect("the scheduler loop ran the event-driven core");
-    assert_shared_products_equivalent(trace, config, &expected, context);
-}
-
-/// The depgraph path: a serial session consuming *every* precomputed
-/// trace-pure product — decode table, branch and I-cache oracles, the
-/// dependence graph (producer-link dispatch wiring), the DVI oracle and
-/// the D-cache oracle — must still be bit-identical to live
-/// interpretation (`expected` is the live event-driven run the caller
-/// already produced).
-fn assert_shared_products_equivalent(
-    trace: &CapturedTrace,
-    config: &SimConfig,
-    expected: &SimStats,
-    context: &str,
-) {
-    let mut owned = trace.clone();
-    let depgraph = owned.build_depgraph();
-    let replay_config = config.clone().with_scheduler(SchedulerKind::EventDriven);
-    let fusion = owned.build_fusion(replay_config.decode_width);
-    let tables = SharedTables {
-        decode: Some(Arc::new(StaticDecodeTable::for_trace(&owned))),
-        branches: Some(Arc::new(BranchOracle::record(&owned, config.predictor))),
-        icache: Some(Arc::new(IcacheOracle::record(&owned, config.icache))),
-        depgraph: Some(depgraph),
-        dvi: Some(Arc::new(DviOracle::record(&owned, config.dvi))),
-        dcache: Some(record_dcache_oracle(&owned, &replay_config)),
-        fusion: Some(fusion),
-    };
-    let shared =
-        SimSession::with_shared_tables(replay_config, owned.cursor(), tables).run_to_completion();
-    assert_eq!(
-        expected, &shared,
-        "{context}: shared-products session diverges from live interpretation"
     );
 }
 
