@@ -7,8 +7,8 @@
 //! configuration.
 //!
 //! Host-side it follows the capture-once/replay-many discipline: the
-//! benchmark's trace is recorded once, the whole depth grid is timed in a
-//! single batched `SweepRunner` pass for the report, and the Criterion
+//! benchmark's trace is recorded once, the whole depth grid runs as one
+//! `MatrixRunner` matrix for the report, and the Criterion
 //! measurement replays the shared capture per depth (the interpreter never
 //! runs inside the timed region).
 
@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvi_core::DviConfig;
 use dvi_experiments::{Binaries, Budget};
 use dvi_program::CapturedTrace;
-use dvi_sim::{SimConfig, Simulator, SweepRunner};
+use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig, Simulator};
 use dvi_workloads::presets;
 use std::time::Duration;
 
@@ -36,9 +36,11 @@ fn bench(c: &mut Criterion) {
     };
 
     // Report the elimination rate for each depth once (printed to stderr so
-    // it shows up in the bench log) — the whole grid rides one batched pass
+    // it shows up in the bench log) — the whole grid runs as one matrix
     // over the shared capture.
-    let grid_stats = SweepRunner::new(&trace, DEPTHS.into_iter().map(config_for)).run();
+    let grid = DEPTHS.into_iter().map(config_for).collect();
+    let cells = MatrixRunner::new(vec![(&trace, grid)]).run().into_cells();
+    let grid_stats: Vec<_> = cells.into_iter().flatten().map(MemberOutcome::into_stats).collect();
     for (depth, stats) in DEPTHS.into_iter().zip(&grid_stats) {
         assert!(!stats.deadlocked, "depth {depth} produced a partial run");
         eprintln!(

@@ -20,34 +20,28 @@
 //! Three machines are measured: the paper's 4-wide/80-register machine,
 //! the scaled 8-wide/160 machine and a 16-wide/320 sweep machine.
 //!
-//! A separate **sweep** section compares three ways of running a whole
+//! A separate **sweep** section compares two ways of running a whole
 //! configuration grid over the captured traces: the serial capture/replay
-//! loop (one `Simulator::run` per grid point), one co-scheduled
-//! `SweepRunner` pass per trace (see `dvi_sim::batch`), and the
-//! thread-parallel runner
-//! (`SweepRunner::run_parallel`, recorded as `sweep.parallel_vs_serial` —
-//! parity on a single-core container, where it degenerates to the serial
-//! schedule). The comparison first asserts all three produce bit-identical
-//! `SimStats`, so the CI bench-smoke job also acts as a batching and
-//! parallelism regression test. A **backend** section records the pinned
-//! A/B of the SoA back end against the earlier AoS back end
-//! (`backend.soa_vs_pr4`; both sides are pinned same-container
-//! measurements, see `ab_reference`) next to this run's plain-replay
-//! cost.
+//! loop (one `Simulator::run` per grid point) and one `dvi_sim::MatrixRunner`
+//! matrix over every (trace, grid) cell — the one sweep runner every
+//! figure and the service use. The comparison first asserts both produce
+//! bit-identical `SimStats` (at the default and pinned thread counts), so
+//! the CI bench-smoke job also acts as a sweep regression test. A
+//! **backend** section records the pinned A/B of the SoA back end against
+//! the earlier AoS back end (`backend.soa_vs_pr4`; both sides are pinned
+//! same-container measurements, see `ab_reference`) next to this run's
+//! plain-replay cost.
 //!
-//! A **matrix** section times the whole-matrix (trace × config) runner
-//! (`dvi_sim::MatrixRunner`) against the per-figure loop it replaced —
-//! one `SweepRunner` pass per trace over the same grid —
-//! (`matrix.vs_per_figure`, interleaved min-of-N, bit-identity incl. a
-//! 2-shard run asserted before timing), and asserts the dedup counters on
-//! a duplicated submission (one registry entry per distinct trace, the
-//! second copy of every cell deduplicated member-for-member).
+//! A **matrix** section asserts the matrix's bit-identity across shard
+//! counts and its dedup counters on a duplicated submission (one registry
+//! entry per distinct trace, the second copy of every cell deduplicated
+//! member-for-member).
 //!
 //! A **service** section measures the persistent sweep service end to end
-//! against a direct `SweepRunner` pass on the same (trace × grid) matrix:
-//! `service.end_to_end_overhead` is the cold-cache (all-miss) submission
-//! relative to the direct runner (target <= 1.05x; the delta is
-//! scheduling, durability checkpoints and memo-cache stores), and
+//! against a direct single-thread `MatrixRunner` pass on the same (trace ×
+//! grid) matrix: `service.end_to_end_overhead` is the cold-cache
+//! (all-miss) submission relative to the direct runner (target <= 1.05x;
+//! the delta is scheduling and result-store writes), and
 //! `service.memo_hit_vs_miss` is the cold pass relative to resubmitting
 //! the identical jobs against the warm content-addressed cache, which
 //! simulates zero members (asserted via the service's own metrics).
@@ -63,9 +57,7 @@ use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram};
 use dvi_service::{JobSpec, ServiceConfig, SweepService, TraceSource};
-use dvi_sim::{
-    MatrixRunner, MemberOutcome, SchedulerKind, SimConfig, SimStats, Simulator, SweepRunner,
-};
+use dvi_sim::{MatrixRunner, MemberOutcome, SchedulerKind, SimConfig, SimStats, Simulator};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -261,7 +253,7 @@ fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 4] {
     mips
 }
 
-/// The 8-configuration sweep grid of the batched-vs-serial comparison: the
+/// The 8-configuration sweep grid of the matrix-vs-serial comparison: the
 /// register-file axis of the paper's Figure 5 on the 4-wide machine with
 /// full DVI.
 fn sweep_grid() -> Vec<SimConfig> {
@@ -272,8 +264,7 @@ fn sweep_grid() -> Vec<SimConfig> {
 }
 
 /// The serial capture/replay loop: one `Simulator::run` per (trace,
-/// config) pair — how sweeps ran before the batched runner. Returns total
-/// simulated instructions.
+/// config) pair. Returns total simulated instructions.
 fn run_sweep_serial(mix: &Mix, grid: &[SimConfig]) -> u64 {
     mix.traces
         .iter()
@@ -285,126 +276,73 @@ fn run_sweep_serial(mix: &Mix, grid: &[SimConfig]) -> u64 {
         .sum()
 }
 
-/// The batched runner: all grid members co-scheduled in one pass per
-/// trace. Returns total simulated instructions.
-fn run_sweep_batch(mix: &Mix, grid: &[SimConfig]) -> u64 {
-    mix.traces
+/// The (trace × grid) cells of the mix.
+fn sweep_cells<'a>(mix: &'a Mix, grid: &[SimConfig]) -> Vec<(&'a CapturedTrace, Vec<SimConfig>)> {
+    mix.traces.iter().map(|trace| (trace, grid.to_vec())).collect()
+}
+
+/// The matrix runner: every grid member of every trace in one matrix,
+/// spread over the host's threads. Returns total simulated instructions.
+fn run_sweep_matrix(mix: &Mix, grid: &[SimConfig]) -> u64 {
+    MatrixRunner::new(sweep_cells(mix, grid))
+        .run()
+        .into_cells()
         .iter()
-        .map(|trace| {
-            SweepRunner::new(trace, grid.iter().cloned())
-                .run()
-                .iter()
-                .map(|s| s.program_instrs)
-                .sum::<u64>()
-        })
+        .flatten()
+        .filter_map(|o| o.stats().map(|s| s.program_instrs))
         .sum()
 }
 
-/// The parallel runner: grid members distributed across the host's cores,
-/// one pass per trace. Returns total simulated instructions.
-fn run_sweep_parallel(mix: &Mix, grid: &[SimConfig]) -> u64 {
-    mix.traces
-        .iter()
-        .map(|trace| {
-            SweepRunner::new(trace, grid.iter().cloned())
-                .run_parallel()
-                .iter()
-                .map(|s| s.program_instrs)
-                .sum::<u64>()
-        })
-        .sum()
-}
-
-/// Asserts the batched and parallel runners reproduce the serial
-/// statistics bit for bit on the bench's own grid and traces (the
-/// bench-smoke CI job runs this in quick mode, so a batching or
-/// parallelism regression fails CI even before the throughput numbers are
-/// read).
+/// Asserts the matrix runner reproduces the serial statistics bit for bit
+/// on the bench's own grid and traces, at the default thread count and
+/// pinned to 1 and 2 threads (the bench-smoke CI job runs this in quick
+/// mode, so a sweep regression fails CI even before the throughput numbers
+/// are read).
 fn verify_sweep_equivalence(mix: &Mix, grid: &[SimConfig]) {
-    for trace in &mix.traces {
-        let batched = SweepRunner::new(trace, grid.iter().cloned()).run();
-        let serial: Vec<SimStats> =
-            grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-        assert_eq!(batched, serial, "batched sweep diverged from serial replays");
-        assert!(batched.iter().all(|s| !s.deadlocked), "sweep member hit the deadlock watchdog");
-        let parallel = SweepRunner::new(trace, grid.iter().cloned()).run_parallel();
-        assert_eq!(parallel, serial, "parallel sweep diverged from serial replays");
-        let pinned = SweepRunner::new(trace, grid.iter().cloned()).run_parallel_threads(2);
-        assert_eq!(pinned, serial, "2-thread sweep diverged from serial replays");
+    let serial: Vec<Vec<SimStats>> = mix
+        .traces
+        .iter()
+        .map(|trace| {
+            grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect()
+        })
+        .collect();
+    for threads in [None, Some(1), Some(2)] {
+        let mut runner = MatrixRunner::new(sweep_cells(mix, grid));
+        if let Some(threads) = threads {
+            runner = runner.threads(threads);
+        }
+        let swept: Vec<Vec<SimStats>> = runner
+            .run()
+            .into_cells()
+            .into_iter()
+            .map(|cell| cell.into_iter().map(MemberOutcome::into_stats).collect())
+            .collect();
+        assert_eq!(
+            swept, serial,
+            "matrix sweep ({threads:?} threads) diverged from serial replays"
+        );
+        assert!(
+            swept.iter().flatten().all(|s| !s.deadlocked),
+            "sweep member hit the deadlock watchdog"
+        );
     }
 }
 
-/// Interleaved min-of-N for the sweep comparison: (serial MIPS, batch
-/// MIPS, parallel MIPS).
-fn sweep_mips(mix: &Mix, grid: &[SimConfig]) -> (f64, f64, f64) {
-    let mut best = [f64::MAX; 3];
-    let mut instrs = [0u64; 3];
+/// Interleaved min-of-N for the sweep comparison: (serial MIPS, matrix
+/// MIPS).
+fn sweep_mips(mix: &Mix, grid: &[SimConfig]) -> (f64, f64) {
+    let mut best = [f64::MAX; 2];
+    let mut instrs = [0u64; 2];
     for _ in 0..reps() {
         let start = Instant::now();
         instrs[0] = run_sweep_serial(mix, grid);
         best[0] = best[0].min(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        instrs[1] = run_sweep_batch(mix, grid);
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        instrs[2] = run_sweep_parallel(mix, grid);
-        best[2] = best[2].min(start.elapsed().as_secs_f64());
-    }
-    (
-        instrs[0] as f64 / best[0] / 1.0e6,
-        instrs[1] as f64 / best[1] / 1.0e6,
-        instrs[2] as f64 / best[2] / 1.0e6,
-    )
-}
-
-/// Checkpoint overhead at the runner's maximum cadence
-/// (`with_checkpoint`: snapshot eligibility every scheduling turn, durable
-/// writes deduplicated to one per member completion — see
-/// `SweepRunner::with_checkpoint`). The sweep mix's traces are each
-/// shorter than one 65 536-record turn, which would bill the fixed
-/// snapshot write (0.2–1 ms of file-system calls on this container)
-/// against a fraction of a turn's simulation and overstate the ratio
-/// several-fold — so this A/B records its own trace spanning four full
-/// turns per member and interleaves checkpointing-on/off batched runs,
-/// min-of-N each side. Expected ~1.00x (a handful of small atomic writes
-/// against ~50 ms of simulation; the residual is file-system cost, and it
-/// shrinks further as members run longer, since writes are per completion,
-/// not per turn).
-fn checkpoint_overhead_ratio() -> f64 {
-    const FOUR_TURNS: u64 = 4 * 65_536;
-    let abi = Abi::mips_like();
-    let spec = dvi_workloads::presets::gcc_like().with_outer_iterations(950);
-    let program = dvi_workloads::generate(&spec);
-    let layout = dvi_compiler::compile(&program, &abi, dvi_compiler::CompileOptions::default())
-        .expect("workload compiles")
-        .program
-        .layout()
-        .expect("binary lays out");
-    let trace = CapturedTrace::record(&layout, FOUR_TURNS);
-    assert_eq!(trace.len() as u64, FOUR_TURNS, "the checkpoint A/B needs full scheduling turns");
-    let grid = [
-        SimConfig::micro97(),
-        SimConfig::micro97().with_dvi(DviConfig::full()),
-        SimConfig::micro97().with_phys_regs(40),
-    ];
-    let path = std::env::temp_dir().join("dvi-bench-ckpt.dviswpck");
-    let mut best = [f64::MAX; 2];
-    let (mut plain, mut checkpointed) = (Vec::new(), Vec::new());
-    // Both sides of this A/B are ~30 ms, so extra repetitions are cheap —
-    // and needed: the expected delta (~3%) is far below this container's
-    // run-to-run noise, so only a deep min-of-N on each side of the
-    // interleaved pair resolves it.
-    for _ in 0..reps().max(9) {
-        let start = Instant::now();
-        plain = SweepRunner::new(&trace, grid.iter().cloned()).run();
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        checkpointed = SweepRunner::new(&trace, grid.iter().cloned()).with_checkpoint(&path).run();
+        instrs[1] = run_sweep_matrix(mix, grid);
         best[1] = best[1].min(start.elapsed().as_secs_f64());
     }
-    std::fs::remove_file(&path).ok();
-    assert_eq!(plain, checkpointed, "checkpointing must not change the simulated statistics");
-    best[1] / best[0]
+    assert_eq!(instrs[0], instrs[1], "both sides must simulate the same instructions");
+    (instrs[0] as f64 / best[0] / 1.0e6, instrs[1] as f64 / best[1] / 1.0e6)
 }
 
 /// Times one save → load round trip of every captured trace in the mix
@@ -428,17 +366,17 @@ fn artifact_save_load_seconds(mix: &Mix) -> f64 {
 
 /// The sweep-service end-to-end numbers (see `service_measurements`).
 struct ServiceBenchResult {
-    /// Cold-cache service submission wall time relative to a direct serial
-    /// `SweepRunner` pass over the same (trace × grid) matrix. The delta is
-    /// everything the service adds on a miss: scheduling, per-member
-    /// durability checkpoints and memo-cache stores. Target <= 1.05x
+    /// Cold-cache service submission wall time relative to a direct
+    /// single-thread `MatrixRunner` pass over the same (trace × grid)
+    /// matrix. The delta is everything the service adds on a miss:
+    /// scheduling and per-member result-store writes. Target <= 1.05x
     /// (printed, not asserted — quick mode's short members bill the fixed
     /// per-write file-system cost against very little simulation).
     end_to_end_overhead: f64,
     /// Cold-cache submission wall time relative to resubmitting the
     /// identical jobs against the warm cache (which simulates nothing).
     memo_hit_vs_miss: f64,
-    /// Best direct serial `SweepRunner` pass, seconds.
+    /// Best direct single-thread `MatrixRunner` pass, seconds.
     direct_seconds: f64,
     /// Best cold-cache service pass, seconds.
     miss_seconds: f64,
@@ -446,7 +384,7 @@ struct ServiceBenchResult {
     hit_seconds: f64,
 }
 
-/// Times the sweep service end to end against a direct `SweepRunner` on a
+/// Times the sweep service end to end against a direct `MatrixRunner` on a
 /// fig10-style grid over the mix traces, interleaved min-of-N per side:
 /// per repetition a direct serial pass, a cold-cache (all-miss) service
 /// submission and a warm-cache (all-hit) resubmission, each asserted
@@ -488,11 +426,7 @@ fn service_measurements(mix: &Mix) -> ServiceBenchResult {
     let (mut direct_best, mut miss_best, mut hit_best) = (f64::MAX, f64::MAX, f64::MAX);
     for _ in 0..reps() {
         let start = Instant::now();
-        let direct: Vec<Vec<MemberOutcome>> = mix
-            .traces
-            .iter()
-            .map(|trace| SweepRunner::new(trace, grid.iter().cloned()).run_outcomes())
-            .collect();
+        let direct = MatrixRunner::new(sweep_cells(mix, &grid)).threads(1).run().into_cells();
         direct_best = direct_best.min(start.elapsed().as_secs_f64());
 
         service.cache().clear().expect("memo cache clears");
@@ -521,23 +455,11 @@ fn service_measurements(mix: &Mix) -> ServiceBenchResult {
     }
 }
 
-/// The whole-matrix-vs-per-figure numbers (see `matrix_measurements`).
+/// The matrix checks' counters (see `matrix_measurements`).
 struct MatrixBenchResult {
-    /// Per-figure wall time relative to the whole-matrix pass (>1: the
-    /// matrix was faster). On this single-CPU container the matrix's
-    /// unified work-stealing queue degenerates to the same serial member
-    /// schedule as the per-figure loop, so the honest expectation here is
-    /// parity (~1.0x) — the queue-unification win needs cores to steal
-    /// across.
-    vs_per_figure: f64,
-    /// Best per-figure pass (one `SweepRunner` per trace), seconds.
-    per_figure_seconds: f64,
-    /// Best whole-matrix pass over the identical (trace × grid) cells,
-    /// seconds.
-    matrix_seconds: f64,
-    /// Cells in the timed matrix (one per trace).
+    /// Cells in the checked matrix (one per trace).
     cells: usize,
-    /// Grid slots across all timed cells.
+    /// Grid slots across all checked cells.
     requested_members: usize,
     /// Distinct traces the registry resolved in the duplicated-cells
     /// check.
@@ -551,40 +473,20 @@ struct MatrixBenchResult {
     shards: usize,
 }
 
-/// Times the whole-matrix runner against the per-figure loop it replaced:
-/// the same fig5-style grid over every mix trace, run as one
-/// `SweepRunner::run_parallel_outcomes` pass per trace (how each figure
-/// driver used to sweep on its own) versus one `MatrixRunner` over all
-/// (trace × grid) cells at once, interleaved min-of-N per side.
-/// Bit-identity across the per-figure loop, the in-process matrix and a
-/// 2-shard matrix is asserted on full `MemberOutcome`s before anything is
-/// timed, so the bench-smoke CI job also regression-tests the shard-merge
-/// contract. A separate duplicated-cells run (every cell submitted twice)
-/// asserts the dedup counters: one registry entry per distinct trace, the
-/// entire second submission deduplicated member-for-member.
+/// Asserts the matrix's sharding and dedup contracts on the fig5-style
+/// grid over every mix trace: a 2-shard matrix equals the unsharded one on
+/// full `MemberOutcome`s (so the bench-smoke CI job also regression-tests
+/// the shard-merge contract), and a duplicated-cells run (every cell
+/// submitted twice) resolves one registry entry per distinct trace and
+/// dedups the entire second submission member-for-member.
 fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
-    let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
-        mix.traces.iter().map(|trace| (trace, grid.to_vec())).collect();
-
-    let reference: Vec<Vec<MemberOutcome>> = mix
-        .traces
-        .iter()
-        .map(|trace| SweepRunner::new(trace, grid.iter().cloned()).run_parallel_outcomes())
-        .collect();
+    let cells = sweep_cells(mix, grid);
     let matrixed = MatrixRunner::new(cells.clone()).run();
     let threads = matrixed.report.threads;
-    assert_eq!(
-        matrixed.into_cells(),
-        reference,
-        "the whole-matrix pass diverged from the per-figure loop"
-    );
+    let reference = matrixed.into_cells();
     let shards = 2;
     let sharded = MatrixRunner::new(cells.clone()).shards(shards).run();
-    assert_eq!(
-        sharded.into_cells(),
-        reference,
-        "the sharded matrix diverged from the per-figure loop"
-    );
+    assert_eq!(sharded.into_cells(), reference, "the sharded matrix diverged from the unsharded");
 
     let doubled: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         cells.iter().chain(cells.iter()).cloned().collect();
@@ -595,37 +497,7 @@ fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
         (mix.traces.len() * grid.len()) as u64,
         "the duplicated submission must dedup member-for-member"
     );
-
-    let mut best = [f64::MAX; 2];
-    for _ in 0..reps() {
-        let start = Instant::now();
-        let per_figure: u64 = mix
-            .traces
-            .iter()
-            .map(|trace| {
-                SweepRunner::new(trace, grid.iter().cloned())
-                    .run_parallel_outcomes()
-                    .iter()
-                    .filter_map(|o| o.stats().map(|s| s.program_instrs))
-                    .sum::<u64>()
-            })
-            .sum();
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let whole_matrix: u64 = MatrixRunner::new(cells.clone())
-            .run()
-            .into_cells()
-            .iter()
-            .flatten()
-            .filter_map(|o| o.stats().map(|s| s.program_instrs))
-            .sum();
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-        assert_eq!(per_figure, whole_matrix, "both sides must simulate the same instructions");
-    }
     MatrixBenchResult {
-        vs_per_figure: best[0] / best[1],
-        per_figure_seconds: best[0],
-        matrix_seconds: best[1],
         cells: cells.len(),
         requested_members: cells.len() * grid.len(),
         distinct_traces: reuse.distinct_traces,
@@ -648,14 +520,8 @@ struct MachineResult {
 struct SweepResult {
     configs: usize,
     serial_mips: f64,
-    batch_mips: f64,
-    parallel_mips: f64,
+    matrix_mips: f64,
     threads: usize,
-    /// Batched-runner wall time with max-cadence checkpointing relative
-    /// to without (~1.00x: snapshots are a few hundred bytes and durable
-    /// writes happen once per member completion; see
-    /// `checkpoint_overhead_ratio`).
-    checkpoint_overhead: f64,
     /// One save -> load round trip of every trace in the mix, seconds.
     save_load_seconds: f64,
 }
@@ -712,27 +578,15 @@ fn write_json(
     )?;
     writeln!(
         f,
-        "  \"sweep\": {{\"configs\": {}, \"serial_mips\": {:.3}, \"batch_mips\": {:.3}, \
-         \"batch_vs_serial\": {:.3}, \"parallel_mips\": {:.3}, \"parallel_vs_serial\": {:.3}, \
-         \"parallel_threads\": {}, \"checkpoint_overhead\": {:.3}}},",
-        sweep.configs,
-        sweep.serial_mips,
-        sweep.batch_mips,
-        sweep.batch_mips / sweep.serial_mips,
-        sweep.parallel_mips,
-        sweep.parallel_mips / sweep.serial_mips,
-        sweep.threads,
-        sweep.checkpoint_overhead,
+        "  \"sweep\": {{\"configs\": {}, \"serial_mips\": {:.3}, \"matrix_mips\": {:.3}, \
+         \"matrix_threads\": {}}},",
+        sweep.configs, sweep.serial_mips, sweep.matrix_mips, sweep.threads,
     )?;
     writeln!(
         f,
-        "  \"matrix\": {{\"vs_per_figure\": {:.3}, \"per_figure_seconds\": {:.4}, \
-         \"matrix_seconds\": {:.4}, \"cells\": {}, \"requested_members\": {}, \
+        "  \"matrix\": {{\"cells\": {}, \"requested_members\": {}, \
          \"parallel_threads\": {}, \"shards\": {}, \"distinct_traces\": {}, \
          \"member_dedup_hits\": {}}},",
-        matrix.vs_per_figure,
-        matrix.per_figure_seconds,
-        matrix.matrix_seconds,
         matrix.cells,
         matrix.requested_members,
         matrix.threads,
@@ -797,72 +651,47 @@ fn bench(c: &mut Criterion) {
         mix.depgraph_seconds * 1.0e9 / dynamic_instrs,
     );
 
-    // Batched-vs-serial sweep comparison: the same 8-configuration grid
+    // Matrix-vs-serial sweep comparison: the same 8-configuration grid
     // over the same captured traces, run as 8 serial replays per trace
-    // versus one co-scheduled `SweepRunner` pass per trace. The warm-up is
-    // a full bit-identity check, so the bench-smoke CI job doubles as a
-    // batching regression test.
+    // versus one `MatrixRunner` matrix over every cell. The warm-up is a
+    // full bit-identity check, so the bench-smoke CI job doubles as a
+    // sweep regression test.
     let grid = sweep_grid();
     verify_sweep_equivalence(&mix, &grid);
-    let (serial_mips, batch_mips, parallel_mips) = sweep_mips(&mix, &grid);
-    let checkpoint_overhead = checkpoint_overhead_ratio();
+    let (serial_mips, matrix_mips) = sweep_mips(&mix, &grid);
     let save_load_seconds = artifact_save_load_seconds(&mix);
     let matrix = matrix_measurements(&mix, &grid);
     let service = service_measurements(&mix);
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let sweep = SweepResult {
-        configs: grid.len(),
-        serial_mips,
-        batch_mips,
-        parallel_mips,
-        threads,
-        checkpoint_overhead,
-        save_load_seconds,
-    };
+    let sweep =
+        SweepResult { configs: grid.len(), serial_mips, matrix_mips, threads, save_load_seconds };
     println!(
-        "sim_throughput/sweep/serial   ({} configs): {serial_mips:.2} simulated-MIPS",
+        "sim_throughput/sweep/serial ({} configs): {serial_mips:.2} simulated-MIPS",
         grid.len()
     );
     println!(
-        "sim_throughput/sweep/batch    ({} configs): {batch_mips:.2} simulated-MIPS",
+        "sim_throughput/sweep/matrix ({} configs, {threads} threads): \
+         {matrix_mips:.2} simulated-MIPS",
         grid.len()
-    );
-    println!(
-        "sim_throughput/sweep/parallel ({} configs, {threads} threads): \
-         {parallel_mips:.2} simulated-MIPS",
-        grid.len()
-    );
-    println!(
-        "sim_throughput/sweep/speedup:              {:.2}x batched, {:.2}x parallel vs serial",
-        batch_mips / serial_mips,
-        parallel_mips / serial_mips
-    );
-    println!(
-        "sim_throughput/sweep/checkpoint_overhead:  {checkpoint_overhead:.3}x (max-cadence \
-         durable snapshots — one atomic write per member completion — vs none)"
     );
     println!(
         "sim_throughput/artifact/save_load:         {save_load_seconds:.4}s for one save -> load \
          round trip of the whole mix"
     );
     println!(
-        "sim_throughput/matrix/vs_per_figure:       {:.3}x whole-matrix vs one SweepRunner pass \
-         per trace ({} cells x {} configs, {} threads; parity is the honest single-CPU \
-         expectation — bit-identity incl. a {}-shard run asserted first)",
-        matrix.vs_per_figure,
+        "sim_throughput/matrix/dedup:               {} cells x {} configs on {} threads \
+         bit-identical at {} shards; duplicated submission: {} distinct traces, {} \
+         member-dedup hits",
         matrix.cells,
         matrix.requested_members / matrix.cells.max(1),
         matrix.threads,
         matrix.shards,
+        matrix.distinct_traces,
+        matrix.member_dedup_hits,
     );
     println!(
-        "sim_throughput/matrix/dedup:               duplicated submission: {} distinct traces, \
-         {} member-dedup hits",
-        matrix.distinct_traces, matrix.member_dedup_hits,
-    );
-    println!(
-        "sim_throughput/service/end_to_end_overhead: {:.3}x vs direct SweepRunner (target \
-         <= 1.05x; cold cache, single checkpointed worker, {:.4}s vs {:.4}s)",
+        "sim_throughput/service/end_to_end_overhead: {:.3}x vs direct MatrixRunner (target \
+         <= 1.05x; cold cache, single worker, {:.4}s vs {:.4}s)",
         service.end_to_end_overhead, service.miss_seconds, service.direct_seconds,
     );
     println!(
@@ -912,11 +741,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("sweep_serial_8cfg", |b| {
         b.iter(|| run_sweep_serial(&mix, &grid));
     });
-    g.bench_function("sweep_batch_8cfg", |b| {
-        b.iter(|| run_sweep_batch(&mix, &grid));
-    });
-    g.bench_function("sweep_parallel_8cfg", |b| {
-        b.iter(|| run_sweep_parallel(&mix, &grid));
+    g.bench_function("sweep_matrix_8cfg", |b| {
+        b.iter(|| run_sweep_matrix(&mix, &grid));
     });
     g.finish();
 }

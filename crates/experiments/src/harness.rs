@@ -5,18 +5,18 @@
 //! capture-once/replay-many discipline: [`Binaries::capture`] records each
 //! binary's trace with the functional interpreter exactly once per budget,
 //! and the whole configuration grid of a figure re-times the capture —
-//! through [`sweep`], which batches every grid point into one co-scheduled
-//! pass over the trace (`dvi_sim::batch::SweepRunner`), or through
+//! through [`sweep_matrix`], which runs every (trace, configuration) cell
+//! of a figure as one `dvi_sim::MatrixRunner` matrix, or through
 //! [`replay`] for a single point. Both are bit-identical to live
 //! interpretation (`dvi-sim/tests/replay_equiv.rs`,
-//! `dvi-sim/tests/batch_equiv.rs`), so this is purely a host-time
+//! `dvi-sim/tests/matrix_equiv.rs`), so this is purely a host-time
 //! optimization.
 
 use dvi_core::EdviPlacement;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram};
 use dvi_sim::{
-    MatrixRunner, MemberOutcome, SimConfig, SimStats, Simulator, SweepRunner, SweepSummary,
+    MatrixRunner, MemberOutcome, ResultCache, SimConfig, SimStats, Simulator, SweepSummary,
 };
 use dvi_workloads::WorkloadSpec;
 
@@ -164,98 +164,29 @@ pub fn replay(trace: &CapturedTrace, config: SimConfig) -> SimStats {
     Simulator::new(config).run(trace.replay())
 }
 
-/// Times a recorded trace on every configuration of a grid in one batched
-/// pass (`dvi_sim::batch::SweepRunner`), the grid members co-scheduled
-/// over the one trace. Per-configuration statistics are returned in grid
-/// order and are bit-identical to calling [`replay`] once per
-/// configuration (`dvi-sim/tests/batch_equiv.rs`).
-#[must_use]
-pub fn sweep(trace: &CapturedTrace, configs: impl IntoIterator<Item = SimConfig>) -> Vec<SimStats> {
-    SweepRunner::new(trace, configs).run()
-}
-
-/// [`sweep`] with the grid members distributed across the host's cores
-/// (`SweepRunner::run_parallel`): same grid-order results, bit-identical
-/// statistics at any thread count
-/// (`dvi-sim/tests/parallel_equiv.rs`) — the figure drivers' default.
-/// Member threads nest under the drivers' per-benchmark rayon fan-out; on
-/// a single-core host both collapse to the serial schedule.
-#[must_use]
-pub fn sweep_parallel(
-    trace: &CapturedTrace,
-    configs: impl IntoIterator<Item = SimConfig>,
-) -> Vec<SimStats> {
-    SweepRunner::new(trace, configs).run_parallel()
-}
-
-/// [`sweep`] with per-member fault isolation: each grid member's result is
-/// a [`MemberOutcome`] instead of a bare [`SimStats`], so one panicking or
-/// deadlocking member no longer aborts the whole figure — the driver keeps
-/// the surviving members and reports the failures through
-/// [`fold_outcomes`].
-#[must_use]
-pub fn sweep_outcomes(
-    trace: &CapturedTrace,
-    configs: impl IntoIterator<Item = SimConfig>,
-) -> Vec<MemberOutcome> {
-    SweepRunner::new(trace, configs).run_outcomes()
-}
-
-/// [`sweep_outcomes`] with the grid members distributed across the host's
-/// cores — the fault-isolated counterpart of [`sweep_parallel`]. A worker
-/// thread dying no longer takes the run down: its members come back as
-/// [`MemberOutcome::Panicked`].
-///
-/// When the `DVI_RESULT_CACHE` environment variable names a directory,
-/// the sweep routes through the service layer's content-addressed result
-/// cache (`dvi_service::cached_sweep`): members already memoized under
-/// (trace fingerprint, config fingerprint) are served from disk, the rest
-/// simulate and are stored. Outcomes are bit-identical either way —
-/// memoization rests on the same purity invariant as replay and resume —
-/// so the figure drivers' golden fixtures hold with the cache on or off.
-#[must_use]
-pub fn sweep_parallel_outcomes(
-    trace: &CapturedTrace,
-    configs: impl IntoIterator<Item = SimConfig>,
-) -> Vec<MemberOutcome> {
-    let configs: Vec<SimConfig> = configs.into_iter().collect();
-    if let Ok(dir) = std::env::var("DVI_RESULT_CACHE") {
-        if !dir.is_empty() {
-            if let Ok(cache) = dvi_service::ResultCache::open(dir) {
-                return dvi_service::cached_sweep(trace, &configs, &cache);
-            }
-        }
-    }
-    SweepRunner::new(trace, configs).run_parallel_outcomes()
-}
-
 /// Runs many (trace × configuration-grid) cells as **one** whole-matrix
 /// sweep ([`dvi_sim::MatrixRunner`]): identical (trace, configuration)
-/// members are simulated once, and all members
-/// drain through a single work-stealing queue instead of one queue per
-/// figure grid. Results come back in cell order, each cell in grid
-/// order, and are bit-identical to calling [`sweep_parallel_outcomes`]
-/// once per cell (`dvi-sim/tests/matrix_equiv.rs`) — this is purely a
-/// host-time optimization, so the figure drivers' golden fixtures hold.
+/// members are simulated once, and all members drain through a single
+/// work-stealing queue. Results come back in cell order, each cell in
+/// grid order, and are bit-identical to serial replays
+/// (`dvi-sim/tests/matrix_equiv.rs`) — this is purely a host-time
+/// optimization, so the figure drivers' golden fixtures hold.
 ///
 /// When the `DVI_RESULT_CACHE` environment variable names a directory,
-/// each cell routes through the service layer's content-addressed result
-/// cache (`dvi_service::cached_sweep`) exactly as
-/// [`sweep_parallel_outcomes`] would — memoization and the matrix rest on
-/// the same purity invariant, so outcomes are bit-identical either way.
+/// the matrix runs over it as its result store
+/// ([`MatrixRunner::with_store`]): members already stored under (trace
+/// fingerprint, config fingerprint) are served from disk, the rest
+/// simulate and are stored. The store rests on the same purity invariant
+/// as the matrix, so outcomes are bit-identical either way.
 #[must_use]
 pub fn sweep_matrix(cells: Vec<(&CapturedTrace, Vec<SimConfig>)>) -> Vec<Vec<MemberOutcome>> {
-    if let Ok(dir) = std::env::var("DVI_RESULT_CACHE") {
-        if !dir.is_empty() {
-            if let Ok(cache) = dvi_service::ResultCache::open(dir) {
-                return cells
-                    .into_iter()
-                    .map(|(trace, configs)| dvi_service::cached_sweep(trace, &configs, &cache))
-                    .collect();
-            }
+    let mut runner = MatrixRunner::new(cells);
+    if let Some(dir) = std::env::var_os("DVI_RESULT_CACHE").filter(|dir| !dir.is_empty()) {
+        if let Ok(store) = ResultCache::open(dir) {
+            runner = runner.with_store(store);
         }
     }
-    MatrixRunner::new(cells).run().into_cells()
+    runner.run().into_cells()
 }
 
 /// Splits fault-isolated sweep results into per-member statistics (grid

@@ -8,7 +8,7 @@
 //! which is exactly the purity invariant the memoization keys encode.
 
 use dvi_core::DviConfig;
-use dvi_experiments::{sweep_parallel_outcomes, Budget, CapturedBinaries};
+use dvi_experiments::{sweep_matrix, Budget, CapturedBinaries};
 use dvi_sim::SimConfig;
 use dvi_workloads::WorkloadSpec;
 
@@ -18,13 +18,14 @@ fn cached_routing_is_bit_identical_cold_and_warm() {
     let bins = CapturedBinaries::build(&spec, Budget::quick());
     let grid = [SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::lvm_scheme())];
 
-    let direct = sweep_parallel_outcomes(&bins.edvi, grid.iter().cloned());
+    let sweep = || sweep_matrix(vec![(&bins.edvi, grid.to_vec())]);
+    let direct = sweep();
 
     let dir = std::env::temp_dir().join(format!("dvi-harness-route-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::env::set_var("DVI_RESULT_CACHE", &dir);
-    let cold = sweep_parallel_outcomes(&bins.edvi, grid.iter().cloned());
-    let warm = sweep_parallel_outcomes(&bins.edvi, grid.iter().cloned());
+    let cold = sweep();
+    let warm = sweep();
     std::env::remove_var("DVI_RESULT_CACHE");
 
     assert_eq!(cold, direct, "cold cache-routed sweep must be bit-identical");

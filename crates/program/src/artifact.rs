@@ -1,7 +1,7 @@
 //! Durable, integrity-checked binary artifacts.
 //!
-//! Captured traces (and the sim crate's sweep checkpoints and shard jobs,
-//! which reuse this module) are written to disk as
+//! Captured traces (and the sim crate's result-store entries and shard
+//! jobs, which reuse this module) are written to disk as
 //! **artifact containers**: a fixed header followed by independently
 //! checksummed sections. The format is deliberately dumb — no compression,
 //! no schema evolution machinery — because its one job is to make every
@@ -42,6 +42,7 @@
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // --------------------------------------------------------------- xxh64 --
 
@@ -169,8 +170,8 @@ pub enum ArtifactError {
         context: String,
     },
     /// The artifact is internally valid but was derived from different
-    /// inputs than the ones it is being loaded against (e.g. a checkpoint
-    /// taken over a different captured trace).
+    /// inputs than the ones it is being loaded against (e.g. a stored
+    /// result keyed by a different captured trace).
     FingerprintMismatch {
         /// Fingerprint the loader expected.
         expected: u64,
@@ -419,14 +420,20 @@ impl ArtifactWriter {
     /// Writes the artifact to `path` atomically: the bytes go to a
     /// temporary sibling first and are renamed over the destination, so a
     /// concurrent reader (or a crash mid-write) never sees a half-written
-    /// file under the final name.
+    /// file under the final name. The sibling's name is unique to this
+    /// write (process id plus a process-wide counter), so concurrent
+    /// writers of one path never write through the same temporary file.
     pub fn write_atomic(&self, path: &Path) -> Result<(), ArtifactError> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
+        tmp.push(format!(".{}-{}.tmp", std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed)));
         let tmp = std::path::PathBuf::from(tmp);
         std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        std::fs::rename(&tmp, path).map_err(|e| {
+            std::fs::remove_file(&tmp).ok();
+            io(e)
+        })
     }
 }
 
@@ -511,7 +518,7 @@ impl<'a> ArtifactReader<'a> {
     }
 
     /// Every section with `tag`, in file order (for repeated sections such
-    /// as one-per-member checkpoint entries).
+    /// as one-per-member shard-job entries).
     pub fn sections_with_tag(&self, tag: u32) -> impl Iterator<Item = &'a [u8]> + '_ {
         self.sections.iter().filter(move |(t, _)| *t == tag).map(|(_, p)| *p)
     }

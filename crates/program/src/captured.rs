@@ -97,8 +97,8 @@ pub struct CapturedTrace {
     /// Derived data: excluded from the fingerprint and not persisted.
     depgraph: Option<Arc<DepGraph>>,
     /// Lazily computed [`CapturedTrace::fingerprint`]. The hash covers the
-    /// whole dynamic stream (~1 ms per 10⁵ records), and checkpointed
-    /// sweeps, artifact saves and the matrix registry all ask for it —
+    /// whole dynamic stream (~1 ms per 10⁵ records), and the result
+    /// store, artifact saves and the matrix registry all ask for it —
     /// so it is computed once per trace, not once per consumer. Safe to
     /// cache because everything it covers is immutable after construction
     /// (only the excluded dependence graph can be attached later).
@@ -406,7 +406,7 @@ impl CapturedTrace {
     /// the wall-clock graph-build time — are deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
-    /// sharing derived artifacts (sweep checkpoints, cached results)
+    /// sharing derived artifacts (stored results, shard jobs)
     /// across processes. Computed on first use, cached for the trace's
     /// lifetime (the covered data is immutable after construction).
     #[must_use]
@@ -481,7 +481,7 @@ pub const TRACE_VERSION: u32 = 5;
 
 /// Section tags of the trace artifact. Tags below `0x100` are reserved
 /// for the trace itself; dependent crates embedding extra sections in
-/// their own artifacts (checkpoints, shard jobs) use tags at or
+/// their own artifacts (shard jobs) use tags at or
 /// above `0x100`.
 pub mod section {
     /// Record count, static image length, the first record's PC (since

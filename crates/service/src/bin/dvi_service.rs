@@ -19,11 +19,12 @@
 //!
 //! `run-shard` is the out-of-process execution arm of the matrix layer:
 //! it loads a serialized [`dvi_sim::ShardJob`] artifact (produced by
-//! [`dvi_sim::MatrixRunner::shard_jobs`]), runs its members — optionally
-//! checkpointed under `--checkpoint DIR` so a killed shard resumes — and
-//! writes the [`dvi_sim::ShardResult`] artifact the parent merges with
+//! [`dvi_sim::MatrixRunner::shard_jobs`]), runs its members and writes the
+//! [`dvi_sim::ShardResult`] artifact the parent merges with
 //! [`dvi_sim::MatrixRunner::merge_shard_results`], bit-identical to the
-//! in-process run.
+//! in-process run. `--checkpoint DIR` names a result store
+//! ([`dvi_sim::ResultCache`]): each finished member is stored there, and a
+//! rerun of a killed shard skips the members already stored.
 
 #![forbid(unsafe_code)]
 
@@ -62,8 +63,7 @@ fn usage() -> String {
     [
         "dvi-service: persistent sweep service for the DVI simulator\n",
         "\nCommands:\n",
-        "  serve     --data-dir DIR [--addr 127.0.0.1:7117] [--workers N]\n",
-        "            [--checkpoint-every N] [--shards N]\n",
+        "  serve     --data-dir DIR [--addr 127.0.0.1:7117] [--workers N] [--shards N]\n",
         "  submit    (--preset NAME [--instrs N] | --trace FILE) [--grid JSON|fig10]\n",
         "            (--server ADDR | --data-dir DIR) [--wait SECS]\n",
         "  status    [JOB] --server ADDR\n",
@@ -74,7 +74,8 @@ fn usage() -> String {
         "  [{\"dvi\": \"lvm\"}, {\"dvi\": \"lvm-stack\"}]\n",
         "\nrun-shard executes a serialized matrix shard job (IN) and writes its\n",
         "result artifact (OUT) for the parent to merge, bit-identical to the\n",
-        "in-process run; --checkpoint DIR lets a killed shard resume.\n",
+        "in-process run. --checkpoint DIR names a result store: finished members\n",
+        "are stored there, and a rerun of a killed shard skips them.\n",
     ]
     .concat()
 }
@@ -137,9 +138,6 @@ fn serve(args: &[String]) -> Result<(), ServiceError> {
     let mut config = ServiceConfig::new(data_dir);
     if let Some(workers) = flags.get_u64("workers")? {
         config = config.with_workers(workers as usize);
-    }
-    if let Some(every) = flags.get_u64("checkpoint-every")? {
-        config = config.with_checkpoint_every_turns(every);
     }
     if let Some(shards) = flags.get_u64("shards")? {
         config = config.with_shards(shards as usize);
@@ -347,8 +345,8 @@ fn run_shard(args: &[String]) -> Result<(), ServiceError> {
         ));
     };
     let job = dvi_sim::ShardJob::load(std::path::Path::new(input))?;
-    let checkpoint = flags.get("checkpoint").map(std::path::PathBuf::from);
-    let result = job.run(checkpoint.as_deref())?;
+    let store = flags.get("checkpoint").map(dvi_sim::ResultCache::open).transpose()?;
+    let result = job.run(store.as_ref())?;
     result.save(std::path::Path::new(output))?;
     println!(
         "{}",

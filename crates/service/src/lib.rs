@@ -14,15 +14,17 @@
 //!   registry resolves each distinct trace once, identical
 //!   (trace, configuration) members across jobs simulate **once**, and the
 //!   matrix optionally shards ([`ServiceConfig::with_shards`]). Turns run with `MemberOutcome`
-//!   fault isolation and checkpoint/resume durability: an attempt that
-//!   dies mid-matrix is retried from the per-trace snapshots and finishes
-//!   bit-identical (member statistics are a pure function of
+//!   fault isolation and store-backed durability: the matrix stores each
+//!   member in the result cache as it finishes, so an attempt that dies
+//!   mid-matrix is retried, skips every member already stored and
+//!   finishes bit-identical (member statistics are a pure function of
 //!   configuration and trace). Jobs can be cancelled
 //!   ([`SweepService::cancel`]): queued members leave the matrix
 //!   immediately, in-flight members stop cooperatively at the next
 //!   scheduling claim.
-//! * **Content-addressed result cache** ([`ResultCache`]) — completed
-//!   member statistics are memoized on disk keyed by
+//! * **Content-addressed result cache** ([`ResultCache`], the simulator's
+//!   one outcome store, re-exported from [`dvi_sim::store`]) — completed
+//!   member statistics are kept on disk under `<data_dir>/memo`, keyed by
 //!   (`CapturedTrace::fingerprint`, `checkpoint::config_fingerprint`) in
 //!   the checksummed artifact container, so resubmitting a grid is a pure
 //!   cache hit with zero simulation; a corrupt or stale entry degrades to
@@ -34,7 +36,8 @@
 //!   / `cancel` / `run-shard` subcommands drive the same scheduler
 //!   in-process or over the wire (`run-shard` executes a serialized
 //!   [`dvi_sim::ShardJob`] in a child process and writes its
-//!   [`dvi_sim::ShardResult`] artifact).
+//!   [`dvi_sim::ShardResult`] artifact; `--checkpoint DIR` names a result
+//!   store the shard resumes from).
 //!
 //! # Quickstart
 //!
@@ -61,17 +64,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod http;
 pub mod json;
 mod service;
 pub mod wire;
 mod workload;
 
-pub use cache::{CacheProbe, ResultCache, MEMO_MAGIC, MEMO_VERSION};
+pub use dvi_sim::store::{CacheProbe, ResultCache, MEMO_MAGIC, MEMO_VERSION};
 pub use service::{
-    cached_sweep, JobResults, JobSpec, JobState, JobStatus, MetricsSnapshot, ServiceConfig,
-    SweepService, TraceSource,
+    JobResults, JobSpec, JobState, JobStatus, MetricsSnapshot, ServiceConfig, SweepService,
+    TraceSource,
 };
 pub use workload::{build_preset_trace, preset_names};
 

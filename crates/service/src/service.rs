@@ -11,23 +11,25 @@
 //! many jobs asked for it.
 //!
 //! Each matrix turn gets the substrate's full durability story: the cache
-//! is probed per distinct member (hits simulate nothing), the misses run
-//! through [`MatrixRunner`] with per-trace checkpoints inside a scoped
-//! thread whose panic is caught — a dead attempt is retried once, resuming
-//! every checkpointed member bit-identical to the uninterrupted run
-//! because member statistics are a pure function of (configuration,
-//! trace) — and fresh results are memoized for every
-//! later job. Cancellation rides the matrix's cooperative cell gate: a
+//! is probed per distinct member (hits simulate nothing), and the misses
+//! run through [`MatrixRunner`] over the same cache as its result store,
+//! inside a scoped thread whose panic is caught. The matrix stores each
+//! member as it finishes, so fresh results are memoized for every later
+//! job, and a dead attempt is retried once, skipping every member the
+//! dead attempt stored — bit-identical to the uninterrupted run because
+//! member statistics are a pure function of (configuration, trace).
+//! Cancellation rides the matrix's cooperative cell gate: a
 //! cancelled job's queued units leave the pending queue immediately, and
 //! its in-flight members are skipped at the next scheduling claim unless
 //! another live job wants them too.
 
-use crate::cache::{CacheProbe, ResultCache};
 use crate::workload::{build_preset_trace, preset_names};
 use crate::ServiceError;
 use dvi_program::CapturedTrace;
 use dvi_sim::checkpoint::config_fingerprint;
-use dvi_sim::{MatrixOutcome, MatrixRunner, MemberOutcome, SimConfig, SweepRunner, SweepSummary};
+use dvi_sim::{
+    CacheProbe, MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, SweepSummary,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,33 +41,29 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Root directory for everything durable: the result cache lives in
-    /// `<data_dir>/memo`, batch checkpoints in `<data_dir>/checkpoints`.
+    /// `<data_dir>/memo`.
     pub data_dir: PathBuf,
     /// Worker threads pulling batches off the queue.
     pub workers: usize,
-    /// Checkpoint cadence for batch runs, in scheduling turns
-    /// (see [`SweepRunner::with_checkpoint_every`]).
-    pub checkpoint_every_turns: u64,
     /// Shards each matrix turn is partitioned into (see
     /// [`MatrixRunner::shards`]).
     pub shards: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
-    /// — after their checkpoints were written — exercising the
-    /// checkpoint/resume retry exactly as a crashed worker would.
+    /// — after their results were stored — exercising the resume-from-
+    /// store retry exactly as a crashed worker would.
     pub fault_abort_after_turns: Option<u64>,
 }
 
 impl ServiceConfig {
     /// A configuration with defaults: workers matched to the host (capped
-    /// at 4 — sweep members already saturate memory bandwidth), snapshots
-    /// every scheduling turn, no fault injection.
+    /// at 4 — sweep members already saturate memory bandwidth), one shard,
+    /// no fault injection.
     #[must_use]
     pub fn new(data_dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             data_dir: data_dir.into(),
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
-            checkpoint_every_turns: 1,
             shards: 1,
             fault_abort_after_turns: None,
         }
@@ -75,13 +73,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> ServiceConfig {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the checkpoint cadence in scheduling turns.
-    #[must_use]
-    pub fn with_checkpoint_every_turns(mut self, turns: u64) -> ServiceConfig {
-        self.checkpoint_every_turns = turns.max(1);
         self
     }
 
@@ -194,7 +185,7 @@ pub struct JobStatus {
 #[derive(Debug, Clone)]
 pub struct JobResults {
     /// One outcome per grid configuration, in submission order —
-    /// bit-identical to running the same grid through [`SweepRunner`]
+    /// bit-identical to running the same grid through [`MatrixRunner`]
     /// directly.
     pub outcomes: Vec<MemberOutcome>,
     /// Whether each member was served from the result cache (`true`) or
@@ -244,7 +235,7 @@ pub struct MetricsSnapshot {
     /// Always 0 (see [`MetricsSnapshot::fusion_groups`]).
     pub fusion_fallback_records: u64,
     /// Batch attempts that died (panicked) and went through the
-    /// checkpoint/resume retry.
+    /// resume-from-store retry.
     pub worker_deaths: u64,
     /// Matrix scheduling turns run (each drains the whole pending queue).
     pub matrix_turns: u64,
@@ -444,8 +435,7 @@ pub struct SweepService(Arc<ServiceInner>);
 
 impl SweepService {
     /// Starts the service: opens the result cache under
-    /// `<data_dir>/memo`, creates `<data_dir>/checkpoints`, and spawns the
-    /// worker pool.
+    /// `<data_dir>/memo` and spawns the worker pool.
     ///
     /// # Errors
     ///
@@ -453,9 +443,6 @@ impl SweepService {
     /// directory cannot be set up or a worker thread cannot spawn.
     pub fn start(config: ServiceConfig) -> Result<SweepService, ServiceError> {
         let cache = ResultCache::open(config.data_dir.join("memo"))?;
-        let checkpoints = config.data_dir.join("checkpoints");
-        std::fs::create_dir_all(&checkpoints)
-            .map_err(|e| ServiceError::Io(format!("creating {}: {e}", checkpoints.display())))?;
         let workers = config.workers.max(1);
         let inner = Arc::new(ServiceInner {
             fault_armed: AtomicBool::new(config.fault_abort_after_turns.is_some()),
@@ -734,8 +721,8 @@ impl SweepService {
 
     /// Stops accepting jobs, wakes every idle worker, and joins the pool.
     /// A worker mid-turn finishes its matrix first; batches still queued
-    /// stay queued (their checkpoints and cache entries make re-submission
-    /// after a restart cheap). Idempotent.
+    /// stay queued (their cache entries make re-submission after a restart
+    /// cheap). Idempotent.
     pub fn shutdown(&self) {
         lock(&self.0.state).shutting_down = true;
         self.0.work.notify_all();
@@ -910,7 +897,8 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
     }
 
     // Fresh outcomes by (trace fingerprint, config fingerprint) — the
-    // global member identity, shared across batches.
+    // global member identity, shared across batches. The matrix already
+    // stored them in the cache as they finished.
     let mut fresh: HashMap<(u64, u64), MemberOutcome> = HashMap::new();
     if !cells.is_empty() {
         match run_matrix_with_durability(inner, &cells, &cell_meta) {
@@ -945,11 +933,6 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
                 }
                 lock(&inner.metrics).members_simulated += fresh.len() as u64;
             }
-        }
-        for ((trace_fp, config_fp), outcome) in &fresh {
-            // A failed store only costs a future re-simulation, never
-            // correctness — the member's result is already in hand.
-            inner.cache.store(*trace_fp, *config_fp, outcome).ok();
         }
     }
 
@@ -989,17 +972,16 @@ fn materialize_trace(
 }
 
 /// Runs the matrix of one scheduling turn with the full durability story:
-/// per-trace checkpoints in a scoped thread, one resume-from-snapshot
-/// retry if the attempt dies (the matrix restores every checkpointed
-/// member and finishes bit-identical), and an `Err` with the panic reason
-/// (never a service crash) if the retry dies too — the checkpoints stay
-/// on disk for post-mortem inspection.
+/// the matrix stores each finished member in the result cache, runs in a
+/// scoped thread, and is retried once if the attempt dies (the retry
+/// restores every member the dead attempt stored and finishes
+/// bit-identical); if the retry dies too the result is an `Err` with the
+/// panic reason, never a service crash.
 fn run_matrix_with_durability(
     inner: &ServiceInner,
     cells: &[(&CapturedTrace, Vec<SimConfig>)],
     cell_meta: &[CellMeta],
 ) -> Result<MatrixOutcome, String> {
-    let ckpt_dir = inner.config.data_dir.join("checkpoints");
     // The one-shot kill hook arms exactly one attempt service-wide.
     let abort = if inner.config.fault_abort_after_turns.is_some()
         && inner.fault_armed.swap(false, Ordering::SeqCst)
@@ -1015,7 +997,7 @@ fn run_matrix_with_durability(
                 let mut runner = MatrixRunner::new(cells.to_vec())
                     .threads(inner.config.workers)
                     .shards(inner.config.shards)
-                    .with_checkpoint_dir(&ckpt_dir)
+                    .with_store(inner.cache.clone())
                     // The cooperative cancellation gate: a claimed member
                     // runs only while some requesting job is still alive.
                     .with_cell_gate(|requesters| {
@@ -1148,51 +1130,6 @@ fn fail_batch(inner: &ServiceInner, batch: &Batch, reason: &str) {
     }
     lock(&inner.metrics).jobs_failed += failed;
     inner.done.notify_all();
-}
-
-// ----------------------------------------------------- offline memoized --
-
-/// A memoized sweep without the server: probes `cache` per distinct
-/// configuration, simulates only the misses
-/// ([`SweepRunner::run_parallel_outcomes`]), stores fresh `Ok` results,
-/// and returns outcomes in grid order — bit-identical to
-/// `SweepRunner::new(trace, grid).run_outcomes()` whatever mix of hits and
-/// misses served it. This is the routing point the experiment harness uses
-/// when `DVI_RESULT_CACHE` is set.
-#[must_use]
-pub fn cached_sweep(
-    trace: &CapturedTrace,
-    configs: &[SimConfig],
-    cache: &ResultCache,
-) -> Vec<MemberOutcome> {
-    let trace_fp = trace.fingerprint();
-    let fps: Vec<u64> = configs.iter().map(config_fingerprint).collect();
-    let mut served: HashMap<u64, Option<MemberOutcome>> = HashMap::new();
-    for fp in &fps {
-        served.entry(*fp).or_insert_with(|| match cache.probe(trace_fp, *fp) {
-            CacheProbe::Hit(outcome) => Some(*outcome),
-            CacheProbe::Miss | CacheProbe::Damaged(_) => None,
-        });
-    }
-    let mut miss_fps: Vec<u64> = Vec::new();
-    let mut miss_configs: Vec<SimConfig> = Vec::new();
-    for (fp, config) in fps.iter().zip(configs) {
-        if served[fp].is_none() && !miss_fps.contains(fp) {
-            miss_fps.push(*fp);
-            miss_configs.push(config.clone());
-        }
-    }
-    if !miss_configs.is_empty() {
-        let outcomes =
-            SweepRunner::new(trace, miss_configs.iter().cloned()).run_parallel_outcomes();
-        for (fp, outcome) in miss_fps.iter().zip(outcomes) {
-            cache.store(trace_fp, *fp, &outcome).ok();
-            served.insert(*fp, Some(outcome));
-        }
-    }
-    fps.iter()
-        .map(|fp| served[fp].clone().expect("every configuration was served or simulated"))
-        .collect()
 }
 
 #[cfg(test)]

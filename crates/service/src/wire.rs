@@ -9,7 +9,7 @@
 //!   errors, not silent ignores.
 //! * **Member outcomes** go out with human-readable headline numbers
 //!   (cycles, IPC) *plus* an `encoded` field carrying the canonical
-//!   checkpoint byte encoding ([`dvi_sim::checkpoint::write_outcome`]) as
+//!   outcome byte encoding ([`dvi_sim::checkpoint::write_outcome`]) as
 //!   hex. Clients that care about bit-identity decode `encoded` and get
 //!   back exactly the [`MemberOutcome`] the simulator produced — JSON
 //!   number formatting can never round a counter.
@@ -199,7 +199,7 @@ pub fn fig10_grid_json() -> Json {
 // -------------------------------------------------------------- results --
 
 /// Encodes one outcome: a `kind` label, headline numbers for humans, and
-/// the canonical checkpoint bytes under `encoded` for bit-exact decoding.
+/// the canonical outcome bytes under `encoded` for bit-exact decoding.
 #[must_use]
 pub fn outcome_to_json(outcome: &MemberOutcome, cached: bool) -> Json {
     let mut bytes = ByteWriter::new();
@@ -242,7 +242,7 @@ pub fn outcome_to_json(outcome: &MemberOutcome, cached: bool) -> Json {
 /// # Errors
 ///
 /// [`ServiceError::InvalidRequest`] when the field is missing or not hex;
-/// [`ServiceError::Artifact`] when the bytes fail the checkpoint decoder.
+/// [`ServiceError::Artifact`] when the bytes fail the outcome decoder.
 pub fn outcome_from_json(value: &Json) -> Result<MemberOutcome, ServiceError> {
     let encoded = value
         .get("encoded")

@@ -1,5 +1,5 @@
 //! In-process integration suite for the sweep service: bit-identity with
-//! the direct [`SweepRunner`] path, instrumented memoization, kill/resume
+//! the direct [`MatrixRunner`] path, instrumented memoization, kill/resume
 //! durability, cache-corruption degradation, and the HTTP front end's
 //! happy and error paths.
 
@@ -9,11 +9,10 @@ use dvi_program::CapturedTrace;
 use dvi_service::http::{http_json, http_request, HttpServer};
 use dvi_service::json::Json;
 use dvi_service::{
-    cached_sweep, wire, JobSpec, JobState, ResultCache, ServiceConfig, ServiceError, SweepService,
-    TraceSource,
+    wire, JobSpec, JobState, ResultCache, ServiceConfig, ServiceError, SweepService, TraceSource,
 };
 use dvi_sim::checkpoint::config_fingerprint;
-use dvi_sim::{MemberOutcome, SimConfig, SweepRunner};
+use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig};
 use dvi_workloads::WorkloadSpec;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -55,7 +54,7 @@ fn test_grid() -> Vec<SimConfig> {
 }
 
 fn direct_outcomes(trace: &CapturedTrace, grid: &[SimConfig]) -> Vec<MemberOutcome> {
-    SweepRunner::new(trace, grid.iter().cloned()).run_outcomes()
+    MatrixRunner::new(vec![(trace, grid.to_vec())]).run().into_cells().remove(0)
 }
 
 /// A grid heavy enough (with a large instruction budget) to keep the
@@ -139,9 +138,9 @@ fn killed_worker_resumes_from_checkpoint_bit_identically() {
     let grid = test_grid();
     let direct = direct_outcomes(&trace, &grid);
 
-    // Arm the one-shot kill: the first batch attempt dies at scheduling
-    // turn 1, after the turn-0 checkpoint (holding the first finished
-    // member) was written.
+    // Arm the one-shot kill: the first matrix attempt dies once one member
+    // has finished and been stored in the result cache; the retry skips
+    // that member and runs the rest.
     let config =
         ServiceConfig::new(temp_dir("killresume")).with_workers(1).with_fault_abort_after_turns(1);
     let service = SweepService::start(config).expect("service starts");
@@ -385,17 +384,23 @@ fn http_cancel_route_cancels_and_conflicts_once_terminal() {
     server.stop();
 }
 
+/// A sweep routed through the service's result cache — the store-backed
+/// matrix — is bit-identical to the direct runner cold, and a warm rerun
+/// serves every member from the cache.
 #[test]
 fn cached_sweep_helper_matches_direct_runner_cold_and_warm() {
     let trace = small_trace(0xE5, 12_000);
     let grid = test_grid();
     let direct = direct_outcomes(&trace, &grid);
     let cache = ResultCache::open(temp_dir("helper")).expect("cache opens");
+    let cached = || MatrixRunner::new(vec![(&trace, grid.clone())]).with_store(cache.clone()).run();
 
-    let cold = cached_sweep(&trace, &grid, &cache);
-    assert_eq!(cold, direct, "cold cached_sweep is bit-identical to the direct runner");
-    let warm = cached_sweep(&trace, &grid, &cache);
-    assert_eq!(warm, direct, "warm cached_sweep serves the same outcomes from cache");
+    let cold = cached();
+    assert_eq!(cold.report.resumed_members, 0, "a cold cache serves nothing");
+    assert_eq!(cold.into_cells().remove(0), direct, "cold cached sweep is bit-identical");
+    let warm = cached();
+    assert_eq!(warm.report.resumed_members, grid.len() as u64, "warm cache serves every member");
+    assert_eq!(warm.into_cells().remove(0), direct, "warm cached sweep serves the same outcomes");
 }
 
 #[test]

@@ -1,23 +1,14 @@
-//! Durable sweep checkpoints.
+//! Member identity and the outcome codec.
 //!
-//! A [`SweepCheckpoint`] is the on-disk image of a
-//! [`crate::batch::SweepRunner`]'s progress: the outcome of every finished
-//! member plus the trace position of every in-flight one, bound to the
-//! fingerprints of the captured trace and the member configurations it was
-//! taken from. The runner writes one after every scheduling turn
-//! ([`crate::batch::SweepRunner::with_checkpoint`]) through the
-//! checksummed artifact container ([`dvi_program::artifact`]) with an
-//! atomic temp-file/rename, so a crash at any instant leaves either the
-//! previous or the new snapshot on disk, never a torn one.
-//!
-//! Resume ([`crate::batch::SweepRunner::resume`]) restores finished
-//! members verbatim and re-runs interrupted ones from record 0. That is
-//! not an approximation: member statistics are a pure function of
-//! (configuration, trace), so the resumed run's final
-//! outcomes are **bit-identical** to the uninterrupted run's — the
-//! recorded in-flight positions are diagnostic (how far the sweep got),
-//! not replay state. `tests/fault_tolerance.rs` locks the equivalence by
-//! killing sweeps at every turn boundary and resuming them.
+//! A sweep member is identified by the fingerprint of its captured trace
+//! ([`dvi_program::CapturedTrace::fingerprint`]) and of its machine
+//! configuration ([`config_fingerprint`]); its [`MemberOutcome`] is
+//! serialized by [`write_outcome`] and read back by [`read_outcome`]. The
+//! result store ([`crate::store`]), shard results ([`crate::ShardResult`])
+//! and the sweep service's wire format all use this one codec, so a stored
+//! outcome and a shipped one can never disagree about what an outcome
+//! looks like. Every field round-trips exactly: resume and memoization
+//! are asserted bit-identical with `==` over the whole [`SimStats`].
 
 use crate::batch::MemberOutcome;
 use crate::config::SimConfig;
@@ -25,174 +16,20 @@ use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use dvi_bpred::PredictorStats;
 use dvi_core::DviStats;
 use dvi_mem::{CacheStats, HierarchyStats};
-use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
+use dvi_program::artifact::{xxh64, ByteReader, ByteWriter};
 use dvi_program::ArtifactError;
-use std::path::Path;
 
-/// Artifact container identity of a sweep checkpoint.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DVISWPCK";
-/// Current checkpoint artifact version. Bump on any layout change; old
-/// readers reject newer files with [`ArtifactError::VersionSkew`] instead
-/// of misparsing them.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Section tags inside a checkpoint artifact.
-mod section {
-    /// Trace fingerprint, turn counter, member count.
-    pub const META: u32 = 1;
-    /// One section per member, in grid order.
-    pub const MEMBER: u32 = 2;
-}
-
-/// The persisted progress of one sweep (see the module documentation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepCheckpoint {
-    /// [`dvi_program::CapturedTrace::fingerprint`] of the sweep's trace;
-    /// resume refuses a snapshot taken from a different trace.
-    pub trace_fingerprint: u64,
-    /// Scheduling turns completed when the snapshot was taken.
-    pub turns: u64,
-    /// Per-member progress, in grid order.
-    pub members: Vec<MemberCheckpoint>,
-}
-
-/// One member's entry in a [`SweepCheckpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberCheckpoint {
-    /// Fingerprint of the member's [`SimConfig`]
-    /// ([`config_fingerprint`]); resume refuses a snapshot whose grid
-    /// doesn't match.
-    pub config_fingerprint: u64,
-    /// Where the member was when the snapshot was taken.
-    pub state: MemberCheckpointState,
-}
-
-/// A checkpointed member's progress.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MemberCheckpointState {
-    /// Still running (or not yet scheduled); `fetched` records consumed so
-    /// far. Diagnostic only — resume re-runs the member from record 0,
-    /// bit-identically (see the module documentation).
-    InFlight {
-        /// Trace records the member had fetched.
-        fetched: u64,
-    },
-    /// Finished, with the outcome to restore verbatim.
-    Done(Box<MemberOutcome>),
-}
-
-/// Identity of a member configuration for checkpoint binding, via the
-/// configuration's complete `Debug` rendering: any field change —
-/// including future fields — changes the fingerprint, which is exactly
-/// the staleness check resume needs.
+/// Identity of a member configuration, via the configuration's complete
+/// `Debug` rendering: any field change — including future fields —
+/// changes the fingerprint, so a stored outcome is never served to a
+/// different machine.
 #[must_use]
 pub fn config_fingerprint(config: &SimConfig) -> u64 {
     xxh64(format!("{config:?}").as_bytes(), 0)
 }
 
-impl SweepCheckpoint {
-    /// Serializes the snapshot into an artifact container.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.build().to_bytes()
-    }
-
-    /// Atomically writes the snapshot to `path` (temp file + rename: a
-    /// kill mid-write leaves the previous snapshot intact).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        self.build().write_atomic(path)
-    }
-
-    fn build(&self) -> ArtifactWriter {
-        let mut w = ArtifactWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
-        let mut meta = ByteWriter::new();
-        meta.put_u64(self.trace_fingerprint);
-        meta.put_u64(self.turns);
-        meta.put_u64(self.members.len() as u64);
-        w.section(section::META, meta.into_bytes());
-        for member in &self.members {
-            let mut b = ByteWriter::new();
-            b.put_u64(member.config_fingerprint);
-            match &member.state {
-                MemberCheckpointState::InFlight { fetched } => {
-                    b.put_u8(0);
-                    b.put_u64(*fetched);
-                }
-                MemberCheckpointState::Done(outcome) => {
-                    b.put_u8(1);
-                    write_outcome(&mut b, outcome);
-                }
-            }
-            w.section(section::MEMBER, b.into_bytes());
-        }
-        w
-    }
-
-    /// Parses a snapshot serialized by [`SweepCheckpoint::to_bytes`],
-    /// verifying the container checksums.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ArtifactError`] from the container (bad magic, version skew,
-    /// truncation, checksum mismatch, malformed payload).
-    pub fn from_bytes(bytes: &[u8]) -> Result<SweepCheckpoint, ArtifactError> {
-        let reader = ArtifactReader::parse(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
-        let mut meta = ByteReader::new(reader.section(section::META)?, "checkpoint meta");
-        let trace_fingerprint = meta.u64()?;
-        let turns = meta.u64()?;
-        let member_count = meta.count()?;
-        meta.finish()?;
-        // The META count is untrusted until cross-checked below: bound the
-        // allocation by the member sections actually present.
-        let mut members =
-            Vec::with_capacity(member_count.min(reader.sections_with_tag(section::MEMBER).count()));
-        for payload in reader.sections_with_tag(section::MEMBER) {
-            let mut b = ByteReader::new(payload, "checkpoint member");
-            let config_fingerprint = b.u64()?;
-            let state = match b.u8()? {
-                0 => MemberCheckpointState::InFlight { fetched: b.u64()? },
-                1 => MemberCheckpointState::Done(Box::new(read_outcome(&mut b)?)),
-                tag => {
-                    return Err(ArtifactError::Malformed {
-                        context: format!("checkpoint member state tag {tag}"),
-                    })
-                }
-            };
-            b.finish()?;
-            members.push(MemberCheckpoint { config_fingerprint, state });
-        }
-        if members.len() != member_count {
-            return Err(ArtifactError::Malformed {
-                context: format!(
-                    "checkpoint meta promises {member_count} members, found {}",
-                    members.len()
-                ),
-            });
-        }
-        Ok(SweepCheckpoint { trace_fingerprint, turns, members })
-    }
-
-    /// Loads a snapshot saved by [`SweepCheckpoint::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepCheckpoint::from_bytes`], plus [`ArtifactError::Io`].
-    pub fn load(path: &Path) -> Result<SweepCheckpoint, ArtifactError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ArtifactError::Io(format!("reading {}: {e}", path.display())))?;
-        SweepCheckpoint::from_bytes(&bytes)
-    }
-}
-
 /// Serializes a member outcome (tag byte + payload) into a section
-/// payload. Public because the sweep service's result cache memoizes
-/// per-member outcomes on disk in exactly the checkpoint encoding — one
-/// serializer means a cache entry and a checkpoint member can never
-/// disagree about what a stored outcome looks like.
+/// payload.
 pub fn write_outcome(w: &mut ByteWriter, outcome: &MemberOutcome) {
     match outcome {
         MemberOutcome::Ok(stats) => {
@@ -253,8 +90,7 @@ fn read_string(r: &mut ByteReader<'_>) -> Result<String, ArtifactError> {
 }
 
 /// Serializes a complete [`SimStats`] field by field (fixed-width
-/// little-endian, no padding). Every field must round-trip exactly:
-/// resume equivalence is asserted with `==` over the whole struct.
+/// little-endian, no padding). Every field must round-trip exactly.
 fn write_stats(w: &mut ByteWriter, s: &SimStats) {
     w.put_u64(s.cycles);
     w.put_u64(s.program_instrs);
@@ -405,8 +241,8 @@ mod tests {
         s
     }
 
-    #[test]
-    fn checkpoint_roundtrips_every_outcome_kind() {
+    /// One outcome of each kind, the deadlocked one with a full report.
+    fn every_outcome_kind() -> Vec<MemberOutcome> {
         let mut deadlocked = sample_stats(7);
         deadlocked.deadlocked = true;
         deadlocked.deadlock = Some(DeadlockReport {
@@ -417,71 +253,46 @@ mod tests {
             last_stage: ProgressStage::Fetch,
         });
         let report = deadlocked.deadlock.expect("just set");
-        let snapshot = SweepCheckpoint {
-            trace_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            turns: 42,
-            members: vec![
-                MemberCheckpoint {
-                    config_fingerprint: 1,
-                    state: MemberCheckpointState::Done(Box::new(MemberOutcome::Ok(sample_stats(
-                        1,
-                    )))),
-                },
-                MemberCheckpoint {
-                    config_fingerprint: 2,
-                    state: MemberCheckpointState::Done(Box::new(MemberOutcome::Degraded {
-                        stats: sample_stats(2),
-                        reason: "injected fault: member 1 at record 4096".into(),
-                    })),
-                },
-                MemberCheckpoint {
-                    config_fingerprint: 3,
-                    state: MemberCheckpointState::Done(Box::new(MemberOutcome::Deadlocked {
-                        partial: deadlocked,
-                        report,
-                    })),
-                },
-                MemberCheckpoint {
-                    config_fingerprint: 4,
-                    state: MemberCheckpointState::Done(Box::new(MemberOutcome::Panicked {
-                        payload: "worker died".into(),
-                    })),
-                },
-                MemberCheckpoint {
-                    config_fingerprint: 5,
-                    state: MemberCheckpointState::InFlight { fetched: 131_072 },
-                },
-            ],
-        };
-        let bytes = snapshot.to_bytes();
-        let back = SweepCheckpoint::from_bytes(&bytes).expect("roundtrip parses");
-        assert_eq!(back, snapshot);
+        vec![
+            MemberOutcome::Ok(sample_stats(1)),
+            MemberOutcome::Degraded {
+                stats: sample_stats(2),
+                reason: "injected fault: member 1 at record 4096".into(),
+            },
+            MemberOutcome::Deadlocked { partial: deadlocked, report },
+            MemberOutcome::Panicked { payload: "worker died".into() },
+        ]
+    }
+
+    fn encoded(outcome: &MemberOutcome) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write_outcome(&mut w, outcome);
+        w.into_bytes()
     }
 
     #[test]
+    fn checkpoint_roundtrips_every_outcome_kind() {
+        for outcome in every_outcome_kind() {
+            let bytes = encoded(&outcome);
+            let mut r = ByteReader::new(&bytes, "outcome");
+            assert_eq!(read_outcome(&mut r).expect("roundtrip parses"), outcome);
+            r.finish().expect("no trailing bytes");
+        }
+    }
+
+    /// A payload cut anywhere short is an error, never a misparse.
+    #[test]
     fn corrupted_checkpoint_is_rejected() {
-        let snapshot = SweepCheckpoint {
-            trace_fingerprint: 1,
-            turns: 0,
-            members: vec![MemberCheckpoint {
-                config_fingerprint: 9,
-                state: MemberCheckpointState::InFlight { fetched: 0 },
-            }],
-        };
-        let bytes = snapshot.to_bytes();
-        // Truncation anywhere inside the container is detected.
-        assert!(matches!(
-            SweepCheckpoint::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(ArtifactError::TruncatedArtifact { .. })
-        ));
-        // A flipped payload byte fails its section checksum.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x40;
-        assert!(matches!(
-            SweepCheckpoint::from_bytes(&flipped),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
+        for outcome in every_outcome_kind() {
+            let bytes = encoded(&outcome);
+            for len in 0..bytes.len() {
+                let mut r = ByteReader::new(&bytes[..len], "outcome");
+                assert!(
+                    read_outcome(&mut r).and_then(|_| r.finish()).is_err(),
+                    "{outcome} cut at {len} decoded"
+                );
+            }
+        }
     }
 
     #[test]
@@ -491,7 +302,7 @@ mod tests {
         assert_ne!(config_fingerprint(&base), config_fingerprint(&base.clone().with_phys_regs(48)));
     }
 
-    /// The result cache keys memoized statistics by [`config_fingerprint`],
+    /// The result store keys outcomes by [`config_fingerprint`],
     /// so a configuration field the fingerprint does not cover would let
     /// two *different* machines share one cache entry — silently wrong
     /// statistics. The fingerprint hashes the complete `Debug` rendering,
@@ -552,15 +363,15 @@ mod tests {
             assert!(
                 rendered.contains(field),
                 "the fingerprint's Debug rendering does not cover `{field}` — \
-                 extend the fingerprint before trusting the result cache"
+                 extend the fingerprint before trusting the result store"
             );
         }
     }
 
     #[test]
     fn outcome_serialization_is_reusable_outside_checkpoints() {
-        // The result cache calls the outcome serializer directly; lock the
-        // standalone (non-checkpoint) round trip.
+        // The result store calls the outcome serializer directly; lock the
+        // standalone round trip.
         let outcome = MemberOutcome::Ok(sample_stats(31));
         let mut w = ByteWriter::new();
         write_outcome(&mut w, &outcome);
@@ -568,29 +379,5 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "standalone outcome");
         assert_eq!(read_outcome(&mut r).expect("roundtrips"), outcome);
         r.finish().expect("no trailing bytes");
-    }
-
-    /// A checksum-valid checkpoint whose META promises far more members
-    /// than it carries is malformed — not an allocation abort (2^40
-    /// members) or a capacity-overflow panic (2^61).
-    #[test]
-    fn an_inflated_meta_member_count_is_malformed_not_an_abort() {
-        for promised in [1u64 << 40, 1 << 61] {
-            let mut w = ArtifactWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
-            let mut meta = ByteWriter::new();
-            meta.put_u64(0xF00D);
-            meta.put_u64(1);
-            meta.put_u64(promised);
-            w.section(section::META, meta.into_bytes());
-            let mut member = ByteWriter::new();
-            member.put_u64(7);
-            member.put_u8(0);
-            member.put_u64(100);
-            w.section(section::MEMBER, member.into_bytes());
-            assert!(matches!(
-                SweepCheckpoint::from_bytes(&w.to_bytes()),
-                Err(ArtifactError::Malformed { .. })
-            ));
-        }
     }
 }

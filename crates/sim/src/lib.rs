@@ -40,15 +40,19 @@
 //! [`Simulator::run`] is retained as the one-line shorthand
 //! (`SimSession::new(config, trace).run_to_completion()`).
 //!
-//! Returning control between cycles is what makes design-space sweeps
-//! batchable: [`batch::SweepRunner`] co-schedules N sessions — one per
-//! machine configuration — round-robin over **one** captured trace, and
-//! [`MatrixRunner`] runs a whole (trace × configuration) matrix with
-//! member deduplication, work stealing and checkpoints. Every member runs
-//! the same plain core with its own live predictor, L1I, DVI engine, L1D
-//! and decode memo, so per-member statistics are bit-identical to serial
-//! runs (`tests/batch_equiv.rs`, `tests/matrix_equiv.rs`), at any thread
-//! count (`tests/parallel_equiv.rs`).
+//! # Sweeps: one runner, one store
+//!
+//! Every sweep runs through [`MatrixRunner`]: a whole (trace ×
+//! configuration) matrix with member deduplication, work stealing and
+//! sharding. Each member runs the same plain core on its own session —
+//! its own live predictor, L1I, DVI engine, L1D and decode memo — inside
+//! one panic boundary ([`batch`]), so per-member statistics are
+//! bit-identical to serial runs at any shard and thread count
+//! (`tests/matrix_equiv.rs`). Outcomes are kept in one on-disk
+//! [`ResultCache`] ([`store`]), keyed by (trace fingerprint, config
+//! fingerprint); resume means skipping the members already stored
+//! (`tests/fault_tolerance.rs`). [`batch::SweepRunner`] remains as a
+//! one-cell matrix for the repository benchmark.
 //!
 //! # Host performance
 //!
@@ -71,7 +75,7 @@
 //! ```
 //! use dvi_core::DviConfig;
 //! use dvi_program::CapturedTrace;
-//! use dvi_sim::{batch, SimConfig, SimSession, Simulator};
+//! use dvi_sim::{MatrixRunner, SimConfig, SimSession, Simulator};
 //! use dvi_workloads::{generate, WorkloadSpec};
 //!
 //! // Build and lower a small workload.
@@ -95,8 +99,8 @@
 //!
 //! // A whole register-file sweep over the same trace.
 //! let grid = [40usize, 56, 80].map(|n| config.clone().with_phys_regs(n));
-//! let swept = batch::SweepRunner::new(&trace, grid).run();
-//! assert_eq!(swept[2], stats, "80 registers is the shorthand run above");
+//! let swept = MatrixRunner::new(vec![(&trace, grid.to_vec())]).run().into_cells();
+//! assert_eq!(swept[0][2].stats(), Some(&stats), "80 registers is the shorthand run above");
 //! # Ok::<(), dvi_program::ProgramError>(())
 //! ```
 
@@ -118,10 +122,10 @@ pub mod sched;
 mod session;
 mod smallvec;
 mod stats;
+pub mod store;
 mod window;
 
-pub use batch::{sweep, sweep_parallel, MemberOutcome, SweepRunner, SweepSummary};
-pub use checkpoint::SweepCheckpoint;
+pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
 pub use config::{ConfigError, DcacheModelKind, SchedulerKind, SimConfig};
 pub use dvi_engine::{DviEngine, ReclaimList};
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
@@ -133,4 +137,5 @@ pub use rename::{PhysReg, RenameState};
 pub use session::SimSession;
 pub use smallvec::SmallVec;
 pub use stats::{DeadlockReport, ProgressStage, SimStats};
+pub use store::{CacheProbe, ResultCache};
 pub use window::{EntryState, WindowRing};

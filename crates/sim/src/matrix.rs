@@ -21,8 +21,9 @@
 //!   [`MatrixRunner::merge_shard_results`] merges the [`ShardResult`]s
 //!   back in global member order.
 //!
-//! Every member runs the plain core on its own session, inside the same
-//! panic boundary as [`crate::batch::SweepRunner`]'s members.
+//! Every member runs the plain core on its own session, inside the one
+//! member panic boundary ([`crate::batch`]). This is the crate's only sweep
+//! runner: [`crate::batch::SweepRunner`] is a one-cell matrix.
 //!
 //! # Bit-identity merge contract
 //!
@@ -35,27 +36,28 @@
 //!
 //! # Durability
 //!
-//! With [`MatrixRunner::with_checkpoint_dir`], the runner persists one
-//! [`crate::SweepCheckpoint`] per distinct trace (named by trace
-//! fingerprint + member-set hash) after every member completion, and
-//! resumes from matching snapshots on the next run: finished members are
-//! restored verbatim, interrupted ones re-run from record 0 —
-//! bit-identical, exactly as [`crate::batch::SweepRunner::resume`].
-//! [`ShardJob::run`] does the same per (shard, trace), which is what lets
-//! a killed shard resume instead of recomputing.
+//! With [`MatrixRunner::with_store`], the runner keeps every finished
+//! member in a [`ResultCache`] — one entry per (trace fingerprint, config
+//! fingerprint), stored the moment the member completes. Resume is
+//! nothing more than skipping the members already stored: at start the
+//! runner probes every unique member and restores the hits verbatim; the
+//! rest run, bit-identical to an uninterrupted run because member
+//! statistics are a pure function of (configuration, trace). Only `Ok`
+//! outcomes are stored, so a member that was degraded or deadlocked
+//! re-runs from record 0. [`ShardJob::run`] takes a store the same way,
+//! which is what lets a killed shard resume instead of recomputing.
 
-use crate::batch::{
-    read_sim_config, run_member_outcome, write_sim_config, MemberOutcome, ParallelJob,
-};
-use crate::checkpoint::{
-    config_fingerprint, read_outcome, write_outcome, MemberCheckpoint, MemberCheckpointState,
-    SweepCheckpoint,
-};
-use crate::config::SimConfig;
-use dvi_program::artifact::{xxh64, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
+use crate::batch::{run_member_outcome, FaultSpec, MemberOutcome};
+use crate::checkpoint::{config_fingerprint, read_outcome, write_outcome};
+use crate::config::{DcacheModelKind, SchedulerKind, SimConfig};
+use crate::store::{CacheProbe, ResultCache};
+use dvi_bpred::PredictorConfig;
+use dvi_core::DviConfig;
+use dvi_mem::CacheConfig;
+use dvi_program::artifact::{ArtifactReader, ArtifactWriter, ByteReader, ByteWriter};
 use dvi_program::{ArtifactError, CapturedTrace};
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -185,18 +187,6 @@ impl<'a> MatrixIndex<'a> {
         }
     }
 
-    /// Identity of trace `t`'s member set (ids + config fingerprints):
-    /// binds a matrix checkpoint to the exact member list it was taken
-    /// over, so a grid change invalidates the snapshot.
-    fn member_set_hash(&self, t: usize) -> u64 {
-        let mut w = ByteWriter::new();
-        for &id in &self.trace_members[t] {
-            w.put_u64(id as u64);
-            w.put_u64(self.members[id].config_fp);
-        }
-        xxh64(&w.into_bytes(), 0)
-    }
-
     /// Fans per-member results back out to the submitted cells, cloning a
     /// deduplicated member's outcome into every requesting grid slot.
     fn fan_out(&self, results: &[Option<MemberOutcome>]) -> Vec<Vec<Option<MemberOutcome>>> {
@@ -242,7 +232,7 @@ pub struct MatrixReport {
     /// Members skipped by the scheduling gate (their cell slots are
     /// `None`).
     pub skipped_members: u64,
-    /// Members restored verbatim from matrix checkpoints.
+    /// Members restored verbatim from the result store.
     pub resumed_members: u64,
 }
 
@@ -285,7 +275,8 @@ pub struct MatrixRunner<'a> {
     cells: Vec<(&'a CapturedTrace, Vec<SimConfig>)>,
     threads: usize,
     shards: usize,
-    checkpoint_dir: Option<PathBuf>,
+    store: Option<ResultCache>,
+    faults: Vec<FaultSpec>,
     abort_after_members: Option<usize>,
     #[allow(clippy::type_complexity)]
     gate: Option<Box<dyn Fn(&[usize]) -> bool + Send + Sync + 'a>>,
@@ -300,7 +291,8 @@ impl<'a> MatrixRunner<'a> {
             cells,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             shards: 1,
-            checkpoint_dir: None,
+            store: None,
+            faults: Vec::new(),
             abort_after_members: None,
             gate: None,
         }
@@ -320,18 +312,39 @@ impl<'a> MatrixRunner<'a> {
         self
     }
 
-    /// Persist one checkpoint per distinct trace under `dir` after every
-    /// member completion, and resume from matching snapshots at the next
-    /// run. Snapshots are removed when the run completes.
+    /// Keep every finished member in `store`, and skip the members it
+    /// already holds (see the module documentation's *Durability*).
     #[must_use]
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
+    pub fn with_store(mut self, store: ResultCache) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Test-only fault injection: panics unique member `member` (members
+    /// are numbered in first-appearance order across the cells) once it
+    /// has fetched `after_records` records, exactly once. The first
+    /// attempt dies mid-flight and the retry completes, so the member
+    /// reports [`MemberOutcome::Degraded`] with statistics bit-identical
+    /// to a healthy run.
+    #[must_use]
+    pub fn with_member_fault(mut self, member: usize, after_records: u64) -> Self {
+        self.faults.push(FaultSpec::new(member, after_records, false));
+        self
+    }
+
+    /// [`MatrixRunner::with_member_fault`], sticky: the fault fires on
+    /// every attempt, so the retry dies too and the member reports
+    /// [`MemberOutcome::Panicked`].
+    #[must_use]
+    pub fn with_sticky_member_fault(mut self, member: usize, after_records: u64) -> Self {
+        self.faults.push(FaultSpec::new(member, after_records, true));
         self
     }
 
     /// Test hook for the kill/resume suite: every worker panics once `n`
-    /// members have completed, after their checkpoints were written —
-    /// simulating a crash mid-matrix.
+    /// members have completed, after their results were stored —
+    /// simulating a crash mid-matrix. Members restored from the store
+    /// count as completed.
     #[must_use]
     pub fn with_abort_after_members(mut self, n: usize) -> Self {
         self.abort_after_members = Some(n);
@@ -350,18 +363,13 @@ impl<'a> MatrixRunner<'a> {
         self
     }
 
-    /// Checkpoint path of trace `t` under `dir`.
-    fn checkpoint_path(dir: &Path, trace_fp: u64, set_hash: u64) -> PathBuf {
-        dir.join(format!("matrix-{trace_fp:016x}-{set_hash:016x}.dviswpck"))
-    }
-
     /// Runs the whole matrix in-process and returns per-cell outcomes.
     ///
     /// # Panics
     ///
     /// Panics at the [`MatrixRunner::with_abort_after_members`] test hook
-    /// (the checkpoints written so far survive for resume), or if a
-    /// worker thread dies outside every member panic boundary.
+    /// (the results stored so far survive for resume), or if a worker
+    /// thread dies outside every member panic boundary.
     #[must_use]
     pub fn run(self) -> MatrixOutcome {
         let index = MatrixIndex::build(&self.cells);
@@ -369,40 +377,16 @@ impl<'a> MatrixRunner<'a> {
         let shards = self.shards.clamp(1, n.max(1));
         let threads = self.threads.clamp(1, n.max(1));
 
-        // Resume: restore finished members from any valid per-trace
-        // snapshot before deciding what to build.
-        let mut restored: Vec<Option<MemberOutcome>> = vec![None; n];
-        let mut trace_paths: Vec<Option<PathBuf>> = vec![None; index.traces.len()];
-        if let Some(dir) = &self.checkpoint_dir {
-            let _ = std::fs::create_dir_all(dir);
-            for (t, slot) in trace_paths.iter_mut().enumerate() {
-                let ids = &index.trace_members[t];
-                if ids.is_empty() {
-                    continue;
-                }
-                let path = Self::checkpoint_path(
-                    dir,
-                    index.traces[t].fingerprint(),
-                    index.member_set_hash(t),
-                );
-                if let Ok(snapshot) = SweepCheckpoint::load(&path) {
-                    let binds =
-                        snapshot.trace_fingerprint == index.traces[t].fingerprint()
-                            && snapshot.members.len() == ids.len()
-                            && snapshot.members.iter().zip(ids).all(|(m, &id)| {
-                                m.config_fingerprint == index.members[id].config_fp
-                            });
-                    if binds {
-                        for (member, &id) in snapshot.members.iter().zip(ids) {
-                            if let MemberCheckpointState::Done(outcome) = &member.state {
-                                restored[id] = Some((**outcome).clone());
-                            }
-                        }
-                    }
-                }
-                *slot = Some(path);
-            }
-        }
+        // Resume: restore every member the store already holds.
+        let store = self.store.as_ref();
+        let restored: Vec<Option<MemberOutcome>> = index
+            .members
+            .iter()
+            .map(|m| match store?.probe(index.traces[m.trace_idx].fingerprint(), m.config_fp) {
+                CacheProbe::Hit(outcome) => Some(*outcome),
+                CacheProbe::Miss | CacheProbe::Damaged(_) => None,
+            })
+            .collect();
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
 
         // Shard assignment (round-robin over global member order). Each
@@ -437,7 +421,7 @@ impl<'a> MatrixRunner<'a> {
         let queues = &queues;
         let steals = &steals;
         let state_ref = &state;
-        let trace_paths = &trace_paths;
+        let faults = &self.faults;
         let gate = self.gate.as_deref();
         let abort_after = self.abort_after_members;
 
@@ -474,23 +458,19 @@ impl<'a> MatrixRunner<'a> {
                         }
                     }
                     let member = &index_ref.members[i];
-                    let t = member.trace_idx;
-                    let job = ParallelJob::new(member.config.clone());
-                    let outcome = run_member_outcome(index_ref.traces[t], job);
+                    let trace = index_ref.traces[member.trace_idx];
+                    let fault = faults.iter().find(|f| f.member == i);
+                    let outcome = run_member_outcome(trace, &member.config, fault);
+                    if let Some(store) = store {
+                        // A failed store only costs a future re-simulation.
+                        store.store(trace.fingerprint(), member.config_fp, &outcome).ok();
+                    }
                     let mut st = lock(state_ref);
                     st.results[i] = Some(outcome);
                     st.completed += 1;
-                    if let Some(path) = &trace_paths[t] {
-                        write_trace_checkpoint(path, index_ref, t, &st.results);
-                    }
                 });
             }
         });
-
-        // The run completed: its snapshots have served their purpose.
-        for path in trace_paths.iter().flatten() {
-            let _ = std::fs::remove_file(path);
-        }
 
         let st = lock(&state);
         let report = MatrixReport {
@@ -630,32 +610,6 @@ impl<'a> MatrixRunner<'a> {
     }
 }
 
-/// Writes trace `t`'s matrix checkpoint: finished members as `Done`,
-/// everything else as diagnostic `InFlight` (resume re-runs them from
-/// record 0, bit-identically).
-fn write_trace_checkpoint(
-    path: &Path,
-    index: &MatrixIndex<'_>,
-    t: usize,
-    results: &[Option<MemberOutcome>],
-) {
-    let ids = &index.trace_members[t];
-    let done = ids.iter().filter(|&&id| results[id].is_some()).count() as u64;
-    let members = ids
-        .iter()
-        .map(|&id| MemberCheckpoint {
-            config_fingerprint: index.members[id].config_fp,
-            state: match &results[id] {
-                Some(outcome) => MemberCheckpointState::Done(Box::new(outcome.clone())),
-                None => MemberCheckpointState::InFlight { fetched: 0 },
-            },
-        })
-        .collect();
-    let snapshot =
-        SweepCheckpoint { trace_fingerprint: index.traces[t].fingerprint(), turns: done, members };
-    let _ = snapshot.save(path);
-}
-
 /// One embedded trace of a [`ShardJob`]: the full trace artifact plus the
 /// fingerprint the decoded trace must reproduce.
 #[derive(Debug, Clone)]
@@ -714,6 +668,10 @@ impl ShardJob {
     /// Serializes the job into a checksummed artifact container.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.build().to_bytes()
+    }
+
+    fn build(&self) -> ArtifactWriter {
         let mut w = ArtifactWriter::new(SHARD_JOB_MAGIC, SHARD_JOB_VERSION);
         let mut meta = ByteWriter::new();
         meta.put_u64(self.shard_index);
@@ -736,7 +694,7 @@ impl ShardJob {
             write_sim_config(&mut b, &member.config);
             w.section(job_section::MEMBER, b.into_bytes());
         }
-        w.to_bytes()
+        w
     }
 
     /// Parses a job serialized by [`ShardJob::to_bytes`], verifying the
@@ -817,14 +775,7 @@ impl ShardJob {
     ///
     /// [`ArtifactError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_bytes();
-        let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)?;
-        Ok(())
+        self.build().write_atomic(path)
     }
 
     /// Loads a job saved by [`ShardJob::save`].
@@ -838,21 +789,17 @@ impl ShardJob {
         ShardJob::from_bytes(&bytes)
     }
 
-    /// Checkpoint path of this shard's trace `fp` under `dir`.
-    fn checkpoint_path(&self, dir: &Path, trace_fp: u64) -> PathBuf {
-        dir.join(format!("shard{:04}-{trace_fp:016x}.dviswpck", self.shard_index))
-    }
-
     /// Executes the shard: decodes and fingerprint-verifies its traces and
-    /// runs every member inside the standard panic boundary. With `checkpoint_dir`, progress persists per
-    /// (shard, trace) after every member and a rerun resumes finished
-    /// members verbatim — a killed shard resumes bit-identically.
+    /// runs every member inside the standard panic boundary. With a
+    /// `store`, each finished member is stored as it completes and members
+    /// the store already holds are restored instead of run — a killed
+    /// shard resumes bit-identically.
     ///
     /// # Errors
     ///
     /// [`ArtifactError`] when an embedded trace fails to decode or does
     /// not reproduce its expected fingerprint.
-    pub fn run(&self, checkpoint_dir: Option<&Path>) -> Result<ShardResult, ArtifactError> {
+    pub fn run(&self, store: Option<&ResultCache>) -> Result<ShardResult, ArtifactError> {
         let mut traces = Vec::with_capacity(self.traces.len());
         for shard_trace in &self.traces {
             let trace = CapturedTrace::from_bytes(&shard_trace.bytes)?;
@@ -868,74 +815,26 @@ impl ShardJob {
             }
             traces.push(trace);
         }
-        if let Some(dir) = checkpoint_dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let mut outcomes: Vec<Option<MemberOutcome>> = vec![None; self.members.len()];
-        for (t, trace) in traces.iter().enumerate() {
-            let positions: Vec<usize> =
-                (0..self.members.len()).filter(|&k| self.members[k].local_trace == t).collect();
-            if positions.is_empty() {
-                continue;
-            }
-            let path = checkpoint_dir.map(|dir| self.checkpoint_path(dir, trace.fingerprint()));
-            let mut restored: Vec<Option<MemberOutcome>> = vec![None; positions.len()];
-            if let Some(path) = &path {
-                if let Ok(snapshot) = SweepCheckpoint::load(path) {
-                    let binds = snapshot.trace_fingerprint == trace.fingerprint()
-                        && snapshot.members.len() == positions.len()
-                        && snapshot
-                            .members
-                            .iter()
-                            .zip(&positions)
-                            .all(|(m, &k)| m.config_fingerprint == self.members[k].config_fp);
-                    if binds {
-                        for (member, slot) in snapshot.members.iter().zip(&mut restored) {
-                            if let MemberCheckpointState::Done(outcome) = &member.state {
-                                *slot = Some((**outcome).clone());
-                            }
-                        }
-                    }
-                }
-            }
-            for (&slot, done) in positions.iter().zip(restored) {
-                let job =
-                    ParallelJob { done, ..ParallelJob::new(self.members[slot].config.clone()) };
-                outcomes[slot] = Some(run_member_outcome(trace, job));
-                if let Some(path) = &path {
-                    let members = positions
-                        .iter()
-                        .map(|&k| MemberCheckpoint {
-                            config_fingerprint: self.members[k].config_fp,
-                            state: match &outcomes[k] {
-                                Some(outcome) => {
-                                    MemberCheckpointState::Done(Box::new(outcome.clone()))
-                                }
-                                None => MemberCheckpointState::InFlight { fetched: 0 },
-                            },
-                        })
-                        .collect();
-                    let done = positions.iter().filter(|&&k| outcomes[k].is_some()).count() as u64;
-                    let snapshot = SweepCheckpoint {
-                        trace_fingerprint: trace.fingerprint(),
-                        turns: done,
-                        members,
-                    };
-                    let _ = snapshot.save(path);
-                }
-            }
-            if let Some(path) = &path {
-                let _ = std::fs::remove_file(path);
-            }
-        }
         let members = self
             .members
             .iter()
-            .zip(outcomes)
-            .map(|(member, outcome)| ShardMemberResult {
-                global_id: member.global_id,
-                config_fp: member.config_fp,
-                outcome: outcome.expect("every shard member ran or was restored"),
+            .map(|member| {
+                let trace = &traces[member.local_trace];
+                let stored = store.map(|s| s.probe(trace.fingerprint(), member.config_fp));
+                let outcome = if let Some(CacheProbe::Hit(outcome)) = stored {
+                    *outcome
+                } else {
+                    let outcome = run_member_outcome(trace, &member.config, None);
+                    if let Some(store) = store {
+                        store.store(trace.fingerprint(), member.config_fp, &outcome).ok();
+                    }
+                    outcome
+                };
+                ShardMemberResult {
+                    global_id: member.global_id,
+                    config_fp: member.config_fp,
+                    outcome,
+                }
             })
             .collect();
         Ok(ShardResult { shard_index: self.shard_index, members })
@@ -973,6 +872,10 @@ impl ShardResult {
     /// Serializes the result into a checksummed artifact container.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.build().to_bytes()
+    }
+
+    fn build(&self) -> ArtifactWriter {
         let mut w = ArtifactWriter::new(SHARD_RESULT_MAGIC, SHARD_RESULT_VERSION);
         let mut meta = ByteWriter::new();
         meta.put_u64(self.shard_index);
@@ -985,7 +888,7 @@ impl ShardResult {
             write_outcome(&mut b, &member.outcome);
             w.section(result_section::MEMBER, b.into_bytes());
         }
-        w.to_bytes()
+        w
     }
 
     /// Parses a result serialized by [`ShardResult::to_bytes`].
@@ -1028,14 +931,7 @@ impl ShardResult {
     ///
     /// [`ArtifactError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-        let bytes = self.to_bytes();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)?;
-        Ok(())
+        self.build().write_atomic(path)
     }
 
     /// Loads a result saved by [`ShardResult::save`].
@@ -1048,6 +944,146 @@ impl ShardResult {
             .map_err(|e| ArtifactError::Io(format!("reading {}: {e}", path.display())))?;
         ShardResult::from_bytes(&bytes)
     }
+}
+
+fn write_predictor_config(w: &mut ByteWriter, p: PredictorConfig) {
+    w.put_u64(p.bimodal_entries as u64);
+    w.put_u64(p.gshare_entries as u64);
+    w.put_u32(p.history_bits);
+    w.put_u64(p.chooser_entries as u64);
+    w.put_u64(p.btb.entries as u64);
+    w.put_u64(p.ras_entries as u64);
+}
+
+fn read_predictor_config(r: &mut ByteReader<'_>) -> Result<PredictorConfig, ArtifactError> {
+    Ok(PredictorConfig {
+        bimodal_entries: r.count()?,
+        gshare_entries: r.count()?,
+        history_bits: r.u32()?,
+        chooser_entries: r.count()?,
+        btb: dvi_bpred::BtbConfig { entries: r.count()? },
+        ras_entries: r.count()?,
+    })
+}
+
+fn write_cache_config(w: &mut ByteWriter, c: CacheConfig) {
+    w.put_u64(c.size_bytes);
+    w.put_u64(c.line_bytes);
+    w.put_u64(c.associativity as u64);
+    w.put_u64(c.latency);
+}
+
+fn read_cache_config(r: &mut ByteReader<'_>) -> Result<CacheConfig, ArtifactError> {
+    Ok(CacheConfig {
+        size_bytes: r.u64()?,
+        line_bytes: r.u64()?,
+        associativity: r.count()?,
+        latency: r.u64()?,
+    })
+}
+
+fn write_dvi_config(w: &mut ByteWriter, d: DviConfig) {
+    w.put_bool(d.use_idvi);
+    w.put_bool(d.use_edvi);
+    w.put_bool(d.reclaim_phys_regs);
+    w.put_bool(d.eliminate_saves);
+    w.put_bool(d.eliminate_restores);
+    w.put_u64(d.lvm_stack_entries as u64);
+}
+
+fn read_dvi_config(r: &mut ByteReader<'_>) -> Result<DviConfig, ArtifactError> {
+    Ok(DviConfig {
+        use_idvi: r.bool()?,
+        use_edvi: r.bool()?,
+        reclaim_phys_regs: r.bool()?,
+        eliminate_saves: r.bool()?,
+        eliminate_restores: r.bool()?,
+        lvm_stack_entries: r.count()?,
+    })
+}
+
+/// Serializes a full [`SimConfig`] — every field, so a decoded shard job
+/// reproduces the member machine exactly (the shard-side
+/// [`config_fingerprint`](crate::checkpoint::config_fingerprint) check
+/// depends on it).
+fn write_sim_config(w: &mut ByteWriter, c: &SimConfig) {
+    w.put_u64(c.fetch_width as u64);
+    w.put_u64(c.decode_width as u64);
+    w.put_u64(c.issue_width as u64);
+    w.put_u64(c.commit_width as u64);
+    w.put_u64(c.window_size as u64);
+    w.put_u64(c.fetch_queue as u64);
+    w.put_u64(c.phys_regs as u64);
+    w.put_u64(c.int_alu_units as u64);
+    w.put_u64(c.int_mul_units as u64);
+    w.put_u64(c.cache_ports as u64);
+    w.put_u64(c.mispredict_penalty);
+    write_cache_config(w, c.icache);
+    write_cache_config(w, c.dcache);
+    w.put_u32(match c.dcache_model {
+        DcacheModelKind::Stock => 0,
+        DcacheModelKind::Perfect => 1,
+    });
+    write_cache_config(w, c.l2);
+    w.put_u64(c.memory_latency);
+    write_predictor_config(w, c.predictor);
+    write_dvi_config(w, c.dvi);
+    w.put_u32(match c.scheduler {
+        SchedulerKind::EventDriven => 0,
+        SchedulerKind::NaiveScan => 1,
+    });
+}
+
+/// Inverse of [`write_sim_config`].
+fn read_sim_config(r: &mut ByteReader<'_>) -> Result<SimConfig, ArtifactError> {
+    let fetch_width = r.count()?;
+    let decode_width = r.count()?;
+    let issue_width = r.count()?;
+    let commit_width = r.count()?;
+    let window_size = r.count()?;
+    let fetch_queue = r.count()?;
+    let phys_regs = r.count()?;
+    let int_alu_units = r.count()?;
+    let int_mul_units = r.count()?;
+    let cache_ports = r.count()?;
+    let mispredict_penalty = r.u64()?;
+    let icache = read_cache_config(r)?;
+    let dcache = read_cache_config(r)?;
+    let dcache_model = match r.u32()? {
+        0 => DcacheModelKind::Stock,
+        1 => DcacheModelKind::Perfect,
+        _ => return Err(ArtifactError::Malformed { context: "dcache model kind".into() }),
+    };
+    let l2 = read_cache_config(r)?;
+    let memory_latency = r.u64()?;
+    let predictor = read_predictor_config(r)?;
+    let dvi = read_dvi_config(r)?;
+    let scheduler = match r.u32()? {
+        0 => SchedulerKind::EventDriven,
+        1 => SchedulerKind::NaiveScan,
+        _ => return Err(ArtifactError::Malformed { context: "scheduler kind".into() }),
+    };
+    Ok(SimConfig {
+        fetch_width,
+        decode_width,
+        issue_width,
+        commit_width,
+        window_size,
+        fetch_queue,
+        phys_regs,
+        int_alu_units,
+        int_mul_units,
+        cache_ports,
+        mispredict_penalty,
+        icache,
+        dcache,
+        dcache_model,
+        l2,
+        memory_latency,
+        predictor,
+        dvi,
+        scheduler,
+    })
 }
 
 #[cfg(test)]

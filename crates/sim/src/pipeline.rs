@@ -33,7 +33,7 @@
 //! effective address) instead of loading ~80-byte entry structs, and the
 //! back end keeps no second copy of any per-entry fact. The modelled
 //! machine is unchanged: the equivalence suites (`scheduler_equiv`,
-//! `replay_equiv`, `batch_equiv`) and the golden figures lock the
+//! `replay_equiv`, `matrix_equiv`) and the golden figures lock the
 //! statistics bit-for-bit.
 
 use crate::config::{DcacheModelKind, SchedulerKind, SimConfig};
@@ -60,9 +60,9 @@ pub(crate) const PROGRESS_LIMIT: u64 = 100_000;
 /// `Simulator` is single-use: construct it with a [`SimConfig`], call
 /// [`Simulator::run`] with a dynamic instruction stream (usually a
 /// [`dvi_program::Interpreter`] or a [`dvi_program::TraceCursor`]) and
-/// read the returned [`SimStats`]. For cycle-at-a-time control — or to
-/// co-schedule many configurations over one shared trace — drive a
-/// [`SimSession`] (or [`crate::batch::SweepRunner`]) directly; `run` is
+/// read the returned [`SimStats`]. For cycle-at-a-time control drive a
+/// [`SimSession`] directly, and to sweep many configurations over shared
+/// traces use [`crate::MatrixRunner`]; `run` is
 /// exactly `SimSession::new(config, trace).run_to_completion()`.
 #[derive(Debug)]
 pub struct Simulator {

@@ -7,9 +7,10 @@
 //! [`SimSession::finish`]. A blocking run is just `while session.tick() {}`
 //! — which is exactly what the retained [`crate::Simulator::run`]
 //! convenience wrapper does — but because control returns to the caller
-//! between cycles, sessions can also be *co-scheduled*: the batched
-//! [`crate::batch::SweepRunner`] interleaves dozens of sessions over one
-//! captured trace, something a run-to-completion API cannot express.
+//! between cycles, the caller can stop a session part-way: the sweep
+//! runner's fault hook ([`crate::MatrixRunner::with_member_fault`]) stops
+//! a member at a chosen record count, something a run-to-completion API
+//! cannot express.
 
 use crate::config::SimConfig;
 use crate::pipeline::{Core, PROGRESS_LIMIT};
@@ -172,9 +173,7 @@ impl<S: InstrSource> SimSession<S> {
 
     /// Advances the session until it has fetched at least `target` source
     /// records (or finished); returns `true` while the session can still
-    /// make progress. The batched sweep runner uses this to advance one
-    /// member through its turn without paying a cross-module call per
-    /// cycle.
+    /// make progress.
     pub fn advance_until_fetched(&mut self, target: u64) -> bool {
         while self.core.stats.fetched_instrs < target {
             if !self.tick() {

@@ -1,13 +1,14 @@
-//! Batched-sweep differential tests.
+//! `SweepRunner` differential tests.
 //!
-//! `SweepRunner` co-schedules N sessions over one captured trace. The
-//! co-scheduling must be *invisible*: per-member `SimStats` are
-//! bit-identical to running each configuration serially with
-//! `Simulator::run(trace.replay())`. These tests lock that down:
+//! `SweepRunner` is the one-cell, one-thread `MatrixRunner` with the
+//! outcomes folded back to `Vec<SimStats>`. Running a grid through it must
+//! be *invisible*: per-member `SimStats` are bit-identical to running each
+//! configuration serially with `Simulator::run(trace.replay())`. These
+//! tests lock that down:
 //!
-//! * across the full Figure 10 workload mix with an 8+-configuration grid
-//!   (the acceptance shape of the batched runner);
-//! * with a heterogeneous-predictor grid;
+//! * across the full Figure 10 workload mix with the paper's 9-point grid;
+//! * with a heterogeneous-predictor grid and with a single member, each
+//!   also as a one-cell matrix at shard counts 1 and 2;
 //! * across randomly sampled workload presets, seeds and machine grids
 //!   (register-file size, cache ports, DVI scheme, issue width), via
 //!   proptest — extending the `replay_equiv.rs` pattern one level up.
@@ -16,7 +17,7 @@ use dvi_bpred::PredictorConfig;
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
-use dvi_sim::{SimConfig, SimStats, Simulator, SweepRunner};
+use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig, SimStats, Simulator, SweepRunner};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -28,9 +29,15 @@ fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
     compiled.program.layout().expect("binary lays out")
 }
 
-/// Asserts that one batched pass over `trace` matches serial replays of
-/// the same grid, config for config and bit for bit.
-fn assert_batch_equivalent(trace: &CapturedTrace, grid: &[SimConfig], context: &str) {
+/// Asserts that one `SweepRunner` pass over `trace` matches serial replays
+/// of the same grid, config for config and bit for bit — and so does the
+/// grid run as a one-cell matrix at every shard count in `shard_counts`.
+fn assert_batch_equivalent(
+    trace: &CapturedTrace,
+    grid: &[SimConfig],
+    shard_counts: &[usize],
+    context: &str,
+) {
     let batched = SweepRunner::new(trace, grid.iter().cloned()).run();
     assert_eq!(batched.len(), grid.len());
     let serial: Vec<SimStats> =
@@ -41,6 +48,12 @@ fn assert_batch_equivalent(trace: &CapturedTrace, grid: &[SimConfig], context: &
             "{context}: batched stats diverge from the serial replay for grid member {i}"
         );
         assert!(!batched.deadlocked, "{context}: member {i} hit the deadlock watchdog");
+    }
+    for &shards in shard_counts {
+        let cell = MatrixRunner::new(vec![(trace, grid.to_vec())]).shards(shards).run();
+        let outcomes = cell.into_cells().remove(0);
+        let expected: Vec<MemberOutcome> = serial.iter().cloned().map(MemberOutcome::Ok).collect();
+        assert_eq!(outcomes, expected, "{context}: one-cell matrix({shards} shards) diverges");
     }
 }
 
@@ -60,9 +73,9 @@ fn paper_grid() -> Vec<SimConfig> {
     ]
 }
 
-/// The acceptance-criterion test: across the Figure 10 workload mix, one
-/// batched pass over each captured trace with a 9-point configuration
-/// grid produces `SimStats` bit-identical to nine serial replays.
+/// Across the Figure 10 workload mix, one `SweepRunner` pass over each
+/// captured trace with a 9-point configuration grid produces `SimStats`
+/// bit-identical to nine serial replays.
 #[test]
 fn fig10_mix_batched_sweep_is_bit_identical_to_serial_replays() {
     const STEPS: u64 = 15_000;
@@ -72,7 +85,7 @@ fn fig10_mix_batched_sweep_is_bit_identical_to_serial_replays() {
         let layout = edvi_layout(&spec);
         let trace = CapturedTrace::record(&layout, STEPS);
         assert!(!trace.is_empty(), "{}: capture produced an empty trace", spec.name);
-        assert_batch_equivalent(&trace, &grid, &spec.name);
+        assert_batch_equivalent(&trace, &grid, &[], &spec.name);
     }
 }
 
@@ -90,7 +103,7 @@ fn heterogeneous_predictor_grid_matches_serial_replays() {
         },
         SimConfig::micro97(),
     ];
-    assert_batch_equivalent(&trace, &grid, "heterogeneous predictors");
+    assert_batch_equivalent(&trace, &grid, &[1, 2], "heterogeneous predictors");
 }
 
 /// A single-member sweep is just a replay.
@@ -101,6 +114,7 @@ fn single_member_sweep_matches_plain_replay() {
     assert_batch_equivalent(
         &trace,
         &[SimConfig::micro97().with_dvi(DviConfig::full())],
+        &[1, 2],
         "single member",
     );
 }
@@ -147,6 +161,6 @@ proptest! {
         let layout = edvi_layout(&spec);
         let trace = CapturedTrace::record(&layout, 2_000);
         let grid: Vec<SimConfig> = members.into_iter().map(grid_member).collect();
-        assert_batch_equivalent(&trace, &grid, &spec.name);
+        assert_batch_equivalent(&trace, &grid, &[], &spec.name);
     }
 }

@@ -13,7 +13,7 @@
 //! just "the statistics agree" but "every link and event agrees").
 //!
 //! End-to-end `SimStats` bit-identity of the depgraph-wired back end is
-//! locked by `replay_equiv.rs` and `batch_equiv.rs`.
+//! locked by `replay_equiv.rs` and `matrix_equiv.rs`.
 
 use dvi_core::DviConfig;
 use dvi_isa::{Abi, ArchReg, Instr};

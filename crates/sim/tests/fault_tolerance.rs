@@ -1,22 +1,23 @@
-//! Fault isolation and checkpoint/resume differential tests.
+//! Fault isolation and store-backed resume differential tests.
 //!
 //! The robustness contract of the sweep runner, locked from the outside:
 //!
 //! * a member that **panics mid-sweep** is retried from record 0 and
 //!   reports [`MemberOutcome::Degraded`] with statistics bit-identical to
-//!   a healthy run — the other members never notice;
+//!   a healthy run — the other members never notice, at any thread count;
 //! * a member that panics **twice** reports [`MemberOutcome::Panicked`]
-//!   and, again, leaves every sibling's statistics untouched — serial and
-//!   parallel runners alike;
-//! * a sweep **killed at any scheduling turn** and resumed from its
-//!   checkpoint produces final outcomes bit-identical to the uninterrupted
-//!   run, because member statistics are a pure function of
-//!   (configuration, trace).
+//!   and, again, leaves every sibling's statistics untouched;
+//! * a matrix **killed after any number of finished members** and rerun
+//!   over its result store produces final outcomes bit-identical to the
+//!   uninterrupted run, because member statistics are a pure function of
+//!   (configuration, trace) — and an entry stored for another trace or
+//!   configuration is never restored, because its key misses.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
-use dvi_program::{ArtifactError, CapturedTrace, LayoutProgram};
-use dvi_sim::{MemberOutcome, SimConfig, SweepRunner};
+use dvi_program::{CapturedTrace, LayoutProgram};
+use dvi_sim::checkpoint::config_fingerprint;
+use dvi_sim::{MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig};
 use dvi_workloads::{presets, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -46,6 +47,10 @@ fn small_trace() -> CapturedTrace {
     trace
 }
 
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// A fresh scratch directory per test (tests run concurrently).
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvi-fault-tolerance-{tag}"));
@@ -54,39 +59,38 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The one cell's outcomes of a one-cell matrix.
+fn only_cell(outcome: MatrixOutcome) -> Vec<MemberOutcome> {
+    outcome.into_cells().pop().expect("one cell")
+}
+
 #[test]
 fn injected_fault_degrades_one_member_and_spares_the_rest() {
     let trace = small_trace();
-    let healthy = SweepRunner::new(&trace, grid()).run_outcomes();
+    let healthy = only_cell(MatrixRunner::new(vec![(&trace, grid())]).run());
     assert!(healthy.iter().all(|o| matches!(o, MemberOutcome::Ok(_))), "reference run is clean");
 
-    for (runner_name, outcomes) in [
-        ("serial", SweepRunner::new(&trace, grid()).with_member_fault(2, 5_000).run_outcomes()),
-        (
-            "parallel",
-            SweepRunner::new(&trace, grid()).with_member_fault(2, 5_000).run_parallel_outcomes(),
-        ),
-        (
-            "threads(2)",
-            SweepRunner::new(&trace, grid())
+    for threads in [1, 2, available_threads()] {
+        let outcomes = only_cell(
+            MatrixRunner::new(vec![(&trace, grid())])
+                .threads(threads)
                 .with_member_fault(2, 5_000)
-                .run_parallel_threads_outcomes(2),
-        ),
-    ] {
+                .run(),
+        );
         assert_eq!(outcomes.len(), grid().len());
         for (i, (got, want)) in outcomes.iter().zip(&healthy).enumerate() {
             if i == 2 {
                 let MemberOutcome::Degraded { stats, reason } = got else {
-                    panic!("{runner_name}: faulted member reports {got:?}");
+                    panic!("{threads} threads: faulted member reports {got:?}");
                 };
-                assert!(reason.contains("injected fault"), "{runner_name}: reason {reason:?}");
+                assert!(reason.contains("injected fault"), "{threads} threads: reason {reason:?}");
                 assert_eq!(
                     Some(stats),
                     want.stats(),
-                    "{runner_name}: degraded retry must be bit-identical to the healthy run"
+                    "{threads} threads: degraded retry must be bit-identical to the healthy run"
                 );
             } else {
-                assert_eq!(got, want, "{runner_name}: sibling member {i} was disturbed");
+                assert_eq!(got, want, "{threads} threads: sibling member {i} was disturbed");
             }
         }
     }
@@ -95,104 +99,87 @@ fn injected_fault_degrades_one_member_and_spares_the_rest() {
 #[test]
 fn sticky_fault_fails_the_member_without_taking_the_sweep_down() {
     let trace = small_trace();
-    let healthy = SweepRunner::new(&trace, grid()).run_outcomes();
+    let healthy = only_cell(MatrixRunner::new(vec![(&trace, grid())]).run());
 
-    for (runner_name, outcomes) in [
-        (
-            "serial",
-            SweepRunner::new(&trace, grid()).with_sticky_member_fault(1, 1_000).run_outcomes(),
-        ),
-        (
-            "parallel",
-            SweepRunner::new(&trace, grid())
+    for threads in [1, available_threads()] {
+        let outcomes = only_cell(
+            MatrixRunner::new(vec![(&trace, grid())])
+                .threads(threads)
                 .with_sticky_member_fault(1, 1_000)
-                .run_parallel_outcomes(),
-        ),
-    ] {
+                .run(),
+        );
         for (i, (got, want)) in outcomes.iter().zip(&healthy).enumerate() {
             if i == 1 {
                 let MemberOutcome::Panicked { payload } = got else {
-                    panic!("{runner_name}: twice-faulted member reports {got:?}");
+                    panic!("{threads} threads: twice-faulted member reports {got:?}");
                 };
-                assert!(payload.contains("injected fault"), "{runner_name}: payload {payload:?}");
+                assert!(payload.contains("injected fault"), "{threads} threads: {payload:?}");
                 assert!(got.stats().is_none(), "a failed member has no statistics");
             } else {
-                assert_eq!(got, want, "{runner_name}: sibling member {i} was disturbed");
+                assert_eq!(got, want, "{threads} threads: sibling member {i} was disturbed");
             }
         }
     }
 }
 
-/// The kill/resume equivalence lock: a sweep checkpointing every turn,
-/// killed at the top of each scheduling turn in sequence, then resumed
-/// from the snapshot on disk, finishes with outcomes bit-identical to the
-/// uninterrupted run.
+/// The kill/resume equivalence lock: a matrix over a result store, killed
+/// once `n` members have finished — for every `n` — then rerun over the
+/// same store, finishes with outcomes bit-identical to the uninterrupted
+/// run, restoring exactly the `n` members the dead run stored. Degraded
+/// members are not stored, so their rerun starts from record 0 and comes
+/// back `Ok`, bit-identical to a healthy run.
 #[test]
 fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
-    let dir = scratch("kill-resume");
-    // The trace must span several scheduling turns per member (one turn
-    // advances one member by 65 536 records), so checkpoints genuinely
-    // capture mid-flight state.
-    let spec = presets::gcc_like().with_outer_iterations(550);
-    let mut trace = CapturedTrace::record(&edvi_layout(&spec), 150_000);
-    assert_eq!(trace.len(), 150_000, "the workload must not halt early");
-    trace.build_depgraph();
-    let configs = vec![
-        SimConfig::micro97(),
-        SimConfig::micro97().with_dvi(DviConfig::full()),
-        SimConfig::micro97().with_phys_regs(40),
-    ];
+    let trace = small_trace();
+    let other = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("alien", 3)), 10_000);
+    let cells = vec![(&trace, grid()), (&other, grid()[..2].to_vec())];
+    let members = 6;
+    let reference = MatrixRunner::new(cells.clone()).threads(1).run();
+    assert!(reference.cells.iter().flatten().all(|o| matches!(o, Some(MemberOutcome::Ok(_)))));
 
-    let reference = SweepRunner::new(&trace, configs.clone()).run_outcomes();
-    assert!(reference.iter().all(MemberOutcome::is_complete));
-
-    // 3 members x ceil(150k / 65 536) turns each = 9 scheduling turns.
-    for abort_turn in [0u64, 1, 2, 4, 6, 8] {
-        let path = dir.join(format!("kill-at-{abort_turn}.dviswpck"));
+    for killed_after in 0..members {
+        let dir = scratch(&format!("kill-after-{killed_after}"));
+        let store = ResultCache::open(&dir).expect("store opens");
         let killed = catch_unwind(AssertUnwindSafe(|| {
-            SweepRunner::new(&trace, configs.clone())
-                .with_checkpoint(&path)
-                .with_abort_after_turns(abort_turn)
-                .run_outcomes()
+            MatrixRunner::new(cells.clone())
+                .threads(1)
+                .with_store(store.clone())
+                .with_abort_after_members(killed_after)
+                .run()
         }));
-        assert!(killed.is_err(), "the abort hook must fire at turn {abort_turn}");
-        if abort_turn == 0 {
-            // Killed before the first turn: no snapshot exists yet, which
-            // is exactly the "crashed before any progress" case — nothing
-            // to resume, start over.
-            assert!(!path.exists(), "no checkpoint can exist before the first turn completes");
-            continue;
-        }
-        let resumed = SweepRunner::resume(&trace, configs.clone(), &path)
-            .expect("snapshot from the killed run resumes")
-            .with_checkpoint(&path)
-            .run_outcomes();
+        assert!(killed.is_err(), "the abort hook must fire after {killed_after} members");
+        let resumed = MatrixRunner::new(cells.clone()).threads(1).with_store(store).run();
+        assert_eq!(resumed.report.resumed_members, killed_after as u64);
         assert_eq!(
-            resumed, reference,
-            "resume after kill at turn {abort_turn} diverged from the uninterrupted run"
+            resumed.cells, reference.cells,
+            "resume after a kill at {killed_after} members diverged from the uninterrupted run"
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    // A checkpoint written by a *completed* run restores every member as
-    // Done; resuming it is a no-op re-emitting identical outcomes.
-    let final_path = dir.join("complete.dviswpck");
-    let complete =
-        SweepRunner::new(&trace, configs.clone()).with_checkpoint(&final_path).run_outcomes();
-    assert_eq!(complete, reference, "checkpointing must not perturb statistics");
-    let replayed = SweepRunner::resume(&trace, configs.clone(), &final_path)
-        .expect("final snapshot resumes")
-        .run_outcomes();
-    assert_eq!(replayed, reference);
+    // A degraded member is not stored: the resumed run re-runs it.
+    let dir = scratch("degraded");
+    let store = ResultCache::open(&dir).expect("store opens");
+    let faulted = MatrixRunner::new(cells.clone())
+        .with_store(store.clone())
+        .with_member_fault(1, 5_000)
+        .run();
+    assert!(matches!(faulted.cells[0][1], Some(MemberOutcome::Degraded { .. })));
+    let resumed = MatrixRunner::new(cells.clone()).with_store(store).run();
+    assert_eq!(resumed.report.resumed_members, members as u64 - 1);
+    assert_eq!(resumed.cells, reference.cells);
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Snapshot/trace and snapshot/grid mismatches are typed errors.
-    let other = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("alien", 3)), 10_000);
-    assert!(matches!(
-        SweepRunner::resume(&other, configs.clone(), &final_path),
-        Err(ArtifactError::FingerprintMismatch { .. })
-    ));
-    assert!(matches!(
-        SweepRunner::resume(&trace, configs[..2].to_vec(), &final_path),
-        Err(ArtifactError::Malformed { .. })
-    ));
+    // An entry stored under another trace's or another configuration's key
+    // is never restored: its key misses.
+    let dir = scratch("foreign-keys");
+    let store = ResultCache::open(&dir).expect("store opens");
+    let foreign = reference.cells[1][0].clone().expect("reference member ran");
+    let machine = config_fingerprint(&grid()[3]);
+    store.store(other.fingerprint(), machine, &foreign).expect("stores");
+    store.store(0xDEAD_BEEF, config_fingerprint(&grid()[0]), &foreign).expect("stores");
+    let unrelated = MatrixRunner::new(cells).with_store(store).run();
+    assert_eq!(unrelated.report.resumed_members, 0, "no foreign entry may be restored");
+    assert_eq!(unrelated.cells, reference.cells);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,31 +1,34 @@
 //! Whole-matrix sweep differential tests.
 //!
-//! `MatrixRunner` flattens many (trace, config-grid) cells into one
-//! deduplicated, work-stealing, optionally sharded job list. All of that
-//! machinery must be *invisible*: per-member `SimStats` bit-identical to
-//! per-trace batched sweeps (`SweepRunner::run`) and to plain serial
-//! replays, at **any** shard and thread count — including the
-//! out-of-process `ShardJob` serialize/run/merge round trip and
-//! kill+resume through the matrix checkpoint codec. These tests lock:
+//! `MatrixRunner` is the one sweep runner: it flattens many (trace,
+//! config-grid) cells into one deduplicated, work-stealing, optionally
+//! sharded job list. All of that machinery must be *invisible*:
+//! per-member `SimStats` bit-identical to plain serial replays
+//! (`Simulator::run(trace.replay())`), at **any** shard and thread count —
+//! including the out-of-process `ShardJob` serialize/run/merge round trip
+//! and kill+resume through the result store. These tests lock:
 //!
-//! * matrix == per-trace-batched == serial over the Figure 10 workload
-//!   mix × heterogeneous grids, at shard counts 1/2/members and thread
-//!   counts 1/2/available, and over a grid with several members per
-//!   predictor, L1I geometry and DVI scheme, mixed decode widths and a
-//!   perfect-L1D member, at shard counts 1/2;
+//! * matrix == serial over the Figure 10 workload mix × heterogeneous
+//!   per-cell grids, and over a grid with several members per predictor,
+//!   L1I geometry and DVI scheme, mixed decode widths and a perfect-L1D
+//!   member — at shard counts 1/2/members and thread counts
+//!   1/2/available (single-cell grids and thread clamping are covered by
+//!   `batch_equiv.rs` and `parallel_equiv.rs`);
+//! * `SweepRunner` (the one-cell matrix) == serial;
 //! * duplicate cells and duplicate members deduplicated and fanned back
 //!   out;
 //! * the serialized shard path: `shard_jobs` → bytes → `ShardJob::run`
 //!   → `merge_shard_results` equals the in-process run, and corrupted
 //!   artifacts are rejected, never misparsed;
-//! * a killed sharded run resumes bit-identically from its checkpoints;
+//! * a killed sharded run resumes bit-identically from its result store;
 //! * random (preset × grid × shard × thread) matrices via proptest.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
 use dvi_sim::{
-    MatrixRunner, MemberOutcome, ShardResult, SimConfig, SimStats, Simulator, SweepRunner,
+    MatrixRunner, MemberOutcome, ResultCache, ShardResult, SimConfig, SimStats, Simulator,
+    SweepRunner,
 };
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
@@ -69,6 +72,16 @@ fn cell_grids() -> Vec<Vec<SimConfig>> {
     ]
 }
 
+/// Plain serial replays of every cell.
+fn serial_replays(cells: &[(&CapturedTrace, Vec<SimConfig>)]) -> Vec<Vec<SimStats>> {
+    cells
+        .iter()
+        .map(|(trace, grid)| {
+            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
+        })
+        .collect()
+}
+
 fn unwrap_ok(outcomes: Vec<Vec<MemberOutcome>>) -> Vec<Vec<SimStats>> {
     outcomes
         .into_iter()
@@ -84,9 +97,9 @@ fn unwrap_ok(outcomes: Vec<Vec<MemberOutcome>>) -> Vec<Vec<SimStats>> {
 }
 
 /// The acceptance-criterion test: across the Figure 10 workload mix with
-/// heterogeneous per-cell grids, the matrix reproduces per-trace batched
-/// sweeps and serial replays bit for bit at shard counts 1/2/members and
-/// thread counts 1/2/available.
+/// heterogeneous per-cell grids, the matrix reproduces serial replays bit
+/// for bit at shard counts 1/2/members and thread counts 1/2/available,
+/// and so does `SweepRunner`, one cell at a time.
 #[test]
 fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
     const STEPS: u64 = 8_000;
@@ -103,19 +116,12 @@ fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
     let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         traces.iter().zip(grids.iter().cloned()).collect();
 
-    // Reference 1: plain serial replays, cell by cell.
-    let serial: Vec<Vec<SimStats>> = cells
-        .iter()
-        .map(|(trace, grid)| {
-            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
-        })
-        .collect();
-    // Reference 2: today's per-trace batched sweeps.
+    let serial = serial_replays(&cells);
     let batched: Vec<Vec<SimStats>> = cells
         .iter()
         .map(|(trace, grid)| SweepRunner::new(trace, grid.iter().cloned()).run())
         .collect();
-    assert_eq!(batched, serial, "per-trace batched runner diverges from serial");
+    assert_eq!(batched, serial, "SweepRunner diverges from serial");
 
     let members: usize = grids.iter().map(Vec::len).sum();
     assert_matrix_matches_serial(&cells, &serial, &[1, 2, members]);
@@ -179,13 +185,7 @@ fn all_products_grid_matrix_is_bit_identical_to_serial() {
         .collect();
     let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         traces.iter().map(|trace| (trace, grid.clone())).collect();
-    let serial: Vec<Vec<SimStats>> = cells
-        .iter()
-        .map(|(trace, grid)| {
-            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
-        })
-        .collect();
-    assert_matrix_matches_serial(&cells, &serial, &[1, 2]);
+    assert_matrix_matches_serial(&cells, &serial_replays(&cells), &[1, 2]);
 }
 
 /// Duplicate cells and duplicate members deduplicate through the
@@ -239,6 +239,9 @@ fn shard_jobs_roundtrip_run_and_merge_bit_identically() {
     assert_eq!(jobs.len(), 2);
     assert_eq!(jobs.iter().map(dvi_sim::ShardJob::member_count).sum::<usize>(), 3);
 
+    // Shards run over a result store, as `run-shard --checkpoint DIR` does.
+    let dir = scratch("shard-store");
+    let store = ResultCache::open(&dir).expect("store opens");
     let results: Vec<ShardResult> = jobs
         .iter()
         .map(|job| {
@@ -247,10 +250,11 @@ fn shard_jobs_roundtrip_run_and_merge_bit_identically() {
             let decoded = dvi_sim::ShardJob::from_bytes(&job.to_bytes()).expect("job round-trips");
             assert_eq!(decoded.shard_index(), job.shard_index());
             assert_eq!(decoded.trace_count(), job.trace_count());
-            let result = decoded.run(None).expect("shard runs");
+            let result = decoded.run(Some(&store)).expect("shard runs");
             ShardResult::from_bytes(&result.to_bytes()).expect("result round-trips")
         })
         .collect();
+    assert_eq!(std::fs::read_dir(&dir).expect("store dir").count(), 3, "one entry per member");
     let merged = runner.merge_shard_results(&results).expect("complete results merge");
     assert_eq!(
         merged.cells, in_process.cells,
@@ -267,11 +271,18 @@ fn shard_jobs_roundtrip_run_and_merge_bit_identically() {
 
     // An incomplete result set is a merge error, not a silent hole.
     assert!(runner.merge_shard_results(&results[..1]).is_err());
+
+    // A rerun of a shard over the warm store restores its members.
+    let rerun: Vec<ShardResult> =
+        jobs.iter().map(|job| job.run(Some(&store)).expect("shard reruns")).collect();
+    let merged = runner.merge_shard_results(&rerun).expect("complete results merge");
+    assert_eq!(merged.cells, in_process.cells, "store-restored shards diverge");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A killed sharded run resumes from its per-trace checkpoints:
-/// already-finished members are restored verbatim and the final grid is
-/// bit-identical to an uninterrupted run.
+/// A killed sharded run resumes from its result store: already-finished
+/// members are restored verbatim and the final grid is bit-identical to
+/// an uninterrupted run.
 #[test]
 fn killed_sharded_matrix_resumes_bit_identically() {
     let dir = scratch("kill-resume");
@@ -283,25 +294,31 @@ fn killed_sharded_matrix_resumes_bit_identically() {
     ];
     let reference = MatrixRunner::new(cells.clone()).shards(2).threads(1).run();
 
-    // Kill the run after two members completed (and were checkpointed).
+    let store = ResultCache::open(&dir).expect("store opens");
+    let entries = || std::fs::read_dir(&dir).expect("scratch dir").count();
+
+    // Kill the run after two members completed (and were stored).
     let killed = catch_unwind(AssertUnwindSafe(|| {
         MatrixRunner::new(cells.clone())
             .shards(2)
             .threads(1)
-            .with_checkpoint_dir(&dir)
+            .with_store(store.clone())
             .with_abort_after_members(2)
             .run()
     }));
     assert!(killed.is_err(), "the abort test hook kills the run");
-    let snapshots = std::fs::read_dir(&dir).expect("scratch dir").count();
-    assert!(snapshots >= 1, "the killed run left checkpoints behind");
+    assert_eq!(entries(), 2, "the killed run stored its two finished members");
 
     // The rerun restores the finished members and completes the rest.
-    let resumed = MatrixRunner::new(cells).shards(2).threads(1).with_checkpoint_dir(&dir).run();
+    let resumed = MatrixRunner::new(cells.clone()).shards(2).threads(1).with_store(store.clone());
+    let resumed = resumed.run();
     assert_eq!(resumed.report.resumed_members, 2, "two members were restored verbatim");
     assert_eq!(resumed.cells, reference.cells, "resumed matrix diverges from uninterrupted run");
-    // A completed run removes its snapshots.
-    assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0);
+    // The store keeps every member: a third run simulates nothing.
+    assert_eq!(entries(), 4);
+    let again = MatrixRunner::new(cells).shards(2).threads(1).with_store(store).run();
+    assert_eq!(again.report.resumed_members, 4);
+    assert_eq!(again.cells, reference.cells);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -344,7 +361,9 @@ fn dvi_scheme(index: u8) -> DviConfig {
     }
 }
 
-/// One pseudo-random grid member (the `batch_equiv.rs` generator).
+/// One pseudo-random grid member, every machine axis derived from the bits
+/// of a single sampled word: register-file size, cache ports, DVI scheme
+/// and (sometimes) a scaled-up issue width.
 fn grid_member(bits: u64) -> SimConfig {
     let phys_regs = 34 + (bits % 63) as usize; // 34..=96
     let ports = 1 + ((bits >> 8) % 3) as usize; // 1..=3
@@ -356,6 +375,8 @@ fn grid_member(bits: u64) -> SimConfig {
         .with_cache_ports(ports)
         .with_dvi(dvi_scheme(scheme));
     if wide {
+        // Scale the register file with the width so the wide machine is
+        // not trivially rename-bound.
         config = config.with_issue_width(8).with_phys_regs(phys_regs * 2);
     }
     config
@@ -380,12 +401,7 @@ proptest! {
         let grid_a: Vec<SimConfig> = members_a.into_iter().map(grid_member).collect();
         let grid_b: Vec<SimConfig> = members_b.into_iter().map(grid_member).collect();
         let cells = vec![(&trace_a, grid_a.clone()), (&trace_b, grid_b.clone())];
-        let serial: Vec<Vec<SimStats>> = cells
-            .iter()
-            .map(|(trace, grid)| {
-                grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
-            })
-            .collect();
+        let serial = serial_replays(&cells);
         let total = grid_a.len() + grid_b.len();
         let shards = [1, 2, total][shard_choice];
         let threads = [1, 2, available_threads()][thread_choice];

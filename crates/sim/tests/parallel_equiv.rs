@@ -1,17 +1,16 @@
-//! Parallel-sweep differential tests.
+//! Multi-threaded sweep differential tests.
 //!
-//! `SweepRunner::run_parallel` distributes the members of a sweep across
-//! worker threads; `run_parallel_threads` pins the worker count. Both must
-//! be *invisible*: per-member `SimStats` bit-identical to the serial
-//! co-scheduled runner (`SweepRunner::run`) and to plain serial replays,
-//! at **any** thread count — determinism is structural (members share
-//! nothing mutable), not a property of the schedule. These
-//! tests lock that down:
+//! `MatrixRunner::threads` spreads the members of a sweep across worker
+//! threads. That must be *invisible*: per-member `SimStats` bit-identical
+//! to plain serial replays at **any** thread count — determinism is
+//! structural (members share nothing mutable), not a property of the
+//! schedule. These tests lock that down:
 //!
 //! * across the full Figure 10 workload mix with a heterogeneous 9-point
-//!   grid (mixed DVI schemes, register files, ports, widths) — the
-//!   acceptance shape;
+//!   grid (mixed DVI schemes, register files, ports, widths);
 //! * across thread counts 1, 2 and the host's available parallelism;
+//! * with the runner's options composed: an injected one-shot member fault
+//!   and a result store, cold and warm;
 //! * across randomly sampled workload presets × machine grids × thread
 //!   counts, via proptest — extending the `batch_equiv.rs` pattern to the
 //!   thread axis.
@@ -19,7 +18,7 @@
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
-use dvi_sim::{SimConfig, SimStats, Simulator, SweepRunner};
+use dvi_sim::{MatrixRunner, MemberOutcome, ResultCache, SimConfig, SimStats, Simulator};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -51,31 +50,37 @@ fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Asserts the parallel runner matches serial replays and the serial
-/// co-scheduled runner, for the default thread count and the pinned
-/// counts 1, 2 and the host's parallelism.
-fn assert_parallel_equivalent(trace: &CapturedTrace, grid: &[SimConfig], context: &str) {
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    let coscheduled = SweepRunner::new(trace, grid.iter().cloned()).run();
-    assert_eq!(coscheduled, serial, "{context}: co-scheduled runner diverges from serial");
+fn serial_replays(trace: &CapturedTrace, grid: &[SimConfig]) -> Vec<SimStats> {
+    grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect()
+}
 
-    let parallel = SweepRunner::new(trace, grid.iter().cloned()).run_parallel();
-    assert_eq!(parallel, serial, "{context}: run_parallel diverges from serial replays");
-    assert!(parallel.iter().all(|s| !s.deadlocked), "{context}: deadlock watchdog fired");
+/// The grid as a one-cell matrix on `threads` workers, folded to stats.
+fn run_threads(trace: &CapturedTrace, grid: &[SimConfig], threads: usize) -> Vec<SimStats> {
+    let outcome = MatrixRunner::new(vec![(trace, grid.to_vec())]).threads(threads).run();
+    outcome.into_cells().remove(0).into_iter().map(MemberOutcome::into_stats).collect()
+}
+
+/// Asserts the matrix matches serial replays for the default thread count
+/// and the pinned counts 1, 2 and the host's parallelism.
+fn assert_parallel_equivalent(trace: &CapturedTrace, grid: &[SimConfig], context: &str) {
+    let serial = serial_replays(trace, grid);
+    let default = MatrixRunner::new(vec![(trace, grid.to_vec())]).run().into_cells().remove(0);
+    let default: Vec<SimStats> = default.into_iter().map(MemberOutcome::into_stats).collect();
+    assert_eq!(default, serial, "{context}: default thread count diverges from serial replays");
+    assert!(default.iter().all(|s| !s.deadlocked), "{context}: deadlock watchdog fired");
 
     for threads in [1, 2, available_threads()] {
-        let pinned = SweepRunner::new(trace, grid.iter().cloned()).run_parallel_threads(threads);
         assert_eq!(
-            pinned, serial,
-            "{context}: run_parallel_threads({threads}) diverges from serial replays"
+            run_threads(trace, grid, threads),
+            serial,
+            "{context}: {threads} threads diverge from serial replays"
         );
     }
 }
 
-/// The acceptance-criterion test: across the Figure 10 workload mix, the
-/// parallel runner reproduces the serial statistics bit for bit on a
-/// heterogeneous grid, at every pinned thread count.
+/// Across the Figure 10 workload mix, the multi-threaded matrix reproduces
+/// the serial statistics bit for bit on a heterogeneous grid, at every
+/// pinned thread count.
 #[test]
 fn fig10_mix_parallel_sweep_is_bit_identical_to_serial() {
     const STEPS: u64 = 12_000;
@@ -89,44 +94,59 @@ fn fig10_mix_parallel_sweep_is_bit_identical_to_serial() {
     }
 }
 
-/// Thread counts far beyond the member count are clamped, not a panic —
-/// and still bit-identical.
+/// Thread and shard counts far beyond the member count are clamped, not a
+/// panic — and still bit-identical; an empty grid yields an empty cell.
 #[test]
 fn oversubscribed_thread_count_is_clamped() {
     let layout = edvi_layout(&WorkloadSpec::small("clamp", 5));
     let trace = CapturedTrace::record(&layout, 8_000);
-    let grid = [SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())];
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    let wild = SweepRunner::new(&trace, grid.iter().cloned()).run_parallel_threads(64);
-    assert_eq!(wild, serial);
-    let empty = SweepRunner::new(&trace, []).run_parallel();
-    assert!(empty.is_empty());
+    let grid = vec![SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())];
+    let outcome = MatrixRunner::new(vec![(&trace, grid.clone())]).threads(64).shards(64).run();
+    assert_eq!((outcome.report.threads, outcome.report.shards), (2, 2));
+    let wild: Vec<SimStats> =
+        outcome.into_cells().remove(0).into_iter().map(MemberOutcome::into_stats).collect();
+    assert_eq!(wild, serial_replays(&trace, &grid));
+    let empty = MatrixRunner::new(vec![(&trace, vec![])]).threads(64).run();
+    assert_eq!(empty.into_cells(), vec![Vec::<MemberOutcome>::new()]);
 }
 
-/// Builder options (an injected one-shot member fault, a checkpoint path
-/// the parallel runner does not write) compose with the parallel runner
-/// and stay invisible to the modelled machine.
+/// Builder options (an injected one-shot member fault, a result store)
+/// compose with a multi-threaded run and stay invisible to the modelled
+/// machine; the store keeps only the clean members, and a warm rerun
+/// restores them and runs the rest.
 #[test]
 fn builder_options_compose_with_run_parallel() {
     let layout = edvi_layout(&WorkloadSpec::small("compose", 29));
     let trace = CapturedTrace::record(&layout, 8_000);
-    let grid = [
+    let grid = vec![
         SimConfig::micro97().with_dvi(DviConfig::full()),
         SimConfig::micro97().with_dvi(DviConfig::full()).with_phys_regs(40),
         SimConfig::micro97(),
     ];
-    let serial: Vec<SimStats> =
-        grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect();
-    let faulted =
-        SweepRunner::new(&trace, grid.iter().cloned()).with_member_fault(1, 1_000).run_parallel();
+    let serial = serial_replays(&trace, &grid);
+    let dir = std::env::temp_dir().join(format!("dvi-parallel-compose-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ResultCache::open(&dir).expect("store opens");
+
+    let faulted = MatrixRunner::new(vec![(&trace, grid.clone())])
+        .threads(2)
+        .with_member_fault(1, 1_000)
+        .with_store(store.clone())
+        .run();
+    assert_eq!(faulted.report.resumed_members, 0, "a cold store restores nothing");
+    let faulted = faulted.into_cells().remove(0);
+    assert!(matches!(faulted[1], MemberOutcome::Degraded { .. }), "faulted member: {faulted:?}");
+    let faulted: Vec<SimStats> = faulted.into_iter().map(MemberOutcome::into_stats).collect();
     assert_eq!(faulted, serial);
-    let path = std::env::temp_dir().join("dvi-parallel-compose.dviswpck");
-    let checkpointed = SweepRunner::new(&trace, grid.iter().cloned())
-        .with_checkpoint(&path)
-        .run_parallel_threads(2);
-    assert_eq!(checkpointed, serial);
-    assert!(!path.exists(), "the parallel runner has no turn boundary to snapshot at");
+    let entries = std::fs::read_dir(&dir).expect("store dir").count();
+    assert_eq!(entries, 2, "only the clean members are stored");
+
+    let warm = MatrixRunner::new(vec![(&trace, grid.clone())]).threads(2).with_store(store).run();
+    assert_eq!(warm.report.resumed_members, 2, "the stored members are restored");
+    let warm: Vec<SimStats> =
+        warm.into_cells().remove(0).into_iter().map(MemberOutcome::into_stats).collect();
+    assert_eq!(warm, serial);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn dvi_scheme(index: u8) -> DviConfig {
@@ -168,13 +188,9 @@ proptest! {
         let layout = edvi_layout(&spec);
         let trace = CapturedTrace::record(&layout, 2_000);
         let grid: Vec<SimConfig> = members.into_iter().map(grid_member).collect();
-        let serial: Vec<SimStats> = grid
-            .iter()
-            .map(|config| Simulator::new(config.clone()).run(trace.replay()))
-            .collect();
+        let serial = serial_replays(&trace, &grid);
         let threads = [1, 2, available_threads()][thread_choice];
-        let parallel =
-            SweepRunner::new(&trace, grid.iter().cloned()).run_parallel_threads(threads);
+        let parallel = run_threads(&trace, &grid, threads);
         prop_assert_eq!(
             &parallel, &serial,
             "{} at {} threads: parallel stats diverge", spec.name, threads

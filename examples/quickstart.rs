@@ -1,13 +1,13 @@
 //! Quickstart: build a workload, compile it with and without DVI
 //! annotations, and compare the two machines — then sweep a whole
-//! register-file grid in one batched pass.
+//! register-file grid through the matrix runner.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::CapturedTrace;
-use dvi_sim::{SimConfig, SimSession, Simulator, SweepRunner};
+use dvi_sim::{MatrixRunner, SimConfig, SimSession, Simulator};
 use dvi_workloads::WorkloadSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The same run, driven cycle by cycle: a session hands control back
     //    between cycles, so the caller can watch the machine fill and
-    //    drain — or interleave many sessions (step 6).
+    //    drain.
     let mut session = SimSession::new(SimConfig::micro97(), trace.cursor());
     while session.tick() {}
     let cycles = session.cycles();
@@ -59,13 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stepped, baseline, "a session is the same machine, bit for bit");
     println!("stepped the baseline machine for {cycles} cycles under caller control");
 
-    // 6. A design-space sweep: one batched pass over the capture times a
-    //    whole register-file grid, every member on its own plain core.
+    // 6. A design-space sweep: the matrix runner times a whole
+    //    register-file grid over the capture, every member on its own
+    //    plain core, spread over the host's threads.
     let sizes = [34usize, 40, 48, 64, 80];
     let grid = sizes.map(|n| SimConfig::micro97().with_phys_regs(n).with_dvi(DviConfig::full()));
-    let swept = SweepRunner::new(&trace, grid).run();
-    println!("register-file sweep ({} configs, one pass over the capture):", sizes.len());
-    for (n, stats) in sizes.iter().zip(&swept) {
+    let swept = MatrixRunner::new(vec![(&trace, grid.to_vec())]).run().into_cells();
+    println!("register-file sweep ({} configs over one capture):", sizes.len());
+    for (n, outcome) in sizes.iter().zip(&swept[0]) {
+        let stats = outcome.stats().expect("every sweep member produced statistics");
         println!("  {n:>3} phys regs: IPC {:.3}", stats.ipc());
     }
     Ok(())
