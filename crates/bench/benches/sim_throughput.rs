@@ -1,13 +1,11 @@
 //! Bench: end-to-end simulator throughput (simulated-MIPS) on the Figure 10
-//! workload mix, comparing four front-end/back-end combinations:
+//! workload mix, comparing three front-end/back-end combinations:
 //!
 //! * **seed baseline** — the pre-rewrite core preserved in
-//!   `dvi_sim::legacy` paired with the original hash-map interpreter
-//!   memory;
-//! * **naive scan** — the current core with the reference full-window-scan
-//!   scheduler (isolates the wakeup/select algorithm);
-//! * **event driven** — the current core fed by the live interpreter (the
-//!   PR-1 headline configuration);
+//!   `dvi_sim::legacy` (the full-window-scan reference model) paired with
+//!   the original hash-map interpreter memory;
+//! * **live** — the current event-driven core fed by the live
+//!   interpreter;
 //! * **capture/replay** — the current core fed by a `CapturedTrace`
 //!   recorded once per benchmark, the way every figure sweep now runs.
 //!   Capture happens outside the timed region: a sweep pays it once and
@@ -15,7 +13,7 @@
 //!   the replay number (the one-off capture cost is reported separately,
 //!   next to the one-off dependence-graph build, `depgraph_build_seconds`).
 //!
-//! All four produce bit-identical `SimStats` (`tests/replay_equiv.rs`,
+//! All three produce bit-identical `SimStats` (`tests/replay_equiv.rs`,
 //! `tests/scheduler_equiv.rs`), so this is a pure host-speed comparison.
 //! Three machines are measured: the paper's 4-wide/80-register machine,
 //! the scaled 8-wide/160 machine and a 16-wide/320 sweep machine.
@@ -32,10 +30,9 @@
 //! same-container measurements, see `ab_reference`) next to this run's
 //! plain-replay cost.
 //!
-//! A **matrix** section asserts the matrix's bit-identity across shard
-//! counts and its dedup counters on a duplicated submission (one registry
-//! entry per distinct trace, the second copy of every cell deduplicated
-//! member-for-member).
+//! A **matrix** section asserts the matrix's dedup counters on a
+//! duplicated submission (one registry entry per distinct trace, the
+//! second copy of every cell deduplicated member-for-member).
 //!
 //! A **service** section measures the persistent sweep service end to end
 //! against a direct single-thread `MatrixRunner` pass on the same (trace ×
@@ -57,7 +54,7 @@ use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram};
 use dvi_service::{JobSpec, ServiceConfig, SweepService, TraceSource};
-use dvi_sim::{MatrixRunner, MemberOutcome, SchedulerKind, SimConfig, SimStats, Simulator};
+use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig, SimStats, Simulator};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -145,11 +142,8 @@ enum Core {
     /// baseline is slightly *faster* than the true seed — the reported
     /// speedups versus it are conservative.
     SeedBaseline,
-    /// The current core with the naive-scan scheduler (shared pooled
-    /// window, paged memory) — isolates the wakeup/select algorithm.
-    NaiveScan,
     /// The current core fed by the live interpreter.
-    EventDriven,
+    Live,
     /// The current core replaying pre-recorded traces (the sweep
     /// configuration).
     Replay,
@@ -218,10 +212,6 @@ fn run_mix(mix: &Mix, config: &SimConfig, core: Core) -> u64 {
                             .run(interp.with_sparse_memory())
                             .program_instrs
                     }
-                    Core::NaiveScan => {
-                        let config = config.clone().with_scheduler(SchedulerKind::NaiveScan);
-                        Simulator::new(config).run(interp).program_instrs
-                    }
                     _ => Simulator::new(config.clone()).run(interp).program_instrs,
                 }
             })
@@ -232,10 +222,10 @@ fn run_mix(mix: &Mix, config: &SimConfig, core: Core) -> u64 {
 /// Interleaved min-of-N timing: every core is measured once per round, so
 /// host frequency/load drift hits all cores alike and the *ratios* stay
 /// meaningful even on a noisy container.
-fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 4] {
-    const CORES: [Core; 4] = [Core::SeedBaseline, Core::NaiveScan, Core::EventDriven, Core::Replay];
-    let mut best = [f64::MAX; 4];
-    let mut instrs = [0u64; 4];
+fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 3] {
+    const CORES: [Core; 3] = [Core::SeedBaseline, Core::Live, Core::Replay];
+    let mut best = [f64::MAX; 3];
+    let mut instrs = [0u64; 3];
     for (i, &core) in CORES.iter().enumerate() {
         instrs[i] = run_mix(mix, config, core); // warm-up
     }
@@ -246,8 +236,8 @@ fn simulated_mips_all(mix: &Mix, config: &SimConfig) -> [f64; 4] {
             best[i] = best[i].min(start.elapsed().as_secs_f64());
         }
     }
-    let mut mips = [0.0; 4];
-    for i in 0..4 {
+    let mut mips = [0.0; 3];
+    for i in 0..3 {
         mips[i] = instrs[i] as f64 / best[i] / 1.0e6;
     }
     mips
@@ -469,28 +459,18 @@ struct MatrixBenchResult {
     member_dedup_hits: u64,
     /// Worker threads the matrix used.
     threads: usize,
-    /// Shards of the sharded bit-identity check.
-    shards: usize,
 }
 
-/// Asserts the matrix's sharding and dedup contracts on the fig5-style
-/// grid over every mix trace: a 2-shard matrix equals the unsharded one on
-/// full `MemberOutcome`s (so the bench-smoke CI job also regression-tests
-/// the shard-merge contract), and a duplicated-cells run (every cell
-/// submitted twice) resolves one registry entry per distinct trace and
-/// dedups the entire second submission member-for-member.
+/// Asserts the matrix's dedup contract on the fig5-style grid over every
+/// mix trace: a duplicated-cells run (every cell submitted twice) resolves
+/// one registry entry per distinct trace and dedups the entire second
+/// submission member-for-member.
 fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
     let cells = sweep_cells(mix, grid);
-    let matrixed = MatrixRunner::new(cells.clone()).run();
-    let threads = matrixed.report.threads;
-    let reference = matrixed.into_cells();
-    let shards = 2;
-    let sharded = MatrixRunner::new(cells.clone()).shards(shards).run();
-    assert_eq!(sharded.into_cells(), reference, "the sharded matrix diverged from the unsharded");
-
     let doubled: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         cells.iter().chain(cells.iter()).cloned().collect();
     let reuse = MatrixRunner::new(doubled).run().report;
+    let threads = reuse.threads;
     assert_eq!(reuse.distinct_traces, mix.traces.len(), "one registry entry per distinct trace");
     assert_eq!(
         reuse.member_dedup_hits,
@@ -503,7 +483,6 @@ fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
         distinct_traces: reuse.distinct_traces,
         member_dedup_hits: reuse.member_dedup_hits,
         threads,
-        shards,
     }
 }
 
@@ -511,8 +490,7 @@ fn matrix_measurements(mix: &Mix, grid: &[SimConfig]) -> MatrixBenchResult {
 struct MachineResult {
     name: &'static str,
     seed_baseline: f64,
-    naive_scan: f64,
-    event_driven: f64,
+    live: f64,
     replay: f64,
 }
 
@@ -548,16 +526,14 @@ fn write_json(
         let comma = if i + 1 == results.len() { "" } else { "," };
         writeln!(
             f,
-            "    {{\"machine\": \"{}\", \"seed_baseline\": {:.3}, \"naive_scan\": {:.3}, \
-             \"event_driven\": {:.3}, \"replay\": {:.3}, \
-             \"replay_vs_seed\": {:.3}, \"replay_vs_event\": {:.3}}}{comma}",
+            "    {{\"machine\": \"{}\", \"seed_baseline\": {:.3}, \"live\": {:.3}, \
+             \"replay\": {:.3}, \"replay_vs_seed\": {:.3}, \"replay_vs_live\": {:.3}}}{comma}",
             r.name,
             r.seed_baseline,
-            r.naive_scan,
-            r.event_driven,
+            r.live,
             r.replay,
             r.replay / r.seed_baseline,
-            r.replay / r.event_driven,
+            r.replay / r.live,
         )?;
     }
     writeln!(f, "  ],")?;
@@ -585,12 +561,11 @@ fn write_json(
     writeln!(
         f,
         "  \"matrix\": {{\"cells\": {}, \"requested_members\": {}, \
-         \"parallel_threads\": {}, \"shards\": {}, \"distinct_traces\": {}, \
+         \"parallel_threads\": {}, \"distinct_traces\": {}, \
          \"member_dedup_hits\": {}}},",
         matrix.cells,
         matrix.requested_members,
         matrix.threads,
-        matrix.shards,
         matrix.distinct_traces,
         matrix.member_dedup_hits,
     )?;
@@ -613,8 +588,8 @@ fn write_json(
 fn bench(c: &mut Criterion) {
     let mix = Mix::build();
 
-    // Headline numbers: simulated-MIPS of the seed core, the rewritten
-    // core (live and replay) and the scheduler-only delta for transparency.
+    // Headline numbers: simulated-MIPS of the seed core and the rewritten
+    // core (live and replay).
     // All model the same machine bit-identically (tests/scheduler_equiv.rs,
     // tests/replay_equiv.rs).
     let machines = [
@@ -624,16 +599,15 @@ fn bench(c: &mut Criterion) {
     ];
     let mut results = Vec::new();
     for (name, config) in &machines {
-        let [seed_baseline, naive_scan, event_driven, replay] = simulated_mips_all(&mix, config);
-        let r = MachineResult { name, seed_baseline, naive_scan, event_driven, replay };
+        let [seed_baseline, live, replay] = simulated_mips_all(&mix, config);
+        let r = MachineResult { name, seed_baseline, live, replay };
         println!("sim_throughput/{name}/seed_baseline:  {:.2} simulated-MIPS", r.seed_baseline);
-        println!("sim_throughput/{name}/naive_scan:     {:.2} simulated-MIPS", r.naive_scan);
-        println!("sim_throughput/{name}/event_driven:   {:.2} simulated-MIPS", r.event_driven);
+        println!("sim_throughput/{name}/live:           {:.2} simulated-MIPS", r.live);
         println!("sim_throughput/{name}/capture_replay: {:.2} simulated-MIPS", r.replay);
         println!(
-            "sim_throughput/{name}/speedup:        {:.2}x vs seed, {:.2}x vs live event-driven",
+            "sim_throughput/{name}/speedup:        {:.2}x vs seed, {:.2}x vs live",
             r.replay / r.seed_baseline,
-            r.replay / r.event_driven,
+            r.replay / r.live,
         );
         results.push(r);
     }
@@ -679,13 +653,11 @@ fn bench(c: &mut Criterion) {
          round trip of the whole mix"
     );
     println!(
-        "sim_throughput/matrix/dedup:               {} cells x {} configs on {} threads \
-         bit-identical at {} shards; duplicated submission: {} distinct traces, {} \
-         member-dedup hits",
+        "sim_throughput/matrix/dedup:               {} cells x {} configs on {} threads; \
+         duplicated submission: {} distinct traces, {} member-dedup hits",
         matrix.cells,
         matrix.requested_members / matrix.cells.max(1),
         matrix.threads,
-        matrix.shards,
         matrix.distinct_traces,
         matrix.member_dedup_hits,
     );
@@ -723,8 +695,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("capture_replay_4wide", |b| {
         b.iter(|| run_mix(&mix, &narrow, Core::Replay));
     });
-    g.bench_function("event_driven_4wide", |b| {
-        b.iter(|| run_mix(&mix, &narrow, Core::EventDriven));
+    g.bench_function("live_4wide", |b| {
+        b.iter(|| run_mix(&mix, &narrow, Core::Live));
     });
     g.bench_function("seed_baseline_4wide", |b| {
         b.iter(|| run_mix(&mix, &narrow, Core::SeedBaseline));
@@ -732,8 +704,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("capture_replay_8wide", |b| {
         b.iter(|| run_mix(&mix, &wide, Core::Replay));
     });
-    g.bench_function("event_driven_8wide", |b| {
-        b.iter(|| run_mix(&mix, &wide, Core::EventDriven));
+    g.bench_function("live_8wide", |b| {
+        b.iter(|| run_mix(&mix, &wide, Core::Live));
     });
     g.bench_function("seed_baseline_8wide", |b| {
         b.iter(|| run_mix(&mix, &wide, Core::SeedBaseline));

@@ -1,14 +1,13 @@
 //! The `dvi-service` command line: run the sweep service, or drive one.
 //!
 //! ```text
-//! dvi-service serve     --data-dir DIR [--addr 127.0.0.1:7117] [--workers N] [--shards N]
-//! dvi-service submit    (--preset NAME [--instrs N] | --trace FILE)
-//!                       [--grid JSON|fig10] (--server ADDR | --data-dir DIR)
-//!                       [--wait SECS]
-//! dvi-service status    [JOB] --server ADDR
-//! dvi-service results   JOB --server ADDR
-//! dvi-service cancel    JOB --server ADDR
-//! dvi-service run-shard IN OUT [--checkpoint DIR]
+//! dvi-service serve   --data-dir DIR [--addr 127.0.0.1:7117] [--workers N]
+//! dvi-service submit  (--preset NAME [--instrs N] | --trace FILE)
+//!                     [--grid JSON|fig10] (--server ADDR | --data-dir DIR)
+//!                     [--wait SECS]
+//! dvi-service status  [JOB] --server ADDR
+//! dvi-service results JOB --server ADDR
+//! dvi-service cancel  JOB --server ADDR
 //! ```
 //!
 //! `submit` has two modes: with `--server` it talks HTTP to a running
@@ -16,15 +15,6 @@
 //! the same on-disk result cache a server over that directory would use —
 //! so an offline submission still memoizes, and a later server run still
 //! hits.
-//!
-//! `run-shard` is the out-of-process execution arm of the matrix layer:
-//! it loads a serialized [`dvi_sim::ShardJob`] artifact (produced by
-//! [`dvi_sim::MatrixRunner::shard_jobs`]), runs its members and writes the
-//! [`dvi_sim::ShardResult`] artifact the parent merges with
-//! [`dvi_sim::MatrixRunner::merge_shard_results`], bit-identical to the
-//! in-process run. `--checkpoint DIR` names a result store
-//! ([`dvi_sim::ResultCache`]): each finished member is stored there, and a
-//! rerun of a killed shard skips the members already stored.
 
 #![forbid(unsafe_code)]
 
@@ -46,7 +36,6 @@ fn main() {
         Some("status") => run(status(&args[1..])),
         Some("results") => run(results(&args[1..])),
         Some("cancel") => run(cancel(&args[1..])),
-        Some("run-shard") => run(run_shard(&args[1..])),
         Some("--help" | "-h" | "help") | None => {
             print!("{}", usage());
             0
@@ -63,19 +52,14 @@ fn usage() -> String {
     [
         "dvi-service: persistent sweep service for the DVI simulator\n",
         "\nCommands:\n",
-        "  serve     --data-dir DIR [--addr 127.0.0.1:7117] [--workers N] [--shards N]\n",
-        "  submit    (--preset NAME [--instrs N] | --trace FILE) [--grid JSON|fig10]\n",
-        "            (--server ADDR | --data-dir DIR) [--wait SECS]\n",
-        "  status    [JOB] --server ADDR\n",
-        "  results   JOB --server ADDR\n",
-        "  cancel    JOB --server ADDR\n",
-        "  run-shard IN OUT [--checkpoint DIR]\n",
+        "  serve   --data-dir DIR [--addr 127.0.0.1:7117] [--workers N]\n",
+        "  submit  (--preset NAME [--instrs N] | --trace FILE) [--grid JSON|fig10]\n",
+        "          (--server ADDR | --data-dir DIR) [--wait SECS]\n",
+        "  status  [JOB] --server ADDR\n",
+        "  results JOB --server ADDR\n",
+        "  cancel  JOB --server ADDR\n",
         "\nThe fig10 grid shorthand expands to the paper's Figure 10 study:\n",
         "  [{\"dvi\": \"lvm\"}, {\"dvi\": \"lvm-stack\"}]\n",
-        "\nrun-shard executes a serialized matrix shard job (IN) and writes its\n",
-        "result artifact (OUT) for the parent to merge, bit-identical to the\n",
-        "in-process run. --checkpoint DIR names a result store: finished members\n",
-        "are stored there, and a rerun of a killed shard skips them.\n",
     ]
     .concat()
 }
@@ -138,9 +122,6 @@ fn serve(args: &[String]) -> Result<(), ServiceError> {
     let mut config = ServiceConfig::new(data_dir);
     if let Some(workers) = flags.get_u64("workers")? {
         config = config.with_workers(workers as usize);
-    }
-    if let Some(shards) = flags.get_u64("shards")? {
-        config = config.with_shards(shards as usize);
     }
     let service = SweepService::start(config)?;
     let mut server = HttpServer::serve(service, addr)?;
@@ -332,32 +313,5 @@ fn cancel(args: &[String]) -> Result<(), ServiceError> {
         .ok_or_else(|| ServiceError::InvalidRequest("cancel needs a JOB id".into()))?;
     let reply = http_json(addr, "DELETE", &format!("/jobs/{job}"), None)?;
     println!("{}", reply.encode());
-    Ok(())
-}
-
-/// Runs one serialized matrix shard job to its result artifact (the child
-/// half of out-of-process shard dispatch).
-fn run_shard(args: &[String]) -> Result<(), ServiceError> {
-    let flags = Flags::parse(args)?;
-    let [input, output] = flags.positional.as_slice() else {
-        return Err(ServiceError::InvalidRequest(
-            "run-shard needs IN and OUT artifact paths".into(),
-        ));
-    };
-    let job = dvi_sim::ShardJob::load(std::path::Path::new(input))?;
-    let store = flags.get("checkpoint").map(dvi_sim::ResultCache::open).transpose()?;
-    let result = job.run(store.as_ref())?;
-    result.save(std::path::Path::new(output))?;
-    println!(
-        "{}",
-        Json::obj([
-            ("shard", Json::UInt(job.shard_index())),
-            ("shard_count", Json::UInt(job.shard_count())),
-            ("traces", Json::UInt(job.trace_count() as u64)),
-            ("members", Json::UInt(result.members.len() as u64)),
-            ("out", Json::Str(output.clone())),
-        ])
-        .encode()
-    );
     Ok(())
 }

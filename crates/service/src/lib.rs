@@ -12,9 +12,8 @@
 //!   *entire* pending queue — spanning however many distinct traces — into
 //!   one [`dvi_sim::MatrixRunner`] matrix: the fingerprint-keyed trace
 //!   registry resolves each distinct trace once, identical
-//!   (trace, configuration) members across jobs simulate **once**, and the
-//!   matrix optionally shards ([`ServiceConfig::with_shards`]). Turns run with `MemberOutcome`
-//!   fault isolation and store-backed durability: the matrix stores each
+//!   (trace, configuration) members across jobs simulate **once**. Turns
+//!   run with `MemberOutcome` fault isolation and store-backed durability: the matrix stores each
 //!   member in the result cache as it finishes, so an attempt that dies
 //!   mid-matrix is retried, skips every member already stored and
 //!   finishes bit-identical (member statistics are a pure function of
@@ -33,11 +32,8 @@
 //!   `std::net::TcpListener` (no async runtime: the vendor policy ships no
 //!   tokio/hyper) with a minimal JSON codec ([`json`]), plus the
 //!   `dvi-service` binary whose `serve` / `submit` / `status` / `results`
-//!   / `cancel` / `run-shard` subcommands drive the same scheduler
-//!   in-process or over the wire (`run-shard` executes a serialized
-//!   [`dvi_sim::ShardJob`] in a child process and writes its
-//!   [`dvi_sim::ShardResult`] artifact; `--checkpoint DIR` names a result
-//!   store the shard resumes from).
+//!   / `cancel` subcommands drive the same scheduler in-process or over
+//!   the wire.
 //!
 //! # Quickstart
 //!

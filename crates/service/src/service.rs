@@ -45,9 +45,6 @@ pub struct ServiceConfig {
     pub data_dir: PathBuf,
     /// Worker threads pulling batches off the queue.
     pub workers: usize,
-    /// Shards each matrix turn is partitioned into (see
-    /// [`MatrixRunner::shards`]).
-    pub shards: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
     /// — after their results were stored — exercising the resume-from-
@@ -57,14 +54,13 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A configuration with defaults: workers matched to the host (capped
-    /// at 4 — sweep members already saturate memory bandwidth), one shard,
-    /// no fault injection.
+    /// at 4 — sweep members already saturate memory bandwidth), no fault
+    /// injection.
     #[must_use]
     pub fn new(data_dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             data_dir: data_dir.into(),
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
-            shards: 1,
             fault_abort_after_turns: None,
         }
     }
@@ -73,13 +69,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> ServiceConfig {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the matrix shard count (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> ServiceConfig {
-        self.shards = shards.max(1);
         self
     }
 
@@ -248,12 +237,10 @@ pub struct MetricsSnapshot {
     /// Always 0 ([`dvi_sim::MatrixReport::build_reuse_hits`]); kept for
     /// the repository benchmark's `sim.products.reuse_hits` metric.
     pub matrix_build_reuse_hits: u64,
-    /// Members workers stole from other shards' queues across all matrix
-    /// turns.
+    /// Always 0 ([`dvi_sim::MatrixReport::shard_steals`] is always
+    /// empty); kept for the repository benchmark's
+    /// `sim.matrix.shard_steals` metric.
     pub matrix_steals: u64,
-    /// Unique members assigned to each shard in the most recent matrix
-    /// turn.
-    pub matrix_shard_members: Vec<u64>,
     /// Outcome health roll-up across all completed jobs.
     pub outcomes: SweepSummary,
     /// Total queued time across picked-up jobs, in seconds.
@@ -266,8 +253,6 @@ pub struct MetricsSnapshot {
     pub uptime_seconds: f64,
     /// Worker-pool size.
     pub workers: usize,
-    /// Configured matrix shard count.
-    pub shards: usize,
 }
 
 impl MetricsSnapshot {
@@ -395,8 +380,6 @@ struct MetricsCounters {
     matrix_distinct_traces: u64,
     matrix_shared_builds: u64,
     matrix_build_reuse_hits: u64,
-    matrix_steals: u64,
-    matrix_shard_members: Vec<u64>,
     outcomes: SweepSummary,
     queue_wait_seconds: f64,
     run_seconds: f64,
@@ -707,15 +690,13 @@ impl SweepService {
             matrix_distinct_traces: m.matrix_distinct_traces,
             matrix_shared_builds: m.matrix_shared_builds,
             matrix_build_reuse_hits: m.matrix_build_reuse_hits,
-            matrix_steals: m.matrix_steals,
-            matrix_shard_members: m.matrix_shard_members,
+            matrix_steals: 0,
             outcomes: m.outcomes,
             queue_wait_seconds: m.queue_wait_seconds,
             run_seconds: m.run_seconds,
             busy_seconds: m.busy_seconds,
             uptime_seconds: self.0.started.elapsed().as_secs_f64(),
             workers: self.0.config.workers,
-            shards: self.0.config.shards,
         }
     }
 
@@ -916,8 +897,6 @@ fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
                 m.members_simulated += report.unique_members as u64 - report.skipped_members;
                 m.matrix_turns += 1;
                 m.matrix_distinct_traces += report.distinct_traces as u64;
-                m.matrix_steals += report.shard_steals.iter().sum::<u64>();
-                m.matrix_shard_members = report.shard_members.iter().map(|&n| n as u64).collect();
             }
             Err(reason) => {
                 // Both attempts died: every scheduled member gets a
@@ -996,7 +975,6 @@ fn run_matrix_with_durability(
             s.spawn(|| {
                 let mut runner = MatrixRunner::new(cells.to_vec())
                     .threads(inner.config.workers)
-                    .shards(inner.config.shards)
                     .with_store(inner.cache.clone())
                     // The cooperative cancellation gate: a claimed member
                     // runs only while some requesting job is still alive.

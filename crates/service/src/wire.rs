@@ -19,7 +19,7 @@ use crate::{JobResults, JobSpec, JobStatus, MetricsSnapshot, ServiceError, Trace
 use dvi_core::DviConfig;
 use dvi_program::artifact::{ByteReader, ByteWriter};
 use dvi_sim::checkpoint::{read_outcome, write_outcome};
-use dvi_sim::{MemberOutcome, SchedulerKind, SimConfig};
+use dvi_sim::{MemberOutcome, SimConfig};
 
 // ------------------------------------------------------------- requests --
 
@@ -110,8 +110,7 @@ pub fn parse_fingerprint(text: &str) -> Result<u64, ServiceError> {
 /// Parses a configuration grid: a JSON array of override objects applied
 /// to [`SimConfig::micro97`]. Supported keys: `phys_regs`, `issue_width`,
 /// `cache_ports`, `window_size` (integers), `perfect_dcache` (bool),
-/// `dvi` (`"none"` / `"idvi"` / `"full"` / `"lvm"` / `"lvm-stack"`),
-/// `scheduler` (`"event-driven"` / `"naive-scan"`).
+/// `dvi` (`"none"` / `"idvi"` / `"full"` / `"lvm"` / `"lvm-stack"`).
 ///
 /// # Errors
 ///
@@ -151,16 +150,6 @@ fn config_from_json(value: &Json, index: usize) -> Result<SimConfig, ServiceErro
                 let name =
                     v.as_str().ok_or_else(|| invalid("'dvi' must be a scheme name".into()))?;
                 config = config.with_dvi(dvi_from_name(name).map_err(&invalid)?);
-            }
-            "scheduler" => {
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| invalid("'scheduler' must be a scheduler name".into()))?;
-                config = config.with_scheduler(match name {
-                    "event-driven" => SchedulerKind::EventDriven,
-                    "naive-scan" => SchedulerKind::NaiveScan,
-                    other => return Err(invalid(format!("unknown scheduler '{other}'"))),
-                });
             }
             other => return Err(invalid(format!("unknown override '{other}'"))),
         }
@@ -349,10 +338,6 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
         ("matrix_build_reuse_hits", Json::UInt(m.matrix_build_reuse_hits)),
         ("matrix_steals", Json::UInt(m.matrix_steals)),
         (
-            "matrix_shard_members",
-            Json::Arr(m.matrix_shard_members.iter().map(|&n| Json::UInt(n)).collect()),
-        ),
-        (
             "outcomes",
             Json::obj([
                 ("ok", Json::UInt(m.outcomes.ok as u64)),
@@ -369,7 +354,6 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
         ("worker_utilization", Json::Num(m.worker_utilization())),
         ("uptime_seconds", Json::Num(m.uptime_seconds)),
         ("workers", Json::UInt(m.workers as u64)),
-        ("shards", Json::UInt(m.shards as u64)),
     ])
 }
 
@@ -411,15 +395,24 @@ mod tests {
     fn grid_overrides_apply_and_unknown_keys_are_typed() {
         let grid = grid_from_json(
             &Json::parse(
-                r#"[{"dvi": "lvm", "phys_regs": 48}, {"scheduler": "naive-scan", "window_size": 32}]"#,
+                r#"[{"dvi": "lvm", "phys_regs": 48}, {"perfect_dcache": true, "window_size": 32}]"#,
             )
             .expect("parses"),
         )
         .expect("grid decodes");
         assert_eq!(grid.len(), 2);
         assert_eq!(grid[0].phys_regs, 48);
-        assert_eq!(grid[1].scheduler, SchedulerKind::NaiveScan);
+        assert_eq!(grid[1].dcache_model, dvi_sim::DcacheModelKind::Perfect);
         assert_eq!(grid[1].window_size, 32);
+
+        // The core has one scheduler: naming one is an unknown override.
+        let scheduler = grid_from_json(
+            &Json::parse(r#"[{"scheduler": "naive-scan", "window_size": 32}]"#).expect("parses"),
+        );
+        assert!(
+            matches!(&scheduler, Err(ServiceError::InvalidRequest(msg)) if msg.contains("unknown override 'scheduler'")),
+            "got {scheduler:?}"
+        );
 
         let unknown = grid_from_json(&Json::parse(r#"[{"wibble": 3}]"#).expect("parses"));
         assert!(matches!(unknown, Err(ServiceError::InvalidRequest(_))));

@@ -272,11 +272,7 @@ fn cancelled_queued_job_leaves_the_matrix_and_simulates_nothing() {
     // member of the heavy grid simulated once (asserted above).
     assert_eq!(metrics.matrix_turns, 1);
     assert_eq!(metrics.matrix_distinct_traces, 1);
-    assert_eq!(
-        metrics.matrix_shard_members.iter().sum::<u64>(),
-        heavy_grid().len() as u64,
-        "every unique member was assigned to some shard"
-    );
+    assert_eq!(metrics.matrix_steals, 0, "one member list: nothing to steal");
     assert_eq!(metrics.queue_depth, 0);
     service.shutdown();
 }
@@ -321,31 +317,6 @@ fn cancelling_a_running_job_stops_it_cooperatively() {
 }
 
 #[test]
-fn sharded_service_matrix_is_bit_identical() {
-    let trace = small_trace(0x88, 12_000);
-    let grid = test_grid();
-    let direct = direct_outcomes(&trace, &grid);
-
-    let config = ServiceConfig::new(temp_dir("shards")).with_workers(2).with_shards(2);
-    let service = SweepService::start(config).expect("service starts");
-    let fp = service.register_trace(trace);
-    let job = service
-        .submit(JobSpec { source: TraceSource::Fingerprint(fp), grid: grid.clone() })
-        .expect("submits");
-    service.wait(job, WAIT).expect("finishes");
-    let results = service.results(job).expect("results available");
-    assert_eq!(results.outcomes, direct, "sharded matrix outcomes are bit-identical");
-
-    let metrics = service.metrics();
-    assert_eq!(metrics.shards, 2);
-    assert_eq!(metrics.matrix_shard_members.len(), 2, "the turn ran on two shards");
-    assert_eq!(metrics.matrix_shard_members.iter().sum::<u64>(), grid.len() as u64);
-    assert_eq!(metrics.matrix_distinct_traces, 1, "both shards ran the one trace");
-    assert_eq!(metrics.members_simulated, grid.len() as u64, "each member ran once");
-    service.shutdown();
-}
-
-#[test]
 fn http_cancel_route_cancels_and_conflicts_once_terminal() {
     let service = SweepService::start(ServiceConfig::new(temp_dir("httpcancel")).with_workers(1))
         .expect("service starts");
@@ -378,7 +349,7 @@ fn http_cancel_route_cancels_and_conflicts_once_terminal() {
     assert!(metrics.get("matrix_turns").is_some());
     assert!(metrics.get("matrix_build_reuse_hits").is_some());
     assert!(metrics.get("matrix_distinct_traces").is_some());
-    assert!(metrics.get("matrix_shard_members").is_some());
+    assert_eq!(metrics.get("matrix_steals").and_then(Json::as_u64), Some(0));
     assert!(metrics.get("queue_depth").is_some());
 
     server.stop();

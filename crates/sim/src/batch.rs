@@ -1,6 +1,6 @@
 //! Sweep members: how one ends, and the boundary it runs inside.
 //!
-//! Every sweep in this crate — a figure grid, a service turn, a shard —
+//! Every sweep in this crate — a figure grid, a service turn —
 //! runs through [`crate::MatrixRunner`], and every member of a matrix runs
 //! start to finish on its own [`SimSession`] over the captured trace,
 //! inside the one panic boundary defined here ([`run_member_outcome`]).

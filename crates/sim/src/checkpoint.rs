@@ -4,8 +4,8 @@
 //! ([`dvi_program::CapturedTrace::fingerprint`]) and of its machine
 //! configuration ([`config_fingerprint`]); its [`MemberOutcome`] is
 //! serialized by [`write_outcome`] and read back by [`read_outcome`]. The
-//! result store ([`crate::store`]), shard results ([`crate::ShardResult`])
-//! and the sweep service's wire format all use this one codec, so a stored
+//! result store ([`crate::store`]) and the sweep service's wire format
+//! both use this one codec, so a stored
 //! outcome and a shipped one can never disagree about what an outcome
 //! looks like. Every field round-trips exactly: resume and memoization
 //! are asserted bit-identical with `==` over the whole [`SimStats`].
@@ -336,7 +336,6 @@ mod tests {
             memory_latency: _,
             predictor: _,
             dvi: _,
-            scheduler: _,
         } = config.clone();
         let rendered = format!("{config:?}");
         for field in [
@@ -358,7 +357,6 @@ mod tests {
             "memory_latency",
             "predictor",
             "dvi",
-            "scheduler",
         ] {
             assert!(
                 rendered.contains(field),

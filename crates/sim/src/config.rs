@@ -84,21 +84,6 @@ pub enum DcacheModelKind {
     Perfect,
 }
 
-/// Which wakeup/select implementation the simulator uses. Both model the
-/// same machine cycle-for-cycle; they differ only in host-time complexity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Event-driven: completion calendar, per-register waiter lists and an
-    /// O(1) ready queue (see [`crate::sched`] for the structures and the
-    /// equivalence argument). The default.
-    #[default]
-    EventDriven,
-    /// The reference model: rescan the full instruction window every cycle
-    /// for writeback and issue. O(window) per cycle, kept for golden-stats
-    /// regression tests and as the throughput-comparison baseline.
-    NaiveScan,
-}
-
 /// Configuration of the simulated machine.
 ///
 /// [`SimConfig::micro97`] reproduces Figure 2: 4-wide issue, a 64-entry
@@ -147,9 +132,6 @@ pub struct SimConfig {
     pub predictor: PredictorConfig,
     /// DVI sources and optimizations.
     pub dvi: DviConfig,
-    /// Wakeup/select implementation (identical timing, different host
-    /// speed).
-    pub scheduler: SchedulerKind,
 }
 
 impl SimConfig {
@@ -177,7 +159,6 @@ impl SimConfig {
             memory_latency: 50,
             predictor: PredictorConfig::micro97(),
             dvi: DviConfig::none(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -208,13 +189,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_dvi(mut self, dvi: DviConfig) -> Self {
         self.dvi = dvi;
-        self
-    }
-
-    /// Returns a copy using the given wakeup/select implementation.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 

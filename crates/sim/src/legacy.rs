@@ -1,16 +1,17 @@
-//! The seed's original pipeline back end, preserved as the throughput
-//! baseline.
+//! The seed's original pipeline back end, preserved as the full-window-scan
+//! reference model and the throughput baseline.
 //!
 //! This is the simulator back end as it stood before the event-driven
 //! rewrite: a `VecDeque` instruction window whose entries are constructed
 //! (and whose `Vec` reclaim lists are allocated) per dispatch, and
 //! writeback/issue implemented as full-window scans every cycle. It models
-//! the *same machine* cycle-for-cycle — `tests/scheduler_equiv.rs` asserts
-//! its `SimStats` are bit-identical to both current schedulers — so the
-//! `sim_throughput` bench can report an apples-to-apples host-speed
-//! comparison against the seed core (pair it with
-//! `Interpreter::with_sparse_memory` for the original interpreter memory
-//! as well).
+//! the *same machine* cycle-for-cycle — `tests/scheduler_equiv.rs` and
+//! `tests/replay_equiv.rs` assert its `SimStats` are bit-identical to the
+//! event-driven core — so it is the reference those tests check the
+//! production core against, and the `sim_throughput` bench can report an
+//! apples-to-apples host-speed comparison against the seed core (pair it
+//! with `Interpreter::with_sparse_memory` for the original interpreter
+//! memory as well).
 //!
 //! The in-order front end (fetch and the per-instruction rename/dispatch
 //! decisions) is the shared, memoized [`crate::frontend::FrontEnd`]: the

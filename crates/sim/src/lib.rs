@@ -43,12 +43,12 @@
 //! # Sweeps: one runner, one store
 //!
 //! Every sweep runs through [`MatrixRunner`]: a whole (trace ×
-//! configuration) matrix with member deduplication, work stealing and
-//! sharding. Each member runs the same plain core on its own session —
-//! its own live predictor, L1I, DVI engine, L1D and decode memo — inside
-//! one panic boundary ([`batch`]), so per-member statistics are
-//! bit-identical to serial runs at any shard and thread count
-//! (`tests/matrix_equiv.rs`). Outcomes are kept in one on-disk
+//! configuration) matrix with member deduplication, drained from one
+//! shared member list by a pool of worker threads. Each member runs the
+//! same plain core on its own session — its own live predictor, L1I, DVI
+//! engine, L1D and decode memo — inside one panic boundary ([`batch`]),
+//! so per-member statistics are bit-identical to serial runs at any
+//! thread count (`tests/matrix_equiv.rs`). Outcomes are kept in one on-disk
 //! [`ResultCache`] ([`store`]), keyed by (trace fingerprint, config
 //! fingerprint); resume means skipping the members already stored
 //! (`tests/fault_tolerance.rs`). [`batch::SweepRunner`] remains as a
@@ -60,9 +60,10 @@
 //! calendar, wakeup walks per-physical-register waiter lists, and select
 //! scans an age-ordered ready bitset — O(events) per cycle instead of the
 //! classic O(window) full-window scans (see [`sched`] for the structures
-//! and the cycle-accuracy argument, and [`SchedulerKind`] to select the
-//! reference scan implementation instead). The seed core's back end is
-//! preserved in [`legacy`] as the throughput baseline.
+//! and the cycle-accuracy argument). It is the only production core. The
+//! seed core's full-window scan is preserved in [`legacy`] as the
+//! reference model the equivalence tests check it against, and as the
+//! throughput baseline.
 //!
 //! The front end is **shared and memoized**: both cores fetch and
 //! rename/dispatch through [`frontend::FrontEnd`], whose per-PC
@@ -126,11 +127,11 @@ pub mod store;
 mod window;
 
 pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
-pub use config::{ConfigError, DcacheModelKind, SchedulerKind, SimConfig};
+pub use config::{ConfigError, DcacheModelKind, SimConfig};
 pub use dvi_engine::{DviEngine, ReclaimList};
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
-pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, ShardJob, ShardResult};
+pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner};
 pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;
 pub use rename::{PhysReg, RenameState};

@@ -4,25 +4,20 @@
 //!
 //! The simulator models a classic out-of-order core: in-order fetch →
 //! rename/dispatch into a unified instruction window → out-of-order
-//! wakeup/select → in-order commit. Two interchangeable wakeup/select
-//! implementations are provided (selected by [`SchedulerKind`]):
+//! wakeup/select → in-order commit. The back end is event-driven:
+//! writeback drains a completion calendar bucket (only the instructions
+//! finishing *this* cycle), wakeup walks the per-physical-register waiter
+//! list of each result (only the consumers of that result), and select
+//! scans an age-ordered ready bitset (only instructions whose operands are
+//! all available). Cycles where nothing completes and nothing is ready
+//! cost O(1) in the back end. The structures and the cycle-accuracy
+//! argument live in [`crate::sched`].
 //!
-//! * **Event-driven** (the default): writeback drains a completion
-//!   calendar bucket (only the instructions finishing *this* cycle),
-//!   wakeup walks the per-physical-register waiter list of each result
-//!   (only the consumers of that result), and select scans an age-ordered
-//!   ready bitset (only instructions whose operands are all available).
-//!   Cycles where nothing completes and nothing is ready cost O(1) in the
-//!   back end. The structures and the cycle-accuracy argument live in
-//!   [`crate::sched`].
-//! * **Naive scan**: the original model — writeback and issue rescan the
-//!   entire window every cycle. Kept as the reference implementation; the
-//!   golden-stats and property tests assert the two produce bit-identical
-//!   [`SimStats`], and the `sim_throughput` bench measures the speedup.
-//!
-//! Both backends share fetch, rename/dispatch, commit, the DVI engine, the
-//! branch predictor and the memory hierarchy, so they cannot drift in
-//! front-end or retirement behaviour; only writeback/wakeup/select differ.
+//! The seed core's full-window scan survives only as the reference model
+//! in [`crate::legacy`]: it shares this core's front end
+//! ([`crate::frontend::FrontEnd`]), and the golden-stats and property
+//! tests (`scheduler_equiv`, `replay_equiv`) assert the two produce
+//! bit-identical [`SimStats`].
 //!
 //! # Data layout
 //!
@@ -36,7 +31,7 @@
 //! `replay_equiv`, `matrix_equiv`) and the golden figures lock the
 //! statistics bit-for-bit.
 
-use crate::config::{DcacheModelKind, SchedulerKind, SimConfig};
+use crate::config::{DcacheModelKind, SimConfig};
 use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
@@ -109,8 +104,7 @@ pub(crate) struct Core {
     front: FrontEnd,
     pub(crate) cycle: u64,
     pub(crate) stats: SimStats,
-    // --- Event-driven scheduling state (unused by the naive scan). ---
-    event_driven: bool,
+    // --- Event-driven scheduling state. ---
     calendar: Calendar,
     waiters: Waiters,
     ready: ReadyRing,
@@ -151,7 +145,6 @@ impl Core {
             front: FrontEnd::new(&config),
             cycle: 0,
             stats: SimStats::default(),
-            event_driven: config.scheduler == SchedulerKind::EventDriven,
             calendar: Calendar::new(max_latency),
             waiters: Waiters::new(config.phys_regs),
             ready: ReadyRing::new(window.ring_size()),
@@ -246,14 +239,14 @@ impl Core {
             }
             if let Some(old) = self.window.old_dst(head) {
                 debug_assert!(
-                    !self.event_driven || !self.waiters.has_waiters(usize::from(old.0)),
+                    !self.waiters.has_waiters(usize::from(old.0)),
                     "released register still has waiters"
                 );
                 self.rename.release(old);
             }
             for p in self.window.reclaim(head).iter() {
                 debug_assert!(
-                    !self.event_driven || !self.waiters.has_waiters(usize::from(p.0)),
+                    !self.waiters.has_waiters(usize::from(p.0)),
                     "reclaimed register still has waiters"
                 );
                 self.rename.release(p);
@@ -266,19 +259,11 @@ impl Core {
     }
 
     // -------------------------------------------------------- writeback --
-    fn writeback(&mut self) {
-        if self.event_driven {
-            self.writeback_event();
-        } else {
-            self.writeback_scan();
-        }
-    }
-
     /// Event-driven writeback fused with wakeup: drain exactly the
     /// calendar bucket for this cycle, publish each completion in the
     /// window's `done` flag array and wake each result's waiters in the
     /// same pass.
-    fn writeback_event(&mut self) {
+    fn writeback(&mut self) {
         if self.calendar.pending() == 0 {
             return;
         }
@@ -325,38 +310,13 @@ impl Core {
         self.scratch_woken = woken;
     }
 
-    /// Reference writeback: scan the whole window for completions.
-    fn writeback_scan(&mut self) {
-        for wseq in self.window.seqs() {
-            let EntryState::Executing { done_at } = self.window.state(wseq) else { continue };
-            if done_at > self.cycle {
-                continue;
-            }
-            self.window.set_done(wseq);
-            if let Some(dst) = self.window.dst(wseq) {
-                self.rename.set_ready(dst);
-            }
-            if self.window.resolves_fetch_stall(wseq) {
-                self.front.resolve_fetch_stall(self.cycle, self.config.mispredict_penalty);
-            }
-        }
-    }
-
     // ------------------------------------------------------------ issue --
-    fn issue(&mut self) {
-        if self.event_driven {
-            self.issue_event();
-        } else {
-            self.issue_scan();
-        }
-    }
-
     /// Event-driven select: walk the ready set in age order; entries denied
     /// a functional unit stay ready for the next cycle. The walk is lazy
     /// over a word snapshot, so it stops as soon as `issue_width`
     /// instructions have issued instead of materializing the whole ready
     /// list every cycle.
-    fn issue_event(&mut self) {
+    fn issue(&mut self) {
         if self.ready.count() == 0 {
             return;
         }
@@ -385,40 +345,6 @@ impl Core {
             issued += 1;
         }
         self.scratch_ready = snap;
-    }
-
-    /// Reference select: scan the whole window in age order, checking
-    /// per-operand ready bits.
-    fn issue_scan(&mut self) {
-        let mut issued = 0;
-        for wseq in self.window.seqs() {
-            if issued >= self.config.issue_width {
-                break;
-            }
-            if !self.window.is_waiting(wseq) {
-                continue;
-            }
-            let ready =
-                self.window.srcs(wseq).into_iter().flatten().all(|p| self.rename.is_ready(p));
-            if !ready {
-                continue;
-            }
-            let class = self.window.class(wseq);
-            let Some(kind) = class.fu_kind() else {
-                self.window.set_done(wseq);
-                continue;
-            };
-            if kind == FuKind::MemPort {
-                if !self.ports.try_acquire() {
-                    continue;
-                }
-            } else if !self.fu.try_acquire(kind) {
-                continue;
-            }
-            let latency = self.execution_latency(wseq, class);
-            self.window.mark_executing(wseq, self.cycle + latency.max(1));
-            issued += 1;
-        }
     }
 
     fn execution_latency(&mut self, wseq: u64, class: InstrClass) -> u64 {
@@ -461,7 +387,6 @@ impl Core {
                         e.mem_addr,
                         e.dst,
                         e.old_dst,
-                        e.srcs,
                         e.class,
                         e.seq,
                         e.resolves_fetch_stall,
@@ -472,7 +397,7 @@ impl Core {
                         // nops and control handled entirely in the front
                         // end).
                         self.window.set_done(wseq);
-                    } else if self.event_driven {
+                    } else {
                         // Register with the wakeup network: wait on each
                         // operand that has not been produced yet.
                         let mut missing = 0u8;
@@ -580,11 +505,14 @@ mod tests {
 
     #[test]
     fn naive_scan_scheduler_models_the_same_machine() {
+        // The full-window-scan reference (the seed core) models the same
+        // machine cycle for cycle.
         for prog in [dependent_chain(500), independent_ops(1500)] {
             let event = run_program(&prog, SimConfig::micro97());
-            let naive =
-                run_program(&prog, SimConfig::micro97().with_scheduler(SchedulerKind::NaiveScan));
-            assert_eq!(event, naive, "schedulers disagree");
+            let layout = prog.layout().unwrap();
+            let interp = Interpreter::new(&layout).with_step_limit(1_000_000);
+            let scan = crate::legacy::LegacySimulator::new(SimConfig::micro97()).run(interp);
+            assert_eq!(event, scan, "event-driven core disagrees with the scan reference");
         }
     }
 

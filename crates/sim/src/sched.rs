@@ -40,7 +40,8 @@
 //!    goes ready→not-ready under a waiter.
 //!
 //! Together with in-order commit these invariants make the event-driven
-//! scheduler *cycle-accurate-identical* to the naive full-window scan: the
+//! scheduler *cycle-accurate-identical* to the naive full-window scan of
+//! the seed core ([`crate::legacy`], kept as the reference model): the
 //! set of issuable entries each cycle is the same, and select considers
 //! them in the same (age) order, so every functional-unit, cache-port and
 //! cache-state decision is made identically. The golden-stats and property

@@ -1,7 +1,7 @@
 //! The result store: the one place a member's outcome is kept on disk.
 //!
 //! A completed sweep member's statistics are a **pure function** of
-//! (configuration, trace) — the invariant every runner, shard and resume
+//! (configuration, trace) — the invariant every runner and resume
 //! path in this crate is locked against. That purity is what makes the
 //! store sound: the pair
 //!
@@ -13,9 +13,9 @@
 //! can be served to any later run asking for the same pair, bit-identical
 //! to re-simulating. The same entries serve three readers: the sweep
 //! service's memo cache (`<data_dir>/memo`), the figure drivers'
-//! `DVI_RESULT_CACHE`, and resume — a [`crate::MatrixRunner`] or
-//! [`crate::ShardJob`] given a store skips every member already stored,
-//! so a killed run picks up where it died.
+//! `DVI_RESULT_CACHE`, and resume — a [`crate::MatrixRunner`] given a
+//! store skips every member already stored, so a killed run picks up
+//! where it died.
 //!
 //! Entries live one-per-file in the checksummed artifact container
 //! (magic [`MEMO_MAGIC`]) written atomically through a temporary file

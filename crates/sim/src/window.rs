@@ -18,8 +18,7 @@
 //! The execution state machine (`Waiting → Executing → Done`) is encoded
 //! as two flag arrays (`issued`, `done`) plus a `done_at` cycle array
 //! instead of a per-entry enum; [`WindowRing::state`] reconstructs the
-//! [`EntryState`] view for the reference naive-scan scheduler and for
-//! assertions.
+//! [`EntryState`] view for assertions.
 //!
 //! Entries are identified by their *window sequence number* (`wseq`), a
 //! monotonically increasing dispatch counter; the slot of entry `wseq` is
@@ -83,15 +82,13 @@ pub struct WindowRing {
     done: Vec<bool>,
     /// Whether this is the mispredicted branch/return fetch stalls on.
     resolves: Vec<bool>,
-    /// Source operands not yet produced (event-driven scheduler only).
+    /// Source operands not yet produced.
     missing: Vec<u8>,
     /// Destination physical register ([`NO_REG`] = none).
     dst: Vec<u16>,
     /// Previous mapping of the destination architectural register, freed
     /// at commit ([`NO_REG`] = none).
     old_dst: Vec<u16>,
-    /// Renamed source operands ([`NO_REG`] = always ready).
-    srcs: Vec<[u16; 2]>,
     /// Effective address — written and read only for memory classes.
     mem_addr: Vec<u64>,
     /// Cycle at which execution finishes (valid while `issued`).
@@ -126,7 +123,6 @@ impl WindowRing {
             missing: vec![0; ring],
             dst: vec![NO_REG; ring],
             old_dst: vec![NO_REG; ring],
-            srcs: vec![[NO_REG; 2]; ring],
             mem_addr: vec![0; ring],
             done_at: vec![0; ring],
             dseq: vec![0; ring],
@@ -176,11 +172,6 @@ impl WindowRing {
         (self.head..self.tail).contains(&wseq)
     }
 
-    /// Iterates over the occupied sequence numbers in age order.
-    pub fn seqs(&self) -> impl Iterator<Item = u64> {
-        self.head..self.tail
-    }
-
     #[inline]
     fn slot(&self, wseq: u64) -> usize {
         debug_assert!(self.contains(wseq), "stale window sequence {wseq}");
@@ -205,7 +196,6 @@ impl WindowRing {
         mem_addr: Option<u64>,
         dst: Option<PhysReg>,
         old_dst: Option<PhysReg>,
-        srcs: [Option<PhysReg>; 2],
         class: InstrClass,
         dseq: u64,
         resolves_fetch_stall: bool,
@@ -226,7 +216,6 @@ impl WindowRing {
         self.missing[s] = 0;
         self.dst[s] = pack(dst);
         self.old_dst[s] = pack(old_dst);
-        self.srcs[s] = [pack(srcs[0]), pack(srcs[1])];
         if let Some(addr) = mem_addr {
             self.mem_addr[s] = addr;
         }
@@ -267,14 +256,6 @@ impl WindowRing {
     #[must_use]
     pub fn old_dst(&self, wseq: u64) -> Option<PhysReg> {
         unpack(self.old_dst[self.slot(wseq)])
-    }
-
-    /// Renamed source operands (`None` = always ready).
-    #[inline]
-    #[must_use]
-    pub fn srcs(&self, wseq: u64) -> [Option<PhysReg>; 2] {
-        let [a, b] = self.srcs[self.slot(wseq)];
-        [unpack(a), unpack(b)]
     }
 
     /// Effective address of a memory-class entry (guaranteed present by
@@ -390,7 +371,7 @@ impl WindowRing {
         self.done_at[s]
     }
 
-    /// The derived [`EntryState`] view (reference scheduler, assertions).
+    /// The derived [`EntryState`] view (assertions).
     #[inline]
     #[must_use]
     pub fn state(&self, wseq: u64) -> EntryState {
@@ -412,7 +393,7 @@ mod tests {
     #[test]
     fn new_entries_start_waiting() {
         let mut w = WindowRing::new(4);
-        let e = w.push(None, None, None, [None, None], InstrClass::Nop, 0, false);
+        let e = w.push(None, None, None, InstrClass::Nop, 0, false);
         assert_eq!(w.state(e), EntryState::Waiting);
         assert!(w.is_waiting(e));
         assert!(!w.is_done(e));
@@ -421,7 +402,7 @@ mod tests {
     #[test]
     fn state_transitions_are_derived_from_the_flag_arrays() {
         let mut w = WindowRing::new(4);
-        let e = w.push(None, Some(PhysReg(3)), None, [None, None], InstrClass::IntAlu, 0, false);
+        let e = w.push(None, Some(PhysReg(3)), None, InstrClass::IntAlu, 0, false);
         w.mark_executing(e, 5);
         assert_eq!(w.state(e), EntryState::Executing { done_at: 5 });
         assert_eq!(w.done_at(e), 5);
@@ -435,18 +416,17 @@ mod tests {
     fn ring_recycles_slots_in_fifo_order() {
         let mut w = WindowRing::new(3); // ring size 4
         assert_eq!(w.ring_size(), 4);
-        let a = w.push(None, None, None, [None, None], InstrClass::Nop, 0, false);
-        let b = w.push(None, None, None, [None, None], InstrClass::Nop, 0, false);
-        let c = w.push(None, None, None, [None, None], InstrClass::Nop, 0, false);
+        let a = w.push(None, None, None, InstrClass::Nop, 0, false);
+        let b = w.push(None, None, None, InstrClass::Nop, 0, false);
+        let c = w.push(None, None, None, InstrClass::Nop, 0, false);
         assert!(w.is_full());
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(w.head_seq(), 0);
         w.pop_front();
         assert!(!w.is_full());
-        let d = w.push(Some(64), None, None, [None, None], InstrClass::Load, 0, false);
+        let d = w.push(Some(64), None, None, InstrClass::Load, 0, false);
         assert_eq!(d, 3);
         assert!(w.contains(b) && w.contains(d) && !w.contains(a));
-        assert_eq!(w.seqs().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(w.len(), 3);
         assert_eq!(w.mem_addr(d), 64);
     }
@@ -454,15 +434,7 @@ mod tests {
     #[test]
     fn push_resets_the_recycled_slot() {
         let mut w = WindowRing::new(1); // ring size 1: every push recycles slot 0
-        let a = w.push(
-            None,
-            Some(PhysReg(7)),
-            Some(PhysReg(8)),
-            [Some(PhysReg(1)), None],
-            InstrClass::IntAlu,
-            99,
-            true,
-        );
+        let a = w.push(None, Some(PhysReg(7)), Some(PhysReg(8)), InstrClass::IntAlu, 99, true);
         w.reclaim_mut(a).push(PhysReg(4));
         w.set_missing(a, 2);
         assert!(w.resolves_fetch_stall(a));
@@ -470,29 +442,20 @@ mod tests {
         w.mark_executing(a, 9);
         w.set_done(a);
         w.pop_front();
-        let b = w.push(None, None, None, [None, None], InstrClass::Nop, 0, false);
+        let b = w.push(None, None, None, InstrClass::Nop, 0, false);
         assert!(w.reclaim(b).is_empty());
         assert_eq!(w.state(b), EntryState::Waiting);
         assert!(!w.resolves_fetch_stall(b));
         assert_eq!(w.dseq(b), 0);
         assert_eq!(w.dst(b), None);
         assert_eq!(w.old_dst(b), None);
-        assert_eq!(w.srcs(b), [None, None]);
         assert_eq!(w.missing[(b & w.mask) as usize], 0, "missing count restarts at zero");
     }
 
     #[test]
     fn wakeup_decrements_missing_operands() {
         let mut w = WindowRing::new(4);
-        let e = w.push(
-            None,
-            None,
-            None,
-            [Some(PhysReg(1)), Some(PhysReg(2))],
-            InstrClass::IntAlu,
-            0,
-            false,
-        );
+        let e = w.push(None, None, None, InstrClass::IntAlu, 0, false);
         w.set_missing(e, 2);
         assert_eq!(w.dec_missing(e), 1);
         assert_eq!(w.dec_missing(e), 0);
@@ -504,23 +467,20 @@ mod tests {
         let mut w = WindowRing::new(4);
         // The old encoding stored `None` and the issue stage silently read
         // address 0; the SoA window refuses the push outright.
-        let _ = w.push(None, Some(PhysReg(3)), None, [None, None], InstrClass::Load, 0, false);
+        let _ = w.push(None, Some(PhysReg(3)), None, InstrClass::Load, 0, false);
     }
 
     #[test]
     #[should_panic(expected = "memory class must agree")]
     fn address_on_a_non_memory_op_is_rejected() {
         let mut w = WindowRing::new(4);
-        let _ =
-            w.push(Some(0x40), Some(PhysReg(3)), None, [None, None], InstrClass::IntAlu, 0, false);
+        let _ = w.push(Some(0x40), Some(PhysReg(3)), None, InstrClass::IntAlu, 0, false);
     }
 
     #[test]
     fn stores_carry_their_address() {
         let mut w = WindowRing::new(4);
-        let e =
-            w.push(Some(0xbeef), None, None, [Some(PhysReg(5)), None], InstrClass::Store, 0, false);
+        let e = w.push(Some(0xbeef), None, None, InstrClass::Store, 0, false);
         assert_eq!(w.mem_addr(e), 0xbeef);
-        assert_eq!(w.srcs(e), [Some(PhysReg(5)), None]);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * across the full Figure 10 workload mix with the paper's 9-point grid;
 //! * with a heterogeneous-predictor grid and with a single member, each
-//!   also as a one-cell matrix at shard counts 1 and 2;
+//!   also as a one-cell matrix at thread counts 1 and 2;
 //! * across randomly sampled workload presets, seeds and machine grids
 //!   (register-file size, cache ports, DVI scheme, issue width), via
 //!   proptest — extending the `replay_equiv.rs` pattern one level up.
@@ -31,11 +31,11 @@ fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
 
 /// Asserts that one `SweepRunner` pass over `trace` matches serial replays
 /// of the same grid, config for config and bit for bit — and so does the
-/// grid run as a one-cell matrix at every shard count in `shard_counts`.
+/// grid run as a one-cell matrix at every thread count in `thread_counts`.
 fn assert_batch_equivalent(
     trace: &CapturedTrace,
     grid: &[SimConfig],
-    shard_counts: &[usize],
+    thread_counts: &[usize],
     context: &str,
 ) {
     let batched = SweepRunner::new(trace, grid.iter().cloned()).run();
@@ -49,11 +49,11 @@ fn assert_batch_equivalent(
         );
         assert!(!batched.deadlocked, "{context}: member {i} hit the deadlock watchdog");
     }
-    for &shards in shard_counts {
-        let cell = MatrixRunner::new(vec![(trace, grid.to_vec())]).shards(shards).run();
+    for &threads in thread_counts {
+        let cell = MatrixRunner::new(vec![(trace, grid.to_vec())]).threads(threads).run();
         let outcomes = cell.into_cells().remove(0);
         let expected: Vec<MemberOutcome> = serial.iter().cloned().map(MemberOutcome::Ok).collect();
-        assert_eq!(outcomes, expected, "{context}: one-cell matrix({shards} shards) diverges");
+        assert_eq!(outcomes, expected, "{context}: one-cell matrix({threads} threads) diverges");
     }
 }
 

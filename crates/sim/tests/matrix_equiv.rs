@@ -1,39 +1,30 @@
 //! Whole-matrix sweep differential tests.
 //!
 //! `MatrixRunner` is the one sweep runner: it flattens many (trace,
-//! config-grid) cells into one deduplicated, work-stealing, optionally
-//! sharded job list. All of that machinery must be *invisible*:
+//! config-grid) cells into one deduplicated member list drained by a pool
+//! of worker threads. All of that machinery must be *invisible*:
 //! per-member `SimStats` bit-identical to plain serial replays
-//! (`Simulator::run(trace.replay())`), at **any** shard and thread count —
-//! including the out-of-process `ShardJob` serialize/run/merge round trip
-//! and kill+resume through the result store. These tests lock:
+//! (`Simulator::run(trace.replay())`), at **any** thread count. These
+//! tests lock:
 //!
 //! * matrix == serial over the Figure 10 workload mix × heterogeneous
 //!   per-cell grids, and over a grid with several members per predictor,
 //!   L1I geometry and DVI scheme, mixed decode widths and a perfect-L1D
-//!   member — at shard counts 1/2/members and thread counts
-//!   1/2/available (single-cell grids and thread clamping are covered by
-//!   `batch_equiv.rs` and `parallel_equiv.rs`);
+//!   member — at thread counts 1/2/available (single-cell grids and
+//!   thread clamping are covered by `batch_equiv.rs` and
+//!   `parallel_equiv.rs`, kill+resume through the result store by
+//!   `fault_tolerance.rs`);
 //! * `SweepRunner` (the one-cell matrix) == serial;
 //! * duplicate cells and duplicate members deduplicated and fanned back
 //!   out;
-//! * the serialized shard path: `shard_jobs` → bytes → `ShardJob::run`
-//!   → `merge_shard_results` equals the in-process run, and corrupted
-//!   artifacts are rejected, never misparsed;
-//! * a killed sharded run resumes bit-identically from its result store;
-//! * random (preset × grid × shard × thread) matrices via proptest.
+//! * random (preset × grid × thread) matrices via proptest.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
-use dvi_sim::{
-    MatrixRunner, MemberOutcome, ResultCache, ShardResult, SimConfig, SimStats, Simulator,
-    SweepRunner,
-};
+use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig, SimStats, Simulator, SweepRunner};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 
 fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
     let program = dvi_workloads::generate(spec);
@@ -45,14 +36,6 @@ fn edvi_layout(spec: &WorkloadSpec) -> LayoutProgram {
 
 fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// A fresh scratch directory per test (tests run concurrently).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dvi-matrix-equiv-{tag}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// Heterogeneous per-cell grids in the shape the figure drivers submit:
@@ -98,8 +81,8 @@ fn unwrap_ok(outcomes: Vec<Vec<MemberOutcome>>) -> Vec<Vec<SimStats>> {
 
 /// The acceptance-criterion test: across the Figure 10 workload mix with
 /// heterogeneous per-cell grids, the matrix reproduces serial replays bit
-/// for bit at shard counts 1/2/members and thread counts 1/2/available,
-/// and so does `SweepRunner`, one cell at a time.
+/// for bit at thread counts 1/2/available, and so does `SweepRunner`, one
+/// cell at a time.
 #[test]
 fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
     const STEPS: u64 = 8_000;
@@ -122,39 +105,20 @@ fn fig10_mix_matrix_is_bit_identical_to_batched_and_serial() {
         .map(|(trace, grid)| SweepRunner::new(trace, grid.iter().cloned()).run())
         .collect();
     assert_eq!(batched, serial, "SweepRunner diverges from serial");
-
-    let members: usize = grids.iter().map(Vec::len).sum();
-    assert_matrix_matches_serial(&cells, &serial, &[1, 2, members]);
+    assert_matrix_matches_serial(&cells, &serial);
 }
 
-/// Asserts the matrix over `cells` reproduces `serial` bit for bit at every
-/// shard count in `shard_counts` and thread counts 1/2/available, and that
-/// the out-of-process shard round trip merges to the same outcomes.
+/// Asserts the matrix over `cells` reproduces `serial` bit for bit at
+/// thread counts 1/2/available.
 fn assert_matrix_matches_serial(
     cells: &[(&CapturedTrace, Vec<SimConfig>)],
     serial: &[Vec<SimStats>],
-    shard_counts: &[usize],
 ) {
-    let members: usize = cells.iter().map(|(_, grid)| grid.len()).sum();
-    for &shards in shard_counts {
-        let runner = MatrixRunner::new(cells.to_vec()).shards(shards);
-        let results: Vec<ShardResult> =
-            runner.shard_jobs().iter().map(|job| job.run(None).expect("shard runs")).collect();
-        let merged = runner.merge_shard_results(&results).expect("complete results merge");
-        assert_eq!(
-            unwrap_ok(merged.into_cells()),
-            serial,
-            "out-of-process matrix({shards} shards) diverges from serial"
-        );
-        for threads in [1, 2, available_threads()] {
-            let outcome = MatrixRunner::new(cells.to_vec()).shards(shards).threads(threads).run();
-            assert_eq!(outcome.report.shards, shards.min(members));
-            let stats = unwrap_ok(outcome.into_cells());
-            assert_eq!(
-                stats, serial,
-                "matrix({shards} shards, {threads} threads) diverges from serial"
-            );
-        }
+    for threads in [1, 2, available_threads()] {
+        let outcome = MatrixRunner::new(cells.to_vec()).threads(threads).run();
+        assert!(outcome.report.shard_steals.is_empty(), "one member list: nothing to steal");
+        let stats = unwrap_ok(outcome.into_cells());
+        assert_eq!(stats, serial, "matrix({threads} threads) diverges from serial");
     }
 }
 
@@ -162,7 +126,7 @@ fn assert_matrix_matches_serial(
 /// least three members sharing each predictor configuration, L1I geometry
 /// and DVI scheme, mixed decode widths, and one perfect-L1D member. Every
 /// member now runs the plain core; the matrix must still equal serial
-/// replays at shard counts 1 and 2.
+/// replays at every thread count.
 #[test]
 fn all_products_grid_matrix_is_bit_identical_to_serial() {
     const STEPS: u64 = 8_000;
@@ -185,7 +149,7 @@ fn all_products_grid_matrix_is_bit_identical_to_serial() {
         .collect();
     let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
         traces.iter().map(|trace| (trace, grid.clone())).collect();
-    assert_matrix_matches_serial(&cells, &serial_replays(&cells), &[1, 2]);
+    assert_matrix_matches_serial(&cells, &serial_replays(&cells));
 }
 
 /// Duplicate cells and duplicate members deduplicate through the
@@ -218,108 +182,6 @@ fn duplicate_traces_and_members_share_one_build() {
     assert_eq!(cells[0][1], cells[2][0]);
     let direct = Simulator::new(base).run(trace_a.replay());
     assert_eq!(cells[0][0], MemberOutcome::Ok(direct));
-}
-
-/// The out-of-process path: shard jobs serialize with embedded traces and
-/// expected fingerprints, round-trip through bytes, run in isolation and
-/// merge bit-identically — and corrupted artifacts are rejected.
-#[test]
-fn shard_jobs_roundtrip_run_and_merge_bit_identically() {
-    let trace_a = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("shard-a", 21)), 4_000);
-    let trace_b = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("shard-b", 22)), 4_000);
-    let cells = vec![
-        (&trace_a, vec![SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())]),
-        (&trace_b, vec![SimConfig::micro97().with_phys_regs(48)]),
-    ];
-    let runner = MatrixRunner::new(cells.clone()).shards(2);
-    let in_process = runner.run();
-
-    let runner = MatrixRunner::new(cells).shards(2);
-    let jobs = runner.shard_jobs();
-    assert_eq!(jobs.len(), 2);
-    assert_eq!(jobs.iter().map(dvi_sim::ShardJob::member_count).sum::<usize>(), 3);
-
-    // Shards run over a result store, as `run-shard --checkpoint DIR` does.
-    let dir = scratch("shard-store");
-    let store = ResultCache::open(&dir).expect("store opens");
-    let results: Vec<ShardResult> = jobs
-        .iter()
-        .map(|job| {
-            // Round-trip through bytes: the executing process only ever
-            // sees the serialized artifact.
-            let decoded = dvi_sim::ShardJob::from_bytes(&job.to_bytes()).expect("job round-trips");
-            assert_eq!(decoded.shard_index(), job.shard_index());
-            assert_eq!(decoded.trace_count(), job.trace_count());
-            let result = decoded.run(Some(&store)).expect("shard runs");
-            ShardResult::from_bytes(&result.to_bytes()).expect("result round-trips")
-        })
-        .collect();
-    assert_eq!(std::fs::read_dir(&dir).expect("store dir").count(), 3, "one entry per member");
-    let merged = runner.merge_shard_results(&results).expect("complete results merge");
-    assert_eq!(
-        merged.cells, in_process.cells,
-        "out-of-process merge diverges from the in-process matrix"
-    );
-
-    // Corruption anywhere in a shard job is detected, never misparsed.
-    let bytes = jobs[0].to_bytes();
-    assert!(dvi_sim::ShardJob::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-    let mut flipped = bytes.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x20;
-    assert!(dvi_sim::ShardJob::from_bytes(&flipped).is_err());
-
-    // An incomplete result set is a merge error, not a silent hole.
-    assert!(runner.merge_shard_results(&results[..1]).is_err());
-
-    // A rerun of a shard over the warm store restores its members.
-    let rerun: Vec<ShardResult> =
-        jobs.iter().map(|job| job.run(Some(&store)).expect("shard reruns")).collect();
-    let merged = runner.merge_shard_results(&rerun).expect("complete results merge");
-    assert_eq!(merged.cells, in_process.cells, "store-restored shards diverge");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A killed sharded run resumes from its result store: already-finished
-/// members are restored verbatim and the final grid is bit-identical to
-/// an uninterrupted run.
-#[test]
-fn killed_sharded_matrix_resumes_bit_identically() {
-    let dir = scratch("kill-resume");
-    let trace_a = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("kill-a", 31)), 4_000);
-    let trace_b = CapturedTrace::record(&edvi_layout(&WorkloadSpec::small("kill-b", 32)), 4_000);
-    let cells = vec![
-        (&trace_a, vec![SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())]),
-        (&trace_b, vec![SimConfig::micro97().with_phys_regs(48), SimConfig::micro97()]),
-    ];
-    let reference = MatrixRunner::new(cells.clone()).shards(2).threads(1).run();
-
-    let store = ResultCache::open(&dir).expect("store opens");
-    let entries = || std::fs::read_dir(&dir).expect("scratch dir").count();
-
-    // Kill the run after two members completed (and were stored).
-    let killed = catch_unwind(AssertUnwindSafe(|| {
-        MatrixRunner::new(cells.clone())
-            .shards(2)
-            .threads(1)
-            .with_store(store.clone())
-            .with_abort_after_members(2)
-            .run()
-    }));
-    assert!(killed.is_err(), "the abort test hook kills the run");
-    assert_eq!(entries(), 2, "the killed run stored its two finished members");
-
-    // The rerun restores the finished members and completes the rest.
-    let resumed = MatrixRunner::new(cells.clone()).shards(2).threads(1).with_store(store.clone());
-    let resumed = resumed.run();
-    assert_eq!(resumed.report.resumed_members, 2, "two members were restored verbatim");
-    assert_eq!(resumed.cells, reference.cells, "resumed matrix diverges from uninterrupted run");
-    // The store keeps every member: a third run simulates nothing.
-    assert_eq!(entries(), 4);
-    let again = MatrixRunner::new(cells).shards(2).threads(1).with_store(store).run();
-    assert_eq!(again.report.resumed_members, 4);
-    assert_eq!(again.cells, reference.cells);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The scheduling gate skips members whose every requesting cell declined
@@ -390,7 +252,6 @@ proptest! {
         seed in any::<u64>(),
         members_a in proptest::collection::vec(any::<u64>(), 1..4),
         members_b in proptest::collection::vec(any::<u64>(), 1..4),
-        shard_choice in 0usize..3,
         thread_choice in 0usize..3,
     ) {
         let spec_a = presets::by_index(preset_a).with_seed(seed).with_outer_iterations(3);
@@ -402,15 +263,13 @@ proptest! {
         let grid_b: Vec<SimConfig> = members_b.into_iter().map(grid_member).collect();
         let cells = vec![(&trace_a, grid_a.clone()), (&trace_b, grid_b.clone())];
         let serial = serial_replays(&cells);
-        let total = grid_a.len() + grid_b.len();
-        let shards = [1, 2, total][shard_choice];
         let threads = [1, 2, available_threads()][thread_choice];
-        let outcome = MatrixRunner::new(cells).shards(shards).threads(threads).run();
+        let outcome = MatrixRunner::new(cells).threads(threads).run();
         let stats = unwrap_ok(outcome.into_cells());
         prop_assert_eq!(
             &stats, &serial,
-            "{}×{} at {} shards / {} threads: matrix stats diverge",
-            spec_a.name, spec_b.name, shards, threads
+            "{}×{} at {} threads: matrix stats diverge",
+            spec_a.name, spec_b.name, threads
         );
     }
 }

@@ -94,15 +94,15 @@ fn fig10_mix_parallel_sweep_is_bit_identical_to_serial() {
     }
 }
 
-/// Thread and shard counts far beyond the member count are clamped, not a
+/// Thread counts far beyond the member count are clamped, not a
 /// panic — and still bit-identical; an empty grid yields an empty cell.
 #[test]
 fn oversubscribed_thread_count_is_clamped() {
     let layout = edvi_layout(&WorkloadSpec::small("clamp", 5));
     let trace = CapturedTrace::record(&layout, 8_000);
     let grid = vec![SimConfig::micro97(), SimConfig::micro97().with_dvi(DviConfig::full())];
-    let outcome = MatrixRunner::new(vec![(&trace, grid.clone())]).threads(64).shards(64).run();
-    assert_eq!((outcome.report.threads, outcome.report.shards), (2, 2));
+    let outcome = MatrixRunner::new(vec![(&trace, grid.clone())]).threads(64).run();
+    assert_eq!(outcome.report.threads, 2);
     let wild: Vec<SimStats> =
         outcome.into_cells().remove(0).into_iter().map(MemberOutcome::into_stats).collect();
     assert_eq!(wild, serial_replays(&trace, &grid));

@@ -6,8 +6,8 @@
 //! the live interpreter into the same core. These tests lock that down:
 //!
 //! * across the full Figure 10 workload mix (the suite every sweep and the
-//!   throughput bench run) on the paper's machine, for the event-driven,
-//!   naive-scan and legacy cores;
+//!   throughput bench run) on the paper's machine, for the event-driven
+//!   core and the full-window-scan reference ([`dvi_sim::legacy`]);
 //! * across randomly sampled workload presets, seeds and machine
 //!   configurations (register-file size, cache ports, DVI scheme, issue
 //!   width), via proptest;
@@ -17,7 +17,7 @@
 use dvi_core::DviConfig;
 use dvi_isa::{Abi, AluOp, ArchReg, CmpOp, Instr};
 use dvi_program::{CapturedTrace, Interpreter, LayoutProgram, ProcBuilder, ProgramBuilder};
-use dvi_sim::{SchedulerKind, SimConfig, SimStats, Simulator};
+use dvi_sim::{SimConfig, SimStats, Simulator};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -39,7 +39,8 @@ fn live_legacy(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStat
 }
 
 /// Asserts that replaying `trace` is indistinguishable from live
-/// interpretation for all three cores under `config`.
+/// interpretation for the event-driven core and the scan reference under
+/// `config`, and that the two cores agree.
 fn assert_replay_equivalent(
     layout: &LayoutProgram,
     trace: &CapturedTrace,
@@ -47,30 +48,31 @@ fn assert_replay_equivalent(
     steps: u64,
     context: &str,
 ) {
-    for scheduler in [SchedulerKind::EventDriven, SchedulerKind::NaiveScan] {
-        let config = config.clone().with_scheduler(scheduler);
-        let from_live = live(layout, config.clone(), steps);
-        let from_replay = Simulator::new(config).run(trace.replay());
-        assert_eq!(
-            from_live, from_replay,
-            "{context}: replayed stats diverge from live interpretation ({scheduler:?})"
-        );
-        assert!(
-            !from_live.deadlocked,
-            "{context}: the forward-progress watchdog fired on a healthy workload"
-        );
-    }
-    let from_live = live_legacy(layout, config.clone(), steps);
-    let from_replay = dvi_sim::legacy::LegacySimulator::new(config.clone()).run(trace.replay());
+    let from_live = live(layout, config.clone(), steps);
+    let from_replay = Simulator::new(config.clone()).run(trace.replay());
     assert_eq!(
         from_live, from_replay,
-        "{context}: replayed stats diverge from live interpretation (legacy core)"
+        "{context}: replayed stats diverge from live interpretation (event-driven core)"
+    );
+    assert!(
+        !from_live.deadlocked,
+        "{context}: the forward-progress watchdog fired on a healthy workload"
+    );
+    let scan_live = live_legacy(layout, config.clone(), steps);
+    let scan_replay = dvi_sim::legacy::LegacySimulator::new(config.clone()).run(trace.replay());
+    assert_eq!(
+        scan_live, scan_replay,
+        "{context}: replayed stats diverge from live interpretation (scan reference)"
+    );
+    assert_eq!(
+        from_replay, scan_replay,
+        "{context}: event-driven core disagrees with the scan reference"
     );
 }
 
 /// The acceptance-criterion test: across the full Figure 10 workload mix,
 /// `SimStats` from replayed captured traces are bit-identical to live
-/// interpretation for the event-driven, naive-scan and legacy cores.
+/// interpretation for the event-driven core and the scan reference.
 #[test]
 fn fig10_mix_replay_is_bit_identical_to_live_interpretation() {
     const STEPS: u64 = 20_000;

@@ -1,21 +1,22 @@
-//! Golden-stats regression and event-driven ↔ naive-scan equivalence.
+//! Golden-stats regression and event-driven ↔ full-window-scan equivalence.
 //!
-//! The event-driven scheduler (calendar + waiter lists + ready ring) is
+//! The event-driven core (calendar + waiter lists + ready ring) is
 //! required to be *cycle-accurate-identical* to the reference full-window
-//! scan: same cycles, same IPC, same DVI/branch/memory counters, for any
-//! trace and machine configuration. These tests lock that down:
+//! scan of the seed core ([`dvi_sim::legacy`]): same cycles, same IPC,
+//! same DVI/branch/memory counters, for any trace and machine
+//! configuration. These tests lock that down:
 //!
 //! * a golden-stats test pins every counter of a fixed seeded workload to
-//!   hard-coded values, so any behavioural change to the core — either
-//!   scheduler — is caught immediately;
-//! * a configuration grid compares the two schedulers bit-for-bit across
+//!   hard-coded values, so any behavioural change to the core — or to the
+//!   reference — is caught immediately;
+//! * a configuration grid compares the two bit-for-bit across
 //!   register-file sizes, DVI schemes and port counts;
 //! * a property test does the same over randomly generated programs.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{Interpreter, LayoutProgram};
-use dvi_sim::{SchedulerKind, SimConfig, SimStats, Simulator};
+use dvi_sim::{SimConfig, SimStats, Simulator};
 use dvi_workloads::WorkloadSpec;
 use proptest::prelude::*;
 
@@ -33,14 +34,13 @@ fn run(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
 }
 
 fn run_both(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
-    let event = run(layout, config.clone().with_scheduler(SchedulerKind::EventDriven), steps);
-    let naive = run(layout, config.clone().with_scheduler(SchedulerKind::NaiveScan), steps);
-    assert_eq!(event, naive, "event-driven and naive-scan schedulers disagree");
-    // The preserved seed core (legacy window + allocation-heavy reclaim
-    // plumbing + sparse interpreter memory) must model the same machine too.
+    let event = run(layout, config.clone(), steps);
+    // The full-window-scan reference (the seed core: legacy window,
+    // allocation-heavy reclaim plumbing and sparse interpreter memory)
+    // must model the same machine.
     let interp = Interpreter::new(layout).with_step_limit(steps).with_sparse_memory();
     let legacy = dvi_sim::legacy::LegacySimulator::new(config).run(interp);
-    assert_eq!(event, legacy, "legacy seed core disagrees with the rewrite");
+    assert_eq!(event, legacy, "event-driven core disagrees with the scan reference");
     event
 }
 
