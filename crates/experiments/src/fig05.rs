@@ -70,26 +70,26 @@ pub fn run_with(budget: Budget, benchmarks: &[WorkloadSpec], sizes: &[usize]) ->
     // Capture each benchmark's traces once (the capture passes are the
     // only remaining interpreter work), then drive every benchmark's
     // entire size × scheme grid as cells of ONE whole-matrix sweep: the
-    // matrix drains all benchmarks' grid points through a single
-    // work-stealing queue instead of one batched pass per trace.
+    // matrix drains all benchmarks' grid points through one shared member
+    // list instead of one batched pass per trace.
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+    // Grid order: [none(size0), idvi(size0), none(size1), ...].
+    let base_grid: Vec<SimConfig> = sizes
+        .iter()
+        .flat_map(|&n| {
+            let cfg = SimConfig::micro97().with_phys_regs(n);
+            [cfg.clone().with_dvi(DviConfig::none()), cfg.with_dvi(DviConfig::idvi_only())]
+        })
+        .collect();
+    let edvi_grid: Vec<SimConfig> = sizes
+        .iter()
+        .map(|&n| SimConfig::micro97().with_phys_regs(n).with_dvi(DviConfig::full()))
+        .collect();
     let cells = captured
         .iter()
         .flat_map(|binaries| {
-            // Grid order: [none(size0), idvi(size0), none(size1), ...].
-            let base_grid: Vec<SimConfig> = sizes
-                .iter()
-                .flat_map(|&n| {
-                    let cfg = SimConfig::micro97().with_phys_regs(n);
-                    [cfg.clone().with_dvi(DviConfig::none()), cfg.with_dvi(DviConfig::idvi_only())]
-                })
-                .collect();
-            let edvi_grid: Vec<SimConfig> = sizes
-                .iter()
-                .map(|&n| SimConfig::micro97().with_phys_regs(n).with_dvi(DviConfig::full()))
-                .collect();
-            [(&binaries.baseline, base_grid), (&binaries.edvi, edvi_grid)]
+            [(&binaries.baseline, base_grid.clone()), (&binaries.edvi, edvi_grid.clone())]
         })
         .collect();
     let mut outcomes = sweep_matrix(cells).into_iter();
@@ -97,10 +97,12 @@ pub fn run_with(budget: Budget, benchmarks: &[WorkloadSpec], sizes: &[usize]) ->
     let per_bench: Vec<(Vec<SimStats>, Vec<SimStats>)> = captured
         .iter()
         .map(|_| {
-            let (base, base_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per baseline grid"));
+            let (base, base_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per baseline grid"),
+                &base_grid,
+            );
             let (edvi, edvi_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per E-DVI grid"));
+                fold_outcomes(outcomes.next().expect("one matrix cell per E-DVI grid"), &edvi_grid);
             health.merge(base_health);
             health.merge(edvi_health);
             (base, edvi)

@@ -67,20 +67,15 @@ pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> F
     // sweep (one work queue).
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
-    let cells = captured
-        .iter()
-        .map(|binaries| {
-            let grid = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
-                .map(|dvi| SimConfig::micro97().with_dvi(dvi));
-            (&binaries.edvi, grid.to_vec())
-        })
-        .collect();
+    let grid = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
+        .map(|dvi| SimConfig::micro97().with_dvi(dvi));
+    let cells = captured.iter().map(|binaries| (&binaries.edvi, grid.to_vec())).collect();
     let mut health = SweepSummary::default();
     let rows = captured
         .iter()
         .zip(sweep_matrix(cells))
         .map(|(binaries, outcomes)| {
-            let (stats, cell_health) = fold_outcomes(outcomes);
+            let (stats, cell_health) = fold_outcomes(outcomes, &grid);
             health.merge(cell_health);
             let pcts = |s: &dvi_sim::SimStats| {
                 (

@@ -54,12 +54,13 @@ pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> F
     // serial call is now just a one-member cell on the same work queue.
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+    let baseline = [SimConfig::micro97()];
+    let schemes = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
+        .map(|dvi| SimConfig::micro97().with_dvi(dvi));
     let cells = captured
         .iter()
         .flat_map(|binaries| {
-            let schemes = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
-                .map(|dvi| SimConfig::micro97().with_dvi(dvi));
-            [(&binaries.baseline, vec![SimConfig::micro97()]), (&binaries.edvi, schemes.to_vec())]
+            [(&binaries.baseline, baseline.to_vec()), (&binaries.edvi, schemes.to_vec())]
         })
         .collect();
     let mut outcomes = sweep_matrix(cells).into_iter();
@@ -67,10 +68,12 @@ pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> F
     let rows = captured
         .iter()
         .map(|binaries| {
-            let (base, base_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per baseline machine"));
+            let (base, base_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per baseline machine"),
+                &baseline,
+            );
             let (schemes, scheme_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per scheme grid"));
+                fold_outcomes(outcomes.next().expect("one matrix cell per scheme grid"), &schemes);
             health.merge(base_health);
             health.merge(scheme_health);
             let base = base[0].ipc();

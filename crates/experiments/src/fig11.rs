@@ -83,18 +83,14 @@ pub fn run_with(
                 .map(move |&np| SimConfig::micro97().with_issue_width(width).with_cache_ports(np))
         })
         .collect();
+    let dvi_machines: Vec<SimConfig> =
+        machines.iter().map(|m| m.clone().with_dvi(DviConfig::full())).collect();
     let captured: Vec<CapturedBinaries> =
         benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let cells = captured
         .iter()
         .flat_map(|binaries| {
-            [
-                (&binaries.baseline, machines.clone()),
-                (
-                    &binaries.edvi,
-                    machines.iter().map(|m| m.clone().with_dvi(DviConfig::full())).collect(),
-                ),
-            ]
+            [(&binaries.baseline, machines.clone()), (&binaries.edvi, dvi_machines.clone())]
         })
         .collect();
     let mut outcomes = sweep_matrix(cells).into_iter();
@@ -102,10 +98,14 @@ pub fn run_with(
     let rows = captured
         .iter()
         .flat_map(|binaries| {
-            let (base, base_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per baseline grid"));
-            let (dvi, dvi_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per DVI grid"));
+            let (base, base_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per baseline grid"),
+                &machines,
+            );
+            let (dvi, dvi_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per DVI grid"),
+                &dvi_machines,
+            );
             health.merge(base_health);
             health.merge(dvi_health);
             machines

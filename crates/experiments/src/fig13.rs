@@ -76,10 +76,14 @@ pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> F
     let rows = captured
         .iter()
         .map(|binaries| {
-            let (base, base_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per baseline binary"));
-            let (edvi, edvi_health) =
-                fold_outcomes(outcomes.next().expect("one matrix cell per E-DVI binary"));
+            let (base, base_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per baseline binary"),
+                &geometries,
+            );
+            let (edvi, edvi_health) = fold_outcomes(
+                outcomes.next().expect("one matrix cell per E-DVI binary"),
+                &geometries,
+            );
             health.merge(base_health);
             health.merge(edvi_health);
             let ipc_overhead = |i: usize| 100.0 * (base[i].ipc() / edvi[i].ipc() - 1.0);

@@ -166,8 +166,8 @@ pub fn replay(trace: &CapturedTrace, config: SimConfig) -> SimStats {
 
 /// Runs many (trace × configuration-grid) cells as **one** whole-matrix
 /// sweep ([`dvi_sim::MatrixRunner`]): identical (trace, configuration)
-/// members are simulated once, and all members drain through a single
-/// work-stealing queue. Results come back in cell order, each cell in
+/// members are simulated once, and all members drain through one shared
+/// member list. Results come back in cell order, each cell in
 /// grid order, and are bit-identical to serial replays
 /// (`dvi-sim/tests/matrix_equiv.rs`) — this is purely a host-time
 /// optimization, so the figure drivers' golden fixtures hold.
@@ -198,15 +198,31 @@ pub fn sweep_matrix(cells: Vec<(&CapturedTrace, Vec<SimConfig>)>) -> Vec<Vec<Mem
 /// `deadlocked` set: the figure renders an obviously-broken row (IPC 0,
 /// flagged incomplete) instead of aborting, and the returned
 /// [`SweepSummary`] counts the failure.
+///
+/// # Panics
+///
+/// Panics if a complete member (healthy or degraded) breaks a
+/// conservation law of its configuration in `grid`
+/// ([`SimStats::conservation`]): its counters would be a modelling bug,
+/// not a figure.
 #[must_use]
-pub fn fold_outcomes(outcomes: Vec<MemberOutcome>) -> (Vec<SimStats>, SweepSummary) {
+pub fn fold_outcomes(
+    outcomes: Vec<MemberOutcome>,
+    grid: &[SimConfig],
+) -> (Vec<SimStats>, SweepSummary) {
+    assert_eq!(outcomes.len(), grid.len(), "one outcome per grid member");
     let health = SweepSummary::of(&outcomes);
     let stats = outcomes
         .into_iter()
-        .map(|outcome| match outcome {
-            MemberOutcome::Ok(stats)
-            | MemberOutcome::Degraded { stats, .. }
-            | MemberOutcome::Deadlocked { partial: stats, .. } => stats,
+        .zip(grid)
+        .map(|(outcome, config)| match outcome {
+            MemberOutcome::Ok(stats) | MemberOutcome::Degraded { stats, .. } => {
+                if let Err(broken) = stats.conservation(config) {
+                    panic!("member statistics break a conservation law: {broken}");
+                }
+                stats
+            }
+            MemberOutcome::Deadlocked { partial: stats, .. } => stats,
             MemberOutcome::Panicked { .. } => SimStats { deadlocked: true, ..SimStats::default() },
         })
         .collect();

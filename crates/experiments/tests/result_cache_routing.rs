@@ -8,7 +8,7 @@
 //! which is exactly the purity invariant the memoization keys encode.
 
 use dvi_core::DviConfig;
-use dvi_experiments::{sweep_matrix, Budget, CapturedBinaries};
+use dvi_experiments::{fold_outcomes, sweep_matrix, Budget, CapturedBinaries};
 use dvi_sim::SimConfig;
 use dvi_workloads::WorkloadSpec;
 
@@ -20,6 +20,8 @@ fn cached_routing_is_bit_identical_cold_and_warm() {
 
     let sweep = || sweep_matrix(vec![(&bins.edvi, grid.to_vec())]);
     let direct = sweep();
+    // Folding checks every complete member for conservation.
+    let _ = fold_outcomes(direct[0].clone(), &grid);
 
     let dir = std::env::temp_dir().join(format!("dvi-harness-route-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -53,8 +53,16 @@ fn test_grid() -> Vec<SimConfig> {
     ]
 }
 
+/// The direct runner's outcomes, each complete member checked for
+/// conservation; the service's results are compared against these.
 fn direct_outcomes(trace: &CapturedTrace, grid: &[SimConfig]) -> Vec<MemberOutcome> {
-    MatrixRunner::new(vec![(trace, grid.to_vec())]).run().into_cells().remove(0)
+    let outcomes = MatrixRunner::new(vec![(trace, grid.to_vec())]).run().into_cells().remove(0);
+    for (outcome, config) in outcomes.iter().zip(grid) {
+        if let MemberOutcome::Ok(stats) | MemberOutcome::Degraded { stats, .. } = outcome {
+            assert_eq!(stats.conservation(config), Ok(()), "counters do not balance");
+        }
+    }
+    outcomes
 }
 
 /// A grid heavy enough (with a large instruction budget) to keep the

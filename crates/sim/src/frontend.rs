@@ -311,6 +311,11 @@ pub(crate) struct FrontEnd {
     last_fetch_line: Option<u64>,
     trace_done: bool,
     decoder: DecodeMemo,
+    /// Sequence number of the fetch-queue head once its decode-stage
+    /// accounting and save/restore check have run. A record that then
+    /// stalls on the window or the free list retries from the rename step
+    /// alone, so it is counted exactly once.
+    decoded_seq: Option<u64>,
     /// Physical registers reclaimed by DVI at decode, waiting to be
     /// attached to the next dispatched window entry so they are freed at
     /// its commit.
@@ -326,6 +331,7 @@ impl FrontEnd {
             last_fetch_line: None,
             trace_done: false,
             decoder: DecodeMemo::new(),
+            decoded_seq: None,
             pending_reclaim: ReclaimList::new(),
         }
     }
@@ -492,35 +498,39 @@ impl FrontEnd {
             return Dispatch::Consumed;
         }
 
-        if d.is_mem {
-            stats.mem_refs += 1;
-        }
-        // Dynamic invariant behind the window's push-time address check
-        // (see `WindowRing::push`): the interpreter attaches an effective
-        // address to exactly the records whose class occupies a cache
-        // port. A violation here is a decode or capture bug.
-        debug_assert_eq!(
-            d.class.uses_cache_port(),
-            mem_addr.is_some(),
-            "decode class and effective address disagree at pc {pc}"
-        );
+        // Decode-stage accounting and save/restore elimination run once
+        // per record. A record that stalled below is retried from the
+        // rename step: no younger record decodes while it waits, so the
+        // live-value state — and with it the elimination decision — cannot
+        // have changed.
+        if self.decoded_seq != Some(seq) {
+            self.decoded_seq = Some(seq);
+            if d.is_mem {
+                stats.mem_refs += 1;
+            }
+            // Dynamic invariant behind the window's push-time address
+            // check (see `WindowRing::push`): the interpreter attaches an
+            // effective address to exactly the records whose class
+            // occupies a cache port. A violation here is a decode or
+            // capture bug.
+            debug_assert_eq!(
+                d.class.uses_cache_port(),
+                mem_addr.is_some(),
+                "decode class and effective address disagree at pc {pc}"
+            );
 
-        // Save/restore elimination happens here: the instruction was
-        // fetched and decoded but is not dispatched. The guards run (and
-        // count the save/restore as seen) on every dispatch attempt,
-        // exactly as the seed core did.
-        match d.kind {
-            DecodeKind::Save(data_reg) if dvi.on_save(data_reg) => {
+            // Save/restore elimination happens here: the instruction was
+            // fetched and decoded but is not dispatched.
+            let eliminated = match d.kind {
+                DecodeKind::Save(data_reg) => dvi.on_save(data_reg),
+                DecodeKind::Restore(dst_reg) => dvi.on_restore(dst_reg),
+                _ => false,
+            };
+            if eliminated {
                 self.fetch_queue.pop_front();
                 stats.program_instrs += 1;
                 return Dispatch::Consumed;
             }
-            DecodeKind::Restore(dst_reg) if dvi.on_restore(dst_reg) => {
-                self.fetch_queue.pop_front();
-                stats.program_instrs += 1;
-                return Dispatch::Consumed;
-            }
-            _ => {}
         }
 
         // Everything else needs a window slot.

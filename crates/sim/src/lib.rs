@@ -137,6 +137,6 @@ pub use pipeline::Simulator;
 pub use rename::{PhysReg, RenameState};
 pub use session::SimSession;
 pub use smallvec::SmallVec;
-pub use stats::{DeadlockReport, ProgressStage, SimStats};
+pub use stats::{ConservationError, DeadlockReport, ProgressStage, SimStats};
 pub use store::{CacheProbe, ResultCache};
 pub use window::{EntryState, WindowRing};

@@ -459,11 +459,12 @@ mod tests {
     fn run_program(prog: &Program, config: SimConfig) -> SimStats {
         let layout = prog.layout().unwrap();
         let interp = Interpreter::new(&layout).with_step_limit(1_000_000);
-        let stats = Simulator::new(config).run(interp);
+        let stats = Simulator::new(config.clone()).run(interp);
         // The watchdog no longer asserts inside the pipeline; it returns a
         // structured report instead. These unit workloads must never trip
         // it, so surface the report (not a bare flag) if one ever does.
         assert_eq!(stats.deadlock, None, "watchdog fired: statistics describe a partial run");
+        assert_eq!(stats.conservation(&config), Ok(()), "counters do not balance");
         stats
     }
 

@@ -1,5 +1,6 @@
 //! Statistics reported by the timing simulator.
 
+use crate::config::SimConfig;
 use dvi_bpred::PredictorStats;
 use dvi_core::DviStats;
 use dvi_mem::HierarchyStats;
@@ -121,7 +122,143 @@ impl fmt::Display for DeadlockReport {
     }
 }
 
+/// A conservation law that a complete run's [`SimStats`] broke (see
+/// [`SimStats::conservation`]). Each variant carries both sides of the
+/// broken equation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ConservationError {
+    /// Every memory reference either accessed the L1D or was an
+    /// eliminated save/restore: `mem_refs == l1d.accesses + eliminated`.
+    MemRefs {
+        /// Counted memory references.
+        mem_refs: u64,
+        /// L1D accesses.
+        l1d_accesses: u64,
+        /// Saves plus restores eliminated.
+        eliminated: u64,
+    },
+    /// Every program instruction either committed or was eliminated:
+    /// `program_instrs == committed_entries + eliminated`.
+    ProgramInstrs {
+        /// Program instructions completed.
+        program_instrs: u64,
+        /// Entries committed from the window.
+        committed_entries: u64,
+        /// Saves plus restores eliminated.
+        eliminated: u64,
+    },
+    /// A trace replay fetches no wrong path, so every fetched record is a
+    /// program instruction or an E-DVI annotation:
+    /// `fetched_instrs == program_instrs + fetched_kills`.
+    FetchedInstrs {
+        /// Records fetched.
+        fetched_instrs: u64,
+        /// Program instructions completed.
+        program_instrs: u64,
+        /// E-DVI annotations fetched.
+        fetched_kills: u64,
+    },
+    /// Dispatch stops at the first stall, so at most one rename stall is
+    /// charged per cycle: `no_reg + no_window <= cycles`.
+    RenameStalls {
+        /// Free-list plus window stalls.
+        stalls: u64,
+        /// Cycles simulated.
+        cycles: u64,
+    },
+    /// The machine never holds more physical registers than it has:
+    /// `peak_phys_regs_used <= phys_regs`.
+    PeakPhysRegs {
+        /// Peak physical registers in use.
+        peak: usize,
+        /// Configured physical registers.
+        phys_regs: usize,
+    },
+}
+
+impl fmt::Display for ConservationError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConservationError::MemRefs { mem_refs, l1d_accesses, eliminated } => write!(
+                f,
+                "{mem_refs} memory references != {l1d_accesses} L1D accesses + \
+                 {eliminated} eliminated saves/restores"
+            ),
+            ConservationError::ProgramInstrs { program_instrs, committed_entries, eliminated } => {
+                write!(
+                    f,
+                    "{program_instrs} program instructions != {committed_entries} committed + \
+                     {eliminated} eliminated saves/restores"
+                )
+            }
+            ConservationError::FetchedInstrs { fetched_instrs, program_instrs, fetched_kills } => {
+                write!(
+                    f,
+                    "{fetched_instrs} fetched records != {program_instrs} program instructions \
+                     + {fetched_kills} kills"
+                )
+            }
+            ConservationError::RenameStalls { stalls, cycles } => {
+                write!(f, "{stalls} rename stalls exceed {cycles} cycles")
+            }
+            ConservationError::PeakPhysRegs { peak, phys_regs } => {
+                write!(f, "{peak} physical registers in use exceed the {phys_regs} configured")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConservationError {}
+
 impl SimStats {
+    /// Checks the conservation laws every complete run of `config` obeys:
+    /// each record is counted once, so memory references, program
+    /// instructions and fetched records all balance, at most one rename
+    /// stall is charged per cycle, and the register file never
+    /// overflows. A watchdog-truncated ([`SimStats::deadlocked`]) run
+    /// describes a partial run and need not balance.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConservationError`] found.
+    pub fn conservation(&self, config: &SimConfig) -> Result<(), ConservationError> {
+        let eliminated = self.dvi.saves_eliminated + self.dvi.restores_eliminated;
+        let l1d_accesses = self.memory.l1d.accesses;
+        if self.mem_refs != l1d_accesses + eliminated {
+            return Err(ConservationError::MemRefs {
+                mem_refs: self.mem_refs,
+                l1d_accesses,
+                eliminated,
+            });
+        }
+        if self.program_instrs != self.committed_entries + eliminated {
+            return Err(ConservationError::ProgramInstrs {
+                program_instrs: self.program_instrs,
+                committed_entries: self.committed_entries,
+                eliminated,
+            });
+        }
+        if self.fetched_instrs != self.program_instrs + self.fetched_kills {
+            return Err(ConservationError::FetchedInstrs {
+                fetched_instrs: self.fetched_instrs,
+                program_instrs: self.program_instrs,
+                fetched_kills: self.fetched_kills,
+            });
+        }
+        let stalls = self.rename_stalls_no_reg + self.rename_stalls_no_window;
+        if stalls > self.cycles {
+            return Err(ConservationError::RenameStalls { stalls, cycles: self.cycles });
+        }
+        if self.peak_phys_regs_used > config.phys_regs {
+            return Err(ConservationError::PeakPhysRegs {
+                peak: self.peak_phys_regs_used,
+                phys_regs: config.phys_regs,
+            });
+        }
+        Ok(())
+    }
+
     /// Instructions per cycle, the paper's primary metric.
     #[must_use]
     pub fn ipc(&self) -> f64 {
@@ -205,6 +342,49 @@ mod tests {
         assert!(text.contains("DEADLOCKED"), "{text}");
         assert!(text.contains("head record 42"), "{text}");
         assert!(text.contains("last progress in commit"), "{text}");
+    }
+
+    #[test]
+    fn conservation_names_the_first_broken_law() {
+        let config = SimConfig::micro97();
+        let mut s = SimStats {
+            cycles: 100,
+            program_instrs: 50,
+            committed_entries: 48,
+            fetched_instrs: 53,
+            fetched_kills: 3,
+            mem_refs: 12,
+            rename_stalls_no_reg: 40,
+            rename_stalls_no_window: 10,
+            peak_phys_regs_used: 80,
+            ..SimStats::default()
+        };
+        s.dvi.saves_eliminated = 1;
+        s.dvi.restores_eliminated = 1;
+        s.memory.l1d.accesses = 10;
+        assert_eq!(s.conservation(&config), Ok(()));
+
+        let recounted = SimStats { mem_refs: 13, ..s };
+        assert_eq!(
+            recounted.conservation(&config),
+            Err(ConservationError::MemRefs { mem_refs: 13, l1d_accesses: 10, eliminated: 2 })
+        );
+        let lost = SimStats { committed_entries: 47, ..s };
+        assert!(matches!(lost.conservation(&config), Err(ConservationError::ProgramInstrs { .. })));
+        let wrong_path = SimStats { fetched_instrs: 54, ..s };
+        assert!(matches!(
+            wrong_path.conservation(&config),
+            Err(ConservationError::FetchedInstrs { .. })
+        ));
+        let stalled = SimStats { rename_stalls_no_window: 61, ..s };
+        assert_eq!(
+            stalled.conservation(&config),
+            Err(ConservationError::RenameStalls { stalls: 101, cycles: 100 })
+        );
+        let overflow = SimStats { peak_phys_regs_used: 81, ..s };
+        let err = overflow.conservation(&config).unwrap_err();
+        assert_eq!(err, ConservationError::PeakPhysRegs { peak: 81, phys_regs: 80 });
+        assert!(err.to_string().contains("81"), "{err}");
     }
 
     #[test]

@@ -44,10 +44,13 @@ use std::path::{Path, PathBuf};
 
 /// Artifact container identity of one memoized member result.
 pub const MEMO_MAGIC: [u8; 8] = *b"DVIMEMO1";
-/// Current memo artifact version. Bump on any layout change; old readers
-/// reject newer files with [`ArtifactError::VersionSkew`], which the
-/// cache treats as a miss.
-pub const MEMO_VERSION: u32 = 1;
+/// Current memo artifact version. Bump on any layout change, and whenever
+/// the meaning of a stored counter changes; a reader rejects every other
+/// version with [`ArtifactError::VersionSkew`], which the cache treats as
+/// damage and re-runs. Version 2: memory references and seen
+/// saves/restores are counted once per record (version 1 counted every
+/// dispatch retry).
+pub const MEMO_VERSION: u32 = 2;
 
 /// Section tags inside a memo artifact.
 mod section {
@@ -176,8 +179,8 @@ fn decode(
     config_fingerprint: u64,
 ) -> Result<MemberOutcome, ArtifactError> {
     let reader = ArtifactReader::parse(bytes, MEMO_MAGIC, MEMO_VERSION)?;
-    // The container accepts older versions; no other memo version was
-    // ever written, so anything but this one is damage.
+    // The container accepts older versions, but an older memo entry holds
+    // counters with another meaning: anything but this version is damage.
     if reader.version() != MEMO_VERSION {
         return Err(ArtifactError::VersionSkew {
             found: reader.version(),
@@ -314,6 +317,27 @@ mod tests {
             cache.probe(10, 21),
             CacheProbe::Damaged(ArtifactError::FingerprintMismatch { .. })
         ));
+    }
+
+    /// A version-1 entry — counters from before each record was counted
+    /// once — stored under a current key is damage, never served as a hit.
+    #[test]
+    fn a_version_one_entry_probes_damaged_not_hit() {
+        let cache = temp_cache("v1");
+        let mut key = ByteWriter::new();
+        key.put_u64(3);
+        key.put_u64(4);
+        let mut w = ArtifactWriter::new(MEMO_MAGIC, 1);
+        w.section(section::KEY, key.into_bytes());
+        w.section(section::OUTCOME, encoded(&ok_outcome(2)));
+        std::fs::write(cache.entry_path(3, 4), w.to_bytes()).expect("entry writes");
+        assert_eq!(
+            cache.probe(3, 4),
+            CacheProbe::Damaged(ArtifactError::VersionSkew { found: 1, supported: MEMO_VERSION })
+        );
+        // The re-run's store replaces it with a current entry.
+        cache.store(3, 4, &ok_outcome(2)).expect("re-stores");
+        assert_eq!(cache.probe(3, 4), CacheProbe::Hit(Box::new(ok_outcome(2))));
     }
 
     #[test]

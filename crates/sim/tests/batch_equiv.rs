@@ -48,6 +48,7 @@ fn assert_batch_equivalent(
             "{context}: batched stats diverge from the serial replay for grid member {i}"
         );
         assert!(!batched.deadlocked, "{context}: member {i} hit the deadlock watchdog");
+        assert_eq!(batched.conservation(&grid[i]), Ok(()), "{context}: member {i} unbalanced");
     }
     for &threads in thread_counts {
         let cell = MatrixRunner::new(vec![(trace, grid.to_vec())]).threads(threads).run();

@@ -69,6 +69,10 @@ fn injected_fault_degrades_one_member_and_spares_the_rest() {
     let trace = small_trace();
     let healthy = only_cell(MatrixRunner::new(vec![(&trace, grid())]).run());
     assert!(healthy.iter().all(|o| matches!(o, MemberOutcome::Ok(_))), "reference run is clean");
+    for (outcome, config) in healthy.iter().zip(&grid()) {
+        let stats = outcome.stats().expect("clean member");
+        assert_eq!(stats.conservation(config), Ok(()), "counters do not balance");
+    }
 
     for threads in [1, 2, available_threads()] {
         let outcomes = only_cell(

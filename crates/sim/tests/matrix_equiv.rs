@@ -55,12 +55,18 @@ fn cell_grids() -> Vec<Vec<SimConfig>> {
     ]
 }
 
-/// Plain serial replays of every cell.
+/// Plain serial replays of every cell, each checked for conservation.
 fn serial_replays(cells: &[(&CapturedTrace, Vec<SimConfig>)]) -> Vec<Vec<SimStats>> {
     cells
         .iter()
         .map(|(trace, grid)| {
-            grid.iter().map(|c| Simulator::new(c.clone()).run(trace.replay())).collect()
+            grid.iter()
+                .map(|c| {
+                    let stats = Simulator::new(c.clone()).run(trace.replay());
+                    assert_eq!(stats.conservation(c), Ok(()), "counters do not balance");
+                    stats
+                })
+                .collect()
         })
         .collect()
 }

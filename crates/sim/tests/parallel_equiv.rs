@@ -51,7 +51,13 @@ fn available_threads() -> usize {
 }
 
 fn serial_replays(trace: &CapturedTrace, grid: &[SimConfig]) -> Vec<SimStats> {
-    grid.iter().map(|config| Simulator::new(config.clone()).run(trace.replay())).collect()
+    grid.iter()
+        .map(|config| {
+            let stats = Simulator::new(config.clone()).run(trace.replay());
+            assert_eq!(stats.conservation(config), Ok(()), "counters do not balance");
+            stats
+        })
+        .collect()
 }
 
 /// The grid as a one-cell matrix on `threads` workers, folded to stats.

@@ -58,6 +58,7 @@ fn assert_replay_equivalent(
         !from_live.deadlocked,
         "{context}: the forward-progress watchdog fired on a healthy workload"
     );
+    assert_eq!(from_replay.conservation(config), Ok(()), "{context}: counters do not balance");
     let scan_live = live_legacy(layout, config.clone(), steps);
     let scan_replay = dvi_sim::legacy::LegacySimulator::new(config.clone()).run(trace.replay());
     assert_eq!(

@@ -35,6 +35,7 @@ fn run(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
 
 fn run_both(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
     let event = run(layout, config.clone(), steps);
+    assert_eq!(event.conservation(&config), Ok(()), "every record is counted once");
     // The full-window-scan reference (the seed core: legacy window,
     // allocation-heavy reclaim plumbing and sparse interpreter memory)
     // must model the same machine.
@@ -56,7 +57,7 @@ fn golden_stats_for_the_fixed_seeded_workload() {
     assert_eq!(stats.committed_entries, 1875);
     assert_eq!(stats.fetched_instrs, 2043);
     assert_eq!(stats.fetched_kills, 24);
-    assert_eq!(stats.mem_refs, 369);
+    assert_eq!(stats.mem_refs, 348);
     assert_eq!(stats.rename_stalls_no_reg, 682);
     assert_eq!(stats.rename_stalls_no_window, 0);
     assert_eq!(stats.peak_phys_regs_used, 80);
