@@ -120,6 +120,9 @@ pub struct Cache {
     stats: CacheStats,
     tick: u64,
     set_mask: u64,
+    /// Width of the set index (`set_mask.count_ones()`, computed once: a
+    /// per-access popcount is a software routine on baseline x86-64).
+    set_bits: u32,
     line_shift: u32,
     assoc: usize,
 }
@@ -138,6 +141,7 @@ impl Cache {
             stats: CacheStats::default(),
             tick: 0,
             set_mask: sets as u64 - 1,
+            set_bits: (sets as u64 - 1).count_ones(),
             line_shift: config.line_bytes.trailing_zeros(),
             assoc: config.associativity,
             config,
@@ -163,7 +167,7 @@ impl Cache {
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let tag = line_addr >> self.set_bits;
         let set = &mut self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -188,7 +192,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let tag = line_addr >> self.set_bits;
         self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc]
             .iter()
             .any(|l| l.valid && l.tag == tag)

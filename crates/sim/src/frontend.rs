@@ -16,9 +16,12 @@
 //! classification and the instruction's byte addresses. A dynamic stream
 //! revisits the same few thousand static PCs millions of times (loops,
 //! recurring calls), so [`DecodeMemo`] computes a [`StaticDecode`] once per
-//! static instruction and fetch/dispatch thereafter read the cached record;
-//! only the truly dynamic fields of a [`DynInst`] — effective address,
-//! branch outcome, next PC — are consulted per instance.
+//! static instruction. Each record is looked up once, at fetch: fetch
+//! classifies it (kill, branch, call, return) from the memo entry, queues
+//! only its sequence number, PC and effective address, and dispatch reads
+//! the entry fetch already filled. Only the truly dynamic fields of a
+//! [`dvi_program::DynInst`] — effective address, branch outcome, next PC — are consulted
+//! per instance.
 //!
 //! ## Invariants
 //!
@@ -38,7 +41,16 @@ use crate::stats::SimStats;
 use dvi_bpred::{CombiningPredictor, PredictorConfig, PredictorStats};
 use dvi_isa::{ArchReg, FuKind, Instr, InstrClass, RegMask};
 use dvi_mem::MemoryHierarchy;
-use dvi_program::{DynInst, InstrSource, LayoutProgram};
+use dvi_program::{InstrSource, LayoutProgram};
+
+/// What dispatch needs of a fetched record: its identity, its PC (the key
+/// of the decode entry fetch filled) and its effective address.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fetched {
+    seq: u64,
+    pc: u32,
+    mem_addr: Option<u64>,
+}
 
 /// A fixed-capacity FIFO of fetched instructions.
 ///
@@ -48,7 +60,7 @@ use dvi_program::{DynInst, InstrSource, LayoutProgram};
 /// masked index on this hottest of paths.
 #[derive(Debug)]
 struct FetchQueue {
-    slots: Box<[DynInst]>,
+    slots: Box<[Fetched]>,
     mask: u64,
     head: u64,
     tail: u64,
@@ -57,17 +69,8 @@ struct FetchQueue {
 impl FetchQueue {
     fn new(capacity: usize) -> FetchQueue {
         let ring = capacity.max(1).next_power_of_two();
-        let nop = DynInst {
-            seq: 0,
-            pc: 0,
-            instr: Instr::Nop,
-            proc: dvi_program::ProcId(0),
-            mem_addr: None,
-            taken: None,
-            next_pc: 0,
-        };
         FetchQueue {
-            slots: vec![nop; ring].into_boxed_slice(),
+            slots: vec![Fetched::default(); ring].into_boxed_slice(),
             mask: ring as u64 - 1,
             head: 0,
             tail: 0,
@@ -85,7 +88,7 @@ impl FetchQueue {
     }
 
     #[inline]
-    fn front(&self) -> Option<&DynInst> {
+    fn front(&self) -> Option<&Fetched> {
         if self.is_empty() {
             None
         } else {
@@ -94,7 +97,7 @@ impl FetchQueue {
     }
 
     #[inline]
-    fn push_back(&mut self, d: DynInst) {
+    fn push_back(&mut self, d: Fetched) {
         debug_assert!(self.len() < self.slots.len(), "fetch queue overflow");
         self.slots[(self.tail & self.mask) as usize] = d;
         self.tail += 1;
@@ -220,6 +223,15 @@ impl DecodeMemo {
             "decode memo saw two different instructions at pc {pc}"
         );
         entry
+    }
+
+    /// The entry [`DecodeMemo::decode`] already filled for `pc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` was never decoded.
+    fn filled(&self, pc: u32) -> &StaticDecode {
+        self.slots[pc as usize].as_ref().expect("fetch decodes every record before dispatch")
     }
 }
 
@@ -408,11 +420,10 @@ impl FrontEnd {
                 break;
             };
             stats.fetched_instrs += 1;
-            // Fetch consults only the instruction tag and the PC, both of
-            // which are single-instruction operations — cheaper than a memo
-            // lookup. The memo earns its keep at dispatch, where the full
-            // register/class decoding would otherwise be re-derived.
-            if dyn_inst.instr.is_dvi() {
+            // The one memo lookup of this record: fetch classifies it from
+            // the entry, and dispatch later reads the same entry by PC.
+            let kind = self.decoder.decode(dyn_inst.pc, dyn_inst.instr).kind;
+            if matches!(kind, DecodeKind::Kill(_)) {
                 stats.fetched_kills += 1;
             }
             let byte_addr = LayoutProgram::byte_addr(dyn_inst.pc);
@@ -434,18 +445,18 @@ impl FrontEnd {
             }
 
             let mut redirected = false;
-            match dyn_inst.instr {
-                Instr::Branch { .. } => {
+            match kind {
+                DecodeKind::Branch => {
                     let taken = dyn_inst.taken.unwrap_or(false);
                     if pred.branch(byte_addr, taken) {
                         self.pending_mispredict = Some(dyn_inst.seq);
                         redirected = true;
                     }
                 }
-                Instr::Call { .. } => {
+                DecodeKind::Call => {
                     pred.call(LayoutProgram::byte_addr(dyn_inst.pc + 1));
                 }
-                Instr::Return => {
+                DecodeKind::Return => {
                     let actual = LayoutProgram::byte_addr(dyn_inst.next_pc);
                     if pred.ret(actual) {
                         self.pending_mispredict = Some(dyn_inst.seq);
@@ -455,7 +466,11 @@ impl FrontEnd {
                 _ => {}
             }
 
-            self.fetch_queue.push_back(dyn_inst);
+            self.fetch_queue.push_back(Fetched {
+                seq: dyn_inst.seq,
+                pc: dyn_inst.pc,
+                mem_addr: dyn_inst.mem_addr,
+            });
             if redirected || icache_miss {
                 break;
             }
@@ -477,16 +492,13 @@ impl FrontEnd {
         rename: &mut RenameState,
         stats: &mut SimStats,
     ) -> Dispatch {
-        let Some(front) = self.fetch_queue.front() else {
+        let Some(&Fetched { seq, pc, mem_addr }) = self.fetch_queue.front() else {
             return Dispatch::Empty;
         };
-        // Only these four fields of the queued record feed dispatch; copy
-        // them out instead of the whole `DynInst`.
-        let (pc, instr, seq, mem_addr) = (front.pc, front.instr, front.seq, front.mem_addr);
-        // Borrow the decode entry in place (`self.decoder` is a disjoint
-        // field from the queue and reclaim list mutated below), so the hot
-        // path never copies the decode record.
-        let d = self.decoder.decode(pc, instr);
+        // Borrow the entry fetch filled in place (`self.decoder` is a
+        // disjoint field from the queue and reclaim list mutated below), so
+        // the hot path never copies the decode record.
+        let d = self.decoder.filled(pc);
 
         // E-DVI annotations are consumed at decode: they never occupy a
         // window slot, a rename slot or a functional unit. Physical

@@ -108,10 +108,9 @@ pub(crate) struct Core {
     calendar: Calendar,
     waiters: Waiters,
     ready: ReadyRing,
-    /// Reused buffers for calendar drains, waiter drains and the per-cycle
-    /// ready list, so the per-cycle loop performs no allocation.
+    /// Reused buffers for calendar drains and the per-cycle ready list, so
+    /// the per-cycle loop performs no allocation.
     scratch_events: Vec<u64>,
-    scratch_woken: Vec<u64>,
     scratch_ready: Vec<u64>,
 }
 
@@ -149,7 +148,6 @@ impl Core {
             waiters: Waiters::new(config.phys_regs),
             ready: ReadyRing::new(window.ring_size()),
             scratch_events: Vec::new(),
-            scratch_woken: Vec::new(),
             scratch_ready: Vec::new(),
             window,
             config,
@@ -292,22 +290,17 @@ impl Core {
         self.drain_waiters(usize::from(p));
     }
 
-    /// Drains the waiter list of producer key `key`, decrementing each
-    /// waiter's missing-operand count and marking newly complete entries
-    /// ready.
+    /// Drains the waiter list of producer key `key` in place, decrementing
+    /// each waiter's missing-operand count and marking newly complete
+    /// entries ready.
     fn drain_waiters(&mut self, key: usize) {
-        if !self.waiters.has_waiters(key) {
-            return;
-        }
-        let mut woken = std::mem::take(&mut self.scratch_woken);
-        self.waiters.drain(key, &mut woken);
-        for &wseq in &woken {
-            debug_assert!(self.window.is_waiting(wseq), "waiter is not waiting");
-            if self.window.dec_missing(wseq) == 0 {
-                self.ready.set(wseq);
+        let (window, ready) = (&mut self.window, &mut self.ready);
+        self.waiters.wake_all(key, |wseq| {
+            debug_assert!(window.is_waiting(wseq), "waiter is not waiting");
+            if window.dec_missing(wseq) == 0 {
+                ready.set(wseq);
             }
-        }
-        self.scratch_woken = woken;
+        });
     }
 
     // ------------------------------------------------------------ issue --

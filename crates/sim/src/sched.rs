@@ -105,8 +105,10 @@ impl Calendar {
         if self.pending == 0 {
             return;
         }
+        // Swap the due bucket out whole: `out` arrives empty, so the bucket
+        // inherits its allocation and nothing is copied.
         let idx = (cycle & self.mask) as usize;
-        out.append(&mut self.buckets[idx]);
+        std::mem::swap(out, &mut self.buckets[idx]);
         if !self.overflow.is_empty() {
             // Rare path: only populated when a configured latency exceeds
             // the wheel horizon.
@@ -146,12 +148,14 @@ impl Waiters {
         self.lists[key].push(wseq);
     }
 
-    /// Drains the waiter list of `key` into `out` (preserving registration
-    /// order). Called exactly when the producer's value becomes ready.
-    pub fn drain(&mut self, key: usize, out: &mut Vec<u64>) {
-        out.clear();
+    /// Hands each waiter of `key` to `wake` in registration order, then
+    /// empties the list — in place, with no copy. Called exactly when the
+    /// producer's value becomes ready.
+    pub fn wake_all(&mut self, key: usize, mut wake: impl FnMut(u64)) {
         let list = &mut self.lists[key];
-        out.extend(list.iter());
+        for wseq in list.iter() {
+            wake(wseq);
+        }
         list.clear();
     }
 
@@ -171,7 +175,8 @@ impl Waiters {
 #[derive(Debug)]
 pub struct ReadyRing {
     words: Vec<u64>,
-    ring_size: u64,
+    /// `ring_size - 1`: the ring position of a sequence number.
+    mask: u64,
     count: usize,
 }
 
@@ -182,7 +187,7 @@ impl ReadyRing {
     pub fn new(ring_size: u64) -> Self {
         assert!(ring_size.is_power_of_two(), "ring size must be a power of two");
         let words = ring_size.div_ceil(64).max(1) as usize;
-        ReadyRing { words: vec![0; words], ring_size, count: 0 }
+        ReadyRing { words: vec![0; words], mask: ring_size - 1, count: 0 }
     }
 
     /// Number of ready entries.
@@ -192,8 +197,8 @@ impl ReadyRing {
     }
 
     fn pos(&self, wseq: u64) -> (usize, u64) {
-        let pos = wseq & (self.ring_size - 1);
-        ((pos / 64) as usize, 1u64 << (pos % 64))
+        let pos = wseq & self.mask;
+        ((pos >> 6) as usize, 1u64 << (pos & 63))
     }
 
     /// Marks the entry with window sequence `wseq` ready.
@@ -226,11 +231,10 @@ impl ReadyRing {
     /// (e.g. many loads queued on two cache ports) is not walked to the
     /// end every cycle.
     pub fn iter_snapshot<'a>(&self, snapshot: &'a [u64], head: u64) -> ReadySnapshotIter<'a> {
-        let mask = self.ring_size - 1;
-        let head_pos = head & mask;
+        let head_pos = head & self.mask;
         ReadySnapshotIter {
             words: snapshot,
-            mask,
+            mask: self.mask,
             head,
             head_pos,
             k: 0,
@@ -248,7 +252,7 @@ impl ReadyRing {
         if self.count == 0 {
             return;
         }
-        let mask = self.ring_size - 1;
+        let mask = self.mask;
         let head_pos = head & mask;
         let nwords = self.words.len() as u64;
         let first_word = head_pos / 64;
@@ -308,7 +312,8 @@ impl Iterator for ReadySnapshotIter<'_> {
                 if self.k > nwords {
                     return None;
                 }
-                let w = (first_word + self.k) % nwords;
+                // `nwords` is a power of two (the ring size is).
+                let w = (first_word + self.k) & (nwords - 1);
                 let mut bits = self.words[w];
                 if self.k == 0 {
                     bits &= !0u64 << first_bit;
@@ -390,10 +395,11 @@ mod tests {
         w.wait(3, 11);
         w.wait(3, 10); // same entry, second operand on the same register
         assert!(w.has_waiters(3));
-        w.drain(3, &mut out);
+        w.wake_all(3, |wseq| out.push(wseq));
         assert_eq!(out, vec![10, 11, 10]);
         assert!(!w.has_waiters(3));
-        w.drain(3, &mut out);
+        out.clear();
+        w.wake_all(3, |wseq| out.push(wseq));
         assert!(out.is_empty());
     }
 
