@@ -42,7 +42,8 @@ use crate::checkpoint::config_fingerprint;
 use crate::config::SimConfig;
 use crate::store::{CacheProbe, ResultCache};
 use dvi_program::CapturedTrace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A member's panic boundary never poisons matrix bookkeeping: the data
@@ -333,15 +334,16 @@ impl<'a> MatrixRunner<'a> {
             .collect();
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
 
-        // One member list, trace-major: the members still to run.
-        let queue: VecDeque<usize> = index
+        // One member list, trace-major: the members still to run. Workers
+        // claim from the front by bumping a shared cursor.
+        let queue: Vec<usize> = index
             .trace_members
             .iter()
             .flatten()
             .copied()
             .filter(|&i| restored[i].is_none())
             .collect();
-        let queue = Mutex::new(queue);
+        let next = AtomicUsize::new(0);
 
         struct RunState {
             results: Vec<Option<MemberOutcome>>,
@@ -356,7 +358,7 @@ impl<'a> MatrixRunner<'a> {
             skipped: 0,
         });
         let index_ref = &index;
-        let queue = &queue;
+        let (queue, next) = (&queue, &next);
         let state_ref = &state;
         let faults = &self.faults;
         let gate = self.gate.as_deref();
@@ -371,7 +373,10 @@ impl<'a> MatrixRunner<'a> {
                             "matrix abort test hook: {limit} members completed"
                         );
                     }
-                    let Some(i) = lock(queue).pop_front() else { break };
+                    // The cursor publishes nothing but the claim itself.
+                    let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
                     if let Some(gate) = gate {
                         if !gate(&index_ref.requesters[i]) {
                             let mut st = lock(state_ref);

@@ -294,11 +294,10 @@ impl Core {
     /// each waiter's missing-operand count and marking newly complete
     /// entries ready.
     fn drain_waiters(&mut self, key: usize) {
-        let (window, ready) = (&mut self.window, &mut self.ready);
         self.waiters.wake_all(key, |wseq| {
-            debug_assert!(window.is_waiting(wseq), "waiter is not waiting");
-            if window.dec_missing(wseq) == 0 {
-                ready.set(wseq);
+            debug_assert!(self.window.is_waiting(wseq), "waiter is not waiting");
+            if self.window.dec_missing(wseq) == 0 {
+                self.ready.set(wseq);
             }
         });
     }
