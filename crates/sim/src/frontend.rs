@@ -20,8 +20,8 @@
 //! classifies it (kill, branch, call, return) from the memo entry, queues
 //! only its sequence number, PC and effective address, and dispatch reads
 //! the entry fetch already filled. Only the truly dynamic fields of a
-//! [`dvi_program::DynInst`] — effective address, branch outcome, next PC — are consulted
-//! per instance.
+//! [`dvi_program::DynInst`] — effective address, branch outcome, next PC —
+//! are consulted per instance.
 //!
 //! ## Invariants
 //!
