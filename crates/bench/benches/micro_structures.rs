@@ -6,8 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dvi_bpred::{CombiningPredictor, PredictorConfig};
 use dvi_core::{Lvm, LvmStack};
 use dvi_isa::{Abi, ArchReg, RegMask};
-use dvi_mem::{CacheConfig, MemoryHierarchy};
-use dvi_sim::RenameState;
+use dvi_sim::{RenameState, SimConfig};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -44,22 +43,17 @@ fn bench(c: &mut Criterion) {
     });
 
     g.bench_function("l1_dcache_hit", |b| {
-        let mut mem = MemoryHierarchy::micro97();
-        mem.data_access(0x1000, false);
-        b.iter(|| black_box(mem.data_access(black_box(0x1000), false).latency));
+        let mut mem = SimConfig::micro97().memory();
+        mem.data_access(0x1000);
+        b.iter(|| black_box(mem.data_access(black_box(0x1000)).latency));
     });
 
     g.bench_function("dcache_streaming_misses", |b| {
-        let mut mem = MemoryHierarchy::new(
-            CacheConfig::micro97_l1d(),
-            CacheConfig::micro97_l1d(),
-            CacheConfig::micro97_l2(),
-            50,
-        );
+        let mut mem = SimConfig::micro97().memory();
         let mut addr = 0u64;
         b.iter(|| {
             addr = addr.wrapping_add(4096);
-            black_box(mem.data_access(addr, false).latency)
+            black_box(mem.data_access(addr).latency)
         });
     });
 

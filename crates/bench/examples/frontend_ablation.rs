@@ -7,15 +7,14 @@
 //! * draining a replayed [`CapturedTrace`] with no simulator attached,
 //! * draining the live interpreter with no simulator attached,
 //! * building the trace's dependence graph (the one-off precompute),
-//! * driving the mix's memory references through a standalone
-//!   [`dvi_mem::MemoryHierarchy`] in trace order — an isolated lower
-//!   bound on the D-cache model's share of the back end,
+//! * driving the mix's memory references through a standalone copy of the
+//!   machine's memory hierarchy ([`SimConfig::memory`]) in trace order —
+//!   an isolated lower bound on the D-cache model's share of the back end,
 //! * the full event-driven simulator fed by replay — the per-member steady
 //!   state of every sweep,
-//! * the same simulator with a [`dvi_mem::PerfectDcache`] swapped in
-//!   through the [`dvi_mem::DataMemModel`] seam (**a different modelled
-//!   machine** — printed for the host-cost contrast and as the end-to-end
-//!   proof the data side is swappable),
+//! * the same simulator on the perfect-L1D machine
+//!   ([`SimConfig::with_perfect_dcache`], **a different modelled machine**
+//!   — printed for the host-cost contrast),
 //! * the full event-driven simulator fed by live interpretation.
 //!
 //! The replay-vs-interp difference is the end-to-end value of
@@ -29,7 +28,7 @@
 use dvi_core::DviConfig;
 use dvi_experiments::Binaries;
 use dvi_program::{CapturedTrace, DepGraph, Interpreter};
-use dvi_sim::{SimConfig, SimSession, Simulator};
+use dvi_sim::{SimConfig, Simulator};
 use std::time::Instant;
 
 const INSTRS_PER_RUN: u64 = 60_000;
@@ -86,18 +85,12 @@ fn main() {
         traces
             .iter()
             .map(|t| {
-                let mut mem = dvi_mem::MemoryHierarchy::new(
-                    config.icache,
-                    config.dcache,
-                    config.l2,
-                    config.memory_latency,
-                );
+                let mut mem = config.memory();
                 t.replay()
                     .filter(|d| d.instr.class().uses_cache_port())
                     .map(|d| {
                         let addr = d.mem_addr.expect("memory records carry an address");
-                        mem.data_access(addr, matches!(d.instr.class(), dvi_isa::InstrClass::Store))
-                            .latency
+                        mem.data_access(addr).latency
                     })
                     .sum::<u64>()
             })
@@ -107,22 +100,11 @@ fn main() {
         traces.iter().map(|t| Simulator::new(config.clone()).run(t.replay()).program_instrs).sum()
     });
     // A *different modelled machine* (every data access hits in one
-    // cycle): end-to-end proof the data side swaps through the
-    // `DataMemModel` seam, and a second host-cost contrast for the
-    // D-cache share (fewer simulated stall cycles AND no tag walks).
+    // cycle): a second host-cost contrast for the D-cache share (fewer
+    // simulated stall cycles AND no tag walks).
+    let perfect = config.clone().with_perfect_dcache();
     time("sim+replay+perfect-L1D (different machine: always-hit data side)", &|| {
-        traces
-            .iter()
-            .map(|t| {
-                SimSession::with_dcache_model(
-                    config.clone(),
-                    t.cursor(),
-                    Box::new(dvi_mem::PerfectDcache::new(config.dcache.latency)),
-                )
-                .run_to_completion()
-                .program_instrs
-            })
-            .sum()
+        traces.iter().map(|t| Simulator::new(perfect.clone()).run(t.replay()).program_instrs).sum()
     });
     time("sim+interp (pre-capture behaviour)", &|| {
         layouts

@@ -12,9 +12,6 @@
 //!   procedure calls and popped at returns, used to eliminate *restores*
 //!   based on the same liveness information that eliminated the matching
 //!   *saves*.
-//! * [`CheckpointedLvm`] — LVM with branch-checkpoint support, mirroring the
-//!   mapping-table checkpointing that recovers the structure on
-//!   mis-speculation.
 //! * [`DviConfig`] — which DVI sources (I-DVI, E-DVI) and which optimizations
 //!   (register reclamation, save elimination, restore elimination) are
 //!   active.
@@ -52,15 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
-mod event;
 mod lvm;
 mod lvm_stack;
 mod policy;
 mod stats;
 
-pub use checkpoint::{CheckpointId, CheckpointedLvm};
-pub use event::{DviEvent, DviSource};
 pub use lvm::Lvm;
 pub use lvm_stack::LvmStack;
 pub use policy::{DviConfig, EdviPlacement};

@@ -3,7 +3,6 @@
 use crate::harness::Budget;
 use crate::table::Table;
 use dvi_workloads::{characterize, generate, presets, Characterization};
-use rayon::prelude::*;
 use std::fmt;
 
 /// One benchmark's characterization row.
@@ -26,9 +25,8 @@ pub struct Figure03 {
 /// Characterizes every preset benchmark on its baseline binary.
 #[must_use]
 pub fn run(budget: Budget) -> Figure03 {
-    // Each benchmark characterizes independently; sweep them in parallel.
     let rows = presets::all()
-        .into_par_iter()
+        .into_iter()
         .map(|spec| {
             let program = generate(&spec);
             BenchmarkRow {

@@ -7,7 +7,6 @@ use dvi_sim::SimConfig;
 use dvi_sim::SimStats;
 use dvi_sim::SweepSummary;
 use dvi_workloads::{presets, WorkloadSpec};
-use rayon::prelude::*;
 use std::fmt;
 
 /// The register-file sizes the paper sweeps (34 to 96).
@@ -73,7 +72,7 @@ pub fn run_with(budget: Budget, benchmarks: &[WorkloadSpec], sizes: &[usize]) ->
     // matrix drains all benchmarks' grid points through one shared member
     // list instead of one batched pass per trace.
     let captured: Vec<CapturedBinaries> =
-        benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+        benchmarks.iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     // Grid order: [none(size0), idvi(size0), none(size1), ...].
     let base_grid: Vec<SimConfig> = sizes
         .iter()

@@ -5,7 +5,6 @@ use crate::table::Table;
 use dvi_core::DviConfig;
 use dvi_sim::{SimConfig, SweepSummary};
 use dvi_workloads::presets;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Per-benchmark elimination results for both hardware schemes.
@@ -62,11 +61,11 @@ pub fn run(budget: Budget) -> Figure09 {
 /// Runs both schemes on an explicit benchmark list.
 #[must_use]
 pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> Figure09 {
-    // Capture every benchmark's traces in parallel, then time both
+    // Capture every benchmark's traces, then time both
     // hardware schemes of every benchmark as cells of one whole-matrix
     // sweep (one work queue).
     let captured: Vec<CapturedBinaries> =
-        benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+        benchmarks.iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let grid = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
         .map(|dvi| SimConfig::micro97().with_dvi(dvi));
     let cells = captured.iter().map(|binaries| (&binaries.edvi, grid.to_vec())).collect();

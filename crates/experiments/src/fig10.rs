@@ -5,7 +5,6 @@ use crate::table::Table;
 use dvi_core::DviConfig;
 use dvi_sim::{SimConfig, SweepSummary};
 use dvi_workloads::presets;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Per-benchmark IPC results.
@@ -48,12 +47,12 @@ pub fn run(budget: Budget) -> Figure10 {
 /// Runs the speedup study on an explicit benchmark list.
 #[must_use]
 pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> Figure10 {
-    // Capture every benchmark's traces in parallel; the baseline-machine
+    // Capture every benchmark's traces; the baseline-machine
     // point and both schemes of every benchmark then run as cells of one
     // whole-matrix sweep — the baseline replay that used to be a lone
     // serial call is now just a one-member cell on the same work queue.
     let captured: Vec<CapturedBinaries> =
-        benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+        benchmarks.iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let baseline = [SimConfig::micro97()];
     let schemes = [DviConfig::lvm_scheme(), DviConfig::lvm_stack_scheme()]
         .map(|dvi| SimConfig::micro97().with_dvi(dvi));

@@ -6,7 +6,6 @@ use crate::table::Table;
 use dvi_core::DviConfig;
 use dvi_sim::{SimConfig, SweepSummary};
 use dvi_workloads::presets;
-use rayon::prelude::*;
 use std::fmt;
 
 /// One machine point of the sensitivity study.
@@ -71,8 +70,8 @@ pub fn run_with(
     widths: &[usize],
     ports: &[usize],
 ) -> Figure11 {
-    // Binaries are built and their traces captured once per benchmark (in
-    // parallel); the whole benchmark × width × port grid then runs as
+    // Binaries are built and their traces captured once per benchmark;
+    // the whole benchmark × width × port grid then runs as
     // cells of one whole-matrix sweep, and the row order stays
     // benchmark-major as before.
     let machines: Vec<SimConfig> = widths
@@ -86,7 +85,7 @@ pub fn run_with(
     let dvi_machines: Vec<SimConfig> =
         machines.iter().map(|m| m.clone().with_dvi(DviConfig::full())).collect();
     let captured: Vec<CapturedBinaries> =
-        benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+        benchmarks.iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let cells = captured
         .iter()
         .flat_map(|binaries| {

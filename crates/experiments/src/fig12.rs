@@ -5,7 +5,6 @@ use crate::table::Table;
 use dvi_core::DviConfig;
 use dvi_threads::{RoundRobinScheduler, SwitchConfig};
 use dvi_workloads::presets;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Number of independently seeded threads of each benchmark that run
@@ -57,7 +56,7 @@ pub fn run(budget: Budget) -> Figure12 {
 #[must_use]
 pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> Figure12 {
     let rows = benchmarks
-        .par_iter()
+        .iter()
         .map(|spec| {
             let threads: Vec<_> = (0..THREADS_PER_BENCHMARK)
                 .map(|i| spec.clone().with_seed(spec.seed.wrapping_add(i as u64 * 7919)))

@@ -5,7 +5,6 @@ use crate::table::Table;
 use dvi_core::DviConfig;
 use dvi_sim::{SimConfig, SweepSummary};
 use dvi_workloads::presets;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Per-benchmark E-DVI overhead measurements.
@@ -54,7 +53,7 @@ pub fn run(budget: Budget) -> Figure13 {
 /// Runs the overhead study on an explicit benchmark list.
 #[must_use]
 pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> Figure13 {
-    // One capture per benchmark (in parallel); both binaries × both
+    // One capture per benchmark; both binaries × both
     // instruction-cache geometries of every benchmark then run as cells
     // of one whole-matrix sweep.
     //
@@ -64,7 +63,7 @@ pub fn run_with(budget: Budget, benchmarks: &[dvi_workloads::WorkloadSpec]) -> F
     let geometries = [SimConfig::micro97(), SimConfig::micro97_small_icache()]
         .map(|c| c.with_dvi(DviConfig::none()));
     let captured: Vec<CapturedBinaries> =
-        benchmarks.par_iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
+        benchmarks.iter().map(|spec| CapturedBinaries::build(spec, budget)).collect();
     let cells = captured
         .iter()
         .flat_map(|binaries| {

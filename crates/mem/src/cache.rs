@@ -1,16 +1,5 @@
 //! A single level of set-associative cache.
 
-use std::fmt;
-
-/// Whether an access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Read access (load or instruction fetch).
-    Read,
-    /// Write access (store). Writes allocate, like reads.
-    Write,
-}
-
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -68,13 +57,6 @@ impl CacheConfig {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
     }
-}
-
-/// Result of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Whether the line was present.
-    pub hit: bool,
 }
 
 /// Hit/miss counters for one cache.
@@ -160,9 +142,9 @@ impl Cache {
         self.stats
     }
 
-    /// Looks up `addr`, allocating the line on a miss (both reads and writes
-    /// allocate). Returns whether the access hit.
-    pub fn access(&mut self, addr: u64, _kind: AccessKind) -> AccessResult {
+    /// Looks up `addr`, allocating the line on a miss (loads, stores and
+    /// instruction fetches all allocate). Returns whether the access hit.
+    pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
@@ -172,7 +154,7 @@ impl Cache {
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_use = self.tick;
-            return AccessResult { hit: true };
+            return true;
         }
 
         self.stats.misses += 1;
@@ -184,40 +166,18 @@ impl Cache {
         victim.valid = true;
         victim.tag = tag;
         victim.last_use = self.tick;
-        AccessResult { hit: false }
+        false
     }
 
     /// Whether `addr` is currently resident (no state change, no stats).
-    #[must_use]
-    pub fn probe(&self, addr: u64) -> bool {
+    #[cfg(test)]
+    fn probe(&self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_bits;
         self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc]
             .iter()
             .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Invalidates every line and clears the statistics.
-    pub fn reset(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
-        self.stats = CacheStats::default();
-        self.tick = 0;
-    }
-}
-
-impl fmt::Display for Cache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}KB {}-way cache ({} accesses, {:.2}% miss)",
-            self.config.size_bytes / 1024,
-            self.config.associativity,
-            self.stats.accesses,
-            self.stats.miss_rate() * 100.0
-        )
     }
 }
 
@@ -236,9 +196,9 @@ mod tests {
     #[test]
     fn first_access_misses_second_hits() {
         let mut c = Cache::new(CacheConfig::micro97_l1d());
-        assert!(!c.access(0x1234, AccessKind::Read).hit);
-        assert!(c.access(0x1234, AccessKind::Read).hit);
-        assert!(c.access(0x1236, AccessKind::Write).hit, "same line");
+        assert!(!c.access(0x1234));
+        assert!(c.access(0x1234));
+        assert!(c.access(0x1236), "same line");
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().accesses, 3);
     }
@@ -249,10 +209,10 @@ mod tests {
         let cfg = CacheConfig { size_bytes: 64, line_bytes: 32, associativity: 2, latency: 1 };
         let mut c = Cache::new(cfg);
         assert_eq!(cfg.num_sets(), 1);
-        c.access(0, AccessKind::Read); // line A
-        c.access(32, AccessKind::Read); // line B
-        c.access(0, AccessKind::Read); // touch A (B becomes LRU)
-        c.access(64, AccessKind::Read); // line C evicts B
+        c.access(0); // line A
+        c.access(32); // line B
+        c.access(0); // touch A (B becomes LRU)
+        c.access(64); // line C evicts B
         assert!(c.probe(0), "A stays");
         assert!(!c.probe(32), "B evicted");
         assert!(c.probe(64), "C resident");
@@ -265,21 +225,12 @@ mod tests {
         // Stream over a 48KB footprint twice: fits in 64KB, not in 32KB.
         for round in 0..2 {
             for addr in (0..48 * 1024).step_by(32) {
-                big.access(addr, AccessKind::Read);
-                small.access(addr, AccessKind::Read);
+                big.access(addr);
+                small.access(addr);
             }
             let _ = round;
         }
         assert!(small.stats().misses > big.stats().misses);
-    }
-
-    #[test]
-    fn reset_clears_contents_and_stats() {
-        let mut c = Cache::new(CacheConfig::micro97_l1d());
-        c.access(0x40, AccessKind::Read);
-        c.reset();
-        assert_eq!(c.stats().accesses, 0);
-        assert!(!c.probe(0x40));
     }
 
     #[test]
@@ -294,19 +245,13 @@ mod tests {
         assert_eq!(CacheStats::default().miss_rate(), 0.0);
     }
 
-    #[test]
-    fn display_mentions_geometry() {
-        let c = Cache::new(CacheConfig::micro97_l1d());
-        assert!(c.to_string().contains("64KB"));
-    }
-
     proptest! {
         #[test]
         fn repeated_access_to_same_line_always_hits_after_first(addr in any::<u64>()) {
             let mut c = Cache::new(CacheConfig::micro97_l1d());
-            c.access(addr, AccessKind::Read);
+            c.access(addr);
             for _ in 0..4 {
-                prop_assert!(c.access(addr, AccessKind::Read).hit);
+                prop_assert!(c.access(addr));
             }
         }
 
@@ -314,7 +259,7 @@ mod tests {
         fn stats_are_consistent(addrs in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut c = Cache::new(CacheConfig::micro97_l1i_32k());
             for a in &addrs {
-                c.access(*a, AccessKind::Read);
+                c.access(*a);
             }
             let s = c.stats();
             prop_assert_eq!(s.accesses, addrs.len() as u64);

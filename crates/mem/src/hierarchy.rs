@@ -1,22 +1,26 @@
-//! The memory hierarchy as a composition of cache levels.
+//! The memory hierarchy of the paper's Figure 2: split L1 instruction and
+//! data caches in front of one unified L2 and a fixed-latency main memory.
 //!
-//! A hierarchy is split L1s in front of a chain of unified lower levels
-//! with a fixed-latency main memory at the end:
-//!
-//! * the **L1 instruction side** is a concrete [`CacheLevel`];
-//! * the **L1 data side** is a swappable [`DataMemModel`] — a real
-//!   [`CacheLevel`] tag array by default, replaceable per machine (see
-//!   [`MemoryHierarchy::with_dcache_model`]);
-//! * any number of **unified downstream levels** ([`CacheLevel`]s shared
-//!   by instruction and data misses), the paper's machine having exactly
-//!   one (the 512KB L2).
-//!
-//! The per-access flow is unchanged from the monolithic two-level model it
-//! replaces — and bit-identical for the classic split-L1 + single-L2
-//! shape, which every existing configuration uses.
+//! The L1 data side is one of two models, picked by [`DcacheModelKind`]:
+//! the set-associative tag array of the paper's machine, or an always-hit
+//! cache, the data-side upper bound. Instruction fetches and data misses
+//! share the L2, whichever model the data side is.
 
-use crate::cache::{AccessKind, CacheConfig, CacheStats};
-use crate::level::{CacheLevel, DataMemModel};
+use crate::cache::{Cache, CacheConfig, CacheStats};
+
+/// Which L1 data cache a machine has. Distinct kinds model distinct
+/// machines: a [`DcacheModelKind::Perfect`] machine makes different
+/// hit/miss decisions than a stock machine of the same shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DcacheModelKind {
+    /// The set-associative L1D tag array of the configured geometry. The
+    /// default.
+    #[default]
+    Stock,
+    /// An always-hit L1D at the configured hit latency: data accesses
+    /// never reach the L2. The data-side upper-bound machine.
+    Perfect,
+}
 
 /// The outcome of a memory access through the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,167 +36,92 @@ pub struct MemAccess {
 pub struct HierarchyStats {
     /// L1 instruction cache counters.
     pub l1i: CacheStats,
-    /// L1 data cache counters (whatever [`DataMemModel`] backs it).
+    /// L1 data cache counters (a perfect L1D counts accesses, never
+    /// misses).
     pub l1d: CacheStats,
-    /// First unified downstream level (the classic L2); zero when the
-    /// hierarchy has no downstream level.
+    /// Unified L2 counters.
     pub l2: CacheStats,
 }
 
-/// A composable hierarchy: split L1 instruction/data front ends backed by
-/// a chain of unified levels and a fixed-latency main memory. The default
-/// composition matches the paper's Figure 2.
+/// Split L1 instruction and data caches, one unified L2 and main memory.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
-    l1i: CacheLevel,
-    dcache: DcacheSlot,
-    /// Unified levels behind both L1s, nearest first (Figure 2: one L2).
-    downstream: Vec<CacheLevel>,
+    l1i: Cache,
+    l1d: Dcache,
+    l2: Cache,
     memory_latency: u64,
 }
 
-/// The L1-data-side slot: the stock tag array stays statically dispatched
-/// (data accesses are the hottest path through the hierarchy), while any
-/// substitute [`DataMemModel`] rides behind one indirection.
+/// The L1 data side.
 #[derive(Debug, Clone)]
-enum DcacheSlot {
-    /// The default: a real tag array of the configured geometry.
-    Tags(CacheLevel),
-    /// A substituted model ([`MemoryHierarchy::with_dcache_model`]).
-    Custom(Box<dyn DataMemModel>),
-}
-
-impl DcacheSlot {
-    #[inline]
-    fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        match self {
-            DcacheSlot::Tags(level) => {
-                let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
-                level.lookup(addr, kind)
-            }
-            DcacheSlot::Custom(model) => model.access(addr, is_write),
-        }
-    }
-
-    #[inline]
-    fn latency(&self) -> u64 {
-        match self {
-            DcacheSlot::Tags(level) => level.latency(),
-            DcacheSlot::Custom(model) => model.latency(),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            DcacheSlot::Tags(level) => level.stats(),
-            DcacheSlot::Custom(model) => model.stats(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            DcacheSlot::Tags(level) => level.reset(),
-            DcacheSlot::Custom(model) => model.reset(),
-        }
-    }
+enum Dcache {
+    /// [`DcacheModelKind::Stock`]: a tag array.
+    Tags(Cache),
+    /// [`DcacheModelKind::Perfect`]: every access hits at `latency`.
+    Perfect { latency: u64, stats: CacheStats },
 }
 
 impl MemoryHierarchy {
-    /// The configuration of Figure 2 (64KB L1s, 512KB L2, 50-cycle memory).
+    /// Builds the hierarchy from per-level geometries: the L1D geometry's
+    /// hit latency applies to either `l1d_model`, its shape only to the
+    /// stock tag array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag-array geometry is invalid (see
+    /// [`CacheConfig::num_sets`]).
     #[must_use]
-    pub fn micro97() -> Self {
-        MemoryHierarchy::new(
-            CacheConfig::micro97_l1i(),
-            CacheConfig::micro97_l1d(),
-            CacheConfig::micro97_l2(),
-            50,
-        )
-    }
-
-    /// Figure 13's alternate machine with a 32KB instruction cache.
-    #[must_use]
-    pub fn micro97_small_icache() -> Self {
-        MemoryHierarchy::new(
-            CacheConfig::micro97_l1i_32k(),
-            CacheConfig::micro97_l1d(),
-            CacheConfig::micro97_l2(),
-            50,
-        )
-    }
-
-    /// Builds the classic two-level shape from explicit per-level
-    /// configurations: split L1s, one unified L2, main memory.
-    #[must_use]
-    pub fn new(l1i: CacheConfig, l1d: CacheConfig, l2: CacheConfig, memory_latency: u64) -> Self {
-        MemoryHierarchy {
-            l1i: CacheLevel::new(l1i),
-            dcache: DcacheSlot::Tags(CacheLevel::new(l1d)),
-            downstream: vec![CacheLevel::new(l2)],
-            memory_latency,
-        }
-    }
-
-    /// Builds an arbitrary composition: an L1I geometry, any L1-data-side
-    /// model and any chain of unified downstream levels (nearest first;
-    /// empty means L1 misses go straight to memory).
-    #[must_use]
-    pub fn compose(
+    pub fn new(
         l1i: CacheConfig,
-        dcache: Box<dyn DataMemModel>,
-        downstream: Vec<CacheLevel>,
+        l1d: CacheConfig,
+        l1d_model: DcacheModelKind,
+        l2: CacheConfig,
         memory_latency: u64,
     ) -> Self {
-        MemoryHierarchy {
-            l1i: CacheLevel::new(l1i),
-            dcache: DcacheSlot::Custom(dcache),
-            downstream,
-            memory_latency,
-        }
-    }
-
-    /// Replaces the L1-data-side model, keeping the instruction side and
-    /// the downstream chain. Substituting a model with identical hit/miss
-    /// decisions (e.g. a fresh [`CacheLevel`] of the same geometry) leaves
-    /// the modelled machine bit-identical; any other substitute models a
-    /// different machine on purpose.
-    #[must_use]
-    pub fn with_dcache_model(mut self, dcache: Box<dyn DataMemModel>) -> Self {
-        self.dcache = DcacheSlot::Custom(dcache);
-        self
+        let l1d = match l1d_model {
+            DcacheModelKind::Stock => Dcache::Tags(Cache::new(l1d)),
+            DcacheModelKind::Perfect => {
+                Dcache::Perfect { latency: l1d.latency, stats: CacheStats::default() }
+            }
+        };
+        MemoryHierarchy { l1i: Cache::new(l1i), l1d, l2: Cache::new(l2), memory_latency }
     }
 
     /// Fetches an instruction line; returns the access latency.
     pub fn inst_fetch(&mut self, addr: u64) -> MemAccess {
-        let hit = self.l1i.lookup(addr, AccessKind::Read);
-        let mut latency = self.l1i.latency();
+        let hit = self.l1i.access(addr);
+        let mut latency = self.l1i.config().latency;
         if !hit {
-            latency += self.lower_levels(addr, AccessKind::Read);
+            latency += self.l2_access(addr);
         }
         MemAccess { latency, l1_hit: hit }
     }
 
-    /// Performs a data access; returns the access latency.
-    pub fn data_access(&mut self, addr: u64, is_write: bool) -> MemAccess {
-        let hit = self.dcache.access(addr, is_write);
-        let mut latency = self.dcache.latency();
-        if !hit {
-            let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
-            latency += self.lower_levels(addr, kind);
-        }
-        MemAccess { latency, l1_hit: hit }
-    }
-
-    /// Walks the unified chain: each level charges its hit latency; the
-    /// first hit stops the walk, and missing every level pays main memory.
-    fn lower_levels(&mut self, addr: u64, kind: AccessKind) -> u64 {
-        let mut latency = 0;
-        for level in &mut self.downstream {
-            latency += level.latency();
-            if level.lookup(addr, kind) {
-                return latency;
+    /// Performs a data access (loads and stores alike allocate); returns
+    /// the access latency.
+    pub fn data_access(&mut self, addr: u64) -> MemAccess {
+        let (hit, mut latency) = match &mut self.l1d {
+            Dcache::Tags(cache) => (cache.access(addr), cache.config().latency),
+            Dcache::Perfect { latency, stats } => {
+                stats.accesses += 1;
+                (true, *latency)
             }
+        };
+        if !hit {
+            latency += self.l2_access(addr);
         }
-        latency + self.memory_latency
+        MemAccess { latency, l1_hit: hit }
+    }
+
+    /// An L1 miss: the L2's hit latency, plus main memory if the L2 misses
+    /// too.
+    fn l2_access(&mut self, addr: u64) -> u64 {
+        let latency = self.l2.config().latency;
+        if self.l2.access(addr) {
+            latency
+        } else {
+            latency + self.memory_latency
+        }
     }
 
     /// Snapshot of every level's statistics.
@@ -200,24 +129,11 @@ impl MemoryHierarchy {
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
             l1i: self.l1i.stats(),
-            l1d: self.dcache.stats(),
-            l2: self.downstream.first().map(CacheLevel::stats).unwrap_or_default(),
-        }
-    }
-
-    /// Statistics of every unified downstream level, nearest first (the
-    /// multi-level generalization of [`HierarchyStats::l2`]).
-    #[must_use]
-    pub fn downstream_stats(&self) -> Vec<CacheStats> {
-        self.downstream.iter().map(CacheLevel::stats).collect()
-    }
-
-    /// Invalidates every cache and clears all statistics.
-    pub fn reset(&mut self) {
-        self.l1i.reset();
-        self.dcache.reset();
-        for level in &mut self.downstream {
-            level.reset();
+            l1d: match &self.l1d {
+                Dcache::Tags(cache) => cache.stats(),
+                Dcache::Perfect { stats, .. } => *stats,
+            },
+            l2: self.l2.stats(),
         }
     }
 }
@@ -225,126 +141,92 @@ impl MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::PerfectDcache;
+
+    fn micro97(l1i: CacheConfig, l1d_model: DcacheModelKind) -> MemoryHierarchy {
+        MemoryHierarchy::new(
+            l1i,
+            CacheConfig::micro97_l1d(),
+            l1d_model,
+            CacheConfig::micro97_l2(),
+            50,
+        )
+    }
+
+    fn stock() -> MemoryHierarchy {
+        micro97(CacheConfig::micro97_l1i(), DcacheModelKind::Stock)
+    }
+
+    fn perfect() -> MemoryHierarchy {
+        micro97(CacheConfig::micro97_l1i(), DcacheModelKind::Perfect)
+    }
 
     #[test]
     fn cold_miss_pays_l2_and_memory() {
-        let mut m = MemoryHierarchy::micro97();
-        let first = m.data_access(0x8000, false);
+        let mut m = stock();
+        let first = m.data_access(0x8000);
         assert!(!first.l1_hit);
         assert_eq!(first.latency, 1 + 8 + 50);
-        let second = m.data_access(0x8000, false);
+        let second = m.data_access(0x8000);
         assert!(second.l1_hit);
         assert_eq!(second.latency, 1);
     }
 
     #[test]
     fn l2_hit_after_l1_eviction_costs_l1_plus_l2() {
-        let mut m = MemoryHierarchy::micro97();
-        m.data_access(0x8000, false);
+        let mut m = stock();
+        m.data_access(0x8000);
         // Evict line 0x8000 from the 64KB 4-way L1 by touching 5 lines that
         // map to the same set (stride = 16KB way size).
         for i in 1..=5u64 {
-            m.data_access(0x8000 + i * 16 * 1024, false);
+            m.data_access(0x8000 + i * 16 * 1024);
         }
-        let back = m.data_access(0x8000, false);
+        let back = m.data_access(0x8000);
         assert!(!back.l1_hit);
         assert_eq!(back.latency, 1 + 8, "should hit in the 512KB L2");
     }
 
     #[test]
     fn instruction_and_data_paths_are_split() {
-        let mut m = MemoryHierarchy::micro97();
+        let mut m = stock();
         m.inst_fetch(0x100);
         assert_eq!(m.stats().l1i.accesses, 1);
         assert_eq!(m.stats().l1d.accesses, 0);
-        m.data_access(0x100, true);
+        m.data_access(0x100);
         assert_eq!(m.stats().l1d.accesses, 1);
     }
 
     #[test]
     fn small_icache_config_differs() {
-        let m = MemoryHierarchy::micro97_small_icache();
+        let m = micro97(CacheConfig::micro97_l1i_32k(), DcacheModelKind::Stock);
         assert_eq!(m.l1i.config().size_bytes, 32 * 1024);
-        let DcacheSlot::Tags(l1d) = &m.dcache else {
-            panic!("the stock machine uses the statically dispatched tag array")
-        };
+        let Dcache::Tags(l1d) = &m.l1d else { panic!("the stock machine has an L1D tag array") };
         assert_eq!(l1d.config().size_bytes, 64 * 1024, "only the I-cache shrinks");
     }
 
     #[test]
-    fn reset_restores_cold_state() {
-        let mut m = MemoryHierarchy::micro97();
-        m.data_access(0x42, false);
-        m.reset();
-        assert_eq!(m.stats().l1d.accesses, 0);
-        assert!(!m.data_access(0x42, false).l1_hit);
-    }
-
-    /// Substituting a fresh tag array of the same geometry through the
-    /// [`DataMemModel`] seam is invisible: identical outcomes, latencies
-    /// and statistics on an eviction-heavy access pattern.
-    #[test]
-    fn swapped_same_geometry_dcache_is_bit_identical() {
-        let mut stock = MemoryHierarchy::micro97();
-        let mut swapped = MemoryHierarchy::micro97()
-            .with_dcache_model(Box::new(CacheLevel::new(CacheConfig::micro97_l1d())));
-        for i in 0..2000u64 {
-            let addr = (i * 7919) % (256 * 1024);
-            let write = i % 3 == 0;
-            assert_eq!(stock.data_access(addr, write), swapped.data_access(addr, write));
-            if i % 5 == 0 {
-                assert_eq!(stock.inst_fetch(addr), swapped.inst_fetch(addr));
-            }
+    fn perfect_dcache_always_hits_and_counts() {
+        let mut m = perfect();
+        for addr in 0..100u64 {
+            assert!(m.data_access(addr * 4096).l1_hit);
         }
-        assert_eq!(stock.stats(), swapped.stats());
+        assert_eq!(m.stats().l1d.accesses, 100);
+        assert_eq!(m.stats().l1d.misses, 0);
     }
 
     #[test]
     fn perfect_dcache_never_reaches_the_downstream_levels() {
-        let mut m = MemoryHierarchy::micro97().with_dcache_model(Box::new(PerfectDcache::new(1)));
+        let mut m = perfect();
         for i in 0..100u64 {
-            let access = m.data_access(i * 1024 * 1024, false);
+            let access = m.data_access(i * 1024 * 1024);
             assert!(access.l1_hit);
             assert_eq!(access.latency, 1);
         }
         assert_eq!(m.stats().l1d.misses, 0);
         assert_eq!(m.stats().l2.accesses, 0, "data never touches the L2");
-        // Instruction misses still use the shared downstream chain.
+        // Instruction misses still use the shared L2.
         let fetch = m.inst_fetch(0x100);
         assert!(!fetch.l1_hit);
         assert_eq!(fetch.latency, 1 + 8 + 50);
         assert_eq!(m.stats().l2.accesses, 1);
-    }
-
-    #[test]
-    fn downstream_chain_is_composable() {
-        // Three-level data side: L1D -> 512KB L2 -> 4MB L3 -> memory.
-        let l3 = CacheConfig {
-            size_bytes: 4 * 1024 * 1024,
-            line_bytes: 64,
-            associativity: 8,
-            latency: 20,
-        };
-        let mut m = MemoryHierarchy::compose(
-            CacheConfig::micro97_l1i(),
-            Box::new(CacheLevel::new(CacheConfig::micro97_l1d())),
-            vec![CacheLevel::new(CacheConfig::micro97_l2()), CacheLevel::new(l3)],
-            100,
-        );
-        let cold = m.data_access(0x4_0000, false);
-        assert_eq!(cold.latency, 1 + 8 + 20 + 100, "cold miss walks every level");
-        assert_eq!(m.downstream_stats().len(), 2);
-        assert_eq!(m.downstream_stats()[1].misses, 1);
-
-        // No downstream at all: L1 misses go straight to memory.
-        let mut flat = MemoryHierarchy::compose(
-            CacheConfig::micro97_l1i(),
-            Box::new(CacheLevel::new(CacheConfig::micro97_l1d())),
-            Vec::new(),
-            30,
-        );
-        assert_eq!(flat.data_access(0x40, false).latency, 1 + 30);
-        assert_eq!(flat.stats().l2, CacheStats::default());
     }
 }

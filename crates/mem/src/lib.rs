@@ -1,22 +1,28 @@
 //! # dvi-mem
 //!
-//! The memory-system substrate of the DVI reproduction: set-associative
-//! caches with LRU replacement, a hierarchy *composed* from [`CacheLevel`]s
-//! (split L1s in front of any chain of unified levels — the default
-//! composition matches the paper's Figure 2: 64KB 4-way L1 instruction and
-//! data caches with 1-cycle latency, a 512KB 4-way unified L2 with 8-cycle
-//! latency), a swappable L1-data-side model ([`DataMemModel`]) and a
-//! replicated cache-port model used for the bandwidth-sensitivity analysis
-//! of Figure 11.
+//! The memory system of the paper's Figure 2, the one the DVI reproduction
+//! models: set-associative caches with LRU replacement, arranged as split
+//! 64KB 4-way L1 instruction and data caches with 1-cycle latency in front
+//! of a 512KB 4-way unified L2 with 8-cycle latency and main memory, plus
+//! the replicated cache-port model that Figure 11's bandwidth analysis
+//! varies. The L1 data side is either the tag array or an always-hit cache
+//! ([`DcacheModelKind`]); a simulator builds its hierarchy from its machine
+//! configuration.
 //!
 //! # Example
 //!
 //! ```
-//! use dvi_mem::{CacheConfig, MemoryHierarchy};
+//! use dvi_mem::{CacheConfig, DcacheModelKind, MemoryHierarchy};
 //!
-//! let mut mem = MemoryHierarchy::micro97();
-//! let first = mem.data_access(0x1000, false);
-//! let second = mem.data_access(0x1000, false);
+//! let mut mem = MemoryHierarchy::new(
+//!     CacheConfig::micro97_l1i(),
+//!     CacheConfig::micro97_l1d(),
+//!     DcacheModelKind::Stock,
+//!     CacheConfig::micro97_l2(),
+//!     50,
+//! );
+//! let first = mem.data_access(0x1000);
+//! let second = mem.data_access(0x1000);
 //! assert!(first.latency > second.latency, "the second access hits in the L1");
 //! assert_eq!(second.latency, CacheConfig::micro97_l1d().latency);
 //! ```
@@ -26,10 +32,8 @@
 
 mod cache;
 mod hierarchy;
-mod level;
 mod ports;
 
-pub use cache::{AccessKind, AccessResult, Cache, CacheConfig, CacheStats};
-pub use hierarchy::{HierarchyStats, MemAccess, MemoryHierarchy};
-pub use level::{CacheLevel, DataMemModel, PerfectDcache};
+pub use cache::{Cache, CacheConfig, CacheStats};
+pub use hierarchy::{DcacheModelKind, HierarchyStats, MemAccess, MemoryHierarchy};
 pub use ports::CachePorts;

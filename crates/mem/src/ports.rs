@@ -24,9 +24,6 @@
 pub struct CachePorts {
     total: usize,
     used_this_cycle: usize,
-    busiest_cycle: usize,
-    total_acquired: u64,
-    total_rejected: u64,
 }
 
 impl CachePorts {
@@ -38,36 +35,15 @@ impl CachePorts {
     #[must_use]
     pub fn new(total: usize) -> Self {
         assert!(total > 0, "a machine needs at least one cache port");
-        CachePorts {
-            total,
-            used_this_cycle: 0,
-            busiest_cycle: 0,
-            total_acquired: 0,
-            total_rejected: 0,
-        }
-    }
-
-    /// The number of ports available each cycle.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Ports still free this cycle.
-    #[must_use]
-    pub fn available(&self) -> usize {
-        self.total - self.used_this_cycle
+        CachePorts { total, used_this_cycle: 0 }
     }
 
     /// Attempts to claim a port for this cycle.
     pub fn try_acquire(&mut self) -> bool {
         if self.used_this_cycle < self.total {
             self.used_this_cycle += 1;
-            self.busiest_cycle = self.busiest_cycle.max(self.used_this_cycle);
-            self.total_acquired += 1;
             true
         } else {
-            self.total_rejected += 1;
             false
         }
     }
@@ -75,24 +51,6 @@ impl CachePorts {
     /// Releases every port for the next cycle.
     pub fn next_cycle(&mut self) {
         self.used_this_cycle = 0;
-    }
-
-    /// Total successful acquisitions over the run.
-    #[must_use]
-    pub fn total_acquired(&self) -> u64 {
-        self.total_acquired
-    }
-
-    /// Total rejected acquisitions (structural-hazard stalls) over the run.
-    #[must_use]
-    pub fn total_rejected(&self) -> u64 {
-        self.total_rejected
-    }
-
-    /// The largest number of ports used in any single cycle.
-    #[must_use]
-    pub fn busiest_cycle(&self) -> usize {
-        self.busiest_cycle
     }
 }
 
@@ -107,22 +65,10 @@ mod tests {
         assert!(p.try_acquire());
         assert!(p.try_acquire());
         assert!(!p.try_acquire());
-        assert_eq!(p.available(), 0);
-        assert_eq!(p.total_rejected(), 1);
         p.next_cycle();
-        assert_eq!(p.available(), 2);
         assert!(p.try_acquire());
-        assert_eq!(p.total_acquired(), 3);
-    }
-
-    #[test]
-    fn busiest_cycle_tracks_peak() {
-        let mut p = CachePorts::new(3);
-        p.try_acquire();
-        p.next_cycle();
-        p.try_acquire();
-        p.try_acquire();
-        assert_eq!(p.busiest_cycle(), 2);
+        assert!(p.try_acquire());
+        assert!(!p.try_acquire(), "the next cycle has the same two ports");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every sweep in this crate — a figure grid, a service turn —
 //! runs through [`crate::MatrixRunner`], and every member of a matrix runs
 //! start to finish on its own [`SimSession`] over the captured trace,
-//! inside the one panic boundary defined here ([`run_member_outcome`]).
+//! inside the one panic boundary defined here (`run_member_outcome`).
 //! A sweep is only as useful as its worst member: one wedged or panicking
 //! configuration must not take down the statistics of its siblings, so
 //! each member reports a [`MemberOutcome`] instead of bare statistics:

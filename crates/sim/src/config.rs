@@ -2,7 +2,7 @@
 
 use dvi_bpred::PredictorConfig;
 use dvi_core::DviConfig;
-use dvi_mem::CacheConfig;
+use dvi_mem::{CacheConfig, DcacheModelKind, MemoryHierarchy};
 use std::fmt;
 
 /// A structural defect in a [`SimConfig`], reported by
@@ -69,21 +69,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Which model stands behind the L1-data-side seam
-/// ([`SimConfig::dcache_model`]). Distinct kinds model distinct machines:
-/// a [`DcacheModelKind::Perfect`] member makes different hit/miss decisions
-/// than a stock member of the same shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DcacheModelKind {
-    /// The stock set-associative L1D tag array of
-    /// [`SimConfig::dcache`]'s geometry. The default.
-    #[default]
-    Stock,
-    /// An always-hit L1D at the configured hit latency
-    /// ([`dvi_mem::PerfectDcache`]) — the data-side upper-bound machine.
-    Perfect,
-}
-
 /// Configuration of the simulated machine.
 ///
 /// [`SimConfig::micro97`] reproduces Figure 2: 4-wide issue, a 64-entry
@@ -120,9 +105,9 @@ pub struct SimConfig {
     pub icache: CacheConfig,
     /// L1 data cache geometry.
     pub dcache: CacheConfig,
-    /// Which model stands behind the L1-data-side seam (stock tag array
-    /// by default; [`DcacheModelKind::Perfect`] models the always-hit
-    /// upper-bound machine).
+    /// Which L1 data cache the machine has: the tag array of
+    /// [`SimConfig::dcache`]'s geometry by default, or the always-hit
+    /// upper-bound model ([`DcacheModelKind::Perfect`]) at its latency.
     pub dcache_model: DcacheModelKind,
     /// Unified L2 geometry.
     pub l2: CacheConfig,
@@ -199,6 +184,26 @@ impl SimConfig {
     pub fn with_perfect_dcache(mut self) -> Self {
         self.dcache_model = DcacheModelKind::Perfect;
         self
+    }
+
+    /// Builds this machine's memory hierarchy: the L1I, the L1D model
+    /// [`SimConfig::dcache_model`] picks, the L2 and main memory. Every
+    /// core builds its memory here, so the production core and the
+    /// [`crate::legacy`] reference always model the same memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag-array geometry is invalid (see
+    /// [`CacheConfig::num_sets`]).
+    #[must_use]
+    pub fn memory(&self) -> MemoryHierarchy {
+        MemoryHierarchy::new(
+            self.icache,
+            self.dcache,
+            self.dcache_model,
+            self.l2,
+            self.memory_latency,
+        )
     }
 
     /// Returns a copy with a different number of data-cache ports

@@ -39,10 +39,9 @@ pub type ReclaimList = SmallVec<PhysReg, 8>;
 /// instructions (fetch stalls on a misprediction instead), so DVI updates
 /// are never speculative and physical registers reclaimed by
 /// [`DviEngine::on_kill`], [`DviEngine::on_call`] and
-/// [`DviEngine::on_return`] can be returned to the free list immediately;
-/// the checkpoint/recovery mechanism the paper describes for speculative
-/// decode is provided by [`dvi_core::CheckpointedLvm`] and exercised in its
-/// own tests.
+/// [`DviEngine::on_return`] can be returned to the free list immediately.
+/// The machine therefore needs none of the LVM checkpoint/recovery
+/// hardware the paper describes for speculative decode.
 #[derive(Debug, Clone)]
 pub struct DviEngine {
     config: DviConfig,

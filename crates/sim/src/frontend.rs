@@ -5,7 +5,7 @@
 //! preserved seed core [`crate::legacy::LegacySimulator`] — model exactly
 //! the same fetch and rename/dispatch stages. Before this module existed
 //! the two carried verbatim copies of that code; they now share one
-//! [`FrontEnd`], so the stages *cannot* drift apart and the decode
+//! `FrontEnd`, so the stages *cannot* drift apart and the decode
 //! memoization below benefits both.
 //!
 //! # Per-PC decode memoization

@@ -13,8 +13,13 @@
 //! with `Interpreter::with_sparse_memory` for the original interpreter
 //! memory as well).
 //!
+//! The reference honours every [`SimConfig`] field. It builds its memory
+//! through [`SimConfig::memory`], as the production core does, so the two
+//! model the same machine, the perfect-L1D machine
+//! ([`SimConfig::with_perfect_dcache`]) included.
+//!
 //! The in-order front end (fetch and the per-instruction rename/dispatch
-//! decisions) is the shared, memoized [`crate::frontend::FrontEnd`]: the
+//! decisions) is the shared, memoized `crate::frontend::FrontEnd`: the
 //! stages were verbatim copies of the main pipeline's and are behaviourally
 //! identical, so sharing them removes the duplication without perturbing
 //! the modelled machine. Only the *back end* here intentionally tracks the
@@ -100,12 +105,7 @@ impl LegacySimulator {
         LegacySimulator {
             rename: RenameState::new(config.phys_regs),
             dvi: DviEngine::new(config.dvi, Abi::mips_like()),
-            mem: MemoryHierarchy::new(
-                config.icache,
-                config.dcache,
-                config.l2,
-                config.memory_latency,
-            ),
+            mem: config.memory(),
             ports: CachePorts::new(config.cache_ports),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units),
             pred: FetchPredictor::new(config.predictor),
@@ -261,14 +261,14 @@ impl LegacySimulator {
         match class {
             InstrClass::Load => {
                 let addr = self.window[idx].mem_addr.expect("memory operation without an address");
-                self.mem.data_access(addr, false).latency
+                self.mem.data_access(addr).latency
             }
             InstrClass::Store => {
                 let addr = self.window[idx].mem_addr.expect("memory operation without an address");
                 // Stores retire into the cache; the pipeline only waits for
                 // address/data readiness, so the latency charged here is the
                 // port occupancy, while the access updates the cache state.
-                let _ = self.mem.data_access(addr, true);
+                let _ = self.mem.data_access(addr);
                 1
             }
             other => u64::from(other.base_latency()),

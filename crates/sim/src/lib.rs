@@ -5,7 +5,11 @@
 //! fetch/decode/rename, out-of-order issue over a unified instruction
 //! window, in-order commit, MIPS-R10000-style register renaming with an
 //! explicit free list, a combining branch predictor, a two-level cache
-//! hierarchy and a configurable number of data-cache ports.
+//! hierarchy and a configurable number of data-cache ports. Each machine
+//! builds its memory hierarchy from its configuration
+//! ([`SimConfig::memory`]), whose L1 data side is the stock tag array or
+//! the always-hit cache of the perfect-L1D machine
+//! ([`SimConfig::with_perfect_dcache`]).
 //!
 //! The DVI extensions of the paper are integrated exactly where Sections 4
 //! and 5 place them:
@@ -15,7 +19,8 @@
 //!   (I-DVI);
 //! * dead architectural registers are **unmapped** from the register alias
 //!   table when the DVI arrives, and their physical registers are reclaimed
-//!   when the DVI-providing instruction commits ([`DviConfig::reclaim_phys_regs`]);
+//!   when the DVI-providing instruction commits
+//!   ([`dvi_core::DviConfig::reclaim_phys_regs`]);
 //! * `live-store` saves whose data register is dead are **not dispatched**
 //!   (LVM scheme), and `live-load` restores whose register was dead in the
 //!   snapshot at the top of the **LVM-Stack** are likewise dropped
@@ -66,7 +71,7 @@
 //! throughput baseline.
 //!
 //! The front end is **shared and memoized**: both cores fetch and
-//! rename/dispatch through [`frontend::FrontEnd`], whose per-PC
+//! rename/dispatch through one `frontend::FrontEnd`, whose per-PC
 //! [`DecodeMemo`] computes the static decoding of each instruction (class,
 //! functional unit, source/destination registers, DVI kill masks) exactly
 //! once per static PC — see [`frontend`] for the memoization invariants.
@@ -127,8 +132,9 @@ pub mod store;
 mod window;
 
 pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
-pub use config::{ConfigError, DcacheModelKind, SimConfig};
+pub use config::{ConfigError, SimConfig};
 pub use dvi_engine::{DviEngine, ReclaimList};
+pub use dvi_mem::DcacheModelKind;
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner};

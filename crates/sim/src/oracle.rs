@@ -18,7 +18,7 @@ use crate::frontend::FetchPredictor;
 use dvi_bpred::PredictorConfig;
 use dvi_core::DviConfig;
 use dvi_isa::{Abi, Instr, RegMask, NUM_ARCH_REGS};
-use dvi_mem::{AccessKind, Cache, CacheConfig};
+use dvi_mem::{Cache, CacheConfig};
 use dvi_program::{CapturedTrace, LayoutProgram};
 
 /// A packed bitstream with sequential append and random read.
@@ -108,8 +108,8 @@ impl IcacheOracle {
             let line = byte_addr >> line_shift;
             if last_line != Some(line) {
                 last_line = Some(line);
-                bits.push(l1i.access(byte_addr, AccessKind::Read).hit);
-                bits.push(l1i.access((line + 1) << line_shift, AccessKind::Read).hit);
+                bits.push(l1i.access(byte_addr));
+                bits.push(l1i.access((line + 1) << line_shift));
             }
         }
         IcacheOracle { bits }

@@ -31,7 +31,7 @@
 //! `replay_equiv`, `matrix_equiv`) and the golden figures lock the
 //! statistics bit-for-bit.
 
-use crate::config::{DcacheModelKind, SimConfig};
+use crate::config::SimConfig;
 use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
@@ -41,7 +41,7 @@ use crate::session::SimSession;
 use crate::stats::SimStats;
 use crate::window::{EntryState, WindowRing};
 use dvi_isa::{Abi, FuKind, InstrClass};
-use dvi_mem::{CachePorts, DataMemModel, MemoryHierarchy, PerfectDcache};
+use dvi_mem::{CachePorts, MemoryHierarchy};
 use dvi_program::{DynInst, InstrSource};
 
 /// Safety valve: if the pipeline makes no forward progress for this many
@@ -115,29 +115,20 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Builds a core for `config`, with the L1 data side `config`
-    /// describes unless `dcache` substitutes another model (see
-    /// [`dvi_mem::DataMemModel`]).
+    /// Builds a core for `config`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
-    pub(crate) fn new(config: SimConfig, dcache: Option<Box<dyn DataMemModel>>) -> Core {
+    pub(crate) fn new(config: SimConfig) -> Core {
         config.validate();
         let window = WindowRing::new(config.window_size);
-        let mut mem =
-            MemoryHierarchy::new(config.icache, config.dcache, config.l2, config.memory_latency);
-        if let Some(model) = dcache {
-            mem = mem.with_dcache_model(model);
-        } else if config.dcache_model == DcacheModelKind::Perfect {
-            mem = mem.with_dcache_model(Box::new(PerfectDcache::new(config.dcache.latency)));
-        }
         // The longest schedulable latency is a load missing every level.
         let max_latency = config.dcache.latency + config.l2.latency + config.memory_latency + 64;
         Core {
             rename: RenameState::new(config.phys_regs),
             dvi: DviEngine::new(config.dvi, Abi::mips_like()),
-            mem,
+            mem: config.memory(),
             ports: CachePorts::new(config.cache_ports),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units),
             pred: FetchPredictor::new(config.predictor),
@@ -346,14 +337,14 @@ impl Core {
         match class {
             InstrClass::Load => {
                 let addr = self.window.mem_addr(wseq);
-                self.mem.data_access(addr, false).latency
+                self.mem.data_access(addr).latency
             }
             InstrClass::Store => {
                 let addr = self.window.mem_addr(wseq);
                 // Stores retire into the cache; the pipeline only waits for
                 // address/data readiness, so the latency charged here is the
                 // port occupancy, while the access updates the cache state.
-                let _ = self.mem.data_access(addr, true);
+                let _ = self.mem.data_access(addr);
                 1
             }
             other => u64::from(other.base_latency()),
@@ -599,10 +590,9 @@ mod tests {
 
     #[test]
     fn dcache_model_seam_is_bit_identical_for_same_geometry() {
-        // Substituting a fresh tag array of the member's own geometry
-        // through the `DataMemModel` seam must be invisible end to end;
-        // a perfect D-cache is a deliberately different (no-slower)
-        // machine.
+        // The L1D model is part of the configuration: a stock machine
+        // run twice is bit-identical, and the perfect-L1D machine is a
+        // deliberately different (no-slower) machine over the same trace.
         let spec = dvi_workloads::WorkloadSpec::small("dmem-seam", 13);
         let program = dvi_workloads::generate(&spec);
         let abi = Abi::mips_like();
@@ -613,20 +603,12 @@ mod tests {
         let config = SimConfig::micro97().with_dvi(dvi_core::DviConfig::full());
 
         let stock = Simulator::new(config.clone()).run(trace.replay());
-        let same_geometry = SimSession::with_dcache_model(
-            config.clone(),
-            trace.cursor(),
-            Box::new(dvi_mem::CacheLevel::new(config.dcache)),
-        )
-        .run_to_completion();
-        assert_eq!(stock, same_geometry, "same-geometry dcache swap must be invisible");
+        let again = SimSession::new(config.clone(), trace.cursor()).run_to_completion();
+        assert_eq!(stock, again, "the same configuration must model the same machine");
+        assert!(stock.memory.l1d.misses > 0, "the stock L1D misses on this workload");
 
-        let perfect = SimSession::with_dcache_model(
-            config.clone(),
-            trace.cursor(),
-            Box::new(dvi_mem::PerfectDcache::new(config.dcache.latency)),
-        )
-        .run_to_completion();
+        let perfect =
+            SimSession::new(config.with_perfect_dcache(), trace.cursor()).run_to_completion();
         assert_eq!(perfect.memory.l1d.misses, 0, "a perfect D-cache never misses");
         assert!(perfect.cycles <= stock.cycles, "an always-hit data side cannot be slower");
         assert_eq!(perfect.program_instrs, stock.program_instrs);

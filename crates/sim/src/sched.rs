@@ -245,9 +245,10 @@ impl ReadyRing {
     }
 
     /// Collects every ready entry into `out` in age order, given the
-    /// current window head sequence number. (The caller re-checks state and
-    /// applies the issue-width cut-off; entries it cannot issue stay set.)
-    pub fn collect_in_age_order(&self, head: u64, out: &mut Vec<u64>) {
+    /// current window head sequence number: the straightforward reference
+    /// the tests hold [`ReadyRing::iter_snapshot`] to.
+    #[cfg(test)]
+    fn collect_in_age_order(&self, head: u64, out: &mut Vec<u64>) {
         out.clear();
         if self.count == 0 {
             return;

@@ -63,34 +63,13 @@ impl<S: InstrSource> SimSession<S> {
     /// Panics if the configuration fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(config: SimConfig, source: S) -> SimSession<S> {
-        SimSession::from_core(Core::new(config, None), source)
-    }
-
-    /// Builds a session whose L1-data-side model is `dcache` instead of
-    /// the tag array `config.dcache` describes (see
-    /// [`dvi_mem::DataMemModel`] and
-    /// [`dvi_mem::MemoryHierarchy::with_dcache_model`]).
-    ///
-    /// Substituting a model that makes the same hit/miss decisions (a
-    /// fresh [`dvi_mem::CacheLevel`] of the member's own geometry) leaves
-    /// the statistics bit-identical; any other model simulates a different
-    /// machine on purpose (e.g. [`dvi_mem::PerfectDcache`] for an
-    /// upper-bound run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    #[must_use]
-    pub fn with_dcache_model(
-        config: SimConfig,
-        source: S,
-        dcache: Box<dyn dvi_mem::DataMemModel>,
-    ) -> SimSession<S> {
-        SimSession::from_core(Core::new(config, Some(dcache)), source)
-    }
-
-    fn from_core(core: Core, source: S) -> SimSession<S> {
-        SimSession { core, source, last_progress: (0, 0), last_fetch: (0, 0), finished: false }
+        SimSession {
+            core: Core::new(config),
+            source,
+            last_progress: (0, 0),
+            last_fetch: (0, 0),
+            finished: false,
+        }
     }
 
     /// Advances the machine one cycle; returns `true` while there is more

@@ -245,9 +245,8 @@ impl WindowRing {
     }
 
     /// Destination physical register, if any.
-    #[inline]
-    #[must_use]
-    pub fn dst(&self, wseq: u64) -> Option<PhysReg> {
+    #[cfg(test)]
+    fn dst(&self, wseq: u64) -> Option<PhysReg> {
         unpack(self.dst[self.slot(wseq)])
     }
 
@@ -363,9 +362,8 @@ impl WindowRing {
     }
 
     /// Cycle at which an issued entry finishes execution.
-    #[inline]
-    #[must_use]
-    pub fn done_at(&self, wseq: u64) -> u64 {
+    #[cfg(test)]
+    fn done_at(&self, wseq: u64) -> u64 {
         let s = self.slot(wseq);
         debug_assert!(self.issued[s], "done_at read on an un-issued entry");
         self.done_at[s]

@@ -10,7 +10,9 @@
 //!   hard-coded values, so any behavioural change to the core — or to the
 //!   reference — is caught immediately;
 //! * a configuration grid compares the two bit-for-bit across
-//!   register-file sizes, DVI schemes and port counts;
+//!   register-file sizes, DVI schemes and port counts, plus the
+//!   perfect-L1D machine (both cores build their memory from the
+//!   configuration, so they agree on its L1D model too);
 //! * a property test does the same over randomly generated programs.
 
 use dvi_core::DviConfig;
@@ -100,6 +102,8 @@ fn schedulers_agree_across_the_configuration_grid() {
             }
         }
     }
+    let perfect = SimConfig::micro97().with_phys_regs(48).with_dvi(DviConfig::full());
+    let _ = run_both(&layout, perfect.with_perfect_dcache(), 8_000);
 }
 
 #[test]
