@@ -28,12 +28,6 @@ impl CodeSizeReport {
         self.base_instrs as u64 * INSTR_BYTES
     }
 
-    /// Annotated code size in bytes.
-    #[must_use]
-    pub fn edvi_bytes(&self) -> u64 {
-        self.edvi_instrs as u64 * INSTR_BYTES
-    }
-
     /// Code-size increase in percent.
     #[must_use]
     pub fn pct_increase(&self) -> f64 {

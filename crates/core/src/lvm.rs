@@ -55,12 +55,6 @@ impl Lvm {
         self.live
     }
 
-    /// The current dead mask.
-    #[must_use]
-    pub fn dead_mask(&self) -> RegMask {
-        !self.live
-    }
-
     /// Whether `reg` currently holds a live value.
     #[must_use]
     pub fn is_live(&self, reg: ArchReg) -> bool {

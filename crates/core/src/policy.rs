@@ -140,12 +140,6 @@ impl DviConfig {
     pub fn tracks_dvi(&self) -> bool {
         self.use_idvi || self.use_edvi
     }
-
-    /// Whether any save/restore elimination is active.
-    #[must_use]
-    pub fn eliminates_any(&self) -> bool {
-        self.eliminate_saves || self.eliminate_restores
-    }
 }
 
 impl Default for DviConfig {

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--quick` uses the reduced instruction budget (useful for smoke tests);
-//! the default budget simulates a few hundred thousand instructions per
-//! benchmark per configuration, which regenerates every figure in a few
-//! minutes on a laptop.
+//! the default budget simulates up to a few hundred thousand instructions
+//! per benchmark per configuration (five of the seven presets halt
+//! earlier), which regenerates every figure in about 3 s on a 2-CPU host.
 
 use dvi_experiments::{fig02, fig03, fig05, fig06, fig09, fig10, fig11, fig12, fig13, Budget};
 use std::process::ExitCode;

@@ -3,11 +3,11 @@
 //! The memory system of the paper's Figure 2, the one the DVI reproduction
 //! models: set-associative caches with LRU replacement, arranged as split
 //! 64KB 4-way L1 instruction and data caches with 1-cycle latency in front
-//! of a 512KB 4-way unified L2 with 8-cycle latency and main memory, plus
-//! the replicated cache-port model that Figure 11's bandwidth analysis
-//! varies. The L1 data side is either the tag array or an always-hit cache
+//! of a 512KB 4-way unified L2 with 8-cycle latency and main memory. The
+//! L1 data side is either the tag array or an always-hit cache
 //! ([`DcacheModelKind`]); a simulator builds its hierarchy from its machine
-//! configuration.
+//! configuration, and arbitrates the data-cache ports with its other
+//! functional units.
 //!
 //! # Example
 //!
@@ -32,8 +32,6 @@
 
 mod cache;
 mod hierarchy;
-mod ports;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{DcacheModelKind, HierarchyStats, MemAccess, MemoryHierarchy};
-pub use ports::CachePorts;

@@ -1,8 +1,7 @@
 //! Durable, integrity-checked binary artifacts.
 //!
-//! Captured traces (and the sim crate's result-store entries and shard
-//! jobs, which reuse this module) are written to disk as
-//! **artifact containers**: a fixed header followed by independently
+//! Captured traces (and the sim crate's result-store entries, which reuse
+//! this module) are written to disk as **artifact containers**: a fixed header followed by independently
 //! checksummed sections. The format is deliberately dumb — no compression,
 //! no schema evolution machinery — because its one job is to make every
 //! failure mode *loud and typed*: a file from a different tool is
@@ -392,9 +391,8 @@ impl ArtifactWriter {
         ArtifactWriter { magic, version, sections: Vec::new() }
     }
 
-    /// Appends one section. Tags are a writer-chosen namespace; duplicate
-    /// tags are allowed and read back in order via
-    /// [`ArtifactReader::sections_with_tag`].
+    /// Appends one section. Tags are a writer-chosen namespace; a reader
+    /// returns the first section with a tag.
     pub fn section(&mut self, tag: u32, payload: Vec<u8>) {
         self.sections.push((tag, payload));
     }
@@ -508,19 +506,11 @@ impl<'a> ArtifactReader<'a> {
 
     /// The first section with `tag`, or [`ArtifactError::MissingSection`].
     pub fn section(&self, tag: u32) -> Result<&'a [u8], ArtifactError> {
-        self.section_opt(tag).ok_or(ArtifactError::MissingSection { section: tag })
-    }
-
-    /// The first section with `tag`, if present.
-    #[must_use]
-    pub fn section_opt(&self, tag: u32) -> Option<&'a [u8]> {
-        self.sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p)
-    }
-
-    /// Every section with `tag`, in file order (for repeated sections such
-    /// as one-per-member shard-job entries).
-    pub fn sections_with_tag(&self, tag: u32) -> impl Iterator<Item = &'a [u8]> + '_ {
-        self.sections.iter().filter(move |(t, _)| *t == tag).map(|(_, p)| *p)
+        self.sections
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map(|(_, p)| *p)
+            .ok_or(ArtifactError::MissingSection { section: tag })
     }
 }
 
@@ -552,8 +542,6 @@ mod tests {
         assert_eq!(r.version(), 3);
         assert_eq!(r.section(1).unwrap(), &[1, 2, 3]);
         assert_eq!(r.section(2).unwrap(), &[] as &[u8]);
-        let ones: Vec<&[u8]> = r.sections_with_tag(1).collect();
-        assert_eq!(ones, vec![&[1u8, 2, 3] as &[u8], &[9u8]]);
         assert_eq!(r.section(7), Err(ArtifactError::MissingSection { section: 7 }));
     }
 

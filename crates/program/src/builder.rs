@@ -77,13 +77,6 @@ impl ProcBuilder {
         self.blocks[self.current].instrs.push(instr);
     }
 
-    /// Appends every instruction in `instrs` to the current block.
-    pub fn emit_all<I: IntoIterator<Item = Instr>>(&mut self, instrs: I) {
-        for i in instrs {
-            self.emit(i);
-        }
-    }
-
     /// Appends a call to the procedure named `callee`; the target is
     /// resolved when the program is built.
     pub fn emit_call(&mut self, callee: impl Into<String>) {

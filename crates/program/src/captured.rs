@@ -406,8 +406,7 @@ impl CapturedTrace {
     /// the wall-clock graph-build time — are deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
-    /// sharing derived artifacts (stored results, shard jobs)
-    /// across processes. Computed on first use, cached for the trace's
+    /// sharing stored results across processes. Computed on first use, cached for the trace's
     /// lifetime (the covered data is immutable after construction).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -479,10 +478,7 @@ pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// not decoded.
 pub const TRACE_VERSION: u32 = 5;
 
-/// Section tags of the trace artifact. Tags below `0x100` are reserved
-/// for the trace itself; dependent crates embedding extra sections in
-/// their own artifacts (shard jobs) use tags at or
-/// above `0x100`.
+/// Section tags of the trace artifact.
 pub mod section {
     /// Record count, static image length, the first record's PC (since
     /// version 4) and the recording's [`crate::ExecSummary`].
@@ -731,20 +727,6 @@ impl TraceCursor<'_> {
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.idx
-    }
-
-    /// Whether every record has been consumed.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.idx >= self.trace.len()
-    }
-
-    /// Rewinds the cursor to the first record.
-    pub fn rewind(&mut self) {
-        self.idx = 0;
-        self.pc = self.trace.first_pc;
-        self.mem_idx = 0;
-        self.redirect_idx = 0;
     }
 }
 

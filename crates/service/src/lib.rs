@@ -1,7 +1,7 @@
 //! # dvi-service
 //!
 //! The persistent sweep service: a long-running, concurrent experiment
-//! server over the batch substrate the previous layers built. The figure
+//! server over the simulator's matrix runner and result store. The figure
 //! drivers run a sweep and exit; the service keeps a worker pool and a
 //! result cache alive so repeated, overlapping and interrupted experiment
 //! traffic gets the substrate's full guarantees without each caller
@@ -10,24 +10,26 @@
 //! * **Job model & scheduler** ([`SweepService`]) — a job is one
 //!   (trace × configuration-grid) request. Each scheduling turn drains the
 //!   *entire* pending queue — spanning however many distinct traces — into
-//!   one [`dvi_sim::MatrixRunner`] matrix: the fingerprint-keyed trace
-//!   registry resolves each distinct trace once, identical
-//!   (trace, configuration) members across jobs simulate **once**. Turns
-//!   run with `MemberOutcome` fault isolation and store-backed durability: the matrix stores each
-//!   member in the result cache as it finishes, so an attempt that dies
-//!   mid-matrix is retried, skips every member already stored and
-//!   finishes bit-identical (member statistics are a pure function of
-//!   configuration and trace). Jobs can be cancelled
-//!   ([`SweepService::cancel`]): queued members leave the matrix
-//!   immediately, in-flight members stop cooperatively at the next
-//!   scheduling claim.
+//!   one [`dvi_sim::MatrixRunner`] matrix with one cell per job: the
+//!   fingerprint-keyed trace registry resolves each distinct trace once,
+//!   and identical (trace, configuration) members across jobs simulate
+//!   **once**. Turns run with `MemberOutcome` fault isolation and
+//!   store-backed durability: the matrix stores each member in the result
+//!   cache as it finishes, so an attempt that dies mid-matrix is retried,
+//!   restores every member already stored and finishes bit-identical
+//!   (member statistics are a pure function of configuration and trace).
+//!   Jobs can be cancelled ([`SweepService::cancel`]): a queued job leaves
+//!   the queue immediately, in-flight members stop cooperatively at the
+//!   next scheduling claim.
 //! * **Content-addressed result cache** ([`ResultCache`], the simulator's
 //!   one outcome store, re-exported from [`dvi_sim::store`]) — completed
 //!   member statistics are kept on disk under `<data_dir>/memo`, keyed by
 //!   (`CapturedTrace::fingerprint`, `checkpoint::config_fingerprint`) in
-//!   the checksummed artifact container, so resubmitting a grid is a pure
-//!   cache hit with zero simulation; a corrupt or stale entry degrades to
-//!   a live run, never to wrong statistics.
+//!   the checksummed artifact container. The turn's matrix probes it once
+//!   per distinct member and reports each grid slot's probe, so
+//!   resubmitting a grid is a pure cache hit with zero simulation; a
+//!   corrupt or stale entry degrades to a live run, never to wrong
+//!   statistics.
 //! * **Front end** ([`http`]) — an HTTP/1.1 server hand-rolled over
 //!   `std::net::TcpListener` (no async runtime: the vendor policy ships no
 //!   tokio/hyper) with a minimal JSON codec ([`json`]), plus the

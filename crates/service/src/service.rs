@@ -1,36 +1,36 @@
 //! The job model, scheduler and worker pool.
 //!
-//! A **job** is one (trace × configuration-grid) request. The scheduler
-//! flattens every queued job into a shared (trace, config) work matrix:
-//! jobs submitted against the same trace source merge into one **batch**
-//! while it is still queued, and each scheduling turn drains the *entire*
-//! pending queue — however many traces it spans — into one
-//! [`MatrixRunner`] run. The matrix's fingerprint-keyed trace registry
-//! resolves two batch keys naming the same trace to one entry, and each
-//! distinct (trace, configuration) member simulates at most once, however
-//! many jobs asked for it.
+//! A **job** is one (trace × configuration-grid) request. Each scheduling
+//! turn drains the *entire* pending queue — however many traces it spans —
+//! into one [`MatrixRunner`] run with **one cell per job**, whose grid is
+//! the job's whole grid; that cell's outcomes are the job's results, in
+//! grid order. The matrix's fingerprint-keyed trace registry resolves two
+//! jobs naming the same trace (by preset or by uploaded fingerprint) to
+//! one entry, and each distinct (trace, configuration) member simulates
+//! at most once, however many jobs asked for it.
 //!
-//! Each matrix turn gets the substrate's full durability story: the cache
-//! is probed per distinct member (hits simulate nothing), and the misses
-//! run through [`MatrixRunner`] over the same cache as its result store,
-//! inside a scoped thread whose panic is caught. The matrix stores each
-//! member as it finishes, so fresh results are memoized for every later
-//! job, and a dead attempt is retried once, skipping every member the
-//! dead attempt stored — bit-identical to the uninterrupted run because
-//! member statistics are a pure function of (configuration, trace).
-//! Cancellation rides the matrix's cooperative cell gate: a
-//! cancelled job's queued units leave the pending queue immediately, and
-//! its in-flight members are skipped at the next scheduling claim unless
+//! The matrix runs over the service's result cache as its store, inside a
+//! scoped thread whose panic is caught. It probes the cache once per
+//! distinct member and restores the hits (they simulate nothing); each
+//! grid slot's probe ([`dvi_sim::MatrixOutcome::probes`]) is the job's
+//! `cached` flag and feeds the hit/miss/damaged counters. The matrix
+//! stores each member as it finishes, so fresh results are memoized for
+//! every later job, and a dead attempt is retried once: the retry
+//! restores every member the dead attempt stored — those slots report
+//! cache hits — and finishes bit-identical to the uninterrupted run
+//! because member statistics are a pure function of (configuration,
+//! trace). Cancellation rides the matrix's cooperative cell gate: a
+//! cancelled queued job leaves the pending queue immediately, and a
+//! running job's members are skipped at the next scheduling claim unless
 //! another live job wants them too.
 
 use crate::workload::{build_preset_trace, preset_names};
 use crate::ServiceError;
 use dvi_program::CapturedTrace;
-use dvi_sim::checkpoint::config_fingerprint;
 use dvi_sim::{
-    CacheProbe, MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, SweepSummary,
+    MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, StoreProbe, SweepSummary,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -43,12 +43,14 @@ pub struct ServiceConfig {
     /// Root directory for everything durable: the result cache lives in
     /// `<data_dir>/memo`.
     pub data_dir: PathBuf,
-    /// Worker threads pulling batches off the queue.
+    /// Worker threads draining the queue, each turn one matrix run on
+    /// this many simulation threads.
     pub workers: usize,
     /// Test hook for the kill/resume suite: the **first** matrix attempt
     /// after startup dies (panics) once this many members have completed
-    /// — after their results were stored — exercising the resume-from-
-    /// store retry exactly as a crashed worker would.
+    /// — after their results were stored; members restored from the cache
+    /// count as completed — exercising the resume-from-store retry exactly
+    /// as a crashed worker would.
     pub fault_abort_after_turns: Option<u64>,
 }
 
@@ -111,7 +113,7 @@ pub struct JobSpec {
 pub enum JobState {
     /// Waiting for a worker.
     Queued,
-    /// A worker is running its batch.
+    /// A worker is running its scheduling turn.
     Running,
     /// Every member has an outcome; results are available.
     Done,
@@ -203,16 +205,17 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
     /// Sweep members submitted across all jobs.
     pub members_submitted: u64,
-    /// Members actually simulated (distinct cache misses; a resubmitted
-    /// grid adds zero here — the instrumented proof that memoization
-    /// served it).
+    /// Members actually simulated: distinct (trace, configuration)
+    /// members per turn that the cache did not serve and no cancellation
+    /// skipped (a resubmitted grid adds zero here — the instrumented proof
+    /// that memoization served it).
     pub members_simulated: u64,
-    /// Members served from the result cache.
+    /// Grid slots served from the result cache.
     pub cache_hits: u64,
-    /// Members whose key had no cache entry.
+    /// Grid slots whose member had no cache entry.
     pub cache_misses: u64,
-    /// Members whose cache entry existed but failed verification and
-    /// degraded to a live run.
+    /// Grid slots whose member's cache entry existed but failed
+    /// verification and degraded to a live run.
     pub cache_damaged: u64,
     /// Always 0: no member dispatches through a fusion table. Kept, with
     /// the two counters below and [`MetricsSnapshot::fusion_coverage_pct`],
@@ -223,12 +226,14 @@ pub struct MetricsSnapshot {
     pub fusion_fused_records: u64,
     /// Always 0 (see [`MetricsSnapshot::fusion_groups`]).
     pub fusion_fallback_records: u64,
-    /// Batch attempts that died (panicked) and went through the
-    /// resume-from-store retry.
+    /// Matrix attempts that died (panicked); the first death of a turn
+    /// goes through the resume-from-store retry.
     pub worker_deaths: u64,
-    /// Matrix scheduling turns run (each drains the whole pending queue).
+    /// Scheduling turns that had a member to simulate (each drains the
+    /// whole pending queue; a turn the cache served entirely is not
+    /// counted).
     pub matrix_turns: u64,
-    /// Distinct traces seen across all matrix turns after
+    /// Distinct traces seen across the counted matrix turns after
     /// fingerprint-keyed registry deduplication.
     pub matrix_distinct_traces: u64,
     /// Always 0 ([`dvi_sim::MatrixReport::shared_builds`]); kept for the
@@ -247,7 +252,7 @@ pub struct MetricsSnapshot {
     pub queue_wait_seconds: f64,
     /// Total pickup-to-completion time across done jobs, in seconds.
     pub run_seconds: f64,
-    /// Total time workers spent running batches, in seconds.
+    /// Total time workers spent running turns, in seconds.
     pub busy_seconds: f64,
     /// Service uptime in seconds.
     pub uptime_seconds: f64,
@@ -256,7 +261,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fraction of probed members served from the cache, in `[0, 1]`.
+    /// Fraction of probed grid slots served from the cache, in `[0, 1]`.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         let probed = self.cache_hits + self.cache_misses + self.cache_damaged;
@@ -267,7 +272,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of worker capacity spent running batches since startup,
+    /// Fraction of worker capacity spent running turns since startup,
     /// in `[0, 1]`.
     #[must_use]
     pub fn worker_utilization(&self) -> f64 {
@@ -315,29 +320,6 @@ impl MetricsSnapshot {
 
 // ------------------------------------------------------------ internals --
 
-/// What identifies a mergeable batch: jobs whose sources resolve to the
-/// same trace share one batch while it is still queued.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BatchKey {
-    Preset { name: String, instrs: u64 },
-    Trace(u64),
-}
-
-/// One cell of the (trace × config) work matrix: a member of some job.
-#[derive(Debug, Clone)]
-struct Unit {
-    job: u64,
-    index: usize,
-    config: SimConfig,
-    config_fp: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Batch {
-    key: BatchKey,
-    units: Vec<Unit>,
-}
-
 #[derive(Debug)]
 struct Job {
     state: JobState,
@@ -352,7 +334,8 @@ struct Job {
 struct SchedState {
     next_job: u64,
     jobs: HashMap<u64, Job>,
-    pending: VecDeque<Batch>,
+    /// Submitted jobs not yet drained into a turn, in submission order.
+    pending: VecDeque<(u64, JobSpec)>,
     /// Registered + preset-built traces by content fingerprint.
     traces: HashMap<u64, Arc<CapturedTrace>>,
     /// (preset name, instruction budget) → trace fingerprint, so a preset
@@ -391,7 +374,7 @@ struct ServiceInner {
     config: ServiceConfig,
     cache: ResultCache,
     state: Mutex<SchedState>,
-    /// Signalled when a batch is queued (or shutdown begins).
+    /// Signalled when a job is queued (or shutdown begins).
     work: Condvar,
     /// Signalled when a job reaches a terminal state.
     done: Condvar,
@@ -467,8 +450,8 @@ impl SweepService {
         fingerprint
     }
 
-    /// Submits a job and returns its id. The job merges into a queued
-    /// batch over the same trace if one exists.
+    /// Submits a job and returns its id. The job waits in the pending
+    /// queue until a worker's next scheduling turn drains it.
     ///
     /// # Errors
     ///
@@ -484,26 +467,23 @@ impl SweepService {
         for config in &spec.grid {
             config.check()?;
         }
-        let key = match &spec.source {
-            TraceSource::Preset { name, instrs } => {
-                if *instrs == 0 {
-                    return Err(ServiceError::InvalidRequest(
-                        "instruction budget must be positive".into(),
-                    ));
-                }
-                if !preset_names().contains(name) {
-                    return Err(ServiceError::UnknownPreset(name.clone()));
-                }
-                BatchKey::Preset { name: name.clone(), instrs: *instrs }
+        if let TraceSource::Preset { name, instrs } = &spec.source {
+            if *instrs == 0 {
+                return Err(ServiceError::InvalidRequest(
+                    "instruction budget must be positive".into(),
+                ));
             }
-            TraceSource::Fingerprint(fp) => BatchKey::Trace(*fp),
-        };
+            if !preset_names().contains(name) {
+                return Err(ServiceError::UnknownPreset(name.clone()));
+            }
+        }
 
+        let members = spec.grid.len();
         let mut state = lock(&self.0.state);
         if state.shutting_down {
             return Err(ServiceError::ShuttingDown);
         }
-        if let BatchKey::Trace(fp) = key {
+        if let TraceSource::Fingerprint(fp) = spec.source {
             if !state.traces.contains_key(&fp) {
                 return Err(ServiceError::UnknownTrace(fp));
             }
@@ -517,24 +497,15 @@ impl SweepService {
                 submitted: Instant::now(),
                 started: None,
                 finished: None,
-                results: vec![None; spec.grid.len()],
+                results: vec![None; members],
             },
         );
-        let units = spec.grid.iter().enumerate().map(|(index, config)| Unit {
-            job: id,
-            index,
-            config: config.clone(),
-            config_fp: config_fingerprint(config),
-        });
-        match state.pending.iter_mut().find(|b| b.key == key) {
-            Some(batch) => batch.units.extend(units),
-            None => state.pending.push_back(Batch { key, units: units.collect() }),
-        }
+        state.pending.push_back((id, spec));
         drop(state);
         {
             let mut m = lock(&self.0.metrics);
             m.jobs_submitted += 1;
-            m.members_submitted += spec.grid.len() as u64;
+            m.members_submitted += members as u64;
         }
         self.0.work.notify_all();
         Ok(id)
@@ -589,9 +560,8 @@ impl SweepService {
         }
     }
 
-    /// Cancels a job. A queued job's members leave the pending matrix
-    /// immediately (a batch left with no members is dropped); a running
-    /// job's in-flight members are stopped cooperatively at the next
+    /// Cancels a job. A queued job leaves the pending queue immediately; a
+    /// running job's in-flight members are stopped cooperatively at the next
     /// scheduling claim — the matrix's cell gate skips every member no
     /// live job still wants. Members shared with other live jobs keep
     /// running for them. Returns the job's (now terminal) status.
@@ -606,12 +576,7 @@ impl SweepService {
             let mut state = lock(&self.0.state);
             let job = state.jobs.get(&id).ok_or(ServiceError::UnknownJob(id))?;
             match job.state {
-                JobState::Queued => {
-                    for batch in &mut state.pending {
-                        batch.units.retain(|unit| unit.job != id);
-                    }
-                    state.pending.retain(|batch| !batch.units.is_empty());
-                }
+                JobState::Queued => state.pending.retain(|(job, _)| *job != id),
                 JobState::Running => {}
                 JobState::Done | JobState::Failed(_) | JobState::Cancelled => {
                     return Err(ServiceError::JobNotCancellable(id));
@@ -665,7 +630,7 @@ impl SweepService {
                 state.jobs.values().filter(|j| matches!(j.state, JobState::Queued)).count();
             let running =
                 state.jobs.values().filter(|j| matches!(j.state, JobState::Running)).count();
-            let depth: usize = state.pending.iter().map(|b| b.units.len()).sum();
+            let depth: usize = state.pending.iter().map(|(_, spec)| spec.grid.len()).sum();
             (queued as u64, running as u64, depth as u64)
         };
         let m = lock(&self.0.metrics).clone();
@@ -701,8 +666,8 @@ impl SweepService {
     }
 
     /// Stops accepting jobs, wakes every idle worker, and joins the pool.
-    /// A worker mid-turn finishes its matrix first; batches still queued
-    /// stay queued (their cache entries make re-submission after a restart
+    /// A worker mid-turn finishes its matrix first; jobs still queued stay
+    /// queued (their cache entries make re-submission after a restart
     /// cheap). Idempotent.
     pub fn shutdown(&self) {
         lock(&self.0.state).shutting_down = true;
@@ -743,33 +708,29 @@ fn job_status(id: u64, job: &Job) -> JobStatus {
 // ------------------------------------------------------------- workers --
 
 fn worker_loop(inner: &ServiceInner) {
-    while let Some(batches) = next_turn(inner) {
+    while let Some(jobs) = next_turn(inner) {
         let busy = Instant::now();
-        run_turn(inner, batches);
+        run_turn(inner, jobs);
         lock(&inner.metrics).busy_seconds += busy.elapsed().as_secs_f64();
     }
 }
 
 /// Blocks for queued work, then drains the **entire** pending queue —
-/// every batch, spanning however many traces — into one matrix turn,
+/// every job, spanning however many traces — into one matrix turn,
 /// marking every drained job running on the way out. `None` means the
 /// service is shutting down.
-fn next_turn(inner: &ServiceInner) -> Option<Vec<Batch>> {
+fn next_turn(inner: &ServiceInner) -> Option<Vec<(u64, JobSpec)>> {
     let mut state = lock(&inner.state);
     loop {
         if state.shutting_down {
             return None;
         }
         if !state.pending.is_empty() {
-            let batches: Vec<Batch> = state.pending.drain(..).collect();
+            let jobs: Vec<(u64, JobSpec)> = state.pending.drain(..).collect();
             let now = Instant::now();
             let mut wait_total = 0.0;
-            let mut seen = HashSet::new();
-            for unit in batches.iter().flat_map(|b| &b.units) {
-                if !seen.insert(unit.job) {
-                    continue;
-                }
-                if let Some(job) = state.jobs.get_mut(&unit.job) {
+            for (id, _) in &jobs {
+                if let Some(job) = state.jobs.get_mut(id) {
                     if matches!(job.state, JobState::Queued) {
                         job.state = JobState::Running;
                         job.started = Some(now);
@@ -779,159 +740,109 @@ fn next_turn(inner: &ServiceInner) -> Option<Vec<Batch>> {
             }
             drop(state);
             lock(&inner.metrics).queue_wait_seconds += wait_total;
-            return Some(batches);
+            return Some(jobs);
         }
         state = inner.work.wait(state).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
-/// What the cache said about one distinct configuration of a batch.
-enum Probe {
-    Hit(Box<MemberOutcome>),
-    Miss,
-    Damaged,
-}
-
-/// One matrix cell's bookkeeping: which batch it came from, which job it
-/// belongs to, and the per-slot configuration fingerprints of the cell's
-/// grid.
-struct CellMeta {
-    batch: usize,
-    job: u64,
-    config_fps: Vec<u64>,
-}
+/// One job's grid slots after a turn: the outcome and whether the cache
+/// served it, or `None` where the cancellation gate skipped the member.
+type JobSlots = Vec<Option<(MemberOutcome, bool)>>;
 
 /// Runs one scheduling turn: the whole drained queue as a single
-/// [`MatrixRunner`] matrix — one cell per (batch, job) over that job's
-/// cache misses, deduplicated across cells by the matrix registry.
-fn run_turn(inner: &ServiceInner, batches: Vec<Batch>) {
-    // Materialize every batch's trace; a batch whose trace cannot build
-    // fails its jobs without taking the rest of the turn down.
-    let mut prepared: Vec<(Batch, Arc<CapturedTrace>)> = Vec::new();
-    for batch in batches {
-        match materialize_trace(inner, &batch.key) {
-            Ok(trace) => prepared.push((batch, trace)),
-            Err(e) => fail_batch(inner, &batch, &e.to_string()),
+/// [`MatrixRunner`] matrix over the result cache, one cell per job whose
+/// grid is the job's whole grid. The matrix registry deduplicates
+/// identical traces and identical (trace, configuration) members across
+/// cells — even when two jobs name one trace differently (say a preset
+/// and an uploaded copy) — so a shared member runs at most once for every
+/// job that asked, and the matrix's one store probe per member tells each
+/// slot whether the cache served it.
+fn run_turn(inner: &ServiceInner, jobs: Vec<(u64, JobSpec)>) {
+    // Materialize every job's trace; a job whose trace cannot build fails
+    // without taking the rest of the turn down.
+    let mut ids = Vec::with_capacity(jobs.len());
+    let mut traces = Vec::with_capacity(jobs.len());
+    let mut grids = Vec::with_capacity(jobs.len());
+    for (id, spec) in jobs {
+        match materialize_trace(inner, &spec.source) {
+            Ok(trace) => {
+                ids.push(id);
+                traces.push(trace);
+                grids.push(spec.grid);
+            }
+            Err(e) => fail_job(inner, id, &e.to_string()),
         }
     }
-    if prepared.is_empty() {
+    if ids.is_empty() {
         return;
     }
+    let cells: Vec<(&CapturedTrace, Vec<SimConfig>)> =
+        traces.iter().map(AsRef::as_ref).zip(grids).collect();
 
-    // Probe the cache once per distinct (trace, configuration); count per
-    // unit so the hit rate reflects members served, not probes issued.
-    let mut probes: Vec<HashMap<u64, Probe>> = Vec::with_capacity(prepared.len());
-    for (batch, trace) in &prepared {
-        let trace_fp = trace.fingerprint();
-        let mut batch_probes: HashMap<u64, Probe> = HashMap::new();
-        for unit in &batch.units {
-            batch_probes.entry(unit.config_fp).or_insert_with(|| {
-                match inner.cache.probe(trace_fp, unit.config_fp) {
-                    CacheProbe::Hit(outcome) => Probe::Hit(outcome),
-                    CacheProbe::Miss => Probe::Miss,
-                    CacheProbe::Damaged(_) => Probe::Damaged,
-                }
-            });
-        }
-        {
-            let mut m = lock(&inner.metrics);
-            for unit in &batch.units {
-                match batch_probes[&unit.config_fp] {
-                    Probe::Hit(_) => m.cache_hits += 1,
-                    Probe::Miss => m.cache_misses += 1,
-                    Probe::Damaged => m.cache_damaged += 1,
-                }
-            }
-        }
-        probes.push(batch_probes);
-    }
-
-    // One matrix cell per (batch, job): the job's distinct misses in
-    // first-appearance order. The matrix registry dedups identical traces
-    // and identical (trace, configuration) members across cells — even
-    // when two batch keys (say a preset and an uploaded trace) resolve to
-    // the same fingerprint — so shared members simulate once for every job
-    // that asked.
-    let mut cells: Vec<(&CapturedTrace, Vec<SimConfig>)> = Vec::new();
-    let mut cell_meta: Vec<CellMeta> = Vec::new();
-    for (b, (batch, trace)) in prepared.iter().enumerate() {
-        let mut job_order: Vec<u64> = Vec::new();
-        let mut by_job: HashMap<u64, (Vec<SimConfig>, Vec<u64>)> = HashMap::new();
-        for unit in &batch.units {
-            if matches!(probes[b][&unit.config_fp], Probe::Hit(_)) {
-                continue;
-            }
-            let entry = by_job.entry(unit.job).or_insert_with(|| {
-                job_order.push(unit.job);
-                (Vec::new(), Vec::new())
-            });
-            if !entry.1.contains(&unit.config_fp) {
-                entry.0.push(unit.config.clone());
-                entry.1.push(unit.config_fp);
-            }
-        }
-        for job in job_order {
-            let (configs, config_fps) = by_job.remove(&job).expect("job was grouped above");
-            cells.push((trace.as_ref(), configs));
-            cell_meta.push(CellMeta { batch: b, job, config_fps });
-        }
-    }
-
-    // Fresh outcomes by (trace fingerprint, config fingerprint) — the
-    // global member identity, shared across batches. The matrix already
-    // stored them in the cache as they finished.
-    let mut fresh: HashMap<(u64, u64), MemberOutcome> = HashMap::new();
-    if !cells.is_empty() {
-        match run_matrix_with_durability(inner, &cells, &cell_meta) {
+    let (result, deaths) = run_matrix_with_durability(inner, &cells, &ids);
+    let filled: Vec<JobSlots> = {
+        let mut m = lock(&inner.metrics);
+        m.worker_deaths += deaths;
+        match result {
             Ok(outcome) => {
-                for (cell, meta) in outcome.cells.iter().zip(&cell_meta) {
-                    let trace_fp = prepared[meta.batch].1.fingerprint();
-                    for (slot, fp) in cell.iter().zip(&meta.config_fps) {
-                        if let Some(member) = slot {
-                            fresh.entry((trace_fp, *fp)).or_insert_with(|| member.clone());
-                        }
-                    }
-                }
                 let report = &outcome.report;
-                let mut m = lock(&inner.metrics);
-                m.members_simulated += report.unique_members as u64 - report.skipped_members;
-                m.matrix_turns += 1;
-                m.matrix_distinct_traces += report.distinct_traces as u64;
-            }
-            Err(reason) => {
-                // Both attempts died: every scheduled member gets a
-                // `Panicked` outcome — a fault report, never a service
-                // crash.
-                for meta in &cell_meta {
-                    let trace_fp = prepared[meta.batch].1.fingerprint();
-                    for fp in &meta.config_fps {
-                        fresh
-                            .entry((trace_fp, *fp))
-                            .or_insert_with(|| MemberOutcome::Panicked { payload: reason.clone() });
+                let to_run = report.unique_members as u64 - report.resumed_members;
+                // A turn counts when it had a member to run; an attempt
+                // that died always had one.
+                if to_run > 0 || deaths > 0 {
+                    m.matrix_turns += 1;
+                    m.matrix_distinct_traces += report.distinct_traces as u64;
+                }
+                m.members_simulated += to_run - report.skipped_members;
+                for probe in outcome.probes.iter().flatten() {
+                    match probe {
+                        StoreProbe::Hit => m.cache_hits += 1,
+                        StoreProbe::Miss => m.cache_misses += 1,
+                        StoreProbe::Damaged => m.cache_damaged += 1,
                     }
                 }
-                lock(&inner.metrics).members_simulated += fresh.len() as u64;
+                outcome
+                    .cells
+                    .into_iter()
+                    .zip(outcome.probes)
+                    .map(|(slots, probes)| {
+                        slots
+                            .into_iter()
+                            .zip(probes)
+                            .map(|(slot, probe)| slot.map(|o| (o, probe == StoreProbe::Hit)))
+                            .collect()
+                    })
+                    .collect()
             }
+            // Both attempts died: every slot gets a `Panicked` outcome — a
+            // fault report, never a service crash.
+            Err(payload) => cells
+                .iter()
+                .map(|(_, grid)| {
+                    vec![
+                        Some((MemberOutcome::Panicked { payload: payload.clone() }, false));
+                        grid.len()
+                    ]
+                })
+                .collect(),
         }
-    }
-
-    for (b, (batch, trace)) in prepared.iter().enumerate() {
-        finalize_batch(inner, batch, trace.fingerprint(), &probes[b], &fresh);
-    }
+    };
+    finish_jobs(inner, &ids, filled);
 }
 
-/// Resolves a batch key to its captured trace, building and memoizing
-/// preset traces on first use (outside the scheduler lock — builds are
-/// slow).
+/// Resolves a job's trace source to its captured trace, building and
+/// memoizing preset traces on first use (outside the scheduler lock —
+/// builds are slow).
 fn materialize_trace(
     inner: &ServiceInner,
-    key: &BatchKey,
+    source: &TraceSource,
 ) -> Result<Arc<CapturedTrace>, ServiceError> {
-    match key {
-        BatchKey::Trace(fp) => {
+    match source {
+        TraceSource::Fingerprint(fp) => {
             lock(&inner.state).traces.get(fp).cloned().ok_or(ServiceError::UnknownTrace(*fp))
         }
-        BatchKey::Preset { name, instrs } => {
+        TraceSource::Preset { name, instrs } => {
             {
                 let state = lock(&inner.state);
                 if let Some(fp) = state.preset_traces.get(&(name.clone(), *instrs)) {
@@ -950,17 +861,18 @@ fn materialize_trace(
     }
 }
 
-/// Runs the matrix of one scheduling turn with the full durability story:
-/// the matrix stores each finished member in the result cache, runs in a
-/// scoped thread, and is retried once if the attempt dies (the retry
-/// restores every member the dead attempt stored and finishes
-/// bit-identical); if the retry dies too the result is an `Err` with the
-/// panic reason, never a service crash.
+/// Runs the matrix of one scheduling turn — cell `c` is job `jobs[c]` —
+/// with the full durability story: the matrix stores each finished
+/// member in the result cache, runs in a scoped thread, and is retried
+/// once if the attempt dies (the retry restores every member the dead
+/// attempt stored and finishes bit-identical); if the retry dies too the
+/// result is an `Err` with the panic reason, never a service crash.
+/// Returns the result and the number of attempts that died.
 fn run_matrix_with_durability(
     inner: &ServiceInner,
     cells: &[(&CapturedTrace, Vec<SimConfig>)],
-    cell_meta: &[CellMeta],
-) -> Result<MatrixOutcome, String> {
+    jobs: &[u64],
+) -> (Result<MatrixOutcome, String>, u64) {
     // The one-shot kill hook arms exactly one attempt service-wide.
     let abort = if inner.config.fault_abort_after_turns.is_some()
         && inner.fault_armed.swap(false, Ordering::SeqCst)
@@ -983,7 +895,7 @@ fn run_matrix_with_durability(
                         requesters.iter().any(|&cell| {
                             state
                                 .jobs
-                                .get(&cell_meta[cell].job)
+                                .get(&jobs[cell])
                                 .is_some_and(|job| !matches!(job.state, JobState::Cancelled))
                         })
                     });
@@ -997,17 +909,11 @@ fn run_matrix_with_durability(
     };
 
     match attempt(abort) {
-        Ok(outcome) => Ok(outcome),
-        Err(_) => {
-            lock(&inner.metrics).worker_deaths += 1;
-            match attempt(None) {
-                Ok(outcome) => Ok(outcome),
-                Err(payload) => {
-                    lock(&inner.metrics).worker_deaths += 1;
-                    Err(panic_message(payload.as_ref()))
-                }
-            }
-        }
+        Ok(outcome) => (Ok(outcome), 0),
+        Err(_) => match attempt(None) {
+            Ok(outcome) => (Ok(outcome), 1),
+            Err(payload) => (Err(panic_message(payload.as_ref())), 2),
+        },
     }
 }
 
@@ -1016,63 +922,33 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "batch attempt panicked".into())
+        .unwrap_or_else(|| "matrix attempt panicked".into())
 }
 
-/// Fills every unit's result slot, completes jobs whose members are all
+/// Fills each job's result slots, completes jobs whose members are all
 /// in, and wakes waiters. Cancelled jobs are left terminal as they are: a
 /// member the cancellation gate skipped (because no live job wanted it)
 /// has no outcome, and a cancelled job is never marked done.
-fn finalize_batch(
-    inner: &ServiceInner,
-    batch: &Batch,
-    trace_fp: u64,
-    probes: &HashMap<u64, Probe>,
-    fresh: &HashMap<(u64, u64), MemberOutcome>,
-) {
+fn finish_jobs(inner: &ServiceInner, ids: &[u64], filled: Vec<JobSlots>) {
     let now = Instant::now();
     let mut run_secs = 0.0;
     let mut completed = 0u64;
     let mut summary_delta = SweepSummary::default();
     {
         let mut state = lock(&inner.state);
-        for unit in &batch.units {
-            let filled = match &probes[&unit.config_fp] {
-                Probe::Hit(outcome) => ((**outcome).clone(), true),
-                Probe::Miss | Probe::Damaged => {
-                    match fresh.get(&(trace_fp, unit.config_fp)) {
-                        Some(outcome) => (outcome.clone(), false),
-                        // Only members every requesting job cancelled are
-                        // skipped by the gate and have nothing to fill.
-                        None => continue,
-                    }
+        for (id, slots) in ids.iter().zip(filled) {
+            let Some(job) = state.jobs.get_mut(id) else { continue };
+            job.results = slots;
+            if matches!(job.state, JobState::Running) && job.results.iter().all(Option::is_some) {
+                job.state = JobState::Done;
+                job.finished = Some(now);
+                if let Some(start) = job.started {
+                    run_secs += now.duration_since(start).as_secs_f64();
                 }
-            };
-            if let Some(job) = state.jobs.get_mut(&unit.job) {
-                job.results[unit.index] = Some(filled);
-            }
-        }
-        let mut seen = HashSet::new();
-        for unit in &batch.units {
-            if !seen.insert(unit.job) {
-                continue;
-            }
-            if let Some(job) = state.jobs.get_mut(&unit.job) {
-                if matches!(job.state, JobState::Running) && job.results.iter().all(Option::is_some)
-                {
-                    job.state = JobState::Done;
-                    job.finished = Some(now);
-                    if let Some(start) = job.started {
-                        run_secs += now.duration_since(start).as_secs_f64();
-                    }
-                    completed += 1;
-                    let outcomes: Vec<MemberOutcome> = job
-                        .results
-                        .iter()
-                        .filter_map(|s| s.as_ref().map(|(o, _)| o.clone()))
-                        .collect();
-                    summary_delta.merge(SweepSummary::of(&outcomes));
-                }
+                completed += 1;
+                let outcomes: Vec<MemberOutcome> =
+                    job.results.iter().filter_map(|s| s.as_ref().map(|(o, _)| o.clone())).collect();
+                summary_delta.merge(SweepSummary::of(&outcomes));
             }
         }
     }
@@ -1085,28 +961,20 @@ fn finalize_batch(
     inner.done.notify_all();
 }
 
-/// Marks every job of a batch failed (its trace never materialized).
-fn fail_batch(inner: &ServiceInner, batch: &Batch, reason: &str) {
-    let now = Instant::now();
-    let mut failed = 0u64;
+/// Marks a job failed (its trace never materialized); a cancelled job
+/// stays cancelled.
+fn fail_job(inner: &ServiceInner, id: u64, reason: &str) {
     {
         let mut state = lock(&inner.state);
-        let mut seen = HashSet::new();
-        for unit in &batch.units {
-            if !seen.insert(unit.job) {
-                continue;
-            }
-            if let Some(job) = state.jobs.get_mut(&unit.job) {
-                if job.state.is_terminal() {
-                    continue; // a cancelled job stays cancelled
-                }
+        match state.jobs.get_mut(&id) {
+            Some(job) if !job.state.is_terminal() => {
                 job.state = JobState::Failed(reason.to_owned());
-                job.finished = Some(now);
-                failed += 1;
+                job.finished = Some(Instant::now());
             }
+            _ => return,
         }
     }
-    lock(&inner.metrics).jobs_failed += failed;
+    lock(&inner.metrics).jobs_failed += 1;
     inner.done.notify_all();
 }
 

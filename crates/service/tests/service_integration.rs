@@ -9,7 +9,8 @@ use dvi_program::CapturedTrace;
 use dvi_service::http::{http_json, http_request, HttpServer};
 use dvi_service::json::Json;
 use dvi_service::{
-    wire, JobSpec, JobState, ResultCache, ServiceConfig, ServiceError, SweepService, TraceSource,
+    build_preset_trace, wire, JobSpec, JobState, ResultCache, ServiceConfig, ServiceError,
+    SweepService, TraceSource,
 };
 use dvi_sim::checkpoint::config_fingerprint;
 use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig};
@@ -167,6 +168,11 @@ fn killed_worker_resumes_from_checkpoint_bit_identically() {
         "resumed outcomes must be bit-identical to an uninterrupted run"
     );
     assert!(metrics.outcomes.all_ok(), "resume re-runs cleanly, no degraded members");
+    // The retry's one store probe restores the member the dead attempt
+    // stored: that slot is a cache hit, and only the other two simulate.
+    assert_eq!(results.cached, vec![true, false, false]);
+    assert_eq!((metrics.cache_hits, metrics.cache_misses), (1, 2));
+    assert_eq!(metrics.members_simulated, 2);
     service.shutdown();
 }
 
@@ -234,6 +240,55 @@ fn preset_jobs_share_one_trace_build_and_memoize_across_jobs() {
     let a = service.results(first).expect("first results");
     let b = service.results(second).expect("second results");
     assert_eq!(a.outcomes[..2], b.outcomes[..], "shared members are identical across jobs");
+    service.shutdown();
+}
+
+/// A preset job and a job over an uploaded copy of the same trace, queued
+/// into one turn, are one matrix registry entry: every member simulates
+/// once and serves both jobs.
+#[test]
+fn preset_and_uploaded_copy_in_one_turn_simulate_each_member_once() {
+    let service = SweepService::start(ServiceConfig::new(temp_dir("samefp")).with_workers(1))
+        .expect("service starts");
+    let trace = build_preset_trace("li", 10_000).expect("preset builds");
+    let grid = test_grid();
+    let direct = direct_outcomes(&trace, &grid);
+    let fp = service.register_trace(trace);
+
+    // Block the single worker with the heavy job, so the two jobs below
+    // queue behind its turn and drain together into the next one.
+    let heavy = service
+        .submit(JobSpec {
+            source: TraceSource::Preset { name: "li".into(), instrs: HEAVY_INSTRS },
+            grid: heavy_grid(),
+        })
+        .expect("heavy job submits");
+    std::thread::sleep(Duration::from_millis(50));
+    let preset = service
+        .submit(JobSpec {
+            source: TraceSource::Preset { name: "li".into(), instrs: 10_000 },
+            grid: grid.clone(),
+        })
+        .expect("preset job submits");
+    let uploaded = service
+        .submit(JobSpec { source: TraceSource::Fingerprint(fp), grid: grid.clone() })
+        .expect("uploaded job submits");
+    for job in [heavy, preset, uploaded] {
+        let status = service.wait(job, WAIT).expect("finishes");
+        assert!(status.state.is_done(), "job {job} ended {:?}", status.state);
+    }
+
+    assert_eq!(
+        service.metrics().members_simulated,
+        (heavy_grid().len() + grid.len()) as u64,
+        "the preset and the uploaded copy share every member"
+    );
+    let a = service.results(preset).expect("preset results");
+    let b = service.results(uploaded).expect("uploaded results");
+    assert_eq!(a.cached, vec![false; grid.len()]);
+    assert_eq!(b.cached, vec![false; grid.len()]);
+    assert_eq!(a.outcomes, b.outcomes, "both jobs read the one simulated member set");
+    assert_eq!(a.outcomes, direct, "shared members stay bit-identical to the direct runner");
     service.shutdown();
 }
 

@@ -84,13 +84,6 @@ impl MemberOutcome {
         }
     }
 
-    /// Whether the member produced complete, trustworthy statistics
-    /// (`Ok` or `Degraded`).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        matches!(self, MemberOutcome::Ok(_) | MemberOutcome::Degraded { .. })
-    }
-
     /// Folds the outcome back to bare statistics: complete statistics
     /// pass through, deadlocked members contribute their flagged partial
     /// statistics, and a double failure re-raises the panic it caught.

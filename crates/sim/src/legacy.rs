@@ -32,8 +32,8 @@ use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
-use dvi_isa::{Abi, FuKind, InstrClass};
-use dvi_mem::{CachePorts, MemoryHierarchy};
+use dvi_isa::{Abi, InstrClass};
+use dvi_mem::MemoryHierarchy;
 use dvi_program::DynInst;
 use std::collections::VecDeque;
 
@@ -82,7 +82,6 @@ pub struct LegacySimulator {
     rename: RenameState,
     dvi: DviEngine,
     mem: MemoryHierarchy,
-    ports: CachePorts,
     fu: FuPool,
     pred: FetchPredictor,
     window: VecDeque<InFlight>,
@@ -106,8 +105,7 @@ impl LegacySimulator {
             rename: RenameState::new(config.phys_regs),
             dvi: DviEngine::new(config.dvi, Abi::mips_like()),
             mem: config.memory(),
-            ports: CachePorts::new(config.cache_ports),
-            fu: FuPool::new(config.int_alu_units, config.int_mul_units),
+            fu: FuPool::new(config.int_alu_units, config.int_mul_units, config.cache_ports),
             pred: FetchPredictor::new(config.predictor),
             window: VecDeque::with_capacity(config.window_size),
             front: FrontEnd::new(&config),
@@ -142,7 +140,6 @@ impl LegacySimulator {
 
             self.cycle += 1;
             self.fu.next_cycle();
-            self.ports.next_cycle();
             let used = self.rename.total() - self.rename.free_count();
             self.stats.peak_phys_regs_used = self.stats.peak_phys_regs_used.max(used);
 
@@ -241,11 +238,7 @@ impl LegacySimulator {
                 self.window[i].state = EntryState::Done;
                 continue;
             };
-            if kind == FuKind::MemPort {
-                if !self.ports.try_acquire() {
-                    continue;
-                }
-            } else if !self.fu.try_acquire(kind) {
+            if !self.fu.try_acquire(kind) {
                 continue;
             }
             let latency = self.execution_latency(i, class);

@@ -137,7 +137,7 @@ pub use dvi_engine::{DviEngine, ReclaimList};
 pub use dvi_mem::DcacheModelKind;
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
-pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner};
+pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, StoreProbe};
 pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;
 pub use rename::{PhysReg, RenameState};

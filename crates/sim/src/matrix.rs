@@ -31,11 +31,13 @@
 //! member in a [`ResultCache`] — one entry per (trace fingerprint, config
 //! fingerprint), stored the moment the member completes. Resume is
 //! nothing more than skipping the members already stored: at start the
-//! runner probes every unique member and restores the hits verbatim; the
-//! rest run, bit-identical to an uninterrupted run because member
-//! statistics are a pure function of (configuration, trace). Only `Ok`
-//! outcomes are stored, so a member that was degraded or deadlocked
-//! re-runs from record 0.
+//! runner probes every unique member once and restores the hits verbatim;
+//! the rest run, bit-identical to an uninterrupted run because member
+//! statistics are a pure function of (configuration, trace). Each grid
+//! slot reports what that probe found ([`MatrixOutcome::probes`]), which
+//! is all a caller needs to tell a served member from a simulated one.
+//! Only `Ok` outcomes are stored, so a member that was degraded or
+//! deadlocked re-runs from record 0.
 
 use crate::batch::{run_member_outcome, FaultSpec, MemberOutcome};
 use crate::checkpoint::config_fingerprint;
@@ -144,12 +146,12 @@ impl<'a> MatrixIndex<'a> {
         }
     }
 
-    /// Fans per-member results back out to the submitted cells, cloning a
-    /// deduplicated member's outcome into every requesting grid slot.
-    fn fan_out(&self, results: &[Option<MemberOutcome>]) -> Vec<Vec<Option<MemberOutcome>>> {
+    /// Fans per-member values back out to the submitted cells, cloning a
+    /// deduplicated member's value into every requesting grid slot.
+    fn fan_out<T: Clone>(&self, per_member: &[T]) -> Vec<Vec<T>> {
         self.cell_members
             .iter()
-            .map(|ids| ids.iter().map(|&i| results[i].clone()).collect())
+            .map(|ids| ids.iter().map(|&i| per_member[i].clone()).collect())
             .collect()
     }
 }
@@ -177,7 +179,8 @@ pub struct MatrixReport {
     /// Always 0, for the same reason as [`MatrixReport::shared_builds`]
     /// (the benchmark's `sim.products.reuse_hits`).
     pub build_reuse_hits: u64,
-    /// Worker threads used.
+    /// Worker threads used: at most one per member left to run after the
+    /// store restore, so 0 when the store held every member.
     pub threads: usize,
     /// Always empty: every worker claims from one shared member list, so
     /// nothing is ever stolen. Kept because the repository benchmark reads
@@ -191,6 +194,20 @@ pub struct MatrixReport {
     pub resumed_members: u64,
 }
 
+/// What the result store held for a member when the run started — a
+/// [`CacheProbe`] without the restored outcome, which is already in the
+/// slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreProbe {
+    /// A healthy entry: the member was restored verbatim, not simulated.
+    Hit,
+    /// No entry (or no store at all): the member was scheduled to run.
+    Miss,
+    /// An entry that failed to load: the member was scheduled to run and
+    /// its entry is rewritten once it completes `Ok`.
+    Damaged,
+}
+
 /// The result of a matrix run: per-cell outcomes in submission/grid order
 /// plus the run's [`MatrixReport`]. A slot is `None` only when a
 /// scheduling gate skipped the member (every requesting cell declined it).
@@ -198,6 +215,10 @@ pub struct MatrixReport {
 pub struct MatrixOutcome {
     /// Per submitted cell, per grid position, the member's outcome.
     pub cells: Vec<Vec<Option<MemberOutcome>>>,
+    /// Per submitted cell, per grid position, what the run's one store
+    /// probe found for the slot's member. Every slot of a run without
+    /// [`MatrixRunner::with_store`] is [`StoreProbe::Miss`].
+    pub probes: Vec<Vec<StoreProbe>>,
     /// Scheduler observability counters.
     pub report: MatrixReport,
 }
@@ -251,7 +272,8 @@ impl<'a> MatrixRunner<'a> {
         }
     }
 
-    /// Worker thread count (clamped to `1..=members` at run time).
+    /// Worker thread count (clamped at run time to the members left to
+    /// run after the store restore).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -290,7 +312,8 @@ impl<'a> MatrixRunner<'a> {
     /// Test hook for the kill/resume suite: every worker panics once `n`
     /// members have completed, after their results were stored —
     /// simulating a crash mid-matrix. Members restored from the store
-    /// count as completed.
+    /// count as completed; a run whose members were all restored starts
+    /// no worker, so the hook cannot fire.
     #[must_use]
     pub fn with_abort_after_members(mut self, n: usize) -> Self {
         self.abort_after_members = Some(n);
@@ -320,18 +343,21 @@ impl<'a> MatrixRunner<'a> {
     pub fn run(self) -> MatrixOutcome {
         let index = MatrixIndex::build(&self.cells);
         let n = index.members.len();
-        let threads = self.threads.clamp(1, n.max(1));
 
         // Resume: restore every member the store already holds.
         let store = self.store.as_ref();
-        let restored: Vec<Option<MemberOutcome>> = index
+        let (restored, probes): (Vec<Option<MemberOutcome>>, Vec<StoreProbe>) = index
             .members
             .iter()
-            .map(|m| match store?.probe(index.traces[m.trace_idx].fingerprint(), m.config_fp) {
-                CacheProbe::Hit(outcome) => Some(*outcome),
-                CacheProbe::Miss | CacheProbe::Damaged(_) => None,
+            .map(|m| {
+                let Some(store) = store else { return (None, StoreProbe::Miss) };
+                match store.probe(index.traces[m.trace_idx].fingerprint(), m.config_fp) {
+                    CacheProbe::Hit(outcome) => (Some(*outcome), StoreProbe::Hit),
+                    CacheProbe::Miss => (None, StoreProbe::Miss),
+                    CacheProbe::Damaged(_) => (None, StoreProbe::Damaged),
+                }
             })
-            .collect();
+            .unzip();
         let resumed_members = restored.iter().filter(|r| r.is_some()).count() as u64;
 
         // One member list, trace-major: the members still to run. Workers
@@ -343,6 +369,7 @@ impl<'a> MatrixRunner<'a> {
             .copied()
             .filter(|&i| restored[i].is_none())
             .collect();
+        let threads = self.threads.min(queue.len());
         let next = AtomicUsize::new(0);
 
         struct RunState {
@@ -417,6 +444,6 @@ impl<'a> MatrixRunner<'a> {
         };
         let cells = index.fan_out(&st.results);
         drop(st);
-        MatrixOutcome { cells, report }
+        MatrixOutcome { cells, probes: index.fan_out(&probes), report }
     }
 }

@@ -40,8 +40,8 @@ use crate::sched::{Calendar, ReadyRing, Waiters};
 use crate::session::SimSession;
 use crate::stats::SimStats;
 use crate::window::{EntryState, WindowRing};
-use dvi_isa::{Abi, FuKind, InstrClass};
-use dvi_mem::{CachePorts, MemoryHierarchy};
+use dvi_isa::{Abi, InstrClass};
+use dvi_mem::MemoryHierarchy;
 use dvi_program::{DynInst, InstrSource};
 
 /// Safety valve: if the pipeline makes no forward progress for this many
@@ -94,7 +94,6 @@ pub(crate) struct Core {
     rename: RenameState,
     dvi: DviEngine,
     mem: MemoryHierarchy,
-    ports: CachePorts,
     fu: FuPool,
     /// Fetch-stage branch prediction.
     pred: FetchPredictor,
@@ -129,8 +128,7 @@ impl Core {
             rename: RenameState::new(config.phys_regs),
             dvi: DviEngine::new(config.dvi, Abi::mips_like()),
             mem: config.memory(),
-            ports: CachePorts::new(config.cache_ports),
-            fu: FuPool::new(config.int_alu_units, config.int_mul_units),
+            fu: FuPool::new(config.int_alu_units, config.int_mul_units, config.cache_ports),
             pred: FetchPredictor::new(config.predictor),
             front: FrontEnd::new(&config),
             cycle: 0,
@@ -163,7 +161,6 @@ impl Core {
 
         self.cycle += 1;
         self.fu.next_cycle();
-        self.ports.next_cycle();
         let used = self.rename.total() - self.rename.free_count();
         self.stats.peak_phys_regs_used = self.stats.peak_phys_regs_used.max(used);
     }
@@ -313,11 +310,7 @@ impl Core {
             debug_assert!(self.window.is_waiting(wseq));
             let class = self.window.class(wseq);
             let kind = class.fu_kind().expect("ready entries occupy a functional unit");
-            if kind == FuKind::MemPort {
-                if !self.ports.try_acquire() {
-                    continue;
-                }
-            } else if !self.fu.try_acquire(kind) {
+            if !self.fu.try_acquire(kind) {
                 continue;
             }
             let latency = self.execution_latency(wseq, class);

@@ -17,7 +17,7 @@ use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
 use dvi_sim::checkpoint::config_fingerprint;
-use dvi_sim::{MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig};
+use dvi_sim::{MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, StoreProbe};
 use dvi_workloads::{presets, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -154,6 +154,8 @@ fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
         assert!(killed.is_err(), "the abort hook must fire after {killed_after} members");
         let resumed = MatrixRunner::new(cells.clone()).threads(1).with_store(store).run();
         assert_eq!(resumed.report.resumed_members, killed_after as u64);
+        let hits = resumed.probes.iter().flatten().filter(|&&p| p == StoreProbe::Hit).count();
+        assert_eq!(hits, killed_after, "each restored member's slot reports a store hit");
         assert_eq!(
             resumed.cells, reference.cells,
             "resume after a kill at {killed_after} members diverged from the uninterrupted run"
@@ -184,6 +186,7 @@ fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
     store.store(0xDEAD_BEEF, config_fingerprint(&grid()[0]), &foreign).expect("stores");
     let unrelated = MatrixRunner::new(cells).with_store(store).run();
     assert_eq!(unrelated.report.resumed_members, 0, "no foreign entry may be restored");
+    assert!(unrelated.probes.iter().flatten().all(|&p| p == StoreProbe::Miss));
     assert_eq!(unrelated.cells, reference.cells);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -45,12 +45,6 @@ impl Characterization {
         pct(self.saves_restores, self.dyn_instrs)
     }
 
-    /// Conditional branches as a percentage of dynamic instructions.
-    #[must_use]
-    pub fn branch_pct(&self) -> f64 {
-        pct(self.branches, self.dyn_instrs)
-    }
-
     /// E-DVI annotations as a percentage of dynamic instructions (the
     /// fetch-overhead column of Figure 13).
     #[must_use]
