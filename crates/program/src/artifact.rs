@@ -5,12 +5,12 @@
 //! checksummed sections. The format is deliberately dumb — no compression,
 //! no schema evolution machinery — because its one job is to make every
 //! failure mode *loud and typed*: a file from a different tool is
-//! [`ArtifactError::BadMagic`], a file from a newer writer is
-//! [`ArtifactError::VersionSkew`], a file cut short by a dying process is
-//! [`ArtifactError::TruncatedArtifact`], and a file with even one flipped
-//! bit in any payload is [`ArtifactError::ChecksumMismatch`]. A corrupted
-//! artifact must never load into a trace that silently produces wrong
-//! figures.
+//! [`ArtifactError::BadMagic`], a file of any version but the one its
+//! reader reads is [`ArtifactError::VersionSkew`], a file cut short by a
+//! dying process is [`ArtifactError::TruncatedArtifact`], and a file with
+//! even one flipped bit in any payload is
+//! [`ArtifactError::ChecksumMismatch`]. A corrupted artifact must never
+//! load into a trace that silently produces wrong figures.
 //!
 //! # Layout
 //!
@@ -137,11 +137,12 @@ pub enum ArtifactError {
         /// The magic the reader expected.
         expected: [u8; 8],
     },
-    /// The file was written by an incompatible format version.
+    /// The file was written in a format version other than the one this
+    /// reader reads.
     VersionSkew {
         /// Version recorded in the file.
         found: u32,
-        /// Newest version this reader supports.
+        /// The one version this reader reads.
         supported: u32,
     },
     /// The file ends before the advertised data does — a partial write or
@@ -188,7 +189,8 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::VersionSkew { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than the supported version {supported}"
+                "artifact format version {found} is not the version this reader reads \
+                 ({supported})"
             ),
             ArtifactError::TruncatedArtifact { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -439,19 +441,19 @@ impl ArtifactWriter {
 /// checksum verified. Borrows the raw bytes.
 #[derive(Debug)]
 pub struct ArtifactReader<'a> {
-    version: u32,
     sections: Vec<(u32, &'a [u8])>,
 }
 
 impl<'a> ArtifactReader<'a> {
-    /// Parses and fully verifies an artifact: magic, version (at most
-    /// `supported`), section table, and the checksum of **every** section
-    /// eagerly — a reader never hands out bytes that have not hashed
-    /// clean.
+    /// Parses and fully verifies an artifact: magic, version (exactly
+    /// `version`: a format has one layout, so an older header is as
+    /// foreign as a newer one), section table, and the checksum of
+    /// **every** section eagerly — a reader never hands out bytes that
+    /// have not hashed clean.
     pub fn parse(
         bytes: &'a [u8],
         magic: [u8; 8],
-        supported: u32,
+        version: u32,
     ) -> Result<ArtifactReader<'a>, ArtifactError> {
         let truncated =
             |context: &str| ArtifactError::TruncatedArtifact { context: context.to_string() };
@@ -462,9 +464,9 @@ impl<'a> ArtifactReader<'a> {
         if found != magic {
             return Err(ArtifactError::BadMagic { found, expected: magic });
         }
-        let version = read_u32_le(bytes, 8);
-        if version > supported {
-            return Err(ArtifactError::VersionSkew { found: version, supported });
+        let found = read_u32_le(bytes, 8);
+        if found != version {
+            return Err(ArtifactError::VersionSkew { found, supported: version });
         }
         let count = read_u32_le(bytes, 12) as usize;
         let mut sections = Vec::with_capacity(count.min(64));
@@ -495,13 +497,7 @@ impl<'a> ArtifactReader<'a> {
                 context: format!("{} trailing bytes after the last section", bytes.len() - pos),
             });
         }
-        Ok(ArtifactReader { version, sections })
-    }
-
-    /// The format version recorded in the header.
-    #[must_use]
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(ArtifactReader { sections })
     }
 
     /// The first section with `tag`, or [`ArtifactError::MissingSection`].
@@ -539,7 +535,6 @@ mod tests {
         w.section(1, vec![9]);
         let bytes = w.to_bytes();
         let r = ArtifactReader::parse(&bytes, *b"TESTMAGC", 3).unwrap();
-        assert_eq!(r.version(), 3);
         assert_eq!(r.section(1).unwrap(), &[1, 2, 3]);
         assert_eq!(r.section(2).unwrap(), &[] as &[u8]);
         assert_eq!(r.section(7), Err(ArtifactError::MissingSection { section: 7 }));
@@ -552,10 +547,17 @@ mod tests {
             ArtifactReader::parse(&bytes, *b"OTHERMAG", 1),
             Err(ArtifactError::BadMagic { .. })
         ));
-        assert_eq!(
-            ArtifactReader::parse(&bytes, *b"TESTMAGC", 0).unwrap_err(),
-            ArtifactError::VersionSkew { found: 1, supported: 0 }
-        );
+        // An older header is as foreign as a newer one.
+        for reader in [0, 2] {
+            let err = ArtifactReader::parse(&bytes, *b"TESTMAGC", reader).unwrap_err();
+            assert_eq!(err, ArtifactError::VersionSkew { found: 1, supported: reader });
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "artifact format version 1 is not the version this reader reads ({reader})"
+                )
+            );
+        }
     }
 
     #[test]

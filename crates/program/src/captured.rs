@@ -37,6 +37,11 @@
 //! sequential order, which the hardware prefetcher turns into effectively
 //! free loads.
 //!
+//! The durable artifact ([`CapturedTrace::to_bytes`]) stores exactly these
+//! arrays, one checksummed [`crate::artifact`] section each, under
+//! [`TRACE_VERSION`]; [`CapturedTrace::from_bytes`] reads that version and
+//! no other.
+//!
 //! # Invariant
 //!
 //! For every layout and step limit, `record(layout, n).replay()` yields a
@@ -279,25 +284,24 @@ impl CapturedTrace {
     }
 
     /// Decodes a trace artifact produced by [`CapturedTrace::to_bytes`] /
-    /// [`CapturedTrace::save`]. Every section checksum is verified before
-    /// any decoding, and the decoded arrays are cross-checked against each
-    /// other (record counts, flag/side-array consistency, every derived PC
-    /// inside the static image), so a corrupted or internally inconsistent
-    /// artifact is rejected with a typed [`ArtifactError`] instead of
-    /// replaying garbage. Artifacts of versions 1–4 still load: a stored
-    /// PC column (versions 1–3) must agree with the PC walk derived from
-    /// the flags and redirect targets, and a DEPGRAPH section is
-    /// checksummed by the container but not decoded.
+    /// [`CapturedTrace::save`]. Only [`TRACE_VERSION`] is read; any other
+    /// header is [`ArtifactError::VersionSkew`]. Every section checksum is
+    /// verified before any decoding, and the decoded arrays are
+    /// cross-checked against each other (record counts, flag/side-array
+    /// consistency, every derived PC inside the static image, a memory
+    /// address exactly on the records whose instruction uses the data
+    /// cache), so a corrupted or internally inconsistent artifact is
+    /// rejected with a typed [`ArtifactError`] instead of replaying garbage
+    /// or reaching the timing core.
     pub fn from_bytes(bytes: &[u8]) -> Result<CapturedTrace, ArtifactError> {
         let malformed = |context: String| ArtifactError::Malformed { context };
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
-        let version = r.version();
 
         let mut meta = ByteReader::new(r.section(section::META)?, "trace metadata");
         let records = meta.count()?;
         let static_len = meta.count()?;
-        let meta_first_pc = if version >= 4 { meta.u32()? } else { 0 };
-        let summary = read_summary(&mut meta, version)?;
+        let first_pc = meta.u32()?;
+        let summary = read_summary(&mut meta)?;
         meta.finish()?;
 
         let mut instrs = ByteReader::new(r.section(section::STATIC_INSTRS)?, "static code");
@@ -349,42 +353,34 @@ impl CapturedTrace {
             redirect_targets.push(red_r.u32()?);
         }
 
-        // Versions 1–3 stored every record's PC: the first one seeds the
-        // walk below, which must reproduce the rest exactly.
-        let (first_pc, mut legacy_pcs) = if version >= 4 {
-            (meta_first_pc, None)
-        } else {
-            let pcs = r.section(section::PCS)?;
-            let first = pcs.get(..4).map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4")));
-            (first, Some(ByteReader::new(pcs, "record PCs")))
-        };
-
         // Walk the PC chain: every derived PC must lie inside the static
-        // image, because replay indexes the image with it.
+        // image, because replay indexes the image with it, and a record
+        // carries an address exactly when its instruction uses the data
+        // cache, because the core's dispatch asserts that agreement.
+        let mem_bit: Vec<u8> = static_instrs
+            .iter()
+            .map(|instr| if instr.class().uses_cache_port() { flags::HAS_MEM } else { 0 })
+            .collect();
         let mut pc = first_pc;
         let mut targets = redirect_targets.iter();
         for (i, &f) in flag_bits.iter().enumerate() {
-            if pc as usize >= static_len {
+            let Some(&bit) = mem_bit.get(pc as usize) else {
                 return Err(malformed(format!(
                     "record {i} PC {pc} is outside the {static_len}-instruction static image"
                 )));
-            }
-            if let Some(pcs) = &mut legacy_pcs {
-                let stored = pcs.u32()?;
-                if stored != pc {
-                    return Err(malformed(format!(
-                        "record {i} stores PC {stored}, but the control-flow walk gives {pc}"
-                    )));
-                }
+            };
+            if f & flags::HAS_MEM != bit {
+                return Err(malformed(format!(
+                    "record {i} at PC {pc}: the memory-address flag disagrees with its {} \
+                     instruction",
+                    static_instrs[pc as usize].class()
+                )));
             }
             pc = if f & flags::REDIRECT != 0 {
                 *targets.next().expect("redirect count checked above")
             } else {
                 pc + 1
             };
-        }
-        if let Some(pcs) = legacy_pcs {
-            pcs.finish()?;
         }
 
         Ok(CapturedTrace {
@@ -464,24 +460,14 @@ impl CapturedTrace {
 
 /// Magic of the durable trace artifact.
 pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
-/// Newest trace-artifact format version this build reads and writes.
-/// Version 2 appended the fusion-table build time to the metadata summary;
-/// version-1 artifacts still load (the field reads back as `None`).
-/// Version 3 dropped the call-depth column from the DEPGRAPH section;
-/// older graph sections still load (the column is skipped).
-/// Version 4 dropped the PCS section (META carries the first PC and the
-/// rest are derived from the control-flow stream) and packed DEPGRAPH to
-/// 4 bytes per record plus a far-link table; older PC columns are checked
-/// against the derived walk and older graphs are converted on load.
-/// Version 5 writes no DEPGRAPH section and drops the fusion-build time
-/// from the metadata summary; older DEPGRAPH sections are checksummed but
-/// not decoded.
+/// The trace-artifact format version this build writes, and the only one
+/// it reads.
 pub const TRACE_VERSION: u32 = 5;
 
 /// Section tags of the trace artifact.
 pub mod section {
-    /// Record count, static image length, the first record's PC (since
-    /// version 4) and the recording's [`crate::ExecSummary`].
+    /// Record count, static image length, the first record's PC and the
+    /// recording's [`crate::ExecSummary`].
     pub const META: u32 = 1;
     /// Static instruction image, 12 bytes per PC. This is a *total* wide
     /// encoding (tag + operand bytes + a 64-bit payload), not the ISA's
@@ -491,20 +477,12 @@ pub mod section {
     pub const STATIC_INSTRS: u32 = 2;
     /// Owning procedure of each static instruction, one `u32` per PC.
     pub const STATIC_PROCS: u32 = 3;
-    /// Program counter of each dynamic record — written by versions 1–3
-    /// only; version 4 derives the PCs from the first PC and the
-    /// control-flow stream.
-    pub const PCS: u32 = 4;
     /// Flags byte of each dynamic record.
     pub const FLAGS: u32 = 5;
     /// Effective addresses of memory records, in execution order.
     pub const MEM_ADDRS: u32 = 6;
     /// Targets of non-fall-through records, in execution order.
     pub const REDIRECTS: u32 = 7;
-    /// Serialized [`crate::DepGraph`] — optional, and written by versions
-    /// 1–4 only. A reader verifies its checksum with the rest of the
-    /// container and otherwise ignores it.
-    pub const DEPGRAPH: u32 = 8;
 }
 
 fn write_summary(w: &mut ByteWriter, summary: &ExecSummary) {
@@ -544,7 +522,7 @@ fn write_opt_nanos(w: &mut ByteWriter, nanos: Option<u64>) {
     }
 }
 
-fn read_summary(r: &mut ByteReader<'_>, version: u32) -> Result<ExecSummary, ArtifactError> {
+fn read_summary(r: &mut ByteReader<'_>) -> Result<ExecSummary, ArtifactError> {
     let instructions = r.u64()?;
     let halted = r.bool()?;
     let tag = r.u8()?;
@@ -566,12 +544,6 @@ fn read_summary(r: &mut ByteReader<'_>, version: u32) -> Result<ExecSummary, Art
     };
     let has_nanos = r.bool()?;
     let nanos = r.u64()?;
-    // Versions 2–4 carry a fusion-build time after the graph's; nothing
-    // reads it.
-    if (2..5).contains(&version) {
-        r.bool()?;
-        r.u64()?;
-    }
     Ok(ExecSummary {
         instructions,
         halted,
@@ -696,9 +668,6 @@ impl<'a> IntoIterator for &'a CapturedTrace {
         self.cursor()
     }
 }
-
-/// The former name of [`TraceCursor`], kept as an alias for existing code.
-pub type Replay<'a> = TraceCursor<'a>;
 
 /// A read position into a [`CapturedTrace`]; see [`CapturedTrace::cursor`].
 ///

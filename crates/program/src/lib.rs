@@ -60,7 +60,7 @@ mod trace;
 
 pub use artifact::ArtifactError;
 pub use builder::{ProcBuilder, ProgramBuilder};
-pub use captured::{CapturedTrace, Replay, TraceCursor};
+pub use captured::{CapturedTrace, TraceCursor};
 pub use depgraph::{DepGraph, SrcDep};
 pub use error::{InterpError, ProgramError};
 pub use fusion::FusionTable;

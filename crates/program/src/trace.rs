@@ -25,10 +25,10 @@ pub struct DynInst {
     pub next_pc: u32,
 }
 
-/// A source of dynamic instructions driving a simulation session.
+/// A source of dynamic instructions driving a timing simulation.
 ///
 /// This is the seam between the program substrate and the timing simulator:
-/// a session pulls one [`DynInst`] at a time until the source is exhausted.
+/// the simulator pulls one [`DynInst`] at a time until the source is exhausted.
 /// The trait is blanket-implemented for every `Iterator<Item = DynInst>`,
 /// so the live [`crate::Interpreter`], a [`crate::TraceCursor`] over a
 /// [`crate::CapturedTrace`], and plain collections of records all qualify

@@ -9,14 +9,13 @@
 //! every flipped payload byte as [`ArtifactError::ChecksumMismatch`] naming
 //! the corrupted section, never as a panic or a silently different trace.
 //!
-//! Older versions still load: versions 2–3 (a stored PC column) and
-//! version 4 (a packed DEPGRAPH section, checksummed but not decoded).
+//! One version loads: [`TRACE_VERSION`]. An artifact whose header names any
+//! other version is [`ArtifactError::VersionSkew`].
 
-use dvi_program::artifact::{ArtifactReader, ArtifactWriter};
-use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
-use dvi_program::depgraph::link;
+use dvi_program::artifact::ArtifactWriter;
+use dvi_program::captured::{flags, section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{
-    ArtifactError, CapturedTrace, DepGraph, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
+    ArtifactError, CapturedTrace, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
 };
 use proptest::prelude::*;
 
@@ -77,108 +76,27 @@ fn far_link_program() -> LayoutProgram {
     b.build("main").unwrap().layout().unwrap()
 }
 
-/// Re-encodes `trace` (and its attached graph, if any) in the layout of
-/// trace-artifact `version` 2, 3 or 4. Every one of them appends a
-/// fusion-build time (`bool` + `u64`) to META's summary. Versions 2 and 3
-/// also drop the first PC from META, add a PCS section with one `u32` per
-/// record, and write the DEPGRAPH section as absolute `u32` producer links
-/// (`u32::MAX` = none) followed by one flag byte per record — bits 0–3
-/// the (E-DVI, I-DVI) cut pairs of operands 0 and 1, and on every third
-/// record a since-removed dead-value bit. Version 2 adds a per-record
-/// call-depth column. Version 4 writes the graph as packed `[u16; 2]` rows
-/// followed by the far table.
-fn legacy_artifact(trace: &CapturedTrace, version: u32) -> Vec<u8> {
-    let bytes = trace.to_bytes();
-    let current = ArtifactReader::parse(&bytes, TRACE_MAGIC, TRACE_VERSION).unwrap();
-    let mut w = ArtifactWriter::new(TRACE_MAGIC, version);
-    let mut meta = current.section(section::META).unwrap().to_vec();
-    meta.extend_from_slice(&[1, 7, 0, 0, 0, 0, 0, 0, 0]);
-    if version < 4 {
-        meta.drain(16..20);
-    }
-    w.section(section::META, meta);
-    for tag in [section::STATIC_INSTRS, section::STATIC_PROCS] {
-        w.section(tag, current.section(tag).unwrap().to_vec());
-    }
-    if version < 4 {
-        w.section(section::PCS, trace.replay().flat_map(|d| d.pc.to_le_bytes()).collect());
-    }
-    for tag in [section::FLAGS, section::MEM_ADDRS, section::REDIRECTS] {
-        w.section(tag, current.section(tag).unwrap().to_vec());
-    }
-    let Some(graph) = trace.depgraph() else { return w.to_bytes() };
-    let mut payload = (graph.len() as u64).to_le_bytes().to_vec();
-    if version >= 4 {
-        let mut far = Vec::new();
-        for record in 0..graph.len() {
-            for (operand, word) in graph.row(record).into_iter().enumerate() {
-                payload.extend_from_slice(&word.to_le_bytes());
-                if word & link::DISTANCE == link::FAR {
-                    let producer = graph.source(record, operand).producer.unwrap();
-                    far.push((record as u32, operand as u8, producer));
-                }
-            }
-        }
-        payload.extend_from_slice(&(far.len() as u64).to_le_bytes());
-        for (record, operand, producer) in far {
-            payload.extend_from_slice(&record.to_le_bytes());
-            payload.push(operand);
-            payload.extend_from_slice(&producer.to_le_bytes());
-        }
-    } else {
-        for record in 0..graph.len() {
-            for operand in 0..2 {
-                let producer = graph.source(record, operand).producer.unwrap_or(u32::MAX);
-                payload.extend_from_slice(&producer.to_le_bytes());
-            }
-        }
-        for record in 0..graph.len() {
-            let mut f = if record % 3 == 0 { 1 << 4 } else { 0 };
-            for operand in 0..2 {
-                let dep = graph.source(record, operand);
-                f |= (u8::from(dep.edvi_cut) | u8::from(dep.idvi_cut) << 1) << (2 * operand);
-            }
-            payload.push(f);
-        }
-        if version < 3 {
-            for record in 0..graph.len() {
-                payload.extend_from_slice(&u32::try_from(record % 7).unwrap().to_le_bytes());
-            }
-        }
-    }
-    w.section(section::DEPGRAPH, payload);
-    w.to_bytes()
-}
-
 /// Rebuilds `bytes` with `edit` applied to the payload of section `tag`
 /// and every checksum recomputed, so the damage reaches the decoder
 /// instead of being caught by the container.
 fn with_section_edited(bytes: &[u8], tag: u32, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
-    let reader = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION).unwrap();
-    let mut w = ArtifactWriter::new(TRACE_MAGIC, reader.version());
-    for (t, start, len) in section_spans(bytes) {
-        let mut payload = bytes[start..start + len].to_vec();
+    with_sections_edited(bytes, |t, payload| {
         if t == tag {
-            edit(&mut payload);
+            edit(payload);
         }
-        w.section(t, payload);
-    }
-    w.to_bytes()
+    })
 }
 
-/// Asserts both graphs give every record the same `source()` rows.
-fn assert_same_sources(got: &DepGraph, want: &DepGraph) {
-    assert_eq!(got.len(), want.len());
-    assert_eq!(got.far_links(), want.far_links());
-    for record in 0..want.len() {
-        for operand in 0..2 {
-            assert_eq!(
-                got.source(record, operand),
-                want.source(record, operand),
-                "record {record} operand {operand}"
-            );
-        }
+/// [`with_section_edited`] for an edit that touches several sections:
+/// `edit` sees every section's tag and payload.
+fn with_sections_edited(bytes: &[u8], mut edit: impl FnMut(u32, &mut Vec<u8>)) -> Vec<u8> {
+    let mut w = ArtifactWriter::new(TRACE_MAGIC, TRACE_VERSION);
+    for (tag, start, len) in section_spans(bytes) {
+        let mut payload = bytes[start..start + len].to_vec();
+        edit(tag, &mut payload);
+        w.section(tag, payload);
     }
+    w.to_bytes()
 }
 
 /// Walks the artifact container and yields `(tag, payload_start, payload_len)`
@@ -292,45 +210,55 @@ fn header_corruption_reports_magic_and_version_errors() {
     );
 }
 
-/// Version-2 and version-3 artifacts — a stored PC column and a DEPGRAPH
-/// section of absolute `u32` producer links — load to a bit-identical
-/// replay. Their graph section is not decoded; rebuilding the graph from
-/// the loaded trace gives the same `source()` rows, far links included.
+/// A current artifact relabelled with any older version in its header is
+/// refused as version skew: no older layout is read.
 #[test]
-fn version_3_artifact_loads_to_an_identical_replay_and_graph() {
-    for layout in [mixed_program(6), far_link_program()] {
-        let mut trace = CapturedTrace::record(&layout, u64::MAX);
-        let graph = trace.build_depgraph();
-        for version in [2, 3] {
-            let mut loaded = CapturedTrace::from_bytes(&legacy_artifact(&trace, version))
-                .expect("a legacy artifact loads");
-            assert_eq!(loaded.summary(), trace.summary());
-            assert_eq!(loaded.fingerprint(), trace.fingerprint());
-            assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
-            assert!(loaded.depgraph().is_none(), "v{version} graph sections are not decoded");
-            assert_same_sources(&loaded.build_depgraph(), &graph);
-        }
+fn older_version_headers_are_version_skew() {
+    let bytes = CapturedTrace::record(&mixed_program(3), 100).to_bytes();
+    for version in 1..TRACE_VERSION {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            CapturedTrace::from_bytes(&old).expect_err("an older header must not load"),
+            ArtifactError::VersionSkew { found: version, supported: TRACE_VERSION }
+        );
     }
 }
 
-/// A version-4 artifact with a packed DEPGRAPH section loads with the same
-/// fingerprint and a bit-identical replay; the section is not decoded.
+/// A record whose memory-address flag disagrees with its static
+/// instruction is malformed — both a load or store stripped of its
+/// address and an address grafted onto a non-memory record. Loaded, either
+/// would trip the core's dispatch check that an effective address is
+/// present exactly for data-cache instructions.
 #[test]
-fn version_4_artifact_with_a_depgraph_loads_to_the_same_fingerprint_and_replay() {
-    for layout in [mixed_program(6), far_link_program()] {
-        let mut trace = CapturedTrace::record(&layout, u64::MAX);
-        trace.build_depgraph();
-        let v4 = legacy_artifact(&trace, 4);
-        assert!(section_spans(&v4).iter().any(|&(tag, _, _)| tag == section::DEPGRAPH));
-        let loaded = CapturedTrace::from_bytes(&v4).expect("a v4 artifact loads");
-        assert_eq!(loaded.summary(), trace.summary());
-        assert_eq!(loaded.fingerprint(), trace.fingerprint());
-        assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
-        assert!(loaded.depgraph().is_none());
-    }
+fn a_memory_flag_that_disagrees_with_its_instruction_is_malformed() {
+    let trace = CapturedTrace::record(&mixed_program(4), 200);
+    let records: Vec<_> = trace.replay().collect();
+    let bytes = trace.to_bytes();
+    let malformed = |bytes: &[u8]| {
+        matches!(CapturedTrace::from_bytes(bytes), Err(ArtifactError::Malformed { .. }))
+    };
+
+    let memory = records.iter().position(|d| d.mem_addr.is_some()).expect("a memory record");
+    let stripped = with_sections_edited(&bytes, |tag, payload| match tag {
+        section::FLAGS => payload[memory] &= !flags::HAS_MEM,
+        section::MEM_ADDRS => drop(payload.drain(..8)),
+        _ => {}
+    });
+    assert!(malformed(&stripped), "a load/store without its address");
+
+    let plain = records.iter().position(|d| d.mem_addr.is_none()).expect("a non-memory record");
+    let before = records[..plain].iter().filter(|d| d.mem_addr.is_some()).count();
+    let grafted = with_sections_edited(&bytes, |tag, payload| match tag {
+        section::FLAGS => payload[plain] |= flags::HAS_MEM,
+        section::MEM_ADDRS => drop(payload.splice(before * 8..before * 8, [0; 8])),
+        _ => {}
+    });
+    assert!(malformed(&grafted), "an address on a non-memory record");
 }
 
-/// The current version writes no DEPGRAPH section, attached graph or not.
+/// The current version writes exactly the six core sections — no
+/// dependence graph, attached or not.
 #[test]
 fn version_5_writes_no_depgraph_section() {
     let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
@@ -344,64 +272,27 @@ fn version_5_writes_no_depgraph_section() {
         bytes
     }] {
         let tags: Vec<u32> = section_spans(&bytes).into_iter().map(|(tag, _, _)| tag).collect();
-        assert!(!tags.contains(&section::DEPGRAPH), "sections written: {tags:?}");
-    }
-}
-
-/// A byte flip inside a version-4 DEPGRAPH section is still a checksum
-/// error pinned to that section, although nothing decodes the section.
-#[test]
-fn flipped_byte_in_a_version_4_depgraph_section_is_a_checksum_mismatch() {
-    let mut trace = CapturedTrace::record(&mixed_program(5), 300);
-    trace.build_depgraph();
-    let v4 = legacy_artifact(&trace, 4);
-    let (_, start, len) = section_spans(&v4)
-        .into_iter()
-        .find(|&(tag, _, _)| tag == section::DEPGRAPH)
-        .expect("the v4 re-encoding carries the graph");
-    for at in [start, start + len / 2, start + len - 1] {
-        let mut corrupt = v4.clone();
-        corrupt[at] ^= 0x40;
         assert_eq!(
-            CapturedTrace::from_bytes(&corrupt).expect_err("a corrupted artifact must not load"),
-            ArtifactError::ChecksumMismatch { section: section::DEPGRAPH }
+            tags,
+            [
+                section::META,
+                section::STATIC_INSTRS,
+                section::STATIC_PROCS,
+                section::FLAGS,
+                section::MEM_ADDRS,
+                section::REDIRECTS
+            ]
         );
     }
 }
 
-/// A version-3 PC column that disagrees with the walk the flags and
-/// redirect targets derive is rejected, never replayed.
-#[test]
-fn version_3_pcs_that_disagree_with_the_control_flow_walk_are_rejected() {
-    let trace = CapturedTrace::record(&mixed_program(4), 200);
-    let v3 = legacy_artifact(&trace, 3);
-    for record in [0usize, 1, trace.len() / 2, trace.len() - 1] {
-        let bad = with_section_edited(&v3, section::PCS, |pcs| {
-            pcs[record * 4] ^= 1;
-        });
-        assert!(
-            matches!(CapturedTrace::from_bytes(&bad), Err(ArtifactError::Malformed { .. })),
-            "a wrong PC at record {record} must be malformed"
-        );
-    }
-    let short = with_section_edited(&v3, section::PCS, |pcs| pcs.truncate(pcs.len() - 4));
-    assert!(matches!(
-        CapturedTrace::from_bytes(&short),
-        Err(ArtifactError::TruncatedArtifact { .. })
-    ));
-    let long = with_section_edited(&v3, section::PCS, |pcs| pcs.extend_from_slice(&[0; 4]));
-    assert!(matches!(CapturedTrace::from_bytes(&long), Err(ArtifactError::Malformed { .. })));
-}
-
-/// Internally inconsistent version-4 contents behind valid checksums are
-/// typed errors, never panics: a derived PC outside the static image and a
-/// truncated section. The DEPGRAPH section is not decoded, so damage
-/// behind its valid checksum leaves the trace loadable and unchanged.
+/// Internally inconsistent contents behind valid checksums are typed
+/// errors, never panics: a derived PC outside the static image and every
+/// section cut short.
 #[test]
 fn damaged_version_4_contents_are_typed_errors() {
-    let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
-    trace.build_depgraph();
-    let bytes = legacy_artifact(&trace, 4);
+    let trace = CapturedTrace::record(&far_link_program(), u64::MAX);
+    let bytes = trace.to_bytes();
     let malformed = |bytes: &[u8]| {
         matches!(CapturedTrace::from_bytes(bytes), Err(ArtifactError::Malformed { .. }))
     };
@@ -417,14 +308,8 @@ fn damaged_version_4_contents_are_typed_errors() {
     });
     assert!(malformed(&outside), "a redirect past the image");
 
-    let early = with_section_edited(&bytes, section::DEPGRAPH, |graph| {
-        graph[8..10].copy_from_slice(&1u16.to_le_bytes());
-    });
-    let loaded = CapturedTrace::from_bytes(&early).expect("an undecoded section cannot fail");
-    assert_eq!(loaded.fingerprint(), trace.fingerprint());
-
     for (tag, _, len) in section_spans(&bytes) {
-        if len == 0 || tag == section::DEPGRAPH {
+        if len == 0 {
             continue;
         }
         let truncated = with_section_edited(&bytes, tag, |payload| payload.truncate(len - 1));

@@ -2,7 +2,7 @@
 //!
 //! Every sweep in this crate — a figure grid, a service turn —
 //! runs through [`crate::MatrixRunner`], and every member of a matrix runs
-//! start to finish on its own [`SimSession`] over the captured trace,
+//! start to finish on its own [`Simulator`] over the captured trace,
 //! inside the one panic boundary defined here (`run_member_outcome`).
 //! A sweep is only as useful as its worst member: one wedged or panicking
 //! configuration must not take down the statistics of its siblings, so
@@ -26,9 +26,9 @@
 
 use crate::config::SimConfig;
 use crate::matrix::MatrixRunner;
-use crate::session::SimSession;
+use crate::pipeline::Simulator;
 use crate::stats::SimStats;
-use dvi_program::CapturedTrace;
+use dvi_program::{CapturedTrace, DynInst};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -185,9 +185,11 @@ impl fmt::Display for SweepSummary {
     }
 }
 
-/// A test-only injected fault: panic a chosen matrix member once it has
-/// fetched `after_records` records. The `fired` flag is shared so a
-/// one-shot fault stays one-shot across the retry.
+/// A test-only injected fault: panic a chosen matrix member when its core
+/// asks for the record after its first `after_records` (with
+/// `after_records` equal to the trace length, when it asks past the end).
+/// The `fired` flag is shared so a one-shot fault stays one-shot across
+/// the retry.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultSpec {
     pub(crate) member: usize,
@@ -201,16 +203,34 @@ impl FaultSpec {
         FaultSpec { member, after_records, sticky, fired: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// Fires when the member has crossed its threshold. One-shot faults
-    /// fire on the first crossing only (the retry then completes); sticky
-    /// faults fire on every crossing (the retry dies too, exercising
+    /// Fires when the member reaches its threshold. One-shot faults fire
+    /// on the first attempt only (the retry then completes); sticky faults
+    /// fire on every attempt (the retry dies too, exercising
     /// [`MemberOutcome::Panicked`]).
-    fn trip(&self, fetched: u64) {
-        if fetched >= self.after_records
-            && (self.sticky || !self.fired.swap(true, Ordering::Relaxed))
-        {
-            panic!("injected fault: member {} at record {}", self.member, fetched);
+    fn trip(&self) {
+        if self.sticky || !self.fired.swap(true, Ordering::Relaxed) {
+            panic!("injected fault: member {} at record {}", self.member, self.after_records);
         }
+    }
+}
+
+/// A member's instruction source with its [`FaultSpec`] armed.
+struct FaultySource<'a, S> {
+    inner: S,
+    fault: &'a FaultSpec,
+    /// Records asked for so far.
+    asked: u64,
+}
+
+impl<S: Iterator<Item = DynInst>> Iterator for FaultySource<'_, S> {
+    type Item = DynInst;
+
+    fn next(&mut self) -> Option<DynInst> {
+        if self.asked == self.fault.after_records {
+            self.fault.trip();
+        }
+        self.asked += 1;
+        self.inner.next()
     }
 }
 
@@ -305,19 +325,18 @@ pub(crate) fn run_member_outcome(
 }
 
 /// One complete run of one member under a panic boundary; an injected
-/// fault is checked once the member has fetched its threshold.
+/// fault rides on the member's instruction source.
 fn run_member_attempt(
     trace: &CapturedTrace,
     config: SimConfig,
     fault: Option<&FaultSpec>,
 ) -> Result<SimStats, String> {
     catch_unwind(AssertUnwindSafe(move || {
-        let mut session = SimSession::new(config, trace.cursor());
-        if let Some(fault) = fault {
-            session.advance_until_fetched(fault.after_records);
-            fault.trip(session.stats().fetched_instrs);
+        let simulator = Simulator::new(config);
+        match fault {
+            None => simulator.run(trace.cursor()),
+            Some(fault) => simulator.run(FaultySource { inner: trace.cursor(), fault, asked: 0 }),
         }
-        session.run_to_completion()
     }))
     .map_err(panic_payload)
 }
@@ -325,7 +344,6 @@ fn run_member_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
     use dvi_core::DviConfig;
     use dvi_isa::Abi;
 

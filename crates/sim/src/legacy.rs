@@ -153,7 +153,7 @@ impl LegacySimulator {
                 last_progress = (self.cycle, self.stats.committed_entries);
             } else if self.cycle - last_progress.0 > PROGRESS_LIMIT {
                 // Demoted from an assert to a structured report, matching
-                // the session-driven core (`SimSession::tick`).
+                // the production core (`Simulator::run`).
                 self.stats.deadlocked = true;
                 self.stats.deadlock = Some(crate::stats::DeadlockReport {
                     stall_cycle: last_progress.0,

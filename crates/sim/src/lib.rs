@@ -33,25 +33,22 @@
 //! pressure, data-cache bandwidth, commit bandwidth) without simulating
 //! wrong-path instructions.
 //!
-//! # Driving the simulator: sessions
+//! # Driving the simulator
 //!
-//! The driving API is a resumable **session**: [`SimSession`] couples one
-//! [`SimConfig`] with any [`dvi_program::InstrSource`] — the live
-//! [`dvi_program::Interpreter`], or a [`dvi_program::TraceCursor`] into a
-//! recorded [`dvi_program::CapturedTrace`] — and advances under caller
-//! control: [`SimSession::tick`] simulates one cycle,
-//! [`SimSession::is_drained`] reports completion, and
-//! [`SimSession::finish`] returns the [`SimStats`]. The blocking
-//! [`Simulator::run`] is retained as the one-line shorthand
-//! (`SimSession::new(config, trace).run_to_completion()`).
+//! [`Simulator::new`] builds one machine from a [`SimConfig`], and
+//! [`Simulator::run`] drives it over any dynamic instruction stream — the
+//! live [`dvi_program::Interpreter`], or a [`dvi_program::TraceCursor`]
+//! into a recorded [`dvi_program::CapturedTrace`] — until every
+//! instruction has committed (or the forward-progress watchdog stops a
+//! wedged run), returning the [`SimStats`].
 //!
 //! # Sweeps: one runner, one store
 //!
 //! Every sweep runs through [`MatrixRunner`]: a whole (trace ×
 //! configuration) matrix with member deduplication, drained from one
 //! shared member list by a pool of worker threads. Each member runs the
-//! same plain core on its own session — its own live predictor, L1I, DVI
-//! engine, L1D and decode memo — inside one panic boundary ([`batch`]),
+//! same plain core on its own [`Simulator`] — its own live predictor, L1I,
+//! DVI engine, L1D and decode memo — inside one panic boundary ([`batch`]),
 //! so per-member statistics are bit-identical to serial runs at any
 //! thread count (`tests/matrix_equiv.rs`). Outcomes are kept in one on-disk
 //! [`ResultCache`] ([`store`]), keyed by (trace fingerprint, config
@@ -81,7 +78,7 @@
 //! ```
 //! use dvi_core::DviConfig;
 //! use dvi_program::CapturedTrace;
-//! use dvi_sim::{MatrixRunner, SimConfig, SimSession, Simulator};
+//! use dvi_sim::{MatrixRunner, SimConfig, Simulator};
 //! use dvi_workloads::{generate, WorkloadSpec};
 //!
 //! // Build and lower a small workload.
@@ -93,15 +90,10 @@
 //! // Record the dynamic stream once; every sweep point replays it.
 //! let trace = CapturedTrace::record(&layout, 20_000);
 //!
-//! // One-off run: the blocking shorthand over a session.
+//! // One machine over the recorded stream.
 //! let config = SimConfig::micro97().with_dvi(DviConfig::full());
 //! let stats = Simulator::new(config.clone()).run(trace.replay());
 //! assert!(stats.ipc() > 0.1 && !stats.deadlocked);
-//!
-//! // The same run, driven cycle-by-cycle.
-//! let mut session = SimSession::new(config.clone(), trace.cursor());
-//! while session.tick() {}
-//! assert_eq!(session.finish(), stats);
 //!
 //! // A whole register-file sweep over the same trace.
 //! let grid = [40usize, 56, 80].map(|n| config.clone().with_phys_regs(n));
@@ -125,7 +117,6 @@ mod oracle;
 mod pipeline;
 mod rename;
 pub mod sched;
-mod session;
 mod smallvec;
 mod stats;
 pub mod store;
@@ -141,7 +132,6 @@ pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, StoreProbe};
 pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;
 pub use rename::{PhysReg, RenameState};
-pub use session::SimSession;
 pub use smallvec::SmallVec;
 pub use stats::{ConservationError, DeadlockReport, ProgressStage, SimStats};
 pub use store::{CacheProbe, ResultCache};

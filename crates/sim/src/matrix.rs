@@ -14,9 +14,10 @@
 //!   front, so one trace's laggard member overlaps with another trace's
 //!   members instead of serializing its cell.
 //!
-//! Every member runs the plain core on its own session, inside the one
-//! member panic boundary ([`crate::batch`]). This is the crate's only sweep
-//! runner: [`crate::batch::SweepRunner`] is a one-cell matrix.
+//! Every member runs the plain core on its own [`crate::Simulator`],
+//! inside the one member panic boundary ([`crate::batch`]). This is the
+//! crate's only sweep runner: [`crate::batch::SweepRunner`] is a one-cell
+//! matrix.
 //!
 //! # Bit-identity contract
 //!
@@ -289,8 +290,9 @@ impl<'a> MatrixRunner<'a> {
     }
 
     /// Test-only fault injection: panics unique member `member` (members
-    /// are numbered in first-appearance order across the cells) once it
-    /// has fetched `after_records` records, exactly once. The first
+    /// are numbered in first-appearance order across the cells) when its
+    /// core asks for the record after its first `after_records`, exactly
+    /// once. The first
     /// attempt dies mid-flight and the retry completes, so the member
     /// reports [`MemberOutcome::Degraded`] with statistics bit-identical
     /// to a healthy run.

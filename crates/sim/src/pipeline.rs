@@ -37,8 +37,7 @@ use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::RenameState;
 use crate::sched::{Calendar, ReadyRing, Waiters};
-use crate::session::SimSession;
-use crate::stats::SimStats;
+use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use crate::window::{EntryState, WindowRing};
 use dvi_isa::{Abi, InstrClass};
 use dvi_mem::MemoryHierarchy;
@@ -49,19 +48,17 @@ use dvi_program::{DynInst, InstrSource};
 /// indicates a modelling bug, not a property of the workload).
 pub(crate) const PROGRESS_LIMIT: u64 = 100_000;
 
-/// The blocking convenience wrapper over [`SimSession`].
+/// One simulated machine.
 ///
 /// See the crate-level documentation for the modelling assumptions. A
 /// `Simulator` is single-use: construct it with a [`SimConfig`], call
 /// [`Simulator::run`] with a dynamic instruction stream (usually a
 /// [`dvi_program::Interpreter`] or a [`dvi_program::TraceCursor`]) and
-/// read the returned [`SimStats`]. For cycle-at-a-time control drive a
-/// [`SimSession`] directly, and to sweep many configurations over shared
-/// traces use [`crate::MatrixRunner`]; `run` is
-/// exactly `SimSession::new(config, trace).run_to_completion()`.
+/// read the returned [`SimStats`]. To sweep many configurations over
+/// shared traces use [`crate::MatrixRunner`].
 #[derive(Debug)]
 pub struct Simulator {
-    config: SimConfig,
+    core: Core,
 }
 
 impl Simulator {
@@ -72,24 +69,63 @@ impl Simulator {
     /// Panics if the configuration fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
-        config.validate();
-        Simulator { config }
+        Simulator { core: Core::new(config) }
     }
 
     /// Runs the machine over a dynamic instruction stream until every
     /// instruction has committed, and returns the accumulated statistics.
+    ///
+    /// A forward-progress watchdog ends the run early when nothing commits
+    /// for 100 000 cycles — a modelling bug, returned as
+    /// [`SimStats::deadlocked`] with a structured [`DeadlockReport`]
+    /// rather than asserted, so one wedged sweep member surfaces as a
+    /// diagnosable outcome instead of aborting its siblings.
     pub fn run<I>(self, trace: I) -> SimStats
     where
         I: IntoIterator<Item = DynInst>,
     {
-        SimSession::new(self.config, trace.into_iter()).run_to_completion()
+        let mut core = self.core;
+        let mut source = trace.into_iter();
+        // (cycle, committed) at the last cycle that committed, and
+        // (cycle, fetched) at the last cycle fetch advanced — the evidence
+        // for which stage was last alive.
+        let mut last_progress = (0, 0);
+        let mut last_fetch = (0, 0);
+        loop {
+            core.step(&mut source);
+            if core.at_drain() {
+                core.release_at_drain();
+                break;
+            }
+            if core.stats.fetched_instrs != last_fetch.1 {
+                last_fetch = (core.cycle, core.stats.fetched_instrs);
+            }
+            if core.stats.committed_entries != last_progress.1 {
+                last_progress = (core.cycle, core.stats.committed_entries);
+            } else if core.cycle - last_progress.0 > PROGRESS_LIMIT {
+                core.stats.deadlocked = true;
+                core.stats.deadlock = Some(DeadlockReport {
+                    stall_cycle: last_progress.0,
+                    detected_cycle: core.cycle,
+                    window_occupancy: core.window.len(),
+                    head_seq: core.head_record_seq(),
+                    last_stage: if last_fetch.0 > last_progress.0 {
+                        ProgressStage::Fetch
+                    } else {
+                        ProgressStage::Commit
+                    },
+                });
+                break;
+            }
+        }
+        core.finalize()
     }
 }
 
 /// The pipeline state and per-cycle machinery of one simulated machine,
-/// driven cycle-at-a-time by [`SimSession`].
+/// driven cycle by cycle by [`Simulator::run`].
 #[derive(Debug)]
-pub(crate) struct Core {
+struct Core {
     config: SimConfig,
     rename: RenameState,
     dvi: DviEngine,
@@ -101,8 +137,8 @@ pub(crate) struct Core {
     /// The in-order front end (fetch queue, redirect state machine, per-PC
     /// decode memo, decode-stage DVI plumbing).
     front: FrontEnd,
-    pub(crate) cycle: u64,
-    pub(crate) stats: SimStats,
+    cycle: u64,
+    stats: SimStats,
     // --- Event-driven scheduling state. ---
     calendar: Calendar,
     waiters: Waiters,
@@ -119,7 +155,7 @@ impl Core {
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
-    pub(crate) fn new(config: SimConfig) -> Core {
+    fn new(config: SimConfig) -> Core {
         config.validate();
         let window = WindowRing::new(config.window_size);
         // The longest schedulable latency is a load missing every level.
@@ -145,7 +181,7 @@ impl Core {
 
     /// Simulates one cycle: commit, writeback, issue, rename/dispatch and
     /// fetch, then per-cycle resource bookkeeping.
-    pub(crate) fn step<S: InstrSource>(&mut self, source: &mut S) {
+    fn step<S: InstrSource>(&mut self, source: &mut S) {
         self.commit();
         self.writeback();
         self.issue();
@@ -166,20 +202,14 @@ impl Core {
     }
 
     /// Whether the source is exhausted and the pipeline empty.
-    pub(crate) fn at_drain(&self) -> bool {
+    fn at_drain(&self) -> bool {
         self.front.is_drained() && self.window.is_empty()
-    }
-
-    /// Instructions currently in flight in the window (deadlock
-    /// diagnostics).
-    pub(crate) fn window_occupancy(&self) -> usize {
-        self.window.len()
     }
 
     /// Trace record sequence number of the window-head instruction, when
     /// one is in flight (deadlock diagnostics: identifies the wedged
     /// instruction in the trace).
-    pub(crate) fn head_record_seq(&self) -> Option<u64> {
+    fn head_record_seq(&self) -> Option<u64> {
         (!self.window.is_empty()).then(|| self.window.dseq(self.window.head_seq()))
     }
 
@@ -187,7 +217,7 @@ impl Core {
     /// `kill` (or left pending when rename stalled at trace end) have no
     /// later dispatched instruction to ride to commit — release them here
     /// so they are not leaked.
-    pub(crate) fn release_at_drain(&mut self) {
+    fn release_at_drain(&mut self) {
         self.front.release_pending_reclaims(&mut self.rename);
         // With nothing in flight, every physical register must be either
         // architecturally mapped or on the free list — a shortfall means a
@@ -200,7 +230,7 @@ impl Core {
     }
 
     /// Folds the subsystem counters into the statistics and returns them.
-    pub(crate) fn finalize(mut self) -> SimStats {
+    fn finalize(mut self) -> SimStats {
         self.stats.cycles = self.cycle;
         self.stats.dvi = self.dvi.stats();
         self.stats.branch = self.pred.stats();
@@ -596,12 +626,11 @@ mod tests {
         let config = SimConfig::micro97().with_dvi(dvi_core::DviConfig::full());
 
         let stock = Simulator::new(config.clone()).run(trace.replay());
-        let again = SimSession::new(config.clone(), trace.cursor()).run_to_completion();
+        let again = Simulator::new(config.clone()).run(trace.cursor());
         assert_eq!(stock, again, "the same configuration must model the same machine");
         assert!(stock.memory.l1d.misses > 0, "the stock L1D misses on this workload");
 
-        let perfect =
-            SimSession::new(config.with_perfect_dcache(), trace.cursor()).run_to_completion();
+        let perfect = Simulator::new(config.with_perfect_dcache()).run(trace.cursor());
         assert_eq!(perfect.memory.l1d.misses, 0, "a perfect D-cache never misses");
         assert!(perfect.cycles <= stock.cycles, "an always-hit data side cannot be slower");
         assert_eq!(perfect.program_instrs, stock.program_instrs);

@@ -179,14 +179,6 @@ fn decode(
     config_fingerprint: u64,
 ) -> Result<MemberOutcome, ArtifactError> {
     let reader = ArtifactReader::parse(bytes, MEMO_MAGIC, MEMO_VERSION)?;
-    // The container accepts older versions, but an older memo entry holds
-    // counters with another meaning: anything but this version is damage.
-    if reader.version() != MEMO_VERSION {
-        return Err(ArtifactError::VersionSkew {
-            found: reader.version(),
-            supported: MEMO_VERSION,
-        });
-    }
     let mut key = ByteReader::new(reader.section(section::KEY)?, "memo key");
     let stored_trace = key.u64()?;
     let stored_config = key.u64()?;

@@ -1,0 +1,176 @@
+//! The trace-artifact decoder fails closed.
+//!
+//! A trace artifact is the sweeps' durable input, and the service accepts
+//! one from any client (`POST /traces`). Whatever the bytes,
+//! [`CapturedTrace::from_bytes`] must either refuse them with a typed
+//! [`ArtifactError`] or return a trace that the timing core runs to the
+//! end without panicking: damage is a refused upload, never a sweep whose
+//! members all come back `Panicked`.
+//!
+//! Two deterministic, seeded loops (hand-rolled: the vendored proptest
+//! runs a fixed 64 cases without shrinking):
+//!
+//! * **container** — every prefix of a small artifact, and every byte of it
+//!   flipped with XOR `0x01` and with XOR `0xFF`, is refused;
+//! * **decoder** — [`MUTANTS`] checksum-valid mutants: one section's
+//!   payload gets a bit flipped, is cut short, or has up to 8 bytes
+//!   spliced in, and the container is re-encoded with fresh checksums so
+//!   the damage reaches the decoder. Each mutant is refused, or it loads
+//!   and the DVI machine simulates it to completion; a panic in either
+//!   step fails the test.
+//!
+//! The trace is about 300 records, so the debug build runs the loop in
+//! seconds; CI also runs it in release.
+
+use dvi_core::DviConfig;
+use dvi_isa::Abi;
+use dvi_program::artifact::ArtifactWriter;
+use dvi_program::captured::{TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::{ArtifactError, CapturedTrace};
+use dvi_sim::{SimConfig, Simulator};
+use dvi_workloads::WorkloadSpec;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Checksum-valid mutants per run of the decoder loop.
+const MUTANTS: usize = 10_000;
+
+/// A compiled workload (saves, restores, E-DVI kills, calls, loads and
+/// stores) captured for about 300 records.
+fn small_trace() -> CapturedTrace {
+    let program = dvi_workloads::generate(&WorkloadSpec::small("mutants", 5));
+    let compiled =
+        dvi_compiler::compile(&program, &Abi::mips_like(), dvi_compiler::CompileOptions::default())
+            .expect("workload compiles");
+    let trace = CapturedTrace::record(&compiled.program.layout().expect("lays out"), 300);
+    assert_eq!(trace.len(), 300, "the workload runs past the capture limit");
+    trace
+}
+
+/// SplitMix64: a fixed seed gives the same mutants on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`; the modulo bias is irrelevant here).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The `(tag, payload)` sections of a well-formed container, in order.
+fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let mut at = 16;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let payload = at + 20; // tag (4) + len (8) + checksum (8)
+        out.push((tag, bytes[payload..payload + len].to_vec()));
+        at = payload + len;
+    }
+    assert_eq!(at, bytes.len(), "the section walk covers the artifact");
+    out
+}
+
+/// One mutation of `payload`, described for the failure report.
+fn mutate(payload: &mut Vec<u8>, rng: &mut Rng) -> String {
+    match rng.below(3) {
+        0 if !payload.is_empty() => {
+            let (at, bit) = (rng.below(payload.len()), rng.below(8));
+            payload[at] ^= 1 << bit;
+            format!("bit {bit} of byte {at} flipped")
+        }
+        1 if !payload.is_empty() => {
+            let len = rng.below(payload.len());
+            payload.truncate(len);
+            format!("cut to {len} bytes")
+        }
+        _ => {
+            let at = rng.below(payload.len() + 1);
+            let removed = rng.below(9).min(payload.len() - at);
+            let inserted: Vec<u8> = (0..=rng.below(8)).map(|_| rng.next() as u8).collect();
+            let description = format!("{removed} bytes at {at} replaced by {inserted:02x?}");
+            payload.splice(at..at + removed, inserted);
+            description
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Decodes `bytes` and, when they load, simulates them on the DVI machine;
+/// `Err` carries the panic message of whichever step panicked.
+fn decode_and_run(bytes: &[u8], config: &SimConfig) -> Result<Option<ArtifactError>, String> {
+    let decoded = catch_unwind(|| CapturedTrace::from_bytes(bytes))
+        .map_err(|p| format!("decoder panicked: {}", panic_message(&*p)))?;
+    let trace = match decoded {
+        Ok(trace) => trace,
+        Err(err) => return Ok(Some(err)),
+    };
+    catch_unwind(AssertUnwindSafe(|| Simulator::new(config.clone()).run(trace.replay())))
+        .map(|_| None)
+        .map_err(|p| format!("core panicked: {}", panic_message(&*p)))
+}
+
+#[test]
+fn every_cut_and_every_flipped_byte_is_refused() {
+    let bytes = small_trace().to_bytes();
+    for cut in 0..bytes.len() {
+        assert!(CapturedTrace::from_bytes(&bytes[..cut]).is_err(), "cut at {cut} loaded");
+    }
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0xFF] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            assert!(CapturedTrace::from_bytes(&flipped).is_err(), "byte {at} ^ {mask:#04x} loaded");
+        }
+    }
+}
+
+#[test]
+fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
+    let clean = sections(&small_trace().to_bytes());
+    let config = SimConfig::micro97().with_dvi(DviConfig::full());
+    let mut rng = Rng(0x0DD_5EED);
+    let (mut refused, mut loaded) = (0usize, 0usize);
+    let mut panics = Vec::new();
+    for mutant in 0..MUTANTS {
+        let victim = rng.below(clean.len());
+        let mut w = ArtifactWriter::new(TRACE_MAGIC, TRACE_VERSION);
+        let mut description = String::new();
+        for (i, (tag, payload)) in clean.iter().enumerate() {
+            let mut payload = payload.clone();
+            if i == victim {
+                description = format!("section {tag}: {}", mutate(&mut payload, &mut rng));
+            }
+            w.section(*tag, payload);
+        }
+        match decode_and_run(&w.to_bytes(), &config) {
+            Ok(Some(_)) => refused += 1,
+            Ok(None) => loaded += 1,
+            Err(panic) => panics.push(format!("mutant {mutant} ({description}): {panic}")),
+        }
+    }
+    println!("{MUTANTS} mutants: {refused} refused, {loaded} loaded and simulated");
+    assert!(
+        panics.is_empty(),
+        "{} panics, first: {:#?}",
+        panics.len(),
+        &panics[..3.min(panics.len())]
+    );
+    assert!(refused > 0 && loaded > 0, "the loop exercises both the decoder and the core");
+}

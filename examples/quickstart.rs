@@ -7,7 +7,7 @@
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::CapturedTrace;
-use dvi_sim::{MatrixRunner, SimConfig, SimSession, Simulator};
+use dvi_sim::{MatrixRunner, SimConfig, Simulator};
 use dvi_workloads::WorkloadSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,9 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = CapturedTrace::record(&layout, 100_000);
     println!("captured {} records ({} KB)", trace.len(), trace.approx_bytes() / 1024);
 
-    // 4. Time it on the paper's machine, with and without DVI. `Simulator`
-    //    is the blocking shorthand; underneath it drives a resumable
-    //    `SimSession` to completion.
+    // 4. Time it on the paper's machine, with and without DVI: one
+    //    `Simulator` per machine, each run over a replay of the capture.
     let baseline = Simulator::new(SimConfig::micro97()).run(trace.replay());
     let with_dvi =
         Simulator::new(SimConfig::micro97().with_dvi(DviConfig::full())).run(trace.replay());
@@ -49,17 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * (with_dvi.ipc() / baseline.ipc() - 1.0)
     );
 
-    // 5. The same run, driven cycle by cycle: a session hands control back
-    //    between cycles, so the caller can watch the machine fill and
-    //    drain.
-    let mut session = SimSession::new(SimConfig::micro97(), trace.cursor());
-    while session.tick() {}
-    let cycles = session.cycles();
-    let stepped = session.finish();
-    assert_eq!(stepped, baseline, "a session is the same machine, bit for bit");
-    println!("stepped the baseline machine for {cycles} cycles under caller control");
-
-    // 6. A design-space sweep: the matrix runner times a whole
+    // 5. A design-space sweep: the matrix runner times a whole
     //    register-file grid over the capture, every member on its own
     //    plain core, spread over the host's threads.
     let sizes = [34usize, 40, 48, 64, 80];
