@@ -13,29 +13,35 @@
 //!
 //! # Format
 //!
-//! The encoding exploits the split between *static* and *dynamic*
-//! instruction information:
+//! A trace stores only what the static image cannot derive.
 //!
 //! * **Static per PC** (stored once, copied from the [`LayoutProgram`]):
-//!   the instruction itself and its owning procedure. A dynamic record never
-//!   repeats them.
-//! * **Dynamic per executed instruction** (stored per record):
-//!   - one flags byte ([`flags`] bits: memory-address present, branch
-//!     outcome present, branch outcome, fetch redirect),
-//!   - the effective address (`u64`, *only* for memory instructions, in a
-//!     side array consumed sequentially),
-//!   - the next PC (`u32`, *only* when control does not fall through, in a
-//!     second side array).
+//!   the instruction itself and its owning procedure. The instruction
+//!   fixes whether a record has an effective address, whether it has a
+//!   branch outcome, and the target of every branch, jump and call.
+//! * **Dynamic columns**, each consumed in execution order:
+//!   - `CONTROL` — one `u32` run length per control transfer: the number
+//!     of records from the start of a run up to and including the record
+//!     that transfers control (a taken branch, a jump, a call, a return or
+//!     the halt). A conditional branch is taken exactly when a run ends on
+//!     it; every other record falls through to `pc + 1`.
+//!   - `RETURNS` — the target of each return, the one next PC the image
+//!     cannot supply.
+//!   - `MEM_LO` — the low 32 bits of each effective address.
+//!   - `MEM_HI` — a `(memory index, high word)` entry wherever the high 32
+//!     bits of the effective address change, starting from zero. Programs
+//!     that stay below 4 GiB leave it empty.
 //!
 //! No program counter is stored per record. The trace keeps the first
-//! record's PC, and every later PC is the previous record's `next_pc`: the
-//! redirect target when the flags byte says control did not fall through,
-//! `pc + 1` otherwise. The cursor carries that running PC. The sequence
-//! number is the record index, so it is not stored either. A typical record
-//! costs 1 byte plus ~1.4 amortized bytes of side-array data — versus ~56
-//! bytes for a stored [`DynInst`] — and replay streams it back in strictly
-//! sequential order, which the hardware prefetcher turns into effectively
-//! free loads.
+//! record's PC, and every later PC is the previous record's `next_pc`:
+//! `pc + 1` inside a run, and at a run's end the static target, the
+//! return target, or the halt's own PC. The cursor carries that running PC
+//! and the index of the record that ends the current run, so its next-PC
+//! chain needs no image lookup per record. The sequence number is the
+//! record index, so it is not stored either. On the generated workloads a
+//! record costs under one byte — versus ~56 bytes for a stored
+//! [`DynInst`] — and replay streams every column back in strictly
+//! sequential order.
 //!
 //! The durable artifact ([`CapturedTrace::to_bytes`]) stores exactly these
 //! arrays, one checksummed [`crate::artifact`] section each, under
@@ -64,19 +70,6 @@ use dvi_isa::Instr;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// Bit assignments of the per-record flags byte.
-pub mod flags {
-    /// The instruction referenced memory (`mem_addr` is present).
-    pub const HAS_MEM: u8 = 1 << 0;
-    /// The instruction was a conditional branch (`taken` is present).
-    pub const HAS_TAKEN: u8 = 1 << 1;
-    /// The branch was taken (meaningful only with [`HAS_TAKEN`]).
-    pub const TAKEN: u8 = 1 << 2;
-    /// Control did not fall through (`next_pc != pc + 1`; the target lives
-    /// in the redirect side array).
-    pub const REDIRECT: u8 = 1 << 3;
-}
-
 /// A dynamic instruction trace recorded once and replayable any number of
 /// times. See the module documentation for the format.
 #[derive(Debug, Clone)]
@@ -89,25 +82,38 @@ pub struct CapturedTrace {
     /// Program counter of the first record (0 for an empty trace); every
     /// later PC is derived from its predecessor's `next_pc`.
     first_pc: u32,
-    /// Flags byte of each dynamic record (see [`flags`]).
-    flag_bits: Vec<u8>,
-    /// Effective addresses of memory instructions, in execution order.
-    mem_addrs: Vec<u64>,
-    /// Targets of records whose control transfer did not fall through, in
-    /// execution order.
-    redirect_targets: Vec<u32>,
+    /// Number of dynamic records.
+    records: usize,
+    /// Length of each run of records that ends on a control transfer, in
+    /// execution order. Records after the last run fall through.
+    control: Vec<u32>,
+    /// Target of each return, in execution order.
+    returns: Vec<u32>,
+    /// Low 32 bits of each effective address, in execution order.
+    mem_lo: Vec<u32>,
+    /// `(memory index, high word)` wherever the high 32 bits of the
+    /// effective address change, in ascending memory-index order; the high
+    /// word is zero before the first entry.
+    mem_hi: Vec<(u64, u32)>,
     /// Summary of the recording run (instruction count, halt, error).
     summary: ExecSummary,
     /// The dependence graph, once built ([`CapturedTrace::build_depgraph`]).
     /// Derived data: excluded from the fingerprint and not persisted.
     depgraph: Option<Arc<DepGraph>>,
     /// Lazily computed [`CapturedTrace::fingerprint`]. The hash covers the
-    /// whole dynamic stream (~1 ms per 10⁵ records), and the result
-    /// store, artifact saves and the matrix registry all ask for it —
-    /// so it is computed once per trace, not once per consumer. Safe to
-    /// cache because everything it covers is immutable after construction
-    /// (only the excluded dependence graph can be attached later).
+    /// whole dynamic stream, and the result store, artifact saves and the
+    /// matrix registry all ask for it — so it is computed once per trace,
+    /// not once per consumer. Safe to cache because everything it covers is
+    /// immutable after construction (only the excluded dependence graph
+    /// can be attached later).
     fingerprint: OnceLock<u64>,
+}
+
+/// Whether a record of `instr` ends its run: every jump, call, return and
+/// halt transfers control, and a conditional branch does when taken.
+fn ends_run(instr: &Instr, taken: Option<bool>) -> bool {
+    matches!(instr, Instr::Jump { .. } | Instr::Call { .. } | Instr::Return | Instr::Halt)
+        || taken == Some(true)
 }
 
 impl CapturedTrace {
@@ -116,70 +122,70 @@ impl CapturedTrace {
     #[must_use]
     pub fn record(layout: &LayoutProgram, step_limit: u64) -> CapturedTrace {
         let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
-        let estimate = usize::try_from(step_limit.min(1 << 24)).unwrap_or(usize::MAX);
         let mut trace = CapturedTrace {
             static_instrs: layout.code().into(),
             static_procs: (0..layout.len() as u32)
                 .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
                 .collect(),
             first_pc: 0,
-            flag_bits: Vec::with_capacity(estimate),
-            mem_addrs: Vec::new(),
-            redirect_targets: Vec::new(),
+            records: 0,
+            control: Vec::new(),
+            returns: Vec::new(),
+            mem_lo: Vec::new(),
+            mem_hi: Vec::new(),
             summary: interp.summary(),
             depgraph: None,
             fingerprint: OnceLock::new(),
         };
+        // Records in the current run so far. A run never outgrows the
+        // static image: straight-line code past its end stops the program.
+        let mut run = 0u32;
+        let mut high = 0u32;
         let mut expected_pc = None;
         for d in interp.by_ref() {
+            debug_assert_eq!(d.seq, trace.records as u64, "records must be pushed in order");
             match expected_pc {
                 None => trace.first_pc = d.pc,
                 Some(pc) => debug_assert_eq!(d.pc, pc, "record {} breaks the PC chain", d.seq),
             }
             expected_pc = Some(d.next_pc);
-            trace.push(&d);
+            if let Some(addr) = d.mem_addr {
+                if (addr >> 32) as u32 != high {
+                    high = (addr >> 32) as u32;
+                    trace.mem_hi.push((trace.mem_lo.len() as u64, high));
+                }
+                trace.mem_lo.push(addr as u32);
+            }
+            run += 1;
+            if ends_run(&d.instr, d.taken) {
+                trace.control.push(run);
+                run = 0;
+                if d.instr == Instr::Return {
+                    trace.returns.push(d.next_pc);
+                }
+            }
+            trace.records += 1;
         }
         trace.summary = interp.summary();
-        // The capacity estimate above can overshoot short programs by a
-        // wide margin; release the slack so `approx_bytes` (which reports
-        // capacities — the memory actually held) matches reality.
-        trace.flag_bits.shrink_to_fit();
-        trace.mem_addrs.shrink_to_fit();
-        trace.redirect_targets.shrink_to_fit();
+        // Release the growth slack so `approx_bytes` (which reports
+        // capacities — the memory actually held) matches the data.
+        trace.control.shrink_to_fit();
+        trace.returns.shrink_to_fit();
+        trace.mem_lo.shrink_to_fit();
+        trace.mem_hi.shrink_to_fit();
         trace
-    }
-
-    /// Appends one dynamic record.
-    fn push(&mut self, d: &DynInst) {
-        debug_assert_eq!(d.seq, self.len() as u64, "records must be pushed in order");
-        let mut f = 0u8;
-        if let Some(addr) = d.mem_addr {
-            f |= flags::HAS_MEM;
-            self.mem_addrs.push(addr);
-        }
-        if let Some(taken) = d.taken {
-            f |= flags::HAS_TAKEN;
-            if taken {
-                f |= flags::TAKEN;
-            }
-        }
-        if d.next_pc != d.pc + 1 {
-            f |= flags::REDIRECT;
-            self.redirect_targets.push(d.next_pc);
-        }
-        self.flag_bits.push(f);
     }
 
     /// Number of dynamic instructions in the trace.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.flag_bits.len()
+        self.records
     }
 
     /// Whether the trace contains no instructions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.flag_bits.is_empty()
+        self.records == 0
     }
 
     /// Summary of the recording run (instructions executed, whether the
@@ -190,17 +196,17 @@ impl CapturedTrace {
     }
 
     /// Approximate heap footprint of the captured trace, in bytes (useful
-    /// for sizing sweep batches). Accounts for every side array — the
-    /// dynamic record buffers at their allocated capacity, the static
-    /// image, and the attached [`DepGraph`] storage when one has been
-    /// built.
+    /// for sizing sweep batches). Accounts for every column at its
+    /// allocated capacity, the static image, and the attached [`DepGraph`]
+    /// storage when one has been built.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.flag_bits.capacity()
-            + self.mem_addrs.capacity() * std::mem::size_of::<u64>()
-            + self.redirect_targets.capacity() * std::mem::size_of::<u32>()
-            + self.static_instrs.len() * std::mem::size_of::<Instr>()
-            + self.static_procs.len() * std::mem::size_of::<ProcId>()
+        use std::mem::size_of;
+        (self.control.capacity() + self.returns.capacity() + self.mem_lo.capacity())
+            * size_of::<u32>()
+            + self.mem_hi.capacity() * size_of::<(u64, u32)>()
+            + self.static_instrs.len() * size_of::<Instr>()
+            + self.static_procs.len() * size_of::<ProcId>()
             + self.depgraph.as_ref().map_or(0, |g| g.approx_bytes())
     }
 
@@ -242,7 +248,7 @@ impl CapturedTrace {
     /// concurrently at independent positions without cloning the buffers.
     #[must_use]
     pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor { trace: self, idx: 0, pc: self.first_pc, mem_idx: 0, redirect_idx: 0 }
+        TraceCursor::new(self)
     }
 
     /// Alias of [`CapturedTrace::cursor`], kept for the established
@@ -286,13 +292,15 @@ impl CapturedTrace {
     /// Decodes a trace artifact produced by [`CapturedTrace::to_bytes`] /
     /// [`CapturedTrace::save`]. Only [`TRACE_VERSION`] is read; any other
     /// header is [`ArtifactError::VersionSkew`]. Every section checksum is
-    /// verified before any decoding, and the decoded arrays are
-    /// cross-checked against each other (record counts, flag/side-array
-    /// consistency, every derived PC inside the static image, a memory
-    /// address exactly on the records whose instruction uses the data
-    /// cache), so a corrupted or internally inconsistent artifact is
-    /// rejected with a typed [`ArtifactError`] instead of replaying garbage
-    /// or reaching the timing core.
+    /// verified before any decoding, and the columns are then checked
+    /// against the static image by walking the PC chain: every PC lies
+    /// inside the image; runs end on every jump, call, return and halt,
+    /// and otherwise only on a branch; no run is empty; a halt is the last
+    /// record; each column is consumed exactly; and `MEM_HI` is ascending
+    /// and changes the high word at every entry. A corrupted or internally
+    /// inconsistent artifact is thus rejected with a typed
+    /// [`ArtifactError`] instead of replaying a stream no program can
+    /// produce, or reaching the timing core.
     pub fn from_bytes(bytes: &[u8]) -> Result<CapturedTrace, ArtifactError> {
         let malformed = |context: String| ArtifactError::Malformed { context };
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
@@ -303,6 +311,10 @@ impl CapturedTrace {
         let first_pc = meta.u32()?;
         let summary = read_summary(&mut meta)?;
         meta.finish()?;
+        // Every PC, and so `pc + 1`, then fits in a `u32`.
+        if static_len > u32::MAX as usize {
+            return Err(malformed(format!("static image of {static_len} instructions")));
+        }
 
         let mut instrs = ByteReader::new(r.section(section::STATIC_INSTRS)?, "static code");
         let mut static_instrs = Vec::with_capacity(static_len.min(instrs.remaining() / 12));
@@ -318,78 +330,122 @@ impl CapturedTrace {
         }
         procs.finish()?;
 
-        let flags_section = r.section(section::FLAGS)?;
-        if flags_section.len() != records {
+        let control = read_u32_column(r.section(section::CONTROL)?, "control runs")?;
+        let returns = read_u32_column(r.section(section::RETURNS)?, "return targets")?;
+        let mem_lo = read_u32_column(r.section(section::MEM_LO)?, "memory addresses")?;
+        let hi_section = r.section(section::MEM_HI)?;
+        if !hi_section.len().is_multiple_of(12) {
             return Err(malformed(format!(
-                "{} flag bytes for {records} records",
-                flags_section.len()
+                "{} high-word bytes are not whole 12-byte entries",
+                hi_section.len()
             )));
         }
-        let flag_bits = flags_section.to_vec();
-        let mems = flag_bits.iter().filter(|f| *f & flags::HAS_MEM != 0).count();
-        let redirects = flag_bits.iter().filter(|f| *f & flags::REDIRECT != 0).count();
-
-        let mut mem_r = ByteReader::new(r.section(section::MEM_ADDRS)?, "memory addresses");
-        if mem_r.remaining() != mems * 8 {
-            return Err(malformed(format!(
-                "{} memory-address bytes for {mems} memory records",
-                mem_r.remaining()
-            )));
-        }
-        let mut mem_addrs = Vec::with_capacity(mems);
-        for _ in 0..mems {
-            mem_addrs.push(mem_r.u64()?);
+        let mut hi_r = ByteReader::new(hi_section, "memory high words");
+        let mut mem_hi = Vec::with_capacity(hi_section.len() / 12);
+        while hi_r.remaining() > 0 {
+            mem_hi.push((hi_r.u64()?, hi_r.u32()?));
         }
 
-        let mut red_r = ByteReader::new(r.section(section::REDIRECTS)?, "redirect targets");
-        if red_r.remaining() != redirects * 4 {
-            return Err(malformed(format!(
-                "{} redirect-target bytes for {redirects} redirecting records",
-                red_r.remaining()
-            )));
-        }
-        let mut redirect_targets = Vec::with_capacity(redirects);
-        for _ in 0..redirects {
-            redirect_targets.push(red_r.u32()?);
-        }
-
-        // Walk the PC chain: every derived PC must lie inside the static
-        // image, because replay indexes the image with it, and a record
-        // carries an address exactly when its instruction uses the data
-        // cache, because the core's dispatch asserts that agreement.
-        let mem_bit: Vec<u8> = static_instrs
-            .iter()
-            .map(|instr| if instr.class().uses_cache_port() { flags::HAS_MEM } else { 0 })
-            .collect();
+        // Walk the PC chain. Replay indexes the image with every PC, the
+        // core's dispatch asserts an address exactly on data-cache
+        // instructions, and the cursor reads each column by position, so
+        // all three must agree with the image here.
         let mut pc = first_pc;
-        let mut targets = redirect_targets.iter();
-        for (i, &f) in flag_bits.iter().enumerate() {
-            let Some(&bit) = mem_bit.get(pc as usize) else {
+        // The index of the record ending run `k`, which starts at record
+        // `start`; `usize::MAX` past the last run.
+        let run_end_of = |k: usize, start: usize| match control.get(k) {
+            Some(0) => Err(malformed(format!("run {k} is empty"))),
+            Some(&n) => Ok(start.saturating_add(n as usize - 1)),
+            None => Ok(usize::MAX),
+        };
+        let mut ended_runs = 0usize;
+        let mut run_end = run_end_of(0, 0)?;
+        let (mut rets, mut mems) = (0usize, 0usize);
+        for i in 0..records {
+            let Some(instr) = static_instrs.get(pc as usize) else {
                 return Err(malformed(format!(
                     "record {i} PC {pc} is outside the {static_len}-instruction static image"
                 )));
             };
-            if f & flags::HAS_MEM != bit {
+            if instr.is_mem() {
+                mems += 1;
+            }
+            if i != run_end {
+                if ends_run(instr, None) {
+                    return Err(malformed(format!(
+                        "record {i} at PC {pc}: a {} inside a run",
+                        instr.class()
+                    )));
+                }
+                pc += 1;
+                continue;
+            }
+            pc = match *instr {
+                Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Call { target } => {
+                    target
+                }
+                Instr::Return => {
+                    let Some(&target) = returns.get(rets) else {
+                        return Err(malformed(format!(
+                            "record {i} returns, but RETURNS holds {} targets",
+                            returns.len()
+                        )));
+                    };
+                    rets += 1;
+                    if target as usize >= static_len && i + 1 < records {
+                        return Err(malformed(format!(
+                            "record {i} returns to PC {target}, outside the \
+                             {static_len}-instruction static image"
+                        )));
+                    }
+                    target
+                }
+                Instr::Halt if i + 1 < records => {
+                    return Err(malformed(format!("record {i} halts before the last record")));
+                }
+                Instr::Halt => pc,
+                _ => {
+                    return Err(malformed(format!(
+                        "record {i} at PC {pc}: a run ends on a {} record",
+                        instr.class()
+                    )))
+                }
+            };
+            ended_runs += 1;
+            run_end = run_end_of(ended_runs, i + 1)?;
+        }
+        let unconsumed = |column: &str, held: usize, used: usize| {
+            malformed(format!("{column} holds {held} entries but the records consume {used}"))
+        };
+        if ended_runs != control.len() {
+            return Err(unconsumed("CONTROL", control.len(), ended_runs));
+        }
+        if rets != returns.len() {
+            return Err(unconsumed("RETURNS", returns.len(), rets));
+        }
+        if mems != mem_lo.len() {
+            return Err(unconsumed("MEM_LO", mem_lo.len(), mems));
+        }
+        let (mut next_index, mut high) = (0u64, 0u32);
+        for (k, &(index, word)) in mem_hi.iter().enumerate() {
+            if index < next_index || index >= mems as u64 || word == high {
                 return Err(malformed(format!(
-                    "record {i} at PC {pc}: the memory-address flag disagrees with its {} \
-                     instruction",
-                    static_instrs[pc as usize].class()
+                    "MEM_HI entry {k} (memory index {index}, high word {word:#x}) is out of \
+                     order, past the {mems} memory records, or repeats the current high word"
                 )));
             }
-            pc = if f & flags::REDIRECT != 0 {
-                *targets.next().expect("redirect count checked above")
-            } else {
-                pc + 1
-            };
+            (next_index, high) = (index + 1, word);
         }
 
         Ok(CapturedTrace {
             static_instrs: static_instrs.into(),
             static_procs: static_procs.into(),
             first_pc,
-            flag_bits,
-            mem_addrs,
-            redirect_targets,
+            records,
+            control,
+            returns,
+            mem_lo,
+            mem_hi,
             summary,
             depgraph: None,
             fingerprint: OnceLock::new(),
@@ -397,13 +453,14 @@ impl CapturedTrace {
     }
 
     /// A stable content fingerprint of the trace: the hash of the first
-    /// PC, the static image and every dynamic array. Derived and volatile
+    /// PC, the static image and every dynamic column. Derived and volatile
     /// data — the dependence graph and the metadata section, which carries
     /// the wall-clock graph-build time — are deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
-    /// sharing stored results across processes. Computed on first use, cached for the trace's
-    /// lifetime (the covered data is immutable after construction).
+    /// sharing stored results across processes. Computed on first use,
+    /// cached for the trace's lifetime (the covered data is immutable after
+    /// construction).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
@@ -423,7 +480,7 @@ impl CapturedTrace {
     }
 
     /// The checksummed sections of the durable format: metadata (which
-    /// carries the first PC), static image, and the three dynamic arrays.
+    /// carries the first PC), static image, and the four dynamic columns.
     fn core_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut meta = ByteWriter::new();
         meta.put_u64(self.len() as u64);
@@ -439,30 +496,50 @@ impl CapturedTrace {
         for proc in &self.static_procs {
             procs.put_u32(u32::try_from(proc.0).expect("procedure ids fit in u32"));
         }
-        let mut mems = ByteWriter::new();
-        for &addr in &self.mem_addrs {
-            mems.put_u64(addr);
-        }
-        let mut redirects = ByteWriter::new();
-        for &target in &self.redirect_targets {
-            redirects.put_u32(target);
+        let u32_column = |column: &[u32]| {
+            let mut w = ByteWriter::new();
+            for &value in column {
+                w.put_u32(value);
+            }
+            w.into_bytes()
+        };
+        let mut hi = ByteWriter::new();
+        for &(index, word) in &self.mem_hi {
+            hi.put_u64(index);
+            hi.put_u32(word);
         }
         vec![
             (section::META, meta.into_bytes()),
             (section::STATIC_INSTRS, instrs.into_bytes()),
             (section::STATIC_PROCS, procs.into_bytes()),
-            (section::FLAGS, self.flag_bits.clone()),
-            (section::MEM_ADDRS, mems.into_bytes()),
-            (section::REDIRECTS, redirects.into_bytes()),
+            (section::CONTROL, u32_column(&self.control)),
+            (section::RETURNS, u32_column(&self.returns)),
+            (section::MEM_LO, u32_column(&self.mem_lo)),
+            (section::MEM_HI, hi.into_bytes()),
         ]
     }
+}
+
+/// Decodes a section of little-endian `u32` values.
+fn read_u32_column(payload: &[u8], what: &'static str) -> Result<Vec<u32>, ArtifactError> {
+    if !payload.len().is_multiple_of(4) {
+        return Err(ArtifactError::Malformed {
+            context: format!("{} bytes of {what} are not whole u32 values", payload.len()),
+        });
+    }
+    let mut r = ByteReader::new(payload, what);
+    let mut column = Vec::with_capacity(payload.len() / 4);
+    while r.remaining() > 0 {
+        column.push(r.u32()?);
+    }
+    Ok(column)
 }
 
 /// Magic of the durable trace artifact.
 pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// The trace-artifact format version this build writes, and the only one
 /// it reads.
-pub const TRACE_VERSION: u32 = 5;
+pub const TRACE_VERSION: u32 = 6;
 
 /// Section tags of the trace artifact.
 pub mod section {
@@ -477,12 +554,15 @@ pub mod section {
     pub const STATIC_INSTRS: u32 = 2;
     /// Owning procedure of each static instruction, one `u32` per PC.
     pub const STATIC_PROCS: u32 = 3;
-    /// Flags byte of each dynamic record.
-    pub const FLAGS: u32 = 5;
-    /// Effective addresses of memory records, in execution order.
-    pub const MEM_ADDRS: u32 = 6;
-    /// Targets of non-fall-through records, in execution order.
-    pub const REDIRECTS: u32 = 7;
+    /// One `u32` run length per control transfer, in execution order.
+    pub const CONTROL: u32 = 8;
+    /// One `u32` target per return, in execution order.
+    pub const RETURNS: u32 = 9;
+    /// The low 32 bits of each effective address, in execution order.
+    pub const MEM_LO: u32 = 10;
+    /// A `u64` memory index and a `u32` high word wherever the high 32 bits
+    /// of the effective address change.
+    pub const MEM_HI: u32 = 11;
 }
 
 fn write_summary(w: &mut ByteWriter, summary: &ExecSummary) {
@@ -681,11 +761,37 @@ pub struct TraceCursor<'a> {
     idx: usize,
     /// PC of the record at `idx` (the previous record's `next_pc`).
     pc: u32,
+    /// Index of the record that ends the current run (`usize::MAX` once
+    /// every run has been read: the remaining records fall through).
+    run_end: usize,
+    /// Index of the current run in `CONTROL`.
+    run_idx: usize,
+    return_idx: usize,
     mem_idx: usize,
-    redirect_idx: usize,
+    /// The current high word of the effective address, shifted into place.
+    high: u64,
+    /// Index of the next `MEM_HI` entry.
+    high_idx: usize,
+    /// Memory index at which that entry takes effect (`u64::MAX` if none).
+    high_at: u64,
 }
 
-impl TraceCursor<'_> {
+impl<'a> TraceCursor<'a> {
+    fn new(trace: &'a CapturedTrace) -> TraceCursor<'a> {
+        TraceCursor {
+            trace,
+            idx: 0,
+            pc: trace.first_pc,
+            run_end: trace.control.first().map_or(usize::MAX, |&n| n as usize - 1),
+            run_idx: 0,
+            return_idx: 0,
+            mem_idx: 0,
+            high: 0,
+            high_idx: 0,
+            high_at: trace.mem_hi.first().map_or(u64::MAX, |&(at, _)| at),
+        }
+    }
+
     /// Number of records already consumed (the `seq` of the next record).
     #[must_use]
     pub fn position(&self) -> usize {
@@ -697,37 +803,72 @@ impl TraceCursor<'_> {
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.idx
     }
+
+    /// Moves to the high word of the next `MEM_HI` entry, which takes
+    /// effect at the current memory record.
+    #[cold]
+    fn advance_high(&mut self) {
+        let t = self.trace;
+        self.high = u64::from(t.mem_hi[self.high_idx].1) << 32;
+        self.high_idx += 1;
+        self.high_at = t.mem_hi.get(self.high_idx).map_or(u64::MAX, |&(at, _)| at);
+    }
+
+    /// Ends the current run on the record `i` at `pc`: returns its branch
+    /// outcome and next PC, and moves to the next run.
+    #[inline]
+    fn end_run(&mut self, i: usize, pc: u32, instr: Instr) -> (Option<bool>, u32) {
+        let t = self.trace;
+        self.run_idx += 1;
+        self.run_end = t.control.get(self.run_idx).map_or(usize::MAX, |&n| i + n as usize);
+        match instr {
+            Instr::Branch { target, .. } => (Some(true), target),
+            Instr::Jump { target } | Instr::Call { target } => (None, target),
+            Instr::Return => {
+                let target = t.returns[self.return_idx];
+                self.return_idx += 1;
+                (None, target)
+            }
+            // A halt: `from_bytes` and `record` admit no other record here.
+            _ => (None, pc),
+        }
+    }
 }
 
 impl Iterator for TraceCursor<'_> {
     type Item = DynInst;
 
+    #[inline]
     fn next(&mut self) -> Option<DynInst> {
         let t = self.trace;
         let i = self.idx;
-        let f = *t.flag_bits.get(i)?;
+        if i >= t.records {
+            return None;
+        }
         let pc = self.pc;
-        self.idx += 1;
-        let mem_addr = if f & flags::HAS_MEM != 0 {
-            let addr = t.mem_addrs[self.mem_idx];
-            self.mem_idx += 1;
-            Some(addr)
+        let instr = t.static_instrs[pc as usize];
+        self.idx = i + 1;
+        // No branch on the memory nature, which a predictor guesses
+        // poorly: read the next address either way, and consume it only
+        // on a memory record.
+        let is_mem = instr.is_mem();
+        let m = self.mem_idx;
+        let lo = t.mem_lo.get(m).copied().unwrap_or(0);
+        if is_mem & (m as u64 == self.high_at) {
+            self.advance_high();
+        }
+        self.mem_idx = m + usize::from(is_mem);
+        let mem_addr = is_mem.then_some(self.high | u64::from(lo));
+        let (taken, next_pc) = if i == self.run_end {
+            self.end_run(i, pc, instr)
         } else {
-            None
-        };
-        let taken = if f & flags::HAS_TAKEN != 0 { Some(f & flags::TAKEN != 0) } else { None };
-        let next_pc = if f & flags::REDIRECT != 0 {
-            let target = t.redirect_targets[self.redirect_idx];
-            self.redirect_idx += 1;
-            target
-        } else {
-            pc + 1
+            (matches!(instr, Instr::Branch { .. }).then_some(false), pc + 1)
         };
         self.pc = next_pc;
         Some(DynInst {
             seq: i as u64,
             pc,
-            instr: t.static_instrs[pc as usize],
+            instr,
             proc: t.static_procs[pc as usize],
             mem_addr,
             taken,
@@ -829,17 +970,20 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_is_one_flag_byte_per_record_plus_side_arrays() {
+    fn approx_bytes_is_four_bytes_per_column_entry_plus_the_image() {
         let layout = mixed_program();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let mems = trace.replay().filter(|d| d.mem_addr.is_some()).count();
-        let redirects = trace.replay().filter(|d| d.next_pc != d.pc + 1).count();
-        assert!(mems > 0 && redirects > 0, "the program exercises both side arrays");
+        let records: Vec<DynInst> = trace.replay().collect();
+        let mems = records.iter().filter(|d| d.mem_addr.is_some()).count();
+        let runs = records.iter().filter(|d| ends_run(&d.instr, d.taken)).count();
+        let returns = records.iter().filter(|d| d.instr == Instr::Return).count();
+        assert!(mems > 0 && runs > returns && returns > 0, "the program fills every column");
+        assert!(records.iter().all(|d| d.mem_addr.is_none_or(|a| a >> 32 == 0)));
         let image = layout.len() * (std::mem::size_of::<Instr>() + std::mem::size_of::<ProcId>());
         assert_eq!(
             trace.approx_bytes(),
-            trace.len() + mems * 8 + redirects * 4 + image,
-            "no per-record PC column"
+            (runs + returns + mems) * 4 + image,
+            "no per-record column, and no MEM_HI entry below 4 GiB"
         );
     }
 
@@ -896,6 +1040,115 @@ mod tests {
         assert_eq!(trace.fingerprint(), bare, "the graph is derived data");
         let shorter = CapturedTrace::record(&layout, 5);
         assert_ne!(shorter.fingerprint(), bare, "different streams must differ");
+    }
+
+    /// Records `layout` for `step_limit` steps, asserts the replay is
+    /// bit-identical to the interpreter and survives the artifact round
+    /// trip with its fingerprint, and returns the replayed records.
+    fn replays_and_roundtrips(layout: &LayoutProgram, step_limit: u64) -> Vec<DynInst> {
+        let live: Vec<DynInst> = Interpreter::new(layout).with_step_limit(step_limit).collect();
+        let trace = CapturedTrace::record(layout, step_limit);
+        let replayed: Vec<DynInst> = trace.replay().collect();
+        assert_eq!(replayed, live, "replay must reproduce the interpreter");
+        let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
+        assert_eq!(loaded.fingerprint(), trace.fingerprint());
+        assert_eq!(loaded.replay().collect::<Vec<_>>(), live);
+        replayed
+    }
+
+    /// Builds a one-procedure program from `body` (which must end in a
+    /// halt) plus a `leaf` procedure from `leaf`.
+    fn program(body: impl FnOnce(&mut ProcBuilder), leaf: &[Instr]) -> LayoutProgram {
+        let mut b = ProgramBuilder::new();
+        let mut main = ProcBuilder::new("main");
+        body(&mut main);
+        b.add_procedure(main).unwrap();
+        let mut callee = ProcBuilder::new("leaf");
+        for &instr in leaf {
+            callee.emit(instr);
+        }
+        b.add_procedure(callee).unwrap();
+        b.build("main").unwrap().layout().unwrap()
+    }
+
+    #[test]
+    fn a_taken_branch_to_the_next_pc_ends_a_run() {
+        let layout = program(
+            |main| {
+                let next = main.new_block();
+                main.emit(Instr::load_imm(r(8), 1));
+                main.emit_branch(CmpOp::Eq, r(8), r(8), next);
+                main.switch_to(next);
+                main.emit(Instr::Halt);
+            },
+            &[Instr::Return],
+        );
+        let records = replays_and_roundtrips(&layout, u64::MAX);
+        let branch = records.iter().find(|d| d.taken.is_some()).expect("a branch");
+        assert_eq!((branch.taken, branch.next_pc), (Some(true), branch.pc + 1));
+    }
+
+    #[test]
+    fn a_return_through_an_overwritten_ra_replays() {
+        let skip = Instr::AluImm { op: AluOp::Add, rd: ArchReg::RA, rs: ArchReg::RA, imm: 1 };
+        let layout = program(
+            |main| {
+                main.emit_call("leaf");
+                main.emit(Instr::load_imm(r(8), 99)); // skipped by the return
+                main.emit(Instr::Halt);
+            },
+            &[skip, Instr::Return],
+        );
+        let records = replays_and_roundtrips(&layout, u64::MAX);
+        let call = records.iter().find(|d| d.instr.class() == dvi_isa::InstrClass::Call);
+        let ret = records.iter().find(|d| d.instr == Instr::Return).expect("a return");
+        assert_eq!(ret.next_pc, call.expect("a call").pc + 2);
+        assert!(records.iter().all(|d| d.instr != Instr::load_imm(r(8), 99)));
+    }
+
+    #[test]
+    fn addresses_above_4_gib_use_the_high_word_column() {
+        // Shift amounts are taken mod 32, so two shifts reach bit 32.
+        let sll = Instr::AluImm { op: AluOp::Sll, rd: r(9), rs: r(9), imm: 16 };
+        let layout = program(
+            |main| {
+                main.emit(Instr::load_imm(r(8), 7));
+                main.emit(Instr::load_imm(r(9), 3));
+                main.emit(sll);
+                main.emit(sll);
+                main.emit(Instr::Store { rs: r(8), base: r(9), offset: 8 });
+                main.emit(Instr::Load { rd: r(10), base: r(9), offset: 8 });
+                main.emit(Instr::load_imm(r(9), crate::interp::DATA_BASE as i32));
+                main.emit(Instr::Store { rs: r(10), base: r(9), offset: 0 });
+                main.emit(Instr::Halt);
+            },
+            &[Instr::Return],
+        );
+        let records = replays_and_roundtrips(&layout, u64::MAX);
+        let addrs: Vec<u64> = records.iter().filter_map(|d| d.mem_addr).collect();
+        assert_eq!(addrs, [(3 << 32) + 8, (3 << 32) + 8, crate::interp::DATA_BASE]);
+        let trace = CapturedTrace::record(&layout, u64::MAX);
+        assert_eq!(trace.mem_hi, [(0, 3), (2, 0)], "the high word rises, then falls back");
+    }
+
+    #[test]
+    fn a_trace_cut_mid_run_by_the_step_limit_replays() {
+        let layout = mixed_program();
+        let full: Vec<DynInst> = Interpreter::new(&layout).collect();
+        let cuts: Vec<u64> = (1..full.len() as u64)
+            .filter(|&n| {
+                let last = &full[n as usize - 1];
+                !ends_run(&last.instr, last.taken)
+            })
+            .collect();
+        assert!(!cuts.is_empty(), "some step limit stops inside a run");
+        for n in cuts {
+            let records = replays_and_roundtrips(&layout, n);
+            assert_eq!(records.len() as u64, n);
+            let trace = CapturedTrace::record(&layout, n);
+            let covered: u64 = trace.control.iter().map(|&run| u64::from(run)).sum();
+            assert!(covered < n, "the final records belong to no run");
+        }
     }
 
     #[test]

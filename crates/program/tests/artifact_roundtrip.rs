@@ -13,7 +13,7 @@
 //! other version is [`ArtifactError::VersionSkew`].
 
 use dvi_program::artifact::ArtifactWriter;
-use dvi_program::captured::{flags, section, TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{
     ArtifactError, CapturedTrace, LayoutProgram, ProcBuilder, ProgramBuilder, DATA_BASE,
 };
@@ -26,8 +26,8 @@ fn r(i: u8) -> ArchReg {
 }
 
 /// A program exercising every record shape the codec has to carry: ALU ops,
-/// loads/stores (side addresses), taken and fall-through branches, calls,
-/// returns (redirects) and the final halt.
+/// loads/stores (memory columns), taken and fall-through branches, calls,
+/// returns (return targets) and the final halt.
 fn mixed_program(iters: i32) -> LayoutProgram {
     let mut b = ProgramBuilder::new();
     let mut main = ProcBuilder::new("main");
@@ -170,7 +170,7 @@ fn one_flipped_byte_in_any_section_is_a_checksum_mismatch() {
     trace.build_depgraph();
     let bytes = trace.to_bytes();
     let spans = section_spans(&bytes);
-    assert_eq!(spans.len(), 6, "the trace artifact carries exactly the core sections");
+    assert_eq!(spans.len(), 7, "the trace artifact carries exactly the core sections");
     for (tag, start, len) in spans {
         if len == 0 {
             continue;
@@ -225,47 +225,28 @@ fn older_version_headers_are_version_skew() {
     }
 }
 
-/// A record whose memory-address flag disagrees with its static
-/// instruction is malformed — both a load or store stripped of its
-/// address and an address grafted onto a non-memory record. Loaded, either
-/// would trip the core's dispatch check that an effective address is
-/// present exactly for data-cache instructions.
+/// A memory column whose length disagrees with the image is malformed:
+/// `MEM_LO` missing the address of a load or store, or carrying one more
+/// address than the image's data-cache records consume. Loaded, either
+/// would misalign every later address or leave one unread.
 #[test]
-fn a_memory_flag_that_disagrees_with_its_instruction_is_malformed() {
-    let trace = CapturedTrace::record(&mixed_program(4), 200);
-    let records: Vec<_> = trace.replay().collect();
-    let bytes = trace.to_bytes();
-    let malformed = |bytes: &[u8]| {
-        matches!(CapturedTrace::from_bytes(bytes), Err(ArtifactError::Malformed { .. }))
-    };
-
-    let memory = records.iter().position(|d| d.mem_addr.is_some()).expect("a memory record");
-    let stripped = with_sections_edited(&bytes, |tag, payload| match tag {
-        section::FLAGS => payload[memory] &= !flags::HAS_MEM,
-        section::MEM_ADDRS => drop(payload.drain(..8)),
-        _ => {}
-    });
-    assert!(malformed(&stripped), "a load/store without its address");
-
-    let plain = records.iter().position(|d| d.mem_addr.is_none()).expect("a non-memory record");
-    let before = records[..plain].iter().filter(|d| d.mem_addr.is_some()).count();
-    let grafted = with_sections_edited(&bytes, |tag, payload| match tag {
-        section::FLAGS => payload[plain] |= flags::HAS_MEM,
-        section::MEM_ADDRS => drop(payload.splice(before * 8..before * 8, [0; 8])),
-        _ => {}
-    });
-    assert!(malformed(&grafted), "an address on a non-memory record");
+fn a_memory_column_count_mismatch_is_malformed() {
+    let bytes = CapturedTrace::record(&mixed_program(4), 200).to_bytes();
+    let short = with_section_edited(&bytes, section::MEM_LO, |lo| drop(lo.drain(..4)));
+    assert_malformed(&short, "MEM_LO holds");
+    let long = with_section_edited(&bytes, section::MEM_LO, |lo| lo.extend([0; 4]));
+    assert_malformed(&long, "MEM_LO holds");
 }
 
-/// The current version writes exactly the six core sections — no
+/// The current version writes exactly the seven core sections — no
 /// dependence graph, attached or not.
 #[test]
-fn version_5_writes_no_depgraph_section() {
+fn the_current_version_writes_no_depgraph_section() {
     let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
     trace.build_depgraph();
-    assert_eq!(TRACE_VERSION, 5);
+    assert_eq!(TRACE_VERSION, 6);
     for bytes in [trace.to_bytes(), {
-        let path = std::env::temp_dir().join("dvi-artifact-v5-no-depgraph.dvitrace");
+        let path = std::env::temp_dir().join("dvi-artifact-current-no-depgraph.dvitrace");
         trace.save(&path).expect("save succeeds");
         let bytes = std::fs::read(&path).expect("saved artifact reads back");
         std::fs::remove_file(&path).ok();
@@ -278,17 +259,135 @@ fn version_5_writes_no_depgraph_section() {
                 section::META,
                 section::STATIC_INSTRS,
                 section::STATIC_PROCS,
-                section::FLAGS,
-                section::MEM_ADDRS,
-                section::REDIRECTS
+                section::CONTROL,
+                section::RETURNS,
+                section::MEM_LO,
+                section::MEM_HI
             ]
         );
     }
 }
 
+/// Asserts `bytes` decode to [`ArtifactError::Malformed`] whose context
+/// names `reason`.
+#[track_caller]
+fn assert_malformed(bytes: &[u8], reason: &str) {
+    match CapturedTrace::from_bytes(bytes) {
+        Err(ArtifactError::Malformed { context }) => {
+            assert!(context.contains(reason), "expected {reason:?}, got {context:?}");
+        }
+        other => panic!("expected a malformed artifact ({reason}), got {other:?}"),
+    }
+}
+
+/// Replaces the `index`th little-endian `u32` of `payload` with
+/// `f(old)`.
+fn edit_u32(payload: &mut [u8], index: usize, f: impl Fn(u32) -> u32) {
+    let at = index * 4;
+    let old = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    payload[at..at + 4].copy_from_slice(&f(old).to_le_bytes());
+}
+
+/// A checksum-valid `CONTROL` column that disagrees with the image is
+/// malformed, whichever way it disagrees: a run that ends on an ALU
+/// record, a run that runs through a call or a return, an empty run, or
+/// a run the records never finish.
+#[test]
+fn control_runs_that_contradict_the_image_are_malformed() {
+    let trace = CapturedTrace::record(&mixed_program(4), u64::MAX);
+    let records: Vec<_> = trace.replay().collect();
+    let bytes = trace.to_bytes();
+    // Run 1 is the leaf's `add; return`.
+    assert_eq!(records[5].instr.class(), dvi_isa::InstrClass::IntAlu);
+    assert_eq!(records[6].instr, Instr::Return);
+
+    let short = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 1, |n| n - 1));
+    assert_malformed(&short, "a run ends on a int-alu record");
+    // Run 0 ends on the call; one record longer runs through it.
+    let through_call = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 0, |n| n + 1));
+    assert_malformed(&through_call, "a call inside a run");
+    let through_return =
+        with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 1, |n| n + 1));
+    assert_malformed(&through_return, "a return inside a run");
+    let empty = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 2, |_| 0));
+    assert_malformed(&empty, "run 2 is empty");
+    let first_empty = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 0, |_| 0));
+    assert_malformed(&first_empty, "run 0 is empty");
+
+    // The halt is the last record; a run past it is never finished.
+    let extra = with_section_edited(&bytes, section::CONTROL, |c| c.extend(1u32.to_le_bytes()));
+    assert_malformed(&extra, "CONTROL holds");
+}
+
+/// A halt inside a run, or a halt followed by more records, is
+/// malformed: a program stops at its halt.
+#[test]
+fn a_halt_is_the_last_record() {
+    let trace = CapturedTrace::record(&mixed_program(2), u64::MAX);
+    let bytes = trace.to_bytes();
+    let runs = section_spans(&bytes)
+        .into_iter()
+        .find(|&(tag, _, _)| tag == section::CONTROL)
+        .map(|(_, _, len)| len / 4)
+        .expect("a CONTROL section");
+    // One record more, and the last run one record longer: the halt
+    // falls through inside a run.
+    let through_halt = with_sections_edited(&bytes, |tag, payload| match tag {
+        section::META => edit_u32(payload, 0, |n| n + 1),
+        section::CONTROL => edit_u32(payload, runs - 1, |n| n + 1),
+        _ => {}
+    });
+    assert_malformed(&through_halt, "a halt inside a run");
+    // One record more: the halt replays a second time.
+    let repeated = with_sections_edited(&bytes, |tag, payload| match tag {
+        section::META => edit_u32(payload, 0, |n| n + 1),
+        section::CONTROL => payload.extend(1u32.to_le_bytes()),
+        _ => {}
+    });
+    assert_malformed(&repeated, "halts before the last record");
+}
+
+/// An entry in any dynamic column that no record consumes is malformed,
+/// as is a high-word column out of order or repeating the current high
+/// word, and a return to a PC outside the image.
+#[test]
+fn column_entries_that_no_record_consumes_are_malformed() {
+    let trace = CapturedTrace::record(&mixed_program(4), u64::MAX);
+    let bytes = trace.to_bytes();
+    let static_len = trace.static_code().len() as u32;
+
+    let extra_return =
+        with_section_edited(&bytes, section::RETURNS, |r| r.extend(static_len.to_le_bytes()));
+    assert_malformed(&extra_return, "RETURNS holds");
+    let missing_return = with_section_edited(&bytes, section::RETURNS, |r| r.truncate(r.len() - 4));
+    assert_malformed(&missing_return, "RETURNS holds");
+    let outside = with_section_edited(&bytes, section::RETURNS, |r| edit_u32(r, 0, |_| static_len));
+    assert_malformed(&outside, "outside the");
+
+    let mems = trace.replay().filter(|d| d.mem_addr.is_some()).count() as u64;
+    let high_words = |entries: &[(u64, u32)]| {
+        with_section_edited(&bytes, section::MEM_HI, |hi| {
+            for &(index, word) in entries {
+                hi.extend(index.to_le_bytes());
+                hi.extend(word.to_le_bytes());
+            }
+        })
+    };
+    let reason = "out of order, past the";
+    // Valid: the high word rises at one address and falls back at the next.
+    assert!(CapturedTrace::from_bytes(&high_words(&[(1, 1), (2, 0)])).is_ok());
+    assert_malformed(&high_words(&[(mems, 1)]), reason);
+    assert_malformed(&high_words(&[(2, 1), (1, 2)]), reason);
+    assert_malformed(&high_words(&[(2, 1), (2, 2)]), reason);
+    assert_malformed(&high_words(&[(1, 0)]), reason);
+    assert_malformed(&high_words(&[(1, 5), (3, 5)]), reason);
+    let ragged = with_section_edited(&bytes, section::MEM_HI, |hi| hi.extend([0; 11]));
+    assert_malformed(&ragged, "whole 12-byte entries");
+}
+
 /// Internally inconsistent contents behind valid checksums are typed
-/// errors, never panics: a derived PC outside the static image and every
-/// section cut short.
+/// errors, never panics: a first PC or a return target outside the static
+/// image, and every section cut short.
 #[test]
 fn damaged_version_4_contents_are_typed_errors() {
     let trace = CapturedTrace::record(&far_link_program(), u64::MAX);
@@ -303,10 +402,10 @@ fn damaged_version_4_contents_are_typed_errors() {
         meta[16..20].copy_from_slice(&static_len.to_le_bytes());
     });
     assert!(malformed(&outside), "a first PC past the image");
-    let outside = with_section_edited(&bytes, section::REDIRECTS, |targets| {
+    let outside = with_section_edited(&bytes, section::RETURNS, |targets| {
         targets[..4].copy_from_slice(&static_len.to_le_bytes());
     });
-    assert!(malformed(&outside), "a redirect past the image");
+    assert!(malformed(&outside), "a return past the image");
 
     for (tag, _, len) in section_spans(&bytes) {
         if len == 0 {

@@ -567,12 +567,12 @@ fn malformed_requests_get_typed_http_errors() {
 
     // A trace artifact of an older format version → 400 naming the skew.
     let mut old = small_trace(3, 2_000).to_bytes();
-    old[8..12].copy_from_slice(&4u32.to_le_bytes());
+    old[8..12].copy_from_slice(&5u32.to_le_bytes());
     let (status, body) =
         http_request(&addr, "POST", "/traces", &old, "application/octet-stream").expect("request");
     assert_eq!(status, 400);
     let body = String::from_utf8_lossy(&body);
-    assert!(body.contains("version 4 is not the version this reader reads"), "got: {body}");
+    assert!(body.contains("version 5 is not the version this reader reads"), "got: {body}");
 
     // A raw non-HTTP byte stream → 400 and a clean close.
     let mut stream = TcpStream::connect(&addr).expect("connects");

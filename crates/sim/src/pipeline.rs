@@ -143,10 +143,6 @@ struct Core {
     calendar: Calendar,
     waiters: Waiters,
     ready: ReadyRing,
-    /// Reused buffers for calendar drains and the per-cycle ready list, so
-    /// the per-cycle loop performs no allocation.
-    scratch_events: Vec<u64>,
-    scratch_ready: Vec<u64>,
 }
 
 impl Core {
@@ -172,8 +168,6 @@ impl Core {
             calendar: Calendar::new(max_latency),
             waiters: Waiters::new(config.phys_regs),
             ready: ReadyRing::new(window.ring_size()),
-            scratch_events: Vec::new(),
-            scratch_ready: Vec::new(),
             window,
             config,
         }
@@ -276,102 +270,50 @@ impl Core {
 
     // -------------------------------------------------------- writeback --
     /// Event-driven writeback fused with wakeup: drain exactly the
-    /// calendar bucket for this cycle, publish each completion in the
-    /// window's `done` flag array and wake each result's waiters in the
-    /// same pass.
+    /// calendar bucket for this cycle, in place, publishing each
+    /// completion in the window's `done` flag array and waking each
+    /// result's waiters in the same pass: a waiter whose last missing
+    /// operand this was becomes ready.
     fn writeback(&mut self) {
-        if self.calendar.pending() == 0 {
-            return;
-        }
-        let mut events = std::mem::take(&mut self.scratch_events);
-        self.calendar.drain_due(self.cycle, &mut events);
-        for &wseq in &events {
-            debug_assert_eq!(
-                self.window.state(wseq),
-                EntryState::Executing { done_at: self.cycle }
-            );
-            let (dst, resolves) = self.window.complete(wseq);
+        let Core { calendar, window, rename, waiters, ready, front, cycle, config, .. } = self;
+        calendar.drain_due(*cycle, |wseq| {
+            debug_assert_eq!(window.state(wseq), EntryState::Executing { done_at: *cycle });
+            let (dst, resolves) = window.complete(wseq);
             if let Some(p) = dst {
-                self.wake_phys(p.0);
+                rename.set_ready(p);
+                waiters.wake_all(usize::from(p.0), |waiter| {
+                    debug_assert!(window.is_waiting(waiter), "waiter is not waiting");
+                    if window.dec_missing(waiter) == 0 {
+                        ready.set(waiter);
+                    }
+                });
             }
             if resolves {
-                self.front.resolve_fetch_stall(self.cycle, self.config.mispredict_penalty);
-            }
-        }
-        self.scratch_events = events;
-    }
-
-    /// Marks physical register `p` produced and moves waiters whose last
-    /// missing operand this was into the ready set.
-    fn wake_phys(&mut self, p: u16) {
-        self.rename.set_ready(crate::rename::PhysReg(p));
-        self.drain_waiters(usize::from(p));
-    }
-
-    /// Drains the waiter list of producer key `key` in place, decrementing
-    /// each waiter's missing-operand count and marking newly complete
-    /// entries ready.
-    fn drain_waiters(&mut self, key: usize) {
-        self.waiters.wake_all(key, |wseq| {
-            debug_assert!(self.window.is_waiting(wseq), "waiter is not waiting");
-            if self.window.dec_missing(wseq) == 0 {
-                self.ready.set(wseq);
+                front.resolve_fetch_stall(*cycle, config.mispredict_penalty);
             }
         });
     }
 
     // ------------------------------------------------------------ issue --
-    /// Event-driven select: walk the ready set in age order; entries denied
-    /// a functional unit stay ready for the next cycle. The walk is lazy
-    /// over a word snapshot, so it stops as soon as `issue_width`
-    /// instructions have issued instead of materializing the whole ready
-    /// list every cycle.
+    /// Event-driven select: walk the live ready set in age order; entries
+    /// denied a functional unit stay ready for the next cycle. The walk
+    /// stops as soon as `issue_width` instructions have issued, so a long
+    /// ready list (e.g. many loads queued on two cache ports) is not
+    /// walked to the end every cycle.
     fn issue(&mut self) {
-        if self.ready.count() == 0 {
-            return;
-        }
-        let mut snap = std::mem::take(&mut self.scratch_ready);
-        self.ready.snapshot_words(&mut snap);
-        let mut issued = 0;
-        for wseq in self.ready.iter_snapshot(&snap, self.window.head_seq()) {
-            if issued >= self.config.issue_width {
-                break;
-            }
-            debug_assert!(self.window.is_waiting(wseq));
-            let class = self.window.class(wseq);
+        let Core { ready, window, fu, mem, calendar, cycle, config, .. } = self;
+        ready.select(window.head_seq(), config.issue_width, |wseq| {
+            debug_assert!(window.is_waiting(wseq));
+            let class = window.class(wseq);
             let kind = class.fu_kind().expect("ready entries occupy a functional unit");
-            if !self.fu.try_acquire(kind) {
-                continue;
+            if !fu.try_acquire(kind) {
+                return false;
             }
-            let latency = self.execution_latency(wseq, class);
-            let done_at = self.cycle + latency.max(1);
-            self.window.mark_executing(wseq, done_at);
-            self.ready.clear(wseq);
-            self.calendar.schedule(self.cycle, done_at, wseq);
-            issued += 1;
-        }
-        self.scratch_ready = snap;
-    }
-
-    fn execution_latency(&mut self, wseq: u64, class: InstrClass) -> u64 {
-        // Memory classes are guaranteed an effective address by
-        // `WindowRing::push` — the decode bug that used to silently alias
-        // an address-less load onto line 0 can no longer reach this point.
-        match class {
-            InstrClass::Load => {
-                let addr = self.window.mem_addr(wseq);
-                self.mem.data_access(addr).latency
-            }
-            InstrClass::Store => {
-                let addr = self.window.mem_addr(wseq);
-                // Stores retire into the cache; the pipeline only waits for
-                // address/data readiness, so the latency charged here is the
-                // port occupancy, while the access updates the cache state.
-                let _ = self.mem.data_access(addr);
-                1
-            }
-            other => u64::from(other.base_latency()),
-        }
+            let done_at = *cycle + execution_latency(window, mem, wseq, class).max(1);
+            window.mark_executing(wseq, done_at);
+            calendar.schedule(*cycle, done_at, wseq);
+            true
+        });
     }
 
     // --------------------------------------------------- rename/dispatch --
@@ -422,6 +364,30 @@ impl Core {
                 }
             }
         }
+    }
+}
+
+/// Cycles from issue to completion of the entry `wseq` of class `class`;
+/// loads and stores access the data cache here.
+fn execution_latency(
+    window: &WindowRing,
+    mem: &mut MemoryHierarchy,
+    wseq: u64,
+    class: InstrClass,
+) -> u64 {
+    // Memory classes are guaranteed an effective address by
+    // `WindowRing::push` — the decode bug that used to silently alias an
+    // address-less load onto line 0 can no longer reach this point.
+    match class {
+        InstrClass::Load => mem.data_access(window.mem_addr(wseq)).latency,
+        InstrClass::Store => {
+            // Stores retire into the cache; the pipeline only waits for
+            // address/data readiness, so the latency charged here is the
+            // port occupancy, while the access updates the cache state.
+            let _ = mem.data_access(window.mem_addr(wseq));
+            1
+        }
+        other => u64::from(other.base_latency()),
     }
 }
 

@@ -98,30 +98,33 @@ impl Calendar {
         }
     }
 
-    /// Moves every event due at exactly `cycle` into `out` (in scheduling
-    /// order), clearing them from the calendar.
-    pub fn drain_due(&mut self, cycle: u64, out: &mut Vec<u64>) {
-        out.clear();
+    /// Hands every event due at exactly `cycle` to `complete` (in
+    /// scheduling order) and clears them from the calendar. The due bucket
+    /// is drained in place, so it keeps its allocation and nothing is
+    /// copied.
+    pub fn drain_due(&mut self, cycle: u64, mut complete: impl FnMut(u64)) {
         if self.pending == 0 {
             return;
         }
-        // Swap the due bucket out whole: `out` arrives empty, so the bucket
-        // inherits its allocation and nothing is copied.
-        let idx = (cycle & self.mask) as usize;
-        std::mem::swap(out, &mut self.buckets[idx]);
+        let bucket = &mut self.buckets[(cycle & self.mask) as usize];
+        self.pending -= bucket.len();
+        for &wseq in bucket.iter() {
+            complete(wseq);
+        }
+        bucket.clear();
         if !self.overflow.is_empty() {
             // Rare path: only populated when a configured latency exceeds
             // the wheel horizon.
             let mut i = 0;
             while i < self.overflow.len() {
                 if self.overflow[i].0 == cycle {
-                    out.push(self.overflow.swap_remove(i).1);
+                    self.pending -= 1;
+                    complete(self.overflow.swap_remove(i).1);
                 } else {
                     i += 1;
                 }
             }
         }
-        self.pending -= out.len();
     }
 }
 
@@ -209,44 +212,60 @@ impl ReadyRing {
         self.count += 1;
     }
 
-    /// Clears the entry's ready bit (at issue).
-    pub fn clear(&mut self, wseq: u64) {
-        let (w, bit) = self.pos(wseq);
-        debug_assert!(self.words[w] & bit != 0, "clearing a bit that is not set");
-        self.words[w] &= !bit;
-        self.count -= 1;
-    }
-
-    /// Copies the raw bit words into `out` (a reusable scratch buffer), so
-    /// select can walk a stable snapshot while clearing bits of issued
-    /// entries. See [`ReadySnapshotIter`].
-    pub fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.words);
-    }
-
-    /// Iterates a snapshot's set positions in age order from `head`,
-    /// yielding window sequence numbers. Lazy: select stops pulling as soon
-    /// as it has issued `issue_width` instructions, so a long ready list
-    /// (e.g. many loads queued on two cache ports) is not walked to the
-    /// end every cycle.
-    pub fn iter_snapshot<'a>(&self, snapshot: &'a [u64], head: u64) -> ReadySnapshotIter<'a> {
+    /// Select: offers each ready entry to `try_issue` in age order from
+    /// the window head `head`, clearing the bit of every entry it accepts,
+    /// and stops after `width` acceptances or once every ready entry has
+    /// been offered. An entry `try_issue` refuses (no free functional unit)
+    /// stays ready for the next cycle.
+    ///
+    /// The walk reads the live words one at a time. It clears only bits it
+    /// has already passed and sets none, so it sees exactly the entries
+    /// that were ready when it began.
+    pub fn select(&mut self, head: u64, width: usize, mut try_issue: impl FnMut(u64) -> bool) {
+        let mut unoffered = self.count;
+        if width == 0 || unoffered == 0 {
+            return;
+        }
+        let mut issued = 0;
+        let nwords = self.words.len();
         let head_pos = head & self.mask;
-        ReadySnapshotIter {
-            words: snapshot,
-            mask: self.mask,
-            head,
-            head_pos,
-            k: 0,
-            bits: 0,
-            current_word: 0,
-            remaining: self.count,
+        let first_word = (head_pos / 64) as usize;
+        let first_bit = head_pos % 64;
+        // The head word is visited twice: its bits from the head up first,
+        // and last the bits below the head (they wrapped and are youngest).
+        for k in 0..=nwords {
+            // `nwords` is a power of two (the ring size is).
+            let w = (first_word + k) & (nwords - 1);
+            let mut bits = self.words[w];
+            if k == 0 {
+                bits &= !0u64 << first_bit;
+            } else if k == nwords {
+                bits &= !(!0u64 << first_bit);
+            }
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let pos = (w as u64) * 64 + u64::from(b);
+                let wseq = head + (pos.wrapping_sub(head_pos) & self.mask);
+                if try_issue(wseq) {
+                    self.words[w] &= !(1u64 << b);
+                    self.count -= 1;
+                    issued += 1;
+                    if issued == width {
+                        return;
+                    }
+                }
+                unoffered -= 1;
+                if unoffered == 0 {
+                    return;
+                }
+            }
         }
     }
 
     /// Collects every ready entry into `out` in age order, given the
     /// current window head sequence number: the straightforward reference
-    /// the tests hold [`ReadyRing::iter_snapshot`] to.
+    /// the tests hold [`ReadyRing::select`] to.
     #[cfg(test)]
     fn collect_in_age_order(&self, head: u64, out: &mut Vec<u64>) {
         out.clear();
@@ -283,96 +302,79 @@ impl ReadyRing {
     }
 }
 
-/// Lazy age-ordered iterator over a [`ReadyRing`] word snapshot.
-#[derive(Debug)]
-pub struct ReadySnapshotIter<'a> {
-    words: &'a [u64],
-    mask: u64,
-    head: u64,
-    head_pos: u64,
-    /// Word visit index: `0..=words.len()` (the head word is visited twice,
-    /// high bits first, wrapped low bits last).
-    k: usize,
-    bits: u64,
-    current_word: usize,
-    remaining: usize,
-}
-
-impl Iterator for ReadySnapshotIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let nwords = self.words.len();
-        let first_word = (self.head_pos / 64) as usize;
-        let first_bit = self.head_pos % 64;
-        loop {
-            if self.bits == 0 {
-                if self.k > nwords {
-                    return None;
-                }
-                // `nwords` is a power of two (the ring size is).
-                let w = (first_word + self.k) & (nwords - 1);
-                let mut bits = self.words[w];
-                if self.k == 0 {
-                    bits &= !0u64 << first_bit;
-                } else if self.k == nwords {
-                    bits &= !(!0u64 << first_bit);
-                }
-                self.current_word = w;
-                self.bits = bits;
-                self.k += 1;
-                continue;
-            }
-            let b = u64::from(self.bits.trailing_zeros());
-            self.bits &= self.bits - 1;
-            let pos = (self.current_word as u64) * 64 + b;
-            let delta = pos.wrapping_sub(self.head_pos) & self.mask;
-            self.remaining -= 1;
-            return Some(self.head + delta);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs [`ReadyRing::select`] offering entries to a unit pool that
+    /// refuses the entries in `denied`, and returns `(offered, issued)`.
+    fn select_log(r: &mut ReadyRing, head: u64, width: usize, denied: &[u64]) -> [Vec<u64>; 2] {
+        let (mut offered, mut issued) = (Vec::new(), Vec::new());
+        r.select(head, width, |wseq| {
+            offered.push(wseq);
+            let accept = !denied.contains(&wseq);
+            if accept {
+                issued.push(wseq);
+            }
+            accept
+        });
+        [offered, issued]
+    }
+
     #[test]
-    fn snapshot_iter_matches_collect() {
-        let mut r = ReadyRing::new(128);
-        let head = 1000u64;
-        for d in [0u64, 3, 17, 64, 90, 113] {
-            r.set(head + d);
-        }
+    fn select_matches_collect_in_age_order() {
+        let head = 1000u64; // ring position 104: the walk wraps mid-word
+        let ready = [0u64, 3, 17, 64, 90, 113].map(|d| head + d);
+        let fill = || {
+            let mut r = ReadyRing::new(128);
+            for &wseq in &ready {
+                r.set(wseq);
+            }
+            r
+        };
         let mut collected = Vec::new();
-        r.collect_in_age_order(head, &mut collected);
-        let mut snap = Vec::new();
-        r.snapshot_words(&mut snap);
-        let lazy: Vec<u64> = r.iter_snapshot(&snap, head).collect();
-        assert_eq!(lazy, collected);
-        // Lazy early-exit yields the oldest entries first.
-        let first_two: Vec<u64> = r.iter_snapshot(&snap, head).take(2).collect();
-        assert_eq!(first_two, vec![head, head + 3]);
+        fill().collect_in_age_order(head, &mut collected);
+        assert_eq!(collected, ready);
+
+        // Unbounded width: every ready entry is offered in age order and
+        // issued; nothing stays ready.
+        let mut r = fill();
+        assert_eq!(select_log(&mut r, head, usize::MAX, &[]), [collected.clone(), collected]);
+        assert_eq!(r.count(), 0);
+
+        // An entry denied a unit is passed over and stays ready; the
+        // width stop ends the walk at the `width`-th issue.
+        let mut r = fill();
+        let [offered, issued] = select_log(&mut r, head, 3, &[head + 3]);
+        assert_eq!(offered, ready[..4]);
+        assert_eq!(issued, [ready[0], ready[2], ready[3]]);
+        let mut left = Vec::new();
+        r.collect_in_age_order(head, &mut left);
+        assert_eq!(left, [ready[1], ready[4], ready[5]]);
+        assert_eq!(r.count(), 3);
+
+        // Zero width offers nothing.
+        let mut r = fill();
+        assert_eq!(select_log(&mut r, head, 0, &[]), [vec![], vec![]]);
+        assert_eq!(r.count(), ready.len());
     }
 
     #[test]
     fn calendar_drains_exactly_the_due_cycle() {
         let mut c = Calendar::new(59);
-        let mut out = Vec::new();
+        let drain = |c: &mut Calendar, cycle| {
+            let mut out = Vec::new();
+            c.drain_due(cycle, |wseq| out.push(wseq));
+            out
+        };
         c.schedule(10, 12, 100);
         c.schedule(10, 11, 101);
         c.schedule(10, 12, 102);
         assert_eq!(c.pending(), 3);
-        c.drain_due(11, &mut out);
-        assert_eq!(out, vec![101]);
-        c.drain_due(12, &mut out);
-        assert_eq!(out, vec![100, 102]);
+        assert_eq!(drain(&mut c, 11), [101]);
+        assert_eq!(drain(&mut c, 12), [100, 102]);
         assert_eq!(c.pending(), 0);
-        c.drain_due(13, &mut out);
-        assert!(out.is_empty());
+        assert!(drain(&mut c, 13).is_empty());
     }
 
     #[test]
@@ -381,11 +383,12 @@ mod tests {
         let mut out = Vec::new();
         c.schedule(0, 1000, 7);
         for cycle in 1..1000 {
-            c.drain_due(cycle, &mut out);
+            c.drain_due(cycle, |wseq| out.push(wseq));
             assert!(out.is_empty(), "nothing due at {cycle}");
         }
-        c.drain_due(1000, &mut out);
-        assert_eq!(out, vec![7]);
+        c.drain_due(1000, |wseq| out.push(wseq));
+        assert_eq!(out, [7]);
+        assert_eq!(c.pending(), 0);
     }
 
     #[test]
@@ -414,7 +417,7 @@ mod tests {
         let mut out = Vec::new();
         r.collect_in_age_order(6, &mut out);
         assert_eq!(out, vec![6, 8, 10]);
-        r.clear(8);
+        r.select(6, 1, |wseq| wseq == 8); // issues 8 alone
         r.collect_in_age_order(6, &mut out);
         assert_eq!(out, vec![6, 10]);
         assert_eq!(r.count(), 2);
