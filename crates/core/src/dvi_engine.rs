@@ -5,25 +5,15 @@
 //! per-event decisions, exactly as the paper's decode hardware makes them.
 //!
 //! The engine's event entry points take the register-unmap action as a
-//! closure rather than a concrete alias table: the pipeline passes "unmap
-//! in my [`RenameState`] and queue the physical register for release"
-//! ([`unmap_into`]), while [`crate::DviOracle::record`] passes a shadow
-//! mapped-bit tracker that turns the same decisions into a [`RegMask`]
-//! stream. One implementation of the decision logic serves both, so they
-//! cannot drift.
+//! closure rather than a concrete alias table: the timing simulator passes
+//! "unmap in my alias table and queue the physical register for release",
+//! its DVI recording passes a shadow mapped-bit tracker, and the
+//! context-switch study, which renames nothing, passes a no-op. One
+//! implementation of the decision logic serves all of them, so they cannot
+//! drift.
 
-use crate::rename::{PhysReg, RenameState};
-use crate::smallvec::SmallVec;
-use dvi_core::{DviConfig, DviStats, Lvm, LvmStack};
+use crate::{DviConfig, DviStats, Lvm, LvmStack};
 use dvi_isa::{Abi, ArchReg, RegMask};
-
-/// Physical registers reclaimed by one decode-stage DVI event.
-///
-/// An inline small-vector: the common case (a kill mask or the ABI's
-/// caller-saved mask) fits without touching the heap, and the pipeline
-/// recycles the buffers, so the reclaim plumbing performs no allocation on
-/// the steady-state hot path.
-pub type ReclaimList = SmallVec<PhysReg, 8>;
 
 /// Tracks dead-value information at the decode stage and makes the three
 /// decisions the paper's hardware makes:
@@ -181,42 +171,41 @@ impl DviEngine {
     }
 }
 
-/// The pipeline's unmap action: remove the mapping from the alias table
-/// and queue the physical register for release at the carrying
-/// instruction's commit.
-pub(crate) fn unmap_into<'a>(
-    rename: &'a mut RenameState,
-    out: &'a mut ReclaimList,
-) -> impl FnMut(ArchReg) -> bool + 'a {
-    move |reg| match rename.unmap(reg) {
-        Some(p) => {
-            out.push(p);
-            true
-        }
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvi_isa::NUM_ARCH_REGS;
 
     fn r(i: u8) -> ArchReg {
         ArchReg::new(i)
     }
 
-    fn engine(config: DviConfig) -> (DviEngine, RenameState) {
-        (DviEngine::new(config, Abi::mips_like()), RenameState::new(80))
+    fn engine(config: DviConfig) -> DviEngine {
+        DviEngine::new(config, Abi::mips_like())
+    }
+
+    /// An unmap action over a plain mapped-bit table that records each
+    /// register it unmaps, standing in for an alias table.
+    fn unmap<'a>(
+        mapped: &'a mut [bool; NUM_ARCH_REGS],
+        out: &'a mut Vec<ArchReg>,
+    ) -> impl FnMut(ArchReg) -> bool + 'a {
+        move |reg| {
+            let was_mapped = std::mem::take(&mut mapped[reg.index()]);
+            if was_mapped {
+                out.push(reg);
+            }
+            was_mapped
+        }
     }
 
     #[test]
     fn figure8_save_and_restore_elimination_sequence() {
-        let (mut dvi, mut rename) = engine(DviConfig::full());
-        let mut out = ReclaimList::new();
+        let mut dvi = engine(DviConfig::full());
         // E2: kill r16.
-        dvi.on_kill(RegMask::empty().with(r(16)), unmap_into(&mut rename, &mut out));
+        dvi.on_kill(RegMask::empty().with(r(16)), |_| true);
         // I2: call proc.
-        dvi.on_call(unmap_into(&mut rename, &mut out));
+        dvi.on_call(|_| true);
         // I3: save r16 — eliminated.
         assert!(dvi.on_save(r(16)));
         // I4: r16 <- ... (destination renaming makes it live again).
@@ -225,7 +214,7 @@ mod tests {
         // I6: restore r16 — eliminated using the LVM-Stack snapshot.
         assert!(dvi.on_restore(r(16)));
         // I7: return.
-        dvi.on_return(unmap_into(&mut rename, &mut out));
+        dvi.on_return(|_| true);
         let stats = dvi.stats();
         assert_eq!(stats.saves_eliminated, 1);
         assert_eq!(stats.restores_eliminated, 1);
@@ -234,10 +223,9 @@ mod tests {
 
     #[test]
     fn lvm_scheme_eliminates_saves_but_not_restores() {
-        let (mut dvi, mut rename) = engine(DviConfig::lvm_scheme());
-        let mut out = ReclaimList::new();
-        dvi.on_kill(RegMask::empty().with(r(16)), unmap_into(&mut rename, &mut out));
-        dvi.on_call(unmap_into(&mut rename, &mut out));
+        let mut dvi = engine(DviConfig::lvm_scheme());
+        dvi.on_kill(RegMask::empty().with(r(16)), |_| true);
+        dvi.on_call(|_| true);
         assert!(dvi.on_save(r(16)));
         dvi.on_dest_rename(r(16));
         assert!(!dvi.on_restore(r(16)), "the LVM scheme cannot eliminate restores");
@@ -245,55 +233,66 @@ mod tests {
 
     #[test]
     fn no_dvi_configuration_eliminates_nothing() {
-        let (mut dvi, mut rename) = engine(DviConfig::none());
-        let mut reclaimed = ReclaimList::new();
-        dvi.on_kill(RegMask::from_range(16, 23), unmap_into(&mut rename, &mut reclaimed));
-        assert!(reclaimed.is_empty());
-        dvi.on_call(unmap_into(&mut rename, &mut reclaimed));
+        let mut dvi = engine(DviConfig::none());
+        let mut unmapped = Vec::new();
+        let mut mapped = [true; NUM_ARCH_REGS];
+        dvi.on_kill(RegMask::from_range(16, 23), unmap(&mut mapped, &mut unmapped));
+        dvi.on_call(unmap(&mut mapped, &mut unmapped));
+        assert!(unmapped.is_empty());
         assert!(!dvi.on_save(r(16)));
         assert_eq!(dvi.stats().saves_seen, 1);
         assert_eq!(dvi.stats().saves_eliminated, 0);
-        assert_eq!(rename.free_count(), 80 - 32);
     }
 
     #[test]
     fn idvi_reclaims_caller_saved_mappings_at_calls() {
-        let (mut dvi, mut rename) = engine(DviConfig::idvi_only());
-        let before = rename.mapped_count();
-        let mut reclaimed = ReclaimList::new();
-        dvi.on_call(unmap_into(&mut rename, &mut reclaimed));
-        assert!(!reclaimed.is_empty());
-        assert_eq!(rename.mapped_count(), before - reclaimed.len());
-        assert_eq!(dvi.stats().phys_regs_reclaimed_early, reclaimed.len() as u64);
+        let mut dvi = engine(DviConfig::idvi_only());
+        let mut unmapped = Vec::new();
+        let mut mapped = [true; NUM_ARCH_REGS];
+        dvi.on_call(unmap(&mut mapped, &mut unmapped));
+        let idvi: Vec<ArchReg> = Abi::mips_like().idvi_mask().iter().collect();
+        assert_eq!(unmapped, idvi, "each I-DVI register is unmapped once, in mask order");
+        assert_eq!(dvi.stats().phys_regs_reclaimed_early, unmapped.len() as u64);
         // Callee-saved registers keep their mappings.
-        assert!(rename.lookup(r(16)).is_some());
+        assert!(mapped[16]);
+        // A second call finds nothing left to unmap.
+        unmapped.clear();
+        dvi.on_call(unmap(&mut mapped, &mut unmapped));
+        assert!(unmapped.is_empty());
+        assert_eq!(dvi.stats().phys_regs_reclaimed_early, idvi.len() as u64);
+    }
+
+    #[test]
+    fn reclamation_off_still_tracks_liveness() {
+        let mut dvi = engine(DviConfig::full().with_reclaim(false));
+        dvi.on_kill(RegMask::empty().with(r(16)), |_| panic!("reclamation is off"));
+        dvi.on_call(|_| panic!("reclamation is off"));
+        assert!(!dvi.lvm().is_live(r(16)));
+        assert_eq!(dvi.stats().phys_regs_reclaimed_early, 0);
     }
 
     #[test]
     fn edvi_kills_are_ignored_when_edvi_is_disabled() {
-        let (mut dvi, mut rename) = engine(DviConfig::idvi_only());
-        let mut reclaimed = ReclaimList::new();
-        dvi.on_kill(RegMask::empty().with(r(16)), unmap_into(&mut rename, &mut reclaimed));
-        assert!(reclaimed.is_empty());
+        let mut dvi = engine(DviConfig::idvi_only());
+        dvi.on_kill(RegMask::empty().with(r(16)), |_| panic!("E-DVI is off"));
         assert!(dvi.lvm().is_live(r(16)));
     }
 
     #[test]
     fn returns_restore_the_callers_snapshot() {
-        let (mut dvi, mut rename) = engine(DviConfig::full());
-        let mut out = ReclaimList::new();
-        dvi.on_kill(RegMask::empty().with(r(17)), unmap_into(&mut rename, &mut out));
-        dvi.on_call(unmap_into(&mut rename, &mut out));
+        let mut dvi = engine(DviConfig::full());
+        dvi.on_kill(RegMask::empty().with(r(17)), |_| true);
+        dvi.on_call(|_| true);
         dvi.on_dest_rename(r(17));
         assert!(dvi.lvm().is_live(r(17)));
-        dvi.on_return(unmap_into(&mut rename, &mut out));
+        dvi.on_return(|_| true);
         assert!(!dvi.lvm().is_live(r(17)), "the pop restores the caller's dead bit");
     }
 
     #[test]
     fn flush_makes_everything_live_again() {
-        let (mut dvi, mut rename) = engine(DviConfig::full());
-        dvi.on_kill(RegMask::from_range(16, 23), unmap_into(&mut rename, &mut ReclaimList::new()));
+        let mut dvi = engine(DviConfig::full());
+        dvi.on_kill(RegMask::from_range(16, 23), |_| true);
         dvi.flush();
         assert_eq!(dvi.live_registers(), 32);
         assert!(!dvi.on_save(r(16)));

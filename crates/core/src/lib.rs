@@ -16,6 +16,10 @@
 //!   (register reclamation, save elimination, restore elimination) are
 //!   active.
 //! * [`DviStats`] — counters for everything the paper's evaluation reports.
+//! * [`DviEngine`] — the decode-stage hardware built from these: it keeps
+//!   the LVM and the LVM-Stack and makes the paper's reclamation and
+//!   save/restore elimination decisions. The timing simulator and the
+//!   context-switch study both drive it.
 //!
 //! # Example: the paper's Figure 8 walk-through
 //!
@@ -49,11 +53,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dvi_engine;
 mod lvm;
 mod lvm_stack;
 mod policy;
 mod stats;
 
+pub use dvi_engine::DviEngine;
 pub use lvm::Lvm;
 pub use lvm_stack::LvmStack;
 pub use policy::{DviConfig, EdviPlacement};

@@ -1,11 +1,41 @@
 //! Figure 6: system performance (IPC / register-file access time) as a
 //! function of register file size.
+//!
+//! The paper feeds register-file geometries into a modified CACTI model
+//! and divides each configuration's IPC by the resulting access time,
+//! assuming the processor cycle time is proportional to the register-file
+//! cycle time. The model here is an analytic stand-in with the
+//! dependence the paper cites from Farkas et al.: access time is linear in
+//! the number of registers and quadratic in the number of ports.
 
 use crate::fig05::Figure05;
 use crate::harness::Budget;
 use crate::table::Table;
-use dvi_timing::{RegFileTiming, SystemPerformance};
 use std::fmt;
+
+/// Fixed access-time component (decoder, sense amps), in nanoseconds.
+const BASE_NS: f64 = 0.25;
+/// Per-register component (bit-line length), in nanoseconds.
+const REG_COEFF_NS: f64 = 0.0016;
+/// Per-port² component (word-line and cell growth), in nanoseconds.
+const PORT_COEFF_NS: f64 = 0.0035;
+/// Ports of the paper's 4-way issue machine: 8 read and 4 write.
+const PORTS: f64 = 12.0;
+
+/// Access time of a file of `num_regs` registers, in nanoseconds:
+/// `base + reg_coeff·N + port_coeff·ports²`. The coefficients are
+/// calibrated so that shrinking the file from 64 to 50 registers (the
+/// paper's Figure 6 peaks) buys a few percent of cycle time, the same
+/// order as the paper's CACTI-derived model.
+fn access_time_ns(num_regs: usize) -> f64 {
+    BASE_NS + REG_COEFF_NS * num_regs as f64 + PORT_COEFF_NS * PORTS * PORTS
+}
+
+/// Figure 6's metric: `IPC × clock rate`, with the clock rate taken as the
+/// reciprocal of the register-file access time.
+fn performance(ipc: f64, num_regs: usize) -> f64 {
+    ipc / access_time_ns(num_regs)
+}
 
 /// One point of the Figure 6 curves (all values relative to the no-DVI
 /// peak, as in the paper).
@@ -55,29 +85,23 @@ impl Figure06 {
 /// Derives Figure 6 from an already-computed Figure 5 sweep.
 #[must_use]
 pub fn from_fig05(fig05: &Figure05) -> Figure06 {
-    let model = RegFileTiming::micro97();
-    let perf = SystemPerformance::new(&model);
-
-    let no_dvi_curve: Vec<(usize, f64)> =
-        fig05.points.iter().map(|p| (p.phys_regs, p.ipc_no_dvi)).collect();
-    let idvi_curve: Vec<(usize, f64)> =
-        fig05.points.iter().map(|p| (p.phys_regs, p.ipc_idvi)).collect();
-    let full_curve: Vec<(usize, f64)> =
-        fig05.points.iter().map(|p| (p.phys_regs, p.ipc_edvi_idvi)).collect();
-
-    let (_, baseline_peak) = perf.peak(&no_dvi_curve).unwrap_or((0, 1.0));
-    let norm = |curve: &[(usize, f64)]| perf.normalized_curve(curve, baseline_peak);
-    let (n0, ni, nf) = (norm(&no_dvi_curve), norm(&idvi_curve), norm(&full_curve));
+    // Every curve is relative to the peak performance with no DVI.
+    let baseline_peak = fig05
+        .points
+        .iter()
+        .map(|p| performance(p.ipc_no_dvi, p.phys_regs))
+        .max_by(|a, b| a.partial_cmp(b).expect("performance values are finite"))
+        .unwrap_or(1.0);
+    let relative = |ipc: f64, num_regs: usize| performance(ipc, num_regs) / baseline_peak;
 
     let points = fig05
         .points
         .iter()
-        .enumerate()
-        .map(|(i, p)| PerfPoint {
+        .map(|p| PerfPoint {
             phys_regs: p.phys_regs,
-            perf_no_dvi: n0[i].1,
-            perf_idvi: ni[i].1,
-            perf_edvi_idvi: nf[i].1,
+            perf_no_dvi: relative(p.ipc_no_dvi, p.phys_regs),
+            perf_idvi: relative(p.ipc_idvi, p.phys_regs),
+            perf_edvi_idvi: relative(p.ipc_edvi_idvi, p.phys_regs),
         })
         .collect::<Vec<_>>();
 
@@ -138,6 +162,25 @@ mod tests {
     use super::*;
     use crate::fig05::{run_with, SizePoint};
     use dvi_workloads::WorkloadSpec;
+
+    #[test]
+    fn access_time_is_monotonic_in_registers() {
+        let mut prev = 0.0;
+        for n in (32..=128).step_by(4) {
+            let t = access_time_ns(n);
+            assert!(t > prev);
+            prev = t;
+        }
+    }
+
+    #[test]
+    fn shrinking_64_to_50_buys_a_few_percent() {
+        let gain = access_time_ns(64) / access_time_ns(50) - 1.0;
+        assert!(
+            gain > 0.01 && gain < 0.06,
+            "64→50 registers should buy 1-6% cycle time, got {gain}"
+        );
+    }
 
     #[test]
     fn peaks_follow_the_papers_shape_on_synthetic_curves() {

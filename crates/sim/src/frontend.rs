@@ -35,10 +35,10 @@
 //!   (locked down by `tests/replay_equiv.rs`).
 
 use crate::config::SimConfig;
-use crate::dvi_engine::{unmap_into, DviEngine, ReclaimList};
-use crate::rename::{PhysReg, RenameState};
+use crate::rename::{unmap_into, PhysReg, ReclaimList, RenameState};
 use crate::stats::SimStats;
 use dvi_bpred::{CombiningPredictor, PredictorConfig, PredictorStats};
+use dvi_core::DviEngine;
 use dvi_isa::{ArchReg, FuKind, Instr, InstrClass, RegMask};
 use dvi_mem::MemoryHierarchy;
 use dvi_program::{InstrSource, LayoutProgram};
@@ -112,7 +112,7 @@ impl FetchQueue {
 
 /// How the decode stage treats an instruction (the static half of the
 /// decision; the dynamic half — is the register dead *right now* — lives in
-/// the [`crate::DviEngine`]).
+/// the [`dvi_core::DviEngine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeKind {
     /// An E-DVI annotation carrying a kill mask; consumed at decode.

@@ -27,11 +27,11 @@
 //! it.
 
 use crate::config::SimConfig;
-use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
+use dvi_core::DviEngine;
 use dvi_isa::{Abi, InstrClass};
 use dvi_mem::MemoryHierarchy;
 use dvi_program::DynInst;

@@ -108,7 +108,6 @@
 pub mod batch;
 pub mod checkpoint;
 mod config;
-mod dvi_engine;
 pub mod frontend;
 mod fu;
 pub mod legacy;
@@ -124,14 +123,13 @@ mod window;
 
 pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
 pub use config::{ConfigError, SimConfig};
-pub use dvi_engine::{DviEngine, ReclaimList};
 pub use dvi_mem::DcacheModelKind;
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, StoreProbe};
 pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;
-pub use rename::{PhysReg, RenameState};
+pub use rename::{PhysReg, ReclaimList, RenameState};
 pub use smallvec::SmallVec;
 pub use stats::{ConservationError, DeadlockReport, ProgressStage, SimStats};
 pub use store::{CacheProbe, ResultCache};

@@ -13,10 +13,9 @@
 //! benchmark change retires those probes. The DVI recording is also what
 //! `tests/depgraph_equiv.rs` checks against a live rename walk.
 
-use crate::dvi_engine::DviEngine;
 use crate::frontend::FetchPredictor;
 use dvi_bpred::PredictorConfig;
-use dvi_core::DviConfig;
+use dvi_core::{DviConfig, DviEngine};
 use dvi_isa::{Abi, Instr, RegMask, NUM_ARCH_REGS};
 use dvi_mem::{Cache, CacheConfig};
 use dvi_program::{CapturedTrace, LayoutProgram};

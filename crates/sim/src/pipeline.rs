@@ -32,13 +32,13 @@
 //! statistics bit-for-bit.
 
 use crate::config::SimConfig;
-use crate::dvi_engine::DviEngine;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
 use crate::rename::RenameState;
 use crate::sched::{Calendar, ReadyRing, Waiters};
 use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use crate::window::{EntryState, WindowRing};
+use dvi_core::DviEngine;
 use dvi_isa::{Abi, InstrClass};
 use dvi_mem::MemoryHierarchy;
 use dvi_program::{DynInst, InstrSource};

@@ -1,5 +1,6 @@
 //! MIPS-R10000-style register renaming: alias table, free list, ready bits.
 
+use crate::smallvec::SmallVec;
 use dvi_isa::{ArchReg, NUM_ARCH_REGS};
 
 /// A physical register name.
@@ -119,10 +120,57 @@ impl RenameState {
     }
 }
 
+/// Physical registers reclaimed by one decode-stage DVI event.
+///
+/// An inline small-vector: the common case (a kill mask or the ABI's
+/// caller-saved mask) fits without touching the heap, and the pipeline
+/// recycles the buffers, so the reclaim plumbing performs no allocation on
+/// the steady-state hot path.
+pub type ReclaimList = SmallVec<PhysReg, 8>;
+
+/// The pipeline's unmap action for [`dvi_core::DviEngine`]: remove the
+/// mapping from the alias table and queue the physical register for
+/// release at the carrying instruction's commit.
+pub(crate) fn unmap_into<'a>(
+    rename: &'a mut RenameState,
+    out: &'a mut ReclaimList,
+) -> impl FnMut(ArchReg) -> bool + 'a {
+    move |reg| match rename.unmap(reg) {
+        Some(p) => {
+            out.push(p);
+            true
+        }
+        None => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvi_core::{DviConfig, DviEngine};
+    use dvi_isa::{Abi, RegMask};
     use proptest::prelude::*;
+
+    #[test]
+    fn dvi_events_queue_unmapped_registers_for_release() {
+        let mut rename = RenameState::new(80);
+        let mut reclaimed = ReclaimList::new();
+        let mut dvi = DviEngine::new(DviConfig::full(), Abi::mips_like());
+        dvi.on_call(unmap_into(&mut rename, &mut reclaimed));
+        let idvi = Abi::mips_like().idvi_mask().len();
+        assert_eq!(reclaimed.len(), idvi);
+        assert_eq!(rename.mapped_count(), NUM_ARCH_REGS - idvi);
+        assert!(rename.lookup(ArchReg::new(16)).is_some(), "callee-saved registers stay mapped");
+        // A kill unmaps only what is still mapped.
+        dvi.on_kill(RegMask::from_range(15, 16), unmap_into(&mut rename, &mut reclaimed));
+        assert_eq!(reclaimed.len(), idvi + 1);
+        assert_eq!(dvi.stats().phys_regs_reclaimed_early, reclaimed.len() as u64);
+        // Releasing the queued registers returns each to the free list.
+        for p in reclaimed.iter() {
+            rename.release(p);
+        }
+        assert_eq!(rename.free_count(), 80 - NUM_ARCH_REGS + idvi + 1);
+    }
 
     #[test]
     fn reset_state_maps_every_architectural_register() {

@@ -15,10 +15,10 @@
 //! End-to-end `SimStats` bit-identity of the depgraph-wired back end is
 //! locked by `replay_equiv.rs` and `matrix_equiv.rs`.
 
-use dvi_core::DviConfig;
+use dvi_core::{DviConfig, DviEngine};
 use dvi_isa::{Abi, ArchReg, Instr};
 use dvi_program::{CapturedTrace, DepGraph, LayoutProgram};
-use dvi_sim::{DviEngine, DviOracle, PhysReg, RenameState};
+use dvi_sim::{DviOracle, PhysReg, RenameState};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
 

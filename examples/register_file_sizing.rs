@@ -2,7 +2,7 @@
 //! physical register file size and report IPC and IPC/access-time for the
 //! baseline and DVI machines.
 //!
-//! Run with `cargo run --release --example register_file_sizing -p dvi-experiments`.
+//! Run with `cargo run --release --example register_file_sizing`.
 
 use dvi_experiments::{fig05, fig06, Budget};
 use dvi_workloads::presets;

@@ -3,7 +3,7 @@
 //! where it is dead; the DVI machine drops the save/restore pair only on the
 //! dead path.
 //!
-//! Run with `cargo run --example save_restore_elimination -p dvi-experiments`.
+//! Run with `cargo run --release --example save_restore_elimination`.
 
 use dvi_core::DviConfig;
 use dvi_isa::{Abi, AluOp, ArchReg, Instr};

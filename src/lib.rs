@@ -17,6 +17,4 @@ pub use dvi_isa as isa;
 pub use dvi_mem as mem;
 pub use dvi_program as program;
 pub use dvi_sim as sim;
-pub use dvi_threads as threads;
-pub use dvi_timing as timing;
 pub use dvi_workloads as workloads;
