@@ -2,8 +2,8 @@
 //! workload mix, comparing three front-end/back-end combinations:
 //!
 //! * **seed baseline** — the pre-rewrite core preserved in
-//!   `dvi_sim::legacy` (the full-window-scan reference model) paired with
-//!   the original hash-map interpreter memory;
+//!   `dvi_sim::legacy` (the full-window-scan reference model) fed by the
+//!   live interpreter;
 //! * **live** — the current event-driven core fed by the live
 //!   interpreter;
 //! * **capture/replay** — the current core fed by a `CapturedTrace`
@@ -135,12 +135,11 @@ fn fig10_mix() -> Vec<LayoutProgram> {
 /// Which front-end/back-end combination a measurement runs.
 #[derive(Clone, Copy, PartialEq)]
 enum Core {
-    /// The seed simulator's back end and memory system: full-window scans,
-    /// per-dispatch allocation, hash-map interpreter memory
-    /// (`dvi_sim::legacy` + `Interpreter::with_sparse_memory`). Its fetch
-    /// and dispatch stages are the shared memoized front end, so this
-    /// baseline is slightly *faster* than the true seed — the reported
-    /// speedups versus it are conservative.
+    /// The seed simulator's back end: full-window scans and per-dispatch
+    /// allocation (`dvi_sim::legacy`). Its fetch and dispatch stages are
+    /// the shared memoized front end, and it runs over the one interpreter
+    /// and its paged memory, so this baseline is *faster* than the true
+    /// seed — the reported speedups versus it are conservative.
     SeedBaseline,
     /// The current core fed by the live interpreter.
     Live,
@@ -209,7 +208,7 @@ fn run_mix(mix: &Mix, config: &SimConfig, core: Core) -> u64 {
                 match core {
                     Core::SeedBaseline => {
                         dvi_sim::legacy::LegacySimulator::new(config.clone())
-                            .run(interp.with_sparse_memory())
+                            .run(interp)
                             .program_instrs
                     }
                     _ => Simulator::new(config.clone()).run(interp).program_instrs,

@@ -125,18 +125,21 @@ impl DviEngine {
         self.reclaim_mask(mask, unmap);
     }
 
-    /// Handles a procedure return at decode: applies implicit DVI through
-    /// `unmap` (see [`DviEngine::on_kill`]) and pops the LVM snapshot back.
+    /// Handles a procedure return at decode: pops the LVM snapshot back,
+    /// then applies implicit DVI through `unmap` (see
+    /// [`DviEngine::on_kill`]). The kill comes second so that the caller's
+    /// snapshot cannot mark live again a caller-saved register the return
+    /// declares dead.
     pub fn on_return(&mut self, unmap: impl FnMut(ArchReg) -> bool) {
+        if self.config.eliminate_restores {
+            let snapshot = self.stack.pop_or_all_live();
+            self.lvm.restore_from(&snapshot);
+        }
         if self.config.use_idvi {
             let mask = self.abi.idvi_mask();
             self.stats.idvi_regs_killed += mask.len() as u64;
             self.lvm.kill_mask(mask);
             self.reclaim_mask(mask, unmap);
-        }
-        if self.config.eliminate_restores {
-            let snapshot = self.stack.pop_or_all_live();
-            self.lvm.restore_from(&snapshot);
         }
     }
 
@@ -287,6 +290,33 @@ mod tests {
         assert!(dvi.lvm().is_live(r(17)));
         dvi.on_return(|_| true);
         assert!(!dvi.lvm().is_live(r(17)), "the pop restores the caller's dead bit");
+    }
+
+    #[test]
+    fn a_return_leaves_idvi_registers_dead_and_callee_saved_ones_as_at_the_call() {
+        let abi = Abi::mips_like();
+        for config in [DviConfig::lvm_stack_scheme(), DviConfig::full()] {
+            let mut dvi = engine(config);
+            // At the call: r16 dead, every other register live.
+            dvi.on_kill(RegMask::empty().with(r(16)), |_| true);
+            let at_call = dvi.lvm().clone();
+            dvi.on_call(|_| true);
+            // The callee writes every register, then returns.
+            for i in 1..NUM_ARCH_REGS as u8 {
+                dvi.on_dest_rename(r(i));
+            }
+            dvi.on_return(|_| true);
+            for reg in abi.idvi_mask().iter() {
+                assert!(!dvi.lvm().is_live(reg), "{config:?}: I-DVI register {reg} is live");
+            }
+            for reg in abi.callee_saved().iter() {
+                assert_eq!(
+                    dvi.lvm().is_live(reg),
+                    at_call.is_live(reg),
+                    "{config:?}: callee-saved {reg} lost its call-time liveness"
+                );
+            }
+        }
     }
 
     #[test]

@@ -116,64 +116,95 @@ fn ends_run(instr: &Instr, taken: Option<bool>) -> bool {
         || taken == Some(true)
 }
 
+/// Per-PC tables over a static image that let [`CapturedTrace::from_bytes`]
+/// check a run of fall-through records in O(1).
+struct StaticTables {
+    /// The first PC at or after each PC that holds a jump, call, return or
+    /// halt (the image length if none does), with one entry past the end.
+    next_transfer: Vec<u32>,
+    /// The number of memory instructions before each PC, with one entry
+    /// past the end.
+    mems_before: Vec<usize>,
+}
+
+impl StaticTables {
+    fn new(image: &[Instr]) -> StaticTables {
+        let len = image.len();
+        let mut next_transfer = vec![len as u32; len + 1];
+        for pc in (0..len).rev() {
+            next_transfer[pc] =
+                if ends_run(&image[pc], None) { pc as u32 } else { next_transfer[pc + 1] };
+        }
+        let mut mems_before = vec![0; len + 1];
+        for (pc, instr) in image.iter().enumerate() {
+            mems_before[pc + 1] = mems_before[pc] + usize::from(instr.is_mem());
+        }
+        StaticTables { next_transfer, mems_before }
+    }
+
+    /// The number of memory records among `count` records that fall
+    /// through from `pc`, or `None` unless every one of them lies in the
+    /// image and none is a jump, call, return or halt.
+    #[inline]
+    fn fall_through(&self, pc: u32, count: usize) -> Option<usize> {
+        let start = pc as usize;
+        let end = start.checked_add(count)?;
+        let &transfer = self.next_transfer.get(start)?;
+        (end <= transfer as usize).then(|| self.mems_before[end] - self.mems_before[start])
+    }
+}
+
 impl CapturedTrace {
     /// Runs the interpreter over `layout` for at most `step_limit`
     /// instructions and records the dynamic stream.
     #[must_use]
     pub fn record(layout: &LayoutProgram, step_limit: u64) -> CapturedTrace {
         let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
-        let mut trace = CapturedTrace {
-            static_instrs: layout.code().into(),
-            static_procs: (0..layout.len() as u32)
-                .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
-                .collect(),
-            first_pc: 0,
-            records: 0,
-            control: Vec::new(),
-            returns: Vec::new(),
-            mem_lo: Vec::new(),
-            mem_hi: Vec::new(),
-            summary: interp.summary(),
-            depgraph: None,
-            fingerprint: OnceLock::new(),
-        };
+        let (mut control, mut returns, mut mem_lo, mut mem_hi) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         // Records in the current run so far. A run never outgrows the
         // static image: straight-line code past its end stops the program.
         let mut run = 0u32;
         let mut high = 0u32;
-        let mut expected_pc = None;
-        for d in interp.by_ref() {
-            debug_assert_eq!(d.seq, trace.records as u64, "records must be pushed in order");
-            match expected_pc {
-                None => trace.first_pc = d.pc,
-                Some(pc) => debug_assert_eq!(d.pc, pc, "record {} breaks the PC chain", d.seq),
-            }
-            expected_pc = Some(d.next_pc);
-            if let Some(addr) = d.mem_addr {
+        while let Some(step) = interp.step() {
+            if let Some(addr) = step.mem_addr {
                 if (addr >> 32) as u32 != high {
                     high = (addr >> 32) as u32;
-                    trace.mem_hi.push((trace.mem_lo.len() as u64, high));
+                    mem_hi.push((mem_lo.len() as u64, high));
                 }
-                trace.mem_lo.push(addr as u32);
+                mem_lo.push(addr as u32);
             }
             run += 1;
-            if ends_run(&d.instr, d.taken) {
-                trace.control.push(run);
+            if step.ends_run {
+                control.push(run);
                 run = 0;
-                if d.instr == Instr::Return {
-                    trace.returns.push(d.next_pc);
+                if step.is_return {
+                    returns.push(step.next_pc);
                 }
             }
-            trace.records += 1;
         }
-        trace.summary = interp.summary();
+        let records = usize::try_from(interp.executed()).expect("record count fits in usize");
         // Release the growth slack so `approx_bytes` (which reports
         // capacities — the memory actually held) matches the data.
-        trace.control.shrink_to_fit();
-        trace.returns.shrink_to_fit();
-        trace.mem_lo.shrink_to_fit();
-        trace.mem_hi.shrink_to_fit();
-        trace
+        control.shrink_to_fit();
+        returns.shrink_to_fit();
+        mem_lo.shrink_to_fit();
+        mem_hi.shrink_to_fit();
+        CapturedTrace {
+            static_instrs: layout.code().into(),
+            static_procs: (0..layout.len() as u32)
+                .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
+                .collect(),
+            first_pc: if records > 0 { layout.entry_pc() } else { 0 },
+            records,
+            control,
+            returns,
+            mem_lo,
+            mem_hi,
+            summary: interp.summary(),
+            depgraph: None,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Number of dynamic instructions in the trace.
@@ -301,6 +332,11 @@ impl CapturedTrace {
     /// inconsistent artifact is thus rejected with a typed
     /// [`ArtifactError`] instead of replaying a stream no program can
     /// produce, or reaching the timing core.
+    ///
+    /// The walk costs one step per run, not per record: per-PC tables built
+    /// from the image check a run's fall-through records at once. Only a
+    /// run that fails that check is walked record by record, so the error
+    /// names its first bad record.
     pub fn from_bytes(bytes: &[u8]) -> Result<CapturedTrace, ArtifactError> {
         let malformed = |context: String| ArtifactError::Malformed { context };
         let r = ArtifactReader::parse(bytes, TRACE_MAGIC, TRACE_VERSION)?;
@@ -346,39 +382,62 @@ impl CapturedTrace {
             mem_hi.push((hi_r.u64()?, hi_r.u32()?));
         }
 
-        // Walk the PC chain. Replay indexes the image with every PC, the
-        // core's dispatch asserts an address exactly on data-cache
-        // instructions, and the cursor reads each column by position, so
-        // all three must agree with the image here.
-        let mut pc = first_pc;
-        // The index of the record ending run `k`, which starts at record
-        // `start`; `usize::MAX` past the last run.
-        let run_end_of = |k: usize, start: usize| match control.get(k) {
-            Some(0) => Err(malformed(format!("run {k} is empty"))),
-            Some(&n) => Ok(start.saturating_add(n as usize - 1)),
-            None => Ok(usize::MAX),
+        // Walk the PC chain one run at a time. Replay indexes the image
+        // with every PC, the core's dispatch asserts an address exactly on
+        // data-cache instructions, and the cursor reads each column by
+        // position, so all three must agree with the image here.
+        let image = StaticTables::new(&static_instrs);
+        let fetch = |record: usize, pc: u32| {
+            static_instrs.get(pc as usize).ok_or_else(|| {
+                malformed(format!(
+                    "record {record} PC {pc} is outside the {static_len}-instruction static image"
+                ))
+            })
         };
-        let mut ended_runs = 0usize;
-        let mut run_end = run_end_of(0, 0)?;
+        let mut pc = first_pc;
+        // Record `i` starts run `ended_runs`.
+        let (mut i, mut ended_runs) = (0usize, 0usize);
         let (mut rets, mut mems) = (0usize, 0usize);
-        for i in 0..records {
-            let Some(instr) = static_instrs.get(pc as usize) else {
-                return Err(malformed(format!(
-                    "record {i} PC {pc} is outside the {static_len}-instruction static image"
-                )));
+        loop {
+            // The index of the record ending this run; `usize::MAX` past
+            // the last run, whose records all fall through.
+            let run_end = match control.get(ended_runs) {
+                Some(0) => return Err(malformed(format!("run {ended_runs} is empty"))),
+                Some(&n) => i.saturating_add(n as usize - 1),
+                None => usize::MAX,
             };
+            if i >= records {
+                break;
+            }
+            // The records before the run-end record fall through.
+            let body_end = run_end.min(records);
+            match image.fall_through(pc, body_end - i) {
+                Some(body_mems) => {
+                    mems += body_mems;
+                    pc += (body_end - i) as u32;
+                }
+                None => {
+                    for j in i..body_end {
+                        let instr = fetch(j, pc)?;
+                        if instr.is_mem() {
+                            mems += 1;
+                        }
+                        if ends_run(instr, None) {
+                            return Err(malformed(format!(
+                                "record {j} at PC {pc}: a {} inside a run",
+                                instr.class()
+                            )));
+                        }
+                        pc += 1;
+                    }
+                }
+            }
+            if run_end >= records {
+                break;
+            }
+            let instr = fetch(run_end, pc)?;
             if instr.is_mem() {
                 mems += 1;
-            }
-            if i != run_end {
-                if ends_run(instr, None) {
-                    return Err(malformed(format!(
-                        "record {i} at PC {pc}: a {} inside a run",
-                        instr.class()
-                    )));
-                }
-                pc += 1;
-                continue;
             }
             pc = match *instr {
                 Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Call { target } => {
@@ -387,32 +446,34 @@ impl CapturedTrace {
                 Instr::Return => {
                     let Some(&target) = returns.get(rets) else {
                         return Err(malformed(format!(
-                            "record {i} returns, but RETURNS holds {} targets",
+                            "record {run_end} returns, but RETURNS holds {} targets",
                             returns.len()
                         )));
                     };
                     rets += 1;
-                    if target as usize >= static_len && i + 1 < records {
+                    if target as usize >= static_len && run_end + 1 < records {
                         return Err(malformed(format!(
-                            "record {i} returns to PC {target}, outside the \
+                            "record {run_end} returns to PC {target}, outside the \
                              {static_len}-instruction static image"
                         )));
                     }
                     target
                 }
-                Instr::Halt if i + 1 < records => {
-                    return Err(malformed(format!("record {i} halts before the last record")));
+                Instr::Halt if run_end + 1 < records => {
+                    return Err(malformed(format!(
+                        "record {run_end} halts before the last record"
+                    )));
                 }
                 Instr::Halt => pc,
                 _ => {
                     return Err(malformed(format!(
-                        "record {i} at PC {pc}: a run ends on a {} record",
+                        "record {run_end} at PC {pc}: a run ends on a {} record",
                         instr.class()
                     )))
                 }
             };
             ended_runs += 1;
-            run_end = run_end_of(ended_runs, i + 1)?;
+            i = run_end + 1;
         }
         let unconsumed = |column: &str, held: usize, used: usize| {
             malformed(format!("{column} holds {held} entries but the records consume {used}"))
@@ -1149,6 +1210,66 @@ mod tests {
             let covered: u64 = trace.control.iter().map(|&run| u64::from(run)).sum();
             assert!(covered < n, "the final records belong to no run");
         }
+    }
+
+    /// Captures `layout` under `step_limit` and asserts the capture stops
+    /// exactly where and why the interpreter stops: equal summaries, and a
+    /// replay (also after the artifact round trip) equal to the exhausted
+    /// interpreter's stream. Returns that summary.
+    fn stops_like_the_interpreter(layout: &LayoutProgram, step_limit: u64) -> ExecSummary {
+        let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
+        let live: Vec<DynInst> = interp.by_ref().collect();
+        let trace = CapturedTrace::record(layout, step_limit);
+        assert_eq!(trace.summary(), interp.summary());
+        assert_eq!(trace.replay().collect::<Vec<_>>(), live);
+        let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
+        assert_eq!(loaded.summary(), interp.summary());
+        assert_eq!(loaded.replay().collect::<Vec<_>>(), live);
+        interp.summary()
+    }
+
+    #[test]
+    fn a_capture_stopped_by_a_zero_step_limit_matches_the_interpreter() {
+        let summary = stops_like_the_interpreter(&mixed_program(), 0);
+        assert_eq!((summary.instructions, summary.error), (0, Some(InterpError::StepLimit(0))));
+    }
+
+    #[test]
+    fn a_capture_stopped_by_a_halt_matches_the_interpreter() {
+        let summary = stops_like_the_interpreter(&mixed_program(), u64::MAX);
+        assert!(summary.halted);
+        assert_eq!(summary.error, None);
+    }
+
+    #[test]
+    fn a_capture_stopped_by_a_return_beyond_the_image_matches_the_interpreter() {
+        let layout = program(
+            |main| {
+                main.emit_call("leaf");
+                main.emit(Instr::Halt);
+            },
+            &[Instr::load_imm(ArchReg::RA, 1000), Instr::Return],
+        );
+        let summary = stops_like_the_interpreter(&layout, u64::MAX);
+        assert_eq!(summary.error, Some(InterpError::PcOutOfRange(1000)));
+        assert_eq!(summary.instructions, 3, "the call, the load and the return");
+    }
+
+    #[test]
+    fn a_capture_stopped_by_a_stack_overflow_matches_the_interpreter() {
+        let mut b = ProgramBuilder::new();
+        let mut main = ProcBuilder::new("main");
+        main.emit_call("rec");
+        main.emit(Instr::Halt);
+        b.add_procedure(main).unwrap();
+        let mut rec = ProcBuilder::new("rec");
+        rec.emit_call("rec");
+        rec.emit(Instr::Return);
+        b.add_procedure(rec).unwrap();
+        let layout = b.build("main").unwrap().layout().unwrap();
+        let summary = stops_like_the_interpreter(&layout, u64::MAX);
+        assert!(matches!(summary.error, Some(InterpError::StackOverflow(_))));
+        assert!(!summary.halted);
     }
 
     #[test]

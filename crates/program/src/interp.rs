@@ -1,4 +1,11 @@
 //! Functional interpreter producing the dynamic instruction trace.
+//!
+//! [`Interpreter`] executes a [`LayoutProgram`] over an [`ArchState`]: 32
+//! integer registers and a sparse memory of lazily allocated 4 KiB pages.
+//! One execute step runs each instruction and returns its record's dynamic
+//! facts. The iterator wraps them into [`DynInst`] values for live
+//! simulation, and [`crate::CapturedTrace::record`] appends them straight
+//! to a trace's columns.
 
 use crate::error::InterpError;
 use crate::ir::ProcId;
@@ -22,9 +29,8 @@ const MAX_CALL_DEPTH: usize = 16 * 1024;
 const PAGE_BYTES: u64 = 4096;
 
 /// One 4 KiB span of the sparse address space: a word slot per byte
-/// address in the span, plus a written bitmap so "was this address ever
-/// stored to" (the footprint metric, and zero-fill semantics) is tracked
-/// exactly as the old `HashMap` did.
+/// address in the span, plus a written bitmap recording which addresses
+/// were ever stored to (the footprint metric).
 #[derive(Debug, Clone)]
 struct Page {
     words: Box<[i64]>,
@@ -42,13 +48,11 @@ impl Page {
 
 /// Sparse word-granular memory backed by lazily allocated 4 KiB pages.
 ///
-/// The previous implementation resolved every load and store through a
-/// `HashMap<u64, i64>` — a hash and probe per access on the interpreter's
-/// hottest path. Here an access is: split the address into (page, offset),
-/// hit a two-entry last-page cache (the stack page and the current data
-/// page in the common case), and index a flat array. The page table proper
-/// is only consulted on a cache miss, and allocation happens only on the
-/// first store to a page.
+/// An access splits the address into (page, offset), hits a two-entry
+/// last-page cache (the stack page and the current data page in the common
+/// case), and indexes a flat array. The page table proper is only
+/// consulted on a cache miss, and allocation happens only on the first
+/// store to a page. Unwritten addresses read as zero.
 #[derive(Debug, Clone)]
 struct PagedMemory {
     pages: Vec<Page>,
@@ -129,32 +133,12 @@ impl PagedMemory {
     }
 }
 
-/// Storage backend for the sparse data memory.
-///
-/// [`MemBackend::Paged`] is the default and the fast path. The legacy
-/// [`MemBackend::Sparse`] hash-map backend (one hash+probe per access) is
-/// kept selectable so the `sim_throughput` bench can measure the paged
-/// rewrite against the original implementation; it is not used otherwise.
-#[derive(Debug, Clone)]
-enum MemBackend {
-    /// Lazily allocated 4 KiB pages; loads/stores are index arithmetic.
-    Paged(PagedMemory),
-    /// The original `HashMap<u64, i64>` word store.
-    Sparse(HashMap<u64, i64>),
-}
-
 /// The architectural state of the functional machine: 32 integer registers
 /// and a sparse word-granular memory.
 #[derive(Debug, Clone, Default)]
 pub struct ArchState {
     regs: [i64; dvi_isa::NUM_ARCH_REGS],
-    memory: MemBackend,
-}
-
-impl Default for MemBackend {
-    fn default() -> Self {
-        MemBackend::Paged(PagedMemory::new())
-    }
+    memory: PagedMemory,
 }
 
 impl ArchState {
@@ -162,60 +146,43 @@ impl ArchState {
     /// which points at [`STACK_BASE`].
     #[must_use]
     pub fn new() -> Self {
-        let mut s = ArchState { regs: [0; dvi_isa::NUM_ARCH_REGS], memory: MemBackend::default() };
+        let mut s = ArchState { regs: [0; dvi_isa::NUM_ARCH_REGS], memory: PagedMemory::new() };
         s.regs[ArchReg::SP.index()] = STACK_BASE as i64;
         s
     }
 
-    /// Switches this state to the legacy hash-map memory backend (used by
-    /// benches to measure the paged memory against the original design).
-    pub fn use_sparse_memory(&mut self) {
-        self.memory = MemBackend::Sparse(HashMap::new());
-    }
-
-    /// Reads a register (the zero register always reads 0).
+    /// Reads a register. The zero register reads 0 because
+    /// [`ArchState::set_reg`] never leaves a value in it.
     #[must_use]
+    #[inline]
     pub fn reg(&self, r: ArchReg) -> i64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[r.index()]
-        }
+        self.regs[r.index()]
     }
 
     /// Writes a register (writes to the zero register are discarded).
+    #[inline]
     pub fn set_reg(&mut self, r: ArchReg, value: i64) {
-        if !r.is_zero() {
-            self.regs[r.index()] = value;
-        }
+        self.regs[r.index()] = value;
+        self.regs[ArchReg::ZERO.index()] = 0;
     }
 
     /// Reads memory (unwritten locations read as 0).
     #[must_use]
+    #[inline]
     pub fn load(&self, addr: u64) -> i64 {
-        match &self.memory {
-            MemBackend::Paged(m) => m.load(addr),
-            MemBackend::Sparse(m) => m.get(&addr).copied().unwrap_or(0),
-        }
+        self.memory.load(addr)
     }
 
     /// Writes memory.
+    #[inline]
     pub fn store(&mut self, addr: u64, value: i64) {
-        match &mut self.memory {
-            MemBackend::Paged(m) => m.store(addr, value),
-            MemBackend::Sparse(m) => {
-                m.insert(addr, value);
-            }
-        }
+        self.memory.store(addr, value);
     }
 
     /// Number of distinct memory words written so far.
     #[must_use]
     pub fn memory_footprint(&self) -> usize {
-        match &self.memory {
-            MemBackend::Paged(m) => m.footprint,
-            MemBackend::Sparse(m) => m.len(),
-        }
+        self.memory.footprint
     }
 }
 
@@ -280,13 +247,6 @@ impl<'a> Interpreter<'a> {
         self
     }
 
-    /// Switches to the legacy hash-map memory backend (bench baseline).
-    #[must_use]
-    pub fn with_sparse_memory(mut self) -> Self {
-        self.state.use_sparse_memory();
-        self
-    }
-
     /// The architectural state (registers and memory).
     #[must_use]
     pub fn state(&self) -> &ArchState {
@@ -320,7 +280,14 @@ impl<'a> Interpreter<'a> {
         (self.state.reg(base) as u64).wrapping_add(offset as i64 as u64)
     }
 
-    fn step(&mut self) -> Option<DynInst> {
+    /// Executes the instruction at the current PC and returns the dynamic
+    /// facts of its record, or `None` once execution has stopped (a halt,
+    /// the step limit or an error, which is then recorded). The one
+    /// interpreter step: [`Iterator::next`] builds a [`DynInst`] from it,
+    /// and [`crate::CapturedTrace::record`] appends it straight to the
+    /// trace's columns.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Option<Step> {
         if self.halted || self.error.is_some() {
             return None;
         }
@@ -333,10 +300,13 @@ impl<'a> Interpreter<'a> {
             return None;
         };
         let pc = self.pc;
-        let proc = self.layout.proc_of(pc).unwrap_or(ProcId(0));
-        let mut mem_addr = None;
-        let mut taken = None;
-        let mut next_pc = pc + 1;
+        let mut step = Step {
+            mem_addr: None,
+            taken: None,
+            next_pc: pc + 1,
+            ends_run: false,
+            is_return: false,
+        };
 
         match instr {
             Instr::Nop | Instr::Kill { .. } => {}
@@ -350,30 +320,35 @@ impl<'a> Interpreter<'a> {
             }
             Instr::Load { rd, base, offset } | Instr::LiveLoad { rd, base, offset } => {
                 let addr = self.mem_addr(base, offset);
-                mem_addr = Some(addr);
+                step.mem_addr = Some(addr);
                 let v = self.state.load(addr);
                 self.state.set_reg(rd, v);
             }
             Instr::Store { rs, base, offset } | Instr::LiveStore { rs, base, offset } => {
                 let addr = self.mem_addr(base, offset);
-                mem_addr = Some(addr);
+                step.mem_addr = Some(addr);
                 let v = self.state.reg(rs);
                 self.state.store(addr, v);
             }
             Instr::LvmSave { base, offset } | Instr::LvmLoad { base, offset } => {
-                mem_addr = Some(self.mem_addr(base, offset));
+                step.mem_addr = Some(self.mem_addr(base, offset));
             }
             Instr::Branch { op, rs, rt, target } => {
                 let t = op.eval(self.state.reg(rs), self.state.reg(rt));
-                taken = Some(t);
+                step.taken = Some(t);
+                step.ends_run = t;
                 if t {
-                    next_pc = target;
+                    step.next_pc = target;
                 }
             }
-            Instr::Jump { target } => next_pc = target,
+            Instr::Jump { target } => {
+                step.next_pc = target;
+                step.ends_run = true;
+            }
             Instr::Call { target } => {
                 self.state.set_reg(ArchReg::RA, i64::from(pc + 1));
-                next_pc = target;
+                step.next_pc = target;
+                step.ends_run = true;
                 self.call_depth += 1;
                 if self.call_depth > MAX_CALL_DEPTH {
                     self.error = Some(InterpError::StackOverflow(self.call_depth));
@@ -381,27 +356,58 @@ impl<'a> Interpreter<'a> {
                 }
             }
             Instr::Return => {
-                next_pc = self.state.reg(ArchReg::RA) as u32;
+                step.next_pc = self.state.reg(ArchReg::RA) as u32;
+                step.ends_run = true;
+                step.is_return = true;
                 self.call_depth = self.call_depth.saturating_sub(1);
             }
             Instr::Halt => {
                 self.halted = true;
-                next_pc = pc;
+                step.next_pc = pc;
+                step.ends_run = true;
             }
         }
 
-        let dyn_inst = DynInst { seq: self.seq, pc, instr, proc, mem_addr, taken, next_pc };
         self.seq += 1;
-        self.pc = next_pc;
-        Some(dyn_inst)
+        self.pc = step.next_pc;
+        Some(step)
     }
+}
+
+/// The dynamic facts of one executed record: what a [`DynInst`] holds
+/// beyond its sequence number, PC, instruction and procedure, plus the two
+/// facts a captured trace's columns are cut by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// Effective address of a memory instruction.
+    pub(crate) mem_addr: Option<u64>,
+    /// Outcome of a conditional branch.
+    pub(crate) taken: Option<bool>,
+    /// The PC of the next record.
+    pub(crate) next_pc: u32,
+    /// Whether the record transfers control: a taken branch, a jump, a
+    /// call, a return or the halt.
+    pub(crate) ends_run: bool,
+    /// Whether the record is a return.
+    pub(crate) is_return: bool,
 }
 
 impl Iterator for Interpreter<'_> {
     type Item = DynInst;
 
     fn next(&mut self) -> Option<DynInst> {
-        self.step()
+        let (seq, pc) = (self.seq, self.pc);
+        let step = self.step()?;
+        let layout = self.layout;
+        Some(DynInst {
+            seq,
+            pc,
+            instr: layout.code()[pc as usize],
+            proc: layout.proc_of(pc).unwrap_or(ProcId(0)),
+            mem_addr: step.mem_addr,
+            taken: step.taken,
+            next_pc: step.next_pc,
+        })
     }
 }
 

@@ -1,15 +1,35 @@
-//! Observational equivalence of the two interpreter memory backends.
+//! The interpreter's paged memory against a plain reference model.
 //!
-//! PR 1 replaced the `HashMap<u64, i64>` sparse data memory with lazily
-//! allocated 4 KiB pages plus a two-entry last-page cache. The two backends
-//! must be indistinguishable through the `ArchState` memory API — same load
-//! results, same footprint accounting — for *any* interleaving of reads and
-//! writes over sparse addresses. These property tests drive both backends
-//! with the same randomly generated operation sequences and compare every
-//! observable after every step.
+//! `ArchState` keeps its sparse data memory in lazily allocated 4 KiB pages
+//! behind a two-entry last-page cache. Through the `ArchState` memory API
+//! it must be indistinguishable from a `HashMap<u64, i64>` word store —
+//! same load results, and a footprint equal to the map's length — for
+//! *any* interleaving of reads and writes over sparse addresses. These
+//! property tests drive both with the same randomly generated operation
+//! sequences and compare every observable after every step.
 
 use dvi_program::{ArchState, DATA_BASE, STACK_BASE};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// The reference model: one map entry per written byte address, and
+/// unwritten addresses read as zero.
+#[derive(Default)]
+struct Reference(HashMap<u64, i64>);
+
+impl Reference {
+    fn load(&self, addr: u64) -> i64 {
+        self.0.get(&addr).copied().unwrap_or(0)
+    }
+
+    fn store(&mut self, addr: u64, value: i64) {
+        self.0.insert(addr, value);
+    }
+
+    fn memory_footprint(&self) -> usize {
+        self.0.len()
+    }
+}
 
 /// Decodes one raw 64-bit sample into a memory operation over a sparse but
 /// collision-prone address space (a handful of regions, page-crossing
@@ -40,21 +60,20 @@ proptest! {
         ops in proptest::collection::vec(any::<u64>(), 1..400),
     ) {
         let mut paged = ArchState::new();
-        let mut sparse = ArchState::new();
-        sparse.use_sparse_memory();
+        let mut reference = Reference::default();
 
         for &raw in &ops {
             let (is_store, addr, value) = decode_op(raw);
             if is_store {
                 paged.store(addr, value);
-                sparse.store(addr, value);
+                reference.store(addr, value);
             }
             // Read back after every operation (including after pure reads,
             // which exercises zero-fill on unwritten addresses).
-            prop_assert_eq!(paged.load(addr), sparse.load(addr), "addr {:#x}", addr);
+            prop_assert_eq!(paged.load(addr), reference.load(addr), "addr {:#x}", addr);
             prop_assert_eq!(
                 paged.memory_footprint(),
-                sparse.memory_footprint(),
+                reference.memory_footprint(),
                 "footprint diverged at addr {:#x}",
                 addr
             );
@@ -63,20 +82,19 @@ proptest! {
         // Final sweep: every address the sequence touched reads identically.
         for &raw in &ops {
             let (_, addr, _) = decode_op(raw);
-            prop_assert_eq!(paged.load(addr), sparse.load(addr), "final addr {:#x}", addr);
+            prop_assert_eq!(paged.load(addr), reference.load(addr), "final addr {:#x}", addr);
         }
     }
 
     #[test]
     fn storing_zero_counts_as_written_in_both_backends(addr in any::<u64>()) {
         let mut paged = ArchState::new();
-        let mut sparse = ArchState::new();
-        sparse.use_sparse_memory();
+        let mut reference = Reference::default();
         paged.store(addr, 0);
-        sparse.store(addr, 0);
+        reference.store(addr, 0);
         prop_assert_eq!(paged.memory_footprint(), 1);
-        prop_assert_eq!(sparse.memory_footprint(), 1);
+        prop_assert_eq!(reference.memory_footprint(), 1);
         prop_assert_eq!(paged.load(addr), 0);
-        prop_assert_eq!(sparse.load(addr), 0);
+        prop_assert_eq!(reference.load(addr), 0);
     }
 }

@@ -8,10 +8,9 @@
 //! the *same machine* cycle-for-cycle — `tests/scheduler_equiv.rs` and
 //! `tests/replay_equiv.rs` assert its `SimStats` are bit-identical to the
 //! event-driven core — so it is the reference those tests check the
-//! production core against, and the `sim_throughput` bench can report an
-//! apples-to-apples host-speed comparison against the seed core (pair it
-//! with `Interpreter::with_sparse_memory` for the original interpreter
-//! memory as well).
+//! production core against, and the `sim_throughput` bench can report a
+//! host-speed comparison against the seed back end. Both run over the one
+//! interpreter and its paged memory.
 //!
 //! The reference honours every [`SimConfig`] field. It builds its memory
 //! through [`SimConfig::memory`], as the production core does, so the two

@@ -38,10 +38,9 @@ fn run(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
 fn run_both(layout: &LayoutProgram, config: SimConfig, steps: u64) -> SimStats {
     let event = run(layout, config.clone(), steps);
     assert_eq!(event.conservation(&config), Ok(()), "every record is counted once");
-    // The full-window-scan reference (the seed core: legacy window,
-    // allocation-heavy reclaim plumbing and sparse interpreter memory)
-    // must model the same machine.
-    let interp = Interpreter::new(layout).with_step_limit(steps).with_sparse_memory();
+    // The full-window-scan reference (the seed core: legacy window and
+    // allocation-heavy reclaim plumbing) must model the same machine.
+    let interp = Interpreter::new(layout).with_step_limit(steps);
     let legacy = dvi_sim::legacy::LegacySimulator::new(config).run(interp);
     assert_eq!(event, legacy, "event-driven core disagrees with the scan reference");
     event

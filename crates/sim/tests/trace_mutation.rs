@@ -34,6 +34,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Checksum-valid mutants per run of the decoder loop.
 const MUTANTS: usize = 10_000;
 
+/// How many of the [`MUTANTS`] the decoder refuses, and an FNV-1a digest of
+/// each refused mutant's index and error message. The decoder checks an
+/// upload one run of records at a time and walks a run record by record
+/// only when the run fails; these pins hold it to refusing exactly the
+/// mutants, with exactly the messages, that the record-by-record walk it
+/// replaced refused.
+const REFUSED: usize = 8_327;
+const REFUSAL_DIGEST: u64 = 0x0162_bb3f_676f_c370;
+
 /// A compiled workload (saves, restores, E-DVI kills, calls, loads and
 /// stores) captured for about 300 records.
 fn small_trace() -> CapturedTrace {
@@ -104,6 +113,21 @@ fn mutate(payload: &mut Vec<u8>, rng: &mut Rng) -> String {
     }
 }
 
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
@@ -147,6 +171,7 @@ fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
     let config = SimConfig::micro97().with_dvi(DviConfig::full());
     let mut rng = Rng(0x0DD_5EED);
     let (mut refused, mut loaded) = (0usize, 0usize);
+    let mut digest = Fnv::new();
     let mut panics = Vec::new();
     for mutant in 0..MUTANTS {
         let victim = rng.below(clean.len());
@@ -160,12 +185,20 @@ fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
             w.section(*tag, payload);
         }
         match decode_and_run(&w.to_bytes(), &config) {
-            Ok(Some(_)) => refused += 1,
+            Ok(Some(err)) => {
+                refused += 1;
+                digest.write(&mutant.to_le_bytes());
+                digest.write(err.to_string().as_bytes());
+            }
             Ok(None) => loaded += 1,
             Err(panic) => panics.push(format!("mutant {mutant} ({description}): {panic}")),
         }
     }
-    println!("{MUTANTS} mutants: {refused} refused, {loaded} loaded and simulated");
+    println!(
+        "{MUTANTS} mutants: {refused} refused, {loaded} loaded and simulated; \
+         refusal digest {:#018x}",
+        digest.0
+    );
     assert!(
         panics.is_empty(),
         "{} panics, first: {:#?}",
@@ -173,4 +206,6 @@ fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
         &panics[..3.min(panics.len())]
     );
     assert!(refused > 0 && loaded > 0, "the loop exercises both the decoder and the core");
+    assert_eq!((refused, loaded), (REFUSED, MUTANTS - REFUSED), "the accept/refuse split moved");
+    assert_eq!(digest.0, REFUSAL_DIGEST, "a refused mutant or its message changed");
 }
