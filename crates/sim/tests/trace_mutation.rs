@@ -35,11 +35,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const MUTANTS: usize = 10_000;
 
 /// How many of the [`MUTANTS`] the decoder refuses, and an FNV-1a digest of
-/// each refused mutant's index and error message. The decoder checks an
-/// upload one run of records at a time and walks a run record by record
-/// only when the run fails; these pins hold it to refusing exactly the
-/// mutants, with exactly the messages, that the record-by-record walk it
-/// replaced refused.
+/// each refused mutant's index and error message. The decoder walks a run
+/// of records one by one only when the run fails an O(1) check; these pins,
+/// recorded with a decoder that walked every record, hold it to exactly the
+/// same refusals and messages.
 const REFUSED: usize = 8_327;
 const REFUSAL_DIGEST: u64 = 0x0162_bb3f_676f_c370;
 
@@ -187,7 +186,7 @@ fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
         match decode_and_run(&w.to_bytes(), &config) {
             Ok(Some(err)) => {
                 refused += 1;
-                digest.write(&mutant.to_le_bytes());
+                digest.write(&(mutant as u64).to_le_bytes());
                 digest.write(err.to_string().as_bytes());
             }
             Ok(None) => loaded += 1,
