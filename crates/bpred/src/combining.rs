@@ -1,7 +1,6 @@
-//! Combining (tournament) predictor with BTB and return-address stack.
+//! Combining (tournament) predictor with a return-address stack.
 
 use crate::bimodal::Bimodal;
-use crate::btb::{Btb, BtbConfig};
 use crate::counter::TwoBitCounter;
 use crate::gshare::Gshare;
 use crate::ras::ReturnAddressStack;
@@ -17,15 +16,14 @@ pub struct PredictorConfig {
     pub history_bits: u32,
     /// Entries in the chooser table.
     pub chooser_entries: usize,
-    /// BTB geometry.
-    pub btb: BtbConfig,
     /// Return-address stack depth.
     pub ras_entries: usize,
 }
 
 impl PredictorConfig {
-    /// Figure 2's predictor: 16-bit history, combinational gshare/bimodal,
-    /// large tables and BTB.
+    /// Figure 2's predictor: 16-bit history, combinational gshare/bimodal
+    /// and large tables. Figure 2's BTB is not modelled: taken-branch
+    /// targets are predicted perfectly.
     #[must_use]
     pub fn micro97() -> Self {
         PredictorConfig {
@@ -33,7 +31,6 @@ impl PredictorConfig {
             gshare_entries: 65536,
             history_bits: 16,
             chooser_entries: 8192,
-            btb: BtbConfig::micro97(),
             ras_entries: 32,
         }
     }
@@ -47,7 +44,6 @@ impl PredictorConfig {
             gshare_entries: 16,
             history_bits: 4,
             chooser_entries: 16,
-            btb: BtbConfig { entries: 16 },
             ras_entries: 4,
         }
     }
@@ -80,14 +76,13 @@ impl PredictorStats {
 }
 
 /// The tournament predictor of Figure 2: bimodal and gshare components with
-/// a per-branch chooser, a branch target buffer and a return-address stack.
+/// a per-branch chooser and a return-address stack.
 #[derive(Debug, Clone)]
 pub struct CombiningPredictor {
     bimodal: Bimodal,
     gshare: Gshare,
     chooser: Vec<TwoBitCounter>,
     chooser_mask: u64,
-    btb: Btb,
     ras: ReturnAddressStack,
     stats: PredictorStats,
 }
@@ -106,7 +101,6 @@ impl CombiningPredictor {
             gshare: Gshare::new(config.gshare_entries, config.history_bits),
             chooser: vec![TwoBitCounter::new(); config.chooser_entries],
             chooser_mask: config.chooser_entries as u64 - 1,
-            btb: Btb::new(config.btb),
             ras: ReturnAddressStack::new(config.ras_entries),
             stats: PredictorStats::default(),
         }
@@ -144,17 +138,6 @@ impl CombiningPredictor {
         }
         self.bimodal.update(pc, taken);
         self.gshare.update(pc, taken);
-    }
-
-    /// Looks up the BTB for the target of the control instruction at `pc`.
-    #[must_use]
-    pub fn predict_target(&self, pc: u64) -> Option<u64> {
-        self.btb.lookup(pc)
-    }
-
-    /// Records the actual target of the control instruction at `pc`.
-    pub fn update_target(&mut self, pc: u64, target: u64) {
-        self.btb.update(pc, target);
     }
 
     /// Pushes a return address at a call.
@@ -220,14 +203,6 @@ mod tests {
         assert!(bp.predict_return(0x1000));
         assert!(!bp.predict_return(0x3000));
         assert_eq!(bp.stats().return_mispredictions, 1);
-    }
-
-    #[test]
-    fn btb_round_trip() {
-        let mut bp = CombiningPredictor::new(PredictorConfig::tiny());
-        assert_eq!(bp.predict_target(0x40), None);
-        bp.update_target(0x40, 0x999);
-        assert_eq!(bp.predict_target(0x40), Some(0x999));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Branch-prediction substrate for the DVI reproduction, modelled on the
 //! machine of Figure 2 of *Exploiting Dead Value Information*: a
-//! combinational gshare/bimodal predictor with 16 bits of global history, a
-//! branch target buffer, and a return-address stack.
+//! combinational gshare/bimodal predictor with 16 bits of global history and
+//! a return-address stack. Figure 2's machine also has a branch target
+//! buffer; the model predicts taken-branch targets perfectly instead, so it
+//! keeps none.
 //!
 //! # Example
 //!
@@ -23,14 +25,12 @@
 #![warn(missing_docs)]
 
 mod bimodal;
-mod btb;
 mod combining;
 mod counter;
 mod gshare;
 mod ras;
 
 pub use bimodal::Bimodal;
-pub use btb::{Btb, BtbConfig};
 pub use combining::{CombiningPredictor, PredictorConfig, PredictorStats};
 pub use counter::TwoBitCounter;
 pub use gshare::Gshare;

@@ -80,27 +80,30 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    last_use: u64,
-}
+/// The tag of an empty way. A real tag is a byte address shifted right by
+/// the line and set-index widths, at least one bit in all (see
+/// [`Cache::new`]), so it is below 2^63 and never equals the marker.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative cache with true-LRU replacement.
 ///
 /// The cache tracks only tags (no data): the simulator needs hit/miss
 /// behaviour and latency, not values, which the functional interpreter
-/// already produced.
+/// already produced. Each set keeps its tags most recently used first, so
+/// recency is the position of a tag and needs no timestamp: a hit moves
+/// its way to the front, and a miss overwrites the last way (the least
+/// recently used one, or an empty way, since empty ways always sit at the
+/// tail) and moves it to the front. The resident lines and their recency
+/// order after every access are those of a timestamp LRU that fills the
+/// first empty way before evicting, so the hits and misses are too.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All lines in one flat allocation, `associativity` consecutive ways
-    /// per set — one predictable index computation per access instead of a
-    /// pointer chase through per-set vectors.
-    lines: Vec<Line>,
+    /// All tags in one flat allocation, `associativity` consecutive ways
+    /// per set, each set most recently used first — one predictable index
+    /// computation per access and 8 bytes per line.
+    tags: Vec<u64>,
     stats: CacheStats,
-    tick: u64,
     set_mask: u64,
     /// Width of the set index (`set_mask.count_ones()`, computed once: a
     /// per-access popcount is a software routine on baseline x86-64).
@@ -114,17 +117,21 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (see [`CacheConfig::num_sets`]).
+    /// Panics if the geometry is invalid (see [`CacheConfig::num_sets`]),
+    /// or is a single set of one-byte lines, whose tags would be whole
+    /// addresses.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.num_sets();
+        let set_bits = (sets as u64 - 1).count_ones();
+        let line_shift = config.line_bytes.trailing_zeros();
+        assert!(line_shift + set_bits > 0, "a cache needs more than one byte per way");
         Cache {
-            lines: vec![Line::default(); sets * config.associativity],
+            tags: vec![EMPTY; sets * config.associativity],
             stats: CacheStats::default(),
-            tick: 0,
             set_mask: sets as u64 - 1,
-            set_bits: (sets as u64 - 1).count_ones(),
-            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits,
+            line_shift,
             assoc: config.associativity,
             config,
         }
@@ -145,28 +152,25 @@ impl Cache {
     /// Looks up `addr`, allocating the line on a miss (loads, stores and
     /// instruction fetches all allocate). Returns whether the access hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_bits;
-        let set = &mut self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc];
+        let set = &mut self.tags[set_idx * self.assoc..(set_idx + 1) * self.assoc];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
-            return true;
+        let (hit, way) = match set.iter().position(|&t| t == tag) {
+            Some(way) => (true, way),
+            None => {
+                self.stats.misses += 1;
+                (false, set.len() - 1)
+            }
+        };
+        // Move the way to the front: the ways before it each age by one.
+        for i in (1..=way).rev() {
+            set[i] = set[i - 1];
         }
-
-        self.stats.misses += 1;
-        // Choose the victim: an invalid way if any, else the LRU way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_use } else { 0 })
-            .expect("associativity is non-zero");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.last_use = self.tick;
-        false
+        set[0] = tag;
+        hit
     }
 
     /// Whether `addr` is currently resident (no state change, no stats).
@@ -175,9 +179,7 @@ impl Cache {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_bits;
-        self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.tags[set_idx * self.assoc..(set_idx + 1) * self.assoc].contains(&tag)
     }
 }
 
@@ -231,6 +233,48 @@ mod tests {
             let _ = round;
         }
         assert!(small.stats().misses > big.stats().misses);
+    }
+
+    #[test]
+    fn tag_array_holds_one_8_byte_tag_per_line() {
+        for config in [
+            CacheConfig::micro97_l1d(),
+            CacheConfig::micro97_l1i_32k(),
+            CacheConfig::micro97_l2(),
+            CacheConfig { size_bytes: 256, line_bytes: 16, associativity: 1, latency: 1 },
+        ] {
+            let c = Cache::new(config);
+            let lines = config.num_sets() * config.associativity;
+            assert_eq!(c.tags.len(), lines);
+            assert_eq!(std::mem::size_of_val(c.tags.as_slice()), 8 * lines);
+            assert!(c.tags.iter().all(|&t| t == EMPTY), "a new cache is empty");
+        }
+        // The micro97 L1s are 16KB of tags each, the L2 64KB.
+        assert_eq!(Cache::new(CacheConfig::micro97_l1d()).tags.len() * 8, 16 * 1024);
+        assert_eq!(Cache::new(CacheConfig::micro97_l2()).tags.len() * 8, 64 * 1024);
+    }
+
+    #[test]
+    fn sets_keep_their_tags_most_recently_used_first() {
+        // 4-way, 1-set cache.
+        let cfg = CacheConfig { size_bytes: 128, line_bytes: 32, associativity: 4, latency: 1 };
+        let mut c = Cache::new(cfg);
+        for line in [0, 1, 2] {
+            c.access(line * 32);
+        }
+        assert_eq!(c.tags, [2, 1, 0, EMPTY], "empty ways sit at the tail");
+        c.access(0);
+        assert_eq!(c.tags, [0, 2, 1, EMPTY]);
+        c.access(3 * 32);
+        c.access(4 * 32);
+        assert_eq!(c.tags, [4, 3, 0, 2], "the least recently used line is evicted");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one byte per way")]
+    fn single_byte_single_set_cache_rejected() {
+        let cfg = CacheConfig { size_bytes: 4, line_bytes: 1, associativity: 4, latency: 1 };
+        let _ = Cache::new(cfg);
     }
 
     #[test]

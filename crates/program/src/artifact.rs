@@ -441,7 +441,8 @@ impl ArtifactWriter {
 /// checksum verified. Borrows the raw bytes.
 #[derive(Debug)]
 pub struct ArtifactReader<'a> {
-    sections: Vec<(u32, &'a [u8])>,
+    /// `(tag, payload, verified checksum)`, in artifact order.
+    sections: Vec<(u32, &'a [u8], u64)>,
 }
 
 impl<'a> ArtifactReader<'a> {
@@ -490,7 +491,7 @@ impl<'a> ArtifactReader<'a> {
             if xxh64(payload, u64::from(tag)) != checksum {
                 return Err(ArtifactError::ChecksumMismatch { section: tag });
             }
-            sections.push((tag, payload));
+            sections.push((tag, payload, checksum));
         }
         if pos != bytes.len() {
             return Err(ArtifactError::Malformed {
@@ -502,10 +503,19 @@ impl<'a> ArtifactReader<'a> {
 
     /// The first section with `tag`, or [`ArtifactError::MissingSection`].
     pub fn section(&self, tag: u32) -> Result<&'a [u8], ArtifactError> {
+        self.find(tag).map(|&(_, payload, _)| payload)
+    }
+
+    /// The checksum of the section [`ArtifactReader::section`] returns for
+    /// `tag`: verified, so it equals `xxh64(payload, tag)`.
+    pub fn checksum(&self, tag: u32) -> Result<u64, ArtifactError> {
+        self.find(tag).map(|&(_, _, checksum)| checksum)
+    }
+
+    fn find(&self, tag: u32) -> Result<&(u32, &'a [u8], u64), ArtifactError> {
         self.sections
             .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| *p)
+            .find(|(t, _, _)| *t == tag)
             .ok_or(ArtifactError::MissingSection { section: tag })
     }
 }

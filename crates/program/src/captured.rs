@@ -352,7 +352,8 @@ impl CapturedTrace {
             return Err(malformed(format!("static image of {static_len} instructions")));
         }
 
-        let mut instrs = ByteReader::new(r.section(section::STATIC_INSTRS)?, "static code");
+        let instrs_payload = r.section(section::STATIC_INSTRS)?;
+        let mut instrs = ByteReader::new(instrs_payload, "static code");
         let mut static_instrs = Vec::with_capacity(static_len.min(instrs.remaining() / 12));
         for _ in 0..static_len {
             static_instrs.push(read_instr(&mut instrs)?);
@@ -498,6 +499,30 @@ impl CapturedTrace {
             (next_index, high) = (index + 1, word);
         }
 
+        // Seed the fingerprint with the checksums the reader verified: a
+        // section's checksum is the hash of its re-encoding exactly when
+        // the decoded section re-encodes byte for byte. The columns and
+        // procedures always do (fixed-width integers, consumed exactly);
+        // an instruction's encoding can carry bytes its decoder ignores,
+        // so the small static image is re-encoded and compared.
+        let encoded_instrs = encode_instrs(&static_instrs);
+        let instrs_hash = if encoded_instrs == instrs_payload {
+            r.checksum(section::STATIC_INSTRS)?
+        } else {
+            xxh64(&encoded_instrs, u64::from(section::STATIC_INSTRS))
+        };
+        let mut hashes = vec![(section::STATIC_INSTRS, instrs_hash)];
+        for tag in [
+            section::STATIC_PROCS,
+            section::CONTROL,
+            section::RETURNS,
+            section::MEM_LO,
+            section::MEM_HI,
+        ] {
+            hashes.push((tag, r.checksum(tag)?));
+        }
+        let fingerprint = fingerprint_of(records, static_len, first_pc, hashes);
+
         Ok(CapturedTrace {
             static_instrs: static_instrs.into(),
             static_procs: static_procs.into(),
@@ -509,7 +534,7 @@ impl CapturedTrace {
             mem_hi,
             summary,
             depgraph: None,
-            fingerprint: OnceLock::new(),
+            fingerprint: OnceLock::from(fingerprint),
         })
     }
 
@@ -521,23 +546,22 @@ impl CapturedTrace {
     /// stream from the same static image: the validity condition for
     /// sharing stored results across processes. Computed on first use,
     /// cached for the trace's lifetime (the covered data is immutable after
-    /// construction).
+    /// construction). A decoded trace has it already
+    /// ([`CapturedTrace::from_bytes`] seeds it from the verified section
+    /// checksums).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut w = ByteWriter::new();
-            w.put_u64(self.len() as u64);
-            w.put_u64(self.static_instrs.len() as u64);
-            w.put_u32(self.first_pc);
-            for (tag, payload) in self.core_sections() {
-                if tag == section::META {
-                    continue;
-                }
-                w.put_u32(tag);
-                w.put_u64(xxh64(&payload, u64::from(tag)));
-            }
-            xxh64(&w.into_bytes(), 0)
-        })
+        *self.fingerprint.get_or_init(|| self.encoded_fingerprint())
+    }
+
+    /// The fingerprint computed from the re-encoded sections.
+    fn encoded_fingerprint(&self) -> u64 {
+        let hashes = self
+            .core_sections()
+            .into_iter()
+            .filter(|&(tag, _)| tag != section::META)
+            .map(|(tag, payload)| (tag, xxh64(&payload, u64::from(tag))));
+        fingerprint_of(self.len(), self.static_instrs.len(), self.first_pc, hashes)
     }
 
     /// The checksummed sections of the durable format: metadata (which
@@ -549,10 +573,6 @@ impl CapturedTrace {
         meta.put_u32(self.first_pc);
         write_summary(&mut meta, &self.summary);
 
-        let mut instrs = ByteWriter::new();
-        for instr in &self.static_instrs {
-            write_instr(&mut instrs, instr);
-        }
         let mut procs = ByteWriter::new();
         for proc in &self.static_procs {
             procs.put_u32(u32::try_from(proc.0).expect("procedure ids fit in u32"));
@@ -571,7 +591,7 @@ impl CapturedTrace {
         }
         vec![
             (section::META, meta.into_bytes()),
-            (section::STATIC_INSTRS, instrs.into_bytes()),
+            (section::STATIC_INSTRS, encode_instrs(&self.static_instrs)),
             (section::STATIC_PROCS, procs.into_bytes()),
             (section::CONTROL, u32_column(&self.control)),
             (section::RETURNS, u32_column(&self.returns)),
@@ -579,6 +599,35 @@ impl CapturedTrace {
             (section::MEM_HI, hi.into_bytes()),
         ]
     }
+}
+
+/// Hashes the trace-shape header and the `(tag, checksum)` of every
+/// fingerprinted section, in [`CapturedTrace::core_sections`] order
+/// without the metadata.
+fn fingerprint_of(
+    records: usize,
+    static_len: usize,
+    first_pc: u32,
+    hashes: impl IntoIterator<Item = (u32, u64)>,
+) -> u64 {
+    let mut w = ByteWriter::new();
+    w.put_u64(records as u64);
+    w.put_u64(static_len as u64);
+    w.put_u32(first_pc);
+    for (tag, hash) in hashes {
+        w.put_u32(tag);
+        w.put_u64(hash);
+    }
+    xxh64(&w.into_bytes(), 0)
+}
+
+/// The `STATIC_INSTRS` payload of a static image.
+fn encode_instrs(instrs: &[Instr]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    for instr in instrs {
+        write_instr(&mut w, instr);
+    }
+    w.into_bytes()
 }
 
 /// Decodes a section of little-endian `u32` values.

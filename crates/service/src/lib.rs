@@ -20,7 +20,10 @@
 //!   (member statistics are a pure function of configuration and trace).
 //!   Jobs can be cancelled ([`SweepService::cancel`]): a queued job leaves
 //!   the queue immediately, in-flight members stop cooperatively at the
-//!   next scheduling claim.
+//!   next scheduling claim. A finished job keeps every member outcome for
+//!   the life of the process, for [`SweepService::results`]: 352 bytes per
+//!   grid slot, never evicted, so a long-running service's memory grows
+//!   with the grid slots it has served.
 //! * **Content-addressed result cache** ([`ResultCache`], the simulator's
 //!   one outcome store, re-exported from [`dvi_sim::store`]) — completed
 //!   member statistics are kept on disk under `<data_dir>/memo`, keyed by

@@ -326,7 +326,8 @@ struct Job {
     submitted: Instant,
     started: Option<Instant>,
     finished: Option<Instant>,
-    /// One slot per grid member: `(outcome, served_from_cache)`.
+    /// One slot per grid member: `(outcome, served_from_cache)`. Kept for
+    /// the life of the process once the job finishes (352 bytes a slot).
     results: Vec<Option<(MemberOutcome, bool)>>,
 }
 

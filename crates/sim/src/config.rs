@@ -75,7 +75,8 @@ impl std::error::Error for ConfigError {}
 /// instruction window, 4 integer units (2 of which multiply/divide), 2
 /// fully-independent cache ports, 64KB 4-way L1 caches with 1-cycle latency,
 /// a 512KB 4-way L2 with 8-cycle latency, and a 16-bit-history combining
-/// gshare/bimodal predictor with a BTB.
+/// gshare/bimodal predictor. Figure 2's BTB is not modelled: taken-branch
+/// targets are predicted perfectly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Instructions fetched and decoded per cycle.

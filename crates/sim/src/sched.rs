@@ -138,8 +138,8 @@ pub struct Waiters {
 }
 
 impl Waiters {
-    /// Creates empty waiter lists over a key space of `keys` producers
-    /// (physical registers, or window ring slots).
+    /// Creates empty waiter lists over a key space of `keys` physical
+    /// registers.
     #[must_use]
     pub fn new(keys: usize) -> Self {
         Waiters { lists: (0..keys).map(|_| SmallVec::new()).collect() }

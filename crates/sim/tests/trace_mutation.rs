@@ -19,16 +19,20 @@
 //!   and the DVI machine simulates it to completion; a panic in either
 //!   step fails the test.
 //!
+//! The decoder also seeds each trace's fingerprint from the section
+//! checksums it verified. Every loaded mutant, and every preset trace,
+//! must carry the fingerprint its re-encoded sections hash to.
+//!
 //! The trace is about 300 records, so the debug build runs the loop in
 //! seconds; CI also runs it in release.
 
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
-use dvi_program::artifact::ArtifactWriter;
-use dvi_program::captured::{TRACE_MAGIC, TRACE_VERSION};
+use dvi_program::artifact::{xxh64, ArtifactWriter};
+use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
 use dvi_program::{ArtifactError, CapturedTrace};
 use dvi_sim::{SimConfig, Simulator};
-use dvi_workloads::WorkloadSpec;
+use dvi_workloads::{presets, WorkloadSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Checksum-valid mutants per run of the decoder loop.
@@ -42,14 +46,19 @@ const MUTANTS: usize = 10_000;
 const REFUSED: usize = 8_327;
 const REFUSAL_DIGEST: u64 = 0x0162_bb3f_676f_c370;
 
-/// A compiled workload (saves, restores, E-DVI kills, calls, loads and
-/// stores) captured for about 300 records.
-fn small_trace() -> CapturedTrace {
-    let program = dvi_workloads::generate(&WorkloadSpec::small("mutants", 5));
+/// `spec` compiled (saves, restores, E-DVI kills, calls, loads and
+/// stores) and captured for at most `records` records.
+fn capture(spec: &WorkloadSpec, records: u64) -> CapturedTrace {
+    let program = dvi_workloads::generate(spec);
     let compiled =
         dvi_compiler::compile(&program, &Abi::mips_like(), dvi_compiler::CompileOptions::default())
             .expect("workload compiles");
-    let trace = CapturedTrace::record(&compiled.program.layout().expect("lays out"), 300);
+    CapturedTrace::record(&compiled.program.layout().expect("lays out"), records)
+}
+
+/// A small workload captured for 300 records.
+fn small_trace() -> CapturedTrace {
+    let trace = capture(&WorkloadSpec::small("mutants", 5), 300);
     assert_eq!(trace.len(), 300, "the workload runs past the capture limit");
     trace
 }
@@ -86,6 +95,22 @@ fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
     }
     assert_eq!(at, bytes.len(), "the section walk covers the artifact");
     out
+}
+
+/// The fingerprint computed from the trace's re-encoded artifact: the
+/// record count, static length and first PC (the first 20 metadata
+/// bytes), then the tag and checksum of every other section, hashed.
+fn reencoded_fingerprint(trace: &CapturedTrace) -> u64 {
+    let mut key = Vec::new();
+    for (tag, payload) in sections(&trace.to_bytes()) {
+        if tag == section::META {
+            key.extend_from_slice(&payload[..20]);
+        } else {
+            key.extend_from_slice(&tag.to_le_bytes());
+            key.extend_from_slice(&xxh64(&payload, u64::from(tag)).to_le_bytes());
+        }
+    }
+    xxh64(&key, 0)
 }
 
 /// One mutation of `payload`, described for the failure report.
@@ -135,8 +160,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Decodes `bytes` and, when they load, simulates them on the DVI machine;
-/// `Err` carries the panic message of whichever step panicked.
+/// Decodes `bytes` and, when they load, checks the seeded fingerprint
+/// and simulates them on the DVI machine; `Err` carries the panic message
+/// of whichever step panicked.
 fn decode_and_run(bytes: &[u8], config: &SimConfig) -> Result<Option<ArtifactError>, String> {
     let decoded = catch_unwind(|| CapturedTrace::from_bytes(bytes))
         .map_err(|p| format!("decoder panicked: {}", panic_message(&*p)))?;
@@ -144,6 +170,11 @@ fn decode_and_run(bytes: &[u8], config: &SimConfig) -> Result<Option<ArtifactErr
         Ok(trace) => trace,
         Err(err) => return Ok(Some(err)),
     };
+    assert_eq!(
+        trace.fingerprint(),
+        reencoded_fingerprint(&trace),
+        "the seeded fingerprint differs from the re-encoded one"
+    );
     catch_unwind(AssertUnwindSafe(|| Simulator::new(config.clone()).run(trace.replay())))
         .map(|_| None)
         .map_err(|p| format!("core panicked: {}", panic_message(&*p)))
@@ -207,4 +238,15 @@ fn checksum_valid_section_mutants_are_refused_or_simulate_without_panicking() {
     assert!(refused > 0 && loaded > 0, "the loop exercises both the decoder and the core");
     assert_eq!((refused, loaded), (REFUSED, MUTANTS - REFUSED), "the accept/refuse split moved");
     assert_eq!(digest.0, REFUSAL_DIGEST, "a refused mutant or its message changed");
+}
+
+#[test]
+fn decoded_presets_carry_the_fingerprint_of_their_re_encoding() {
+    for spec in presets::all() {
+        let trace = capture(&spec, 50_000);
+        assert!(trace.len() > 1000, "{}: {} records", spec.name, trace.len());
+        let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("a clean trace loads");
+        assert_eq!(loaded.fingerprint(), reencoded_fingerprint(&loaded), "{}", spec.name);
+        assert_eq!(loaded.fingerprint(), trace.fingerprint(), "{}", spec.name);
+    }
 }
