@@ -3,10 +3,9 @@
 //! implementation of the paper's mechanisms would add.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dvi_bpred::{CombiningPredictor, PredictorConfig};
 use dvi_core::{Lvm, LvmStack};
 use dvi_isa::{Abi, ArchReg, RegMask};
-use dvi_sim::{RenameState, SimConfig};
+use dvi_sim::{CombiningPredictor, PredictorConfig, RenameState, SimConfig};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {

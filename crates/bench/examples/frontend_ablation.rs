@@ -12,9 +12,6 @@
 //!   an isolated lower bound on the D-cache model's share of the back end,
 //! * the full event-driven simulator fed by replay — the per-member steady
 //!   state of every sweep,
-//! * the same simulator on the perfect-L1D machine
-//!   ([`SimConfig::with_perfect_dcache`], **a different modelled machine**
-//!   — printed for the host-cost contrast),
 //! * the full event-driven simulator fed by live interpretation.
 //!
 //! The replay-vs-interp difference is the end-to-end value of
@@ -98,13 +95,6 @@ fn main() {
     });
     let replay_ns = time("sim+replay (sweep steady state: plain replay back end)", &|| {
         traces.iter().map(|t| Simulator::new(config.clone()).run(t.replay()).program_instrs).sum()
-    });
-    // A *different modelled machine* (every data access hits in one
-    // cycle): a second host-cost contrast for the D-cache share (fewer
-    // simulated stall cycles AND no tag walks).
-    let perfect = config.clone().with_perfect_dcache();
-    time("sim+replay+perfect-L1D (different machine: always-hit data side)", &|| {
-        traces.iter().map(|t| Simulator::new(perfect.clone()).run(t.replay()).program_instrs).sum()
     });
     time("sim+interp (pre-capture behaviour)", &|| {
         layouts

@@ -28,13 +28,6 @@ pub struct EdviReport {
 ///
 /// These are exactly the two conditions of Section 5.1 that bound E-DVI
 /// overhead to at most one annotation per dynamic call.
-///
-/// With [`EdviPlacement::BeforeCallsAndLoopExits`] a denser encoding is
-/// produced: in addition to the call-site kills, each basic block that ends
-/// without a return/halt receives a kill for the registers that died inside
-/// it (live on entry, dead on exit, not reserved). This is the "more
-/// frequent E-DVI" design point the paper's conclusions suggest exploring
-/// for register-file reclamation.
 pub fn insert_edvi(program: &mut Program, abi: &Abi, placement: EdviPlacement) -> EdviReport {
     let mut report = EdviReport::default();
     if placement == EdviPlacement::None {
@@ -47,7 +40,7 @@ pub fn insert_edvi(program: &mut Program, abi: &Abi, placement: EdviPlacement) -
         program.procedures.iter().map(|p| clobbered_callee_saved(p, abi)).collect();
 
     // Registers we never kill explicitly: reserved registers and anything
-    // the encoding cannot express (r0-r5).
+    // outside a one-word `kill` mask (r0-r5).
     let unkillable = RegMask::from_range(0, 5)
         .with(dvi_isa::ArchReg::SP)
         .with(dvi_isa::ArchReg::RA)
@@ -57,11 +50,9 @@ pub fn insert_edvi(program: &mut Program, abi: &Abi, placement: EdviPlacement) -
         let liveness = Liveness::analyze(proc, abi);
         for bi in 0..proc.blocks.len() {
             let live_after = liveness.live_after_instrs(proc, abi, BlockId(bi));
-            let block_live_in = liveness.live_in(BlockId(bi));
-            let block_live_out = liveness.live_out(BlockId(bi));
 
-            // Collect insertion points first (index, mask), then splice in
-            // reverse so earlier indices stay valid.
+            // Collect insertion points first (index, mask, in block order),
+            // then splice in reverse so earlier indices stay valid.
             let mut insertions: Vec<(usize, RegMask)> = Vec::new();
 
             for (ii, instr) in proc.blocks[bi].instrs.iter().enumerate() {
@@ -75,28 +66,6 @@ pub fn insert_edvi(program: &mut Program, abi: &Abi, placement: EdviPlacement) -
                 }
             }
 
-            if placement == EdviPlacement::BeforeCallsAndLoopExits {
-                let block = &proc.blocks[bi];
-                let ends_flow =
-                    matches!(block.terminator(), Some(Instr::Return) | Some(Instr::Halt));
-                if !ends_flow && !block.instrs.is_empty() {
-                    let died = (block_live_in - block_live_out) - unkillable;
-                    // Only registers that are genuinely dead at the end of
-                    // the block (they may have been redefined and still be
-                    // live).
-                    let mask = died - block_live_out;
-                    if !mask.is_empty() {
-                        let at = if block.terminator().is_some_and(Instr::is_control) {
-                            block.instrs.len() - 1
-                        } else {
-                            block.instrs.len()
-                        };
-                        insertions.push((at, mask));
-                    }
-                }
-            }
-
-            insertions.sort_by_key(|(i, _)| *i);
             for (idx, mask) in insertions.into_iter().rev() {
                 proc.blocks[bi].instrs.insert(idx, Instr::Kill { mask });
                 report.kill_instructions += 1;
@@ -216,19 +185,6 @@ mod tests {
         let report = insert_edvi(&mut prog, &Abi::mips_like(), EdviPlacement::None);
         assert_eq!(report.kill_instructions, 0);
         assert_eq!(prog.num_instrs(), before);
-    }
-
-    #[test]
-    fn dense_placement_adds_at_least_as_many_kills() {
-        let abi = Abi::mips_like();
-        let mut sparse = figure7_program();
-        add_prologue_epilogue(&mut sparse, &abi);
-        let sparse_report = insert_edvi(&mut sparse, &abi, EdviPlacement::BeforeCalls);
-
-        let mut dense = figure7_program();
-        add_prologue_epilogue(&mut dense, &abi);
-        let dense_report = insert_edvi(&mut dense, &abi, EdviPlacement::BeforeCallsAndLoopExits);
-        assert!(dense_report.kill_instructions >= sparse_report.kill_instructions);
     }
 
     #[test]

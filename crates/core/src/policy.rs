@@ -6,9 +6,7 @@ use std::fmt;
 ///
 /// The paper's evaluated strategy inserts a single kill instruction carrying
 /// a callee-saved kill mask before every procedure call
-/// ([`EdviPlacement::BeforeCalls`]); its conclusion section points at loop
-/// boundaries as an interesting future design point, which the compiler pass
-/// also supports so the cost/benefit can be explored.
+/// ([`EdviPlacement::BeforeCalls`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdviPlacement {
     /// No explicit DVI is inserted (I-DVI only, or no DVI at all).
@@ -17,9 +15,6 @@ pub enum EdviPlacement {
     /// paper's strategy).
     #[default]
     BeforeCalls,
-    /// Kill instructions before calls *and* at loop exits (denser E-DVI; the
-    /// paper's "future work" encoding).
-    BeforeCallsAndLoopExits,
 }
 
 impl fmt::Display for EdviPlacement {
@@ -27,7 +22,6 @@ impl fmt::Display for EdviPlacement {
         let s = match self {
             EdviPlacement::None => "none",
             EdviPlacement::BeforeCalls => "before-calls",
-            EdviPlacement::BeforeCallsAndLoopExits => "before-calls-and-loop-exits",
         };
         f.write_str(s)
     }

@@ -168,6 +168,11 @@ mod tests {
         assert!(abi.caller_saved().is_disjoint(abi.callee_saved()));
         assert!(!abi.caller_saved().is_empty());
         assert!(!abi.callee_saved().is_empty());
+        // Every mask E-DVI can kill lies in r6-r31, so a `kill` fits in one
+        // instruction word (Figure 13's code-size accounting).
+        let one_word = RegMask::from_range(6, 31);
+        assert!(abi.callee_saved().is_subset(one_word));
+        assert!(abi.caller_saved().difference(RegMask::from_range(0, 5)).is_subset(one_word));
     }
 
     #[test]

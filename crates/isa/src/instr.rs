@@ -6,6 +6,12 @@ use crate::reg::ArchReg;
 use crate::regmask::RegMask;
 use std::fmt;
 
+/// Size of an instruction in bytes. Every instruction occupies one 32-bit
+/// word, which the static code-size accounting of Figure 13 relies on: an
+/// E-DVI `kill` is one word, its mask covering `r6`–`r31`, which holds
+/// every caller- and callee-saved register of the ABI.
+pub const INSTR_BYTES: u64 = 4;
+
 /// A machine instruction.
 ///
 /// Control-transfer targets (`Branch`, `Jump`, `Call`) are plain `u32`

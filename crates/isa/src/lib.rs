@@ -39,7 +39,6 @@
 mod abi;
 mod aluop;
 mod class;
-mod encoding;
 mod instr;
 mod reg;
 mod regmask;
@@ -47,7 +46,6 @@ mod regmask;
 pub use abi::Abi;
 pub use aluop::{AluOp, CmpOp};
 pub use class::{FuKind, InstrClass};
-pub use encoding::{decode_word, encode_instr, EncodeError, INSTR_BYTES};
-pub use instr::Instr;
+pub use instr::{Instr, INSTR_BYTES};
 pub use reg::{ArchReg, NUM_ARCH_REGS};
 pub use regmask::RegMask;

@@ -505,7 +505,7 @@ impl CapturedTrace {
         // procedures always do (fixed-width integers, consumed exactly);
         // an instruction's encoding can carry bytes its decoder ignores,
         // so the small static image is re-encoded and compared.
-        let encoded_instrs = encode_instrs(&static_instrs);
+        let encoded_instrs = encode_image(&static_instrs);
         let instrs_hash = if encoded_instrs == instrs_payload {
             r.checksum(section::STATIC_INSTRS)?
         } else {
@@ -591,7 +591,7 @@ impl CapturedTrace {
         }
         vec![
             (section::META, meta.into_bytes()),
-            (section::STATIC_INSTRS, encode_instrs(&self.static_instrs)),
+            (section::STATIC_INSTRS, encode_image(&self.static_instrs)),
             (section::STATIC_PROCS, procs.into_bytes()),
             (section::CONTROL, u32_column(&self.control)),
             (section::RETURNS, u32_column(&self.returns)),
@@ -622,7 +622,7 @@ fn fingerprint_of(
 }
 
 /// The `STATIC_INSTRS` payload of a static image.
-fn encode_instrs(instrs: &[Instr]) -> Vec<u8> {
+fn encode_image(instrs: &[Instr]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     for instr in instrs {
         write_instr(&mut w, instr);
@@ -656,11 +656,10 @@ pub mod section {
     /// Record count, static image length, the first record's PC and the
     /// recording's [`crate::ExecSummary`].
     pub const META: u32 = 1;
-    /// Static instruction image, 12 bytes per PC. This is a *total* wide
-    /// encoding (tag + operand bytes + a 64-bit payload), not the ISA's
-    /// 32-bit word: in-memory images legitimately hold immediates that
-    /// exceed the 16-bit field of [`dvi_isa::encode_instr`] (e.g. data
-    /// base addresses materialized by `load_imm`).
+    /// Static instruction image, 12 bytes per PC: a *total* wide encoding
+    /// (tag + operand bytes + a 64-bit payload) that holds every
+    /// instruction's full immediates, such as the data base addresses
+    /// materialized by `load_imm`.
     pub const STATIC_INSTRS: u32 = 2;
     /// Owning procedure of each static instruction, one `u32` per PC.
     pub const STATIC_PROCS: u32 = 3;

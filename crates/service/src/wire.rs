@@ -109,8 +109,8 @@ pub fn parse_fingerprint(text: &str) -> Result<u64, ServiceError> {
 
 /// Parses a configuration grid: a JSON array of override objects applied
 /// to [`SimConfig::micro97`]. Supported keys: `phys_regs`, `issue_width`,
-/// `cache_ports`, `window_size` (integers), `perfect_dcache` (bool),
-/// `dvi` (`"none"` / `"idvi"` / `"full"` / `"lvm"` / `"lvm-stack"`).
+/// `cache_ports`, `window_size` (integers) and `dvi` (`"none"` / `"idvi"` /
+/// `"full"` / `"lvm"` / `"lvm-stack"`).
 ///
 /// # Errors
 ///
@@ -141,11 +141,6 @@ fn config_from_json(value: &Json, index: usize) -> Result<SimConfig, ServiceErro
             "window_size" => {
                 config.window_size = usize_value(v).map_err(&invalid)?;
             }
-            "perfect_dcache" => match v {
-                Json::Bool(true) => config = config.with_perfect_dcache(),
-                Json::Bool(false) => {}
-                _ => return Err(invalid("'perfect_dcache' must be a boolean".into())),
-            },
             "dvi" => {
                 let name =
                     v.as_str().ok_or_else(|| invalid("'dvi' must be a scheme name".into()))?;
@@ -394,15 +389,12 @@ mod tests {
     #[test]
     fn grid_overrides_apply_and_unknown_keys_are_typed() {
         let grid = grid_from_json(
-            &Json::parse(
-                r#"[{"dvi": "lvm", "phys_regs": 48}, {"perfect_dcache": true, "window_size": 32}]"#,
-            )
-            .expect("parses"),
+            &Json::parse(r#"[{"dvi": "lvm", "phys_regs": 48}, {"window_size": 32}]"#)
+                .expect("parses"),
         )
         .expect("grid decodes");
         assert_eq!(grid.len(), 2);
         assert_eq!(grid[0].phys_regs, 48);
-        assert_eq!(grid[1].dcache_model, dvi_sim::DcacheModelKind::Perfect);
         assert_eq!(grid[1].window_size, 32);
 
         // The core has one scheduler: naming one is an unknown override.
@@ -413,6 +405,17 @@ mod tests {
             matches!(&scheduler, Err(ServiceError::InvalidRequest(msg)) if msg.contains("unknown override 'scheduler'")),
             "got {scheduler:?}"
         );
+
+        // The machine has one L1D, the tag array: the perfect-L1D key is
+        // an unknown override too, answered with HTTP 400.
+        let perfect =
+            grid_from_json(&Json::parse(r#"[{"perfect_dcache": true}]"#).expect("parses"))
+                .expect_err("no perfect-L1D machine");
+        assert!(
+            matches!(&perfect, ServiceError::InvalidRequest(msg) if msg.contains("unknown override 'perfect_dcache'")),
+            "got {perfect:?}"
+        );
+        assert_eq!(perfect.http_status(), 400);
 
         let unknown = grid_from_json(&Json::parse(r#"[{"wibble": 3}]"#).expect("parses"));
         assert!(matches!(unknown, Err(ServiceError::InvalidRequest(_))));

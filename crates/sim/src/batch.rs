@@ -370,7 +370,7 @@ mod tests {
         let configs = vec![
             SimConfig::micro97().with_dvi(DviConfig::full()),
             SimConfig {
-                predictor: dvi_bpred::PredictorConfig::tiny(),
+                predictor: crate::PredictorConfig::tiny(),
                 ..SimConfig::micro97().with_dvi(DviConfig::full())
             },
         ];

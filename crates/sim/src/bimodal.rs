@@ -38,12 +38,6 @@ impl Bimodal {
         let idx = self.index(pc);
         self.table[idx].update(taken);
     }
-
-    /// Number of table entries.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.table.len()
-    }
 }
 
 #[cfg(test)]

@@ -68,18 +68,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]`; zero when there were no accesses.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// The tag of an empty way. A real tag is a byte address shifted right by
 /// the line and set-index widths, at least one bit in all (see
 /// [`Cache::new`]), so it is below 2^63 and never equals the marker.
@@ -282,11 +270,6 @@ mod tests {
     fn non_power_of_two_sets_rejected() {
         let cfg = CacheConfig { size_bytes: 96, line_bytes: 32, associativity: 1, latency: 1 };
         let _ = Cache::new(cfg);
-    }
-
-    #[test]
-    fn miss_rate_handles_zero_accesses() {
-        assert_eq!(CacheStats::default().miss_rate(), 0.0);
     }
 
     proptest! {

@@ -11,11 +11,12 @@
 //! are asserted bit-identical with `==` over the whole [`SimStats`].
 
 use crate::batch::MemberOutcome;
+use crate::cache::CacheStats;
+use crate::combining::PredictorStats;
 use crate::config::SimConfig;
+use crate::hierarchy::HierarchyStats;
 use crate::stats::{DeadlockReport, ProgressStage, SimStats};
-use dvi_bpred::PredictorStats;
 use dvi_core::DviStats;
-use dvi_mem::{CacheStats, HierarchyStats};
 use dvi_program::artifact::{xxh64, ByteReader, ByteWriter};
 use dvi_program::ArtifactError;
 
@@ -331,7 +332,6 @@ mod tests {
             mispredict_penalty: _,
             icache: _,
             dcache: _,
-            dcache_model: _,
             l2: _,
             memory_latency: _,
             predictor: _,
@@ -352,7 +352,6 @@ mod tests {
             "mispredict_penalty",
             "icache",
             "dcache",
-            "dcache_model",
             "l2",
             "memory_latency",
             "predictor",

@@ -62,21 +62,22 @@ pub struct PredictorStats {
     pub return_mispredictions: u64,
 }
 
-impl PredictorStats {
-    /// Direction-prediction accuracy in `[0, 1]` (1.0 when no predictions
-    /// were made).
-    #[must_use]
-    pub fn direction_accuracy(&self) -> f64 {
-        if self.direction_predictions == 0 {
-            1.0
-        } else {
-            1.0 - self.direction_mispredictions as f64 / self.direction_predictions as f64
-        }
-    }
-}
-
 /// The tournament predictor of Figure 2: bimodal and gshare components with
 /// a per-branch chooser and a return-address stack.
+///
+/// # Example
+///
+/// ```
+/// use dvi_sim::{CombiningPredictor, PredictorConfig};
+///
+/// let mut bp = CombiningPredictor::new(PredictorConfig::micro97());
+/// // Train on an always-taken branch.
+/// for _ in 0..16 {
+///     let _ = bp.predict(0x400);
+///     bp.update(0x400, true);
+/// }
+/// assert!(bp.predict(0x400));
+/// ```
 #[derive(Debug, Clone)]
 pub struct CombiningPredictor {
     bimodal: Bimodal,
@@ -175,7 +176,8 @@ mod tests {
             bp.update(0x400, true);
         }
         assert!(bp.predict(0x400));
-        assert!(bp.stats().direction_accuracy() > 0.8);
+        let stats = bp.stats();
+        assert!(5 * stats.direction_mispredictions < stats.direction_predictions, "over 80% right");
     }
 
     #[test]
@@ -203,11 +205,5 @@ mod tests {
         assert!(bp.predict_return(0x1000));
         assert!(!bp.predict_return(0x3000));
         assert_eq!(bp.stats().return_mispredictions, 1);
-    }
-
-    #[test]
-    fn accuracy_with_no_predictions_is_one() {
-        let bp = CombiningPredictor::new(PredictorConfig::tiny());
-        assert_eq!(bp.stats().direction_accuracy(), 1.0);
     }
 }

@@ -1,8 +1,9 @@
 //! Machine configuration (the paper's Figure 2).
 
-use dvi_bpred::PredictorConfig;
+use crate::cache::CacheConfig;
+use crate::combining::PredictorConfig;
+use crate::hierarchy::MemoryHierarchy;
 use dvi_core::DviConfig;
-use dvi_mem::{CacheConfig, DcacheModelKind, MemoryHierarchy};
 use std::fmt;
 
 /// A structural defect in a [`SimConfig`], reported by
@@ -106,10 +107,6 @@ pub struct SimConfig {
     pub icache: CacheConfig,
     /// L1 data cache geometry.
     pub dcache: CacheConfig,
-    /// Which L1 data cache the machine has: the tag array of
-    /// [`SimConfig::dcache`]'s geometry by default, or the always-hit
-    /// upper-bound model ([`DcacheModelKind::Perfect`]) at its latency.
-    pub dcache_model: DcacheModelKind,
     /// Unified L2 geometry.
     pub l2: CacheConfig,
     /// Main-memory latency in cycles.
@@ -140,7 +137,6 @@ impl SimConfig {
             mispredict_penalty: 3,
             icache: CacheConfig::micro97_l1i(),
             dcache: CacheConfig::micro97_l1d(),
-            dcache_model: DcacheModelKind::Stock,
             l2: CacheConfig::micro97_l2(),
             memory_latency: 50,
             predictor: PredictorConfig::micro97(),
@@ -178,33 +174,18 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy whose L1 data side always hits at the configured
-    /// L1D latency ([`DcacheModelKind::Perfect`]) — the data-side
-    /// upper-bound machine.
-    #[must_use]
-    pub fn with_perfect_dcache(mut self) -> Self {
-        self.dcache_model = DcacheModelKind::Perfect;
-        self
-    }
-
-    /// Builds this machine's memory hierarchy: the L1I, the L1D model
-    /// [`SimConfig::dcache_model`] picks, the L2 and main memory. Every
-    /// core builds its memory here, so the production core and the
-    /// [`crate::legacy`] reference always model the same memory system.
+    /// Builds this machine's memory hierarchy: the L1I, L1D and L2 tag
+    /// arrays of its geometries, and main memory. Every core builds its
+    /// memory here, so the production core and the [`crate::legacy`]
+    /// reference always model the same memory system.
     ///
     /// # Panics
     ///
-    /// Panics if a tag-array geometry is invalid (see
+    /// Panics if a cache geometry is invalid (see
     /// [`CacheConfig::num_sets`]).
     #[must_use]
     pub fn memory(&self) -> MemoryHierarchy {
-        MemoryHierarchy::new(
-            self.icache,
-            self.dcache,
-            self.dcache_model,
-            self.l2,
-            self.memory_latency,
-        )
+        MemoryHierarchy::new(self.icache, self.dcache, self.l2, self.memory_latency)
     }
 
     /// Returns a copy with a different number of data-cache ports
@@ -357,20 +338,6 @@ mod tests {
         let c = SimConfig::micro97_small_icache();
         assert_eq!(c.icache.size_bytes, 32 * 1024);
         assert_eq!(c.dcache.size_bytes, 64 * 1024);
-    }
-
-    #[test]
-    fn perfect_dcache_changes_the_config_fingerprint() {
-        let stock = SimConfig::micro97();
-        let perfect = SimConfig::micro97().with_perfect_dcache();
-        assert_eq!(stock.dcache_model, DcacheModelKind::Stock);
-        assert_eq!(perfect.dcache_model, DcacheModelKind::Perfect);
-        assert_eq!(perfect.dcache, stock.dcache, "geometry itself is untouched");
-        assert_ne!(
-            crate::checkpoint::config_fingerprint(&stock),
-            crate::checkpoint::config_fingerprint(&perfect),
-            "same shape, different model: must never share a stored result"
-        );
     }
 
     #[test]

@@ -14,18 +14,6 @@ impl TwoBitCounter {
         TwoBitCounter(2)
     }
 
-    /// Creates a counter with a specific state (clamped to 0..=3).
-    #[must_use]
-    pub fn with_state(state: u8) -> Self {
-        TwoBitCounter(state.min(3))
-    }
-
-    /// The raw state, 0..=3.
-    #[must_use]
-    pub fn state(self) -> u8 {
-        self.0
-    }
-
     /// The prediction: `true` means taken.
     #[must_use]
     pub fn predict(self) -> bool {
@@ -42,12 +30,6 @@ impl TwoBitCounter {
     }
 }
 
-impl Default for TwoBitCounter {
-    fn default() -> Self {
-        TwoBitCounter::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,25 +41,20 @@ mod tests {
         for _ in 0..10 {
             c.update(true);
         }
-        assert_eq!(c.state(), 3);
+        assert_eq!(c, TwoBitCounter(3));
         for _ in 0..10 {
             c.update(false);
         }
-        assert_eq!(c.state(), 0);
+        assert_eq!(c, TwoBitCounter(0));
     }
 
     #[test]
     fn hysteresis_requires_two_flips() {
-        let mut c = TwoBitCounter::with_state(3);
+        let mut c = TwoBitCounter(3);
         c.update(false);
         assert!(c.predict(), "one not-taken outcome does not flip a strong counter");
         c.update(false);
         assert!(!c.predict());
-    }
-
-    #[test]
-    fn with_state_clamps() {
-        assert_eq!(TwoBitCounter::with_state(9).state(), 3);
     }
 
     proptest! {
@@ -86,7 +63,7 @@ mod tests {
             let mut c = TwoBitCounter::new();
             for u in updates {
                 c.update(u);
-                prop_assert!(c.state() <= 3);
+                prop_assert!(c.0 <= 3);
             }
         }
     }

@@ -34,13 +34,13 @@
 //!   same memo contents and, byte for byte, the same [`crate::SimStats`]
 //!   (locked down by `tests/replay_equiv.rs`).
 
+use crate::combining::{CombiningPredictor, PredictorConfig, PredictorStats};
 use crate::config::SimConfig;
+use crate::hierarchy::MemoryHierarchy;
 use crate::rename::{unmap_into, PhysReg, ReclaimList, RenameState};
 use crate::stats::SimStats;
-use dvi_bpred::{CombiningPredictor, PredictorConfig, PredictorStats};
 use dvi_core::DviEngine;
 use dvi_isa::{ArchReg, FuKind, Instr, InstrClass, RegMask};
-use dvi_mem::MemoryHierarchy;
 use dvi_program::{InstrSource, LayoutProgram};
 
 /// What dispatch needs of a fetched record: its identity, its PC (the key

@@ -50,17 +50,10 @@ impl Gshare {
         self.push_history(taken);
     }
 
-    /// Shifts an outcome into the history register without training (used
-    /// when another component made the prediction).
-    pub fn push_history(&mut self, taken: bool) {
+    /// Shifts an outcome into the history register.
+    fn push_history(&mut self, taken: bool) {
         let mask = if self.history_bits >= 64 { u64::MAX } else { (1u64 << self.history_bits) - 1 };
         self.history = ((self.history << 1) | u64::from(taken)) & mask;
-    }
-
-    /// The current global history register value.
-    #[must_use]
-    pub fn history(&self) -> u64 {
-        self.history
     }
 }
 
@@ -99,7 +92,7 @@ mod tests {
         for _ in 0..100 {
             g.push_history(true);
         }
-        assert_eq!(g.history(), 0b1111);
+        assert_eq!(g.history, 0b1111);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!
 //! The reference honours every [`SimConfig`] field. It builds its memory
 //! through [`SimConfig::memory`], as the production core does, so the two
-//! model the same machine, the perfect-L1D machine
-//! ([`SimConfig::with_perfect_dcache`]) included.
+//! model the same memory system.
 //!
 //! The in-order front end (fetch and the per-instruction rename/dispatch
 //! decisions) is the shared, memoized `crate::frontend::FrontEnd`: the
@@ -28,11 +27,11 @@
 use crate::config::SimConfig;
 use crate::frontend::{Dispatch, FetchPredictor, FrontEnd};
 use crate::fu::FuPool;
+use crate::hierarchy::MemoryHierarchy;
 use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
 use dvi_core::DviEngine;
 use dvi_isa::{Abi, InstrClass};
-use dvi_mem::MemoryHierarchy;
 use dvi_program::DynInst;
 use std::collections::VecDeque;
 

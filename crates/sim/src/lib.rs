@@ -5,11 +5,12 @@
 //! fetch/decode/rename, out-of-order issue over a unified instruction
 //! window, in-order commit, MIPS-R10000-style register renaming with an
 //! explicit free list, a combining branch predictor, a two-level cache
-//! hierarchy and a configurable number of data-cache ports. Each machine
-//! builds its memory hierarchy from its configuration
-//! ([`SimConfig::memory`]), whose L1 data side is the stock tag array or
-//! the always-hit cache of the perfect-L1D machine
-//! ([`SimConfig::with_perfect_dcache`]).
+//! hierarchy and a configurable number of data-cache ports. The whole
+//! machine of the paper's Figure 2 lives in this crate: the core, its
+//! combining gshare/bimodal predictor with a return-address stack
+//! ([`CombiningPredictor`]) and its memory hierarchy of LRU tag arrays
+//! ([`MemoryHierarchy`]), which each machine builds from its
+//! configuration ([`SimConfig::memory`]).
 //!
 //! The DVI extensions of the paper are integrated exactly where Sections 4
 //! and 5 place them:
@@ -106,14 +107,21 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod bimodal;
+mod cache;
 pub mod checkpoint;
+mod combining;
 mod config;
+mod counter;
 pub mod frontend;
 mod fu;
+mod gshare;
+mod hierarchy;
 pub mod legacy;
 pub mod matrix;
 mod oracle;
 mod pipeline;
+mod ras;
 mod rename;
 pub mod sched;
 mod smallvec;
@@ -122,10 +130,12 @@ pub mod store;
 mod window;
 
 pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
+pub use cache::{CacheConfig, CacheStats};
+pub use combining::{CombiningPredictor, PredictorConfig, PredictorStats};
 pub use config::{ConfigError, SimConfig};
-pub use dvi_mem::DcacheModelKind;
 pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
 pub use fu::FuPool;
+pub use hierarchy::{HierarchyStats, MemAccess, MemoryHierarchy};
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, StoreProbe};
 pub use oracle::{BranchOracle, DviOracle, IcacheOracle};
 pub use pipeline::Simulator;

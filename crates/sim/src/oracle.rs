@@ -13,11 +13,11 @@
 //! benchmark change retires those probes. The DVI recording is also what
 //! `tests/depgraph_equiv.rs` checks against a live rename walk.
 
+use crate::cache::{Cache, CacheConfig};
+use crate::combining::PredictorConfig;
 use crate::frontend::FetchPredictor;
-use dvi_bpred::PredictorConfig;
 use dvi_core::{DviConfig, DviEngine};
 use dvi_isa::{Abi, Instr, RegMask, NUM_ARCH_REGS};
-use dvi_mem::{Cache, CacheConfig};
 use dvi_program::{CapturedTrace, LayoutProgram};
 
 /// A packed bitstream with sequential append and random read.

@@ -33,18 +33,6 @@ impl ReturnAddressStack {
     pub fn pop(&mut self) -> Option<u64> {
         self.entries.pop()
     }
-
-    /// Current depth.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the stack is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -67,10 +55,10 @@ mod tests {
         ras.push(1);
         ras.push(2);
         ras.push(3);
-        assert_eq!(ras.len(), 2);
+        assert_eq!(ras.entries.len(), 2);
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
-        assert!(ras.is_empty());
+        assert_eq!(ras.pop(), None);
     }
 
     #[test]

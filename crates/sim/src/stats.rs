@@ -1,9 +1,9 @@
 //! Statistics reported by the timing simulator.
 
+use crate::combining::PredictorStats;
 use crate::config::SimConfig;
-use dvi_bpred::PredictorStats;
+use crate::hierarchy::HierarchyStats;
 use dvi_core::DviStats;
-use dvi_mem::HierarchyStats;
 use std::fmt;
 
 /// Everything the paper's evaluation needs from one timing-simulation run.

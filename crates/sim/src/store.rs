@@ -212,7 +212,7 @@ mod tests {
     use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 
     fn temp_cache(tag: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!("dvi-memo-unit-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dvi-store-unit-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         ResultCache::open(dir).expect("cache opens")
     }

@@ -13,10 +13,10 @@
 //!   (register-file size, cache ports, DVI scheme, issue width), via
 //!   proptest — extending the `replay_equiv.rs` pattern one level up.
 
-use dvi_bpred::PredictorConfig;
 use dvi_core::DviConfig;
 use dvi_isa::Abi;
 use dvi_program::{CapturedTrace, LayoutProgram};
+use dvi_sim::PredictorConfig;
 use dvi_sim::{MatrixRunner, MemberOutcome, SimConfig, SimStats, Simulator, SweepRunner};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;

@@ -1,14 +1,17 @@
 //! The recency-ordered tag array is true LRU.
 //!
-//! [`Cache`] keeps each set's tags most recently used first and finds its
-//! victim by position. This suite keeps the timestamp LRU it replaced as a
-//! reference model — every line carries a valid bit, a tag and the tick of
-//! its last use; a miss fills the first invalid way, else evicts the least
-//! recent one — and drives both with the same seeded address streams on
-//! direct-mapped, 2-, 4- and 8-way geometries and on the paper's caches.
-//! Every access must agree on hit or miss, and the statistics must match.
+//! The simulator's cache keeps each set's tags most recently used first
+//! and finds its victim by position. This suite keeps the timestamp LRU it
+//! replaced as a reference model — every line carries a valid bit, a tag
+//! and the tick of its last use; a miss fills the first invalid way, else
+//! evicts the least recent one — and drives both with the same seeded
+//! address streams on direct-mapped, 2-, 4- and 8-way geometries and on
+//! the paper's caches. The cache under test is the L1D of a machine built
+//! with that geometry ([`SimConfig::memory`]), reached through its data
+//! accesses. Every access must agree on hit or miss, and the statistics
+//! must match.
 
-use dvi_mem::{Cache, CacheConfig, CacheStats};
+use dvi_sim::{CacheConfig, CacheStats, SimConfig};
 
 /// The timestamp LRU cache, line for line as the model used to store it.
 struct ReferenceLru {
@@ -122,12 +125,12 @@ fn address_stream(config: CacheConfig, seed: u64, len: usize) -> Vec<u64> {
 
 fn assert_matches_reference(name: &str, config: CacheConfig) {
     for seed in [1, 0x5EED, 0xDEAD_BEEF] {
-        let mut cache = Cache::new(config);
+        let mut memory = SimConfig { dcache: config, ..SimConfig::micro97() }.memory();
         let mut reference = ReferenceLru::new(config);
         let stream = address_stream(config, seed, 60_000);
         let mut hits = 0u64;
         for (i, &addr) in stream.iter().enumerate() {
-            let hit = cache.access(addr);
+            let hit = memory.data_access(addr).l1_hit;
             assert_eq!(
                 hit,
                 reference.access(addr),
@@ -135,7 +138,7 @@ fn assert_matches_reference(name: &str, config: CacheConfig) {
             );
             hits += u64::from(hit);
         }
-        assert_eq!(cache.stats(), reference.stats, "{name} seed {seed:#x}: statistics differ");
+        assert_eq!(memory.stats().l1d, reference.stats, "{name} seed {seed:#x}: statistics differ");
         assert!(
             hits > 0 && hits < stream.len() as u64,
             "{name} seed {seed:#x}: the stream both hits and misses"

@@ -9,7 +9,7 @@
 //!
 //! * matrix == serial over the Figure 10 workload mix × heterogeneous
 //!   per-cell grids, and over a grid with several members per predictor,
-//!   L1I geometry and DVI scheme, mixed decode widths and a perfect-L1D
+//!   L1I geometry and DVI scheme, mixed decode widths and a 32KB-L1I
 //!   member — at thread counts 1/2/available (single-cell grids and
 //!   thread clamping are covered by `batch_equiv.rs` and
 //!   `parallel_equiv.rs`, kill+resume through the result store by
@@ -130,7 +130,7 @@ fn assert_matrix_matches_serial(
 
 /// The grid shape that used to switch on every trace-pure product: at
 /// least three members sharing each predictor configuration, L1I geometry
-/// and DVI scheme, mixed decode widths, and one perfect-L1D member. Every
+/// and DVI scheme, mixed decode widths, and one 32KB-L1I member. Every
 /// member now runs the plain core; the matrix must still equal serial
 /// replays at every thread count.
 #[test]
@@ -146,7 +146,7 @@ fn all_products_grid_matrix_is_bit_identical_to_serial() {
         SimConfig::micro97(),
         wide(DviConfig::none()),
         wide(DviConfig::full()),
-        SimConfig::micro97().with_perfect_dcache().with_dvi(DviConfig::full()),
+        SimConfig::micro97_small_icache().with_dvi(DviConfig::full()),
     ];
     let traces: Vec<CapturedTrace> = presets::save_restore_suite()
         .iter()

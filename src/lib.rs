@@ -9,12 +9,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use dvi_bpred as bpred;
 pub use dvi_compiler as compiler;
 pub use dvi_core as core;
 pub use dvi_experiments as experiments;
 pub use dvi_isa as isa;
-pub use dvi_mem as mem;
 pub use dvi_program as program;
 pub use dvi_sim as sim;
 pub use dvi_workloads as workloads;
