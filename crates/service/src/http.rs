@@ -17,7 +17,7 @@
 //! | `GET /jobs`            | —                  | every job's status |
 //! | `POST /jobs`           | submission JSON    | `{"job": id}` |
 //! | `GET /jobs/{id}`       | —                  | one job's status |
-//! | `GET /jobs/{id}/results` | —                | outcomes (202 + error body while the job runs) |
+//! | `GET /jobs/{id}/results` | —                | outcomes (202 + error body while the job runs; 410 when a result-cache entry the job needs is missing or damaged: resubmit) |
 //! | `DELETE /jobs/{id}`    | —                  | cancels the job; its terminal status (409 once terminal) |
 //! | `POST /traces`         | trace artifact     | `{"fingerprint": "0x…"}` |
 
@@ -133,13 +133,31 @@ fn handle_connection(stream: TcpStream, service: &SweepService) {
 }
 
 /// Reads one request: the request line, the headers (only
-/// `Content-Length` matters) and exactly that many body bytes.
+/// `Content-Length` matters) and exactly that many body bytes. Every line
+/// of the header block is read through what is left of the
+/// [`MAX_HEADER_BYTES`] budget, so a peer that streams bytes without a
+/// newline is answered 400 once the budget is spent, not buffered.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
 ) -> Result<(String, String, Vec<u8>), ServiceError> {
     let bad = |msg: &str| ServiceError::InvalidRequest(format!("malformed HTTP request: {msg}"));
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| ServiceError::Io(format!("reading request: {e}")))?;
+    let mut budget = MAX_HEADER_BYTES;
+    let mut read_line = |what: &str| {
+        let mut line = String::new();
+        let n = (&mut *reader).take(budget as u64).read_line(&mut line).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                bad(&format!("{what} is not UTF-8"))
+            } else {
+                ServiceError::Io(format!("reading {what}: {e}"))
+            }
+        })?;
+        budget -= n;
+        if budget == 0 && !line.ends_with('\n') {
+            return Err(bad("header block too large"));
+        }
+        Ok(line)
+    };
+    let line = read_line("request")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?.to_owned();
     let path = parts.next().ok_or_else(|| bad("request line has no path"))?.to_owned();
@@ -149,16 +167,8 @@ fn read_request(
     }
 
     let mut content_length: usize = 0;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| ServiceError::Io(format!("reading headers: {e}")))?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(bad("header block too large"));
-        }
+        let header = read_line("headers")?;
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
             if header.is_empty() {
@@ -243,6 +253,8 @@ fn parse_job_id(text: &str) -> Result<u64, ServiceError> {
     text.parse().map_err(|_| ServiceError::InvalidRequest(format!("'{text}' is not a job id")))
 }
 
+/// Sends the whole response with one `write_all`: the socket is
+/// unbuffered, so each separately written piece would be its own send.
 fn write_response(mut stream: TcpStream, status: u16, body: &Json) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
@@ -250,17 +262,17 @@ fn write_response(mut stream: TcpStream, status: u16, body: &Json) -> std::io::R
         400 => "Bad Request",
         404 => "Not Found",
         409 => "Conflict",
+        410 => "Gone",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Response",
     };
     let payload = body.encode();
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
         payload.len()
-    )?;
-    stream.flush()
+    );
+    stream.write_all(response.as_bytes())
 }
 
 // --------------------------------------------------------------- client --
@@ -284,14 +296,15 @@ pub fn http_request(
         .map_err(|e| ServiceError::Io(format!("connecting to {addr}: {e}")))?;
     stream.set_read_timeout(Some(SOCKET_TIMEOUT)).ok();
     stream.set_write_timeout(Some(SOCKET_TIMEOUT)).ok();
-    write!(
-        stream,
+    // Header and body go out as one buffer in one `write_all`.
+    let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )
-    .map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
-    stream.write_all(body).map_err(|e| ServiceError::Io(format!("sending body: {e}")))?;
-    stream.flush().map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
+    );
+    let mut request = Vec::with_capacity(head.len() + body.len());
+    request.extend_from_slice(head.as_bytes());
+    request.extend_from_slice(body);
+    stream.write_all(&request).map_err(|e| ServiceError::Io(format!("sending request: {e}")))?;
 
     let mut response = Vec::new();
     stream

@@ -20,10 +20,15 @@
 //!   (member statistics are a pure function of configuration and trace).
 //!   Jobs can be cancelled ([`SweepService::cancel`]): a queued job leaves
 //!   the queue immediately, in-flight members stop cooperatively at the
-//!   next scheduling claim. A finished job keeps every member outcome for
-//!   the life of the process, for [`SweepService::results`]: 352 bytes per
-//!   grid slot, never evicted, so a long-running service's memory grows
-//!   with the grid slots it has served.
+//!   next scheduling claim. A done job keeps its trace fingerprint, each
+//!   slot's configuration fingerprint and `cached` flag, its summary, and
+//!   inline only the outcomes the result cache does not hold (non-`Ok`
+//!   ones, or an `Ok` one whose store write failed);
+//!   [`SweepService::results`] reads the `Ok` outcomes back from the
+//!   cache on every call. A cache entry lost since the job finished
+//!   answers [`ServiceError::ResultsGone`] (HTTP 410): resubmit. Job
+//!   records themselves (a few hundred bytes each) still accumulate for
+//!   the life of the process; bounding them is out of scope.
 //! * **Content-addressed result cache** ([`ResultCache`], the simulator's
 //!   one outcome store, re-exported from [`dvi_sim::store`]) — completed
 //!   member statistics are kept on disk under `<data_dir>/memo`, keyed by
@@ -107,6 +112,15 @@ pub enum ServiceError {
     },
     /// The job was cancelled; it has no results.
     JobCancelled(u64),
+    /// The job is done, but a result-cache entry holding one of its
+    /// outcomes is missing or damaged. Resubmitting the job serves it
+    /// again: from the cache, or re-simulated bit-identically.
+    ResultsGone {
+        /// The job id.
+        job: u64,
+        /// What was wrong with the entry.
+        reason: String,
+    },
     /// The job already reached a terminal state and cannot be cancelled.
     JobNotCancellable(u64),
     /// A grid configuration failed [`dvi_sim::SimConfig::check`].
@@ -141,6 +155,7 @@ impl ServiceError {
             ServiceError::JobNotDone(_)
             | ServiceError::JobCancelled(_)
             | ServiceError::JobNotCancellable(_) => 409,
+            ServiceError::ResultsGone { .. } => 410,
             ServiceError::JobFailed { .. }
             | ServiceError::Io(_)
             | ServiceError::Http { .. }
@@ -164,6 +179,11 @@ impl fmt::Display for ServiceError {
             ServiceError::JobNotDone(id) => write!(f, "job {id} has not finished yet"),
             ServiceError::JobFailed { job, reason } => write!(f, "job {job} failed: {reason}"),
             ServiceError::JobCancelled(id) => write!(f, "job {id} was cancelled"),
+            ServiceError::ResultsGone { job, reason } => write!(
+                f,
+                "the results of job {job} are no longer in the result cache ({reason}); \
+                 resubmit the job"
+            ),
             ServiceError::JobNotCancellable(id) => {
                 write!(f, "job {id} already reached a terminal state")
             }

@@ -23,12 +23,19 @@
 //! cancelled queued job leaves the pending queue immediately, and a
 //! running job's members are skipped at the next scheduling claim unless
 //! another live job wants them too.
+//!
+//! The result cache is also where a done job's `Ok` outcomes live: the
+//! job keeps their keys, and [`SweepService::results`] reads them back
+//! through [`ResultCache::probe`]. Only the outcomes the cache does not
+//! hold stay in memory (see `Job`).
 
 use crate::workload::{build_preset_trace, preset_names};
 use crate::ServiceError;
 use dvi_program::CapturedTrace;
+use dvi_sim::checkpoint::config_fingerprint;
 use dvi_sim::{
-    MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, StoreProbe, SweepSummary,
+    CacheProbe, MatrixOutcome, MatrixRunner, MemberOutcome, ResultCache, SimConfig, StoreProbe,
+    SweepSummary,
 };
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -162,7 +169,7 @@ pub struct JobStatus {
     pub state: JobState,
     /// Grid size (sweep members).
     pub members: usize,
-    /// Members served from the result cache so far.
+    /// Members served from the result cache (done jobs only; 0 before).
     pub cached_members: usize,
     /// Time from submission to a worker picking the job up.
     pub queue_wait: Option<Duration>,
@@ -200,6 +207,9 @@ pub struct MetricsSnapshot {
     pub jobs_queued: u64,
     /// Jobs currently running.
     pub jobs_running: u64,
+    /// Jobs a scheduling turn picked up, whatever became of them: the
+    /// denominator of [`MetricsSnapshot::mean_queue_wait_seconds`].
+    pub jobs_picked_up: u64,
     /// Grid members currently sitting in the pending queue (the matrix
     /// backlog the next scheduling turn will drain).
     pub queue_depth: u64,
@@ -287,11 +297,10 @@ impl MetricsSnapshot {
     /// Mean queue wait of picked-up jobs, in seconds.
     #[must_use]
     pub fn mean_queue_wait_seconds(&self) -> f64 {
-        let picked = self.jobs_completed + self.jobs_running;
-        if picked == 0 {
+        if self.jobs_picked_up == 0 {
             0.0
         } else {
-            self.queue_wait_seconds / picked as f64
+            self.queue_wait_seconds / self.jobs_picked_up as f64
         }
     }
 
@@ -320,21 +329,48 @@ impl MetricsSnapshot {
 
 // ------------------------------------------------------------ internals --
 
+/// One job's bookkeeping. A queued, running, failed or cancelled job
+/// holds no outcome at all; a done job holds a [`DoneJob`]. Job records
+/// are kept for the life of the process (a few hundred bytes each).
 #[derive(Debug)]
 struct Job {
     state: JobState,
     submitted: Instant,
     started: Option<Instant>,
     finished: Option<Instant>,
-    /// One slot per grid member: `(outcome, served_from_cache)`. Kept for
-    /// the life of the process once the job finishes (352 bytes a slot).
-    results: Vec<Option<(MemberOutcome, bool)>>,
+    /// Grid size.
+    members: usize,
+    /// Set exactly when the job is [`JobState::Done`].
+    done: Option<DoneJob>,
+}
+
+/// What a done job keeps. The result cache holds its `Ok` outcomes, so
+/// the job keeps their keys and, inline, only the outcomes the cache
+/// does not hold; its summary and cache-hit count are computed once, at
+/// finish.
+#[derive(Debug)]
+struct DoneJob {
+    trace_fp: u64,
+    slots: Box<[DoneSlot]>,
+    /// By grid position, in grid order, the outcomes the cache does not
+    /// hold: non-`Ok` ones, and `Ok` ones whose store write failed.
+    inline: Vec<(usize, MemberOutcome)>,
+    summary: SweepSummary,
+    cached_members: usize,
+}
+
+/// One grid slot of a done job.
+#[derive(Debug, Clone, Copy)]
+struct DoneSlot {
+    config_fp: u64,
+    /// Whether the cache served the member (rather than a live run).
+    cached: bool,
 }
 
 #[derive(Debug, Default)]
 struct SchedState {
-    next_job: u64,
-    jobs: HashMap<u64, Job>,
+    /// Every job, indexed by id: ids are issued in order from 0.
+    jobs: Vec<Job>,
     /// Submitted jobs not yet drained into a turn, in submission order.
     pending: VecDeque<(u64, JobSpec)>,
     /// Registered + preset-built traces by content fingerprint.
@@ -345,12 +381,23 @@ struct SchedState {
     shutting_down: bool,
 }
 
+impl SchedState {
+    fn job(&self, id: u64) -> Option<&Job> {
+        usize::try_from(id).ok().and_then(|i| self.jobs.get(i))
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
+        usize::try_from(id).ok().and_then(|i| self.jobs.get_mut(i))
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct MetricsCounters {
     jobs_submitted: u64,
     jobs_completed: u64,
     jobs_failed: u64,
     jobs_cancelled: u64,
+    jobs_picked_up: u64,
     members_submitted: u64,
     members_simulated: u64,
     cache_hits: u64,
@@ -489,18 +536,15 @@ impl SweepService {
                 return Err(ServiceError::UnknownTrace(fp));
             }
         }
-        let id = state.next_job;
-        state.next_job += 1;
-        state.jobs.insert(
-            id,
-            Job {
-                state: JobState::Queued,
-                submitted: Instant::now(),
-                started: None,
-                finished: None,
-                results: vec![None; members],
-            },
-        );
+        let id = state.jobs.len() as u64;
+        state.jobs.push(Job {
+            state: JobState::Queued,
+            submitted: Instant::now(),
+            started: None,
+            finished: None,
+            members,
+            done: None,
+        });
         state.pending.push_back((id, spec));
         drop(state);
         {
@@ -519,46 +563,68 @@ impl SweepService {
     /// [`ServiceError::UnknownJob`] for an id the service never issued.
     pub fn status(&self, id: u64) -> Result<JobStatus, ServiceError> {
         let state = lock(&self.0.state);
-        state.jobs.get(&id).map(|job| job_status(id, job)).ok_or(ServiceError::UnknownJob(id))
+        state.job(id).map(|job| job_status(id, job)).ok_or(ServiceError::UnknownJob(id))
     }
 
     /// Point-in-time views of every job, ordered by id.
     #[must_use]
     pub fn jobs(&self) -> Vec<JobStatus> {
         let state = lock(&self.0.state);
-        let mut ids: Vec<u64> = state.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| job_status(id, &state.jobs[&id])).collect()
+        state.jobs.iter().zip(0..).map(|(job, id)| job_status(id, job)).collect()
     }
 
-    /// A finished job's outcomes, in grid order.
+    /// A finished job's outcomes, in grid order. The `Ok` outcomes are
+    /// read back from the result cache on every call, outside the
+    /// scheduler lock; the rest come from the job's inline copies.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownJob`], [`ServiceError::JobNotDone`] while
     /// the job is queued or running, [`ServiceError::JobFailed`] if it
-    /// failed.
+    /// failed, [`ServiceError::JobCancelled`] if it was cancelled, and
+    /// [`ServiceError::ResultsGone`] when a cache entry the job needs is
+    /// missing or damaged.
     pub fn results(&self, id: u64) -> Result<JobResults, ServiceError> {
-        let state = lock(&self.0.state);
-        let job = state.jobs.get(&id).ok_or(ServiceError::UnknownJob(id))?;
-        match &job.state {
-            JobState::Done => {
-                let mut outcomes = Vec::with_capacity(job.results.len());
-                let mut cached = Vec::with_capacity(job.results.len());
-                for slot in &job.results {
-                    let (outcome, was_cached) =
-                        slot.as_ref().expect("a done job has every member filled");
-                    outcomes.push(outcome.clone());
-                    cached.push(*was_cached);
+        let (trace_fp, slots, mut inline) = {
+            let state = lock(&self.0.state);
+            let job = state.job(id).ok_or(ServiceError::UnknownJob(id))?;
+            match &job.state {
+                JobState::Done => {
+                    let done = job.done.as_ref().expect("a done job keeps its record");
+                    (done.trace_fp, done.slots.clone(), done.inline.clone().into_iter().peekable())
                 }
-                Ok(JobResults { outcomes, cached })
+                JobState::Failed(reason) => {
+                    return Err(ServiceError::JobFailed { job: id, reason: reason.clone() })
+                }
+                JobState::Cancelled => return Err(ServiceError::JobCancelled(id)),
+                JobState::Queued | JobState::Running => return Err(ServiceError::JobNotDone(id)),
             }
-            JobState::Failed(reason) => {
-                Err(ServiceError::JobFailed { job: id, reason: reason.clone() })
-            }
-            JobState::Cancelled => Err(ServiceError::JobCancelled(id)),
-            JobState::Queued | JobState::Running => Err(ServiceError::JobNotDone(id)),
+        };
+        let mut outcomes = Vec::with_capacity(slots.len());
+        let mut cached = Vec::with_capacity(slots.len());
+        for (at, slot) in slots.iter().enumerate() {
+            let outcome = match inline.next_if(|(i, _)| *i == at) {
+                Some((_, outcome)) => outcome,
+                None => match self.0.cache.probe(trace_fp, slot.config_fp) {
+                    CacheProbe::Hit(outcome) => *outcome,
+                    CacheProbe::Miss => {
+                        return Err(ServiceError::ResultsGone {
+                            job: id,
+                            reason: "a member's cache entry is missing".into(),
+                        })
+                    }
+                    CacheProbe::Damaged(e) => {
+                        return Err(ServiceError::ResultsGone {
+                            job: id,
+                            reason: format!("a member's cache entry is damaged: {e}"),
+                        })
+                    }
+                },
+            };
+            outcomes.push(outcome);
+            cached.push(slot.cached);
         }
+        Ok(JobResults { outcomes, cached })
     }
 
     /// Cancels a job. A queued job leaves the pending queue immediately; a
@@ -575,7 +641,7 @@ impl SweepService {
     pub fn cancel(&self, id: u64) -> Result<JobStatus, ServiceError> {
         let status = {
             let mut state = lock(&self.0.state);
-            let job = state.jobs.get(&id).ok_or(ServiceError::UnknownJob(id))?;
+            let job = state.job(id).ok_or(ServiceError::UnknownJob(id))?;
             match job.state {
                 JobState::Queued => state.pending.retain(|(job, _)| *job != id),
                 JobState::Running => {}
@@ -583,7 +649,7 @@ impl SweepService {
                     return Err(ServiceError::JobNotCancellable(id));
                 }
             }
-            let job = state.jobs.get_mut(&id).expect("job existence was just checked");
+            let job = state.job_mut(id).expect("job existence was just checked");
             job.state = JobState::Cancelled;
             job.finished = Some(Instant::now());
             job_status(id, job)
@@ -604,7 +670,7 @@ impl SweepService {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.0.state);
         loop {
-            match state.jobs.get(&id) {
+            match state.job(id) {
                 None => return Err(ServiceError::UnknownJob(id)),
                 Some(job) if job.state.is_terminal() => return Ok(job_status(id, job)),
                 Some(_) => {}
@@ -627,10 +693,9 @@ impl SweepService {
     pub fn metrics(&self) -> MetricsSnapshot {
         let (jobs_queued, jobs_running, queue_depth) = {
             let state = lock(&self.0.state);
-            let queued =
-                state.jobs.values().filter(|j| matches!(j.state, JobState::Queued)).count();
+            let queued = state.jobs.iter().filter(|j| matches!(j.state, JobState::Queued)).count();
             let running =
-                state.jobs.values().filter(|j| matches!(j.state, JobState::Running)).count();
+                state.jobs.iter().filter(|j| matches!(j.state, JobState::Running)).count();
             let depth: usize = state.pending.iter().map(|(_, spec)| spec.grid.len()).sum();
             (queued as u64, running as u64, depth as u64)
         };
@@ -642,6 +707,7 @@ impl SweepService {
             jobs_cancelled: m.jobs_cancelled,
             jobs_queued,
             jobs_running,
+            jobs_picked_up: m.jobs_picked_up,
             queue_depth,
             members_submitted: m.members_submitted,
             members_simulated: m.members_simulated,
@@ -687,22 +753,14 @@ fn job_status(id: u64, job: &Job) -> JobStatus {
         (Some(s), Some(f)) => Some(f.duration_since(s)),
         _ => None,
     };
-    let cached_members = job.results.iter().filter(|slot| matches!(slot, Some((_, true)))).count();
-    let summary = if job.state.is_done() {
-        let outcomes: Vec<MemberOutcome> =
-            job.results.iter().filter_map(|s| s.as_ref().map(|(o, _)| o.clone())).collect();
-        Some(SweepSummary::of(&outcomes))
-    } else {
-        None
-    };
     JobStatus {
         id,
         state: job.state.clone(),
-        members: job.results.len(),
-        cached_members,
+        members: job.members,
+        cached_members: job.done.as_ref().map_or(0, |done| done.cached_members),
         queue_wait,
         run_time,
-        summary,
+        summary: job.done.as_ref().map(|done| done.summary),
     }
 }
 
@@ -730,26 +788,26 @@ fn next_turn(inner: &ServiceInner) -> Option<Vec<(u64, JobSpec)>> {
             let jobs: Vec<(u64, JobSpec)> = state.pending.drain(..).collect();
             let now = Instant::now();
             let mut wait_total = 0.0;
+            let mut picked_up = 0;
             for (id, _) in &jobs {
-                if let Some(job) = state.jobs.get_mut(id) {
+                if let Some(job) = state.job_mut(*id) {
                     if matches!(job.state, JobState::Queued) {
                         job.state = JobState::Running;
                         job.started = Some(now);
                         wait_total += now.duration_since(job.submitted).as_secs_f64();
+                        picked_up += 1;
                     }
                 }
             }
             drop(state);
-            lock(&inner.metrics).queue_wait_seconds += wait_total;
+            let mut m = lock(&inner.metrics);
+            m.queue_wait_seconds += wait_total;
+            m.jobs_picked_up += picked_up;
             return Some(jobs);
         }
         state = inner.work.wait(state).unwrap_or_else(PoisonError::into_inner);
     }
 }
-
-/// One job's grid slots after a turn: the outcome and whether the cache
-/// served it, or `None` where the cancellation gate skipped the member.
-type JobSlots = Vec<Option<(MemberOutcome, bool)>>;
 
 /// Runs one scheduling turn: the whole drained queue as a single
 /// [`MatrixRunner`] matrix over the result cache, one cell per job whose
@@ -782,7 +840,7 @@ fn run_turn(inner: &ServiceInner, jobs: Vec<(u64, JobSpec)>) {
         traces.iter().map(AsRef::as_ref).zip(grids).collect();
 
     let (result, deaths) = run_matrix_with_durability(inner, &cells, &ids);
-    let filled: Vec<JobSlots> = {
+    let (outcomes, probes, stored) = {
         let mut m = lock(&inner.metrics);
         m.worker_deaths += deaths;
         match result {
@@ -803,33 +861,59 @@ fn run_turn(inner: &ServiceInner, jobs: Vec<(u64, JobSpec)>) {
                         StoreProbe::Damaged => m.cache_damaged += 1,
                     }
                 }
-                outcome
-                    .cells
-                    .into_iter()
-                    .zip(outcome.probes)
-                    .map(|(slots, probes)| {
-                        slots
-                            .into_iter()
-                            .zip(probes)
-                            .map(|(slot, probe)| slot.map(|o| (o, probe == StoreProbe::Hit)))
-                            .collect()
-                    })
-                    .collect()
+                (outcome.cells, outcome.probes, outcome.stored)
             }
             // Both attempts died: every slot gets a `Panicked` outcome — a
             // fault report, never a service crash.
-            Err(payload) => cells
-                .iter()
-                .map(|(_, grid)| {
-                    vec![
-                        Some((MemberOutcome::Panicked { payload: payload.clone() }, false));
-                        grid.len()
-                    ]
-                })
-                .collect(),
+            Err(payload) => {
+                let panicked = Some(MemberOutcome::Panicked { payload });
+                let sizes: Vec<usize> = cells.iter().map(|(_, grid)| grid.len()).collect();
+                (
+                    sizes.iter().map(|&n| vec![panicked.clone(); n]).collect(),
+                    sizes.iter().map(|&n| vec![StoreProbe::Miss; n]).collect(),
+                    sizes.iter().map(|&n| vec![false; n]).collect(),
+                )
+            }
         }
     };
-    finish_jobs(inner, &ids, filled);
+    let records = cells
+        .iter()
+        .zip(outcomes)
+        .zip(probes.iter().zip(&stored))
+        .map(|(((trace, grid), outcomes), (probes, stored))| {
+            done_record(trace.fingerprint(), grid, outcomes, probes, stored)
+        })
+        .collect();
+    finish_jobs(inner, &ids, records);
+}
+
+/// The record a job keeps if it completes, from its grid slots' outcomes,
+/// store probes and whether the store holds each member now: `None` when
+/// the cancellation gate skipped one of its members. The outcomes the
+/// cache holds are dropped here.
+fn done_record(
+    trace_fp: u64,
+    grid: &[SimConfig],
+    outcomes: Vec<Option<MemberOutcome>>,
+    probes: &[StoreProbe],
+    stored: &[bool],
+) -> Option<DoneJob> {
+    let mut summary = SweepSummary::default();
+    let mut inline = Vec::new();
+    let mut slots = Vec::with_capacity(grid.len());
+    for (at, (config, outcome)) in grid.iter().zip(outcomes).enumerate() {
+        let outcome = outcome?;
+        summary.merge(SweepSummary::of(std::slice::from_ref(&outcome)));
+        slots.push(DoneSlot {
+            config_fp: config_fingerprint(config),
+            cached: probes[at] == StoreProbe::Hit,
+        });
+        if !stored[at] {
+            inline.push((at, outcome));
+        }
+    }
+    let cached_members = slots.iter().filter(|slot| slot.cached).count();
+    Some(DoneJob { trace_fp, slots: slots.into_boxed_slice(), inline, summary, cached_members })
 }
 
 /// Resolves a job's trace source to its captured trace, building and
@@ -895,8 +979,7 @@ fn run_matrix_with_durability(
                         let state = lock(&inner.state);
                         requesters.iter().any(|&cell| {
                             state
-                                .jobs
-                                .get(&jobs[cell])
+                                .job(jobs[cell])
                                 .is_some_and(|job| !matches!(job.state, JobState::Cancelled))
                         })
                     });
@@ -926,30 +1009,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "matrix attempt panicked".into())
 }
 
-/// Fills each job's result slots, completes jobs whose members are all
-/// in, and wakes waiters. Cancelled jobs are left terminal as they are: a
-/// member the cancellation gate skipped (because no live job wanted it)
-/// has no outcome, and a cancelled job is never marked done.
-fn finish_jobs(inner: &ServiceInner, ids: &[u64], filled: Vec<JobSlots>) {
+/// Completes every running job whose members all have an outcome, and
+/// wakes waiters. Cancelled jobs are left terminal as they are and keep
+/// no outcome: a member the cancellation gate skipped (because no live
+/// job wanted it) has none, and a cancelled job is never marked done.
+fn finish_jobs(inner: &ServiceInner, ids: &[u64], records: Vec<Option<DoneJob>>) {
     let now = Instant::now();
     let mut run_secs = 0.0;
     let mut completed = 0u64;
     let mut summary_delta = SweepSummary::default();
     {
         let mut state = lock(&inner.state);
-        for (id, slots) in ids.iter().zip(filled) {
-            let Some(job) = state.jobs.get_mut(id) else { continue };
-            job.results = slots;
-            if matches!(job.state, JobState::Running) && job.results.iter().all(Option::is_some) {
+        for (id, record) in ids.iter().zip(records) {
+            let (Some(job), Some(record)) = (state.job_mut(*id), record) else { continue };
+            if matches!(job.state, JobState::Running) {
                 job.state = JobState::Done;
                 job.finished = Some(now);
                 if let Some(start) = job.started {
                     run_secs += now.duration_since(start).as_secs_f64();
                 }
                 completed += 1;
-                let outcomes: Vec<MemberOutcome> =
-                    job.results.iter().filter_map(|s| s.as_ref().map(|(o, _)| o.clone())).collect();
-                summary_delta.merge(SweepSummary::of(&outcomes));
+                summary_delta.merge(record.summary);
+                job.done = Some(record);
             }
         }
     }
@@ -967,7 +1048,7 @@ fn finish_jobs(inner: &ServiceInner, ids: &[u64], filled: Vec<JobSlots>) {
 fn fail_job(inner: &ServiceInner, id: u64, reason: &str) {
     {
         let mut state = lock(&inner.state);
-        match state.jobs.get_mut(&id) {
+        match state.job_mut(id) {
             Some(job) if !job.state.is_terminal() => {
                 job.state = JobState::Failed(reason.to_owned());
                 job.finished = Some(Instant::now());
@@ -1021,6 +1102,29 @@ mod tests {
             grid: vec![SimConfig::micro97()],
         };
         assert!(matches!(service.submit(spec), Err(ServiceError::ShuttingDown)));
+    }
+
+    #[test]
+    fn a_done_job_with_only_ok_outcomes_holds_no_outcome() {
+        let service = temp_service("done-record", 1);
+        let grid = vec![SimConfig::micro97(), SimConfig::micro97().with_phys_regs(48)];
+        let source = TraceSource::Preset { name: "li".into(), instrs: 2_000 };
+        let job = service.submit(JobSpec { source, grid: grid.clone() }).expect("submits");
+        assert!(service.wait(job, Duration::from_secs(120)).expect("finishes").state.is_done());
+        {
+            let state = lock(&service.0.state);
+            let done =
+                state.job(job).and_then(|j| j.done.as_ref()).expect("a done job keeps its record");
+            assert!(done.summary.all_ok() && done.summary.total() == grid.len());
+            assert_eq!(done.slots.len(), grid.len());
+            assert!(
+                done.inline.is_empty(),
+                "the cache holds every Ok outcome, so the job keeps none"
+            );
+        }
+        let results = service.results(job).expect("results are read back from the cache");
+        assert!(results.outcomes.iter().all(|o| matches!(o, MemberOutcome::Ok(_))));
+        service.shutdown();
     }
 
     #[test]

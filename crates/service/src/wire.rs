@@ -315,6 +315,7 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
         ("jobs_cancelled", Json::UInt(m.jobs_cancelled)),
         ("jobs_queued", Json::UInt(m.jobs_queued)),
         ("jobs_running", Json::UInt(m.jobs_running)),
+        ("jobs_picked_up", Json::UInt(m.jobs_picked_up)),
         ("queue_depth", Json::UInt(m.queue_depth)),
         ("members_submitted", Json::UInt(m.members_submitted)),
         ("members_simulated", Json::UInt(m.members_simulated)),

@@ -191,9 +191,9 @@ fn corrupt_cache_entry_degrades_to_a_live_run_and_heals() {
             .submit(JobSpec { source: TraceSource::Fingerprint(fp), grid: g.to_vec() })
             .expect("submits");
         service.wait(job, WAIT).expect("finishes");
-        service.results(job).expect("results available")
+        (job, service.results(job).expect("results available"))
     };
-    submit(&grid);
+    let (first, _) = submit(&grid);
 
     // Flip one byte in the first member's memo entry.
     let victim = service.cache().entry_path(trace_fp, config_fingerprint(&grid[0]));
@@ -202,16 +202,53 @@ fn corrupt_cache_entry_degrades_to_a_live_run_and_heals() {
     bytes[last] ^= 0x40;
     std::fs::write(&victim, &bytes).expect("corrupts entry");
 
-    let results = submit(&grid);
+    // The first job reads its Ok outcomes back from the cache: with one
+    // entry damaged its results are gone (HTTP 410), never wrong.
+    let gone = service.results(first).expect_err("a damaged entry cannot be served");
+    assert!(matches!(&gone, ServiceError::ResultsGone { job, .. } if *job == first), "{gone:?}");
+    assert_eq!(gone.http_status(), 410);
+
+    let (_, results) = submit(&grid);
     let metrics = service.metrics();
     assert_eq!(metrics.cache_damaged, 1, "the corrupt entry was detected, not served");
     assert_eq!(results.outcomes, direct, "a damaged cache may cost time, never correctness");
     assert_eq!(results.cached, vec![false, true, true]);
 
-    // The live re-run rewrote the entry: a third submission is all hits.
-    let healed = submit(&grid);
+    // The live re-run rewrote the entry: the first job's results are
+    // whole again, and a third submission is all hits.
+    let refetched = service.results(first).expect("the healed entry serves the first job");
+    assert_eq!(refetched.outcomes, direct, "healed results are bit-identical");
+    assert_eq!(refetched.cached, vec![false; grid.len()]);
+    let (_, healed) = submit(&grid);
     assert_eq!(healed.cached, vec![true; grid.len()]);
     assert_eq!(service.metrics().members_simulated, grid.len() as u64 + 1);
+    service.shutdown();
+}
+
+/// With the cache directory gone, every store write fails: a job keeps
+/// its outcomes inline and still serves them bit-identically, on every
+/// fetch.
+#[test]
+fn failed_cache_writes_keep_results_inline() {
+    let trace = small_trace(0xD5, 12_000);
+    let grid = test_grid();
+    let direct = direct_outcomes(&trace, &grid);
+
+    let dir = temp_dir("nostore");
+    let service =
+        SweepService::start(ServiceConfig::new(&dir).with_workers(1)).expect("service starts");
+    std::fs::remove_dir_all(dir.join("memo")).expect("the cache directory is removed");
+    let fp = service.register_trace(trace);
+    let job = service
+        .submit(JobSpec { source: TraceSource::Fingerprint(fp), grid: grid.clone() })
+        .expect("submits");
+    assert!(service.wait(job, WAIT).expect("finishes").state.is_done());
+    for _ in 0..2 {
+        let results = service.results(job).expect("inline results need no cache");
+        assert_eq!(results.outcomes, direct, "inline results are bit-identical");
+        assert_eq!(results.cached, vec![false; grid.len()]);
+    }
+    assert!(!dir.join("memo").exists(), "nothing was stored");
     service.shutdown();
 }
 
@@ -360,6 +397,16 @@ fn cancelling_a_running_job_stops_it_cooperatively() {
     let waited = service.wait(heavy, WAIT).expect("terminal immediately");
     assert_eq!(waited.state, JobState::Cancelled);
     assert!(matches!(service.results(heavy), Err(ServiceError::JobCancelled(_))));
+
+    // A job cancelled while running still counts in the mean queue wait:
+    // its wait is in the total, so it is in the count.
+    let metrics = service.metrics();
+    if metrics.queue_wait_seconds > 0.0 {
+        assert_eq!(metrics.jobs_picked_up, 1);
+        assert_eq!(metrics.mean_queue_wait_seconds(), metrics.queue_wait_seconds);
+    } else {
+        assert_eq!(metrics.jobs_picked_up, 0, "the job was cancelled while still queued");
+    }
 
     // The service stays healthy: a fresh job completes bit-identically.
     let trace = small_trace(0x77, 12_000);
@@ -573,6 +620,29 @@ fn malformed_requests_get_typed_http_errors() {
     assert_eq!(status, 400);
     let body = String::from_utf8_lossy(&body);
     assert!(body.contains("version 5 is not the version this reader reads"), "got: {body}");
+
+    // A 1 MiB request line without a newline → 400 once the header budget
+    // is spent, instead of a handler buffering it all. The server closes
+    // with the rest unread, so the write may fail part-way.
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.write_all(&vec![b'A'; 1 << 20]).ok();
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).ok();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+    assert!(reply.contains("header block too large"), "got: {reply}");
+
+    // A request line or header that is not UTF-8 → 400, not an I/O error.
+    for raw in
+        [&b"\xff\xfe /health HTTP/1.1\r\n\r\n"[..], b"GET /health HTTP/1.1\r\nX: \xff\r\n\r\n"]
+    {
+        let mut stream = TcpStream::connect(&addr).expect("connects");
+        stream.write_all(raw).expect("writes");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("server answers");
+        assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+        assert!(reply.contains("is not UTF-8"), "got: {reply}");
+    }
 
     // A raw non-HTTP byte stream → 400 and a clean close.
     let mut stream = TcpStream::connect(&addr).expect("connects");

@@ -38,7 +38,10 @@
 //! slot reports what that probe found ([`MatrixOutcome::probes`]), which
 //! is all a caller needs to tell a served member from a simulated one.
 //! Only `Ok` outcomes are stored, so a member that was degraded or
-//! deadlocked re-runs from record 0.
+//! deadlocked re-runs from record 0. Each slot also reports whether the
+//! store holds its member when the run ends ([`MatrixOutcome::stored`]):
+//! a caller that keeps results can then read those members back from the
+//! store instead of keeping a copy.
 
 use crate::batch::{run_member_outcome, FaultSpec, MemberOutcome};
 use crate::checkpoint::config_fingerprint;
@@ -220,6 +223,12 @@ pub struct MatrixOutcome {
     /// probe found for the slot's member. Every slot of a run without
     /// [`MatrixRunner::with_store`] is [`StoreProbe::Miss`].
     pub probes: Vec<Vec<StoreProbe>>,
+    /// Per submitted cell, per grid position, whether the store holds the
+    /// slot's member when the run ends: a restored hit, or an `Ok` member
+    /// whose store write succeeded. A store write that failed, an outcome
+    /// that is not `Ok`, a gate-skipped member and every slot of a run
+    /// without a store read `false`.
+    pub stored: Vec<Vec<bool>>,
     /// Scheduler observability counters.
     pub report: MatrixReport,
 }
@@ -376,12 +385,14 @@ impl<'a> MatrixRunner<'a> {
 
         struct RunState {
             results: Vec<Option<MemberOutcome>>,
+            stored: Vec<bool>,
             completed: usize,
             skipped: u64,
         }
         // Restored members count as completed for the abort test hook,
         // exactly as if they had been claimed and passed through.
         let state = Mutex::new(RunState {
+            stored: restored.iter().map(Option::is_some).collect(),
             results: restored,
             completed: resumed_members as usize,
             skipped: 0,
@@ -418,12 +429,15 @@ impl<'a> MatrixRunner<'a> {
                     let trace = index_ref.traces[member.trace_idx];
                     let fault = faults.iter().find(|f| f.member == i);
                     let outcome = run_member_outcome(trace, &member.config, fault);
-                    if let Some(store) = store {
-                        // A failed store only costs a future re-simulation.
-                        store.store(trace.fingerprint(), member.config_fp, &outcome).ok();
-                    }
+                    // The store keeps only `Ok` outcomes (and ignores the
+                    // rest without an error).
+                    let stored = matches!(outcome, MemberOutcome::Ok(_))
+                        && store.is_some_and(|store| {
+                            store.store(trace.fingerprint(), member.config_fp, &outcome).is_ok()
+                        });
                     let mut st = lock(state_ref);
                     st.results[i] = Some(outcome);
+                    st.stored[i] = stored;
                     st.completed += 1;
                 });
             }
@@ -445,7 +459,8 @@ impl<'a> MatrixRunner<'a> {
             resumed_members,
         };
         let cells = index.fan_out(&st.results);
+        let stored = index.fan_out(&st.stored);
         drop(st);
-        MatrixOutcome { cells, probes: index.fan_out(&probes), report }
+        MatrixOutcome { cells, probes: index.fan_out(&probes), stored, report }
     }
 }

@@ -140,6 +140,7 @@ fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
     let members = 6;
     let reference = MatrixRunner::new(cells.clone()).threads(1).run();
     assert!(reference.cells.iter().flatten().all(|o| matches!(o, Some(MemberOutcome::Ok(_)))));
+    assert!(reference.stored.iter().flatten().all(|&s| !s), "no store holds nothing");
 
     for killed_after in 0..members {
         let dir = scratch(&format!("kill-after-{killed_after}"));
@@ -156,6 +157,7 @@ fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
         assert_eq!(resumed.report.resumed_members, killed_after as u64);
         let hits = resumed.probes.iter().flatten().filter(|&&p| p == StoreProbe::Hit).count();
         assert_eq!(hits, killed_after, "each restored member's slot reports a store hit");
+        assert!(resumed.stored.iter().flatten().all(|&s| s), "every Ok member is in the store");
         assert_eq!(
             resumed.cells, reference.cells,
             "resume after a kill at {killed_after} members diverged from the uninterrupted run"
@@ -171,6 +173,11 @@ fn killed_and_resumed_sweep_is_bit_identical_to_uninterrupted() {
         .with_member_fault(1, 5_000)
         .run();
     assert!(matches!(faulted.cells[0][1], Some(MemberOutcome::Degraded { .. })));
+    assert_eq!(
+        faulted.stored,
+        vec![vec![true, false, true, true], vec![true, true]],
+        "a degraded member is the one slot the store does not hold"
+    );
     let resumed = MatrixRunner::new(cells.clone()).with_store(store).run();
     assert_eq!(resumed.report.resumed_members, members as u64 - 1);
     assert_eq!(resumed.cells, reference.cells);
