@@ -137,7 +137,7 @@ fn fig10_mix() -> Vec<LayoutProgram> {
 enum Core {
     /// The seed simulator's back end: full-window scans and per-dispatch
     /// allocation (`dvi_sim::legacy`). Its fetch and dispatch stages are
-    /// the shared memoized front end, and it runs over the one interpreter
+    /// the shared front end, and it runs over the one interpreter
     /// and its paged memory, so this baseline is *faster* than the true
     /// seed — the reported speedups versus it are conservative.
     SeedBaseline,

@@ -4,8 +4,9 @@
 //!
 //! Measures, on the Figure 10 mix (min-of-5 wall clock):
 //!
-//! * draining a replayed [`CapturedTrace`] with no simulator attached,
-//! * draining the live interpreter with no simulator attached,
+//! * draining a replayed [`CapturedTrace`]'s record steps — the core's
+//!   whole input from a trace — with no simulator attached,
+//! * draining the live interpreter's record steps the same way,
 //! * building the trace's dependence graph (the one-off precompute),
 //! * driving the mix's memory references through a standalone copy of the
 //!   machine's memory hierarchy ([`SimConfig::memory`]) in trace order —
@@ -24,11 +25,17 @@
 
 use dvi_core::DviConfig;
 use dvi_experiments::Binaries;
-use dvi_program::{CapturedTrace, DepGraph, Interpreter};
+use dvi_program::{CapturedTrace, DepGraph, Interpreter, RecordSource};
 use dvi_sim::{SimConfig, Simulator};
 use std::time::Instant;
 
 const INSTRS_PER_RUN: u64 = 60_000;
+
+/// Drains `source`'s record steps (what the simulator reads of each
+/// record), returning a checksum of their PCs.
+fn drain(mut source: impl RecordSource) -> u64 {
+    std::iter::from_fn(|| source.step()).map(|step| u64::from(step.pc)).sum()
+}
 
 fn main() {
     let layouts: Vec<_> = dvi_workloads::presets::save_restore_suite()
@@ -56,18 +63,10 @@ fn main() {
     };
 
     let replay_drain = time("replay-drain (trace production only)", &|| {
-        traces.iter().map(|t| t.replay().map(|d| u64::from(d.pc)).sum::<u64>()).sum()
+        traces.iter().map(|t| drain(t.replay())).sum()
     });
     time("interp-drain (trace production only)", &|| {
-        layouts
-            .iter()
-            .map(|l| {
-                Interpreter::new(l)
-                    .with_step_limit(INSTRS_PER_RUN)
-                    .map(|d| u64::from(d.pc))
-                    .sum::<u64>()
-            })
-            .sum()
+        layouts.iter().map(|l| drain(Interpreter::new(l).with_step_limit(INSTRS_PER_RUN))).sum()
     });
     time("depgraph-build (one-off precompute)", &|| {
         traces.iter().map(|t| DepGraph::build(t).len() as u64).sum()

@@ -8,8 +8,8 @@
 //! time. A [`CapturedTrace`] runs the interpreter **once**
 //! ([`CapturedTrace::record`]) and stores the dynamic stream in a compact
 //! structure-of-arrays buffer; [`CapturedTrace::replay`] then reproduces the
-//! exact [`DynInst`] sequence with nothing but index arithmetic — no
-//! allocation, no hashing, no architectural state.
+//! exact record stream with nothing but index arithmetic — no allocation,
+//! no hashing, no architectural state.
 //!
 //! # Format
 //!
@@ -37,7 +37,9 @@
 //! `pc + 1` inside a run, and at a run's end the static target, the
 //! return target, or the halt's own PC. The cursor carries that running PC
 //! and the index of the record that ends the current run, so its next-PC
-//! chain needs no image lookup per record. The sequence number is the
+//! chain reads the image only at a run's end; per record it reads only
+//! whether the instruction at the PC is a memory access, which decides
+//! whether the record consumes an address. The sequence number is the
 //! record index, so it is not stored either. On the generated workloads a
 //! record costs under one byte — versus ~56 bytes for a stored
 //! [`DynInst`] — and replay streams every column back in strictly
@@ -50,12 +52,13 @@
 //!
 //! # Invariant
 //!
-//! For every layout and step limit, `record(layout, n).replay()` yields a
-//! sequence of `DynInst` values **bit-identical** to
-//! `Interpreter::new(layout).with_step_limit(n)`. The timing simulator
-//! consumes only `DynInst` values, so statistics from a replayed trace are
-//! bit-identical to live interpretation (locked down by
-//! `dvi-sim/tests/replay_equiv.rs`).
+//! For every layout and step limit, the [`Step`]s of
+//! `record(layout, n).replay()` are **bit-identical** to those of
+//! `Interpreter::new(layout).with_step_limit(n)`, and so are the
+//! [`DynInst`] records both iterators build from them. The timing
+//! simulator consumes only the steps and the static image, so statistics
+//! from a replayed trace are bit-identical to live interpretation (locked
+//! down by `dvi-sim/tests/replay_equiv.rs`).
 
 use crate::artifact::{
     xxh64, ArtifactError, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter,
@@ -65,7 +68,7 @@ use crate::error::InterpError;
 use crate::interp::{ExecSummary, Interpreter};
 use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
-use crate::trace::DynInst;
+use crate::trace::{DynInst, RecordSource, Step};
 use dvi_isa::Instr;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -159,6 +162,7 @@ impl CapturedTrace {
     /// instructions and records the dynamic stream.
     #[must_use]
     pub fn record(layout: &LayoutProgram, step_limit: u64) -> CapturedTrace {
+        let code = layout.code();
         let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
         let (mut control, mut returns, mut mem_lo, mut mem_hi) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -178,7 +182,7 @@ impl CapturedTrace {
             if step.ends_run {
                 control.push(run);
                 run = 0;
-                if step.is_return {
+                if code[step.pc as usize] == Instr::Return {
                     returns.push(step.next_pc);
                 }
             }
@@ -191,7 +195,7 @@ impl CapturedTrace {
         mem_lo.shrink_to_fit();
         mem_hi.shrink_to_fit();
         CapturedTrace {
-            static_instrs: layout.code().into(),
+            static_instrs: code.into(),
             static_procs: (0..layout.len() as u32)
                 .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
                 .collect(),
@@ -273,10 +277,11 @@ impl CapturedTrace {
         &self.static_instrs
     }
 
-    /// A cursor over the trace positioned at the first record; a
-    /// zero-allocation iterator reproducing the recorded [`DynInst`] stream
-    /// bit-identically. Any number of cursors can read one trace
-    /// concurrently at independent positions without cloning the buffers.
+    /// A cursor over the trace positioned at the first record, reproducing
+    /// the recorded stream bit-identically without allocating: one
+    /// [`TraceCursor::step`] per record, or one [`DynInst`] as an
+    /// iterator. Any number of cursors can read one trace concurrently at
+    /// independent positions without cloning the buffers.
     #[must_use]
     pub fn cursor(&self) -> TraceCursor<'_> {
         TraceCursor::new(self)
@@ -923,44 +928,51 @@ impl<'a> TraceCursor<'a> {
         self.high_at = t.mem_hi.get(self.high_idx).map_or(u64::MAX, |&(at, _)| at);
     }
 
-    /// Ends the current run on the record `i` at `pc`: returns its branch
-    /// outcome and next PC, and moves to the next run.
+    /// Ends the current run on the record `i` at `pc`: returns its next
+    /// PC, and moves to the next run. The only place the cursor reads a
+    /// record's control target from the image.
     #[inline]
-    fn end_run(&mut self, i: usize, pc: u32, instr: Instr) -> (Option<bool>, u32) {
+    fn end_run(&mut self, i: usize, pc: u32) -> u32 {
         let t = self.trace;
         self.run_idx += 1;
         self.run_end = t.control.get(self.run_idx).map_or(usize::MAX, |&n| i + n as usize);
-        match instr {
-            Instr::Branch { target, .. } => (Some(true), target),
-            Instr::Jump { target } | Instr::Call { target } => (None, target),
+        match t.static_instrs[pc as usize] {
+            Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Call { target } => {
+                target
+            }
             Instr::Return => {
                 let target = t.returns[self.return_idx];
                 self.return_idx += 1;
-                (None, target)
+                target
             }
             // A halt: `from_bytes` and `record` admit no other record here.
-            _ => (None, pc),
+            _ => pc,
         }
     }
 }
 
-impl Iterator for TraceCursor<'_> {
-    type Item = DynInst;
+impl RecordSource for TraceCursor<'_> {
+    fn image(&self) -> &[Instr] {
+        &self.trace.static_instrs
+    }
 
+    /// The next record, straight from the columns: the running PC, the
+    /// effective address of a memory record, and at a run's end the next
+    /// PC the image or the return column supplies. `None` once every
+    /// record has been read.
     #[inline]
-    fn next(&mut self) -> Option<DynInst> {
+    fn step(&mut self) -> Option<Step> {
         let t = self.trace;
         let i = self.idx;
         if i >= t.records {
             return None;
         }
         let pc = self.pc;
-        let instr = t.static_instrs[pc as usize];
         self.idx = i + 1;
         // No branch on the memory nature, which a predictor guesses
         // poorly: read the next address either way, and consume it only
         // on a memory record.
-        let is_mem = instr.is_mem();
+        let is_mem = t.static_instrs[pc as usize].is_mem();
         let m = self.mem_idx;
         let lo = t.mem_lo.get(m).copied().unwrap_or(0);
         if is_mem & (m as u64 == self.high_at) {
@@ -968,21 +980,24 @@ impl Iterator for TraceCursor<'_> {
         }
         self.mem_idx = m + usize::from(is_mem);
         let mem_addr = is_mem.then_some(self.high | u64::from(lo));
-        let (taken, next_pc) = if i == self.run_end {
-            self.end_run(i, pc, instr)
-        } else {
-            (matches!(instr, Instr::Branch { .. }).then_some(false), pc + 1)
-        };
+        let ends_run = i == self.run_end;
+        let next_pc = if ends_run { self.end_run(i, pc) } else { pc + 1 };
         self.pc = next_pc;
-        Some(DynInst {
-            seq: i as u64,
-            pc,
-            instr,
-            proc: t.static_procs[pc as usize],
-            mem_addr,
-            taken,
-            next_pc,
-        })
+        Some(Step { pc, mem_addr, ends_run, next_pc })
+    }
+}
+
+/// The full records, one [`TraceCursor::step`] each.
+impl Iterator for TraceCursor<'_> {
+    type Item = DynInst;
+
+    #[inline]
+    fn next(&mut self) -> Option<DynInst> {
+        let seq = self.idx as u64;
+        let step = self.step()?;
+        let t = self.trace;
+        let pc = step.pc as usize;
+        Some(DynInst::from_step(seq, step, t.static_instrs[pc], t.static_procs[pc]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1151,18 +1166,35 @@ mod tests {
         assert_ne!(shorter.fingerprint(), bare, "different streams must differ");
     }
 
-    /// Records `layout` for `step_limit` steps, asserts the replay is
-    /// bit-identical to the interpreter and survives the artifact round
-    /// trip with its fingerprint, and returns the replayed records.
+    /// Records `layout` for `step_limit` steps and asserts that the
+    /// cursor's record steps, the interpreter's record steps and the
+    /// [`DynInst`] iterators agree at every record, both before and after
+    /// the artifact round trip (which keeps the fingerprint). Returns the
+    /// records.
     fn replays_and_roundtrips(layout: &LayoutProgram, step_limit: u64) -> Vec<DynInst> {
+        let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
+        let steps: Vec<Step> = std::iter::from_fn(|| interp.step()).collect();
         let live: Vec<DynInst> = Interpreter::new(layout).with_step_limit(step_limit).collect();
+        assert_eq!(live.len(), steps.len());
+        for (d, step) in live.iter().zip(&steps) {
+            let ends = ends_run(&d.instr, d.taken);
+            assert_eq!(
+                (d.pc, d.mem_addr, ends, d.next_pc),
+                (step.pc, step.mem_addr, step.ends_run, step.next_pc),
+                "record {} disagrees with its step",
+                d.seq
+            );
+        }
         let trace = CapturedTrace::record(layout, step_limit);
-        let replayed: Vec<DynInst> = trace.replay().collect();
-        assert_eq!(replayed, live, "replay must reproduce the interpreter");
         let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
-        assert_eq!(loaded.replay().collect::<Vec<_>>(), live);
-        replayed
+        for replayed in [&trace, &loaded] {
+            let mut cursor = replayed.cursor();
+            let cursor_steps: Vec<Step> = std::iter::from_fn(|| cursor.step()).collect();
+            assert_eq!(cursor_steps, steps, "the cursor must step like the interpreter");
+            assert_eq!(replayed.replay().collect::<Vec<_>>(), live, "replay must reproduce it");
+        }
+        live
     }
 
     /// Builds a one-procedure program from `body` (which must end in a

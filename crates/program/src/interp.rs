@@ -2,15 +2,16 @@
 //!
 //! [`Interpreter`] executes a [`LayoutProgram`] over an [`ArchState`]: 32
 //! integer registers and a sparse memory of lazily allocated 4 KiB pages.
-//! One execute step runs each instruction and returns its record's dynamic
-//! facts. The iterator wraps them into [`DynInst`] values for live
-//! simulation, and [`crate::CapturedTrace::record`] appends them straight
-//! to a trace's columns.
+//! One execute step runs each instruction and returns its record's
+//! [`Step`]. The timing simulator pulls those steps live through
+//! [`RecordSource`], [`crate::CapturedTrace::record`] appends them straight
+//! to a trace's columns, and the iterator wraps them into [`DynInst`]
+//! values.
 
 use crate::error::InterpError;
 use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
-use crate::trace::DynInst;
+use crate::trace::{DynInst, RecordSource, Step};
 use dvi_isa::{ArchReg, Instr};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -204,10 +205,10 @@ pub struct ExecSummary {
 
 /// Functional interpreter over a [`LayoutProgram`].
 ///
-/// The interpreter is an [`Iterator`] of [`DynInst`] records: each call to
-/// `next` executes one instruction and yields its dynamic description. The
-/// timing simulator consumes this stream directly, so arbitrarily long runs
-/// never materialize a full trace in memory.
+/// Each [`Interpreter::step`] executes one instruction and yields its
+/// record; the timing simulator consumes these steps directly, so
+/// arbitrarily long runs never materialize a full trace in memory. The
+/// interpreter is also an [`Iterator`] of full [`DynInst`] records.
 #[derive(Debug, Clone)]
 pub struct Interpreter<'a> {
     layout: &'a LayoutProgram,
@@ -279,15 +280,21 @@ impl<'a> Interpreter<'a> {
     fn mem_addr(&self, base: ArchReg, offset: i32) -> u64 {
         (self.state.reg(base) as u64).wrapping_add(offset as i64 as u64)
     }
+}
 
-    /// Executes the instruction at the current PC and returns the dynamic
-    /// facts of its record, or `None` once execution has stopped (a halt,
-    /// the step limit or an error, which is then recorded). The one
-    /// interpreter step: [`Iterator::next`] builds a [`DynInst`] from it,
-    /// and [`crate::CapturedTrace::record`] appends it straight to the
-    /// trace's columns.
+impl RecordSource for Interpreter<'_> {
+    fn image(&self) -> &[Instr] {
+        self.layout.code()
+    }
+
+    /// Executes the instruction at the current PC and returns its record,
+    /// or `None` once execution has stopped (a halt, the step limit or an
+    /// error, which is then recorded). The one interpreter step:
+    /// [`Iterator::next`] builds a [`DynInst`] from it, and
+    /// [`crate::CapturedTrace::record`] appends it straight to the trace's
+    /// columns.
     #[inline(always)]
-    pub(crate) fn step(&mut self) -> Option<Step> {
+    fn step(&mut self) -> Option<Step> {
         if self.halted || self.error.is_some() {
             return None;
         }
@@ -300,13 +307,7 @@ impl<'a> Interpreter<'a> {
             return None;
         };
         let pc = self.pc;
-        let mut step = Step {
-            mem_addr: None,
-            taken: None,
-            next_pc: pc + 1,
-            ends_run: false,
-            is_return: false,
-        };
+        let mut step = Step { pc, mem_addr: None, ends_run: false, next_pc: pc + 1 };
 
         match instr {
             Instr::Nop | Instr::Kill { .. } => {}
@@ -335,7 +336,6 @@ impl<'a> Interpreter<'a> {
             }
             Instr::Branch { op, rs, rt, target } => {
                 let t = op.eval(self.state.reg(rs), self.state.reg(rt));
-                step.taken = Some(t);
                 step.ends_run = t;
                 if t {
                     step.next_pc = target;
@@ -358,7 +358,6 @@ impl<'a> Interpreter<'a> {
             Instr::Return => {
                 step.next_pc = self.state.reg(ArchReg::RA) as u32;
                 step.ends_run = true;
-                step.is_return = true;
                 self.call_depth = self.call_depth.saturating_sub(1);
             }
             Instr::Halt => {
@@ -374,40 +373,15 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// The dynamic facts of one executed record: what a [`DynInst`] holds
-/// beyond its sequence number, PC, instruction and procedure, plus the two
-/// facts a captured trace's columns are cut by.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
-    /// Effective address of a memory instruction.
-    pub(crate) mem_addr: Option<u64>,
-    /// Outcome of a conditional branch.
-    pub(crate) taken: Option<bool>,
-    /// The PC of the next record.
-    pub(crate) next_pc: u32,
-    /// Whether the record transfers control: a taken branch, a jump, a
-    /// call, a return or the halt.
-    pub(crate) ends_run: bool,
-    /// Whether the record is a return.
-    pub(crate) is_return: bool,
-}
-
 impl Iterator for Interpreter<'_> {
     type Item = DynInst;
 
     fn next(&mut self) -> Option<DynInst> {
-        let (seq, pc) = (self.seq, self.pc);
+        let seq = self.seq;
         let step = self.step()?;
         let layout = self.layout;
-        Some(DynInst {
-            seq,
-            pc,
-            instr: layout.code()[pc as usize],
-            proc: layout.proc_of(pc).unwrap_or(ProcId(0)),
-            mem_addr: step.mem_addr,
-            taken: step.taken,
-            next_pc: step.next_pc,
-        })
+        let instr = layout.code()[step.pc as usize];
+        Some(DynInst::from_step(seq, step, instr, layout.proc_of(step.pc).unwrap_or(ProcId(0))))
     }
 }
 

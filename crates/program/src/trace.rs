@@ -1,12 +1,47 @@
-//! Dynamic instruction records produced by the functional interpreter.
+//! Dynamic instruction records: the record step both sources yield, and
+//! the full [`DynInst`] built from it for the trace's analysis consumers.
 
 use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
 use dvi_isa::{Instr, RegMask};
 
-/// One dynamic instruction: the instruction itself plus everything the
-/// timing simulator needs to model it without re-executing it (resolved
-/// memory address, branch outcome and the actual next program counter).
+/// The dynamic facts of one record: everything the static image cannot
+/// supply. The instruction, its decode and its procedure are functions of
+/// the PC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Program counter (instruction index in the static image).
+    pub pc: u32,
+    /// Effective address of a memory instruction.
+    pub mem_addr: Option<u64>,
+    /// Whether the record transfers control: a taken branch, a jump, a
+    /// call, a return or the halt. A conditional branch is taken exactly
+    /// when its record ends a run.
+    pub ends_run: bool,
+    /// The PC of the next record.
+    pub next_pc: u32,
+}
+
+/// A source of records driving a timing simulation: the live
+/// [`crate::Interpreter`] or a [`crate::TraceCursor`] into a
+/// [`crate::CapturedTrace`].
+///
+/// This is the seam between the program substrate and the timing
+/// simulator: the simulator decodes [`RecordSource::image`] once, then
+/// pulls one [`Step`] at a time and indexes that decode by its PC.
+pub trait RecordSource {
+    /// The static instruction image every record's PC indexes.
+    fn image(&self) -> &[Instr];
+
+    /// The next record, or `None` when the stream is over. Once `None` is
+    /// returned the source stays exhausted.
+    fn step(&mut self) -> Option<Step>;
+}
+
+/// One dynamic instruction: a [`Step`] with its sequence number, its
+/// instruction and procedure looked up in the static image, and the branch
+/// outcome spelled out. The dependence graph, the oracles, fusion and the
+/// tests read these; the timing simulator reads [`Step`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Position in the dynamic instruction stream (0-based).
@@ -25,28 +60,16 @@ pub struct DynInst {
     pub next_pc: u32,
 }
 
-/// A source of dynamic instructions driving a timing simulation.
-///
-/// This is the seam between the program substrate and the timing simulator:
-/// the simulator pulls one [`DynInst`] at a time until the source is exhausted.
-/// The trait is blanket-implemented for every `Iterator<Item = DynInst>`,
-/// so the live [`crate::Interpreter`], a [`crate::TraceCursor`] over a
-/// [`crate::CapturedTrace`], and plain collections of records all qualify
-/// without adapters.
-pub trait InstrSource {
-    /// Pulls the next dynamic instruction, or `None` when the stream is
-    /// over. Once `None` is returned the source stays exhausted.
-    fn next_instr(&mut self) -> Option<DynInst>;
-}
-
-impl<I: Iterator<Item = DynInst>> InstrSource for I {
-    #[inline]
-    fn next_instr(&mut self) -> Option<DynInst> {
-        self.next()
-    }
-}
-
 impl DynInst {
+    /// The record `seq` described by `step`, whose PC holds `instr` of
+    /// procedure `proc`.
+    #[must_use]
+    pub fn from_step(seq: u64, step: Step, instr: Instr, proc: ProcId) -> DynInst {
+        let Step { pc, mem_addr, ends_run, next_pc } = step;
+        let taken = matches!(instr, Instr::Branch { .. }).then_some(ends_run);
+        DynInst { seq, pc, instr, proc, mem_addr, taken, next_pc }
+    }
+
     /// Byte address of the instruction (for I-cache / predictor indexing).
     #[must_use]
     pub fn byte_addr(&self) -> u64 {

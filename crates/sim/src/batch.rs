@@ -28,7 +28,8 @@ use crate::config::SimConfig;
 use crate::matrix::MatrixRunner;
 use crate::pipeline::Simulator;
 use crate::stats::SimStats;
-use dvi_program::{CapturedTrace, DynInst};
+use dvi_isa::Instr;
+use dvi_program::{CapturedTrace, RecordSource, Step};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -222,15 +223,17 @@ struct FaultySource<'a, S> {
     asked: u64,
 }
 
-impl<S: Iterator<Item = DynInst>> Iterator for FaultySource<'_, S> {
-    type Item = DynInst;
+impl<S: RecordSource> RecordSource for FaultySource<'_, S> {
+    fn image(&self) -> &[Instr] {
+        self.inner.image()
+    }
 
-    fn next(&mut self) -> Option<DynInst> {
+    fn step(&mut self) -> Option<Step> {
         if self.asked == self.fault.after_records {
             self.fault.trip();
         }
         self.asked += 1;
-        self.inner.next()
+        self.inner.step()
     }
 }
 

@@ -1,38 +1,30 @@
-//! The shared in-order front end: fetch and rename/dispatch with per-PC
-//! decode memoization.
+//! The shared in-order front end: fetch and rename/dispatch over a
+//! per-run decode table.
 //!
 //! Both pipeline cores — the event-driven [`crate::Simulator`] and the
 //! preserved seed core [`crate::legacy::LegacySimulator`] — model exactly
 //! the same fetch and rename/dispatch stages. Before this module existed
 //! the two carried verbatim copies of that code; they now share one
-//! `FrontEnd`, so the stages *cannot* drift apart and the decode
-//! memoization below benefits both.
+//! `FrontEnd`, so the stages *cannot* drift apart.
 //!
-//! # Per-PC decode memoization
+//! # The per-run decode table
 //!
 //! Everything the front end derives from an [`Instr`] is *static*: the
 //! resource class, the functional-unit kind, the architectural source and
-//! destination registers, the E-DVI kill mask, the save/restore/call/return
-//! classification and the instruction's byte addresses. A dynamic stream
-//! revisits the same few thousand static PCs millions of times (loops,
-//! recurring calls), so [`DecodeMemo`] computes a [`StaticDecode`] once per
-//! static instruction. Each record is looked up once, at fetch: fetch
-//! classifies it (kill, branch, call, return) from the memo entry, queues
-//! only its sequence number, PC and effective address, and dispatch reads
-//! the entry fetch already filled. Only the truly dynamic fields of a
-//! [`dvi_program::DynInst`] — effective address, branch outcome, next PC —
-//! are consulted per instance.
+//! destination registers, the E-DVI kill mask and the
+//! save/restore/call/return classification. Decode is therefore a pure
+//! function of the PC: at the start of a run the front end decodes the
+//! source's whole static image ([`dvi_program::RecordSource::image`]) into
+//! one [`StaticDecode`] per PC. Fetch classifies each record (kill,
+//! branch, call, return) from its PC's entry and queues only its sequence
+//! number, PC and effective address; dispatch reads the same entry. Of a
+//! record, only its [`dvi_program::Step`] — effective address, whether it
+//! ends its run, next PC — is dynamic.
 //!
-//! ## Invariants
-//!
-//! * A memo entry is keyed by PC and valid for exactly one program image:
-//!   a [`DecodeMemo`] (and therefore a simulator instance) must observe a
-//!   single layout per run. Debug builds assert that the instruction seen
-//!   at a PC never changes.
-//! * [`StaticDecode`] holds no dynamic state; replaying a captured trace
-//!   ([`dvi_program::CapturedTrace`]) or re-interpreting live produces the
-//!   same memo contents and, byte for byte, the same [`crate::SimStats`]
-//!   (locked down by `tests/replay_equiv.rs`).
+//! [`StaticDecode`] holds no dynamic state, so replaying a captured trace
+//! ([`dvi_program::CapturedTrace`]) or interpreting live produces, byte for
+//! byte, the same [`crate::SimStats`] (locked down by
+//! `tests/replay_equiv.rs`).
 
 use crate::combining::{CombiningPredictor, PredictorConfig, PredictorStats};
 use crate::config::SimConfig;
@@ -41,10 +33,10 @@ use crate::rename::{unmap_into, PhysReg, ReclaimList, RenameState};
 use crate::stats::SimStats;
 use dvi_core::DviEngine;
 use dvi_isa::{ArchReg, FuKind, Instr, InstrClass, RegMask};
-use dvi_program::{InstrSource, LayoutProgram};
+use dvi_program::{LayoutProgram, RecordSource};
 
 /// What dispatch needs of a fetched record: its identity, its PC (the key
-/// of the decode entry fetch filled) and its effective address.
+/// of its decode entry) and its effective address.
 #[derive(Debug, Clone, Copy, Default)]
 struct Fetched {
     seq: u64,
@@ -131,19 +123,16 @@ pub enum DecodeKind {
     Plain,
 }
 
-/// The memoized static decoding of one instruction: every field the front
-/// end would otherwise re-derive from the [`Instr`] on each dynamic
-/// instance.
+/// The static decoding of one instruction: every field the front end
+/// would otherwise re-derive from the [`Instr`] on each dynamic instance.
 ///
-/// The record is kept deliberately small (the `instr` copy exists for the
-/// identity check): dispatch performs one memo load per instruction, so
-/// table density — a few thousand static PCs must stay cache-resident —
-/// matters more than completeness. Purely positional facts (byte
-/// addresses) are one shift away from the PC and are not stored.
+/// The record is kept deliberately small: fetch and dispatch each load one
+/// entry per instruction, so table density — a few thousand static PCs
+/// must stay cache-resident — matters more than completeness. Purely
+/// positional facts (byte addresses) are one shift away from the PC and
+/// are not stored.
 #[derive(Debug, Clone, Copy)]
 pub struct StaticDecode {
-    /// The instruction this entry was built from (identity check).
-    pub instr: Instr,
     /// Resource-model class.
     pub class: InstrClass,
     /// Functional unit the class occupies, if any.
@@ -173,7 +162,6 @@ impl StaticDecode {
             _ => DecodeKind::Plain,
         };
         StaticDecode {
-            instr,
             class,
             fu_kind: class.fu_kind(),
             srcs: instr.src_regs(),
@@ -181,57 +169,6 @@ impl StaticDecode {
             kind,
             is_mem: instr.is_mem(),
         }
-    }
-}
-
-/// Per-PC memo table of [`StaticDecode`] records, filled lazily the first
-/// time each static instruction is fetched.
-#[derive(Debug, Default)]
-pub struct DecodeMemo {
-    slots: Vec<Option<StaticDecode>>,
-}
-
-impl DecodeMemo {
-    /// Creates an empty memo table.
-    #[must_use]
-    pub fn new() -> DecodeMemo {
-        DecodeMemo::default()
-    }
-
-    /// Number of static instructions memoized so far.
-    #[must_use]
-    pub fn memoized(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// The static decoding of the instruction at `pc`, computing and
-    /// caching it on first sight.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if a different instruction was previously seen at
-    /// the same PC (one memo table serves exactly one program image).
-    pub fn decode(&mut self, pc: u32, instr: Instr) -> &StaticDecode {
-        let idx = pc as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        let slot = &mut self.slots[idx];
-        let entry = slot.get_or_insert_with(|| StaticDecode::new(instr));
-        debug_assert_eq!(
-            entry.instr, instr,
-            "decode memo saw two different instructions at pc {pc}"
-        );
-        entry
-    }
-
-    /// The entry [`DecodeMemo::decode`] already filled for `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` was never decoded.
-    fn filled(&self, pc: u32) -> &StaticDecode {
-        self.slots[pc as usize].as_ref().expect("fetch decodes every record before dispatch")
     }
 }
 
@@ -308,7 +245,7 @@ pub(crate) struct EnterWindow {
 }
 
 /// The in-order front end shared by both pipeline cores: the fetch queue,
-/// the fetch-redirect state machine, the decode memo and the decode-stage
+/// the fetch-redirect state machine, the decode table and the decode-stage
 /// DVI bookkeeping that feeds rename/dispatch.
 #[derive(Debug)]
 pub(crate) struct FrontEnd {
@@ -322,7 +259,9 @@ pub(crate) struct FrontEnd {
     /// accesses the I-cache once per line, not once per instruction).
     last_fetch_line: Option<u64>,
     trace_done: bool,
-    decoder: DecodeMemo,
+    /// The decoding of every instruction in the source's static image,
+    /// indexed by PC.
+    decoded: Box<[StaticDecode]>,
     /// Sequence number of the fetch-queue head once its decode-stage
     /// accounting and save/restore check have run. A record that then
     /// stalls on the window or the free list retries from the rename step
@@ -335,14 +274,15 @@ pub(crate) struct FrontEnd {
 }
 
 impl FrontEnd {
-    pub(crate) fn new(config: &SimConfig) -> FrontEnd {
+    /// A front end for `config` over records of the static `image`.
+    pub(crate) fn new(config: &SimConfig, image: &[Instr]) -> FrontEnd {
         FrontEnd {
             fetch_queue: FetchQueue::new(config.fetch_queue),
             fetch_stall_until: 0,
             pending_mispredict: None,
             last_fetch_line: None,
             trace_done: false,
-            decoder: DecodeMemo::new(),
+            decoded: image.iter().map(|&instr| StaticDecode::new(instr)).collect(),
             decoded_seq: None,
             pending_reclaim: ReclaimList::new(),
         }
@@ -389,7 +329,6 @@ impl FrontEnd {
     /// line, next-line prefetch) and the branch predictor. Fetch stops at
     /// an I-cache miss or a predictor redirect and stalls entirely while a
     /// misprediction is unresolved.
-    ///
     pub(crate) fn fetch<S>(
         &mut self,
         cycle: u64,
@@ -399,7 +338,7 @@ impl FrontEnd {
         stats: &mut SimStats,
         source: &mut S,
     ) where
-        S: InstrSource,
+        S: RecordSource,
     {
         if self.trace_done
             || self.pending_mispredict.is_some()
@@ -415,18 +354,19 @@ impl FrontEnd {
             if self.fetch_queue.len() >= config.fetch_queue {
                 break;
             }
-            let Some(dyn_inst) = source.next_instr() else {
+            let Some(step) = source.step() else {
                 self.trace_done = true;
                 break;
             };
+            // Records are fetched in order, so the count fetched so far is
+            // this record's sequence number.
+            let seq = stats.fetched_instrs;
             stats.fetched_instrs += 1;
-            // The one memo lookup of this record: fetch classifies it from
-            // the entry, and dispatch later reads the same entry by PC.
-            let kind = self.decoder.decode(dyn_inst.pc, dyn_inst.instr).kind;
+            let kind = self.decoded[step.pc as usize].kind;
             if matches!(kind, DecodeKind::Kill(_)) {
                 stats.fetched_kills += 1;
             }
-            let byte_addr = LayoutProgram::byte_addr(dyn_inst.pc);
+            let byte_addr = LayoutProgram::byte_addr(step.pc);
 
             // Instruction-cache access: once per cache line, with a
             // next-line prefetch so sequential code does not pay the full
@@ -447,30 +387,28 @@ impl FrontEnd {
             let mut redirected = false;
             match kind {
                 DecodeKind::Branch => {
-                    let taken = dyn_inst.taken.unwrap_or(false);
+                    // A conditional branch is taken exactly when it ends
+                    // its run.
+                    let taken = step.ends_run;
                     if pred.branch(byte_addr, taken) {
-                        self.pending_mispredict = Some(dyn_inst.seq);
+                        self.pending_mispredict = Some(seq);
                         redirected = true;
                     }
                 }
                 DecodeKind::Call => {
-                    pred.call(LayoutProgram::byte_addr(dyn_inst.pc + 1));
+                    pred.call(LayoutProgram::byte_addr(step.pc + 1));
                 }
                 DecodeKind::Return => {
-                    let actual = LayoutProgram::byte_addr(dyn_inst.next_pc);
+                    let actual = LayoutProgram::byte_addr(step.next_pc);
                     if pred.ret(actual) {
-                        self.pending_mispredict = Some(dyn_inst.seq);
+                        self.pending_mispredict = Some(seq);
                         redirected = true;
                     }
                 }
                 _ => {}
             }
 
-            self.fetch_queue.push_back(Fetched {
-                seq: dyn_inst.seq,
-                pc: dyn_inst.pc,
-                mem_addr: dyn_inst.mem_addr,
-            });
+            self.fetch_queue.push_back(Fetched { seq, pc: step.pc, mem_addr: step.mem_addr });
             if redirected || icache_miss {
                 break;
             }
@@ -495,10 +433,10 @@ impl FrontEnd {
         let Some(&Fetched { seq, pc, mem_addr }) = self.fetch_queue.front() else {
             return Dispatch::Empty;
         };
-        // Borrow the entry fetch filled in place (`self.decoder` is a
-        // disjoint field from the queue and reclaim list mutated below), so
-        // the hot path never copies the decode record.
-        let d = self.decoder.filled(pc);
+        // Borrow the entry in place (`self.decoded` is a disjoint field
+        // from the queue and reclaim list mutated below), so the hot path
+        // never copies the decode record.
+        let d = &self.decoded[pc as usize];
 
         // E-DVI annotations are consumed at decode: they never occupy a
         // window slot, a rename slot or a functional unit. Physical
@@ -634,31 +572,5 @@ mod tests {
                 _ => assert_eq!(d.kind, DecodeKind::Plain),
             }
         }
-    }
-
-    #[test]
-    fn memo_fills_once_per_pc_and_serves_repeats() {
-        let mut memo = DecodeMemo::new();
-        let add = Instr::Alu { op: AluOp::Add, rd: r(8), rs: r(9), rt: r(10) };
-        assert_eq!(memo.memoized(), 0);
-        let first = *memo.decode(5, add);
-        assert_eq!(memo.memoized(), 1);
-        for _ in 0..10 {
-            let again = memo.decode(5, add);
-            assert_eq!(again.instr, first.instr);
-            assert_eq!(again.srcs, first.srcs);
-        }
-        assert_eq!(memo.memoized(), 1, "repeats must not grow the table");
-        let _ = memo.decode(2, Instr::Nop);
-        assert_eq!(memo.memoized(), 2);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "two different instructions")]
-    fn memo_rejects_a_second_program_image() {
-        let mut memo = DecodeMemo::new();
-        let _ = memo.decode(0, Instr::Nop);
-        let _ = memo.decode(0, Instr::Halt);
     }
 }

@@ -17,7 +17,7 @@
 //! model the same memory system.
 //!
 //! The in-order front end (fetch and the per-instruction rename/dispatch
-//! decisions) is the shared, memoized `crate::frontend::FrontEnd`: the
+//! decisions) is the shared `crate::frontend::FrontEnd`: the
 //! stages were verbatim copies of the main pipeline's and are behaviourally
 //! identical, so sharing them removes the duplication without perturbing
 //! the modelled machine. Only the *back end* here intentionally tracks the
@@ -32,7 +32,7 @@ use crate::rename::{PhysReg, RenameState};
 use crate::stats::SimStats;
 use dvi_core::DviEngine;
 use dvi_isa::{Abi, InstrClass};
-use dvi_program::DynInst;
+use dvi_program::RecordSource;
 use std::collections::VecDeque;
 
 /// Execution state of a legacy in-flight instruction.
@@ -72,10 +72,17 @@ const PROGRESS_LIMIT: u64 = 100_000;
 ///
 /// See the crate-level documentation for the modelling assumptions. A
 /// `LegacySimulator` is single-use: construct it with a [`SimConfig`], call
-/// [`LegacySimulator::run`] with a dynamic instruction stream (usually a
+/// [`LegacySimulator::run`] with a record source (usually a
 /// [`dvi_program::Interpreter`]) and read the returned [`SimStats`].
 #[derive(Debug)]
 pub struct LegacySimulator {
+    config: SimConfig,
+}
+
+/// The state of one legacy machine, driven cycle by cycle by
+/// [`LegacySimulator::run`].
+#[derive(Debug)]
+struct LegacyCore {
     config: SimConfig,
     rename: RenameState,
     dvi: DviEngine,
@@ -84,7 +91,7 @@ pub struct LegacySimulator {
     pred: FetchPredictor,
     window: VecDeque<InFlight>,
     /// The shared in-order front end (fetch queue, redirect state machine,
-    /// per-PC decode memo, decode-stage DVI plumbing).
+    /// per-run decode table, decode-stage DVI plumbing).
     front: FrontEnd,
     cycle: u64,
     stats: SimStats,
@@ -99,27 +106,32 @@ impl LegacySimulator {
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         config.validate();
-        LegacySimulator {
+        LegacySimulator { config }
+    }
+
+    /// Runs the machine over the records of `source` until every
+    /// instruction has committed, and returns the accumulated statistics.
+    pub fn run<S: RecordSource>(self, source: S) -> SimStats {
+        let image = source.image();
+        let config = self.config;
+        LegacyCore {
             rename: RenameState::new(config.phys_regs),
             dvi: DviEngine::new(config.dvi, Abi::mips_like()),
             mem: config.memory(),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units, config.cache_ports),
             pred: FetchPredictor::new(config.predictor),
             window: VecDeque::with_capacity(config.window_size),
-            front: FrontEnd::new(&config),
+            front: FrontEnd::new(&config, image),
             cycle: 0,
             stats: SimStats::default(),
             config,
         }
+        .run(source)
     }
+}
 
-    /// Runs the machine over a dynamic instruction stream until every
-    /// instruction has committed, and returns the accumulated statistics.
-    pub fn run<I>(mut self, trace: I) -> SimStats
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        let mut trace = trace.into_iter();
+impl LegacyCore {
+    fn run<S: RecordSource>(mut self, mut source: S) -> SimStats {
         let mut last_progress = (0u64, 0u64); // (cycle, committed)
         let mut last_fetch = (0u64, 0u64); // (cycle, fetched)
         loop {
@@ -133,7 +145,7 @@ impl LegacySimulator {
                 &mut self.mem,
                 &mut self.pred,
                 &mut self.stats,
-                &mut trace,
+                &mut source,
             );
 
             self.cycle += 1;

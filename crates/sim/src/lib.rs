@@ -37,11 +37,13 @@
 //! # Driving the simulator
 //!
 //! [`Simulator::new`] builds one machine from a [`SimConfig`], and
-//! [`Simulator::run`] drives it over any dynamic instruction stream — the
-//! live [`dvi_program::Interpreter`], or a [`dvi_program::TraceCursor`]
+//! [`Simulator::run`] drives it over any [`dvi_program::RecordSource`] —
+//! the live [`dvi_program::Interpreter`], or a [`dvi_program::TraceCursor`]
 //! into a recorded [`dvi_program::CapturedTrace`] — until every
 //! instruction has committed (or the forward-progress watchdog stops a
-//! wedged run), returning the [`SimStats`].
+//! wedged run), returning the [`SimStats`]. Both sources yield the same
+//! record steps: a PC, an effective address, whether the record ends its
+//! run, and the next PC.
 //!
 //! # Sweeps: one runner, one store
 //!
@@ -49,7 +51,7 @@
 //! configuration) matrix with member deduplication, drained from one
 //! shared member list by a pool of worker threads. Each member runs the
 //! same plain core on its own [`Simulator`] — its own live predictor, L1I,
-//! DVI engine, L1D and decode memo — inside one panic boundary ([`batch`]),
+//! DVI engine, L1D and decode table — inside one panic boundary ([`batch`]),
 //! so per-member statistics are bit-identical to serial runs at any
 //! thread count (`tests/matrix_equiv.rs`). Outcomes are kept in one on-disk
 //! [`ResultCache`] ([`store`]), keyed by (trace fingerprint, config
@@ -68,11 +70,11 @@
 //! reference model the equivalence tests check it against, and as the
 //! throughput baseline.
 //!
-//! The front end is **shared and memoized**: both cores fetch and
-//! rename/dispatch through one `frontend::FrontEnd`, whose per-PC
-//! [`DecodeMemo`] computes the static decoding of each instruction (class,
-//! functional unit, source/destination registers, DVI kill masks) exactly
-//! once per static PC — see [`frontend`] for the memoization invariants.
+//! The front end is **shared and decoded once per run**: both cores fetch
+//! and rename/dispatch through one `frontend::FrontEnd`, which decodes the
+//! source's static image at entry into one [`StaticDecode`] per PC (class,
+//! functional unit, source/destination registers, DVI kill masks) and
+//! indexes it by each record's PC — see [`frontend`].
 //!
 //! # Example
 //!
@@ -133,7 +135,7 @@ pub use batch::{MemberOutcome, SweepRunner, SweepSummary};
 pub use cache::{CacheConfig, CacheStats};
 pub use combining::{CombiningPredictor, PredictorConfig, PredictorStats};
 pub use config::{ConfigError, SimConfig};
-pub use frontend::{DecodeKind, DecodeMemo, StaticDecode};
+pub use frontend::{DecodeKind, StaticDecode};
 pub use fu::FuPool;
 pub use hierarchy::{HierarchyStats, MemAccess, MemoryHierarchy};
 pub use matrix::{MatrixOutcome, MatrixReport, MatrixRunner, StoreProbe};

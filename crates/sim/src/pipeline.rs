@@ -40,8 +40,8 @@ use crate::sched::{Calendar, ReadyRing, Waiters};
 use crate::stats::{DeadlockReport, ProgressStage, SimStats};
 use crate::window::{EntryState, WindowRing};
 use dvi_core::DviEngine;
-use dvi_isa::{Abi, InstrClass};
-use dvi_program::{DynInst, InstrSource};
+use dvi_isa::{Abi, Instr, InstrClass};
+use dvi_program::RecordSource;
 
 /// Safety valve: if the pipeline makes no forward progress for this many
 /// cycles, the run is aborted with [`SimStats::deadlocked`] set (this
@@ -52,13 +52,13 @@ pub(crate) const PROGRESS_LIMIT: u64 = 100_000;
 ///
 /// See the crate-level documentation for the modelling assumptions. A
 /// `Simulator` is single-use: construct it with a [`SimConfig`], call
-/// [`Simulator::run`] with a dynamic instruction stream (usually a
-/// [`dvi_program::Interpreter`] or a [`dvi_program::TraceCursor`]) and
-/// read the returned [`SimStats`]. To sweep many configurations over
-/// shared traces use [`crate::MatrixRunner`].
+/// [`Simulator::run`] with a record source (a [`dvi_program::Interpreter`]
+/// or a [`dvi_program::TraceCursor`]) and read the returned [`SimStats`].
+/// To sweep many configurations over shared traces use
+/// [`crate::MatrixRunner`].
 #[derive(Debug)]
 pub struct Simulator {
-    core: Core,
+    config: SimConfig,
 }
 
 impl Simulator {
@@ -69,23 +69,22 @@ impl Simulator {
     /// Panics if the configuration fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
-        Simulator { core: Core::new(config) }
+        config.validate();
+        Simulator { config }
     }
 
-    /// Runs the machine over a dynamic instruction stream until every
+    /// Runs the machine over the records of `source` until every
     /// instruction has committed, and returns the accumulated statistics.
+    /// The source's static image is decoded once, at entry; each record
+    /// then costs one [`dvi_program::Step`].
     ///
     /// A forward-progress watchdog ends the run early when nothing commits
     /// for 100 000 cycles — a modelling bug, returned as
     /// [`SimStats::deadlocked`] with a structured [`DeadlockReport`]
     /// rather than asserted, so one wedged sweep member surfaces as a
     /// diagnosable outcome instead of aborting its siblings.
-    pub fn run<I>(self, trace: I) -> SimStats
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        let mut core = self.core;
-        let mut source = trace.into_iter();
+    pub fn run<S: RecordSource>(self, mut source: S) -> SimStats {
+        let mut core = Core::new(self.config, source.image());
         // (cycle, committed) at the last cycle that committed, and
         // (cycle, fetched) at the last cycle fetch advanced — the evidence
         // for which stage was last alive.
@@ -134,8 +133,8 @@ struct Core {
     /// Fetch-stage branch prediction.
     pred: FetchPredictor,
     window: WindowRing,
-    /// The in-order front end (fetch queue, redirect state machine, per-PC
-    /// decode memo, decode-stage DVI plumbing).
+    /// The in-order front end (fetch queue, redirect state machine, per-run
+    /// decode table, decode-stage DVI plumbing).
     front: FrontEnd,
     cycle: u64,
     stats: SimStats,
@@ -146,13 +145,9 @@ struct Core {
 }
 
 impl Core {
-    /// Builds a core for `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    fn new(config: SimConfig) -> Core {
-        config.validate();
+    /// Builds a core for the validated `config` over records of the static
+    /// `image`.
+    fn new(config: SimConfig, image: &[Instr]) -> Core {
         let window = WindowRing::new(config.window_size);
         // The longest schedulable latency is a load missing every level.
         let max_latency = config.dcache.latency + config.l2.latency + config.memory_latency + 64;
@@ -162,7 +157,7 @@ impl Core {
             mem: config.memory(),
             fu: FuPool::new(config.int_alu_units, config.int_mul_units, config.cache_ports),
             pred: FetchPredictor::new(config.predictor),
-            front: FrontEnd::new(&config),
+            front: FrontEnd::new(&config, image),
             cycle: 0,
             stats: SimStats::default(),
             calendar: Calendar::new(max_latency),
@@ -175,7 +170,7 @@ impl Core {
 
     /// Simulates one cycle: commit, writeback, issue, rename/dispatch and
     /// fetch, then per-cycle resource bookkeeping.
-    fn step<S: InstrSource>(&mut self, source: &mut S) {
+    fn step<S: RecordSource>(&mut self, source: &mut S) {
         self.commit();
         self.writeback();
         self.issue();
@@ -501,13 +496,15 @@ mod tests {
         let compiled =
             dvi_compiler::compile(&program, &abi, dvi_compiler::CompileOptions::default()).unwrap();
         let layout = compiled.program.layout().unwrap();
-        let trace: Vec<DynInst> = Interpreter::new(&layout).take(20_000).collect();
-        let kill_pos = trace
-            .iter()
-            .rposition(|d| matches!(d.instr, Instr::Kill { .. }))
-            .expect("an E-DVI binary contains kills");
-        let truncated: Vec<DynInst> = trace[..=kill_pos].to_vec();
-        let stats = Simulator::new(SimConfig::micro97().with_dvi(DviConfig::full())).run(truncated);
+        let kill_pos = Interpreter::new(&layout)
+            .take(20_000)
+            .filter(|d| matches!(d.instr, Instr::Kill { .. }))
+            .last()
+            .expect("an E-DVI binary contains kills")
+            .seq;
+        let truncated = dvi_program::CapturedTrace::record(&layout, kill_pos + 1);
+        let stats = Simulator::new(SimConfig::micro97().with_dvi(DviConfig::full()))
+            .run(truncated.replay());
         assert!(stats.dvi.phys_regs_reclaimed_early > 0, "the tail kill must reclaim registers");
     }
 

@@ -12,11 +12,17 @@
 //!   configurations (register-file size, cache ports, DVI scheme, issue
 //!   width), via proptest;
 //! * on a program whose dependence links reach further back than the
-//!   dependence graph's packed distance field (far links).
+//!   dependence graph's packed distance field (far links);
+//! * below the cores, record by record: both sources yield the same
+//!   record steps on every preset.
 
-use dvi_core::DviConfig;
+use dvi_compiler::CompileOptions;
+use dvi_core::{DviConfig, EdviPlacement};
 use dvi_isa::{Abi, AluOp, ArchReg, CmpOp, Instr};
-use dvi_program::{CapturedTrace, Interpreter, LayoutProgram, ProcBuilder, ProgramBuilder};
+use dvi_program::{
+    CapturedTrace, DynInst, Interpreter, LayoutProgram, ProcBuilder, ProgramBuilder, RecordSource,
+    Step,
+};
 use dvi_sim::{SimConfig, SimStats, Simulator};
 use dvi_workloads::{presets, WorkloadSpec};
 use proptest::prelude::*;
@@ -118,6 +124,41 @@ fn replay_is_exact_for_truncated_and_complete_traces() {
     let truncated = CapturedTrace::record(&layout, 777);
     assert_eq!(truncated.len(), 777);
     assert_replay_equivalent(&layout, &truncated, &config, 777, "truncated");
+}
+
+/// The record steps the cores read agree between the two sources at every
+/// record of every preset, baseline and E-DVI, at two step limits, before
+/// and after the artifact round trip; and each `DynInst` either iterator
+/// yields is its record step spelled out.
+#[test]
+fn record_steps_agree_on_every_preset() {
+    let abi = Abi::mips_like();
+    for spec in presets::all() {
+        let bare = dvi_workloads::generate(&spec);
+        for edvi in [EdviPlacement::None, EdviPlacement::BeforeCalls] {
+            let compiled = dvi_compiler::compile(&bare, &abi, CompileOptions { edvi })
+                .expect("workload compiles");
+            let layout = compiled.program.layout().expect("binary lays out");
+            for limit in [3_000, 25_000] {
+                let context = format!("{} {edvi:?} at {limit}", spec.name);
+                let mut interp = Interpreter::new(&layout).with_step_limit(limit);
+                let steps: Vec<Step> = std::iter::from_fn(|| interp.step()).collect();
+                let live: Vec<_> = Interpreter::new(&layout).with_step_limit(limit).collect();
+                assert_eq!(live.len(), steps.len(), "{context}");
+                for (d, &step) in live.iter().zip(&steps) {
+                    assert_eq!(DynInst::from_step(d.seq, step, d.instr, d.proc), *d, "{context}");
+                }
+                let trace = CapturedTrace::record(&layout, limit);
+                let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean load");
+                for replayed in [&trace, &loaded] {
+                    let mut cursor = replayed.cursor();
+                    let cursor_steps: Vec<Step> = std::iter::from_fn(|| cursor.step()).collect();
+                    assert_eq!(cursor_steps, steps, "{context}: cursor steps");
+                    assert!(replayed.replay().eq(live.iter().copied()), "{context}: records");
+                }
+            }
+        }
+    }
 }
 
 /// A program whose registers are read more than 16383 records after their
