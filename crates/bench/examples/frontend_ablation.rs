@@ -33,8 +33,8 @@ const INSTRS_PER_RUN: u64 = 60_000;
 
 /// Drains `source`'s record steps (what the simulator reads of each
 /// record), returning a checksum of their PCs.
-fn drain(mut source: impl RecordSource) -> u64 {
-    std::iter::from_fn(|| source.step()).map(|step| u64::from(step.pc)).sum()
+fn drain(source: impl RecordSource) -> u64 {
+    source.map(|step| u64::from(step.pc)).sum()
 }
 
 fn main() {
@@ -82,10 +82,11 @@ fn main() {
             .iter()
             .map(|t| {
                 let mut mem = config.memory();
+                let image = t.static_code();
                 t.replay()
-                    .filter(|d| d.instr.class().uses_cache_port())
-                    .map(|d| {
-                        let addr = d.mem_addr.expect("memory records carry an address");
+                    .filter(|step| image[step.pc as usize].class().uses_cache_port())
+                    .map(|step| {
+                        let addr = step.mem_addr.expect("memory records carry an address");
                         mem.data_access(addr).latency
                     })
                     .sum::<u64>()

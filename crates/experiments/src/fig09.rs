@@ -40,16 +40,6 @@ impl Figure09 {
             mean(&self.rows.iter().map(|r| r.lvm_stack.2).collect::<Vec<_>>()),
         )
     }
-
-    /// Averages for the save-only LVM scheme.
-    #[must_use]
-    pub fn lvm_averages(&self) -> (f64, f64, f64) {
-        (
-            mean(&self.rows.iter().map(|r| r.lvm.0).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|r| r.lvm.1).collect::<Vec<_>>()),
-            mean(&self.rows.iter().map(|r| r.lvm.2).collect::<Vec<_>>()),
-        )
-    }
 }
 
 /// Runs both schemes on the save/restore benchmark suite.

@@ -156,11 +156,11 @@ pub fn switch_study(threads: &[LayoutProgram], config: SwitchConfig) -> ContextS
         }
         let mut executed = 0;
         while executed < config.quantum {
-            let Some(dyn_inst) = interps[current].next() else {
+            let Some(step) = interps[current].next() else {
                 finished[current] = true;
                 break;
             };
-            observe(&mut engines[current], dyn_inst.instr);
+            observe(&mut engines[current], threads[current].code()[step.pc as usize]);
             executed += 1;
         }
         stats.instructions += executed;

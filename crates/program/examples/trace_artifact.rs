@@ -53,6 +53,7 @@ fn main() {
     trace.save(&path).expect("artifact saves");
     let loaded = CapturedTrace::load(&path).expect("clean artifact loads");
     assert_eq!(loaded.fingerprint(), trace.fingerprint(), "fingerprint drifted");
+    assert_eq!(loaded.static_code(), layout.code(), "reloaded image drifted");
     assert_eq!(
         loaded.replay().collect::<Vec<_>>(),
         trace.replay().collect::<Vec<_>>(),

@@ -41,9 +41,8 @@
 //! whether the instruction at the PC is a memory access, which decides
 //! whether the record consumes an address. The sequence number is the
 //! record index, so it is not stored either. On the generated workloads a
-//! record costs under one byte — versus ~56 bytes for a stored
-//! [`DynInst`] — and replay streams every column back in strictly
-//! sequential order.
+//! record costs under one byte — versus 32 bytes for a stored [`Step`] —
+//! and replay streams every column back in strictly sequential order.
 //!
 //! The durable artifact ([`CapturedTrace::to_bytes`]) stores exactly these
 //! arrays, one checksummed [`crate::artifact`] section each, under
@@ -54,11 +53,12 @@
 //!
 //! For every layout and step limit, the [`Step`]s of
 //! `record(layout, n).replay()` are **bit-identical** to those of
-//! `Interpreter::new(layout).with_step_limit(n)`, and so are the
-//! [`DynInst`] records both iterators build from them. The timing
-//! simulator consumes only the steps and the static image, so statistics
-//! from a replayed trace are bit-identical to live interpretation (locked
-//! down by `dvi-sim/tests/replay_equiv.rs`).
+//! `Interpreter::new(layout).with_step_limit(n)`, and
+//! [`CapturedTrace::static_code`] is the layout's image. Every consumer —
+//! the timing simulator, the dependence graph, fusion, the oracles — reads
+//! only the steps and that image, so what it computes from a replayed
+//! trace is bit-identical to live interpretation (locked down by
+//! `dvi-sim/tests/replay_equiv.rs`).
 
 use crate::artifact::{
     xxh64, ArtifactError, ArtifactReader, ArtifactWriter, ByteReader, ByteWriter,
@@ -68,7 +68,7 @@ use crate::error::InterpError;
 use crate::interp::{ExecSummary, Interpreter};
 use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
-use crate::trace::{DynInst, RecordSource, Step};
+use crate::trace::{RecordSource, Step};
 use dvi_isa::Instr;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -112,11 +112,10 @@ pub struct CapturedTrace {
     fingerprint: OnceLock<u64>,
 }
 
-/// Whether a record of `instr` ends its run: every jump, call, return and
-/// halt transfers control, and a conditional branch does when taken.
-fn ends_run(instr: &Instr, taken: Option<bool>) -> bool {
+/// Whether every record of `instr` ends its run: a jump, call, return or
+/// halt always transfers control (a conditional branch does when taken).
+fn always_ends_run(instr: &Instr) -> bool {
     matches!(instr, Instr::Jump { .. } | Instr::Call { .. } | Instr::Return | Instr::Halt)
-        || taken == Some(true)
 }
 
 /// Per-PC tables over a static image that let [`CapturedTrace::from_bytes`]
@@ -136,7 +135,7 @@ impl StaticTables {
         let mut next_transfer = vec![len as u32; len + 1];
         for pc in (0..len).rev() {
             next_transfer[pc] =
-                if ends_run(&image[pc], None) { pc as u32 } else { next_transfer[pc + 1] };
+                if always_ends_run(&image[pc]) { pc as u32 } else { next_transfer[pc + 1] };
         }
         let mut mems_before = vec![0; len + 1];
         for (pc, instr) in image.iter().enumerate() {
@@ -170,7 +169,7 @@ impl CapturedTrace {
         // static image: straight-line code past its end stops the program.
         let mut run = 0u32;
         let mut high = 0u32;
-        while let Some(step) = interp.step() {
+        for step in interp.by_ref() {
             if let Some(addr) = step.mem_addr {
                 if (addr >> 32) as u32 != high {
                     high = (addr >> 32) as u32;
@@ -279,19 +278,12 @@ impl CapturedTrace {
 
     /// A cursor over the trace positioned at the first record, reproducing
     /// the recorded stream bit-identically without allocating: one
-    /// [`TraceCursor::step`] per record, or one [`DynInst`] as an
-    /// iterator. Any number of cursors can read one trace concurrently at
-    /// independent positions without cloning the buffers.
-    #[must_use]
-    pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor::new(self)
-    }
-
-    /// Alias of [`CapturedTrace::cursor`], kept for the established
-    /// capture-once/replay-many vocabulary.
+    /// [`Step`] per [`Iterator::next`]. Any number of cursors can read one
+    /// trace concurrently at independent positions without cloning the
+    /// buffers.
     #[must_use]
     pub fn replay(&self) -> TraceCursor<'_> {
-        self.cursor()
+        TraceCursor::new(self)
     }
 
     // ------------------------------------------------ durable artifacts --
@@ -428,7 +420,7 @@ impl CapturedTrace {
                         if instr.is_mem() {
                             mems += 1;
                         }
-                        if ends_run(instr, None) {
+                        if always_ends_run(instr) {
                             return Err(malformed(format!(
                                 "record {j} at PC {pc}: a {} inside a run",
                                 instr.class()
@@ -854,16 +846,7 @@ fn read_instr(r: &mut ByteReader<'_>) -> Result<Instr, ArtifactError> {
     })
 }
 
-impl<'a> IntoIterator for &'a CapturedTrace {
-    type Item = DynInst;
-    type IntoIter = TraceCursor<'a>;
-
-    fn into_iter(self) -> TraceCursor<'a> {
-        self.cursor()
-    }
-}
-
-/// A read position into a [`CapturedTrace`]; see [`CapturedTrace::cursor`].
+/// A read position into a [`CapturedTrace`]; see [`CapturedTrace::replay`].
 ///
 /// A cursor borrows the trace's structure-of-arrays buffers immutably, so a
 /// batched sweep can hold dozens of cursors into one capture — each timing
@@ -904,12 +887,6 @@ impl<'a> TraceCursor<'a> {
             high_idx: 0,
             high_at: trace.mem_hi.first().map_or(u64::MAX, |&(at, _)| at),
         }
-    }
-
-    /// Number of records already consumed (the `seq` of the next record).
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.idx
     }
 
     /// Number of records left to read.
@@ -955,13 +932,17 @@ impl RecordSource for TraceCursor<'_> {
     fn image(&self) -> &[Instr] {
         &self.trace.static_instrs
     }
+}
+
+impl Iterator for TraceCursor<'_> {
+    type Item = Step;
 
     /// The next record, straight from the columns: the running PC, the
     /// effective address of a memory record, and at a run's end the next
     /// PC the image or the return column supplies. `None` once every
     /// record has been read.
     #[inline]
-    fn step(&mut self) -> Option<Step> {
+    fn next(&mut self) -> Option<Step> {
         let t = self.trace;
         let i = self.idx;
         if i >= t.records {
@@ -984,20 +965,6 @@ impl RecordSource for TraceCursor<'_> {
         let next_pc = if ends_run { self.end_run(i, pc) } else { pc + 1 };
         self.pc = next_pc;
         Some(Step { pc, mem_addr, ends_run, next_pc })
-    }
-}
-
-/// The full records, one [`TraceCursor::step`] each.
-impl Iterator for TraceCursor<'_> {
-    type Item = DynInst;
-
-    #[inline]
-    fn next(&mut self) -> Option<DynInst> {
-        let seq = self.idx as u64;
-        let step = self.step()?;
-        let t = self.trace;
-        let pc = step.pc as usize;
-        Some(DynInst::from_step(seq, step, t.static_instrs[pc], t.static_procs[pc]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1046,9 +1013,10 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_to_live_interpretation() {
         let layout = mixed_program();
-        let live: Vec<DynInst> = Interpreter::new(&layout).collect();
+        let live: Vec<Step> = Interpreter::new(&layout).collect();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let replayed: Vec<DynInst> = trace.replay().collect();
+        assert_eq!(trace.static_code(), layout.code(), "the trace carries the layout's image");
+        let replayed: Vec<Step> = trace.replay().collect();
         assert_eq!(live.len(), replayed.len());
         assert_eq!(live, replayed, "replay must reproduce the stream exactly");
         assert_eq!(trace.len(), live.len());
@@ -1059,11 +1027,11 @@ mod tests {
     #[test]
     fn replay_respects_the_recording_step_limit() {
         let layout = mixed_program();
-        let live: Vec<DynInst> = Interpreter::new(&layout).with_step_limit(13).collect();
+        let live: Vec<Step> = Interpreter::new(&layout).with_step_limit(13).collect();
         let trace = CapturedTrace::record(&layout, 13);
         assert_eq!(trace.len(), 13);
         assert!(!trace.summary().halted);
-        let replayed: Vec<DynInst> = trace.replay().collect();
+        let replayed: Vec<Step> = trace.replay().collect();
         assert_eq!(live, replayed);
     }
 
@@ -1071,8 +1039,8 @@ mod tests {
     fn replay_is_repeatable_and_exact_size() {
         let layout = mixed_program();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let first: Vec<DynInst> = trace.replay().collect();
-        let second: Vec<DynInst> = trace.replay().collect();
+        let first: Vec<Step> = trace.replay().collect();
+        let second: Vec<Step> = trace.replay().collect();
         assert_eq!(first, second, "a trace replays identically every time");
         let mut it = trace.replay();
         assert_eq!(it.len(), trace.len());
@@ -1080,11 +1048,12 @@ mod tests {
         assert_eq!(it.len(), trace.len() - 1);
     }
 
+    /// A stored dynamic instruction holds at least its [`Step`].
     #[test]
     fn packed_encoding_is_much_smaller_than_stored_dyninsts() {
         let layout = mixed_program();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let naive = trace.len() * std::mem::size_of::<DynInst>();
+        let naive = trace.len() * std::mem::size_of::<Step>();
         assert!(
             trace.approx_bytes() < naive / 2,
             "packed {} bytes vs naive {} bytes",
@@ -1097,12 +1066,13 @@ mod tests {
     fn approx_bytes_is_four_bytes_per_column_entry_plus_the_image() {
         let layout = mixed_program();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let records: Vec<DynInst> = trace.replay().collect();
-        let mems = records.iter().filter(|d| d.mem_addr.is_some()).count();
-        let runs = records.iter().filter(|d| ends_run(&d.instr, d.taken)).count();
-        let returns = records.iter().filter(|d| d.instr == Instr::Return).count();
+        let records: Vec<Step> = trace.replay().collect();
+        let code = trace.static_code();
+        let mems = records.iter().filter(|s| s.mem_addr.is_some()).count();
+        let runs = records.iter().filter(|s| s.ends_run).count();
+        let returns = records.iter().filter(|s| code[s.pc as usize] == Instr::Return).count();
         assert!(mems > 0 && runs > returns && returns > 0, "the program fills every column");
-        assert!(records.iter().all(|d| d.mem_addr.is_none_or(|a| a >> 32 == 0)));
+        assert!(records.iter().all(|s| s.mem_addr.is_none_or(|a| a >> 32 == 0)));
         let image = layout.len() * (std::mem::size_of::<Instr>() + std::mem::size_of::<ProcId>());
         assert_eq!(
             trace.approx_bytes(),
@@ -1166,35 +1136,21 @@ mod tests {
         assert_ne!(shorter.fingerprint(), bare, "different streams must differ");
     }
 
-    /// Records `layout` for `step_limit` steps and asserts that the
-    /// cursor's record steps, the interpreter's record steps and the
-    /// [`DynInst`] iterators agree at every record, both before and after
-    /// the artifact round trip (which keeps the fingerprint). Returns the
-    /// records.
-    fn replays_and_roundtrips(layout: &LayoutProgram, step_limit: u64) -> Vec<DynInst> {
-        let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
-        let steps: Vec<Step> = std::iter::from_fn(|| interp.step()).collect();
-        let live: Vec<DynInst> = Interpreter::new(layout).with_step_limit(step_limit).collect();
-        assert_eq!(live.len(), steps.len());
-        for (d, step) in live.iter().zip(&steps) {
-            let ends = ends_run(&d.instr, d.taken);
-            assert_eq!(
-                (d.pc, d.mem_addr, ends, d.next_pc),
-                (step.pc, step.mem_addr, step.ends_run, step.next_pc),
-                "record {} disagrees with its step",
-                d.seq
-            );
-        }
+    /// Records `layout` for `step_limit` steps and asserts that the trace
+    /// carries the layout's image and replays the interpreter's steps, both
+    /// before and after the artifact round trip (which keeps the
+    /// fingerprint). Returns the steps.
+    fn replays_and_roundtrips(layout: &LayoutProgram, step_limit: u64) -> Vec<Step> {
+        let steps: Vec<Step> = Interpreter::new(layout).with_step_limit(step_limit).collect();
         let trace = CapturedTrace::record(layout, step_limit);
         let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
         for replayed in [&trace, &loaded] {
-            let mut cursor = replayed.cursor();
-            let cursor_steps: Vec<Step> = std::iter::from_fn(|| cursor.step()).collect();
+            assert_eq!(replayed.static_code(), layout.code());
+            let cursor_steps: Vec<Step> = replayed.replay().collect();
             assert_eq!(cursor_steps, steps, "the cursor must step like the interpreter");
-            assert_eq!(replayed.replay().collect::<Vec<_>>(), live, "replay must reproduce it");
         }
-        live
+        steps
     }
 
     /// Builds a one-procedure program from `body` (which must end in a
@@ -1225,8 +1181,10 @@ mod tests {
             &[Instr::Return],
         );
         let records = replays_and_roundtrips(&layout, u64::MAX);
-        let branch = records.iter().find(|d| d.taken.is_some()).expect("a branch");
-        assert_eq!((branch.taken, branch.next_pc), (Some(true), branch.pc + 1));
+        let code = layout.code();
+        let branch =
+            records.iter().find(|s| code[s.pc as usize].is_cond_branch()).expect("a branch");
+        assert_eq!((branch.ends_run, branch.next_pc), (true, branch.pc + 1));
     }
 
     #[test]
@@ -1241,10 +1199,12 @@ mod tests {
             &[skip, Instr::Return],
         );
         let records = replays_and_roundtrips(&layout, u64::MAX);
-        let call = records.iter().find(|d| d.instr.class() == dvi_isa::InstrClass::Call);
-        let ret = records.iter().find(|d| d.instr == Instr::Return).expect("a return");
+        let code = layout.code();
+        let instr = |s: &&Step| code[s.pc as usize];
+        let call = records.iter().find(|s| instr(s).class() == dvi_isa::InstrClass::Call);
+        let ret = records.iter().find(|s| instr(s) == Instr::Return).expect("a return");
         assert_eq!(ret.next_pc, call.expect("a call").pc + 2);
-        assert!(records.iter().all(|d| d.instr != Instr::load_imm(r(8), 99)));
+        assert!(records.iter().all(|s| code[s.pc as usize] != Instr::load_imm(r(8), 99)));
     }
 
     #[test]
@@ -1266,7 +1226,7 @@ mod tests {
             &[Instr::Return],
         );
         let records = replays_and_roundtrips(&layout, u64::MAX);
-        let addrs: Vec<u64> = records.iter().filter_map(|d| d.mem_addr).collect();
+        let addrs: Vec<u64> = records.iter().filter_map(|s| s.mem_addr).collect();
         assert_eq!(addrs, [(3 << 32) + 8, (3 << 32) + 8, crate::interp::DATA_BASE]);
         let trace = CapturedTrace::record(&layout, u64::MAX);
         assert_eq!(trace.mem_hi, [(0, 3), (2, 0)], "the high word rises, then falls back");
@@ -1275,13 +1235,9 @@ mod tests {
     #[test]
     fn a_trace_cut_mid_run_by_the_step_limit_replays() {
         let layout = mixed_program();
-        let full: Vec<DynInst> = Interpreter::new(&layout).collect();
-        let cuts: Vec<u64> = (1..full.len() as u64)
-            .filter(|&n| {
-                let last = &full[n as usize - 1];
-                !ends_run(&last.instr, last.taken)
-            })
-            .collect();
+        let full: Vec<Step> = Interpreter::new(&layout).collect();
+        let cuts: Vec<u64> =
+            (1..full.len() as u64).filter(|&n| !full[n as usize - 1].ends_run).collect();
         assert!(!cuts.is_empty(), "some step limit stops inside a run");
         for n in cuts {
             let records = replays_and_roundtrips(&layout, n);
@@ -1298,7 +1254,7 @@ mod tests {
     /// interpreter's stream. Returns that summary.
     fn stops_like_the_interpreter(layout: &LayoutProgram, step_limit: u64) -> ExecSummary {
         let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
-        let live: Vec<DynInst> = interp.by_ref().collect();
+        let live: Vec<Step> = interp.by_ref().collect();
         let trace = CapturedTrace::record(layout, step_limit);
         assert_eq!(trace.summary(), interp.summary());
         assert_eq!(trace.replay().collect::<Vec<_>>(), live);

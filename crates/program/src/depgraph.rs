@@ -141,15 +141,15 @@ impl DepGraph {
         let mut last_kill = [NONE; NUM_ARCH_REGS];
         let mut last_callret = NONE;
 
-        for d in trace.cursor() {
-            #[allow(clippy::cast_possible_truncation)]
-            let i = d.seq as u32;
+        let image = trace.static_code();
+        for (i, step) in (0u32..).zip(trace.replay()) {
+            let instr = image[step.pc as usize];
 
             // Source operands first: dispatch renames sources before the
             // destination, so a record reading its own destination register
             // links to the *previous* writer.
             let mut row = [0u16; 2];
-            for (k, src) in d.instr.src_regs().into_iter().enumerate() {
+            for (k, src) in instr.src_regs().into_iter().enumerate() {
                 let Some(reg) = src else { continue };
                 let r = reg.index();
                 let p = last_writer[r];
@@ -173,12 +173,12 @@ impl DepGraph {
             }
             rows.push(row);
 
-            if let Some(rd) = d.instr.dst_reg() {
+            if let Some(rd) = instr.dst_reg() {
                 last_writer[rd.index()] = i;
             }
 
             // DVI events.
-            match d.instr {
+            match instr {
                 Instr::Kill { mask } => {
                     for reg in mask.iter().filter(|reg| !reg.is_zero()) {
                         last_kill[reg.index()] = i;

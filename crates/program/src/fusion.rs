@@ -125,10 +125,9 @@ impl FusionTable {
         // exactly one window slot; only an ineligible record (whose window
         // occupancy is member-dependent) breaks the arithmetic.
         let mut run_start: Option<usize> = None;
-        for d in trace.cursor() {
-            let i = d.seq as usize;
-            debug_assert_eq!(i, meta.len(), "trace cursor yielded a non-sequential record");
-            let instr = d.instr;
+        let image = trace.static_code();
+        for (i, step) in trace.replay().enumerate() {
+            let instr = image[step.pc as usize];
             let class = instr.class();
             let eligible = !matches!(
                 instr,
@@ -138,7 +137,7 @@ impl FusionTable {
                     | Instr::Call { .. }
                     | Instr::Return
             );
-            let redirect = d.next_pc != d.pc.wrapping_add(1);
+            let redirect = step.next_pc != step.pc.wrapping_add(1);
             let has_fu = class.fu_kind().is_some();
             let dst = instr.dst_reg();
             let row = graph.row(i);

@@ -3,15 +3,13 @@
 //! [`Interpreter`] executes a [`LayoutProgram`] over an [`ArchState`]: 32
 //! integer registers and a sparse memory of lazily allocated 4 KiB pages.
 //! One execute step runs each instruction and returns its record's
-//! [`Step`]. The timing simulator pulls those steps live through
-//! [`RecordSource`], [`crate::CapturedTrace::record`] appends them straight
-//! to a trace's columns, and the iterator wraps them into [`DynInst`]
-//! values.
+//! [`Step`]. The interpreter is a [`RecordSource`]: the timing simulator
+//! pulls those steps live, and [`crate::CapturedTrace::record`] appends
+//! them straight to a trace's columns.
 
 use crate::error::InterpError;
-use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
-use crate::trace::{DynInst, RecordSource, Step};
+use crate::trace::{RecordSource, Step};
 use dvi_isa::{ArchReg, Instr};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -205,10 +203,9 @@ pub struct ExecSummary {
 
 /// Functional interpreter over a [`LayoutProgram`].
 ///
-/// Each [`Interpreter::step`] executes one instruction and yields its
-/// record; the timing simulator consumes these steps directly, so
-/// arbitrarily long runs never materialize a full trace in memory. The
-/// interpreter is also an [`Iterator`] of full [`DynInst`] records.
+/// Each [`Iterator::next`] executes one instruction and yields its
+/// [`Step`]; the timing simulator consumes these steps directly, so
+/// arbitrarily long runs never materialize a full trace in memory.
 #[derive(Debug, Clone)]
 pub struct Interpreter<'a> {
     layout: &'a LayoutProgram,
@@ -286,15 +283,18 @@ impl RecordSource for Interpreter<'_> {
     fn image(&self) -> &[Instr] {
         self.layout.code()
     }
+}
+
+impl Iterator for Interpreter<'_> {
+    type Item = Step;
 
     /// Executes the instruction at the current PC and returns its record,
     /// or `None` once execution has stopped (a halt, the step limit or an
     /// error, which is then recorded). The one interpreter step:
-    /// [`Iterator::next`] builds a [`DynInst`] from it, and
     /// [`crate::CapturedTrace::record`] appends it straight to the trace's
     /// columns.
     #[inline(always)]
-    fn step(&mut self) -> Option<Step> {
+    fn next(&mut self) -> Option<Step> {
         if self.halted || self.error.is_some() {
             return None;
         }
@@ -370,18 +370,6 @@ impl RecordSource for Interpreter<'_> {
         self.seq += 1;
         self.pc = step.next_pc;
         Some(step)
-    }
-}
-
-impl Iterator for Interpreter<'_> {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        let seq = self.seq;
-        let step = self.step()?;
-        let layout = self.layout;
-        let instr = layout.code()[step.pc as usize];
-        Some(DynInst::from_step(seq, step, instr, layout.proc_of(step.pc).unwrap_or(ProcId(0))))
     }
 }
 
@@ -462,7 +450,12 @@ mod tests {
         assert_eq!(interp.state().reg(r(9)), 20);
         // 1 init + 10 iterations * 3 + 1 halt
         assert_eq!(trace.len(), 32);
-        let taken: Vec<bool> = trace.iter().filter_map(|d| d.taken).collect();
+        let code = layout.code();
+        let taken: Vec<bool> = trace
+            .iter()
+            .filter(|s| code[s.pc as usize].is_cond_branch())
+            .map(|s| s.ends_run)
+            .collect();
         assert_eq!(taken.len(), 10);
         assert!(taken[..9].iter().all(|t| *t));
         assert!(!taken[9]);
@@ -487,9 +480,10 @@ mod tests {
         let mut interp = Interpreter::new(&layout);
         let trace: Vec<_> = interp.by_ref().collect();
         assert_eq!(interp.state().reg(r(10)), 40);
-        let call = trace.iter().find(|d| d.instr.is_call()).unwrap();
+        let code = layout.code();
+        let call = trace.iter().find(|s| code[s.pc as usize].is_call()).unwrap();
         assert_eq!(call.next_pc, layout.proc_entries()[1]);
-        let ret = trace.iter().find(|d| d.instr.is_return()).unwrap();
+        let ret = trace.iter().find(|s| code[s.pc as usize].is_return()).unwrap();
         assert_eq!(ret.next_pc, call.pc + 1);
     }
 

@@ -67,4 +67,4 @@ pub use fusion::FusionTable;
 pub use interp::{ArchState, ExecSummary, Interpreter, DATA_BASE, STACK_BASE};
 pub use ir::{BasicBlock, BlockId, ProcId, Procedure, Program};
 pub use layout::{LayoutProgram, INSTR_ADDR_SHIFT};
-pub use trace::{DynInst, RecordSource, Step};
+pub use trace::{RecordSource, Step};

@@ -133,6 +133,7 @@ proptest! {
         prop_assert_eq!(loaded.len(), trace.len());
         prop_assert_eq!(loaded.summary(), trace.summary());
         prop_assert_eq!(loaded.fingerprint(), trace.fingerprint());
+        prop_assert_eq!(loaded.static_code(), layout.code());
         prop_assert_eq!(
             loaded.replay().collect::<Vec<_>>(),
             trace.replay().collect::<Vec<_>>()
@@ -296,10 +297,11 @@ fn edit_u32(payload: &mut [u8], index: usize, f: impl Fn(u32) -> u32) {
 fn control_runs_that_contradict_the_image_are_malformed() {
     let trace = CapturedTrace::record(&mixed_program(4), u64::MAX);
     let records: Vec<_> = trace.replay().collect();
+    let instr = |i: usize| trace.static_code()[records[i].pc as usize];
     let bytes = trace.to_bytes();
     // Run 1 is the leaf's `add; return`.
-    assert_eq!(records[5].instr.class(), dvi_isa::InstrClass::IntAlu);
-    assert_eq!(records[6].instr, Instr::Return);
+    assert_eq!(instr(5).class(), dvi_isa::InstrClass::IntAlu);
+    assert_eq!(instr(6), Instr::Return);
 
     let short = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 1, |n| n - 1));
     assert_malformed(&short, "a run ends on a int-alu record");
@@ -364,7 +366,7 @@ fn column_entries_that_no_record_consumes_are_malformed() {
     let outside = with_section_edited(&bytes, section::RETURNS, |r| edit_u32(r, 0, |_| static_len));
     assert_malformed(&outside, "outside the");
 
-    let mems = trace.replay().filter(|d| d.mem_addr.is_some()).count() as u64;
+    let mems = trace.replay().filter(|s| s.mem_addr.is_some()).count() as u64;
     let high_words = |entries: &[(u64, u32)]| {
         with_section_edited(&bytes, section::MEM_HI, |hi| {
             for &(index, word) in entries {
@@ -430,11 +432,13 @@ fn save_and_load_round_trip_through_the_filesystem() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("trace.dvitrace");
 
-    let mut trace = CapturedTrace::record(&mixed_program(8), 500);
+    let layout = mixed_program(8);
+    let mut trace = CapturedTrace::record(&layout, 500);
     trace.build_depgraph();
     trace.save(&path).expect("save succeeds");
     let loaded = CapturedTrace::load(&path).expect("load succeeds");
     assert_eq!(loaded.fingerprint(), trace.fingerprint());
+    assert_eq!(loaded.static_code(), layout.code());
     assert_eq!(loaded.replay().collect::<Vec<_>>(), trace.replay().collect::<Vec<_>>());
 
     // The atomic writer must not leave its temporary file behind.

@@ -227,13 +227,17 @@ impl<S: RecordSource> RecordSource for FaultySource<'_, S> {
     fn image(&self) -> &[Instr] {
         self.inner.image()
     }
+}
 
-    fn step(&mut self) -> Option<Step> {
+impl<S: RecordSource> Iterator for FaultySource<'_, S> {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
         if self.asked == self.fault.after_records {
             self.fault.trip();
         }
         self.asked += 1;
-        self.inner.step()
+        self.inner.next()
     }
 }
 
@@ -337,8 +341,8 @@ fn run_member_attempt(
     catch_unwind(AssertUnwindSafe(move || {
         let simulator = Simulator::new(config);
         match fault {
-            None => simulator.run(trace.cursor()),
-            Some(fault) => simulator.run(FaultySource { inner: trace.cursor(), fault, asked: 0 }),
+            None => simulator.run(trace.replay()),
+            Some(fault) => simulator.run(FaultySource { inner: trace.replay(), fault, asked: 0 }),
         }
     }))
     .map_err(panic_payload)

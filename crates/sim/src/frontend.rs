@@ -354,7 +354,7 @@ impl FrontEnd {
             if self.fetch_queue.len() >= config.fetch_queue {
                 break;
             }
-            let Some(step) = source.step() else {
+            let Some(step) = source.next() else {
                 self.trace_done = true;
                 break;
             };

@@ -41,9 +41,13 @@
 //! the live [`dvi_program::Interpreter`], or a [`dvi_program::TraceCursor`]
 //! into a recorded [`dvi_program::CapturedTrace`] — until every
 //! instruction has committed (or the forward-progress watchdog stops a
-//! wedged run), returning the [`SimStats`]. Both sources yield the same
-//! record steps: a PC, an effective address, whether the record ends its
-//! run, and the next PC.
+//! wedged run), returning the [`SimStats`]. Both sources are iterators of
+//! the same record type, [`dvi_program::Step`]: a PC, an effective
+//! address, whether the record ends its run, and the next PC. The core
+//! decodes the source's static image once and indexes that decode by each
+//! step's PC; the trace-order recordings ([`BranchOracle`],
+//! [`IcacheOracle`], [`DviOracle`]) read the image and the steps the same
+//! way.
 //!
 //! # Sweeps: one runner, one store
 //!

@@ -4,7 +4,8 @@
 //! fetch, and decode-stage DVI only at dispatch, in trace order. Their
 //! decisions are therefore a pure function of the trace and one slice of
 //! the machine configuration. Each type here runs the live model once over
-//! a captured trace and records those decisions.
+//! a captured trace and records those decisions, reading each record step
+//! and the instruction its PC indexes in the trace's static image.
 //!
 //! The simulator does not read the recordings: every machine drives its
 //! own live predictor, L1I and DVI engine. [`BranchOracle::record`],
@@ -18,7 +19,7 @@ use crate::combining::PredictorConfig;
 use crate::frontend::FetchPredictor;
 use dvi_core::{DviConfig, DviEngine};
 use dvi_isa::{Abi, Instr, RegMask, NUM_ARCH_REGS};
-use dvi_program::{CapturedTrace, LayoutProgram};
+use dvi_program::{CapturedTrace, LayoutProgram, Step};
 
 /// A packed bitstream with sequential append and random read.
 #[derive(Debug, Default, Clone)]
@@ -59,13 +60,13 @@ impl BranchOracle {
     pub fn record(trace: &CapturedTrace, predictor: PredictorConfig) -> BranchOracle {
         let mut live = FetchPredictor::new(predictor);
         let mut bits = BitStream::default();
-        for d in trace.cursor() {
-            match d.instr {
-                Instr::Branch { .. } => {
-                    bits.push(live.branch(d.byte_addr(), d.taken.unwrap_or(false)));
-                }
-                Instr::Call { .. } => live.call(LayoutProgram::byte_addr(d.pc + 1)),
-                Instr::Return => bits.push(live.ret(LayoutProgram::byte_addr(d.next_pc))),
+        let image = trace.static_code();
+        // A conditional branch is taken exactly when its record ends a run.
+        for Step { pc, ends_run: taken, next_pc, .. } in trace.replay() {
+            match image[pc as usize] {
+                Instr::Branch { .. } => bits.push(live.branch(LayoutProgram::byte_addr(pc), taken)),
+                Instr::Call { .. } => live.call(LayoutProgram::byte_addr(pc + 1)),
+                Instr::Return => bits.push(live.ret(LayoutProgram::byte_addr(next_pc))),
                 _ => {}
             }
         }
@@ -102,8 +103,7 @@ impl IcacheOracle {
         let line_shift = geometry.line_bytes.trailing_zeros();
         let mut last_line = None;
         let mut bits = BitStream::default();
-        for d in trace.cursor() {
-            let byte_addr = d.byte_addr();
+        for byte_addr in trace.replay().map(|step| LayoutProgram::byte_addr(step.pc)) {
             let line = byte_addr >> line_shift;
             if last_line != Some(line) {
                 last_line = Some(line);
@@ -170,10 +170,12 @@ impl DviOracle {
                 was_mapped
             }
         }
-        for d in trace.cursor() {
-            match d.instr {
+        let image = trace.static_code();
+        for step in trace.replay() {
+            let mut unmapped = RegMask::empty();
+            let instr = image[step.pc as usize];
+            match instr {
                 Instr::Kill { mask } => {
-                    let mut unmapped = RegMask::empty();
                     engine.on_kill(mask, shadow(&mut mapped, &mut unmapped));
                     oracle.unmaps.push(unmapped);
                 }
@@ -188,27 +190,20 @@ impl DviOracle {
                         engine.on_dest_rename(rd);
                     }
                 }
-                Instr::Call { .. } => {
-                    // Dispatch renames the destination (the return-address
-                    // register) before the decode-stage call event.
-                    if let Some(rd) = d.instr.dst_reg() {
-                        mapped[rd.index()] = true;
-                        engine.on_dest_rename(rd);
-                    }
-                    let mut unmapped = RegMask::empty();
-                    engine.on_call(shadow(&mut mapped, &mut unmapped));
-                    oracle.unmaps.push(unmapped);
-                }
-                Instr::Return => {
-                    let mut unmapped = RegMask::empty();
-                    engine.on_return(shadow(&mut mapped, &mut unmapped));
-                    oracle.unmaps.push(unmapped);
-                }
                 _ => {
-                    if let Some(rd) = d.instr.dst_reg() {
+                    // The record dispatches: destination renaming (a
+                    // call's return-address register) comes before the
+                    // decode-stage call or return event.
+                    if let Some(rd) = instr.dst_reg() {
                         mapped[rd.index()] = true;
                         engine.on_dest_rename(rd);
                     }
+                    match instr {
+                        Instr::Call { .. } => engine.on_call(shadow(&mut mapped, &mut unmapped)),
+                        Instr::Return => engine.on_return(shadow(&mut mapped, &mut unmapped)),
+                        _ => continue,
+                    }
+                    oracle.unmaps.push(unmapped);
                 }
             }
         }

@@ -498,10 +498,11 @@ mod tests {
         let layout = compiled.program.layout().unwrap();
         let kill_pos = Interpreter::new(&layout)
             .take(20_000)
-            .filter(|d| matches!(d.instr, Instr::Kill { .. }))
+            .zip(0u64..)
+            .filter(|(step, _)| matches!(layout.code()[step.pc as usize], Instr::Kill { .. }))
             .last()
             .expect("an E-DVI binary contains kills")
-            .seq;
+            .1;
         let truncated = dvi_program::CapturedTrace::record(&layout, kill_pos + 1);
         let stats = Simulator::new(SimConfig::micro97().with_dvi(DviConfig::full()))
             .run(truncated.replay());
@@ -588,7 +589,7 @@ mod tests {
         let config = SimConfig::micro97().with_dvi(dvi_core::DviConfig::full());
 
         let first = Simulator::new(config.clone()).run(trace.replay());
-        let again = Simulator::new(config).run(trace.cursor());
+        let again = Simulator::new(config).run(trace.replay());
         assert_eq!(first, again, "the same configuration must model the same machine");
         assert!(first.memory.l1d.misses > 0, "the L1D misses on this workload");
     }

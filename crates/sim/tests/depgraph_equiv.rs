@@ -67,9 +67,9 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
     let mut elim_idx = 0usize;
     let mut unmap_idx = 0usize;
 
-    for d in trace.cursor() {
-        #[allow(clippy::cast_possible_truncation)]
-        let i = d.seq as u32;
+    let image = trace.static_code();
+    for (i, step) in (0u32..).zip(trace.replay()) {
+        let instr = image[step.pc as usize];
 
         // An unmap closure that records which registers the engine unmaps
         // at this event, for comparison with the oracle's stored mask.
@@ -82,7 +82,7 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
             None => false,
         };
 
-        match d.instr {
+        match instr {
             Instr::Kill { mask } => {
                 engine.on_kill(mask, &mut unmap);
                 assert_eq!(
@@ -123,11 +123,11 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
         // The record dispatches: check its source links, then rename its
         // destination and process call/return DVI, exactly in the
         // pipeline's order.
-        for (k, src) in d.instr.src_regs().into_iter().enumerate() {
+        for (k, src) in instr.src_regs().into_iter().enumerate() {
             let Some(reg) = src else { continue };
             let live_producer = rename.lookup(reg).and_then(|p| producer_of[p.0 as usize]);
             let graph_producer = graph
-                .source(d.seq as usize, k)
+                .source(i as usize, k)
                 .producer_for(sever_edvi, sever_idvi)
                 .filter(|&j| dispatched[j as usize]);
             assert_eq!(
@@ -136,7 +136,7 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
                  dependence graph disagree on the producer"
             );
         }
-        if let Some(rd) = d.instr.dst_reg() {
+        if let Some(rd) = instr.dst_reg() {
             let (new, _old): (PhysReg, _) =
                 rename.rename_dst(rd).expect("oversized register file never stalls");
             producer_of[new.0 as usize] = Some(i);
@@ -150,7 +150,7 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
             }
             None => false,
         };
-        match d.instr {
+        match instr {
             Instr::Call { .. } => {
                 engine.on_call(&mut unmap);
                 assert_eq!(
@@ -171,7 +171,7 @@ fn assert_products_match_live_walk(trace: &CapturedTrace, dvi: DviConfig, contex
             }
             _ => {}
         }
-        dispatched[d.seq as usize] = true;
+        dispatched[i as usize] = true;
     }
     assert_eq!(unmap_idx, oracle.unmap_events(), "{context}: unmap event count mismatch");
     assert_eq!(elim_idx, oracle.len(), "{context}: elimination event count mismatch");

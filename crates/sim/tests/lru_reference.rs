@@ -12,6 +12,8 @@
 //! must match.
 
 use dvi_sim::{CacheConfig, CacheStats, SimConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The timestamp LRU cache, line for line as the model used to store it.
 struct ReferenceLru {
@@ -66,55 +68,38 @@ impl ReferenceLru {
     }
 }
 
-/// SplitMix64: a fixed seed gives the same stream on every run.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// A stream with the mix of reuse a cache sees: a hot working set that
 /// fits, sequential sweeps over a footprint a few times the capacity,
 /// strides that pile onto a few sets, and scattered addresses anywhere in
 /// the 64-bit space (high tag bits included).
 fn address_stream(config: CacheConfig, seed: u64, len: usize) -> Vec<u64> {
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let capacity = config.size_bytes;
-    let hot_base = rng.next() >> 8;
+    let hot_base = rng.next_u64() >> 8;
     let mut stream = Vec::with_capacity(len);
     while stream.len() < len {
-        let burst = 1 + rng.below(256) as usize;
-        match rng.below(4) {
+        let burst = rng.gen_range(1..257usize);
+        match rng.gen_range(0..4u64) {
             0 => {
                 for _ in 0..burst {
-                    stream.push(hot_base + rng.below(capacity / 2));
+                    stream.push(hot_base + rng.gen_range(0..capacity / 2));
                 }
             }
             1 => {
-                let start = rng.below(4 * capacity);
+                let start = rng.gen_range(0..4 * capacity);
                 let step = config.line_bytes / 2;
                 stream.extend((0..burst as u64).map(|k| start + k * step));
             }
             2 => {
                 // A stride of the set span maps every access to one set.
-                let start = rng.below(capacity);
+                let start = rng.gen_range(0..capacity);
                 let span = config.num_sets() as u64 * config.line_bytes;
                 let ways = 2 * config.associativity as u64;
                 stream.extend((0..burst as u64).map(|k| start + (k % ways) * span));
             }
             _ => {
                 for _ in 0..burst {
-                    stream.push(rng.next());
+                    stream.push(rng.next_u64());
                 }
             }
         }

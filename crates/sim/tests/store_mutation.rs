@@ -17,71 +17,18 @@ use dvi_program::artifact::{ArtifactWriter, ByteWriter};
 use dvi_sim::checkpoint::write_outcome;
 use dvi_sim::store::{CacheProbe, ResultCache, MEMO_MAGIC, MEMO_VERSION};
 use dvi_sim::{DeadlockReport, MemberOutcome, ProgressStage, SimStats};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+mod common;
+use common::{mutate, sections};
 
 /// Checksum-valid mutants per run.
 const MUTANTS: usize = 12_000;
 
 /// The key every entry of the loop is stored and probed under.
 const KEY: (u64, u64) = (0x7EAC, 0xC0F1);
-
-/// SplitMix64: a fixed seed gives the same mutants on every run.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`; the modulo bias is irrelevant here).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// The `(tag, payload)` sections of a well-formed container, in order.
-fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let mut at = 16;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
-        let payload = at + 20; // tag (4) + len (8) + checksum (8)
-        out.push((tag, bytes[payload..payload + len].to_vec()));
-        at = payload + len;
-    }
-    assert_eq!(at, bytes.len(), "the section walk covers the entry");
-    out
-}
-
-/// One mutation of `payload`, described for the failure report.
-fn mutate(payload: &mut Vec<u8>, rng: &mut Rng) -> String {
-    match rng.below(3) {
-        0 if !payload.is_empty() => {
-            let (at, bit) = (rng.below(payload.len()), rng.below(8));
-            payload[at] ^= 1 << bit;
-            format!("bit {bit} of byte {at} flipped")
-        }
-        1 if !payload.is_empty() => {
-            let len = rng.below(payload.len());
-            payload.truncate(len);
-            format!("cut to {len} bytes")
-        }
-        _ => {
-            let at = rng.below(payload.len() + 1);
-            let removed = rng.below(9).min(payload.len() - at);
-            let inserted: Vec<u8> = (0..=rng.below(8)).map(|_| rng.next() as u8).collect();
-            let description = format!("{removed} bytes at {at} replaced by {inserted:02x?}");
-            payload.splice(at..at + removed, inserted);
-            description
-        }
-    }
-}
 
 /// The outcome's variant name, for the report.
 fn kind_name(outcome: &MemberOutcome) -> &'static str {
@@ -145,7 +92,7 @@ fn checksum_valid_outcome_mutants_probe_damaged_or_a_decodable_hit() {
         w.to_bytes()
     };
 
-    let mut rng = Rng(0x5704_E5EED);
+    let mut rng = StdRng::seed_from_u64(0x5704_E5EED);
     let (mut damaged, mut hits) = (vec![0usize; kinds.len()], vec![0usize; kinds.len()]);
     let mut failures = Vec::new();
     for mutant in 0..MUTANTS {

@@ -95,23 +95,25 @@ pub fn characterize(program: &Program, max_instrs: u64) -> Characterization {
 #[must_use]
 pub fn characterize_compiled(program: &Program, max_instrs: u64) -> Characterization {
     let layout = program.layout().expect("compiled programs lay out");
+    let image = layout.code();
     let mut interp = Interpreter::new(&layout).with_step_limit(max_instrs);
     let mut c = Characterization::default();
-    for d in interp.by_ref() {
+    for step in interp.by_ref() {
+        let instr = image[step.pc as usize];
         c.dyn_instrs += 1;
-        if d.instr.is_call() {
+        if instr.is_call() {
             c.calls += 1;
         }
-        if d.is_mem() {
+        if instr.is_mem() {
             c.mem_refs += 1;
         }
-        if d.is_save() || d.is_restore() {
+        if instr.is_save() || instr.is_restore() {
             c.saves_restores += 1;
         }
-        if d.instr.is_cond_branch() {
+        if instr.is_cond_branch() {
             c.branches += 1;
         }
-        if d.instr.is_dvi() {
+        if instr.is_dvi() {
             c.kills += 1;
         }
     }

@@ -320,14 +320,15 @@ mod tests {
         let mut mems = 0u64;
         let mut branches = 0u64;
         let mut interp = Interpreter::new(&layout).with_step_limit(2_000_000);
-        for d in interp.by_ref() {
-            if d.instr.is_call() {
+        for step in interp.by_ref() {
+            let instr = layout.code()[step.pc as usize];
+            if instr.is_call() {
                 calls += 1;
             }
-            if d.is_mem() {
+            if instr.is_mem() {
                 mems += 1;
             }
-            if d.instr.is_cond_branch() {
+            if instr.is_cond_branch() {
                 branches += 1;
             }
         }
