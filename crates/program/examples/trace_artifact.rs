@@ -4,7 +4,7 @@
 //!    the reload must replay bit-identically;
 //! 2. truncate the file and corrupt one payload byte — both damaged copies
 //!    must be **rejected with typed errors**, never loaded;
-//! 3. relabel the artifact's header as the retired version 5 — the loader
+//! 3. relabel the artifact's header as the retired version 6 — the loader
 //!    reads one version only, so the copy must be **rejected as version skew**;
 //! 4. print one `trace-artifact: ...` line per step for the CI job to grep.
 //!
@@ -90,12 +90,12 @@ fn main() {
 
     // 3. An older header is refused, not decoded under today's layout.
     let mut relabelled = bytes.clone();
-    relabelled[8..12].copy_from_slice(&5u32.to_le_bytes());
+    relabelled[8..12].copy_from_slice(&6u32.to_le_bytes());
     match CapturedTrace::from_bytes(&relabelled) {
-        Err(ArtifactError::VersionSkew { found: 5, supported }) if supported == TRACE_VERSION => {
-            println!("trace-artifact: version-5 header rejected (version skew)");
+        Err(ArtifactError::VersionSkew { found: 6, supported }) if supported == TRACE_VERSION => {
+            println!("trace-artifact: version-6 header rejected (version skew)");
         }
-        other => panic!("a version-5 header must be rejected as version skew, got {other:?}"),
+        other => panic!("a version-6 header must be rejected as version skew, got {other:?}"),
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -16,21 +16,23 @@
 //! A trace stores only what the static image cannot derive.
 //!
 //! * **Static per PC** (stored once, copied from the [`LayoutProgram`]):
-//!   the instruction itself and its owning procedure. The instruction
-//!   fixes whether a record has an effective address, whether it has a
-//!   branch outcome, and the target of every branch, jump and call.
-//! * **Dynamic columns**, each consumed in execution order:
-//!   - `CONTROL` — one `u32` run length per control transfer: the number
-//!     of records from the start of a run up to and including the record
+//!   the instruction. It fixes whether a record has an effective address,
+//!   whether it has a branch outcome, and the target of every branch,
+//!   jump and call.
+//! * **Dynamic columns**, each a stream of LEB128 varints consumed in
+//!   execution order:
+//!   - `CONTROL` — one run length per control transfer: the number of
+//!     records from the start of a run up to and including the record
 //!     that transfers control (a taken branch, a jump, a call, a return or
 //!     the halt). A conditional branch is taken exactly when a run ends on
 //!     it; every other record falls through to `pc + 1`.
 //!   - `RETURNS` — the target of each return, the one next PC the image
 //!     cannot supply.
-//!   - `MEM_LO` — the low 32 bits of each effective address.
-//!   - `MEM_HI` — a `(memory index, high word)` entry wherever the high 32
-//!     bits of the effective address change, starting from zero. Programs
-//!     that stay below 4 GiB leave it empty.
+//!   - `MEM` — each effective address as the zigzag-encoded 64-bit
+//!     difference from the previous address at the same PC (from 0 at a
+//!     PC's first access), wrapping at `u64::MAX`. Saves, restores and
+//!     stack locals repeat their PC's last address, so most of these are
+//!     one zero byte.
 //!
 //! No program counter is stored per record. The trace keeps the first
 //! record's PC, and every later PC is the previous record's `next_pc`:
@@ -40,14 +42,16 @@
 //! chain reads the image only at a run's end; per record it reads only
 //! whether the instruction at the PC is a memory access, which decides
 //! whether the record consumes an address. The sequence number is the
-//! record index, so it is not stored either. On the generated workloads a
-//! record costs under one byte — versus 32 bytes for a stored [`Step`] —
+//! record index, so it is not stored either. On the benchmark traces a
+//! record costs about 0.28 bytes — versus 32 bytes for a stored [`Step`] —
 //! and replay streams every column back in strictly sequential order.
 //!
 //! The durable artifact ([`CapturedTrace::to_bytes`]) stores exactly these
-//! arrays, one checksummed [`crate::artifact`] section each, under
+//! streams, one checksummed [`crate::artifact`] section each, under
 //! [`TRACE_VERSION`]; [`CapturedTrace::from_bytes`] reads that version and
-//! no other.
+//! no other, and accepts only minimal varints, so a decoded trace
+//! re-encodes byte for byte. The bytes are a function of the stream
+//! alone: attaching a [`DepGraph`] does not change them.
 //!
 //! # Invariant
 //!
@@ -66,9 +70,9 @@ use crate::artifact::{
 use crate::depgraph::DepGraph;
 use crate::error::InterpError;
 use crate::interp::{ExecSummary, Interpreter};
-use crate::ir::ProcId;
 use crate::layout::LayoutProgram;
 use crate::trace::{RecordSource, Step};
+use crate::varint;
 use dvi_isa::Instr;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -80,24 +84,20 @@ pub struct CapturedTrace {
     /// Static instruction image, indexed by PC (copied from the layout so
     /// the trace is self-contained).
     static_instrs: Box<[Instr]>,
-    /// Owning procedure of each static instruction, indexed by PC.
-    static_procs: Box<[ProcId]>,
     /// Program counter of the first record (0 for an empty trace); every
     /// later PC is derived from its predecessor's `next_pc`.
     first_pc: u32,
     /// Number of dynamic records.
     records: usize,
-    /// Length of each run of records that ends on a control transfer, in
-    /// execution order. Records after the last run fall through.
-    control: Vec<u32>,
-    /// Target of each return, in execution order.
-    returns: Vec<u32>,
-    /// Low 32 bits of each effective address, in execution order.
-    mem_lo: Vec<u32>,
-    /// `(memory index, high word)` wherever the high 32 bits of the
-    /// effective address change, in ascending memory-index order; the high
-    /// word is zero before the first entry.
-    mem_hi: Vec<(u64, u32)>,
+    /// Varint length of each run of records that ends on a control
+    /// transfer, in execution order. Records after the last run fall
+    /// through.
+    control: Vec<u8>,
+    /// Varint target of each return, in execution order.
+    returns: Vec<u8>,
+    /// Varint zigzag difference of each effective address from the
+    /// previous address at its PC, in execution order.
+    mem: Vec<u8>,
     /// Summary of the recording run (instruction count, halt, error).
     summary: ExecSummary,
     /// The dependence graph, once built ([`CapturedTrace::build_depgraph`]).
@@ -163,26 +163,24 @@ impl CapturedTrace {
     pub fn record(layout: &LayoutProgram, step_limit: u64) -> CapturedTrace {
         let code = layout.code();
         let mut interp = Interpreter::new(layout).with_step_limit(step_limit);
-        let (mut control, mut returns, mut mem_lo, mut mem_hi) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut control, mut returns, mut mem) = (Vec::new(), Vec::new(), Vec::new());
         // Records in the current run so far. A run never outgrows the
         // static image: straight-line code past its end stops the program.
         let mut run = 0u32;
-        let mut high = 0u32;
+        // The previous effective address at each PC.
+        let mut last_addr = vec![0u64; code.len()];
         for step in interp.by_ref() {
             if let Some(addr) = step.mem_addr {
-                if (addr >> 32) as u32 != high {
-                    high = (addr >> 32) as u32;
-                    mem_hi.push((mem_lo.len() as u64, high));
-                }
-                mem_lo.push(addr as u32);
+                let last = &mut last_addr[step.pc as usize];
+                varint::put(&mut mem, varint::zigzag(addr.wrapping_sub(*last)));
+                *last = addr;
             }
             run += 1;
             if step.ends_run {
-                control.push(run);
+                varint::put(&mut control, u64::from(run));
                 run = 0;
                 if code[step.pc as usize] == Instr::Return {
-                    returns.push(step.next_pc);
+                    varint::put(&mut returns, u64::from(step.next_pc));
                 }
             }
         }
@@ -191,19 +189,14 @@ impl CapturedTrace {
         // capacities — the memory actually held) matches the data.
         control.shrink_to_fit();
         returns.shrink_to_fit();
-        mem_lo.shrink_to_fit();
-        mem_hi.shrink_to_fit();
+        mem.shrink_to_fit();
         CapturedTrace {
             static_instrs: code.into(),
-            static_procs: (0..layout.len() as u32)
-                .map(|pc| layout.proc_of(pc).unwrap_or(ProcId(0)))
-                .collect(),
             first_pc: if records > 0 { layout.entry_pc() } else { 0 },
             records,
             control,
             returns,
-            mem_lo,
-            mem_hi,
+            mem,
             summary: interp.summary(),
             depgraph: None,
             fingerprint: OnceLock::new(),
@@ -232,15 +225,14 @@ impl CapturedTrace {
     /// Approximate heap footprint of the captured trace, in bytes (useful
     /// for sizing sweep batches). Accounts for every column at its
     /// allocated capacity, the static image, and the attached [`DepGraph`]
-    /// storage when one has been built.
+    /// storage when one has been built. A cursor's per-PC address table
+    /// ([`CapturedTrace::replay`]) belongs to the cursor, not the trace.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.control.capacity() + self.returns.capacity() + self.mem_lo.capacity())
-            * size_of::<u32>()
-            + self.mem_hi.capacity() * size_of::<(u64, u32)>()
-            + self.static_instrs.len() * size_of::<Instr>()
-            + self.static_procs.len() * size_of::<ProcId>()
+        self.control.capacity()
+            + self.returns.capacity()
+            + self.mem.capacity()
+            + self.static_instrs.len() * std::mem::size_of::<Instr>()
             + self.depgraph.as_ref().map_or(0, |g| g.approx_bytes())
     }
 
@@ -255,16 +247,11 @@ impl CapturedTrace {
 
     /// Builds the trace's [`DepGraph`] (one extra pass over the records),
     /// attaches it and returns it. Idempotent: repeated calls return the
-    /// already-built graph. The build's wall-clock cost is surfaced in
-    /// [`ExecSummary::depgraph_build_nanos`]. Kept for the repository
-    /// benchmark's graph-build probe until a benchmark change retires it.
+    /// already-built graph. Kept for the repository benchmark's graph-build
+    /// probe until a benchmark change retires it.
     pub fn build_depgraph(&mut self) -> Arc<DepGraph> {
         if self.depgraph.is_none() {
-            let start = std::time::Instant::now();
-            let graph = Arc::new(DepGraph::build(self));
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.summary.depgraph_build_nanos = Some(nanos);
-            self.depgraph = Some(graph);
+            self.depgraph = Some(Arc::new(DepGraph::build(self)));
         }
         Arc::clone(self.depgraph.as_ref().expect("just built"))
     }
@@ -277,10 +264,12 @@ impl CapturedTrace {
     }
 
     /// A cursor over the trace positioned at the first record, reproducing
-    /// the recorded stream bit-identically without allocating: one
-    /// [`Step`] per [`Iterator::next`]. Any number of cursors can read one
-    /// trace concurrently at independent positions without cloning the
-    /// buffers.
+    /// the recorded stream bit-identically: one [`Step`] per
+    /// [`Iterator::next`], without allocating. Each cursor owns one `u64`
+    /// per static PC — the last effective address at that PC, the base of
+    /// its next `MEM` difference — allocated when the cursor is made. Any
+    /// number of cursors can read one trace concurrently at independent
+    /// positions without cloning the trace's buffers.
     #[must_use]
     pub fn replay(&self) -> TraceCursor<'_> {
         TraceCursor::new(self)
@@ -320,15 +309,15 @@ impl CapturedTrace {
     /// Decodes a trace artifact produced by [`CapturedTrace::to_bytes`] /
     /// [`CapturedTrace::save`]. Only [`TRACE_VERSION`] is read; any other
     /// header is [`ArtifactError::VersionSkew`]. Every section checksum is
-    /// verified before any decoding, and the columns are then checked
-    /// against the static image by walking the PC chain: every PC lies
-    /// inside the image; runs end on every jump, call, return and halt,
-    /// and otherwise only on a branch; no run is empty; a halt is the last
-    /// record; each column is consumed exactly; and `MEM_HI` is ascending
-    /// and changes the high word at every entry. A corrupted or internally
-    /// inconsistent artifact is thus rejected with a typed
-    /// [`ArtifactError`] instead of replaying a stream no program can
-    /// produce, or reaching the timing core.
+    /// verified before any decoding. Each dynamic column must then be a
+    /// whole sequence of minimal 64-bit varints, and the columns are
+    /// checked against the static image by walking the PC chain: every PC
+    /// lies inside the image; runs end on every jump, call, return and
+    /// halt, and otherwise only on a branch; no run is empty; a halt is the
+    /// last record; every return target is a PC; and each column is
+    /// consumed exactly. A corrupted or internally inconsistent artifact is
+    /// thus rejected with a typed [`ArtifactError`] instead of replaying a
+    /// stream no program can produce, or reaching the timing core.
     ///
     /// The walk costs one step per run, not per record: per-PC tables built
     /// from the image check a run's fall-through records at once. Only a
@@ -357,28 +346,9 @@ impl CapturedTrace {
         }
         instrs.finish()?;
 
-        let mut procs = ByteReader::new(r.section(section::STATIC_PROCS)?, "static procedures");
-        let mut static_procs = Vec::with_capacity(static_len.min(procs.remaining() / 4));
-        for _ in 0..static_len {
-            static_procs.push(ProcId(procs.u32()? as usize));
-        }
-        procs.finish()?;
-
-        let control = read_u32_column(r.section(section::CONTROL)?, "control runs")?;
-        let returns = read_u32_column(r.section(section::RETURNS)?, "return targets")?;
-        let mem_lo = read_u32_column(r.section(section::MEM_LO)?, "memory addresses")?;
-        let hi_section = r.section(section::MEM_HI)?;
-        if !hi_section.len().is_multiple_of(12) {
-            return Err(malformed(format!(
-                "{} high-word bytes are not whole 12-byte entries",
-                hi_section.len()
-            )));
-        }
-        let mut hi_r = ByteReader::new(hi_section, "memory high words");
-        let mut mem_hi = Vec::with_capacity(hi_section.len() / 12);
-        while hi_r.remaining() > 0 {
-            mem_hi.push((hi_r.u64()?, hi_r.u32()?));
-        }
+        let (control, runs) = varint_column(&r, section::CONTROL, "CONTROL")?;
+        let (returns, return_count) = varint_column(&r, section::RETURNS, "RETURNS")?;
+        let (mem, mem_count) = varint_column(&r, section::MEM, "MEM")?;
 
         // Walk the PC chain one run at a time. Replay indexes the image
         // with every PC, the core's dispatch asserts an address exactly on
@@ -393,16 +363,20 @@ impl CapturedTrace {
             })
         };
         let mut pc = first_pc;
-        // Record `i` starts run `ended_runs`.
-        let (mut i, mut ended_runs) = (0usize, 0usize);
-        let (mut rets, mut mems) = (0usize, 0usize);
+        // Record `i` starts run `ended_runs`, whose length is the varint at
+        // `control_pos` once that run has been read.
+        let (mut i, mut ended_runs, mut control_pos) = (0usize, 0usize, 0usize);
+        let (mut rets, mut return_pos, mut mems) = (0usize, 0usize, 0usize);
         loop {
             // The index of the record ending this run; `usize::MAX` past
             // the last run, whose records all fall through.
-            let run_end = match control.get(ended_runs) {
-                Some(0) => return Err(malformed(format!("run {ended_runs} is empty"))),
-                Some(&n) => i.saturating_add(n as usize - 1),
-                None => usize::MAX,
+            let run_end = if control_pos < control.len() {
+                match varint::read(control, &mut control_pos) {
+                    0 => return Err(malformed(format!("run {ended_runs} is empty"))),
+                    n => usize::try_from(n - 1).map_or(usize::MAX, |n| i.saturating_add(n)),
+                }
+            } else {
+                usize::MAX
             };
             if i >= records {
                 break;
@@ -442,20 +416,27 @@ impl CapturedTrace {
                     target
                 }
                 Instr::Return => {
-                    let Some(&target) = returns.get(rets) else {
+                    if return_pos == returns.len() {
                         return Err(malformed(format!(
-                            "record {run_end} returns, but RETURNS holds {} targets",
-                            returns.len()
-                        )));
-                    };
-                    rets += 1;
-                    if target as usize >= static_len && run_end + 1 < records {
-                        return Err(malformed(format!(
-                            "record {run_end} returns to PC {target}, outside the \
-                             {static_len}-instruction static image"
+                            "record {run_end} returns, but RETURNS holds {return_count} targets"
                         )));
                     }
-                    target
+                    let target = varint::read(returns, &mut return_pos);
+                    rets += 1;
+                    // The interpreter stops on a return outside the image,
+                    // so only the last record may make one, and its target
+                    // is still a PC.
+                    match u32::try_from(target) {
+                        Ok(target) if (target as usize) < static_len || run_end + 1 == records => {
+                            target
+                        }
+                        _ => {
+                            return Err(malformed(format!(
+                                "record {run_end} returns to PC {target}, outside the \
+                                 {static_len}-instruction static image"
+                            )))
+                        }
+                    }
                 }
                 Instr::Halt if run_end + 1 < records => {
                     return Err(malformed(format!(
@@ -476,30 +457,20 @@ impl CapturedTrace {
         let unconsumed = |column: &str, held: usize, used: usize| {
             malformed(format!("{column} holds {held} entries but the records consume {used}"))
         };
-        if ended_runs != control.len() {
-            return Err(unconsumed("CONTROL", control.len(), ended_runs));
+        if ended_runs != runs {
+            return Err(unconsumed("CONTROL", runs, ended_runs));
         }
-        if rets != returns.len() {
-            return Err(unconsumed("RETURNS", returns.len(), rets));
+        if rets != return_count {
+            return Err(unconsumed("RETURNS", return_count, rets));
         }
-        if mems != mem_lo.len() {
-            return Err(unconsumed("MEM_LO", mem_lo.len(), mems));
-        }
-        let (mut next_index, mut high) = (0u64, 0u32);
-        for (k, &(index, word)) in mem_hi.iter().enumerate() {
-            if index < next_index || index >= mems as u64 || word == high {
-                return Err(malformed(format!(
-                    "MEM_HI entry {k} (memory index {index}, high word {word:#x}) is out of \
-                     order, past the {mems} memory records, or repeats the current high word"
-                )));
-            }
-            (next_index, high) = (index + 1, word);
+        if mems != mem_count {
+            return Err(unconsumed("MEM", mem_count, mems));
         }
 
         // Seed the fingerprint with the checksums the reader verified: a
         // section's checksum is the hash of its re-encoding exactly when
-        // the decoded section re-encodes byte for byte. The columns and
-        // procedures always do (fixed-width integers, consumed exactly);
+        // the decoded section re-encodes byte for byte. The columns always
+        // do (they are kept as read, and only minimal varints are read);
         // an instruction's encoding can carry bytes its decoder ignores,
         // so the small static image is re-encoded and compared.
         let encoded_instrs = encode_image(&static_instrs);
@@ -509,36 +480,28 @@ impl CapturedTrace {
             xxh64(&encoded_instrs, u64::from(section::STATIC_INSTRS))
         };
         let mut hashes = vec![(section::STATIC_INSTRS, instrs_hash)];
-        for tag in [
-            section::STATIC_PROCS,
-            section::CONTROL,
-            section::RETURNS,
-            section::MEM_LO,
-            section::MEM_HI,
-        ] {
+        for tag in [section::CONTROL, section::RETURNS, section::MEM] {
             hashes.push((tag, r.checksum(tag)?));
         }
         let fingerprint = fingerprint_of(records, static_len, first_pc, hashes);
 
         Ok(CapturedTrace {
             static_instrs: static_instrs.into(),
-            static_procs: static_procs.into(),
             first_pc,
             records,
-            control,
-            returns,
-            mem_lo,
-            mem_hi,
+            control: control.to_vec(),
+            returns: returns.to_vec(),
+            mem: mem.to_vec(),
             summary,
             depgraph: None,
             fingerprint: OnceLock::from(fingerprint),
         })
     }
 
-    /// A stable content fingerprint of the trace: the hash of the first
-    /// PC, the static image and every dynamic column. Derived and volatile
-    /// data — the dependence graph and the metadata section, which carries
-    /// the wall-clock graph-build time — are deliberately excluded, so two
+    /// A stable content fingerprint of the trace: the hash of the record
+    /// count, the first PC, the static image and every dynamic column.
+    /// The derived dependence graph and the recording summary are
+    /// deliberately excluded, so two
     /// traces have equal fingerprints exactly when they replay the same
     /// stream from the same static image: the validity condition for
     /// sharing stored results across processes. Computed on first use,
@@ -562,38 +525,20 @@ impl CapturedTrace {
     }
 
     /// The checksummed sections of the durable format: metadata (which
-    /// carries the first PC), static image, and the four dynamic columns.
+    /// carries the first PC), static image, and the three dynamic columns
+    /// as held.
     fn core_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut meta = ByteWriter::new();
         meta.put_u64(self.len() as u64);
         meta.put_u64(self.static_instrs.len() as u64);
         meta.put_u32(self.first_pc);
         write_summary(&mut meta, &self.summary);
-
-        let mut procs = ByteWriter::new();
-        for proc in &self.static_procs {
-            procs.put_u32(u32::try_from(proc.0).expect("procedure ids fit in u32"));
-        }
-        let u32_column = |column: &[u32]| {
-            let mut w = ByteWriter::new();
-            for &value in column {
-                w.put_u32(value);
-            }
-            w.into_bytes()
-        };
-        let mut hi = ByteWriter::new();
-        for &(index, word) in &self.mem_hi {
-            hi.put_u64(index);
-            hi.put_u32(word);
-        }
         vec![
             (section::META, meta.into_bytes()),
             (section::STATIC_INSTRS, encode_image(&self.static_instrs)),
-            (section::STATIC_PROCS, procs.into_bytes()),
-            (section::CONTROL, u32_column(&self.control)),
-            (section::RETURNS, u32_column(&self.returns)),
-            (section::MEM_LO, u32_column(&self.mem_lo)),
-            (section::MEM_HI, hi.into_bytes()),
+            (section::CONTROL, self.control.clone()),
+            (section::RETURNS, self.returns.clone()),
+            (section::MEM, self.mem.clone()),
         ]
     }
 }
@@ -627,26 +572,31 @@ fn encode_image(instrs: &[Instr]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a section of little-endian `u32` values.
-fn read_u32_column(payload: &[u8], what: &'static str) -> Result<Vec<u32>, ArtifactError> {
-    if !payload.len().is_multiple_of(4) {
-        return Err(ArtifactError::Malformed {
-            context: format!("{} bytes of {what} are not whole u32 values", payload.len()),
-        });
-    }
-    let mut r = ByteReader::new(payload, what);
-    let mut column = Vec::with_capacity(payload.len() / 4);
-    while r.remaining() > 0 {
-        column.push(r.u32()?);
-    }
-    Ok(column)
+/// The payload of the varint column `tag`, named `what` in errors, and
+/// the number of varints it holds; `Malformed` unless every varint is the
+/// minimal encoding of a `u64` and ends inside the section.
+fn varint_column<'a>(
+    r: &ArtifactReader<'a>,
+    tag: u32,
+    what: &str,
+) -> Result<(&'a [u8], usize), ArtifactError> {
+    let payload = r.section(tag)?;
+    let count = varint::count(payload).map_err(|(k, defect)| {
+        let defect = match defect {
+            varint::Defect::Overlong => "is not minimally encoded",
+            varint::Defect::TooWide => "exceeds 64 bits",
+            varint::Defect::CutOff => "is cut off by the section end",
+        };
+        ArtifactError::Malformed { context: format!("{what} varint {k} {defect}") }
+    })?;
+    Ok((payload, count))
 }
 
 /// Magic of the durable trace artifact.
 pub const TRACE_MAGIC: [u8; 8] = *b"DVITRAC1";
 /// The trace-artifact format version this build writes, and the only one
 /// it reads.
-pub const TRACE_VERSION: u32 = 6;
+pub const TRACE_VERSION: u32 = 7;
 
 /// Section tags of the trace artifact.
 pub mod section {
@@ -658,17 +608,14 @@ pub mod section {
     /// instruction's full immediates, such as the data base addresses
     /// materialized by `load_imm`.
     pub const STATIC_INSTRS: u32 = 2;
-    /// Owning procedure of each static instruction, one `u32` per PC.
-    pub const STATIC_PROCS: u32 = 3;
-    /// One `u32` run length per control transfer, in execution order.
+    /// One varint run length per control transfer, in execution order.
     pub const CONTROL: u32 = 8;
-    /// One `u32` target per return, in execution order.
+    /// One varint target per return, in execution order.
     pub const RETURNS: u32 = 9;
-    /// The low 32 bits of each effective address, in execution order.
-    pub const MEM_LO: u32 = 10;
-    /// A `u64` memory index and a `u32` high word wherever the high 32 bits
-    /// of the effective address change.
-    pub const MEM_HI: u32 = 11;
+    /// One varint per effective address, in execution order: the zigzag
+    /// encoding of its wrapping difference from the previous address at
+    /// the same PC (from 0 at a PC's first access).
+    pub const MEM: u32 = 12;
 }
 
 fn write_summary(w: &mut ByteWriter, summary: &ExecSummary) {
@@ -690,20 +637,6 @@ fn write_summary(w: &mut ByteWriter, summary: &ExecSummary) {
         Some(InterpError::StepLimit(n)) => {
             w.put_u8(3);
             w.put_u64(n);
-        }
-    }
-    write_opt_nanos(w, summary.depgraph_build_nanos);
-}
-
-fn write_opt_nanos(w: &mut ByteWriter, nanos: Option<u64>) {
-    match nanos {
-        None => {
-            w.put_bool(false);
-            w.put_u64(0);
-        }
-        Some(nanos) => {
-            w.put_bool(true);
-            w.put_u64(nanos);
         }
     }
 }
@@ -728,14 +661,7 @@ fn read_summary(r: &mut ByteReader<'_>) -> Result<ExecSummary, ArtifactError> {
             })
         }
     };
-    let has_nanos = r.bool()?;
-    let nanos = r.u64()?;
-    Ok(ExecSummary {
-        instructions,
-        halted,
-        error,
-        depgraph_build_nanos: has_nanos.then_some(nanos),
-    })
+    Ok(ExecSummary { instructions, halted, error })
 }
 
 // Wide, total instruction codec of the STATIC_INSTRS section: one tag
@@ -848,10 +774,11 @@ fn read_instr(r: &mut ByteReader<'_>) -> Result<Instr, ArtifactError> {
 
 /// A read position into a [`CapturedTrace`]; see [`CapturedTrace::replay`].
 ///
-/// A cursor borrows the trace's structure-of-arrays buffers immutably, so a
-/// batched sweep can hold dozens of cursors into one capture — each timing
-/// a different machine configuration at its own position — while the trace
-/// data itself exists exactly once in memory.
+/// A cursor borrows the trace's column streams immutably, so a batched
+/// sweep can hold dozens of cursors into one capture — each timing a
+/// different machine configuration at its own position — while the trace
+/// data itself exists exactly once in memory. Its own state is a few
+/// stream positions and one address per static PC.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
     trace: &'a CapturedTrace,
@@ -861,32 +788,29 @@ pub struct TraceCursor<'a> {
     /// Index of the record that ends the current run (`usize::MAX` once
     /// every run has been read: the remaining records fall through).
     run_end: usize,
-    /// Index of the current run in `CONTROL`.
-    run_idx: usize,
-    return_idx: usize,
-    mem_idx: usize,
-    /// The current high word of the effective address, shifted into place.
-    high: u64,
-    /// Index of the next `MEM_HI` entry.
-    high_idx: usize,
-    /// Memory index at which that entry takes effect (`u64::MAX` if none).
-    high_at: u64,
+    /// Read positions in the `CONTROL`, `RETURNS` and `MEM` streams.
+    control_pos: usize,
+    return_pos: usize,
+    mem_pos: usize,
+    /// The previous effective address at each PC (0 before its first
+    /// access): the base its next `MEM` difference is added to.
+    last_addr: Box<[u64]>,
 }
 
 impl<'a> TraceCursor<'a> {
     fn new(trace: &'a CapturedTrace) -> TraceCursor<'a> {
-        TraceCursor {
+        let mut cursor = TraceCursor {
             trace,
             idx: 0,
             pc: trace.first_pc,
-            run_end: trace.control.first().map_or(usize::MAX, |&n| n as usize - 1),
-            run_idx: 0,
-            return_idx: 0,
-            mem_idx: 0,
-            high: 0,
-            high_idx: 0,
-            high_at: trace.mem_hi.first().map_or(u64::MAX, |&(at, _)| at),
-        }
+            run_end: usize::MAX,
+            control_pos: 0,
+            return_pos: 0,
+            mem_pos: 0,
+            last_addr: vec![0; trace.static_instrs.len()].into(),
+        };
+        cursor.run_end = cursor.next_run(0);
+        cursor
     }
 
     /// Number of records left to read.
@@ -895,14 +819,16 @@ impl<'a> TraceCursor<'a> {
         self.trace.len() - self.idx
     }
 
-    /// Moves to the high word of the next `MEM_HI` entry, which takes
-    /// effect at the current memory record.
-    #[cold]
-    fn advance_high(&mut self) {
-        let t = self.trace;
-        self.high = u64::from(t.mem_hi[self.high_idx].1) << 32;
-        self.high_idx += 1;
-        self.high_at = t.mem_hi.get(self.high_idx).map_or(u64::MAX, |&(at, _)| at);
+    /// Reads the length of the run starting at record `start` and returns
+    /// the index of its last record (`usize::MAX` past the last run).
+    #[inline]
+    fn next_run(&mut self, start: usize) -> usize {
+        let control = &self.trace.control;
+        if self.control_pos < control.len() {
+            start + varint::read(control, &mut self.control_pos) as usize - 1
+        } else {
+            usize::MAX
+        }
     }
 
     /// Ends the current run on the record `i` at `pc`: returns its next
@@ -910,21 +836,26 @@ impl<'a> TraceCursor<'a> {
     /// record's control target from the image.
     #[inline]
     fn end_run(&mut self, i: usize, pc: u32) -> u32 {
+        self.run_end = self.next_run(i + 1);
         let t = self.trace;
-        self.run_idx += 1;
-        self.run_end = t.control.get(self.run_idx).map_or(usize::MAX, |&n| i + n as usize);
         match t.static_instrs[pc as usize] {
             Instr::Branch { target, .. } | Instr::Jump { target } | Instr::Call { target } => {
                 target
             }
-            Instr::Return => {
-                let target = t.returns[self.return_idx];
-                self.return_idx += 1;
-                target
-            }
+            Instr::Return => varint::read(&t.returns, &mut self.return_pos) as u32,
             // A halt: `from_bytes` and `record` admit no other record here.
             _ => pc,
         }
+    }
+
+    /// The effective address of the memory record at `pc`: the next `MEM`
+    /// difference added to the PC's previous address.
+    #[inline]
+    fn next_addr(&mut self, pc: u32) -> u64 {
+        let delta = varint::unzigzag(varint::read(&self.trace.mem, &mut self.mem_pos));
+        let last = &mut self.last_addr[pc as usize];
+        *last = last.wrapping_add(delta);
+        *last
     }
 }
 
@@ -950,17 +881,7 @@ impl Iterator for TraceCursor<'_> {
         }
         let pc = self.pc;
         self.idx = i + 1;
-        // No branch on the memory nature, which a predictor guesses
-        // poorly: read the next address either way, and consume it only
-        // on a memory record.
-        let is_mem = t.static_instrs[pc as usize].is_mem();
-        let m = self.mem_idx;
-        let lo = t.mem_lo.get(m).copied().unwrap_or(0);
-        if is_mem & (m as u64 == self.high_at) {
-            self.advance_high();
-        }
-        self.mem_idx = m + usize::from(is_mem);
-        let mem_addr = is_mem.then_some(self.high | u64::from(lo));
+        let mem_addr = t.static_instrs[pc as usize].is_mem().then(|| self.next_addr(pc));
         let ends_run = i == self.run_end;
         let next_pc = if ends_run { self.end_run(i, pc) } else { pc + 1 };
         self.pc = next_pc;
@@ -1062,22 +983,48 @@ mod tests {
         );
     }
 
+    /// The bytes of the varint encoding of `value`, counted without the
+    /// codec: seven bits per byte, and at least one byte.
+    fn varint_len(value: u64) -> usize {
+        (64 - value.leading_zeros() as usize).max(1).div_ceil(7)
+    }
+
+    /// Every varint of a column stream, in order.
+    fn varints(stream: &[u8]) -> Vec<u64> {
+        let mut pos = 0;
+        std::iter::from_fn(|| (pos < stream.len()).then(|| varint::read(stream, &mut pos)))
+            .collect()
+    }
+
     #[test]
-    fn approx_bytes_is_four_bytes_per_column_entry_plus_the_image() {
+    fn approx_bytes_is_the_column_varints_plus_the_image() {
         let layout = mixed_program();
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        let records: Vec<Step> = trace.replay().collect();
         let code = trace.static_code();
-        let mems = records.iter().filter(|s| s.mem_addr.is_some()).count();
-        let runs = records.iter().filter(|s| s.ends_run).count();
-        let returns = records.iter().filter(|s| code[s.pc as usize] == Instr::Return).count();
+        let (mut columns, mut run, mut last) = (0, 0u64, vec![0u64; code.len()]);
+        let (mut runs, mut returns, mut mems) = (0, 0, 0);
+        for s in trace.replay() {
+            if let Some(addr) = s.mem_addr {
+                let delta = addr.wrapping_sub(last[s.pc as usize]) as i64;
+                columns += varint_len(((delta << 1) ^ (delta >> 63)) as u64);
+                last[s.pc as usize] = addr;
+                mems += 1;
+            }
+            run += 1;
+            if s.ends_run {
+                columns += varint_len(run);
+                (run, runs) = (0, runs + 1);
+                if code[s.pc as usize] == Instr::Return {
+                    columns += varint_len(u64::from(s.next_pc));
+                    returns += 1;
+                }
+            }
+        }
         assert!(mems > 0 && runs > returns && returns > 0, "the program fills every column");
-        assert!(records.iter().all(|s| s.mem_addr.is_none_or(|a| a >> 32 == 0)));
-        let image = layout.len() * (std::mem::size_of::<Instr>() + std::mem::size_of::<ProcId>());
         assert_eq!(
             trace.approx_bytes(),
-            (runs + returns + mems) * 4 + image,
-            "no per-record column, and no MEM_HI entry below 4 GiB"
+            columns + layout.len() * std::mem::size_of::<Instr>(),
+            "one varint per column entry, no per-record column and nothing per PC but the image"
         );
     }
 
@@ -1087,7 +1034,6 @@ mod tests {
         let mut trace = CapturedTrace::record(&layout, u64::MAX);
         let before = trace.approx_bytes();
         assert!(trace.depgraph().is_none());
-        assert_eq!(trace.summary().depgraph_build_nanos, None);
         let graph = trace.build_depgraph();
         assert_eq!(graph.len(), trace.len());
         assert_eq!(
@@ -1095,7 +1041,6 @@ mod tests {
             before + graph.approx_bytes(),
             "the dependence graph storage must be accounted"
         );
-        assert!(trace.summary().depgraph_build_nanos.is_some());
         // Idempotent: a second build returns the same graph.
         let again = trace.build_depgraph();
         assert!(Arc::ptr_eq(&graph, &again));
@@ -1123,6 +1068,16 @@ mod tests {
         );
         assert!(loaded.depgraph().is_none(), "the attached graph is not written");
         assert_eq!(loaded.fingerprint(), trace.fingerprint());
+    }
+
+    #[test]
+    fn saves_before_and_after_the_graph_build_are_byte_identical() {
+        let mut trace = CapturedTrace::record(&mixed_program(), u64::MAX);
+        let before = trace.to_bytes();
+        trace.build_depgraph();
+        assert_eq!(trace.to_bytes(), before, "the artifact is a function of the stream alone");
+        let loaded = CapturedTrace::from_bytes(&before).expect("clean bytes load");
+        assert_eq!(loaded.to_bytes(), before, "decode then re-encode is the identity");
     }
 
     #[test]
@@ -1208,28 +1163,39 @@ mod tests {
     }
 
     #[test]
-    fn addresses_above_4_gib_use_the_high_word_column() {
+    fn address_deltas_cross_4_gib_and_wrap_at_u64_max() {
         // Shift amounts are taken mod 32, so two shifts reach bit 32.
         let sll = Instr::AluImm { op: AluOp::Sll, rd: r(9), rs: r(9), imm: 16 };
+        // One store PC (the leaf's) sees every address.
         let layout = program(
             |main| {
                 main.emit(Instr::load_imm(r(8), 7));
+                main.emit(Instr::load_imm(r(9), crate::interp::DATA_BASE as i32));
+                main.emit_call("leaf");
                 main.emit(Instr::load_imm(r(9), 3));
                 main.emit(sll);
                 main.emit(sll);
-                main.emit(Instr::Store { rs: r(8), base: r(9), offset: 8 });
-                main.emit(Instr::Load { rd: r(10), base: r(9), offset: 8 });
-                main.emit(Instr::load_imm(r(9), crate::interp::DATA_BASE as i32));
-                main.emit(Instr::Store { rs: r(10), base: r(9), offset: 0 });
+                main.emit_call("leaf");
+                main.emit(Instr::load_imm(r(9), -16));
+                main.emit_call("leaf");
+                main.emit(Instr::load_imm(r(9), 0));
+                main.emit_call("leaf");
                 main.emit(Instr::Halt);
             },
-            &[Instr::Return],
+            &[Instr::Store { rs: r(8), base: r(9), offset: 8 }, Instr::Return],
         );
         let records = replays_and_roundtrips(&layout, u64::MAX);
         let addrs: Vec<u64> = records.iter().filter_map(|s| s.mem_addr).collect();
-        assert_eq!(addrs, [(3 << 32) + 8, (3 << 32) + 8, crate::interp::DATA_BASE]);
+        let data = crate::interp::DATA_BASE + 8;
+        assert_eq!(addrs, [data, (3 << 32) + 8, u64::MAX - 7, 8]);
         let trace = CapturedTrace::record(&layout, u64::MAX);
-        assert_eq!(trace.mem_hi, [(0, 3), (2, 0)], "the high word rises, then falls back");
+        let deltas: Vec<u64> = varints(&trace.mem).into_iter().map(varint::unzigzag).collect();
+        assert_eq!(
+            deltas,
+            [data, (3 << 32) - crate::interp::DATA_BASE, (-(3i64 << 32) - 16) as u64, 16],
+            "up across 4 GiB, down to the top of the address space, and over it to 8"
+        );
+        assert_eq!(trace.mem.last(), Some(&32), "the wrap is one byte: +16, zigzagged");
     }
 
     #[test]
@@ -1243,7 +1209,7 @@ mod tests {
             let records = replays_and_roundtrips(&layout, n);
             assert_eq!(records.len() as u64, n);
             let trace = CapturedTrace::record(&layout, n);
-            let covered: u64 = trace.control.iter().map(|&run| u64::from(run)).sum();
+            let covered: u64 = varints(&trace.control).iter().sum();
             assert!(covered < n, "the final records belong to no run");
         }
     }

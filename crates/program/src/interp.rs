@@ -194,11 +194,6 @@ pub struct ExecSummary {
     pub halted: bool,
     /// The error that stopped execution, if any.
     pub error: Option<InterpError>,
-    /// Wall-clock nanoseconds spent building the trace's dependence graph
-    /// ([`crate::CapturedTrace::build_depgraph`]), or `None` while no graph
-    /// has been built. Reported here so sweep drivers can account the
-    /// one-off precompute cost next to the capture cost it amortizes with.
-    pub depgraph_build_nanos: Option<u64>,
 }
 
 /// Functional interpreter over a [`LayoutProgram`].
@@ -266,12 +261,7 @@ impl<'a> Interpreter<'a> {
     /// Summary of the execution so far.
     #[must_use]
     pub fn summary(&self) -> ExecSummary {
-        ExecSummary {
-            instructions: self.seq,
-            halted: self.halted,
-            error: self.error,
-            depgraph_build_nanos: None,
-        }
+        ExecSummary { instructions: self.seq, halted: self.halted, error: self.error }
     }
 
     fn mem_addr(&self, base: ArchReg, offset: i32) -> u64 {

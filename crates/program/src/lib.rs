@@ -57,6 +57,7 @@ mod interp;
 mod ir;
 mod layout;
 mod trace;
+mod varint;
 
 pub use artifact::ArtifactError;
 pub use builder::{ProcBuilder, ProgramBuilder};

@@ -10,7 +10,10 @@
 //! the corrupted section, never as a panic or a silently different trace.
 //!
 //! One version loads: [`TRACE_VERSION`]. An artifact whose header names any
-//! other version is [`ArtifactError::VersionSkew`].
+//! other version is [`ArtifactError::VersionSkew`]. The dynamic columns
+//! are LEB128 varint streams; a checksum-valid column that is not a whole
+//! sequence of minimal 64-bit varints, or whose entries the records do not
+//! consume exactly, is [`ArtifactError::Malformed`].
 
 use dvi_program::artifact::ArtifactWriter;
 use dvi_program::captured::{section, TRACE_MAGIC, TRACE_VERSION};
@@ -129,7 +132,9 @@ proptest! {
         if with_graph {
             trace.build_depgraph();
         }
-        let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("clean bytes load");
+        let bytes = trace.to_bytes();
+        let loaded = CapturedTrace::from_bytes(&bytes).expect("clean bytes load");
+        prop_assert_eq!(loaded.to_bytes(), bytes, "decode then re-encode is the identity");
         prop_assert_eq!(loaded.len(), trace.len());
         prop_assert_eq!(loaded.summary(), trace.summary());
         prop_assert_eq!(loaded.fingerprint(), trace.fingerprint());
@@ -171,7 +176,7 @@ fn one_flipped_byte_in_any_section_is_a_checksum_mismatch() {
     trace.build_depgraph();
     let bytes = trace.to_bytes();
     let spans = section_spans(&bytes);
-    assert_eq!(spans.len(), 7, "the trace artifact carries exactly the core sections");
+    assert_eq!(spans.len(), 5, "the trace artifact carries exactly the core sections");
     for (tag, start, len) in spans {
         if len == 0 {
             continue;
@@ -227,25 +232,27 @@ fn older_version_headers_are_version_skew() {
 }
 
 /// A memory column whose length disagrees with the image is malformed:
-/// `MEM_LO` missing the address of a load or store, or carrying one more
+/// `MEM` missing the address of a load or store, or carrying one more
 /// address than the image's data-cache records consume. Loaded, either
 /// would misalign every later address or leave one unread.
 #[test]
 fn a_memory_column_count_mismatch_is_malformed() {
     let bytes = CapturedTrace::record(&mixed_program(4), 200).to_bytes();
-    let short = with_section_edited(&bytes, section::MEM_LO, |lo| drop(lo.drain(..4)));
-    assert_malformed(&short, "MEM_LO holds");
-    let long = with_section_edited(&bytes, section::MEM_LO, |lo| lo.extend([0; 4]));
-    assert_malformed(&long, "MEM_LO holds");
+    let short = with_varints_edited(&bytes, section::MEM, |mem| {
+        mem.remove(0);
+    });
+    assert_malformed(&short, "MEM holds");
+    let long = with_varints_edited(&bytes, section::MEM, |mem| mem.push(0));
+    assert_malformed(&long, "MEM holds");
 }
 
-/// The current version writes exactly the seven core sections — no
+/// The current version writes exactly the five core sections — no
 /// dependence graph, attached or not.
 #[test]
 fn the_current_version_writes_no_depgraph_section() {
     let mut trace = CapturedTrace::record(&far_link_program(), u64::MAX);
     trace.build_depgraph();
-    assert_eq!(TRACE_VERSION, 6);
+    assert_eq!(TRACE_VERSION, 7);
     for bytes in [trace.to_bytes(), {
         let path = std::env::temp_dir().join("dvi-artifact-current-no-depgraph.dvitrace");
         trace.save(&path).expect("save succeeds");
@@ -259,11 +266,9 @@ fn the_current_version_writes_no_depgraph_section() {
             [
                 section::META,
                 section::STATIC_INSTRS,
-                section::STATIC_PROCS,
                 section::CONTROL,
                 section::RETURNS,
-                section::MEM_LO,
-                section::MEM_HI
+                section::MEM
             ]
         );
     }
@@ -289,6 +294,45 @@ fn edit_u32(payload: &mut [u8], index: usize, f: impl Fn(u32) -> u32) {
     payload[at..at + 4].copy_from_slice(&f(old).to_le_bytes());
 }
 
+/// The values of a varint column, decoded here without the crate's codec.
+fn varints(payload: &[u8]) -> Vec<u64> {
+    let (mut values, mut value, mut shift) = (Vec::new(), 0u64, 0);
+    for &byte in payload {
+        value |= u64::from(byte & 0x7F) << shift;
+        shift += 7;
+        if byte < 0x80 {
+            values.push(value);
+            (value, shift) = (0, 0);
+        }
+    }
+    assert_eq!(shift, 0, "a clean column ends on a whole varint");
+    values
+}
+
+/// The minimal varint encoding of `values`.
+fn encode_varints(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &value in values {
+        let mut v = value;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    out
+}
+
+/// [`with_section_edited`] for a varint column: `edit` sees its values,
+/// which are then re-encoded minimally.
+fn with_varints_edited(bytes: &[u8], tag: u32, edit: impl Fn(&mut Vec<u64>)) -> Vec<u8> {
+    with_section_edited(bytes, tag, |payload| {
+        let mut values = varints(payload);
+        edit(&mut values);
+        *payload = encode_varints(&values);
+    })
+}
+
 /// A checksum-valid `CONTROL` column that disagrees with the image is
 /// malformed, whichever way it disagrees: a run that ends on an ALU
 /// record, a run that runs through a call or a return, an empty run, or
@@ -303,21 +347,20 @@ fn control_runs_that_contradict_the_image_are_malformed() {
     assert_eq!(instr(5).class(), dvi_isa::InstrClass::IntAlu);
     assert_eq!(instr(6), Instr::Return);
 
-    let short = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 1, |n| n - 1));
+    let short = with_varints_edited(&bytes, section::CONTROL, |c| c[1] -= 1);
     assert_malformed(&short, "a run ends on a int-alu record");
     // Run 0 ends on the call; one record longer runs through it.
-    let through_call = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 0, |n| n + 1));
+    let through_call = with_varints_edited(&bytes, section::CONTROL, |c| c[0] += 1);
     assert_malformed(&through_call, "a call inside a run");
-    let through_return =
-        with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 1, |n| n + 1));
+    let through_return = with_varints_edited(&bytes, section::CONTROL, |c| c[1] += 1);
     assert_malformed(&through_return, "a return inside a run");
-    let empty = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 2, |_| 0));
+    let empty = with_varints_edited(&bytes, section::CONTROL, |c| c[2] = 0);
     assert_malformed(&empty, "run 2 is empty");
-    let first_empty = with_section_edited(&bytes, section::CONTROL, |c| edit_u32(c, 0, |_| 0));
+    let first_empty = with_varints_edited(&bytes, section::CONTROL, |c| c[0] = 0);
     assert_malformed(&first_empty, "run 0 is empty");
 
     // The halt is the last record; a run past it is never finished.
-    let extra = with_section_edited(&bytes, section::CONTROL, |c| c.extend(1u32.to_le_bytes()));
+    let extra = with_varints_edited(&bytes, section::CONTROL, |c| c.push(1));
     assert_malformed(&extra, "CONTROL holds");
 }
 
@@ -327,64 +370,98 @@ fn control_runs_that_contradict_the_image_are_malformed() {
 fn a_halt_is_the_last_record() {
     let trace = CapturedTrace::record(&mixed_program(2), u64::MAX);
     let bytes = trace.to_bytes();
-    let runs = section_spans(&bytes)
-        .into_iter()
-        .find(|&(tag, _, _)| tag == section::CONTROL)
-        .map(|(_, _, len)| len / 4)
-        .expect("a CONTROL section");
     // One record more, and the last run one record longer: the halt
     // falls through inside a run.
     let through_halt = with_sections_edited(&bytes, |tag, payload| match tag {
         section::META => edit_u32(payload, 0, |n| n + 1),
-        section::CONTROL => edit_u32(payload, runs - 1, |n| n + 1),
+        section::CONTROL => {
+            let mut runs = varints(payload);
+            *runs.last_mut().expect("a run") += 1;
+            *payload = encode_varints(&runs);
+        }
         _ => {}
     });
     assert_malformed(&through_halt, "a halt inside a run");
     // One record more: the halt replays a second time.
     let repeated = with_sections_edited(&bytes, |tag, payload| match tag {
         section::META => edit_u32(payload, 0, |n| n + 1),
-        section::CONTROL => payload.extend(1u32.to_le_bytes()),
+        section::CONTROL => payload.push(1),
         _ => {}
     });
     assert_malformed(&repeated, "halts before the last record");
 }
 
+/// The varint columns, with the names the decoder's errors give them.
+const VARINT_COLUMNS: [(u32, &str); 3] =
+    [(section::CONTROL, "CONTROL"), (section::RETURNS, "RETURNS"), (section::MEM, "MEM")];
+
 /// An entry in any dynamic column that no record consumes is malformed,
-/// as is a high-word column out of order or repeating the current high
-/// word, and a return to a PC outside the image.
+/// as is a missing one, and a return to a PC outside the image.
 #[test]
 fn column_entries_that_no_record_consumes_are_malformed() {
     let trace = CapturedTrace::record(&mixed_program(4), u64::MAX);
     let bytes = trace.to_bytes();
-    let static_len = trace.static_code().len() as u32;
+    let static_len = trace.static_code().len() as u64;
 
-    let extra_return =
-        with_section_edited(&bytes, section::RETURNS, |r| r.extend(static_len.to_le_bytes()));
-    assert_malformed(&extra_return, "RETURNS holds");
-    let missing_return = with_section_edited(&bytes, section::RETURNS, |r| r.truncate(r.len() - 4));
+    for (tag, name) in VARINT_COLUMNS {
+        let extra = with_varints_edited(&bytes, tag, |column| column.push(1));
+        assert_malformed(&extra, &format!("{name} holds"));
+    }
+    let missing_return = with_varints_edited(&bytes, section::RETURNS, |r| {
+        r.pop();
+    });
     assert_malformed(&missing_return, "RETURNS holds");
-    let outside = with_section_edited(&bytes, section::RETURNS, |r| edit_u32(r, 0, |_| static_len));
+    let outside = with_varints_edited(&bytes, section::RETURNS, |r| r[0] = static_len);
     assert_malformed(&outside, "outside the");
+    let past_u32 = with_varints_edited(&bytes, section::RETURNS, |r| r[0] = 1 << 32);
+    assert_malformed(&past_u32, "outside the");
+}
 
-    let mems = trace.replay().filter(|s| s.mem_addr.is_some()).count() as u64;
-    let high_words = |entries: &[(u64, u32)]| {
-        with_section_edited(&bytes, section::MEM_HI, |hi| {
-            for &(index, word) in entries {
-                hi.extend(index.to_le_bytes());
-                hi.extend(word.to_le_bytes());
-            }
-        })
-    };
-    let reason = "out of order, past the";
-    // Valid: the high word rises at one address and falls back at the next.
-    assert!(CapturedTrace::from_bytes(&high_words(&[(1, 1), (2, 0)])).is_ok());
-    assert_malformed(&high_words(&[(mems, 1)]), reason);
-    assert_malformed(&high_words(&[(2, 1), (1, 2)]), reason);
-    assert_malformed(&high_words(&[(2, 1), (2, 2)]), reason);
-    assert_malformed(&high_words(&[(1, 0)]), reason);
-    assert_malformed(&high_words(&[(1, 5), (3, 5)]), reason);
-    let ragged = with_section_edited(&bytes, section::MEM_HI, |hi| hi.extend([0; 11]));
-    assert_malformed(&ragged, "whole 12-byte entries");
+/// The varint columns hold only minimal 64-bit encodings that end inside
+/// their section: an overlong varint, a varint cut off by the section end
+/// and one past 64 bits are each malformed, in every column.
+#[test]
+fn a_varint_that_is_not_minimal_complete_and_64_bit_is_malformed() {
+    let bytes = CapturedTrace::record(&mixed_program(4), u64::MAX).to_bytes();
+    for (tag, name) in VARINT_COLUMNS {
+        let entries = varints(&section_payload(&bytes, tag)).len();
+        // The first varint padded with a redundant zero group.
+        let overlong = with_section_edited(&bytes, tag, |column| {
+            let end = column.iter().position(|&b| b < 0x80).expect("a varint");
+            column[end] |= 0x80;
+            column.insert(end + 1, 0x00);
+        });
+        assert_malformed(&overlong, &format!("{name} varint 0 is not minimally encoded"));
+        let cut = with_section_edited(&bytes, tag, |column| column.push(0x80));
+        assert_malformed(&cut, &format!("{name} varint {entries} is cut off by the section end"));
+        // Ten bytes carry 70 bits; the tenth may hold only bit 63.
+        for tenth in [0x02, 0x81] {
+            let wide = with_section_edited(&bytes, tag, |column| {
+                column.extend([0xFF; 9]);
+                column.push(tenth);
+            });
+            assert_malformed(&wide, &format!("{name} varint {entries} exceeds 64 bits"));
+        }
+    }
+}
+
+/// A zero run length is malformed wherever it sits: before the first
+/// record, between two runs, and after the records end.
+#[test]
+fn a_zero_run_length_is_malformed() {
+    let bytes = CapturedTrace::record(&mixed_program(4), u64::MAX).to_bytes();
+    let runs = varints(&section_payload(&bytes, section::CONTROL)).len();
+    for (at, run) in [(0, 0), (runs / 2, runs / 2), (runs, runs)] {
+        let zero = with_varints_edited(&bytes, section::CONTROL, |c| c.insert(at, 0));
+        assert_malformed(&zero, &format!("run {run} is empty"));
+    }
+}
+
+/// The payload of section `tag`.
+fn section_payload(bytes: &[u8], tag: u32) -> Vec<u8> {
+    let (_, start, len) =
+        section_spans(bytes).into_iter().find(|&(t, _, _)| t == tag).expect("the section");
+    bytes[start..start + len].to_vec()
 }
 
 /// Internally inconsistent contents behind valid checksums are typed
@@ -404,9 +481,8 @@ fn damaged_version_4_contents_are_typed_errors() {
         meta[16..20].copy_from_slice(&static_len.to_le_bytes());
     });
     assert!(malformed(&outside), "a first PC past the image");
-    let outside = with_section_edited(&bytes, section::RETURNS, |targets| {
-        targets[..4].copy_from_slice(&static_len.to_le_bytes());
-    });
+    let outside =
+        with_varints_edited(&bytes, section::RETURNS, |targets| targets[0] = static_len.into());
     assert!(malformed(&outside), "a return past the image");
 
     for (tag, _, len) in section_spans(&bytes) {

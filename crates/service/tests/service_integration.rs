@@ -614,12 +614,12 @@ fn malformed_requests_get_typed_http_errors() {
 
     // A trace artifact of an older format version → 400 naming the skew.
     let mut old = small_trace(3, 2_000).to_bytes();
-    old[8..12].copy_from_slice(&5u32.to_le_bytes());
+    old[8..12].copy_from_slice(&6u32.to_le_bytes());
     let (status, body) =
         http_request(&addr, "POST", "/traces", &old, "application/octet-stream").expect("request");
     assert_eq!(status, 400);
     let body = String::from_utf8_lossy(&body);
-    assert!(body.contains("version 5 is not the version this reader reads"), "got: {body}");
+    assert!(body.contains("version 6 is not the version this reader reads"), "got: {body}");
 
     // A 1 MiB request line without a newline → 400 once the header budget
     // is spent, instead of a handler buffering it all. The server closes

@@ -21,7 +21,8 @@
 //!
 //! The decoder also seeds each trace's fingerprint from the section
 //! checksums it verified. Every loaded mutant, and every preset trace,
-//! must carry the fingerprint its re-encoded sections hash to.
+//! must carry the fingerprint its re-encoded sections hash to, and every
+//! preset trace must re-encode to the bytes it was decoded from.
 //!
 //! The trace is about 300 records, so the debug build runs the loop in
 //! seconds; CI also runs it in release.
@@ -48,8 +49,8 @@ const MUTANTS: usize = 10_000;
 /// of records one by one only when the run fails an O(1) check; these pins,
 /// recorded with a decoder that walked every record, hold it to exactly the
 /// same refusals and messages.
-const REFUSED: usize = 8_327;
-const REFUSAL_DIGEST: u64 = 0x0162_bb3f_676f_c370;
+const REFUSED: usize = 8_563;
+const REFUSAL_DIGEST: u64 = 0xd8a8_1131_40c6_47b5;
 
 /// `spec` compiled (saves, restores, E-DVI kills, calls, loads and
 /// stores) and captured for at most `records` records.
@@ -192,7 +193,9 @@ fn decoded_presets_carry_the_fingerprint_of_their_re_encoding() {
     for spec in presets::all() {
         let trace = capture(&spec, 50_000);
         assert!(trace.len() > 1000, "{}: {} records", spec.name, trace.len());
-        let loaded = CapturedTrace::from_bytes(&trace.to_bytes()).expect("a clean trace loads");
+        let bytes = trace.to_bytes();
+        let loaded = CapturedTrace::from_bytes(&bytes).expect("a clean trace loads");
+        assert!(loaded.to_bytes() == bytes, "{}: decode then re-encode changed bytes", spec.name);
         assert_eq!(loaded.fingerprint(), reencoded_fingerprint(&loaded), "{}", spec.name);
         assert_eq!(loaded.fingerprint(), trace.fingerprint(), "{}", spec.name);
     }
