@@ -8,8 +8,8 @@
 //! time. A [`CapturedTrace`] runs the interpreter **once**
 //! ([`CapturedTrace::record`]) and stores the dynamic stream in a compact
 //! structure-of-arrays buffer; [`CapturedTrace::replay`] then reproduces the
-//! exact record stream with nothing but index arithmetic — no allocation,
-//! no hashing, no architectural state.
+//! exact record stream from those streams and one address per static PC —
+//! one allocation per cursor, no hashing, no architectural state.
 //!
 //! # Format
 //!
